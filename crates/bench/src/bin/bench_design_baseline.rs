@@ -14,7 +14,11 @@
 //! pool), the count of zero-attached sites, and the speedup over the
 //! schema-2 recorded baseline (`prior_build_pruned_ms`); `--tiny` emits the
 //! miniature scenario's `stage_profile` at the top level so CI can assert
-//! the schema. As before, the pruned pool is asserted bit-identical to the
+//! the schema. Since the hop-sweep cascade the `stage_profile` also carries
+//! a `hop_sweep` object — the count of samples each tier decided and the
+//! envelope cells filled (`HopSweepStats`) — and `full_scale` states the
+//! runner's `nproc`; both are additions, every schema-3 key keeps its
+//! meaning. As before, the pruned pool is asserted bit-identical to the
 //! oracle-filtered unpruned pool and both scenarios' selected link
 //! sequences asserted identical, *before* anything is timed.
 //!
@@ -402,9 +406,12 @@ fn size_entry(r: &SizeReport) -> String {
     )
 }
 
-/// Render a [`PoolBuildProfile`] as a JSON object at `indent` spaces.
+/// Render a [`PoolBuildProfile`] as a JSON object at `indent` spaces:
+/// stage wall-clock, then the count of hop-sweep samples each cascade tier
+/// decided (so where the sweep's time went is a count, not an inference).
 fn stage_profile_entry(p: &PoolBuildProfile, indent: usize) -> String {
     let pad = " ".repeat(indent);
+    let sweep = &p.hop_sweep;
     format!(
         concat!(
             "{{\n",
@@ -412,7 +419,16 @@ fn stage_profile_entry(p: &PoolBuildProfile, indent: usize) -> String {
             "{pad}  \"attach_ms\": {:.1},\n",
             "{pad}  \"search_ms\": {:.1},\n",
             "{pad}  \"extract_ms\": {:.1},\n",
-            "{pad}  \"total_ms\": {:.1}\n",
+            "{pad}  \"total_ms\": {:.1},\n",
+            "{pad}  \"hop_sweep\": {{\n",
+            "{pad}    \"samples\": {},\n",
+            "{pad}    \"by_global_bound\": {},\n",
+            "{pad}    \"by_cell_bound\": {},\n",
+            "{pad}    \"elevation_only\": {},\n",
+            "{pad}    \"exact\": {},\n",
+            "{pad}    \"cells_filled\": {},\n",
+            "{pad}    \"bound_share\": {:.4}\n",
+            "{pad}  }}\n",
             "{pad}}}"
         ),
         p.hop_sweep_ms,
@@ -420,6 +436,13 @@ fn stage_profile_entry(p: &PoolBuildProfile, indent: usize) -> String {
         p.search_ms,
         p.extract_ms,
         p.total_ms,
+        sweep.samples,
+        sweep.by_global_bound,
+        sweep.by_cell_bound,
+        sweep.elevation_only,
+        sweep.exact,
+        sweep.cells_filled,
+        sweep.bound_share(),
         pad = pad,
     )
 }
@@ -429,6 +452,7 @@ fn full_scale_entry(r: &FullScaleReport) -> String {
         concat!(
             "  \"full_scale\": {{\n",
             "    \"scenario\": \"us_paper(42), {} sites, {} towers\",\n",
+            "    \"nproc\": {},\n",
             "    \"budget_towers\": {},\n",
             "    \"pool_candidates\": {},\n",
             "    \"build_pruned_ms\": {:.1},\n",
@@ -453,6 +477,7 @@ fn full_scale_entry(r: &FullScaleReport) -> String {
         ),
         r.sites,
         r.towers,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         r.budget,
         r.pool,
         r.build_pruned_ms,

@@ -9,11 +9,58 @@
 //!   `f = 11 GHz`, over the terrain + clutter surface, and
 //! * the antennas can only be mounted up to a *usable height fraction* of the
 //!   tower (Fig. 10 evaluates 1.0, 0.85, 0.65, 0.45).
+//!
+//! # The per-sample cascade
+//!
+//! A hop is feasible iff every interior sample of its profile is clear, and
+//! a sample is clear iff `headroom − obstacle >= 0`, where the *headroom*
+//! (sight line minus bulge and Fresnel radius,
+//! [`fresnel::sample_headroom_m`]) depends only on the two antennas and the
+//! *obstacle* is `elevation_m(p) + clutter_m(p)` — four noise fields (16
+//! octaves) and nine ridge distances, ~0.7 µs. The median feasible hop
+//! clears its tightest sample by tens of metres, so most samples can be
+//! decided from an upper bound on the obstacle ([`ObstructionEnvelope`])
+//! that costs a table look-up. Each sample runs down four tiers and stops
+//! at the first that decides it; every tier returns the verdict the last
+//! one would:
+//!
+//! 1. **Global bound**: `headroom − U_global >= ε` ⇒ clear, before the
+//!    sample's position is even computed. On flat terrain `U_global` is the
+//!    surface itself, so this decides every clear sample.
+//! 2. **Cell bound**: locate the sample, look its 0.05° cell's maximum up:
+//!    `headroom − U_cell >= ε` ⇒ clear.
+//! 3. **Elevation only**: sample the terrain but not the clutter. With
+//!    `bare = headroom − elevation_m(p)` and the clutter model's global
+//!    `[c_min, c_max]`: `bare − c_max >= ε` ⇒ clear, `bare − c_min < −ε` ⇒
+//!    blocked.
+//! 4. **Exact**: [`fresnel::sample_is_clear`] on the sampled obstacle — the
+//!    arithmetic of the reference profile pipeline, and the only place a
+//!    marginal sample is ever judged.
+//!
+//! **Soundness.** `U_global`, `U_cell`, `c_min` and `c_max` bound the
+//! sampled surface at every point (the argument for each is in
+//! [`cisp_terrain::envelope`]), so in real arithmetic tiers 1–3 can only
+//! fire when tier 4 would agree. `BOUND_SLACK_M` (ε = 1 mm) covers the
+//! difference between real and `f64` arithmetic: the bounds and the
+//! headroom/obstacle subtraction are each off by at most ~1e-9 m at
+//! kilometre magnitudes, six orders below ε, so a sample within ε of
+//! marginal always reaches tier 4. Samples outside the envelope's grid skip
+//! tier 2. Nothing here is a second implementation of the verdict: tiers
+//! 1–3 only ever *skip* work tier 4 would have done.
 
 use cisp_data::towers::TowerRegistry;
 use cisp_geo::{fresnel, geodesic, units};
-use cisp_terrain::{clutter::ClutterModel, profile, TerrainModel};
+use cisp_terrain::{clutter::ClutterModel, profile, ObstructionEnvelope, TerrainModel};
 use serde::{Deserialize, Serialize};
+
+/// ε of the cascade: a bound decides a sample only with this much margin to
+/// spare, in metres. See the module docs.
+const BOUND_SLACK_M: f64 = 1e-3;
+
+/// The envelope's grid covers the towers' bounding box grown by this much,
+/// in degrees: a great-circle hop bows poleward of both its ends (by
+/// ≈ 0.002° for 100 km at 49° N).
+const GRID_MARGIN_DEG: f64 = 0.1;
 
 /// Parameters of the hop-feasibility assessment.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -69,20 +116,60 @@ pub struct FeasibleHop {
     pub length_km: f64,
 }
 
+/// How one hop sweep's interior samples were decided, by cascade tier (see
+/// the module docs). `samples` is the sum of the four tiers; a blocked hop
+/// stops at its first blocked sample, so it contributes only the samples
+/// probed up to there.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct HopSweepStats {
+    /// Interior samples probed.
+    pub samples: u64,
+    /// Cleared by the global obstruction bound (tier 1).
+    pub by_global_bound: u64,
+    /// Cleared by the sample's grid-cell bound (tier 2).
+    pub by_cell_bound: u64,
+    /// Decided from the terrain elevation without sampling clutter (tier 3).
+    pub elevation_only: u64,
+    /// Judged by the exact terrain + clutter arithmetic (tier 4).
+    pub exact: u64,
+    /// Envelope grid cells computed during the sweep.
+    pub cells_filled: u64,
+}
+
+impl HopSweepStats {
+    /// Share of the probed samples decided by a bound (tiers 1 and 2),
+    /// without sampling the terrain; 0 for an empty sweep.
+    pub fn bound_share(&self) -> f64 {
+        if self.samples == 0 {
+            return 0.0;
+        }
+        (self.by_global_bound + self.by_cell_bound) as f64 / self.samples as f64
+    }
+
+    fn add_samples(&mut self, other: &Self) {
+        self.samples += other.samples;
+        self.by_global_bound += other.by_global_bound;
+        self.by_cell_bound += other.by_cell_bound;
+        self.elevation_only += other.elevation_only;
+        self.exact += other.exact;
+    }
+}
+
 /// The hop-feasibility engine: bundles the terrain, clutter, tower registry
 /// and configuration, and answers per-pair feasibility queries.
 ///
 /// Construction precomputes each tower's antenna height above sea level
-/// (ground elevation + usable fraction of the structure), so the all-pairs
-/// sweep looks each tower's elevation up once instead of once per incident
-/// pair. Per-pair assessment fuses path sampling, obstruction lookup and
-/// Fresnel clearance into one early-exit loop — no profile `Vec`s — probing
-/// samples middle-out, because the Earth-bulge clearance requirement peaks
-/// mid-hop and most blocked hops fail there first. Feasibility verdicts are
-/// bit-identical to the reference profile pipeline
+/// (ground elevation + usable fraction of the structure) and sets up the
+/// [`ObstructionEnvelope`] over the registry's bounding box (its cells fill
+/// lazily, during sweeps). Per-pair assessment probes the interior samples
+/// middle-out with early exit — the Earth-bulge clearance requirement peaks
+/// mid-hop and most blocked hops fail there first — and decides each sample
+/// through the cascade of the module docs. Feasibility verdicts are
+/// identical to the reference profile pipeline
 /// ([`profile::obstruction_profile`] → [`fresnel::evaluate_profile`] →
-/// [`fresnel::profile_is_clear`]): the per-sample arithmetic is the same and
-/// "every interior sample clear" does not depend on evaluation order.
+/// [`fresnel::profile_is_clear`]): the exact tier's arithmetic is the same,
+/// the bound tiers only fire where it would agree, and "every interior
+/// sample clear" does not depend on evaluation order.
 pub struct HopFeasibility<'a> {
     towers: &'a TowerRegistry,
     terrain: &'a TerrainModel,
@@ -90,6 +177,7 @@ pub struct HopFeasibility<'a> {
     config: HopConfig,
     /// Per-tower antenna height above sea level, in metres.
     antenna_asl_m: Vec<f64>,
+    envelope: ObstructionEnvelope<'a>,
 }
 
 impl<'a> HopFeasibility<'a> {
@@ -109,12 +197,35 @@ impl<'a> HopFeasibility<'a> {
             .iter()
             .map(|t| terrain.elevation_m(t.location) + t.height_m * config.usable_height_fraction)
             .collect();
+        let inf = f64::INFINITY;
+        let (min_lat, max_lat, min_lon, max_lon) = towers.towers().iter().fold(
+            (inf, -inf, inf, -inf),
+            |(min_lat, max_lat, min_lon, max_lon), t| {
+                (
+                    min_lat.min(t.location.lat_deg),
+                    max_lat.max(t.location.lat_deg),
+                    min_lon.min(t.location.lon_deg),
+                    max_lon.max(t.location.lon_deg),
+                )
+            },
+        );
+        let envelope = ObstructionEnvelope::new(
+            terrain,
+            clutter,
+            (
+                min_lat - GRID_MARGIN_DEG,
+                max_lat + GRID_MARGIN_DEG,
+                min_lon - GRID_MARGIN_DEG,
+                max_lon + GRID_MARGIN_DEG,
+            ),
+        );
         Self {
             towers,
             terrain,
             clutter,
             config,
             antenna_asl_m,
+            envelope,
         }
     }
 
@@ -125,6 +236,17 @@ impl<'a> HopFeasibility<'a> {
 
     /// Assess a single tower pair. Returns the hop if it is feasible.
     pub fn assess_pair(&self, i: usize, j: usize) -> Option<FeasibleHop> {
+        self.assess_pair_counted(i, j, &mut HopSweepStats::default())
+    }
+
+    /// [`Self::assess_pair`], adding the tier that decided each probed
+    /// sample to `stats`.
+    fn assess_pair_counted(
+        &self,
+        i: usize,
+        j: usize,
+        stats: &mut HopSweepStats,
+    ) -> Option<FeasibleHop> {
         let (a, b) = (i.min(j), i.max(j));
         let ta = &self.towers.towers()[a];
         let tb = &self.towers.towers()[b];
@@ -137,25 +259,52 @@ impl<'a> HopFeasibility<'a> {
         // structure (precomputed per tower).
         let h_a = self.antenna_asl_m[a];
         let h_b = self.antenna_asl_m[b];
+        let HopConfig {
+            frequency_ghz,
+            k_factor,
+            ..
+        } = self.config;
 
         let n = profile::samples_for_hop(length_km);
         let sampler = geodesic::PathSampler::new(ta.location, tb.location);
         let denom = (n - 1) as f64;
-        // One interior sample of the reference profile pipeline: the frac,
-        // obstruction and clearance expressions are the same, so the boolean
-        // is too.
-        let clear = |idx: usize| -> bool {
+        let global_max_m = self.envelope.global_max_m();
+        let (clutter_min_m, clutter_max_m) = self.envelope.clutter_range_m();
+        // One interior sample of the reference profile pipeline, decided by
+        // the first tier of the cascade that can (module docs).
+        let mut clear = |idx: usize| -> bool {
             let frac = idx as f64 / denom;
+            let headroom_m =
+                fresnel::sample_headroom_m(length_km, h_a, h_b, frac, frequency_ghz, k_factor);
+            stats.samples += 1;
+            if headroom_m - global_max_m >= BOUND_SLACK_M {
+                stats.by_global_bound += 1;
+                return true;
+            }
             let p = sampler.point_at(frac);
-            let obstacle_m = self.terrain.elevation_m(p) + self.clutter.clutter_m(p);
+            if let Some(cell_max_m) = self.envelope.cell_max_m(p) {
+                if headroom_m - cell_max_m >= BOUND_SLACK_M {
+                    stats.by_cell_bound += 1;
+                    return true;
+                }
+            }
+            let elevation_m = self.terrain.elevation_m(p);
+            let bare_m = headroom_m - elevation_m;
+            let clear_of_any_clutter = bare_m - clutter_max_m >= BOUND_SLACK_M;
+            if clear_of_any_clutter || bare_m - clutter_min_m < -BOUND_SLACK_M {
+                stats.elevation_only += 1;
+                return clear_of_any_clutter;
+            }
+            stats.exact += 1;
+            let obstacle_m = elevation_m + self.clutter.clutter_m(p);
             fresnel::sample_is_clear(
                 length_km,
                 h_a,
                 h_b,
                 frac,
                 obstacle_m,
-                self.config.frequency_ghz,
-                self.config.k_factor,
+                frequency_ghz,
+                k_factor,
             )
         };
         // Interior samples are indices 1..=n-2 (endpoints are the antennas
@@ -195,31 +344,61 @@ impl<'a> HopFeasibility<'a> {
     /// chunk results concatenated in input order, so the hop list is
     /// identical — order included — for every worker count.
     pub fn all_feasible_hops_with(&self, workers: usize) -> Vec<FeasibleHop> {
+        self.all_feasible_hops_profiled(workers).0
+    }
+
+    /// [`Self::all_feasible_hops_with`], also reporting which cascade tier
+    /// decided the sweep's samples. Each chunk counts into its own
+    /// [`HopSweepStats`] and the chunk counts are summed in chunk order; a
+    /// sample's tier depends only on the sample and on cell bounds that are
+    /// pure functions of the cell, so the counts are worker-count invariant
+    /// too.
+    ///
+    /// A pair over mountains costs several times a pair over plains (its
+    /// samples reach the later tiers) and neighbouring pairs share terrain,
+    /// so each worker takes every `workers`-th of many small chunks rather
+    /// than one contiguous share.
+    pub fn all_feasible_hops_profiled(&self, workers: usize) -> (Vec<FeasibleHop>, HopSweepStats) {
         use rayon::prelude::*;
 
+        /// Chunks dealt to each worker.
+        const CHUNKS_PER_WORKER: usize = 64;
+
         let pairs = self.towers.pairs_within(self.config.max_range_km);
-        let workers = if workers == 0 {
-            rayon::current_num_threads()
-        } else {
-            workers
-        };
-        if workers <= 1 || pairs.len() <= 1 {
-            return pairs
-                .into_iter()
-                .filter_map(|(i, j)| self.assess_pair(i, j))
-                .collect();
-        }
-        let chunks = crate::links::chunk_ranges(pairs.len(), workers);
-        let per_chunk: Vec<Vec<FeasibleHop>> = chunks
+        let cells_before = self.envelope.cells_filled();
+        let workers = crate::links::resolve_workers(workers);
+        let chunks = crate::links::chunk_ranges(pairs.len(), workers * CHUNKS_PER_WORKER);
+        let per_worker: Vec<Vec<(Vec<FeasibleHop>, HopSweepStats)>> = (0..workers)
             .into_par_iter()
-            .map(|(start, end)| {
-                pairs[start..end]
+            .map(|worker| {
+                chunks
                     .iter()
-                    .filter_map(|&(i, j)| self.assess_pair(i, j))
+                    .skip(worker)
+                    .step_by(workers)
+                    .map(|&(start, end)| {
+                        let mut stats = HopSweepStats::default();
+                        let hops = pairs[start..end]
+                            .iter()
+                            .filter_map(|&(i, j)| self.assess_pair_counted(i, j, &mut stats))
+                            .collect();
+                        (hops, stats)
+                    })
                     .collect()
             })
             .collect();
-        per_chunk.into_iter().flatten().collect()
+        // Chunk k is the (k / workers)-th result of worker k % workers.
+        let mut per_worker: Vec<_> = per_worker.into_iter().map(Vec::into_iter).collect();
+        let mut hops = Vec::new();
+        let mut stats = HopSweepStats::default();
+        for k in 0..chunks.len() {
+            let (chunk_hops, chunk_stats) = per_worker[k % workers]
+                .next()
+                .expect("every worker returns one result per chunk it was dealt");
+            hops.extend(chunk_hops);
+            stats.add_samples(&chunk_stats);
+        }
+        stats.cells_filled = (self.envelope.cells_filled() - cells_before) as u64;
+        (hops, stats)
     }
 }
 
@@ -397,8 +576,9 @@ mod tests {
         assert!(assessed > 50);
     }
 
-    // The hop list must be identical — order included — for every worker
-    // count (contiguous chunks merged in input order).
+    // The hop list — order included — and the per-tier sample counts must be
+    // identical for every worker count (chunks merged in input order; a
+    // sample's tier does not depend on which worker filled its cell).
     #[test]
     fn parallel_sweep_is_worker_count_invariant() {
         let mut towers = Vec::new();
@@ -412,12 +592,23 @@ mod tests {
         let reg = registry(towers);
         let terrain = TerrainModel::united_states(7);
         let clutter = ClutterModel::none();
-        let engine = HopFeasibility::new(&reg, &terrain, &clutter, HopConfig::default());
-        let serial = engine.all_feasible_hops();
+        let sweep = |workers: usize| {
+            HopFeasibility::new(&reg, &terrain, &clutter, HopConfig::default())
+                .all_feasible_hops_profiled(workers)
+        };
+        let (serial, serial_stats) = sweep(1);
         assert!(!serial.is_empty());
+        assert!(serial_stats.by_cell_bound > 0 && serial_stats.cells_filled > 0);
         for workers in [0, 2, 3, 7] {
-            assert_eq!(engine.all_feasible_hops_with(workers), serial);
+            assert_eq!(sweep(workers), (serial.clone(), serial_stats));
         }
+        // A second sweep on one engine finds its cells filled already.
+        let engine = HopFeasibility::new(&reg, &terrain, &clutter, HopConfig::default());
+        assert_eq!(engine.all_feasible_hops(), serial);
+        let (again, again_stats) = engine.all_feasible_hops_profiled(2);
+        assert_eq!(again, serial);
+        assert_eq!(again_stats.cells_filled, 0);
+        assert_eq!(again_stats.by_cell_bound, serial_stats.by_cell_bound);
     }
 
     #[test]

@@ -59,6 +59,6 @@ pub mod topology;
 pub use cost::CostModel;
 pub use design::{DesignInput, DesignOutcome, Designer};
 pub use economics::{rank_upgrades, UpgradeConfig, UpgradeOption, UpgradeRanking};
-pub use hops::{HopConfig, HopFeasibility};
+pub use hops::{HopConfig, HopFeasibility, HopSweepStats};
 pub use links::{CandidateLink, LinkBuilder};
 pub use topology::HybridTopology;

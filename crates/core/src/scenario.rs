@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use crate::augment::{augment_for_throughput, AugmentConfig, Augmentation};
 use crate::cost::{CostBreakdown, CostModel};
 use crate::design::{DesignConfig, DesignInput, DesignOutcome, Designer};
-use crate::hops::{HopConfig, HopFeasibility};
+use crate::hops::{HopConfig, HopFeasibility, HopSweepStats};
 use crate::links::{AttachmentReport, LinkBuilder, LinkBuilderConfig, PoolPruneStats};
 use crate::topology::HybridTopology;
 
@@ -165,6 +165,8 @@ pub struct PoolBuildProfile {
     pub extract_ms: f64,
     /// Elapsed wall-clock of the whole pool build (sweep through links).
     pub total_ms: f64,
+    /// How the hop sweep's samples were decided (bounds vs terrain sampling).
+    pub hop_sweep: HopSweepStats,
 }
 
 /// A fully built scenario, ready for design runs.
@@ -222,7 +224,7 @@ impl Scenario {
         let sites: Vec<GeoPoint> = cities.iter().map(|c| c.location).collect();
         let build_start = Instant::now();
         let feasibility = HopFeasibility::new(&towers, &terrain, &clutter, config.hops);
-        let hops = feasibility.all_feasible_hops_with(config.pool_workers);
+        let (hops, hop_sweep) = feasibility.all_feasible_hops_profiled(config.pool_workers);
         let hop_sweep_ms = build_start.elapsed().as_secs_f64() * 1e3;
 
         let attach_start = Instant::now();
@@ -246,6 +248,7 @@ impl Scenario {
             search_ms: timings.search_ms,
             extract_ms: timings.extract_ms,
             total_ms: build_start.elapsed().as_secs_f64() * 1e3,
+            hop_sweep,
         };
 
         let input = DesignInput {

@@ -144,6 +144,26 @@ pub fn profile_is_clear(samples: &[ClearanceSample]) -> bool {
         .all(|s| s.is_clear())
 }
 
+/// Height of the bottom of the required clearance zone (sight line minus
+/// Earth bulge and first Fresnel zone) above the datum at `frac` along the
+/// hop, in metres: the tallest obstacle the sample tolerates. It does not
+/// depend on the terrain, so the hop-feasibility sweep computes it first
+/// and compares it against cheap upper bounds on the obstacle before
+/// sampling the terrain at all.
+#[inline]
+pub fn sample_headroom_m(
+    hop_km: f64,
+    h_a_m: f64,
+    h_b_m: f64,
+    frac: f64,
+    freq_ghz: f64,
+    k: f64,
+) -> f64 {
+    let d1 = hop_km * frac;
+    let d2 = hop_km - d1;
+    line_of_sight_height_m(h_a_m, h_b_m, frac) - required_clearance_m(d1, d2, freq_ghz, k)
+}
+
 /// Clearance margin of one profile sample, in metres, without materialising a
 /// [`ClearanceSample`]: identical arithmetic to
 /// [`evaluate_profile`] + [`ClearanceSample::margin_m`] at the same `frac`.
@@ -162,10 +182,7 @@ pub fn sample_margin_m(
     freq_ghz: f64,
     k: f64,
 ) -> f64 {
-    let d1 = hop_km * frac;
-    let d2 = hop_km - d1;
-    (line_of_sight_height_m(h_a_m, h_b_m, frac) - required_clearance_m(d1, d2, freq_ghz, k))
-        - obstacle_m
+    sample_headroom_m(hop_km, h_a_m, h_b_m, frac, freq_ghz, k) - obstacle_m
 }
 
 /// Whether one profile sample is clear; see [`sample_margin_m`].

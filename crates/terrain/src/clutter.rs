@@ -16,7 +16,29 @@
 use cisp_geo::GeoPoint;
 use serde::{Deserialize, Serialize};
 
-use crate::noise::{fbm, FbmParams};
+use crate::envelope::LatLonRect;
+use crate::noise::{fbm, fbm_range, FbmParams};
+
+/// Forest-cover field: large correlation length (~1.5°).
+const COVER_PARAMS: FbmParams = FbmParams {
+    octaves: 4,
+    base_frequency: 1.0 / 1.5,
+    lacunarity: 2.0,
+    gain: 0.5,
+};
+const COVER_SEED_MASK: u64 = 0xF0_0D;
+
+/// Canopy-height variation field: shorter correlation (~0.2°).
+const VARIATION_PARAMS: FbmParams = FbmParams {
+    octaves: 3,
+    base_frequency: 5.0,
+    lacunarity: 2.0,
+    gain: 0.5,
+};
+const VARIATION_SEED_MASK: u64 = 0xBEEF;
+
+/// Vegetation height the variation field adds in open terrain, metres.
+const OPEN_VARIATION_M: f64 = 3.0;
 
 /// Parameters of the clutter model.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -78,40 +100,84 @@ impl ClutterModel {
         if self.params.max_canopy_m <= 0.0 {
             return 0.0;
         }
-        // Forest-cover field: large correlation length (~1.5°).
         let cover = fbm(
             p.lon_deg,
             p.lat_deg,
-            self.seed ^ 0xF0_0D,
-            FbmParams {
-                octaves: 4,
-                base_frequency: 1.0 / 1.5,
-                lacunarity: 2.0,
-                gain: 0.5,
-            },
+            self.seed ^ COVER_SEED_MASK,
+            COVER_PARAMS,
         );
-        // Canopy-height variation field: shorter correlation (~0.2°).
         let variation = fbm(
             p.lon_deg,
             p.lat_deg,
-            self.seed ^ 0xBEEF,
-            FbmParams {
-                octaves: 3,
-                base_frequency: 5.0,
-                lacunarity: 2.0,
-                gain: 0.5,
-            },
+            self.seed ^ VARIATION_SEED_MASK,
+            VARIATION_PARAMS,
         );
-
-        let threshold = 1.0 - self.params.forest_fraction;
-        if cover >= threshold {
-            // Forested: canopy between ~60% and 100% of max, modulated.
-            let canopy = self.params.max_canopy_m * (0.6 + 0.4 * variation);
-            canopy.max(self.params.min_vegetation_m)
+        if cover >= self.forest_threshold() {
+            self.forest_canopy_m(variation)
         } else {
-            // Open terrain: low vegetation.
-            self.params.min_vegetation_m + 3.0 * variation
+            self.open_vegetation_m(variation)
         }
+    }
+
+    /// Cover-field value at and above which a point is forested.
+    fn forest_threshold(&self) -> f64 {
+        1.0 - self.params.forest_fraction
+    }
+
+    /// Forested: canopy between ~60% and 100% of max, modulated. Increasing
+    /// in `variation`.
+    fn forest_canopy_m(&self, variation: f64) -> f64 {
+        let canopy = self.params.max_canopy_m * (0.6 + 0.4 * variation);
+        canopy.max(self.params.min_vegetation_m)
+    }
+
+    /// Open terrain: low vegetation. Increasing in `variation`.
+    fn open_vegetation_m(&self, variation: f64) -> f64 {
+        self.params.min_vegetation_m + OPEN_VARIATION_M * variation
+    }
+
+    /// `(min, max)` of [`Self::clutter_m`] over the whole Earth: both
+    /// land-cover branches over the variation field's full `[0, 1]` range.
+    pub(crate) fn range_m(&self) -> (f64, f64) {
+        if self.params.max_canopy_m <= 0.0 {
+            return (0.0, 0.0);
+        }
+        (
+            self.forest_canopy_m(0.0).min(self.open_vegetation_m(0.0)),
+            self.forest_canopy_m(1.0).max(self.open_vegetation_m(1.0)),
+        )
+    }
+
+    /// Upper bound on [`Self::clutter_m`] over `rect`: each land-cover
+    /// branch the cover field's range over the rectangle can reach (with a
+    /// slack for the rounding of that range), at the variation field's
+    /// maximum over the rectangle.
+    pub(crate) fn max_in(&self, rect: &LatLonRect) -> f64 {
+        const COVER_SLACK: f64 = 1e-9;
+        if self.params.max_canopy_m <= 0.0 {
+            return 0.0;
+        }
+        let (cover_lo, cover_hi) = fbm_range(
+            rect.lon,
+            rect.lat,
+            self.seed ^ COVER_SEED_MASK,
+            COVER_PARAMS,
+        );
+        let (_, variation_hi) = fbm_range(
+            rect.lon,
+            rect.lat,
+            self.seed ^ VARIATION_SEED_MASK,
+            VARIATION_PARAMS,
+        );
+        let threshold = self.forest_threshold();
+        let mut bound = f64::NEG_INFINITY;
+        if cover_hi + COVER_SLACK >= threshold {
+            bound = bound.max(self.forest_canopy_m(variation_hi));
+        }
+        if cover_lo - COVER_SLACK < threshold {
+            bound = bound.max(self.open_vegetation_m(variation_hi));
+        }
+        bound
     }
 }
 

@@ -19,7 +19,19 @@ use cisp_geo::units::EARTH_RADIUS_KM;
 use cisp_geo::{geodesic, GeoPoint};
 use serde::{Deserialize, Serialize};
 
-use crate::noise::{fbm, ridged, FbmParams};
+use crate::envelope::LatLonRect;
+use crate::noise::{fbm, fbm_range, ridged, ridged_max, FbmParams};
+
+/// Octave schedule of the ridged crest-noise field.
+const CREST_PARAMS: FbmParams = FbmParams {
+    octaves: 4,
+    base_frequency: 2.5,
+    lacunarity: 2.0,
+    gain: 0.55,
+};
+
+/// Decorrelates the crest-noise field from the rolling-terrain field.
+const CREST_SEED_MASK: u64 = 0xA11C_E5ED;
 
 /// Safety margin, in km, added to the per-range chord skip bound so that
 /// floating-point rounding in the chord length can never skip a range whose
@@ -125,6 +137,84 @@ impl MountainRange {
             return 0.0;
         }
         let x = d / self.half_width_km;
+        self.peak_m * (-0.5 * x * x).exp()
+    }
+
+    /// Lower bound on [`Self::distance_to_axis_km`] — the value the model
+    /// computes, planar along-track test included — over every point within
+    /// `radius_km` of `center`.
+    ///
+    /// The model returns one of three great-circle quantities: `d_sp`
+    /// (distance to the start), `d_ep` (to the end) or the cross-track
+    /// distance `xt` to the axis' great circle, and each is 1-Lipschitz in
+    /// the point, so its value at `center` minus the radius bounds it from
+    /// below over the disc. Which one applies:
+    ///
+    /// * **Any branch is `>= xt`**: the start and the end both lie on the
+    ///   great circle `xt` is measured to. So `xt(center) - radius` always
+    ///   holds.
+    /// * **Any branch is `>= d_sp - total`**: `d_ep >= d_sp - total` is the
+    ///   triangle inequality, and the `xt` branch is only taken when the
+    ///   planar along-track `at = sqrt(d_sp² - xt²)` is `<= total`, i.e.
+    ///   `xt² >= d_sp² - total² >= (d_sp - total)²`. One haversine, and
+    ///   enough to dismiss a far-away range.
+    /// * **The `xt` branch is impossible** when `at > total` for the whole
+    ///   disc (`at >= sqrt((d_sp - r)² - (xt + r)²)`): the model then
+    ///   returns `d_sp` or `d_ep`, so the smaller of their lower bounds
+    ///   holds. This is the cap beyond the axis' far end.
+    /// * **Only `d_sp` (or an `xt` equal to it) is possible** when the
+    ///   angle at the start between the axis and the point is obtuse for the
+    ///   whole disc. By the spherical law of cosines that angle is obtuse
+    ///   iff `cos d_ep < cos d_sp · cos total` (central angles); the test
+    ///   uses the disc's extreme `d_ep`, `d_sp` and a margin that dwarfs the
+    ///   rounding of the model's bearing comparison. This is the cap behind
+    ///   the start.
+    ///
+    /// Without the two caps every range would cast its full height along the
+    /// whole great circle through its axis.
+    fn axis_distance_lower_bound_km(&self, center: GeoPoint, radius_km: f64) -> f64 {
+        // Covers rounding in the distances below (~1e-12 km) with room.
+        const SLACK_KM: f64 = 1e-6;
+        const OBTUSE_MARGIN: f64 = 1e-9;
+        let r = radius_km + SLACK_KM;
+        let total = geodesic::distance_km(self.start, self.end);
+        let d_start = geodesic::distance_km(self.start, center);
+        let start_lo = d_start - r;
+        if total < 1e-9 {
+            return start_lo;
+        }
+        let far = start_lo - total;
+        if far > 4.0 * self.half_width_km {
+            return far;
+        }
+        let d_end = geodesic::distance_km(self.end, center);
+        let xt = geodesic::cross_track_distance_km(self.start, self.end, center);
+        let end_lo = d_end - r;
+        let xt_hi = xt + r;
+        let mut bound = far.max(xt - r);
+        if start_lo > xt_hi && (start_lo * start_lo - xt_hi * xt_hi).sqrt() > total + SLACK_KM {
+            bound = bound.max(start_lo.min(end_lo));
+        }
+        let angle = |km: f64| km / EARTH_RADIUS_KM;
+        let total_cos = angle(total).cos();
+        if total_cos > 0.0
+            && angle(d_start + r) <= std::f64::consts::PI
+            && angle(end_lo.max(0.0)).cos() < angle(d_start + r).cos() * total_cos - OBTUSE_MARGIN
+        {
+            bound = bound.max(start_lo);
+        }
+        bound
+    }
+
+    /// Upper bound on [`Self::contribution_m`] over every point within
+    /// `radius_km` of `center`: the Gaussian is decreasing in the axis
+    /// distance, so it is evaluated at that distance's lower bound.
+    fn max_contribution_m(&self, center: GeoPoint, radius_km: f64) -> f64 {
+        let d = self.axis_distance_lower_bound_km(center, radius_km);
+        if d > 4.0 * self.half_width_km {
+            return 0.0;
+        }
+        let x = d.max(0.0) / self.half_width_km;
         self.peak_m * (-0.5 * x * x).exp()
     }
 
@@ -409,13 +499,7 @@ impl TerrainModel {
     pub fn elevation_m(&self, p: GeoPoint) -> f64 {
         let mut elevation = self.base.baseline_m;
         if self.base.relief_m > 0.0 {
-            let params = FbmParams {
-                octaves: 5,
-                base_frequency: 1.0 / self.base.correlation_deg,
-                lacunarity: 2.1,
-                gain: 0.5,
-            };
-            let rolling = fbm(p.lon_deg, p.lat_deg, self.seed, params);
+            let rolling = fbm(p.lon_deg, p.lat_deg, self.seed, self.rolling_params());
             elevation += self.base.relief_m * rolling;
         }
 
@@ -459,14 +543,68 @@ impl TerrainModel {
     /// The ridged crest-noise modulation factor at `p` (a pure function of
     /// the point and seed — identical for every range).
     fn crest_modulation(&self, p: GeoPoint) -> f64 {
-        let crest_params = FbmParams {
-            octaves: 4,
-            base_frequency: 2.5,
-            lacunarity: 2.0,
-            gain: 0.55,
-        };
-        let crest = ridged(p.lon_deg, p.lat_deg, self.seed ^ 0xA11C_E5ED, crest_params);
+        let crest = ridged(
+            p.lon_deg,
+            p.lat_deg,
+            self.seed ^ CREST_SEED_MASK,
+            CREST_PARAMS,
+        );
         1.0 - self.crest_noise_fraction + self.crest_noise_fraction * crest
+    }
+
+    /// Octave schedule of the rolling-terrain field.
+    fn rolling_params(&self) -> FbmParams {
+        FbmParams {
+            octaves: 5,
+            base_frequency: 1.0 / self.base.correlation_deg,
+            lacunarity: 2.1,
+            gain: 0.5,
+        }
+    }
+
+    /// Whether [`Self::elevation_m`] is the same everywhere (no relief, no
+    /// ranges), in which case [`Self::global_max_m`] is that value.
+    pub(crate) fn is_constant(&self) -> bool {
+        self.base.relief_m <= 0.0 && self.ranges.is_empty()
+    }
+
+    /// Upper bound on [`Self::elevation_m`] over the whole Earth: full
+    /// relief plus every range at its peak with an unattenuated crest.
+    pub(crate) fn global_max_m(&self) -> f64 {
+        let peaks: f64 = self.ranges.iter().map(|range| range.peak_m).sum();
+        (self.base.baseline_m + self.base.relief_m.max(0.0) + peaks).max(0.0)
+    }
+
+    /// Upper bound on [`Self::elevation_m`] over `rect`: the terms of
+    /// `elevation_m`, each at its maximum over the rectangle (see
+    /// [`crate::envelope`] for why each maximum holds). The crest
+    /// modulation multiplies non-negative ridge heights, so the sum of
+    /// ridge maxima times the modulation maximum bounds the ridge total.
+    pub(crate) fn max_in(&self, rect: &LatLonRect) -> f64 {
+        let mut bound = self.base.baseline_m;
+        if self.base.relief_m > 0.0 {
+            let (_, rolling_hi) = fbm_range(rect.lon, rect.lat, self.seed, self.rolling_params());
+            bound += self.base.relief_m * rolling_hi;
+        }
+        if !self.ranges.is_empty() {
+            let (center, radius_km) = rect.bounding_disc();
+            let ridges: f64 = self
+                .ranges
+                .iter()
+                .map(|range| range.max_contribution_m(center, radius_km))
+                .sum();
+            if ridges > 0.0 {
+                let crest_hi = ridged_max(
+                    rect.lon,
+                    rect.lat,
+                    self.seed ^ CREST_SEED_MASK,
+                    CREST_PARAMS,
+                );
+                bound += ridges
+                    * (1.0 - self.crest_noise_fraction + self.crest_noise_fraction * crest_hi);
+            }
+        }
+        bound.max(0.0)
     }
 }
 

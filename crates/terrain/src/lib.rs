@@ -41,7 +41,9 @@
 
 pub mod clutter;
 pub mod elevation;
+pub mod envelope;
 pub mod noise;
 pub mod profile;
 
 pub use elevation::{MountainRange, TerrainModel};
+pub use envelope::ObstructionEnvelope;

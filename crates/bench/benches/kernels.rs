@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the computational kernels the design pipeline leans
 //! on: geodesic math, Fresnel/LOS profile evaluation, terrain sampling,
-//! Dijkstra over the tower graph, and the simplex solver.
+//! Dijkstra over the tower graph, the simplex solver, and the storm-year
+//! link-failure sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -17,6 +18,8 @@ use cisp_graph::{dijkstra, improve_with_link_tracked, Graph, ImprovedPairs};
 use cisp_lp::model::{Problem, VarKind};
 use cisp_lp::simplex::solve_lp;
 use cisp_terrain::{clutter::ClutterModel, profile, TerrainModel};
+use cisp_weather::failures::{failure_sweep, FailureConfig};
+use cisp_weather::storms::{StormYear, StormYearConfig};
 
 fn bench_geodesic(c: &mut Criterion) {
     let a = GeoPoint::new(40.7128, -74.0060);
@@ -287,6 +290,33 @@ fn bench_incremental_vs_full_rescore(c: &mut Criterion) {
     group.finish();
 }
 
+/// One storm year over a backbone-sized synthetic topology: the 120
+/// scattered sites of `synthetic_design_input` with a direct microwave link
+/// on every pair closer than 450 km.
+fn bench_failure_sweep(c: &mut Criterion) {
+    let input = synthetic_design_input(120);
+    let mut topology = input.empty_topology();
+    for link in &input.candidates {
+        if geodesic::distance_km(input.sites[link.site_a], input.sites[link.site_b]) < 450.0 {
+            topology.add_mw_link(link.clone());
+        }
+    }
+    assert!(
+        topology.mw_links().len() >= 300,
+        "{} links",
+        topology.mw_links().len()
+    );
+    let year = StormYear::generate(42, &StormYearConfig::us_default());
+    let config = FailureConfig::default();
+    c.bench_function("failure_sweep", |bench| {
+        bench.iter(|| {
+            let (failed, stats) = failure_sweep(&topology, black_box(year.fields()), &config);
+            assert_eq!(stats.by_rain_bound + stats.exact, stats.link_fields);
+            black_box(failed)
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_geodesic,
@@ -296,6 +326,7 @@ criterion_group!(
     bench_simplex,
     bench_candidate_scoring,
     bench_scoring_kernel,
-    bench_incremental_vs_full_rescore
+    bench_incremental_vs_full_rescore,
+    bench_failure_sweep
 );
 criterion_main!(benches);

@@ -36,6 +36,7 @@ fn main() {
         "# intervals: {}, mean failed links per interval: {:.2}",
         report.intervals, report.mean_failed_links
     );
+    println!("# failure sweep: {}", report.failure_sweep);
 
     for (series, label) in [
         (WeatherSeries::Best, "best"),

@@ -137,6 +137,47 @@ impl PathSampler {
     }
 }
 
+/// A point with the trigonometry [`distance_km`] needs of it cached.
+///
+/// `distance_km` converts both points to radians and takes the cosine of
+/// both latitudes on every call — six operations that are constant per
+/// point. `TrigPoint` hoists them, leaving two sines, a square root and an
+/// arcsine per distance. [`distance_km`](TrigPoint::distance_km) evaluates
+/// the *same expressions in the same order* as the free function, so the
+/// distances are bit-identical — the storm-failure sweep relies on that to
+/// keep rain sums, and therefore failure sets, unchanged.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrigPoint {
+    lat_rad: f64,
+    lon_rad: f64,
+    cos_lat: f64,
+}
+
+impl TrigPoint {
+    /// Cache the radians and latitude cosine of `p`.
+    pub fn new(p: GeoPoint) -> Self {
+        let lat_rad = p.lat_rad();
+        Self {
+            lat_rad,
+            lon_rad: p.lon_rad(),
+            cos_lat: lat_rad.cos(),
+        }
+    }
+
+    /// Great-circle distance from `self` to `other`, in kilometres;
+    /// bit-identical to `distance_km(a, b)` of the points they were built
+    /// from.
+    pub fn distance_km(&self, other: &TrigPoint) -> f64 {
+        let dlat = other.lat_rad - self.lat_rad;
+        let dlon = other.lon_rad - self.lon_rad;
+
+        let s =
+            (dlat / 2.0).sin().powi(2) + self.cos_lat * other.cos_lat * (dlon / 2.0).sin().powi(2);
+        let c = 2.0 * s.sqrt().clamp(0.0, 1.0).asin();
+        EARTH_RADIUS_KM * c
+    }
+}
+
 /// Cross-track distance (in km, absolute value) of point `p` from the great
 /// circle through `a` → `b`.
 ///
@@ -244,6 +285,19 @@ mod tests {
         let s = PathSampler::new(nyc(), nyc());
         let p = s.point_at(0.5);
         assert!(p.lat_deg == nyc().lat_deg && p.lon_deg == nyc().lon_deg);
+    }
+
+    #[test]
+    fn trig_point_distance_is_bit_identical_to_distance_km() {
+        let pole = GeoPoint::new(90.0, 0.0);
+        let antipode = GeoPoint::new(-40.7128, 105.994);
+        let points = [nyc(), chicago(), la(), pole, antipode];
+        for &a in &points {
+            for &b in &points {
+                let cached = TrigPoint::new(a).distance_km(&TrigPoint::new(b));
+                assert_eq!(cached.to_bits(), distance_km(a, b).to_bits(), "{a} → {b}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //!
 //! * [`coords`] — geographic coordinates ([`GeoPoint`]) and conversions.
 //! * [`geodesic`] — great-circle ("geodesic") distances, bearings and
-//!   interpolation along great-circle paths.
+//!   interpolation along great-circle paths, plus the bit-identical caches
+//!   for repeated work on one path ([`geodesic::PathSampler`]) or from one
+//!   point ([`TrigPoint`]).
 //! * [`fresnel`] — microwave line-of-sight geometry: first Fresnel-zone radii
 //!   and the Earth-curvature "bulge" with an atmospheric refraction factor
 //!   *K*, exactly as used in §3.1 of the paper.
@@ -46,4 +48,5 @@ pub mod latency;
 pub mod units;
 
 pub use coords::GeoPoint;
+pub use geodesic::TrigPoint;
 pub use latency::{c_latency_ms, c_latency_us, fiber_latency_ms, stretch};

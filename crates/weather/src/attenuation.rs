@@ -88,10 +88,40 @@ impl Default for FadeMargin {
     }
 }
 
+/// No rain bound is trusted above this rate (physical rates stay below
+/// 10³ mm/h); it keeps `Rᵅ` far from overflow in [`FadeMargin::safe_rain_mm_h`].
+const SAFE_RAIN_CAP_MM_H: f64 = 1e6;
+
 impl FadeMargin {
     /// Whether a hop of `hop_km` survives rain of `rain_mm_h` at `freq_ghz`.
     pub fn survives(&self, hop_km: f64, rain_mm_h: f64, freq_ghz: f64) -> bool {
         rain_attenuation_db(hop_km, rain_mm_h, freq_ghz) <= self.margin_db
+    }
+
+    /// A rain rate at or below which a hop of `hop_km` is guaranteed to
+    /// [survive](Self::survives) at `freq_ghz`, for a margin `≥ 0`.
+    ///
+    /// This is a conservative bound, **not** the critical rate of
+    /// `survives`: `rain_attenuation_db` is not monotone in the rain rate
+    /// (75 km at 11 GHz: 33.55 dB at 90 mm/h, 33.30 dB at 100 mm/h — `d₀`
+    /// shrinks faster than `γ` grows), so `survives` has no single
+    /// threshold. What is monotone is the bound used here: `d₀(R) ≤ 35` for
+    /// every `R`, hence `d_eff(d, R) ≤ d / (1 + d/35)`, and `γ = k·Rᵅ` is
+    /// increasing, so `att(R) ≤ k·Rᵅ · d/(1 + d/35)`, which is within the
+    /// margin for every `R ≤ (margin · (1 + d/35) / (k·d))^(1/α)`. The
+    /// returned rate is that, rounded down by a relative 10⁻⁹ — six orders
+    /// above the few ulps the `powf`, `exp` and products of the exact
+    /// evaluation can be off by.
+    pub fn safe_rain_mm_h(&self, hop_km: f64, freq_ghz: f64) -> f64 {
+        assert!(hop_km >= 0.0);
+        if hop_km == 0.0 {
+            // A zero-length hop has zero attenuation under any finite rain.
+            return SAFE_RAIN_CAP_MM_H;
+        }
+        let (k, alpha) = coefficients(freq_ghz);
+        let path_bound_km = hop_km / (1.0 + hop_km / 35.0);
+        let rate = (self.margin_db / (k * path_bound_km)).powf(1.0 / alpha);
+        (rate * (1.0 - 1e-9)).min(SAFE_RAIN_CAP_MM_H)
     }
 }
 
@@ -160,6 +190,23 @@ mod tests {
         assert!(!margin.survives(80.0, 90.0, 11.0));
         // The same storm over a very short hop may survive.
         assert!(margin.survives(3.0, 90.0, 11.0));
+    }
+
+    #[test]
+    fn attenuation_is_not_monotone_in_rain_but_the_safe_rate_holds() {
+        // The counter-example that forbids inverting `survives`.
+        let at_90 = rain_attenuation_db(75.0, 90.0, 11.0);
+        let at_100 = rain_attenuation_db(75.0, 100.0, 11.0);
+        assert!(at_90 > at_100, "{at_90} vs {at_100}");
+        for margin_db in [0.0, 8.0, 25.0, 33.4, 60.0] {
+            let margin = FadeMargin { margin_db };
+            let safe = margin.safe_rain_mm_h(75.0, 11.0);
+            for step in 0..=1000 {
+                assert!(margin.survives(75.0, safe * step as f64 / 1000.0, 11.0));
+            }
+        }
+        // Zero-length hops never fail; the bound says so without dividing.
+        assert!(FadeMargin { margin_db: 0.0 }.safe_rain_mm_h(0.0, 11.0) > 1e3);
     }
 
     #[test]

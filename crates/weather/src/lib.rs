@@ -18,7 +18,9 @@
 //!   storm systems with spatially correlated rain fields, standing in for the
 //!   TRMM/GPM rasters (see `DESIGN.md` §1).
 //! * [`failures`] — per-interval link-outage computation for a designed
-//!   topology.
+//!   topology: a storm-independent [`FailureGeometry`] decides most links of
+//!   most fields from a conservative rain bound and runs the exact per-hop
+//!   arithmetic only on the rest, with identical failure sets.
 //! * [`reroute`] — per-pair latency/stretch statistics across a year of
 //!   intervals (best / 99th percentile / worst / fiber-only), i.e. the data
 //!   behind Fig. 7.
@@ -35,7 +37,9 @@ pub mod simulate;
 pub mod storms;
 
 pub use attenuation::{rain_attenuation_db, specific_attenuation_db_per_km};
-pub use failures::{link_failures, FailureConfig};
+pub use failures::{
+    failure_sweep, link_failures, FailureConfig, FailureGeometry, FailureSweepStats,
+};
 pub use reroute::{weather_year_analysis, WeatherYearReport};
 pub use simulate::{storm_queueing_analysis, QueueingWeatherReport};
 pub use storms::{StormField, StormYear, StormYearConfig};

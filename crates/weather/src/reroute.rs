@@ -13,7 +13,7 @@ use cisp_geo::latency;
 use cisp_graph::{pair_indices, UpperTriangleMatrix};
 use serde::{Deserialize, Serialize};
 
-use crate::failures::{link_failures, FailureConfig};
+use crate::failures::{failure_sweep, FailureConfig, FailureSweepStats};
 use crate::storms::StormYear;
 
 /// Per-pair stretch statistics across the year.
@@ -42,6 +42,8 @@ pub struct WeatherYearReport {
     pub intervals: usize,
     /// Mean number of failed links per interval.
     pub mean_failed_links: f64,
+    /// What each step of the failure cascade decided over the year.
+    pub failure_sweep: FailureSweepStats,
 }
 
 impl WeatherYearReport {
@@ -111,12 +113,10 @@ pub fn weather_year_analysis(
         .iter()
         .map(|_| Vec::with_capacity(year.len()))
         .collect();
-    let mut failed_total = 0usize;
+    let (failures, stats) = failure_sweep(topology, year.fields(), config);
     let mut scratch = UpperTriangleMatrix::zeros(n);
     let mut scratch_failed: Option<Vec<usize>> = None;
-    for field in year.fields() {
-        let failed = link_failures(topology, field, config);
-        failed_total += failed.len();
+    for failed in failures {
         if failed.is_empty() {
             for (slot, &(i, j)) in samples.iter_mut().zip(&analysed) {
                 slot.push(latency::distance_stretch(
@@ -158,7 +158,8 @@ pub fn weather_year_analysis(
 
     WeatherYearReport {
         intervals: year.len(),
-        mean_failed_links: failed_total as f64 / year.len() as f64,
+        mean_failed_links: stats.failed as f64 / year.len() as f64,
+        failure_sweep: stats,
         pairs,
     }
 }
@@ -166,7 +167,7 @@ pub fn weather_year_analysis(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storms::StormYearConfig;
+    use crate::storms::{Storm, StormField, StormYearConfig};
     use cisp_core::links::CandidateLink;
     use cisp_geo::{geodesic, GeoPoint};
 
@@ -243,10 +244,31 @@ mod tests {
     #[test]
     fn storms_cause_some_failures_but_p99_stays_low() {
         let topo = test_topology();
-        let year = short_year(7, 120);
+        // The synthetic year plus one interval with a violent storm parked
+        // on the Chicago–Kansas City link, Chicago's only microwave link.
+        let mut fields = short_year(7, 120).fields().to_vec();
+        fields.push(StormField {
+            storms: vec![Storm {
+                center: geodesic::intermediate(topo.sites()[0], topo.sites()[1], 0.5),
+                radius_km: 60.0,
+                peak_mm_h: 100.0,
+            }],
+        });
+        let year = StormYear::from_fields(fields);
         let report = weather_year_analysis(&topo, &year, &FailureConfig::default());
-        // The synthetic year should include at least some severe weather.
-        assert!(report.mean_failed_links >= 0.0);
+        assert!(report.mean_failed_links > 0.0);
+        assert_eq!(
+            report.mean_failed_links,
+            report.failure_sweep.failed as f64 / 121.0
+        );
+        let hit = &report.pairs[0];
+        assert_eq!((hit.site_a, hit.site_b), (0, 1));
+        assert!(
+            hit.worst > hit.best,
+            "worst {} vs best {}",
+            hit.worst,
+            hit.best
+        );
         // Median 99th-percentile stretch stays well below fiber (Fig. 7's
         // headline: "99th-percentile latencies are nearly the same as the
         // best").

@@ -22,7 +22,7 @@ use cisp_netsim::sim::Simulation;
 use cisp_netsim::SimReport;
 use serde::{Deserialize, Serialize};
 
-use crate::failures::{link_failures, FailureConfig};
+use crate::failures::{failure_sweep, FailureConfig};
 use crate::storms::StormField;
 
 /// One interval's queueing-aware outcome.
@@ -120,8 +120,7 @@ pub fn storm_queueing_analysis(
 
     let mut intervals = Vec::with_capacity(fields.len());
     let mut memo: Option<(Vec<usize>, IntervalQueueing)> = None;
-    for field in fields {
-        let failed = link_failures(topology, field, failure_config);
+    for failed in failure_sweep(topology, fields, failure_config).0 {
         if failed.is_empty() {
             intervals.push(fair.clone());
             continue;

@@ -10,7 +10,8 @@
 //! makes *regional* groups of links fail together — the property Fig. 7
 //! depends on.
 
-use cisp_geo::{geodesic, GeoPoint};
+use cisp_geo::geodesic::{self, PathSampler};
+use cisp_geo::GeoPoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -29,13 +30,35 @@ pub struct Storm {
 impl Storm {
     /// Rain rate contributed by this storm at a point.
     pub fn rain_at(&self, p: GeoPoint) -> f64 {
-        let d = geodesic::distance_km(self.center, p);
-        if d > 4.0 * self.radius_km {
+        self.rain_at_distance(geodesic::distance_km(self.center, p))
+    }
+
+    /// Whether `d_km` from the centre lies beyond the `4σ` cut-off, where
+    /// the storm contributes exactly zero.
+    pub(crate) fn is_dry_at(&self, d_km: f64) -> bool {
+        d_km > 4.0 * self.radius_km
+    }
+
+    /// Rain rate contributed `d_km` from the centre: a Gaussian profile cut
+    /// off to exactly zero beyond `4σ`. Non-increasing in `d_km`.
+    pub(crate) fn rain_at_distance(&self, d_km: f64) -> f64 {
+        if self.is_dry_at(d_km) {
             return 0.0;
         }
-        let x = d / self.radius_km;
+        let x = d_km / self.radius_km;
         self.peak_mm_h * (-0.5 * x * x).exp()
     }
+}
+
+/// The points [`StormField::max_rain_along`] evaluates on the path `a` → `b`:
+/// one every ~10 km, both endpoints included, at least 2 and at most 64.
+/// Bit-identical to `geodesic::sample_path(a, b, n)` without its `Vec` or
+/// the path-constant trigonometry `intermediate` repeats per sample.
+pub(crate) fn rain_sample_points(a: GeoPoint, b: GeoPoint) -> impl Iterator<Item = GeoPoint> {
+    let d = geodesic::distance_km(a, b);
+    let samples = ((d / 10.0).ceil() as usize).clamp(2, 64);
+    let path = PathSampler::new(a, b);
+    (0..samples).map(move |i| path.point_at(i as f64 / (samples - 1) as f64))
 }
 
 /// The storm field of one 30-minute interval.
@@ -53,10 +76,7 @@ impl StormField {
 
     /// Maximum rain rate along a great-circle path, sampled every ~10 km.
     pub fn max_rain_along(&self, a: GeoPoint, b: GeoPoint) -> f64 {
-        let d = geodesic::distance_km(a, b);
-        let samples = ((d / 10.0).ceil() as usize).clamp(2, 64);
-        geodesic::sample_path(a, b, samples)
-            .into_iter()
+        rain_sample_points(a, b)
             .map(|p| self.rain_at(p))
             .fold(0.0, f64::max)
     }
@@ -152,6 +172,12 @@ impl StormYear {
         Self { fields }
     }
 
+    /// A year made of the given fields, in order — recorded or hand-built
+    /// weather in place of the synthetic generator.
+    pub fn from_fields(fields: Vec<StormField>) -> Self {
+        Self { fields }
+    }
+
     /// The per-day storm fields.
     pub fn fields(&self) -> &[StormField] {
         &self.fields
@@ -220,6 +246,29 @@ mod tests {
         assert!(field.max_rain_along(a, b) > 70.0);
         // Endpoints far from the storm see little rain.
         assert!(field.rain_at(a) < 5.0);
+    }
+
+    #[test]
+    fn max_rain_along_is_bit_identical_to_the_sample_path_formulation() {
+        let year = StormYear::generate(21, &StormYearConfig::us_default());
+        let a = GeoPoint::new(39.1, -94.6);
+        // ~1 km, ~75 km, ~640 km (the 64-sample clamp) and a degenerate path.
+        for b in [
+            GeoPoint::new(39.11, -94.6),
+            GeoPoint::new(39.1, -93.73),
+            GeoPoint::new(41.9, -87.6),
+            a,
+        ] {
+            let d = geodesic::distance_km(a, b);
+            let samples = ((d / 10.0).ceil() as usize).clamp(2, 64);
+            for field in year.fields() {
+                let reference = geodesic::sample_path(a, b, samples)
+                    .into_iter()
+                    .map(|p| field.rain_at(p))
+                    .fold(0.0, f64::max);
+                assert_eq!(field.max_rain_along(a, b).to_bits(), reference.to_bits());
+            }
+        }
     }
 
     #[test]

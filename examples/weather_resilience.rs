@@ -19,7 +19,7 @@
 use cisp::core::evaluate::{lower, EvaluateConfig};
 use cisp::core::scenario::{population_product_traffic, Scenario, ScenarioConfig};
 use cisp::netsim::sim::SimConfig;
-use cisp::weather::failures::FailureConfig;
+use cisp::weather::failures::{link_failures, FailureConfig, FailureGeometry};
 use cisp::weather::reroute::{weather_year_analysis, WeatherSeries};
 use cisp::weather::simulate::{
     conduit_cut_analysis_on, most_loaded_conduits, storm_queueing_analysis,
@@ -43,6 +43,21 @@ fn main() {
         "  mean microwave links down per interval: {:.2}",
         report.mean_failed_links
     );
+    println!("  failure sweep: {}", report.failure_sweep);
+
+    // The year sweep reuses one storm-independent geometry across all 365
+    // fields; the one-shot call builds its own per field. Same code path,
+    // so the failure sets must agree field by field.
+    let failure_config = FailureConfig::default();
+    let mut geometry = FailureGeometry::new(&outcome.topology, &failure_config);
+    for (day, field) in year.fields().iter().enumerate() {
+        assert_eq!(
+            geometry.failures(field),
+            link_failures(&outcome.topology, field, &failure_config),
+            "reused geometry and one-shot link_failures disagree on day {day}"
+        );
+    }
+    assert_eq!(geometry.stats(), report.failure_sweep);
 
     println!("\nstretch across city pairs (median over pairs):");
     for (series, label) in [

@@ -1,21 +1,20 @@
-//! Event-queue microbenchmarks: raw push/pop cost of the two
-//! [`cisp_netsim::queue::EventQueue`] backends, isolated from the
-//! simulation engine.
+//! Event-queue microbenchmark: the engine's [`EventQueue`] (a calendar
+//! queue) against `std::collections::BinaryHeap<Event>`, its test oracle
+//! and the structure it replaced, isolated from the simulation engine.
 //!
-//! Two access patterns per backend:
-//!
-//! * `hold` — the classic hold model and the engine's steady state: pop the
-//!   minimum, push a replacement a random increment later, at constant
-//!   occupancy. This is where the calendar queue's O(1)-amortised scheduling
-//!   shows up against the heap's O(log n).
-//! * `push_drain` — build up `n` events then drain to empty, exercising the
-//!   calendar's occupancy-driven resizes.
+//! The access pattern is the hold model — the engine's steady state: pop
+//! the minimum, push a replacement a random increment later, at constant
+//! occupancy. Two occupancies bracket the crossover that decided between
+//! the two: 64 resident events (a toy network, where they tie) and 16 384
+//! (the paper-scale backbone holds one pending emission per flow, ≈14 k,
+//! where the heap's O(log n) sift through cold cache lines loses).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::collections::BinaryHeap;
 
-use cisp_netsim::queue::{Event, EventQueue, QueueKind};
+use criterion::{black_box, criterion_group, criterion_main, Bencher, Criterion};
 
-const OCCUPANCY: usize = 4096;
+use cisp_netsim::queue::{Event, EventQueue};
+
 const HOLD_OPS: usize = 1024;
 
 /// Deterministic xorshift64* — the benches must not depend on a PRNG crate.
@@ -40,43 +39,63 @@ fn ev(time: f64, flow: u32) -> Event {
     }
 }
 
-fn prefill(kind: QueueKind, n: usize, rng: &mut Rng) -> EventQueue {
-    let mut q = EventQueue::new(kind);
-    for i in 0..n {
-        q.push(ev(rng.next_f64(), i as u32));
+/// The two operations the hold model needs, so one body times both queues.
+trait Hold: Default {
+    fn push(&mut self, e: Event);
+    fn pop(&mut self) -> Option<Event>;
+}
+
+impl Hold for EventQueue {
+    fn push(&mut self, e: Event) {
+        EventQueue::push(self, e)
     }
-    q
+    fn pop(&mut self) -> Option<Event> {
+        EventQueue::pop(self)
+    }
+}
+
+impl Hold for BinaryHeap<Event> {
+    fn push(&mut self, e: Event) {
+        BinaryHeap::push(self, e)
+    }
+    fn pop(&mut self) -> Option<Event> {
+        BinaryHeap::pop(self)
+    }
+}
+
+/// The hold-model body at a constant `occupancy`, for queue type `Q`.
+fn hold<Q: Hold>(occupancy: usize) -> impl FnMut(&mut Bencher) {
+    move |b| {
+        let mut rng = Rng(0x9E3779B97F4A7C15);
+        let mut q = Q::default();
+        for i in 0..occupancy {
+            q.push(ev(rng.next_f64(), i as u32));
+        }
+        // Mean increment ~1/occupancy keeps event density (and the
+        // calendar's adapted bucket width) stationary.
+        let max_step = 2.0 / occupancy as f64;
+        b.iter(|| {
+            for _ in 0..HOLD_OPS {
+                let popped = q.pop().expect("constant occupancy");
+                q.push(ev(popped.time + rng.next_f64() * max_step, popped.flow));
+                black_box(popped.time);
+            }
+        })
+    }
 }
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
     group.sample_size(20);
-
-    for (label, kind) in [("heap", QueueKind::Heap), ("calendar", QueueKind::Calendar)] {
-        group.bench_function(format!("hold_{label}_{OCCUPANCY}"), |b| {
-            let mut rng = Rng(0x9E3779B97F4A7C15);
-            let mut q = prefill(kind, OCCUPANCY, &mut rng);
-            b.iter(|| {
-                for _ in 0..HOLD_OPS {
-                    let popped = q.pop().expect("constant occupancy");
-                    // Mean increment ~1/OCCUPANCY keeps event density (and
-                    // the calendar's adapted bucket width) stationary.
-                    let dt = rng.next_f64() * (2.0 / OCCUPANCY as f64);
-                    q.push(ev(popped.time + dt, popped.flow));
-                    black_box(popped.time);
-                }
-            })
-        });
-
-        group.bench_function(format!("push_drain_{label}_{OCCUPANCY}"), |b| {
-            b.iter(|| {
-                let mut rng = Rng(0xD1B54A32D192ED03);
-                let mut q = prefill(kind, OCCUPANCY, &mut rng);
-                while let Some(e) = q.pop() {
-                    black_box(e.time);
-                }
-            })
-        });
+    for occupancy in [64usize, 16_384] {
+        group.bench_function(
+            format!("hold_calendar_{occupancy}"),
+            hold::<EventQueue>(occupancy),
+        );
+        group.bench_function(
+            format!("hold_heap_{occupancy}"),
+            hold::<BinaryHeap<Event>>(occupancy),
+        );
     }
     group.finish();
 }

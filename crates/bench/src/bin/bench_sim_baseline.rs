@@ -1,7 +1,7 @@
 //! Record the packet-engine baseline: events per second — serial vs
 //! component-sharded vs time-windowed.
 //!
-//! Four workloads:
+//! Five workloads:
 //!
 //! * `disjoint_pairs` — many independent bottleneck pairs (one component per
 //!   pair), the component-sharding-friendly regime;
@@ -25,14 +25,14 @@
 //!   the documented buffer-drain envelope.
 //!
 //! Writes `BENCH_sim.json` (or the path given as the first argument) with
-//! wall-clock medians, event throughputs, per-event costs for both event
-//! queue backends (binary heap and calendar queue, with queue occupancy and
-//! resize statistics), and the per-mode speedups, asserting along the way
-//! that serial (under either queue backend), component-sharded and
-//! time-windowed runs produce bit-identical reports. On a single-core runner the parallel
-//! numbers degrade to roughly serial (thread scheduling and barrier
-//! overhead aside) — the recorded speedups are hardware-dependent by
-//! nature.
+//! wall-clock medians, event throughputs, the serial per-event cost, the
+//! serial run's event-queue occupancy and resize statistics, and the
+//! per-mode speedups, asserting along the way that serial,
+//! component-sharded and time-windowed runs produce bit-identical reports.
+//! The file states the hardware it was recorded on (`available_parallelism`
+//! and the CPU model): on a single-core runner the parallel numbers degrade
+//! to roughly serial (thread scheduling and barrier overhead aside) — the
+//! recorded speedups are hardware-dependent by nature.
 //!
 //! Run with: `cargo run --release --bin bench_sim_baseline`
 
@@ -44,9 +44,7 @@ use cisp_core::scenario::population_product_traffic;
 use cisp_netsim::network::{LinkSpec, Network};
 use cisp_netsim::routing::{compute_routes, Demand};
 use cisp_netsim::sim::{ExecMode, SimConfig, Simulation};
-use cisp_netsim::{
-    BackgroundModel, ClassReport, QueueDiscipline, QueueKind, QueueStats, SimReport,
-};
+use cisp_netsim::{BackgroundModel, ClassReport, QueueDiscipline, QueueStats, SimReport};
 
 /// Median wall-clock milliseconds of `f` over enough repetitions to be
 /// stable.
@@ -123,12 +121,11 @@ struct WorkloadReport {
     events: u64,
     links: usize,
     serial_ms: f64,
-    serial_calendar_ms: f64,
     sharded_ms: f64,
     windowed_ms: f64,
     components: usize,
-    heap_queue: QueueStats,
-    calendar_queue: QueueStats,
+    /// Event-queue statistics of the serial run.
+    queue: QueueStats,
 }
 
 fn measure(
@@ -138,11 +135,6 @@ fn measure(
     base: SimConfig,
 ) -> WorkloadReport {
     let serial_config = SimConfig { workers: 1, ..base };
-    let calendar_config = SimConfig {
-        workers: 1,
-        queue: QueueKind::Calendar,
-        ..base
-    };
     let sharded_config = SimConfig { workers: 0, ..base };
     let windowed_config = SimConfig {
         workers: 0,
@@ -150,16 +142,10 @@ fn measure(
         ..base
     };
 
-    // Parity check + event count (identical between modes and queue
-    // backends by construction, asserted here).
+    // Parity check + event count (identical between modes by
+    // construction, asserted here).
     let mut serial_sim = Simulation::new(network.clone(), demands.clone(), serial_config);
     let serial_report = serial_sim.run();
-    let mut calendar_sim = Simulation::new(network.clone(), demands.clone(), calendar_config);
-    let calendar_report = calendar_sim.run();
-    assert_eq!(
-        serial_report, calendar_report,
-        "{name}: heap and calendar-queue reports must be bit-identical"
-    );
     let mut sharded_sim = Simulation::new(network.clone(), demands.clone(), sharded_config);
     let sharded_report = sharded_sim.run();
     assert_eq!(
@@ -177,9 +163,6 @@ fn measure(
     let serial_ms = median_ms(|| {
         serial_sim.run();
     });
-    let serial_calendar_ms = median_ms(|| {
-        calendar_sim.run();
-    });
     let sharded_ms = median_ms(|| {
         sharded_sim.run();
     });
@@ -194,12 +177,10 @@ fn measure(
         events,
         links: serial_sim.network().num_links(),
         serial_ms,
-        serial_calendar_ms,
         sharded_ms,
         windowed_ms,
         components,
-        heap_queue: serial_sim.queue_stats(),
-        calendar_queue: calendar_sim.queue_stats(),
+        queue: serial_sim.queue_stats(),
     }
 }
 
@@ -494,16 +475,15 @@ fn main() {
         let sharded_eps = r.events as f64 / (r.sharded_ms / 1e3);
         let windowed_eps = r.events as f64 / (r.windowed_ms / 1e3);
         let serial_ns_per_event = r.serial_ms * 1e6 / r.events as f64;
-        let calendar_ns_per_event = r.serial_calendar_ms * 1e6 / r.events as f64;
         println!(
-            "{:<26} {:>9} events, {:>4} links: serial {:8.2} ms ({:>6.1} ns/ev), calendar {:8.2} ms ({:>6.1} ns/ev), sharded {:8.2} ms ({:.2}x), windowed {:8.2} ms ({:.2}x)",
+            "{:<26} {:>9} events, {:>4} links: serial {:8.2} ms ({:>6.1} ns/ev, queue mean {:.1} peak {}), sharded {:8.2} ms ({:.2}x), windowed {:8.2} ms ({:.2}x)",
             r.name,
             r.events,
             r.links,
             r.serial_ms,
             serial_ns_per_event,
-            r.serial_calendar_ms,
-            calendar_ns_per_event,
+            r.queue.mean_occupancy(),
+            r.queue.peak_occupancy,
             r.sharded_ms,
             r.serial_ms / r.sharded_ms,
             r.windowed_ms,
@@ -517,19 +497,15 @@ fn main() {
                 "      \"links\": {},\n",
                 "      \"components\": {},\n",
                 "      \"serial_ms\": {:.4},\n",
-                "      \"serial_calendar_ms\": {:.4},\n",
                 "      \"sharded_ms\": {:.4},\n",
                 "      \"windowed_ms\": {:.4},\n",
                 "      \"serial_events_per_sec\": {:.0},\n",
                 "      \"sharded_events_per_sec\": {:.0},\n",
                 "      \"windowed_events_per_sec\": {:.0},\n",
                 "      \"serial_ns_per_event\": {:.2},\n",
-                "      \"calendar_ns_per_event\": {:.2},\n",
-                "      \"calendar_speedup\": {:.3},\n",
                 "      \"sharded_speedup\": {:.3},\n",
                 "      \"windowed_speedup\": {:.3},\n",
-                "      \"heap_queue\": {{ \"pushes\": {}, \"mean_occupancy\": {:.1}, \"peak_occupancy\": {} }},\n",
-                "      \"calendar_queue\": {{ \"pushes\": {}, \"mean_occupancy\": {:.1}, \"peak_occupancy\": {}, \"resizes\": {} }}\n",
+                "      \"queue\": {{ \"pushes\": {}, \"mean_occupancy\": {:.1}, \"peak_occupancy\": {}, \"resizes\": {} }}\n",
                 "    }}"
             ),
             r.name,
@@ -537,28 +513,33 @@ fn main() {
             r.links,
             r.components,
             r.serial_ms,
-            r.serial_calendar_ms,
             r.sharded_ms,
             r.windowed_ms,
             serial_eps,
             sharded_eps,
             windowed_eps,
             serial_ns_per_event,
-            calendar_ns_per_event,
-            r.serial_ms / r.serial_calendar_ms,
             r.serial_ms / r.sharded_ms,
             r.serial_ms / r.windowed_ms,
-            r.heap_queue.pushes,
-            r.heap_queue.mean_occupancy(),
-            r.heap_queue.peak_occupancy,
-            r.calendar_queue.pushes,
-            r.calendar_queue.mean_occupancy(),
-            r.calendar_queue.peak_occupancy,
-            r.calendar_queue.resizes,
+            r.queue.pushes,
+            r.queue.mean_occupancy(),
+            r.queue.peak_occupancy,
+            r.queue.resizes,
         ));
     }
 
     let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    // The speedup columns mean nothing without the hardware they were read
+    // on, so the file names it.
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|line| line.starts_with("model name"))
+                .and_then(|line| line.split(':').nth(1))
+                .map(|model| model.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".to_string());
     let hybrid_json = format!(
         concat!(
             "  \"hybrid\": {{\n",
@@ -608,12 +589,14 @@ fn main() {
             "  \"bench\": \"packet engine event throughput: serial vs component-sharded vs time-windowed, plus the hybrid fluid/packet engine\",\n",
             "  \"command\": \"cargo run --release --bin bench_sim_baseline\",\n",
             "  \"available_parallelism\": {},\n",
-            "  \"note\": \"serial (heap and calendar queue), component-sharded and time-windowed reports asserted bit-identical before timing; hybrid foreground delays asserted within the buffer-drain envelope of the pure-packet run\",\n",
+            "  \"cpu_model\": \"{}\",\n",
+            "  \"note\": \"serial, component-sharded and time-windowed reports asserted bit-identical before timing; queue = occupancy at push time and ring resizes of the serial run's event queue (tens of events here, against a mean of 13 633 on the paper-scale backbone of cisp_benchmark's packet_sim_us); hybrid foreground delays asserted within the buffer-drain envelope of the pure-packet run\",\n",
             "  \"workloads\": [\n{}\n  ],\n",
             "{}\n",
             "}}\n"
         ),
         workers,
+        cpu_model,
         entries.join(",\n"),
         hybrid_json
     );

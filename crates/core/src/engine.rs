@@ -891,109 +891,6 @@ mod tests {
         }
     }
 
-    /// Manual profiling probe (release only):
-    /// `cargo test --release -p cisp-core --lib engine::tests::profile_round -- --ignored --nocapture`
-    #[test]
-    #[ignore]
-    fn profile_round() {
-        use crate::design::{DesignConfig, DesignInput, Designer};
-        use cisp_geo::geodesic;
-        use cisp_geo::GeoPoint;
-        let n = 120;
-        let sites: Vec<GeoPoint> = (0..n)
-            .map(|i| {
-                GeoPoint::new(
-                    30.0 + ((i * 13) % 17) as f64,
-                    -120.0 + ((i * 7) % 43) as f64 * 1.2,
-                )
-            })
-            .collect();
-        let geodesic_m = DistMatrix::from_fn(n, |i, j| geodesic::distance_km(sites[i], sites[j]));
-        let fiber = DistMatrix::from_fn(n, |i, j| geodesic_m.get(i, j) * 2.0);
-        let traffic = DistMatrix::from_fn(n, |i, j| if i == j { 0.0 } else { 1.0 });
-        let mut candidates = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let geo = geodesic_m.get(i, j);
-                candidates.push(CandidateLink {
-                    site_a: i,
-                    site_b: j,
-                    mw_length_km: geo * 1.05,
-                    tower_count: ((geo / 60.0).ceil() as usize).max(1),
-                    tower_path: vec![0],
-                });
-            }
-        }
-        let input = DesignInput {
-            sites,
-            traffic: traffic.clone(),
-            fiber_km: fiber.clone(),
-            candidates: candidates.clone(),
-        };
-        let pool = input.useful_candidates();
-        let config = DesignConfig {
-            parallel: false,
-            ..DesignConfig::default()
-        };
-        let trajectory = Designer::with_config(&input, config).greedy(480.0).selected;
-        let split = trajectory.len() * 2 / 3;
-        let mut m = fiber.clone();
-        for &idx in &trajectory[..split] {
-            let l = &candidates[idx];
-            cisp_graph::improve_with_link(&mut m, l.site_a, l.site_b, l.mw_length_km);
-        }
-        let mut sw = ScoringWeights::compute(&m, &geodesic_m, &traffic).unwrap();
-        assert!(sw.enable_gain_bounds(&m), "2× geodesic fiber is metric");
-        let matrix = RwLock::new(m);
-        let ctx = ScoreContext {
-            candidates: &candidates,
-            pool: &pool,
-            geodesic: &geodesic_m,
-            traffic: &traffic,
-            matrix: &matrix,
-            sw: Some(&sw),
-        };
-        let mut state = ShardState::new(0..pool.len());
-        state.init_score(&ctx);
-        let l = candidates[trajectory[split]].clone();
-        let mut improved = ImprovedPairs::new(n);
-        {
-            let mut mm = matrix.write().unwrap();
-            improve_with_link_tracked(&mut mm, l.site_a, l.site_b, l.mw_length_km, &mut improved);
-        }
-        let p_len = improved.len();
-        let update = RoundUpdate::new(improved, None, Vec::new(), &matrix.read().unwrap(), &sw);
-        println!("|P| = {p_len}, pool = {}", pool.len());
-        let mut stats = RepairStats::default();
-        let apply_best = (0..7)
-            .map(|_| {
-                let mut s2 = state.clone();
-                let t = std::time::Instant::now();
-                s2.apply(&ctx, &update);
-                let dt = t.elapsed();
-                stats = s2.stats();
-                dt
-            })
-            .min()
-            .unwrap();
-        println!("apply (best of 7): {apply_best:?}, stats (last run): {stats:?}");
-        let mg = matrix.read().unwrap();
-        let full_best = (0..3)
-            .map(|_| {
-                let t = std::time::Instant::now();
-                for (pos, _) in pool.iter().enumerate() {
-                    std::hint::black_box(ShardState::exact(&ctx, &mg, pos));
-                }
-                t.elapsed()
-            })
-            .min()
-            .unwrap();
-        println!(
-            "full rescore (best of 3): {full_best:?} — ratio {:.1}x",
-            full_best.as_secs_f64() / apply_best.as_secs_f64()
-        );
-    }
-
     #[test]
     fn repair_stats_accumulate() {
         let n = 6;

@@ -24,15 +24,15 @@
 //!   configurable packet size.
 //! * [`monitor`] — the FlowMonitor equivalent: global *and per-flow* delay
 //!   and loss plus per-link utilisation and queueing statistics.
-//! * [`queue`] — the pluggable event-queue core ([`sim::SimConfig::queue`]):
-//!   the default binary heap, or an O(1)-amortised self-resizing calendar
-//!   (bucket) queue — both pop the identical `(time, flow, hop)` sequence,
-//!   so the backend is a pure performance knob.
-//! * [`sim`] — the event-driven engine tying it together: an unboxed
-//!   `(time, flow, hop)`-keyed event queue, with the demand set decomposed
-//!   into link-disjoint components executed across persistent worker
-//!   threads ([`sim::SimConfig::workers`]), and — for single-component
-//!   heavy meshes — conservative time-windowed execution inside a component
+//! * [`queue`] — the event-queue core: the unboxed `(time, flow, hop)`-keyed
+//!   event and the self-resizing calendar (bucket) queue the engine
+//!   schedules it on, O(1) amortised at the ≈14 k resident events a
+//!   paper-scale backbone holds; `std`'s `BinaryHeap` is its test oracle.
+//! * [`sim`] — the event-driven engine tying it together: one per-event
+//!   kernel over that queue, with the demand set decomposed into
+//!   link-disjoint components executed across persistent worker threads
+//!   ([`sim::SimConfig::workers`]), and — for single-component heavy meshes
+//!   — conservative time-windowed execution inside a component
 //!   ([`sim::ExecMode::TimeWindowed`]: per-worker link shards, windows
 //!   bounded by the partition's propagation-delay lookahead, boundary-event
 //!   exchange at window barriers); every `(mode, workers, window)`
@@ -62,6 +62,6 @@ pub mod tcp;
 pub use fluid::BackgroundModel;
 pub use monitor::{BackgroundStats, ClassReport, PerClassReport, SimReport};
 pub use network::{LinkSpec, Network, QueueDiscipline};
-pub use queue::{QueueKind, QueueStats};
+pub use queue::QueueStats;
 pub use routing::{RoutingScheme, TrafficClass};
 pub use sim::{ExecMode, SimConfig, Simulation};

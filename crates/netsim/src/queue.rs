@@ -1,29 +1,26 @@
 //! The event-queue core of the packet engine: the scheduled-event type and
-//! two interchangeable priority-queue backends behind one façade.
+//! the one priority queue the engine schedules it on.
 //!
-//! The engine pops events in ascending `(time, flow, hop)` order; which data
-//! structure produces that order is a pure performance knob
-//! ([`crate::sim::SimConfig::queue`]):
+//! The engine pops events in ascending `(time, flow, hop)` order.
+//! [`EventQueue`] is a self-resizing calendar (bucket) queue in the style of
+//! Brown (1988): events hash into a power-of-two ring of buckets by
+//! `time / width`, pop scans the ring one bucket-"year" at a time and lazily
+//! sorts only the bucket it is about to drain, and the structure resizes
+//! itself — bucket count from occupancy, bucket width from the observed
+//! inter-event gaps — when the population drifts out of bounds. Push and pop
+//! are O(1) amortised when the width matches the gap distribution.
 //!
-//! * [`QueueKind::Heap`] — the classic unboxed `BinaryHeap<Event>` (the
-//!   default, and the pinned reference): O(log n) push/pop, cache-friendly
-//!   at the small queue sizes component sharding produces.
-//! * [`QueueKind::Calendar`] — a self-resizing calendar (bucket) queue in
-//!   the style of Brown (1988): events hash into a power-of-two ring of
-//!   buckets by `time / width`, pop scans the ring one bucket-"year" at a
-//!   time and lazily sorts only the bucket it is about to drain, and the
-//!   structure resizes itself — bucket count from occupancy, bucket width
-//!   from the observed inter-event gaps — when the population drifts out of
-//!   bounds. Push and pop are O(1) amortised when the width matches the gap
-//!   distribution, which is what the conduit workload's multi-hop streams
-//!   (many concurrent in-flight packets interleaving through the queue)
-//!   want.
-//!
-//! Both backends pop the exact same sequence: the calendar queue breaks
-//! ties with the same full `(time, flow, hop)` key the heap orders by, so
-//! every [`crate::monitor::SimReport`] is bit-identical across backends
-//! (pinned by the pop-order property test and the cross-backend parity
-//! suite).
+//! Why a calendar and not a binary heap: occupancy. The engine keeps one
+//! pending emission per flow and one in-transit head per link in the queue
+//! (see the staging invariant in [`crate::sim`]), so a paper-scale backbone
+//! holds ≈14 k events, where the heap's O(log n) sift walks cold cache lines
+//! on every operation; on the benchmark's `packet_sim_us` the calendar cut
+//! wall-clock by 6–24 % and tied everywhere else (ROADMAP item 3 has the
+//! runs). At the tens of events a toy network holds the two tie.
+//! `std::collections::BinaryHeap<Event>` remains the *oracle*: ties break on
+//! the same full `(time, flow, hop)` key [`Event`]'s `Ord` defines, so the
+//! pop sequence must equal the heap's on every stream (pinned by the unit
+//! tests below and `tests/event_queue_parity.rs`).
 //!
 //! # Robustness notes
 //!
@@ -45,9 +42,6 @@
 //! (all-equal timestamps).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use serde::{Deserialize, Serialize};
 
 /// A scheduled packet-at-link event. Lives directly in the queue (plain
 /// `Copy` key, no boxing); ordered by `(time, flow, hop)` with earliest
@@ -75,10 +69,10 @@ impl PartialEq for Event {
 impl Eq for Event {}
 
 impl Ord for Event {
-    /// Reversed comparison so `BinaryHeap` (a max-heap) pops the earliest
-    /// event; ties broken by flow then hop index. The calendar queue keeps
-    /// its buckets sorted by this same reversed order (earliest *last*), so
-    /// both backends break ties identically.
+    /// Reversed comparison so a `BinaryHeap` (a max-heap) pops the earliest
+    /// event; ties broken by flow then hop index. [`EventQueue`] keeps its
+    /// buckets sorted by this same reversed order (earliest *last*), so it
+    /// breaks ties exactly as the heap oracle does.
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .time
@@ -95,21 +89,10 @@ impl PartialOrd for Event {
     }
 }
 
-/// Which priority-queue backend the engine schedules events on. A pure
-/// performance knob: every backend pops the same sequence and produces a
-/// bit-identical report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QueueKind {
-    /// Binary heap (`std::collections::BinaryHeap`) — the default.
-    #[default]
-    Heap,
-    /// Self-resizing calendar (bucket) queue — O(1) amortised push/pop.
-    Calendar,
-}
-
 /// Aggregate occupancy statistics of one or more event queues, for the
-/// benchmark harness. Deliberately *not* part of [`crate::SimReport`]: the
-/// stats differ between backends while reports must stay bit-identical.
+/// benchmark harness. Deliberately *not* part of [`crate::SimReport`]: they
+/// describe how a run was scheduled (worker count and execution mode change
+/// them), not what it computed.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueueStats {
     /// Total events pushed.
@@ -119,7 +102,7 @@ pub struct QueueStats {
     pub occupancy_sum: u64,
     /// Peak queue length.
     pub peak_occupancy: u64,
-    /// Calendar-queue resizes (0 for the heap backend).
+    /// Times a queue rebuilt its bucket ring.
     pub resizes: u64,
 }
 
@@ -140,108 +123,6 @@ impl QueueStats {
         } else {
             self.occupancy_sum as f64 / self.pushes as f64
         }
-    }
-}
-
-/// The engine-facing event queue: one of the [`QueueKind`] backends plus
-/// occupancy accounting.
-#[derive(Debug)]
-pub struct EventQueue {
-    imp: Imp,
-    stats: QueueStats,
-}
-
-#[derive(Debug)]
-enum Imp {
-    Heap(BinaryHeap<Event>),
-    Calendar(CalendarQueue),
-}
-
-impl EventQueue {
-    /// An empty queue of the requested backend.
-    pub fn new(kind: QueueKind) -> Self {
-        let imp = match kind {
-            QueueKind::Heap => Imp::Heap(BinaryHeap::new()),
-            QueueKind::Calendar => Imp::Calendar(CalendarQueue::new()),
-        };
-        Self {
-            imp,
-            stats: QueueStats::default(),
-        }
-    }
-
-    /// Schedule an event.
-    #[inline(always)]
-    pub fn push(&mut self, e: Event) {
-        let len = match &mut self.imp {
-            Imp::Heap(h) => {
-                h.push(e);
-                h.len()
-            }
-            Imp::Calendar(c) => {
-                c.push(e);
-                c.len()
-            }
-        } as u64;
-        self.stats.pushes += 1;
-        self.stats.occupancy_sum += len;
-        if len > self.stats.peak_occupancy {
-            self.stats.peak_occupancy = len;
-        }
-    }
-
-    /// Remove and return the earliest event by `(time, flow, hop)`.
-    #[inline(always)]
-    pub fn pop(&mut self) -> Option<Event> {
-        match &mut self.imp {
-            Imp::Heap(h) => h.pop(),
-            Imp::Calendar(c) => c.pop(),
-        }
-    }
-
-    /// The earliest event without removing it. Takes `&mut self`: the
-    /// calendar backend positions its scan window (an order-preserving
-    /// mutation) to answer.
-    #[inline]
-    pub fn peek(&mut self) -> Option<Event> {
-        match &mut self.imp {
-            Imp::Heap(h) => h.peek().copied(),
-            Imp::Calendar(c) => c.peek(),
-        }
-    }
-
-    /// Number of scheduled events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match &self.imp {
-            Imp::Heap(h) => h.len(),
-            Imp::Calendar(c) => c.len(),
-        }
-    }
-
-    /// Whether no events are scheduled.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every scheduled event (occupancy stats are kept — they account
-    /// the queue's whole lifetime across components).
-    pub fn clear(&mut self) {
-        match &mut self.imp {
-            Imp::Heap(h) => h.clear(),
-            Imp::Calendar(c) => c.clear(),
-        }
-    }
-
-    /// Lifetime occupancy statistics (resize count comes from the calendar
-    /// backend; 0 for the heap).
-    pub fn stats(&self) -> QueueStats {
-        let mut s = self.stats;
-        if let Imp::Calendar(c) = &self.imp {
-            s.resizes = c.resizes;
-        }
-        s
     }
 }
 
@@ -269,8 +150,10 @@ const OVERSIZE_FACTOR: usize = 8;
 /// forever — O(n log n) per operation — with no occupancy trigger in sight.
 const OVERSIZE_RESIZE_STREAK: u32 = 32;
 
-/// A self-resizing calendar queue over [`Event`]s with non-negative
-/// timestamps. See the module docs for the design; the key invariants are:
+/// The engine's event queue: a self-resizing calendar queue over [`Event`]s
+/// with non-negative timestamps, plus lifetime occupancy accounting
+/// ([`QueueStats`]). See the module docs for the design; the key invariants
+/// are:
 ///
 /// * An event always lives in bucket `year_of(time) & mask` where
 ///   `year_of(t) = (t * inv_width) as u64` — a pure function of the
@@ -284,7 +167,7 @@ const OVERSIZE_RESIZE_STREAK: u32 = 32;
 ///   whose minimum belongs to a later year) and pushes reposition the scan
 ///   backwards when they introduce an earlier year.
 #[derive(Debug)]
-pub struct CalendarQueue {
+pub struct EventQueue {
     buckets: Vec<Vec<Event>>,
     /// Bucket may be unsorted; sort before trusting its tail.
     dirty: Vec<bool>,
@@ -306,19 +189,16 @@ pub struct CalendarQueue {
     /// when a corrective resize fails to change the width (an unspreadable
     /// distribution, e.g. all-equal timestamps, must not resize-thrash).
     oversize_limit: u32,
-    /// Lifetime resize count (exposed through [`EventQueue::stats`]).
-    pub resizes: u64,
-    /// Lifetime full-cycle scan misses that fell back to a direct search.
-    direct_mins: u64,
+    stats: QueueStats,
 }
 
-impl Default for CalendarQueue {
+impl Default for EventQueue {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl CalendarQueue {
+impl EventQueue {
     /// An empty calendar: the geometry adapts to the workload on the first
     /// occupancy-triggered resize, so the initial width is arbitrary.
     pub fn new() -> Self {
@@ -334,8 +214,7 @@ impl CalendarQueue {
             fallback_streak: 0,
             oversize_streak: 0,
             oversize_limit: OVERSIZE_RESIZE_STREAK,
-            resizes: 0,
-            direct_mins: 0,
+            stats: QueueStats::default(),
         }
     }
 
@@ -371,6 +250,9 @@ impl CalendarQueue {
         }
         bucket.push(e);
         self.len += 1;
+        self.stats.pushes += 1;
+        self.stats.occupancy_sum += self.len as u64;
+        self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.len as u64);
         if y < self.year {
             // An earlier year appeared behind the scan: reposition. Exact in
             // integer year space, so the scan can never pass the minimum.
@@ -384,8 +266,21 @@ impl CalendarQueue {
 
     /// Remove and return the earliest event by `(time, flow, hop)`.
     pub fn pop(&mut self) -> Option<Event> {
+        self.pop_if(|_| true)
+    }
+
+    /// Remove and return the earliest event if `take` accepts it; `None`
+    /// when the queue is empty or the earliest event is refused (it stays
+    /// queued). One locate serves the test and the removal — what a
+    /// windowed shard's "pop while before the window end" loop wants.
+    #[inline]
+    pub fn pop_if(&mut self, take: impl FnOnce(&Event) -> bool) -> Option<Event> {
         let b = self.locate()?;
-        let e = self.buckets[b].pop().expect("located bucket is non-empty");
+        let bucket = &mut self.buckets[b];
+        if !take(bucket.last().expect("located bucket is non-empty")) {
+            return None;
+        }
+        let e = bucket.pop().expect("located bucket is non-empty");
         self.len -= 1;
         if self.len * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
             self.resize();
@@ -393,14 +288,16 @@ impl CalendarQueue {
         Some(e)
     }
 
-    /// The earliest event without removing it.
+    /// The earliest event without removing it. Takes `&mut self`: answering
+    /// positions the scan window (an order-preserving mutation).
     pub fn peek(&mut self) -> Option<Event> {
         let b = self.locate()?;
         Some(*self.buckets[b].last().expect("located bucket is non-empty"))
     }
 
     /// Drop every event; geometry (width, bucket count) is kept — it
-    /// already adapted to this workload's gap distribution.
+    /// already adapted to this workload's gap distribution — and so are the
+    /// occupancy stats, which account the queue's whole lifetime.
     pub fn clear(&mut self) {
         if self.len > 0 {
             for b in &mut self.buckets {
@@ -416,6 +313,11 @@ impl CalendarQueue {
         self.fallback_streak = 0;
         self.oversize_streak = 0;
         self.oversize_limit = OVERSIZE_RESIZE_STREAK;
+    }
+
+    /// Lifetime occupancy statistics.
+    pub fn stats(&self) -> QueueStats {
+        self.stats
     }
 
     /// Position the scan at the bucket holding the current minimum (at its
@@ -439,7 +341,6 @@ impl CalendarQueue {
                 return Some(b);
             }
         }
-        self.direct_mins += 1;
         Some(self.direct_min())
     }
 
@@ -530,27 +431,13 @@ impl CalendarQueue {
         bi
     }
 
-    /// Internal geometry probe for diagnostics: `(width, buckets, year,
-    /// oversize_limit, fallback_streak, direct_mins)`.
-    #[doc(hidden)]
-    pub fn debug_geometry(&self) -> (f64, usize, u64, u32, u32, u64) {
-        (
-            self.width,
-            self.buckets.len(),
-            self.year,
-            self.oversize_limit,
-            self.fallback_streak,
-            self.direct_mins,
-        )
-    }
-
     /// Rebuild the calendar: bucket count from occupancy, width from the
     /// observed inter-event gap distribution (median positive gap × 3 — a
     /// robust take on Brown's sampled average), scan repositioned at the
     /// minimum. O(n log n); amortised O(1) per operation under the
     /// doubling/halving triggers.
     fn resize(&mut self) {
-        self.resizes += 1;
+        self.stats.resizes += 1;
         self.oversize_streak = 0;
         let mut all: Vec<Event> = Vec::with_capacity(self.len);
         for b in &mut self.buckets {
@@ -613,6 +500,7 @@ impl CalendarQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BinaryHeap;
 
     fn ev(time: f64, flow: u32, hop: u32) -> Event {
         Event {
@@ -628,26 +516,39 @@ mod tests {
         (e.time, e.flow, e.hop)
     }
 
-    /// Drain both backends and compare the popped key sequences.
-    fn assert_same_pop_order(events: &[Event]) {
-        let mut heap = EventQueue::new(QueueKind::Heap);
-        let mut cal = EventQueue::new(QueueKind::Calendar);
-        for &e in events {
-            heap.push(e);
-            cal.push(e);
+    /// The queue under test next to its oracle: every operation goes to
+    /// both, every pop must agree on the full `(time, flow, hop)` key.
+    #[derive(Default)]
+    struct Paired {
+        oracle: BinaryHeap<Event>,
+        queue: EventQueue,
+    }
+
+    impl Paired {
+        fn push(&mut self, e: Event) {
+            self.oracle.push(e);
+            self.queue.push(e);
         }
-        loop {
-            match (heap.pop(), cal.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => assert_eq!(key(&a), key(&b)),
+
+        fn pop(&mut self) -> Option<Event> {
+            match (self.oracle.pop(), self.queue.pop()) {
+                (None, None) => None,
+                (Some(a), Some(b)) => {
+                    assert_eq!(key(&a), key(&b));
+                    Some(b)
+                }
                 (a, b) => panic!("length mismatch: {a:?} vs {b:?}"),
             }
+        }
+
+        fn drain(&mut self) {
+            while self.pop().is_some() {}
         }
     }
 
     #[test]
     fn pops_in_time_flow_hop_order() {
-        let mut q = CalendarQueue::new();
+        let mut q = EventQueue::new();
         q.push(ev(3.0, 0, 0));
         q.push(ev(1.0, 2, 1));
         q.push(ev(1.0, 1, 5));
@@ -667,34 +568,41 @@ mod tests {
     }
 
     #[test]
+    fn pop_if_leaves_a_refused_minimum_queued() {
+        let mut q = EventQueue::new();
+        q.push(ev(2.0, 0, 0));
+        q.push(ev(1.0, 1, 0));
+        assert!(q.pop_if(|e| e.time < 1.0).is_none());
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_if(|e| e.time < 1.5).map(|e| e.flow), Some(1));
+        assert!(q.pop_if(|e| e.time < 1.5).is_none());
+        assert_eq!(q.pop().map(|e| e.flow), Some(0));
+        assert!(q.pop_if(|_| true).is_none());
+    }
+
+    #[test]
     fn matches_heap_on_clustered_and_duplicate_times() {
-        let mut events = Vec::new();
+        let mut pair = Paired::default();
         for i in 0..500u32 {
             // Many exact duplicates and micro-gaps.
-            events.push(ev((i / 7) as f64 * 1e-5, i % 13, i % 3));
+            pair.push(ev((i / 7) as f64 * 1e-5, i % 13, i % 3));
         }
-        assert_same_pop_order(&events);
+        pair.drain();
     }
 
     #[test]
     fn far_future_outliers_force_resizes_and_keep_order() {
-        let mut events = Vec::new();
+        let mut pair = Paired::default();
         for i in 0..200u32 {
-            events.push(ev(i as f64 * 1e-6, i, 0));
+            pair.push(ev(i as f64 * 1e-6, i, 0));
         }
         // Outliers far beyond the cluster, including a year-saturating one.
-        events.push(ev(1e9, 1000, 0));
-        events.push(ev(1e18, 1001, 0));
-        events.push(ev(3.5e3, 1002, 0));
-        assert_same_pop_order(&events);
-
-        let mut cal = EventQueue::new(QueueKind::Calendar);
-        for &e in &events {
-            cal.push(e);
-        }
-        while cal.pop().is_some() {}
+        pair.push(ev(1e9, 1000, 0));
+        pair.push(ev(1e18, 1001, 0));
+        pair.push(ev(3.5e3, 1002, 0));
+        pair.drain();
         assert!(
-            cal.stats().resizes > 0,
+            pair.queue.stats().resizes > 0,
             "outlier drain must trigger resizes"
         );
     }
@@ -703,8 +611,7 @@ mod tests {
     fn interleaved_push_pop_matches_heap() {
         // Deterministic pseudo-random interleaving: push bursts, pop some,
         // push more with earlier and later times than the current head.
-        let mut heap = EventQueue::new(QueueKind::Heap);
-        let mut cal = EventQueue::new(QueueKind::Calendar);
+        let mut pair = Paired::default();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -713,33 +620,19 @@ mod tests {
             state
         };
         let mut clock = 0.0f64;
-        for round in 0..300 {
+        for _ in 0..300 {
             for _ in 0..(next() % 8) {
                 let r = next();
                 let t = clock + (r % 1000) as f64 * 1e-4;
-                let e = ev(t, (r >> 10) as u32 % 50, (r >> 20) as u32 % 6);
-                heap.push(e);
-                cal.push(e);
+                pair.push(ev(t, (r >> 10) as u32 % 50, (r >> 20) as u32 % 6));
             }
             for _ in 0..(next() % 6) {
-                let (a, b) = (heap.pop(), cal.pop());
-                match (a, b) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!(key(&a), key(&b), "round {round}");
-                        clock = a.time; // future pushes never precede pops
-                    }
-                    (a, b) => panic!("length mismatch at round {round}: {a:?} vs {b:?}"),
+                if let Some(e) = pair.pop() {
+                    clock = e.time; // future pushes never precede pops
                 }
             }
         }
-        loop {
-            match (heap.pop(), cal.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => assert_eq!(key(&a), key(&b)),
-                (a, b) => panic!("drain mismatch: {a:?} vs {b:?}"),
-            }
-        }
+        pair.drain();
     }
 
     #[test]
@@ -749,23 +642,15 @@ mod tests {
         // the population collapses into a window far narrower than the
         // adapted bucket width. The oversize watchdog must re-derive the
         // width; pop order must match the heap throughout.
-        let mut heap = EventQueue::new(QueueKind::Heap);
-        let mut cal = EventQueue::new(QueueKind::Calendar);
+        let mut pair = Paired::default();
         let n = 1024u32;
         for i in 0..n {
-            let e = ev(i as f64 / n as f64, i, 0);
-            heap.push(e);
-            cal.push(e);
+            pair.push(ev(i as f64 / n as f64, i, 0));
         }
-        let resizes_after_prefill = cal.stats().resizes;
+        let resizes_after_prefill = pair.queue.stats().resizes;
         let mut state = 0x243F6A8885A308D3u64;
         for _ in 0..20_000 {
-            let (a, b) = (heap.pop(), cal.pop());
-            let (a, b) = (
-                a.expect("constant occupancy"),
-                b.expect("constant occupancy"),
-            );
-            assert_eq!(key(&a), key(&b));
+            let a = pair.pop().expect("constant occupancy");
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
@@ -773,21 +658,13 @@ mod tests {
             // spread quickly, then the whole population lives in a window
             // of ~2 increments — narrower than the adapted bucket width.
             let dt = (state % 1024) as f64 * 2e-6;
-            let e = ev(a.time + dt, a.flow, a.hop);
-            heap.push(e);
-            cal.push(e);
+            pair.push(ev(a.time + dt, a.flow, a.hop));
         }
         assert!(
-            cal.stats().resizes > resizes_after_prefill,
+            pair.queue.stats().resizes > resizes_after_prefill,
             "the oversize watchdog must fire on a collapsed steady state"
         );
-        loop {
-            match (heap.pop(), cal.pop()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => assert_eq!(key(&a), key(&b)),
-                (a, b) => panic!("drain mismatch: {a:?} vs {b:?}"),
-            }
-        }
+        pair.drain();
     }
 
     #[test]
@@ -795,7 +672,7 @@ mod tests {
         // An unspreadable distribution: every event at the same instant.
         // The corrective resize cannot change the width, so the watchdog
         // must back off exponentially rather than resize every few pops.
-        let mut q = EventQueue::new(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         for i in 0..2048u32 {
             q.push(ev(1.0, i, 0));
         }
@@ -814,28 +691,35 @@ mod tests {
 
     #[test]
     fn clear_resets_and_queue_is_reusable() {
-        let mut q = EventQueue::new(QueueKind::Calendar);
+        let mut pair = Paired::default();
         for i in 0..100u32 {
-            q.push(ev(i as f64, i, 0));
+            pair.push(ev(i as f64, i, 0));
         }
-        q.clear();
-        assert!(q.is_empty());
-        q.push(ev(0.5, 7, 1));
-        assert_eq!(q.pop().map(|e| e.flow), Some(7));
-        assert!(q.pop().is_none());
+        pair.oracle.clear();
+        pair.queue.clear();
+        assert!(pair.queue.is_empty());
+        // Reuse at a different time scale: the kept geometry must not
+        // disturb the order.
+        pair.push(ev(0.5, 7, 1));
+        for i in 0..100u32 {
+            pair.push(ev(i as f64 * 1e-4, i, 0));
+        }
+        pair.drain();
     }
 
     #[test]
     fn stats_track_pushes_and_peak() {
-        let mut q = EventQueue::new(QueueKind::Heap);
+        let mut q = EventQueue::new();
         for i in 0..10u32 {
             q.push(ev(i as f64, i, 0));
         }
         q.pop();
+        q.clear();
         let s = q.stats();
         assert_eq!(s.pushes, 10);
         assert_eq!(s.peak_occupancy, 10);
-        assert!(s.mean_occupancy() > 0.0);
-        assert_eq!(s.resizes, 0);
+        assert_eq!(s.occupancy_sum, 55);
+        assert_eq!(s.mean_occupancy(), 5.5);
+        assert_eq!(s.resizes, 0, "ten events never leave the initial ring");
     }
 }

@@ -3,14 +3,32 @@
 //! Packets are source-routed: each flow's route (a sequence of link ids) is
 //! computed up front by [`crate::routing`] into a flat [`PathStore`]-backed
 //! table, and the engine replays every packet's journey hop by hop through
-//! the FIFO link model of [`crate::network`]. Events are plain `Copy`
-//! structs ordered by `(time, flow, hop)` directly in the event queue — no
-//! per-event allocation, no indirection. The queue backend itself is
-//! pluggable ([`SimConfig::queue`], [`crate::queue`]): the default binary
-//! heap, or an O(1)-amortised self-resizing calendar queue — both pop the
-//! identical sequence, so the backend is a pure performance knob.
+//! the link model of [`crate::network`]. Events are plain `Copy` structs
+//! ordered by `(time, flow, hop)` directly in the event queue
+//! ([`crate::queue::EventQueue`]) — no per-event allocation, no indirection.
+//! One event is one packet arriving at the head of one hop: popping it
+//! transmits the packet over that link and schedules its arrival at the
+//! next one. That is the only way a packet crosses a hop.
 //!
-//! # Sharded execution
+//! # What the queue holds
+//!
+//! Two rules keep the queue at O(links + flows) events instead of
+//! O(packets in flight):
+//!
+//! * *Lazy emissions.* The queue holds one pending emission per flow; each
+//!   popped emission schedules its successor (strictly later, so it is
+//!   pushed before it could pop). The event *set* is exactly the eagerly
+//!   scheduled one, and the strict `(time, flow, hop)` order makes the pop
+//!   sequence a function of the set alone.
+//! * *The staging invariant.* Arrivals coming off one link are strictly
+//!   ordered in time (FIFO finish times plus a constant propagation), so
+//!   the queue holds at most the *earliest* in-transit event per link — the
+//!   pipeline's head — and the rest wait in that link's `transit` FIFO.
+//!   Every waiting event is `>=` its pipeline head, so the queue minimum is
+//!   still the global minimum and the pop sequence is exactly the unstaged
+//!   one. When a head pops, the pipeline's next front takes its place.
+//!
+//! # Components, shards and the boundary policy
 //!
 //! Two flows can only interact by queueing at a shared link, so the demand
 //! set decomposes into *components* — groups of flows connected through
@@ -19,29 +37,36 @@
 //! the components under one of two modes ([`SimConfig::mode`]):
 //!
 //! * [`ExecMode::ComponentSharded`] — components are drained from a shared
-//!   queue by persistent worker threads ([`SimConfig::workers`]), each
-//!   worker owning private [`LinkStates`] arrays over the shared link table.
-//!   This is the winning mode when the demand set splits into many
-//!   components.
+//!   list by persistent worker threads ([`SimConfig::workers`]). Wins when
+//!   the run is short or splits into many components.
 //! * [`ExecMode::TimeWindowed`] — conservative time-windowed execution
-//!   *inside* each component, for the paper's actual workload: one giant
-//!   single-component mesh. Each component's links are partitioned into
-//!   per-worker shards (`cisp_graph::partition_path_links`), every worker
-//!   simulates only the events on its own links, and the event horizon is
-//!   advanced in lock-step windows no longer than the partition's
-//!   propagation-delay lookahead (`cisp_graph::partition_lookahead`) —
-//!   a packet crossing onto another shard's link is handed over at the
-//!   window barrier, provably before its receiver can need it.
+//!   *inside* each component, for one giant single-component mesh on a long
+//!   run. Each component's links are partitioned into per-worker shards
+//!   (`cisp_graph::partition_path_links`), every worker simulates only the
+//!   events on its own links, and the event horizon is advanced in
+//!   lock-step windows no longer than the partition's propagation-delay
+//!   lookahead (`cisp_graph::partition_lookahead`) — a packet crossing onto
+//!   another shard's link is handed over at the window barrier, provably
+//!   before its receiver can need it.
 //!
-//! Per-component results are merged in component order — and, within a
-//! windowed component, per-shard delivery streams are merged back into the
-//! global `(time, flow)` event order — so the produced [`SimReport`] is
-//! **bit-identical for every `(mode, workers, window)` configuration** —
-//! `workers: 1` component-sharded is the pinned serial reference,
-//! `workers: 0` picks the machine's parallelism. This is the same
-//! persistent-worker pattern as the design engine's `ShardPool`: threads
-//! are spawned once per run and handed stable state, not re-fanned per
-//! event batch.
+//! Both run the same per-event kernel, [`Shard`], generic over a
+//! [`Boundary`] policy that answers the three questions on which the modes
+//! differ: does this shard own a link, has the window ended, and where does
+//! a packet bound for a foreign link go. [`WholeComponent`] answers
+//! "yes, never, nowhere" as constants, so its instantiation compiles
+//! without a boundary branch; [`WindowedShard`] consults the link-owner
+//! table, the window end and its outboxes.
+//!
+//! Deliveries never touch link state, so the final transmit records each
+//! one into its final link's stream instead of round-tripping it through
+//! the queue. A link's finish times strictly increase, so every stream is
+//! sorted by `(time, flow)`, and each link has exactly one owning shard, so
+//! the union of the shards' streams is the same stream set under every
+//! mode; one k-way merge per component restores the canonical order.
+//! Per-component results are then merged in component order, which makes
+//! the produced [`SimReport`] **bit-identical for every
+//! `(mode, workers, window)` configuration** — `workers: 1` is the pinned
+//! serial reference, `workers: 0` picks the machine's parallelism.
 //!
 //! # Hybrid execution
 //!
@@ -53,19 +78,6 @@
 //! at arrival time. Because the fluid solution is computed immutably before
 //! dispatch, the hybrid report is still bit-identical across every
 //! `(mode, workers, window)` configuration.
-//!
-//! Two further event-count levers ride on the hot loop itself:
-//! hop-collapsing ([`SimConfig::hop_collapse`]) delivers a packet across
-//! consecutive idle hops — long conduit paths especially — in one event by
-//! processing a freshly produced event inline whenever it provably would be
-//! the very next pop, which elides the queue round trip without changing
-//! the event order (bit-identical by construction); and sole-feeder chain
-//! draining: after a link's pipeline head pops, its remaining in-transit
-//! departures are advanced inline — front to back, without touching the
-//! global queue — for as long as each front provably is the next arrival
-//! at its sole-fed downstream link (all transit into that link comes off
-//! this one, and no pending emission enters it earlier). Per-link state
-//! depends only on per-link arrival order, so both levers are exact.
 //!
 //! [`PathStore`]: cisp_graph::PathStore
 //! [`TrafficClass::Background`]: crate::routing::TrafficClass::Background
@@ -82,7 +94,7 @@ use crate::flows::{ArrivalProcess, EmissionSchedule, FlowSpec};
 use crate::fluid::{self, BackgroundModel, FluidOutcome};
 use crate::monitor::{ClassReport, FlowMonitor, PerClassReport, SampleStats, SimReport};
 use crate::network::{DirtyLinks, LinkState, LinkStates, Network, QueueDiscipline, Transmit};
-use crate::queue::{Event, EventQueue, QueueKind, QueueStats};
+use crate::queue::{Event, EventQueue, QueueStats};
 use crate::routing::{compute_routes, Demand, RoutingScheme, RoutingTable};
 
 /// How the engine parallelises a run. Every mode produces a bit-identical
@@ -136,16 +148,6 @@ pub struct SimConfig {
     /// every [`ExecMode`]; with no background demands the report is
     /// bit-identical either way.
     pub background: BackgroundModel,
-    /// Deliver packets across consecutive idle hops in one event by
-    /// processing a freshly produced event inline when it provably would be
-    /// the very next pop. Bit-identical to the uncollapsed path by
-    /// construction; `false` only exists so tests can assert that.
-    pub hop_collapse: bool,
-    /// Event-queue backend ([`crate::queue`]): the default binary heap, or
-    /// the O(1)-amortised self-resizing calendar queue. Both pop the
-    /// identical `(time, flow, hop)` sequence, so reports are bit-identical
-    /// either way — a pure performance knob.
-    pub queue: QueueKind,
     /// Per-link queue discipline between the traffic classes
     /// ([`crate::network::QueueDiscipline`]). `Fifo` (the default) is the
     /// historical single-virtual-clock model and reproduces pre-discipline
@@ -167,8 +169,6 @@ impl Default for SimConfig {
             workers: 0,
             mode: ExecMode::ComponentSharded,
             background: BackgroundModel::Packet,
-            hop_collapse: true,
-            queue: QueueKind::Heap,
             discipline: QueueDiscipline::Fifo,
         }
     }
@@ -222,84 +222,306 @@ struct ComponentOutcome {
     class_samples: Option<ClassSamples>,
 }
 
-/// One shard's contribution to a time-windowed component run: its delivery
-/// stream (in shard pop order, which is `(time, flow)` order), its partial
-/// per-flow tallies, and the state of the links it owns.
-#[derive(Default)]
+/// One shard's contribution to a component: the delivery streams of the
+/// final links it owns (each sorted by `(time, flow)`), its partial per-flow
+/// tallies, and the state of the links it owns. A whole-component run is
+/// the one-shard case.
 struct ShardPartial {
-    deliveries: Vec<Event>,
+    streams: Vec<Vec<Event>>,
     flow_stats: Vec<FlowStat>,
     links: Vec<(u32, LinkState)>,
 }
 
-/// A worker's reusable scratch: private link-state arrays over the shared
-/// link table, the event queue, the dirty-link tracker used to harvest and
-/// recycle only the links the worker actually touched, and the per-link
-/// in-transit pipelines backing the staged queue.
-///
-/// Staging invariant: arrivals coming off one link are strictly ordered in
-/// time (FIFO finish times plus a constant propagation), so the queue holds
-/// at most the *earliest* in-transit event per link — the pipeline's head —
-/// and the rest wait in that link's `transit` queue. Every pending event is
-/// `>=` its pipeline head, so the queue minimum is still the global minimum
-/// and the pop sequence is exactly the unstaged one; the queue just stays
-/// at O(links + flows) instead of O(packets in flight).
-///
-/// When a head pops, the chain drain (`Simulation::drain_chain`) advances
-/// the pipeline: qualifying fronts are processed inline, and the first
-/// non-qualifying front becomes the new head in the queue. While the drain
-/// is in flight, `head_in_heap` for the drained link is *stale-true* — the
-/// pipeline's events are outside the queue — which is exactly what makes
-/// `stage` keep appending behind them; the drain re-establishes the
-/// invariant before the next pop.
-struct WorkerState {
+/// The immutable inputs every engine entry point reads: the network and
+/// routed demand set, the run configuration, and the fluid solution
+/// foreground packets ride on (hybrid runs, `None` under pure packet
+/// execution).
+#[derive(Clone, Copy)]
+struct EngineContext<'a> {
+    network: &'a Network,
+    routes: &'a RoutingTable,
+    demands: &'a [Demand],
+    config: &'a SimConfig,
+    fluid: Option<&'a FluidOutcome>,
+    /// Any demand is background-tagged: collect per-class delivery samples
+    /// and publish [`SimReport::per_class`]. Computed once per run so
+    /// unclassified runs pay nothing.
+    classify: bool,
+}
+
+/// Where a shard's share of a component ends — the only thing the two
+/// execution modes disagree on. The kernel ([`Shard`]) is monomorphised
+/// over it.
+trait Boundary {
+    /// Whether this shard simulates the events on `link`.
+    fn owns(&self, link: usize) -> bool;
+    /// Whether an event at `time` lies beyond what this shard may process
+    /// before synchronising with the others.
+    fn past_end(&self, time: f64) -> bool;
+    /// Take a packet whose next hop `link` another shard owns.
+    fn hand_over(&mut self, link: usize, arrival: Event);
+}
+
+/// The component-sharded policy: one shard owns every link of the
+/// component and runs it to exhaustion, so nothing is ever handed over.
+struct WholeComponent;
+
+impl Boundary for WholeComponent {
+    #[inline(always)]
+    fn owns(&self, _link: usize) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn past_end(&self, _time: f64) -> bool {
+        false
+    }
+
+    fn hand_over(&mut self, _link: usize, _arrival: Event) {
+        unreachable!("a whole-component shard owns every link");
+    }
+}
+
+/// The time-windowed policy: this shard owns the links the partition gave
+/// it, processes events strictly before the current window's end, and
+/// posts packets crossing onto a foreign link to the owner's outbox — their
+/// arrival is at least `window start + lookahead >= end`, so delivering the
+/// outboxes at the window barrier is early enough.
+struct WindowedShard<'a> {
+    /// Shard owning each link (see [`WindowedPlan::owner`]).
+    owner: &'a [u32],
+    me: u32,
+    /// End of the current window (`+∞` drains everything).
+    end: f64,
+    /// Boundary events per destination shard, flushed at the barrier.
+    outbox: Vec<Vec<Event>>,
+}
+
+impl Boundary for WindowedShard<'_> {
+    #[inline(always)]
+    fn owns(&self, link: usize) -> bool {
+        self.owner[link] == self.me
+    }
+
+    #[inline(always)]
+    fn past_end(&self, time: f64) -> bool {
+        time >= self.end
+    }
+
+    #[inline]
+    fn hand_over(&mut self, link: usize, arrival: Event) {
+        self.outbox[self.owner[link] as usize].push(arrival);
+    }
+}
+
+/// The per-event kernel and the state it runs on: a worker's private
+/// link-state arrays over the shared link table, its event queue and
+/// per-link transit pipelines (the staging invariant, see the module docs),
+/// the dirty-link tracker used to harvest and recycle only the links the
+/// worker actually touched, and the delivery streams of the component in
+/// progress. One `Shard` serves every component its worker runs:
+/// [`begin`](Self::begin) → [`advance`](Self::advance) (once, or once per
+/// window) → [`finish`](Self::finish).
+struct Shard<'a, B> {
+    ctx: EngineContext<'a>,
+    boundary: B,
     states: LinkStates,
     dirty: DirtyLinks,
     queue: EventQueue,
+    /// In-transit events coming off each link, behind the head that sits in
+    /// `queue`; FIFO order is departure-time order.
     transit: Vec<VecDeque<Event>>,
-    head_in_heap: Vec<bool>,
-    /// Earliest pending emission entering each link (`+∞` when no flow
-    /// starting at the link has a packet left). This is the transit-feeder
-    /// chain's emission guard: a packet may cross a link inline only if it
-    /// arrives strictly before every pending emission injected there.
-    /// Component-local; reset to `+∞` after each component.
-    emission_at: Vec<f64>,
+    /// Whether the link's pipeline head is in `queue`.
+    head_queued: Vec<bool>,
     /// Flow index → position in the current component's flow list, filled
-    /// in each component's prologue. Replaces a `binary_search` over the
-    /// component's flows on every delivery, drop, and emission refill.
-    /// Entries for flows outside the current component are stale, but a
-    /// component only ever looks up its own flows.
+    /// by `begin`. Entries for flows outside the current component are
+    /// stale, but a component only ever looks up its own flows.
     flow_pos: Vec<u32>,
-    /// Per-final-link delivery streams (serial engine). A link's finish
-    /// times strictly increase, so recording each delivery into its final
-    /// link's stream keeps every stream sorted by `(time, flow)`; stream 0
-    /// collects zero-hop deliveries (recorded in pop order, likewise
-    /// sorted). The component epilogue k-way merges the streams instead of
-    /// sorting one flat vector. The pool is recycled across components.
+    /// Per-final-link delivery streams of the current component.
     streams: Vec<Vec<Event>>,
-    /// How many entries of `streams` the current component uses (≥ 1).
-    active_streams: usize,
     /// Link index → its stream in `streams`, `u32::MAX` when unassigned.
     /// Lazily assigned at a link's first delivery; component-local.
     stream_of: Vec<u32>,
     /// Links assigned a stream this component, for `stream_of` reset.
     stream_links: Vec<u32>,
+    /// Lazy emission schedule per flow position — `Some` for the flows whose
+    /// first link this shard owns: emissions enter the network there, so
+    /// that shard alone schedules them.
+    schedules: Vec<Option<EmissionSchedule>>,
+    flow_stats: Vec<FlowStat>,
 }
 
-impl WorkerState {
-    fn new(num_links: usize, kind: QueueKind) -> Self {
+impl<'a, B: Boundary> Shard<'a, B> {
+    fn new(ctx: EngineContext<'a>, boundary: B) -> Self {
+        let num_links = ctx.network.num_links();
         Self {
+            ctx,
+            boundary,
             states: LinkStates::new(num_links),
             dirty: DirtyLinks::new(num_links),
-            queue: EventQueue::new(kind),
+            queue: EventQueue::new(),
             transit: vec![VecDeque::new(); num_links],
-            head_in_heap: vec![false; num_links],
-            emission_at: vec![f64::INFINITY; num_links],
-            flow_pos: Vec::new(),
-            streams: vec![Vec::new()],
-            active_streams: 1,
+            head_queued: vec![false; num_links],
+            flow_pos: vec![0; ctx.demands.len()],
+            streams: Vec::new(),
             stream_of: vec![u32::MAX; num_links],
             stream_links: Vec::new(),
+            schedules: Vec::new(),
+            flow_stats: Vec::new(),
+        }
+    }
+
+    /// Start this shard's share of a component: track the links it will
+    /// dirty (for extraction + reset) and seed the first emission of every
+    /// flow that enters the network on one of its links.
+    fn begin(&mut self, flows: &[u32]) {
+        let EngineContext {
+            routes,
+            demands,
+            config,
+            ..
+        } = self.ctx;
+        self.queue.clear();
+        self.schedules.clear();
+        self.flow_stats = vec![FlowStat::default(); flows.len()];
+        for (pos, &f) in flows.iter().enumerate() {
+            self.flow_pos[f as usize] = pos as u32;
+            let route = routes.route(f as usize);
+            for &l in route {
+                if self.boundary.owns(l as usize) {
+                    self.dirty.mark(l as usize);
+                }
+            }
+            let schedule = self.boundary.owns(route[0] as usize).then(|| {
+                let demand = demands[f as usize];
+                let flow = FlowSpec {
+                    src: demand.src,
+                    dst: demand.dst,
+                    rate_bps: demand.amount_bps,
+                    packet_bytes: config.packet_bytes,
+                };
+                let mut schedule =
+                    EmissionSchedule::new(&flow, f as usize, config.arrivals, config.seed);
+                Self::push_next_emission(&mut self.queue, &mut schedule, config, f);
+                schedule
+            });
+            self.schedules.push(schedule);
+        }
+    }
+
+    /// Queue `flow`'s next emission, if it has one left before the run ends.
+    #[inline]
+    fn push_next_emission(
+        queue: &mut EventQueue,
+        schedule: &mut EmissionSchedule,
+        config: &SimConfig,
+        flow: u32,
+    ) {
+        if let Some(t) = schedule.next_emission(config.duration_s) {
+            queue.push(Event {
+                time: t,
+                flow,
+                hop: 0,
+                sent_at: t,
+                queue_delay: 0.0,
+            });
+        }
+    }
+
+    /// Process events in timestamp order until the queue is empty or its
+    /// earliest event lies past the boundary's end.
+    fn advance(&mut self) {
+        let EngineContext { routes, config, .. } = self.ctx;
+        while let Some(popped) = self.queue.pop_if(|e| !self.boundary.past_end(e.time)) {
+            if popped.hop == 0 {
+                // A popped emission schedules its successor.
+                let pos = self.flow_pos[popped.flow as usize] as usize;
+                let schedule = self.schedules[pos]
+                    .as_mut()
+                    .expect("an emission pops on the shard that scheduled it");
+                Self::push_next_emission(&mut self.queue, schedule, config, popped.flow);
+            } else {
+                // A pipeline head left the queue — unless the packet came in
+                // over a foreign link, whose pipeline lives on its owner.
+                let crossed = routes.route(popped.flow as usize)[popped.hop as usize - 1] as usize;
+                if self.boundary.owns(crossed) {
+                    self.advance_pipeline(crossed);
+                }
+            }
+            self.process_event(popped);
+        }
+    }
+
+    /// Restore the staging invariant after `link`'s pipeline head popped:
+    /// its next in-transit event becomes the head in the queue, or the
+    /// pipeline is empty and the next transmit on `link` queues directly.
+    #[inline]
+    fn advance_pipeline(&mut self, link: usize) {
+        match self.transit[link].pop_front() {
+            Some(front) => self.queue.push(front),
+            None => self.head_queued[link] = false,
+        }
+    }
+
+    /// One packet arriving at the head of one hop: transmit it over that
+    /// link, then record the delivery (final hop), stage the arrival at the
+    /// next hop (in the queue if it is the link's pipeline head, behind the
+    /// head otherwise), hand it to the next hop's owner, or count the drop.
+    #[inline(always)]
+    fn process_event(&mut self, ev: Event) {
+        let EngineContext {
+            network,
+            routes,
+            demands,
+            config,
+            fluid,
+            ..
+        } = self.ctx;
+        let route = routes.route(ev.flow as usize);
+        let link = route[ev.hop as usize] as usize;
+        debug_assert!(self.boundary.owns(link), "event on a foreign link");
+        let fluid_backlog = fluid.map_or(0.0, |f| f.backlog_bytes(link, ev.time));
+        match self.states.transmit_classed(
+            &network.links()[link],
+            link,
+            ev.time,
+            config.packet_bytes,
+            fluid_backlog,
+            demands[ev.flow as usize].is_background(),
+            config.discipline,
+        ) {
+            Transmit::Delivered {
+                arrival,
+                queue_delay,
+            } => {
+                let next = Event {
+                    time: arrival,
+                    flow: ev.flow,
+                    hop: ev.hop + 1,
+                    sent_at: ev.sent_at,
+                    queue_delay: ev.queue_delay + queue_delay,
+                };
+                match route.get(next.hop as usize) {
+                    None => {
+                        let stat = &mut self.flow_stats[self.flow_pos[ev.flow as usize] as usize];
+                        stat.delay_sum += next.time - next.sent_at;
+                        stat.delivered += 1;
+                        self.stream_for(link).push(next);
+                    }
+                    Some(&upcoming) if self.boundary.owns(upcoming as usize) => {
+                        if self.head_queued[link] {
+                            self.transit[link].push_back(next);
+                        } else {
+                            self.head_queued[link] = true;
+                            self.queue.push(next);
+                        }
+                    }
+                    Some(&upcoming) => self.boundary.hand_over(upcoming as usize, next),
+                }
+            }
+            Transmit::Dropped => {
+                self.flow_stats[self.flow_pos[ev.flow as usize] as usize].dropped += 1;
+            }
         }
     }
 
@@ -308,117 +530,112 @@ impl WorkerState {
     fn stream_for(&mut self, link: usize) -> &mut Vec<Event> {
         let mut sid = self.stream_of[link] as usize;
         if sid == u32::MAX as usize {
-            sid = self.active_streams;
+            sid = self.streams.len();
             self.stream_of[link] = sid as u32;
             self.stream_links.push(link as u32);
-            self.active_streams += 1;
-            if self.streams.len() == sid {
-                self.streams.push(Vec::new());
-            }
+            self.streams.push(Vec::new());
         }
         &mut self.streams[sid]
     }
 
-    /// Enqueue an event produced by a transmit on `link`: into the queue if
-    /// it is the pipeline's head, behind the head otherwise.
-    #[inline]
-    fn stage(&mut self, link: usize, next: Event) {
-        if self.head_in_heap[link] {
-            self.transit[link].push_back(next);
-        } else {
-            self.head_in_heap[link] = true;
-            self.queue.push(next);
+    /// Close this shard's share of the component: hand out its delivery
+    /// streams, tallies and dirtied link states, and recycle the worker
+    /// arrays for the next component. (The queue and every pipeline are
+    /// empty by now — each popped head promoted its successor.)
+    fn finish(&mut self) -> ShardPartial {
+        for &l in &self.stream_links {
+            self.stream_of[l as usize] = u32::MAX;
+        }
+        self.stream_links.clear();
+        ShardPartial {
+            streams: std::mem::take(&mut self.streams),
+            flow_stats: std::mem::take(&mut self.flow_stats),
+            links: self.dirty.drain_snapshots(&mut self.states),
         }
     }
 }
 
-/// No route crosses into this link from another link.
-const FEEDER_NONE: u32 = u32::MAX;
-/// Packets cross into this link from several predecessors, so its arrival
-/// order needs the event heap.
-const FEEDER_MANY: u32 = u32::MAX - 1;
+impl Shard<'_, WholeComponent> {
+    /// Simulate one whole component. All scoring of time and tie-breaks
+    /// happens inside the component, so the outcome does not depend on
+    /// which worker runs it.
+    fn run_component(&mut self, flows: &[u32]) -> ComponentOutcome {
+        self.begin(flows);
+        self.advance();
+        let partial = self.finish();
+        merge_shard_partials(vec![partial], self.ctx.demands, self.ctx.classify)
+    }
+}
 
-/// For every link, the *only* link packets can cross in from — or a
-/// sentinel. Emissions injected at a route's first hop are tracked
-/// separately (see `WorkerState::emission_at`), so a route starting at a
-/// link does not disqualify it here.
-///
-/// Consecutive conduit segments typically qualify: all transit into the
-/// downstream segment comes off the upstream one. When
-/// `transit_feeder[m] == l`, link `m`'s transit arrivals are exactly link
-/// `l`'s departures toward it (a subsequence of `l`'s strictly increasing
-/// finish times), which licenses the hop-collapsing chain: a packet coming
-/// off `l` may cross `m` inline — without waiting for its turn in the event
-/// heap — provided no earlier departure of `l` is still pending and no
-/// pending emission enters `m` first, because per-link state depends only
-/// on per-link arrival order.
-fn transit_feeders(routes: &RoutingTable, num_links: usize) -> Vec<u32> {
-    let mut feeder = vec![FEEDER_NONE; num_links];
-    for k in 0..routes.len() {
-        let route = routes.route(k);
-        for pair in route.windows(2) {
-            let (prev, l) = (pair[0], pair[1] as usize);
-            if feeder[l] == FEEDER_NONE {
-                feeder[l] = prev;
-            } else if feeder[l] != prev {
-                feeder[l] = FEEDER_MANY;
+/// Merge one component's shard partials into its outcome. The delivery
+/// streams — each sorted by `(time, flow)`, keys unique across streams
+/// because a flow delivers over one link — are k-way merged into the
+/// canonical `(time, flow)` sample order, the order a single queue would
+/// have popped the deliveries in; per-flow tallies sum across shards (only
+/// the shard owning a flow's last link delivers it; drops may come from
+/// any shard, but counters commute).
+fn merge_shard_partials(
+    parts: Vec<ShardPartial>,
+    demands: &[Demand],
+    classify: bool,
+) -> ComponentOutcome {
+    let streams: Vec<&[Event]> = parts
+        .iter()
+        .flat_map(|p| p.streams.iter().map(Vec::as_slice))
+        .collect();
+    let total: usize = streams.iter().map(|s| s.len()).sum();
+    let mut delays = Vec::with_capacity(total);
+    let mut queue_delays = Vec::with_capacity(total);
+    let mut class_samples = classify.then(ClassSamples::default);
+    let mut record = |e: &Event| {
+        delays.push(e.time - e.sent_at);
+        queue_delays.push(e.queue_delay);
+        if let Some(cs) = class_samples.as_mut() {
+            cs.record(demands, e);
+        }
+    };
+    if let [only] = streams.as_slice() {
+        // Every 1-hop mesh component: nothing to merge.
+        only.iter().for_each(&mut record);
+    } else {
+        // Max-heap over reversed `Event` order pops the earliest
+        // `(time, flow)` head; keys are unique across streams, so the
+        // stream-id tiebreak never decides. O(n log k) — cheaper than
+        // sorting the flat vector, and exactly the order that sort gives.
+        let mut cursors = vec![0usize; streams.len()];
+        let mut heads: BinaryHeap<(Event, u32)> = streams
+            .iter()
+            .enumerate()
+            .map(|(sid, stream)| (stream[0], sid as u32))
+            .collect();
+        while let Some((e, sid)) = heads.pop() {
+            record(&e);
+            let s = sid as usize;
+            cursors[s] += 1;
+            if let Some(&next) = streams[s].get(cursors[s]) {
+                heads.push((next, sid));
             }
         }
     }
-    feeder
-}
 
-/// The earliest pending emission in one first-link starter group — a
-/// contiguous run of the sorted `starters` list (see [`starter_groups`]).
-/// `pending` holds each flow's next emission time (`+∞` = exhausted).
-#[inline]
-fn emission_min(group: &[(u32, u32)], pending: &[f64]) -> f64 {
-    let mut min = f64::INFINITY;
-    for &(_, pos) in group {
-        min = min.min(pending[pos as usize]);
-    }
-    min
-}
-
-/// For each flow position, the `[lo, hi)` run of `starters` (sorted by
-/// first link) that shares the flow's first link. Precomputed once per
-/// component so the per-emission guard update scans its own group directly
-/// instead of binary-searching `starters` on every hop-0 pop. Flows
-/// without a starter entry keep the empty `(0, 0)` range.
-fn starter_groups(starters: &[(u32, u32)], num_flows: usize) -> Vec<(u32, u32)> {
-    let mut group = vec![(0u32, 0u32); num_flows];
-    let mut i = 0;
-    while i < starters.len() {
-        let l = starters[i].0;
-        let mut j = i + 1;
-        while j < starters.len() && starters[j].0 == l {
-            j += 1;
+    let mut rest = parts.into_iter();
+    let first = rest.next().expect("a component has at least one shard");
+    let (mut flow_stats, mut links) = (first.flow_stats, first.links);
+    for mut p in rest {
+        for (total, stat) in flow_stats.iter_mut().zip(&p.flow_stats) {
+            total.delay_sum += stat.delay_sum;
+            total.delivered += stat.delivered;
+            total.dropped += stat.dropped;
         }
-        for k in i..j {
-            group[starters[k].1 as usize] = (i as u32, j as u32);
-        }
-        i = j;
+        links.append(&mut p.links);
     }
-    group
-}
-
-/// The immutable inputs every engine entry point reads: the network and
-/// routed demand set, the run configuration, the fluid solution foreground
-/// packets ride on (hybrid runs, `None` under pure packet execution), and
-/// the per-link sole-transit-feeder table ([`transit_feeders`]) backing the
-/// collapsing chain.
-#[derive(Clone, Copy)]
-struct EngineContext<'a> {
-    network: &'a Network,
-    routes: &'a RoutingTable,
-    demands: &'a [Demand],
-    config: &'a SimConfig,
-    fluid: Option<&'a FluidOutcome>,
-    feeders: &'a [u32],
-    /// Any demand is background-tagged: collect per-class delivery samples
-    /// and publish [`SimReport::per_class`]. Computed once per run so
-    /// unclassified runs pay nothing.
-    classify: bool,
+    ComponentOutcome {
+        delays,
+        queue_delays,
+        flow_stats,
+        links,
+        class_samples,
+    }
 }
 
 /// Everything the windowed gang shares, borrowed into every worker thread.
@@ -451,6 +668,10 @@ pub struct Simulation {
 impl Simulation {
     /// Build a simulation: routes are computed for the demands under the
     /// configured scheme.
+    ///
+    /// # Panics
+    ///
+    /// As [`with_routes`](Self::with_routes).
     pub fn new(network: Network, demands: Vec<Demand>, config: SimConfig) -> Self {
         let routes = compute_routes(&network, &demands, config.routing);
         Self::with_routes(network, demands, routes, config)
@@ -459,12 +680,37 @@ impl Simulation {
     /// Build a simulation over externally computed routes (e.g. routes that
     /// avoid failed links, from
     /// [`crate::routing::compute_routes_avoiding`]).
+    ///
+    /// # Panics
+    ///
+    /// Names the offending field when `config.duration_s` or
+    /// `config.packet_bytes` is not finite and positive (an infinite
+    /// duration would emit forever, a zero packet never fills a link), when
+    /// a demand's `amount_bps` is not finite (`<= 0` is fine: the demand is
+    /// inactive), or when `routes` does not hold one route per demand.
     pub fn with_routes(
         network: Network,
         demands: Vec<Demand>,
         routes: RoutingTable,
         config: SimConfig,
     ) -> Self {
+        assert!(
+            config.duration_s.is_finite() && config.duration_s > 0.0,
+            "SimConfig::duration_s must be finite and positive, got {}",
+            config.duration_s
+        );
+        assert!(
+            config.packet_bytes.is_finite() && config.packet_bytes > 0.0,
+            "SimConfig::packet_bytes must be finite and positive, got {}",
+            config.packet_bytes
+        );
+        for (k, d) in demands.iter().enumerate() {
+            assert!(
+                d.amount_bps.is_finite(),
+                "demand {k}: amount_bps must be finite, got {}",
+                d.amount_bps
+            );
+        }
         assert_eq!(routes.len(), demands.len(), "one route per demand");
         Self {
             network,
@@ -477,8 +723,8 @@ impl Simulation {
 
     /// Event-queue occupancy statistics aggregated across every worker of
     /// the most recent [`run`](Self::run) (all zeroes before the first
-    /// run). Deliberately *not* part of the [`SimReport`]: the stats differ
-    /// between queue backends while reports must stay bit-identical.
+    /// run). Deliberately *not* part of the [`SimReport`]: they describe
+    /// how the run was scheduled, not what it computed.
     pub fn queue_stats(&self) -> QueueStats {
         self.last_queue_stats
     }
@@ -575,439 +821,23 @@ impl Simulation {
         comps
     }
 
-    /// Start `flow`'s lazy emission schedule: push its first emission into
-    /// the worker's queue and return the schedule that produces the rest,
-    /// plus the pushed emission time (`+∞` if the flow emits nothing).
-    /// The queue holds one pending emission per flow; each popped emission
-    /// schedules its successor (strictly later, so it is pushed before it
-    /// could ever pop). The event *set* is exactly the eagerly-scheduled
-    /// one, and the strict `(time, flow, hop)` event order makes the pop
-    /// sequence a function of the set alone — bit-identical runs on a queue
-    /// of O(flows + packets in flight) instead of O(total packets).
-    fn schedule_flow(
-        demands: &[Demand],
-        config: &SimConfig,
-        w: &mut WorkerState,
-        flow_index: u32,
-    ) -> (EmissionSchedule, f64) {
-        let demand = demands[flow_index as usize];
-        let flow = FlowSpec {
-            src: demand.src,
-            dst: demand.dst,
-            rate_bps: demand.amount_bps,
-            packet_bytes: config.packet_bytes,
-        };
-        let mut schedule =
-            EmissionSchedule::new(&flow, flow_index as usize, config.arrivals, config.seed);
-        let mut pending = f64::INFINITY;
-        if let Some(t) = schedule.next_emission(config.duration_s) {
-            pending = t;
-            w.queue.push(Event {
-                time: t,
-                flow: flow_index,
-                hop: 0,
-                sent_at: t,
-                queue_delay: 0.0,
-            });
-        }
-        (schedule, pending)
-    }
-
-    /// Refill one flow's emission after its current emission event popped:
-    /// emissions are generated lazily, one outstanding per flow. Returns
-    /// the new pending emission time (`+∞` once the flow is exhausted).
-    #[inline]
-    fn refill_emission(
-        schedule: &mut EmissionSchedule,
-        config: &SimConfig,
-        w: &mut WorkerState,
-        flow_index: u32,
-    ) -> f64 {
-        if let Some(t) = schedule.next_emission(config.duration_s) {
-            w.queue.push(Event {
-                time: t,
-                flow: flow_index,
-                hop: 0,
-                sent_at: t,
-                queue_delay: 0.0,
-            });
-            t
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Simulate one component's flows against the worker's private link
-    /// state. All scoring of time and tie-breaks happens inside the
-    /// component, so the outcome does not depend on which worker runs it.
-    fn run_component(
-        ctx: &EngineContext<'_>,
-        w: &mut WorkerState,
-        flows: &[u32],
-    ) -> ComponentOutcome {
-        let EngineContext {
-            routes,
-            demands,
-            config,
-            ..
-        } = *ctx;
-        // Track the links this component dirties (for extraction + reset).
-        for &f in flows {
-            for &l in routes.route(f as usize) {
-                w.dirty.mark(l as usize);
-            }
-        }
-
-        // Seed each flow's first emission; the rest are generated lazily.
-        // `starters`/`pending` back the chain's emission guard: for every
-        // link, the earliest emission still to enter it (`w.emission_at`).
-        w.queue.clear();
-        if w.flow_pos.len() < demands.len() {
-            w.flow_pos.resize(demands.len(), 0);
-        }
-        let mut schedules: Vec<EmissionSchedule> = Vec::with_capacity(flows.len());
-        let mut pending: Vec<f64> = Vec::with_capacity(flows.len());
-        let mut starters: Vec<(u32, u32)> = Vec::with_capacity(flows.len());
-        for (pos, &f) in flows.iter().enumerate() {
-            w.flow_pos[f as usize] = pos as u32;
-            let (schedule, t) = Self::schedule_flow(demands, config, w, f);
-            schedules.push(schedule);
-            pending.push(t);
-            if let Some(&first) = routes.route(f as usize).first() {
-                starters.push((first, pos as u32));
-                let e = &mut w.emission_at[first as usize];
-                *e = e.min(t);
-            }
-        }
-        starters.sort_unstable();
-        let groups = starter_groups(&starters, flows.len());
-
-        // Process events in timestamp order. Deliveries never touch link
-        // state, so they skip the heap entirely: the final transmit records
-        // each one into its final link's stream (every stream is sorted by
-        // construction — a link's finish times strictly increase) and the
-        // k-way merge below restores the serial pop order — `(time, flow)`
-        // is unique across deliveries (a flow delivers over one link), so
-        // the merged sequence *is* the heap's `(time, flow, hop)` order.
-        let expected: f64 = flows
-            .iter()
-            .map(|&f| demands[f as usize].amount_bps * config.duration_s)
-            .sum::<f64>()
-            / (config.packet_bytes * 8.0);
-        let mut flow_stats = vec![FlowStat::default(); flows.len()];
-        while let Some(popped) = w.queue.pop() {
-            // A hop ≥ 1 pop is a pipeline head leaving the queue: its
-            // crossed link's remaining departures stay outside the queue
-            // while the event (and the chain drain below) processes, so the
-            // collapse guards treat that pipeline as part of the frontier
-            // (`drain_src`).
-            let drain_src = if popped.hop == 0 {
-                let pos = w.flow_pos[popped.flow as usize] as usize;
-                pending[pos] = Self::refill_emission(&mut schedules[pos], config, w, popped.flow);
-                // The emission guard is only ever *read* for links fed by a
-                // sole transit feeder, so skip its upkeep everywhere else
-                // (on a pure mesh this is every emission).
-                if let Some(&first) = routes.route(popped.flow as usize).first() {
-                    if ctx.feeders[first as usize] < FEEDER_MANY {
-                        let (lo, hi) = groups[pos];
-                        w.emission_at[first as usize] =
-                            emission_min(&starters[lo as usize..hi as usize], &pending);
-                    }
-                }
-                usize::MAX
-            } else {
-                routes.route(popped.flow as usize)[popped.hop as usize - 1] as usize
-            };
-            Self::process_event(ctx, w, &mut flow_stats, popped, drain_src);
-            if drain_src != usize::MAX {
-                Self::drain_chain(ctx, w, &mut flow_stats, drain_src);
-            }
-        }
-
-        // Restore the serial pop order by merging the per-link streams.
-        let mut delays = Vec::with_capacity(expected as usize + flows.len());
-        let mut queue_delays = Vec::with_capacity(expected as usize + flows.len());
-        let mut class_samples = ctx.classify.then(ClassSamples::default);
-        Self::merge_delivery_streams(
-            w,
-            &mut delays,
-            &mut queue_delays,
-            demands,
-            &mut class_samples,
-        );
-
-        // Extract the dirtied link states and recycle the worker arrays
-        // (the emission-guard entries too — `w` serves the next component).
-        for &(first, _) in &starters {
-            w.emission_at[first as usize] = f64::INFINITY;
-        }
-        let touched_links = w.dirty.drain_snapshots(&mut w.states);
-
-        ComponentOutcome {
-            delays,
-            queue_delays,
-            flow_stats,
-            links: touched_links,
-            class_samples,
-        }
-    }
-
-    /// Merge the component's per-link delivery streams — each sorted by
-    /// `(time, flow)`, keys unique across streams — into canonically
-    /// ordered delay samples, then recycle the stream pool for the next
-    /// component. A single live stream (every 1-hop mesh component) copies
-    /// straight through; otherwise a small head-heap merges k streams in
-    /// O(n log k) — cheaper than sorting the flat vector, and exactly the
-    /// order that sort produced.
-    fn merge_delivery_streams(
-        w: &mut WorkerState,
-        delays: &mut Vec<f64>,
-        queue_delays: &mut Vec<f64>,
-        demands: &[Demand],
-        class_samples: &mut Option<ClassSamples>,
-    ) {
-        {
-            let streams = &w.streams[..w.active_streams];
-            let mut live = streams.iter().filter(|s| !s.is_empty());
-            let first = live.next();
-            let second = live.next();
-            match (first, second) {
-                (None, _) => {}
-                (Some(only), None) => {
-                    delays.extend(only.iter().map(|e| e.time - e.sent_at));
-                    queue_delays.extend(only.iter().map(|e| e.queue_delay));
-                    if let Some(cs) = class_samples.as_mut() {
-                        for e in only {
-                            cs.record(demands, e);
-                        }
-                    }
-                }
-                _ => {
-                    // Max-heap over reversed `Event` order pops the earliest
-                    // `(time, flow)` head; keys are unique across streams,
-                    // so the stream-id tiebreak never decides.
-                    let mut cursors = vec![0usize; streams.len()];
-                    let mut heads: BinaryHeap<(Event, u32)> =
-                        BinaryHeap::with_capacity(streams.len());
-                    for (sid, stream) in streams.iter().enumerate() {
-                        if let Some(&head) = stream.first() {
-                            heads.push((head, sid as u32));
-                        }
-                    }
-                    while let Some((e, sid)) = heads.pop() {
-                        delays.push(e.time - e.sent_at);
-                        queue_delays.push(e.queue_delay);
-                        if let Some(cs) = class_samples.as_mut() {
-                            cs.record(demands, &e);
-                        }
-                        let s = sid as usize;
-                        cursors[s] += 1;
-                        if let Some(&nxt) = streams[s].get(cursors[s]) {
-                            heads.push((nxt, sid));
-                        }
-                    }
-                }
-            }
-        }
-        for stream in &mut w.streams[..w.active_streams] {
-            stream.clear();
-        }
-        for &l in &w.stream_links {
-            w.stream_of[l as usize] = u32::MAX;
-        }
-        w.stream_links.clear();
-        w.active_streams = 1;
-    }
-
-    /// Sort a delivery stream into `(time, flow)` order — the canonical
-    /// report order every engine configuration must reproduce. The key is
-    /// unique (one link's finish times strictly increase, and a flow
-    /// delivers over one link), so the unstable sort is deterministic; the
-    /// eager-recording streams are nearly sorted, so the linear
-    /// already-sorted check usually wins outright.
-    fn sort_deliveries(deliveries: &mut [Event]) {
-        let key = |e: &Event| (e.time, e.flow);
-        if !deliveries.is_sorted_by(|a, b| key(a) <= key(b)) {
-            deliveries.sort_unstable_by(|a, b| a.time.total_cmp(&b.time).then(a.flow.cmp(&b.flow)));
-        }
-    }
-
-    /// Advance one event through its hops against the worker's private
-    /// state, inlining provably-next hops (the collapse guards), until the
-    /// packet is delivered, dropped, or parked in a pipeline/queue.
-    ///
-    /// `drain_src` names the link whose transit pipeline is currently held
-    /// *outside* the queue (the popped head's crossed link, through the
-    /// chain drain that follows; `usize::MAX` otherwise). Its pending
-    /// events are invisible to `queue.peek()`, so the plain collapse guard
-    /// must additionally prove `next` precedes that pipeline's front —
-    /// every other pipeline keeps its head in the queue, which `peek`
-    /// already bounds.
-    #[inline(always)]
-    fn process_event(
-        ctx: &EngineContext<'_>,
-        w: &mut WorkerState,
-        flow_stats: &mut [FlowStat],
-        popped: Event,
-        drain_src: usize,
-    ) {
-        let EngineContext {
-            network,
-            routes,
-            demands,
-            config,
-            fluid,
-            feeders,
-            ..
-        } = *ctx;
-        let links = network.links();
-        let hop_collapse = config.hop_collapse;
-        // One event is one flow crossing hops, so its class is loop-invariant.
-        let background = demands[popped.flow as usize].is_background();
-        let mut ev = popped;
-        loop {
-            let route = routes.route(ev.flow as usize);
-            if ev.hop as usize >= route.len() {
-                // Zero-hop flow (src == dst): the emission itself is the
-                // delivery.
-                let pos = w.flow_pos[ev.flow as usize] as usize;
-                flow_stats[pos].delay_sum += ev.time - ev.sent_at;
-                flow_stats[pos].delivered += 1;
-                w.streams[0].push(ev);
-                return;
-            }
-            let link = route[ev.hop as usize] as usize;
-            let fluid_backlog = fluid.map_or(0.0, |f| f.backlog_bytes(link, ev.time));
-            match w.states.transmit_classed(
-                &links[link],
-                link,
-                ev.time,
-                config.packet_bytes,
-                fluid_backlog,
-                background,
-                config.discipline,
-            ) {
-                Transmit::Delivered {
-                    arrival,
-                    queue_delay,
-                } => {
-                    let next = Event {
-                        time: arrival,
-                        flow: ev.flow,
-                        hop: ev.hop + 1,
-                        sent_at: ev.sent_at,
-                        queue_delay: ev.queue_delay + queue_delay,
-                    };
-                    let next_hop = next.hop as usize;
-                    if next_hop >= route.len() {
-                        // Final hop: record the delivery now instead of
-                        // round-tripping it through the queue.
-                        let pos = w.flow_pos[next.flow as usize] as usize;
-                        flow_stats[pos].delay_sum += next.time - next.sent_at;
-                        flow_stats[pos].delivered += 1;
-                        w.stream_for(link).push(next);
-                        return;
-                    }
-                    if hop_collapse {
-                        // Transit-feeder chain: all transit into the
-                        // upcoming link comes off `link` alone, no
-                        // earlier departure of `link` is still pending
-                        // (the pipeline is empty), and this packet
-                        // arrives strictly before any emission enters
-                        // the link — so it is provably the link's next
-                        // arrival. Cross it inline; per-link state
-                        // depends only on per-link arrival order, so
-                        // the report is unchanged.
-                        let upcoming = route[next_hop] as usize;
-                        if feeders[upcoming] == link as u32
-                            && next.time < w.emission_at[upcoming]
-                            && !w.head_in_heap[link]
-                        {
-                            ev = next;
-                            continue;
-                        }
-                        // Hop collapse: when `next` strictly precedes the
-                        // entire pending frontier — the queue, plus the
-                        // drained pipeline the queue cannot see — it would
-                        // be the very next pop, so process it inline; the
-                        // event sequence is exactly the serial one and the
-                        // queue round trip is elided. Idle multi-segment
-                        // conduit paths collapse to one event per packet.
-                        if w.queue.peek().is_none_or(|top| next > top)
-                            && (drain_src == usize::MAX
-                                || w.transit[drain_src].front().is_none_or(|f| next > *f))
-                        {
-                            ev = next;
-                            continue;
-                        }
-                    }
-                    w.stage(link, next);
-                }
-                Transmit::Dropped => {
-                    let pos = w.flow_pos[ev.flow as usize] as usize;
-                    flow_stats[pos].dropped += 1;
-                }
-            }
-            return;
-        }
-    }
-
-    /// After `src`'s pipeline head popped and processed, advance the
-    /// sole-feeder transit chain: while the pipeline's front provably is
-    /// the next arrival at its downstream link — that link's transit comes
-    /// off `src` alone, the front is `src`'s earliest remaining departure
-    /// (pipeline FIFO = departure-time order), and it arrives strictly
-    /// before any pending emission enters the link — process it inline
-    /// without a queue round trip. The first front that cannot be proven
-    /// next becomes the pipeline's new head in the queue; an emptied
-    /// pipeline clears `head_in_heap`. This is what lets a steady-state
-    /// conduit stream (many packets in flight per segment) advance one
-    /// whole pipeline per queue pop instead of one packet.
-    fn drain_chain(
-        ctx: &EngineContext<'_>,
-        w: &mut WorkerState,
-        flow_stats: &mut [FlowStat],
-        src: usize,
-    ) {
-        loop {
-            let Some(&front) = w.transit[src].front() else {
-                w.head_in_heap[src] = false;
-                return;
-            };
-            let m = ctx.routes.route(front.flow as usize)[front.hop as usize] as usize;
-            if ctx.config.hop_collapse
-                && ctx.feeders[m] == src as u32
-                && front.time < w.emission_at[m]
-            {
-                w.transit[src].pop_front();
-                Self::process_event(ctx, w, flow_stats, front, src);
-            } else {
-                w.transit[src].pop_front();
-                w.queue.push(front);
-                return;
-            }
-        }
-    }
-
     /// Component-sharded execution: persistent workers drain the component
-    /// queue (`workers <= 1` runs inline).
+    /// list (`workers <= 1` runs inline).
     fn run_components(
         ctx: &EngineContext<'_>,
         comps: &[Vec<u32>],
         workers: usize,
     ) -> (Vec<Option<ComponentOutcome>>, QueueStats) {
-        let num_links = ctx.network.num_links();
-        let kind = ctx.config.queue;
         let mut outcomes: Vec<Option<ComponentOutcome>> = (0..comps.len()).map(|_| None).collect();
         let mut queue_stats = QueueStats::default();
         if workers <= 1 {
-            let mut w = WorkerState::new(num_links, kind);
+            let mut shard = Shard::new(*ctx, WholeComponent);
             for (i, comp) in comps.iter().enumerate() {
-                outcomes[i] = Some(Self::run_component(ctx, &mut w, comp));
+                outcomes[i] = Some(shard.run_component(comp));
             }
-            queue_stats.merge(&w.queue.stats());
+            queue_stats.merge(&shard.queue.stats());
         } else {
-            // Persistent workers drain the component queue; assignment order
+            // Persistent workers drain the component list; assignment order
             // is irrelevant because components are independent and merged by
             // index below.
             let next = AtomicUsize::new(0);
@@ -1017,16 +847,16 @@ impl Simulation {
                         .map(|_| {
                             let next = &next;
                             scope.spawn(move || {
-                                let mut w = WorkerState::new(num_links, kind);
+                                let mut shard = Shard::new(*ctx, WholeComponent);
                                 let mut done = Vec::new();
                                 loop {
                                     let i = next.fetch_add(1, AtomicOrdering::Relaxed);
                                     if i >= comps.len() {
                                         break;
                                     }
-                                    done.push((i, Self::run_component(ctx, &mut w, &comps[i])));
+                                    done.push((i, shard.run_component(&comps[i])));
                                 }
-                                (done, w.queue.stats())
+                                (done, shard.queue.stats())
                             })
                         })
                         .collect();
@@ -1049,7 +879,7 @@ impl Simulation {
     /// the whole gang), partition its links into per-worker shards, compute
     /// the conservative lookahead window, and advance all shards through the
     /// event horizon in barrier-synchronised windows with boundary-event
-    /// exchange. Deterministic merge restores the serial event order.
+    /// exchange.
     fn run_windowed(
         ctx: &EngineContext<'_>,
         comps: &[Vec<u32>],
@@ -1120,24 +950,21 @@ impl Simulation {
             })
         };
         let mut queue_stats = QueueStats::default();
-        let mut per_shard: Vec<Vec<ShardPartial>> = Vec::with_capacity(shard_results.len());
+        let mut per_shard: Vec<std::vec::IntoIter<ShardPartial>> =
+            Vec::with_capacity(shard_results.len());
         for (partials, stats) in shard_results {
             queue_stats.merge(&stats);
-            per_shard.push(partials);
+            per_shard.push(partials.into_iter());
         }
 
-        let outcomes = (0..comps.len())
-            .map(|ci| {
+        let outcomes = comps
+            .iter()
+            .map(|_| {
                 let parts: Vec<ShardPartial> = per_shard
                     .iter_mut()
-                    .map(|worker| std::mem::take(&mut worker[ci]))
+                    .map(|shard| shard.next().expect("one partial per component and shard"))
                     .collect();
-                Some(Self::merge_shard_partials(
-                    comps[ci].len(),
-                    parts,
-                    ctx.demands,
-                    ctx.classify,
-                ))
+                Some(merge_shard_partials(parts, ctx.demands, ctx.classify))
             })
             .collect();
         (outcomes, queue_stats)
@@ -1146,62 +973,22 @@ impl Simulation {
     /// One gang member's run over every component: simulate the events on
     /// the links this shard owns, window by window.
     fn run_windowed_shard(plan: &WindowedPlan<'_>, me: usize) -> (Vec<ShardPartial>, QueueStats) {
-        let EngineContext {
-            network,
-            routes,
-            demands,
-            config,
-            ..
-        } = plan.ctx;
-        let me_u32 = me as u32;
-        let mut w = WorkerState::new(network.num_links(), config.queue);
-        let mut outbox: Vec<Vec<Event>> = (0..plan.workers).map(|_| Vec::new()).collect();
+        let mut shard = Shard::new(
+            plan.ctx,
+            WindowedShard {
+                owner: &plan.owner,
+                me: me as u32,
+                end: f64::INFINITY,
+                outbox: (0..plan.workers).map(|_| Vec::new()).collect(),
+            },
+        );
         let mut partials = Vec::with_capacity(plan.comps.len());
-
-        for (ci, comp) in plan.comps.iter().enumerate() {
-            let window = plan.windows[ci];
-            // This shard's share of the component: it owns a subset of the
-            // links, and injects the emissions of flows whose first hop it
-            // owns (every other event of those flows migrates here or away
-            // through the boundary exchange).
-            w.queue.clear();
-            if w.flow_pos.len() < demands.len() {
-                w.flow_pos.resize(demands.len(), 0);
-            }
-            let mut schedules: Vec<Option<EmissionSchedule>> = vec![None; comp.len()];
-            let mut pending: Vec<f64> = vec![f64::INFINITY; comp.len()];
-            let mut starters: Vec<(u32, u32)> = Vec::new();
-            for (pos, &f) in comp.iter().enumerate() {
-                w.flow_pos[f as usize] = pos as u32;
-                let route = routes.route(f as usize);
-                for &l in route {
-                    if plan.owner[l as usize] == me_u32 {
-                        w.dirty.mark(l as usize);
-                    }
-                }
-                if plan.owner[route[0] as usize] == me_u32 {
-                    let (schedule, t) = Self::schedule_flow(demands, config, &mut w, f);
-                    schedules[pos] = Some(schedule);
-                    pending[pos] = t;
-                    // A flow's emissions enter its first link, owned by this
-                    // shard — so the emission guard, like the schedule, is
-                    // complete with shard-local knowledge.
-                    starters.push((route[0], pos as u32));
-                    let e = &mut w.emission_at[route[0] as usize];
-                    *e = e.min(t);
-                }
-            }
-            starters.sort_unstable();
-            let groups = starter_groups(&starters, comp.len());
-
-            let mut partial = ShardPartial {
-                flow_stats: vec![FlowStat::default(); comp.len()],
-                ..ShardPartial::default()
-            };
+        for (comp, &window) in plan.comps.iter().zip(&plan.windows) {
+            shard.begin(comp);
             loop {
                 // Publish the local event horizon; after the barrier every
                 // shard derives the same window start (the global minimum).
-                let local_next = w.queue.peek().map_or(f64::INFINITY, |e| e.time);
+                let local_next = shard.queue.peek().map_or(f64::INFINITY, |e| e.time);
                 plan.next_times[me].store(local_next.to_bits(), AtomicOrdering::Release);
                 plan.barrier.wait();
                 let start = plan
@@ -1213,64 +1000,9 @@ impl Simulation {
                 // agrees the component is drained.
                 let done = !start.is_finite();
                 if !done {
-                    let end = start + window; // +∞ window ⇒ drain everything
-                    while let Some(popped) = w.queue.peek() {
-                        if popped.time >= end {
-                            break;
-                        }
-                        w.queue.pop();
-                        // Hop ≥ 1 pops of locally-owned crossed links defer
-                        // their pipeline promotion to the chain drain below
-                        // (inbox events crossed a foreign link, unstaged).
-                        let drain_src = if popped.hop == 0 {
-                            // Emission events live only on their scheduling
-                            // shard (boundary exchanges carry hop ≥ 1).
-                            let pos = w.flow_pos[popped.flow as usize] as usize;
-                            let schedule = schedules[pos]
-                                .as_mut()
-                                .expect("emission on its scheduling shard");
-                            pending[pos] =
-                                Self::refill_emission(schedule, config, &mut w, popped.flow);
-                            let first = routes.route(popped.flow as usize)[0];
-                            if plan.ctx.feeders[first as usize] < FEEDER_MANY {
-                                let (lo, hi) = groups[pos];
-                                w.emission_at[first as usize] =
-                                    emission_min(&starters[lo as usize..hi as usize], &pending);
-                            }
-                            usize::MAX
-                        } else {
-                            let crossed = routes.route(popped.flow as usize)
-                                [popped.hop as usize - 1]
-                                as usize;
-                            if plan.owner[crossed] == me_u32 {
-                                crossed
-                            } else {
-                                usize::MAX
-                            }
-                        };
-                        Self::process_windowed_event(
-                            plan,
-                            me,
-                            &mut w,
-                            &mut partial,
-                            &mut outbox,
-                            end,
-                            popped,
-                            drain_src,
-                        );
-                        if drain_src != usize::MAX {
-                            Self::drain_chain_windowed(
-                                plan,
-                                me,
-                                &mut w,
-                                &mut partial,
-                                &mut outbox,
-                                end,
-                                drain_src,
-                            );
-                        }
-                    }
-                    for (dst, batch) in outbox.iter_mut().enumerate() {
+                    shard.boundary.end = start + window; // +∞ window ⇒ drain everything
+                    shard.advance();
+                    for (dst, batch) in shard.boundary.outbox.iter_mut().enumerate() {
                         if !batch.is_empty() {
                             plan.inboxes[dst]
                                 .lock()
@@ -1287,241 +1019,13 @@ impl Simulation {
                     break;
                 }
                 for ev in plan.inboxes[me].lock().expect("inbox poisoned").drain(..) {
-                    w.queue.push(ev);
+                    shard.queue.push(ev);
                 }
             }
-            // Deliveries were recorded eagerly at their final transmit, a
-            // merge of per-link increasing streams; the shard-wide merge
-            // below needs each stream sorted by `(time, flow)`.
-            Self::sort_deliveries(&mut partial.deliveries);
-            for &(first, _) in &starters {
-                w.emission_at[first as usize] = f64::INFINITY;
-            }
-            partial.links = w.dirty.drain_snapshots(&mut w.states);
-            partials.push(partial);
+            partials.push(shard.finish());
         }
-        let stats = w.queue.stats();
+        let stats = shard.queue.stats();
         (partials, stats)
-    }
-
-    /// The windowed counterpart of [`Self::process_event`]: advance one
-    /// event through its hops against this shard's state, handing boundary
-    /// events to their owning shard's outbox. The collapse guards gain the
-    /// window bound (`next.time < end`); the transit-feeder chain does not
-    /// need it — transit into a sole-fed local link comes off a local link
-    /// alone, so inbox events can never land on it and its emissions are
-    /// scheduled on this shard, making the guard state complete locally.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn process_windowed_event(
-        plan: &WindowedPlan<'_>,
-        me: usize,
-        w: &mut WorkerState,
-        partial: &mut ShardPartial,
-        outbox: &mut [Vec<Event>],
-        end: f64,
-        popped: Event,
-        drain_src: usize,
-    ) {
-        let EngineContext {
-            network,
-            routes,
-            demands,
-            config,
-            fluid,
-            feeders,
-            ..
-        } = plan.ctx;
-        let links = network.links();
-        let me_u32 = me as u32;
-        let hop_collapse = config.hop_collapse;
-        // One event is one flow crossing hops, so its class is loop-invariant.
-        let background = demands[popped.flow as usize].is_background();
-        let mut ev = popped;
-        loop {
-            let route = routes.route(ev.flow as usize);
-            if ev.hop as usize >= route.len() {
-                // Zero-hop flow (src == dst): the emission itself is the
-                // delivery.
-                let pos = w.flow_pos[ev.flow as usize] as usize;
-                partial.flow_stats[pos].delay_sum += ev.time - ev.sent_at;
-                partial.flow_stats[pos].delivered += 1;
-                partial.deliveries.push(ev);
-                return;
-            }
-            let link = route[ev.hop as usize] as usize;
-            debug_assert_eq!(plan.owner[link], me_u32, "event on foreign link");
-            let fluid_backlog = fluid.map_or(0.0, |f| f.backlog_bytes(link, ev.time));
-            match w.states.transmit_classed(
-                &links[link],
-                link,
-                ev.time,
-                config.packet_bytes,
-                fluid_backlog,
-                background,
-                config.discipline,
-            ) {
-                Transmit::Delivered {
-                    arrival,
-                    queue_delay,
-                } => {
-                    let next = Event {
-                        time: arrival,
-                        flow: ev.flow,
-                        hop: ev.hop + 1,
-                        sent_at: ev.sent_at,
-                        queue_delay: ev.queue_delay + queue_delay,
-                    };
-                    let next_hop = next.hop as usize;
-                    if next_hop >= route.len() {
-                        // Final hop: this shard owns the last link, so the
-                        // delivery is recorded here — eagerly; the sort at
-                        // the end restores per-shard time order.
-                        let pos = w.flow_pos[next.flow as usize] as usize;
-                        partial.flow_stats[pos].delay_sum += next.time - next.sent_at;
-                        partial.flow_stats[pos].delivered += 1;
-                        partial.deliveries.push(next);
-                        return;
-                    }
-                    let upcoming = route[next_hop] as usize;
-                    let dst = plan.owner[upcoming] as usize;
-                    if dst == me {
-                        // Transit-feeder chain (see the serial engine). No
-                        // window guard is needed — the guard state is
-                        // complete locally (see the method docs).
-                        if hop_collapse
-                            && feeders[upcoming] == link as u32
-                            && next.time < w.emission_at[upcoming]
-                            && !w.head_in_heap[link]
-                        {
-                            ev = next;
-                            continue;
-                        }
-                        // Hop collapse, with the extra windowed guard:
-                        // `next` must stay inside this window and strictly
-                        // precede the whole pending frontier — the queue
-                        // plus the drained pipeline it cannot see — so
-                        // inlining it replays the exact
-                        // serial-within-window order.
-                        if hop_collapse
-                            && next.time < end
-                            && w.queue.peek().is_none_or(|top| next > top)
-                            && (drain_src == usize::MAX
-                                || w.transit[drain_src].front().is_none_or(|f| next > *f))
-                        {
-                            ev = next;
-                            continue;
-                        }
-                        w.stage(link, next);
-                    } else {
-                        // Boundary event: its time is at least
-                        // `start + lookahead >= end`, so handing it over at
-                        // the barrier is early enough.
-                        outbox[dst].push(next);
-                    }
-                }
-                Transmit::Dropped => {
-                    let pos = w.flow_pos[ev.flow as usize] as usize;
-                    partial.flow_stats[pos].dropped += 1;
-                }
-            }
-            return;
-        }
-    }
-
-    /// The windowed counterpart of [`Self::drain_chain`]: advance `src`'s
-    /// sole-feeder transit chain inline after its pipeline head popped.
-    /// Everything staged in a local pipeline is bound for a local link, so
-    /// the drained fronts stay on this shard by construction; like the
-    /// windowed feeder chain, the drain needs no window-end guard.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_chain_windowed(
-        plan: &WindowedPlan<'_>,
-        me: usize,
-        w: &mut WorkerState,
-        partial: &mut ShardPartial,
-        outbox: &mut [Vec<Event>],
-        end: f64,
-        src: usize,
-    ) {
-        let (routes, config) = (plan.ctx.routes, plan.ctx.config);
-        loop {
-            let Some(&front) = w.transit[src].front() else {
-                w.head_in_heap[src] = false;
-                return;
-            };
-            let m = routes.route(front.flow as usize)[front.hop as usize] as usize;
-            debug_assert_eq!(plan.owner[m], me as u32, "staged event on foreign link");
-            if config.hop_collapse
-                && plan.ctx.feeders[m] == src as u32
-                && front.time < w.emission_at[m]
-            {
-                w.transit[src].pop_front();
-                Self::process_windowed_event(plan, me, w, partial, outbox, end, front, src);
-            } else {
-                w.transit[src].pop_front();
-                w.queue.push(front);
-                return;
-            }
-        }
-    }
-
-    /// Merge one component's per-shard partials back into the serial
-    /// outcome: delivery streams are k-way merged by `(time, flow)` — each
-    /// stream is already in pop order, and their ordered union is exactly
-    /// the order the serial engine records deliveries in — and per-flow
-    /// tallies sum across shards (only the shard owning a flow's last link
-    /// delivers it; drops may come from any shard, but counters commute).
-    fn merge_shard_partials(
-        num_flows: usize,
-        mut parts: Vec<ShardPartial>,
-        demands: &[Demand],
-        classify: bool,
-    ) -> ComponentOutcome {
-        let total: usize = parts.iter().map(|p| p.deliveries.len()).sum();
-        let mut delays = Vec::with_capacity(total);
-        let mut queue_delays = Vec::with_capacity(total);
-        let mut class_samples = classify.then(ClassSamples::default);
-        let mut cursors = vec![0usize; parts.len()];
-        for _ in 0..total {
-            let mut best: Option<(usize, Event)> = None;
-            for (s, p) in parts.iter().enumerate() {
-                if let Some(&e) = p.deliveries.get(cursors[s]) {
-                    let better = match best {
-                        None => true,
-                        Some((_, b)) => (e.time, e.flow) < (b.time, b.flow),
-                    };
-                    if better {
-                        best = Some((s, e));
-                    }
-                }
-            }
-            let (s, e) = best.expect("delivery streams exhausted early");
-            cursors[s] += 1;
-            delays.push(e.time - e.sent_at);
-            queue_delays.push(e.queue_delay);
-            if let Some(cs) = class_samples.as_mut() {
-                cs.record(demands, &e);
-            }
-        }
-
-        let mut flow_stats = vec![FlowStat::default(); num_flows];
-        let mut links = Vec::new();
-        for p in &mut parts {
-            for (pos, stat) in p.flow_stats.iter().enumerate() {
-                flow_stats[pos].delay_sum += stat.delay_sum;
-                flow_stats[pos].delivered += stat.delivered;
-                flow_stats[pos].dropped += stat.dropped;
-            }
-            links.append(&mut p.links);
-        }
-        ComponentOutcome {
-            delays,
-            queue_delays,
-            flow_stats,
-            links,
-            class_samples,
-        }
     }
 
     /// Run the simulation and produce a report.
@@ -1546,7 +1050,6 @@ impl Simulation {
         };
         let fluid = fluid_solution.as_ref();
         let comps = self.partition_flows();
-        let feeders = transit_feeders(&self.routes, self.network.num_links());
         let requested = if self.config.workers == 0 {
             thread::available_parallelism().map_or(1, |p| p.get())
         } else {
@@ -1560,7 +1063,6 @@ impl Simulation {
             demands: &self.demands,
             config: &self.config,
             fluid,
-            feeders: &feeders,
             classify,
         };
         let (outcomes, queue_stats) = match self.config.mode {
@@ -1728,19 +1230,6 @@ mod tests {
         // Link saturates.
         assert!(report.max_link_utilization > 0.95);
         assert_eq!(report.flow_dropped[0], report.dropped);
-    }
-
-    #[test]
-    fn poisson_at_moderate_load_has_small_queueing() {
-        let report = run_at_load(0.5, 1e9, ArrivalProcess::Poisson);
-        // M/D/1 mean wait at ρ=0.5 is ρ·S/(2(1−ρ)) = 0.5·0.4ms/1 = 0.2 ms.
-        assert!(report.mean_queue_delay_ms > 0.05);
-        assert!(
-            report.mean_queue_delay_ms < 0.6,
-            "{}",
-            report.mean_queue_delay_ms
-        );
-        assert_eq!(report.loss_rate, 0.0);
     }
 
     #[test]
@@ -2005,90 +1494,14 @@ mod tests {
     }
 
     #[test]
-    fn hop_collapse_is_bit_identical_to_the_uncollapsed_path() {
-        // A long idle chain is the collapse's best case; the congested mesh
-        // and the multi-component set exercise it under queueing and under
-        // both engines. The reports must match float for float.
-        let mut chain = Network::new(8);
-        for i in 0..7 {
-            chain.add_link(LinkSpec {
-                from: i,
-                to: i + 1,
-                rate_bps: 1e9,
-                propagation_s: 0.002,
-                buffer_bytes: 1e9,
-            });
-        }
-        let chain_demands = vec![Demand::new(0, 7, 2e6)];
-        let cases = [
-            (chain, chain_demands),
-            single_component_mesh(8),
-            multi_component_inputs(5),
-        ];
-        for (net, demands) in cases {
-            for mode in [ExecMode::ComponentSharded, ExecMode::windowed_auto()] {
-                let config = |hop_collapse| SimConfig {
-                    duration_s: 0.2,
-                    workers: 2,
-                    mode,
-                    hop_collapse,
-                    ..SimConfig::default()
-                };
-                let collapsed = Simulation::new(net.clone(), demands.clone(), config(true)).run();
-                let plain = Simulation::new(net.clone(), demands.clone(), config(false)).run();
-                assert_eq!(collapsed, plain, "{mode:?}");
-                assert!(collapsed.delivered > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn calendar_queue_backend_is_bit_identical_across_modes_and_workers() {
-        for (net, demands) in [single_component_mesh(8), multi_component_inputs(5)] {
-            let config = |queue, workers, mode| SimConfig {
-                duration_s: 0.2,
-                arrivals: ArrivalProcess::Poisson,
-                seed: 7,
-                workers,
-                mode,
-                queue,
-                ..SimConfig::default()
-            };
-            let reference = Simulation::new(
-                net.clone(),
-                demands.clone(),
-                config(QueueKind::Heap, 1, ExecMode::ComponentSharded),
-            )
-            .run();
-            assert!(reference.delivered > 0);
-            for queue in [QueueKind::Heap, QueueKind::Calendar] {
-                for workers in [1usize, 2, 4] {
-                    for mode in [
-                        ExecMode::ComponentSharded,
-                        ExecMode::windowed_auto(),
-                        ExecMode::TimeWindowed { window_s: 1e-3 },
-                    ] {
-                        let report = Simulation::new(
-                            net.clone(),
-                            demands.clone(),
-                            config(queue, workers, mode),
-                        )
-                        .run();
-                        assert_eq!(reference, report, "{queue:?}, workers {workers}, {mode:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chain_drain_is_bit_identical_under_many_packets_in_flight() {
+    fn staging_invariant_holds_under_many_packets_in_flight() {
         // A conduit-like chain whose propagation far exceeds the
         // inter-packet gap: ~80 packets in flight per segment keep every
-        // pipeline non-empty, which is exactly the regime the sole-feeder
-        // chain drain targets. The mid-chain entrant exercises the
-        // emission guard against a draining upstream pipeline. Collapse
-        // on/off and both queue backends must agree float for float.
+        // pipeline non-empty, and a mid-chain entrant interleaves with the
+        // through traffic. The queue must still hold at most one in-transit
+        // head per link plus one pending emission per flow, every packet
+        // must come out the far end, and the parallel modes must reproduce
+        // the serial report float for float.
         let mut net = Network::new(6);
         for i in 0..5 {
             net.add_link(LinkSpec {
@@ -2100,53 +1513,104 @@ mod tests {
             });
         }
         let demands = vec![Demand::new(0, 5, 60e6), Demand::new(2, 4, 20e6)];
-        let mut reference = None;
-        for queue in [QueueKind::Heap, QueueKind::Calendar] {
-            for hop_collapse in [true, false] {
-                let report = Simulation::new(
-                    net.clone(),
-                    demands.clone(),
-                    SimConfig {
-                        duration_s: 0.3,
-                        queue,
-                        hop_collapse,
-                        ..SimConfig::default()
-                    },
-                )
-                .run();
-                assert!(report.delivered > 0);
-                match &reference {
-                    None => reference = Some(report),
-                    Some(r) => assert_eq!(*r, report, "{queue:?}, collapse={hop_collapse}"),
-                }
+        let config = |workers, mode| SimConfig {
+            duration_s: 0.3,
+            workers,
+            mode,
+            ..SimConfig::default()
+        };
+        let mut serial_sim = Simulation::new(
+            net.clone(),
+            demands.clone(),
+            config(1, ExecMode::ComponentSharded),
+        );
+        let serial = serial_sim.run();
+        assert_eq!(serial.dropped, 0);
+        // 60 Mbps and 20 Mbps of 500 B packets over 0.3 s.
+        assert_eq!(serial.flow_delivered, vec![4500, 1500]);
+        let in_flight_per_link = 0.004 * 60e6 / (500.0 * 8.0);
+        assert!(in_flight_per_link > 50.0);
+        let peak = serial_sim.queue_stats().peak_occupancy;
+        assert!(
+            peak <= (net.num_links() + demands.len()) as u64,
+            "queue peaked at {peak} events"
+        );
+        for workers in [2usize, 4] {
+            for mode in [ExecMode::windowed_auto(), ExecMode::ComponentSharded] {
+                let report =
+                    Simulation::new(net.clone(), demands.clone(), config(workers, mode)).run();
+                assert_eq!(serial, report, "workers {workers}, {mode:?}");
             }
         }
     }
 
     #[test]
-    fn queue_stats_accumulate_for_both_backends() {
-        for queue in [QueueKind::Heap, QueueKind::Calendar] {
-            let (net, demands) = single_component_mesh(8);
-            let mut sim = Simulation::new(
-                net,
-                demands,
-                SimConfig {
-                    duration_s: 0.2,
-                    queue,
-                    ..SimConfig::default()
-                },
-            );
-            assert_eq!(sim.queue_stats(), QueueStats::default());
-            let report = sim.run();
-            assert!(report.delivered > 0);
-            let stats = sim.queue_stats();
-            assert!(stats.pushes > 0);
-            assert!(stats.peak_occupancy > 0);
-            assert!(stats.mean_occupancy() > 0.0);
-            if queue == QueueKind::Heap {
-                assert_eq!(stats.resizes, 0);
-            }
+    fn queue_stats_accumulate_over_a_run() {
+        let (net, demands) = single_component_mesh(8);
+        let mut sim = Simulation::new(
+            net,
+            demands,
+            SimConfig {
+                duration_s: 0.2,
+                ..SimConfig::default()
+            },
+        );
+        assert_eq!(sim.queue_stats(), QueueStats::default());
+        let report = sim.run();
+        assert!(report.delivered > 0);
+        let stats = sim.queue_stats();
+        assert!(stats.pushes > 0);
+        assert!(stats.peak_occupancy > 0);
+        assert!(stats.mean_occupancy() > 0.0);
+    }
+
+    /// The panic message construction refuses `config` / `demands` with.
+    fn refusal(config: SimConfig, demands: Vec<Demand>) -> String {
+        let refused = std::panic::catch_unwind(|| {
+            Simulation::new(single_link_net(1e6), demands, config);
+        })
+        .expect_err("construction must refuse this input");
+        refused
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn bad_duration_is_refused_at_construction_by_name() {
+        for duration_s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let config = SimConfig {
+                duration_s,
+                ..SimConfig::default()
+            };
+            let message = refusal(config, vec![Demand::new(0, 1, 1e6)]);
+            assert!(message.contains("SimConfig::duration_s"), "{message}");
         }
+    }
+
+    #[test]
+    fn bad_packet_size_is_refused_at_construction_by_name() {
+        for packet_bytes in [0.0, -500.0, f64::NAN, f64::INFINITY] {
+            let config = SimConfig {
+                packet_bytes,
+                ..SimConfig::default()
+            };
+            let message = refusal(config, vec![Demand::new(0, 1, 1e6)]);
+            assert!(message.contains("SimConfig::packet_bytes"), "{message}");
+        }
+    }
+
+    #[test]
+    fn non_finite_demand_rate_is_refused_at_construction_by_name() {
+        for amount_bps in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let demands = vec![Demand::new(0, 1, 1e6), Demand::new(0, 1, amount_bps)];
+            let message = refusal(SimConfig::default(), demands);
+            assert!(message.contains("demand 1: amount_bps"), "{message}");
+        }
+        // Zero and negative rates stay legal: the demand is inactive.
+        let demands = vec![Demand::new(0, 1, 0.0), Demand::new(0, 1, -5.0)];
+        let report = Simulation::new(single_link_net(1e6), demands, SimConfig::default()).run();
+        assert_eq!(report.delivered + report.dropped, 0);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!
 //! The worker counts the parity tests sweep come from the
 //! `CISP_TEST_WORKERS` environment variable (comma-separated, default
-//! `1,2,4`) and the event-queue backends from `CISP_TEST_QUEUE`
-//! (comma-separated `heap`/`calendar`, default both) so CI can run the
-//! suite as a matrix over worker counts and queue backends.
+//! `1,2,4`) and the queue disciplines from `CISP_TEST_DISCIPLINE`, so CI can
+//! run the suite as a matrix over worker counts and disciplines.
 
 use cisp::core::evaluate::{evaluate, lower, lower_classified, pair_rtts, EvaluateConfig};
 use cisp::core::scenario::{population_product_traffic, Scenario, ScenarioConfig};
@@ -25,7 +24,7 @@ use cisp::netsim::routing::{
     compute_routes, compute_routes_avoiding, Demand, RoutingScheme, TrafficClass,
 };
 use cisp::netsim::sim::{ExecMode, SimConfig, Simulation};
-use cisp::netsim::{BackgroundModel, QueueDiscipline, QueueKind, SimReport};
+use cisp::netsim::{BackgroundModel, QueueDiscipline, SimReport};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,25 +42,6 @@ fn test_worker_counts() -> Vec<usize> {
         })
         .filter(|v| !v.is_empty())
         .unwrap_or_else(|| vec![1, 2, 4])
-}
-
-/// Event-queue backends under test: `CISP_TEST_QUEUE` (comma-separated
-/// `heap`/`calendar`) or both by default. The serial references stay on the
-/// heap backend — the pinned reference — regardless of this knob.
-fn test_queue_kinds() -> Vec<QueueKind> {
-    std::env::var("CISP_TEST_QUEUE")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| match t.trim().to_ascii_lowercase().as_str() {
-                    "heap" => Some(QueueKind::Heap),
-                    "calendar" => Some(QueueKind::Calendar),
-                    _ => None,
-                })
-                .collect::<Vec<QueueKind>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![QueueKind::Heap, QueueKind::Calendar])
 }
 
 /// Queue disciplines under test: `CISP_TEST_DISCIPLINE` (comma-separated
@@ -167,32 +147,21 @@ fn lowered_backbone() -> (
 fn sharded_simulation_is_bit_identical_to_serial_on_designed_backbone() {
     let (lowered, _) = lowered_backbone();
     for arrivals in [ArrivalProcess::ConstantBitRate, ArrivalProcess::Poisson] {
-        let config = |workers, queue| SimConfig {
+        let config = |workers| SimConfig {
             duration_s: 0.1,
             arrivals,
             seed: 7,
             workers,
-            queue,
             ..SimConfig::default()
         };
-        let serial = Simulation::new(
-            lowered.network.clone(),
-            lowered.demands.clone(),
-            config(1, QueueKind::Heap),
-        )
-        .run();
+        let serial =
+            Simulation::new(lowered.network.clone(), lowered.demands.clone(), config(1)).run();
         assert!(serial.delivered > 0);
-        for queue in test_queue_kinds() {
-            let sharded = Simulation::new(
-                lowered.network.clone(),
-                lowered.demands.clone(),
-                config(5, queue),
-            )
-            .run();
-            // Full `SimReport` equality: every scalar, every per-flow
-            // vector, every per-link utilisation, bit for bit.
-            assert_eq!(serial, sharded, "{arrivals:?}, {queue:?}");
-        }
+        let sharded =
+            Simulation::new(lowered.network.clone(), lowered.demands.clone(), config(5)).run();
+        // Full `SimReport` equality: every scalar, every per-flow vector,
+        // every per-link utilisation, bit for bit.
+        assert_eq!(serial, sharded, "{arrivals:?}");
     }
 }
 
@@ -216,29 +185,23 @@ fn windowed_simulation_is_bit_identical_to_serial_on_designed_backbone() {
     .run();
     assert!(serial.delivered > 0);
     assert!(lowered.simulation().num_components() >= 1);
-    for queue in test_queue_kinds() {
-        for workers in test_worker_counts() {
-            // Auto (lookahead) window, a fixed sub-millisecond window, and
-            // a window beyond the whole horizon.
-            for window_s in [0.0, 5e-4, 10.0] {
-                let report = Simulation::new(
-                    lowered.network.clone(),
-                    lowered.demands.clone(),
-                    SimConfig {
-                        duration_s: 0.1,
-                        seed: 7,
-                        workers,
-                        mode: ExecMode::TimeWindowed { window_s },
-                        queue,
-                        ..SimConfig::default()
-                    },
-                )
-                .run();
-                assert_eq!(
-                    serial, report,
-                    "{queue:?}, workers {workers}, window {window_s}"
-                );
-            }
+    for workers in test_worker_counts() {
+        // Auto (lookahead) window, a fixed sub-millisecond window, and a
+        // window beyond the whole horizon.
+        for window_s in [0.0, 5e-4, 10.0] {
+            let report = Simulation::new(
+                lowered.network.clone(),
+                lowered.demands.clone(),
+                SimConfig {
+                    duration_s: 0.1,
+                    seed: 7,
+                    workers,
+                    mode: ExecMode::TimeWindowed { window_s },
+                    ..SimConfig::default()
+                },
+            )
+            .run();
+            assert_eq!(serial, report, "workers {workers}, window {window_s}");
         }
     }
 }
@@ -310,40 +273,28 @@ fn check_engines_match_serial(seed: u64) -> TestCaseResult {
         SimConfig { workers: 1, ..base },
     )
     .run();
-    for queue in test_queue_kinds() {
-        for workers in test_worker_counts() {
-            let sharded = Simulation::new(
+    for workers in test_worker_counts() {
+        let sharded =
+            Simulation::new(net.clone(), demands.clone(), SimConfig { workers, ..base }).run();
+        prop_assert!(
+            serial == sharded,
+            "sharded != serial at workers {workers} (seed {seed})"
+        );
+        for window_s in [0.0, 2e-4, 1.5e-3, 1.0] {
+            let windowed = Simulation::new(
                 net.clone(),
                 demands.clone(),
                 SimConfig {
                     workers,
-                    queue,
+                    mode: ExecMode::TimeWindowed { window_s },
                     ..base
                 },
             )
             .run();
             prop_assert!(
-                serial == sharded,
-                "sharded != serial at {queue:?}, workers {workers} (seed {seed})"
+                serial == windowed,
+                "windowed != serial at workers {workers}, window {window_s} (seed {seed})"
             );
-            for window_s in [0.0, 2e-4, 1.5e-3, 1.0] {
-                let windowed = Simulation::new(
-                    net.clone(),
-                    demands.clone(),
-                    SimConfig {
-                        workers,
-                        mode: ExecMode::TimeWindowed { window_s },
-                        queue,
-                        ..base
-                    },
-                )
-                .run();
-                prop_assert!(
-                    serial == windowed,
-                    "windowed != serial at {queue:?}, workers {workers}, window {window_s} \
-                     (seed {seed})"
-                );
-            }
         }
     }
     Ok(())
@@ -351,8 +302,8 @@ fn check_engines_match_serial(seed: u64) -> TestCaseResult {
 
 /// Hybrid counterpart of [`check_engines_match_serial`]: tag a random
 /// subset of the demands background, then check that (a) the hybrid report
-/// is bit-identical across both engines, every tested worker count and
-/// window, and the uncollapsed hop path; (b) background demands emit no
+/// is bit-identical across both execution modes, every tested worker count
+/// and window; (b) background demands emit no
 /// packets; and (c) every foreground flow's mean delay agrees with the
 /// pure-packet run within the documented fluid envelope — the worst-case
 /// queueing a fully backlogged route can add or hide,
@@ -385,36 +336,6 @@ fn check_hybrid_matches_serial_and_packet_envelope(seed: u64) -> TestCaseResult 
     .run();
 
     // (a) Bit-identity across the whole execution matrix.
-    let uncollapsed = Simulation::new(
-        net.clone(),
-        demands.clone(),
-        SimConfig {
-            workers: 1,
-            hop_collapse: false,
-            ..base
-        },
-    )
-    .run();
-    prop_assert!(
-        hybrid == uncollapsed,
-        "hop collapse changed the hybrid report (seed {seed})"
-    );
-    for queue in test_queue_kinds() {
-        let backend = Simulation::new(
-            net.clone(),
-            demands.clone(),
-            SimConfig {
-                workers: 1,
-                queue,
-                ..base
-            },
-        )
-        .run();
-        prop_assert!(
-            hybrid == backend,
-            "queue backend changed the hybrid report ({queue:?}, seed {seed})"
-        );
-    }
     for workers in test_worker_counts() {
         let sharded =
             Simulation::new(net.clone(), demands.clone(), SimConfig { workers, ..base }).run();
@@ -440,9 +361,9 @@ fn check_hybrid_matches_serial_and_packet_envelope(seed: u64) -> TestCaseResult 
         }
     }
 
-    // (a′) The cross-engine identity holds under every queue discipline,
-    // not just FIFO: per-class virtual clocks must merge identically in the
-    // component-sharded and time-windowed engines.
+    // (a′) The cross-mode identity holds under every queue discipline, not
+    // just FIFO: per-class virtual clocks must merge identically in the
+    // component-sharded and time-windowed modes.
     for discipline in test_disciplines() {
         let dbase = SimConfig { discipline, ..base };
         let serial_d = Simulation::new(
@@ -832,31 +753,13 @@ fn format_report_snapshot(title: &str, report: &SimReport) -> String {
 #[test]
 fn golden_end_to_end_backbone_report_matches_snapshot() {
     let (lowered, _) = lowered_backbone();
-    let config = |queue| SimConfig {
+    let config = SimConfig {
         duration_s: 0.1,
         seed: 7,
         workers: 1,
-        queue,
         ..SimConfig::default()
     };
-    let report = Simulation::new(
-        lowered.network.clone(),
-        lowered.demands.clone(),
-        config(QueueKind::Heap),
-    )
-    .run();
-    // The calendar backend must reproduce the pinned snapshot bit for bit —
-    // same report, hence byte-identical rendering.
-    let calendar = Simulation::new(
-        lowered.network.clone(),
-        lowered.demands.clone(),
-        config(QueueKind::Calendar),
-    )
-    .run();
-    assert_eq!(
-        report, calendar,
-        "calendar backend drifted from the heap reference"
-    );
+    let report = Simulation::new(lowered.network.clone(), lowered.demands.clone(), config).run();
     // On an all-foreground workload every queue discipline degrades to FIFO
     // exactly (`x + 0.0 == x`, `x * 1.0 == x`): the pre-discipline golden
     // pins all three, not just the default.
@@ -866,7 +769,7 @@ fn golden_end_to_end_backbone_report_matches_snapshot() {
             lowered.demands.clone(),
             SimConfig {
                 discipline,
-                ..config(QueueKind::Heap)
+                ..config
             },
         )
         .run();

@@ -7,8 +7,8 @@
 //! measurements are serial (`parallel: false`) so the recorded baseline does
 //! not depend on the machine's core count.
 //!
-//! Output schema v3 (v2 added the kernel costs and the `full_scale` object):
-//! the `full_scale` entry gains a per-stage `stage_profile` of the pool
+//! Output schema v4. v2 added the kernel costs and the `full_scale` object;
+//! since v3 the `full_scale` entry has a per-stage `stage_profile` of the pool
 //! build (hop sweep / attach / search / extract), the sharded parallel
 //! build time (`build_pruned_parallel_ms`, asserted to emit the identical
 //! pool), the count of zero-attached sites, and the speedup over the
@@ -18,7 +18,10 @@
 //! a `hop_sweep` object — the count of samples each tier decided and the
 //! envelope cells filled (`HopSweepStats`) — and `full_scale` states the
 //! runner's `nproc`; both are additions, every schema-3 key keeps its
-//! meaning. As before, the pruned pool is asserted bit-identical to the
+//! meaning. Schema 4 adds a `swap_polish` object — the polish's wall-clock
+//! and its `SwapPolishStats` work counters from `Designer::cisp_profiled` —
+//! to `full_scale` and, for the miniature scenario, to the top level of
+//! `--tiny`. As before, the pruned pool is asserted bit-identical to the
 //! oracle-filtered unpruned pool and both scenarios' selected link
 //! sequences asserted identical, *before* anything is timed.
 //!
@@ -32,7 +35,7 @@ use std::time::Instant;
 
 use cisp_bench::{synthetic_design_input, Scale};
 use cisp_core::design::{
-    score_candidates, DesignConfig, DesignOutcome, Designer, ScoringEngine,
+    score_candidates, DesignConfig, DesignOutcome, Designer, ScoringEngine, SwapPolishStats,
     AUTO_FULL_RESCORE_MAX_POOL,
 };
 use cisp_core::engine::{RoundUpdate, ScoreContext, ShardState};
@@ -297,6 +300,7 @@ struct FullScaleReport {
     selected_links: usize,
     mean_stretch: f64,
     total_towers: usize,
+    swap_polish: SwapPolishStats,
 }
 
 /// The paper-scale US entry: every quantity measured once (this is the
@@ -347,7 +351,7 @@ fn measure_full_scale() -> FullScaleReport {
     // finds nothing above `min_gain`.
     let greedy_rounds = greedy.selected.len() + 1;
     let t = Instant::now();
-    let designed = pruned.design(budget);
+    let (designed, swap_polish) = design_profiled(&pruned, budget);
     let design_ms = t.elapsed().as_secs_f64() * 1e3;
 
     FullScaleReport {
@@ -370,7 +374,41 @@ fn measure_full_scale() -> FullScaleReport {
         selected_links: designed.selected.len(),
         mean_stretch: designed.mean_stretch,
         total_towers: designed.total_towers,
+        swap_polish,
     }
+}
+
+/// `scenario.design(budget)` with the swap polish's counters.
+fn design_profiled(scenario: &Scenario, budget: f64) -> (DesignOutcome, SwapPolishStats) {
+    Designer::with_config(scenario.design_input(), scenario.config().design).cisp_profiled(budget)
+}
+
+/// Render a [`SwapPolishStats`] as a JSON object at `indent` spaces.
+fn swap_polish_entry(s: &SwapPolishStats, indent: usize) -> String {
+    let pad = " ".repeat(indent);
+    format!(
+        concat!(
+            "{{\n",
+            "{pad}  \"ms\": {:.1},\n",
+            "{pad}  \"passes\": {},\n",
+            "{pad}  \"swaps_applied\": {},\n",
+            "{pad}  \"out_links\": {},\n",
+            "{pad}  \"trials_feasible\": {},\n",
+            "{pad}  \"trials_scored\": {},\n",
+            "{pad}  \"trials_bounded_out\": {},\n",
+            "{pad}  \"improve_sweeps\": {}\n",
+            "{pad}}}"
+        ),
+        s.wall_ms,
+        s.passes,
+        s.swaps_applied,
+        s.out_links,
+        s.trials_feasible,
+        s.trials_scored,
+        s.trials_bounded_out,
+        s.improve_sweeps,
+        pad = pad,
+    )
 }
 
 fn size_entry(r: &SizeReport) -> String {
@@ -469,6 +507,7 @@ fn full_scale_entry(r: &FullScaleReport) -> String {
             "    \"greedy_rounds\": {},\n",
             "    \"greedy_round_ms\": {:.2},\n",
             "    \"cisp_design_ms\": {:.1},\n",
+            "    \"swap_polish\": {},\n",
             "    \"selected_links\": {},\n",
             "    \"total_towers\": {},\n",
             "    \"mean_stretch\": {:.6},\n",
@@ -494,6 +533,7 @@ fn full_scale_entry(r: &FullScaleReport) -> String {
         r.greedy_rounds,
         r.greedy_round_ms,
         r.design_ms,
+        swap_polish_entry(&r.swap_polish, 4),
         r.selected_links,
         r.total_towers,
         r.mean_stretch,
@@ -526,9 +566,11 @@ fn main() {
             pruned.design_input().candidates,
             "sharded pool build diverged from the serial pool"
         );
+        let (_, swap_polish) = design_profiled(&pruned, 250.0);
         tiny_profile = format!(
-            "  \"stage_profile\": {},\n",
-            stage_profile_entry(&serial.pool_profile(), 2)
+            "  \"stage_profile\": {},\n  \"swap_polish\": {},\n",
+            stage_profile_entry(&serial.pool_profile(), 2),
+            swap_polish_entry(&swap_polish, 2)
         );
         println!("tiny-scenario pruning + shard parity: ok");
     }
@@ -561,7 +603,7 @@ fn main() {
     let full_scale = if scale == Scale::Full {
         let r = measure_full_scale();
         println!(
-            "full scale: {} sites, {} towers, pool {} ({:.1}% of pairs bounded out), build {:.0} ms serial / {:.0} ms sharded ({:.1}x vs prior {:.0} ms; unpruned {:.0} ms), greedy {:.0} ms ({} rounds, {:.1} ms/round), cisp {:.0} ms, {} links, stretch {:.4}",
+            "full scale: {} sites, {} towers, pool {} ({:.1}% of pairs bounded out), build {:.0} ms serial / {:.0} ms sharded ({:.1}x vs prior {:.0} ms; unpruned {:.0} ms), greedy {:.0} ms ({} rounds, {:.1} ms/round), cisp {:.0} ms (swap polish {:.0} ms, {} of {} trials scored, {} sweeps), {} links, stretch {:.4}",
             r.sites,
             r.towers,
             r.pool,
@@ -575,6 +617,10 @@ fn main() {
             r.greedy_rounds,
             r.greedy_round_ms,
             r.design_ms,
+            r.swap_polish.wall_ms,
+            r.swap_polish.trials_scored,
+            r.swap_polish.trials_feasible,
+            r.swap_polish.improve_sweeps,
             r.selected_links,
             r.mean_stretch,
         );
@@ -587,7 +633,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"bench\": \"design greedy: incremental delta-scoring vs full rescore\",\n",
-            "  \"schema\": 3,\n",
+            "  \"schema\": 4,\n",
             "  \"input\": \"synthetic_design_input (all-pairs candidates), serial scoring\",\n",
             "  \"command\": \"cargo run --release --bin bench_design_baseline -- [--tiny|--full]\",\n",
             "  \"auto_engine_pool_threshold\": {},\n",

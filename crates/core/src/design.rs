@@ -26,8 +26,9 @@
 //!
 //! ## The incremental delta-scoring engine
 //!
-//! Candidate scoring — one O(n²) [`mean_stretch_with_link`] sweep per
-//! candidate — dominates design time. The default engine
+//! Candidate scoring — one O(n²)
+//! [`mean_stretch_with_link`](crate::topology::mean_stretch_with_link) sweep
+//! per candidate — dominates design time. The default engine
 //! ([`ScoringEngine::Incremental`], see [`crate::engine`]) keeps a cached
 //! predicted stretch per pool candidate and, after each accepted link,
 //! repairs the caches from the link's improved-pair delta instead of
@@ -39,31 +40,50 @@
 //! [`ScoringEngine::FullRescore`] keeps the rebuild-and-rescore path as the
 //! conservative reference.
 //!
-//! Scoring parallelism comes from *persistent worker shards*
-//! ([`crate::engine::ShardPool`]): worker threads spawned once per design
+//! Scoring parallelism in the greedy comes from *persistent worker shards*
+//! ([`crate::engine::ShardPool`]): worker threads spawned once per greedy
 //! run, each owning a stable contiguous slice of the candidate pool across
-//! all greedy rounds and swap passes, replacing the per-batch rayon fan-out.
-//! Serial and parallel runs select bit-identical designs (the shard math is
-//! shared and reductions are order-fixed). The swap polish evaluates each
-//! trial against a reusable copy-on-write scratch matrix instead of
-//! rebuilding a full trial topology per `(out, in)` pair, turning each trial
-//! from "clone three matrices + recompute geodesics + k incremental updates"
-//! into one allocation-free scoring sweep.
+//! all its rounds, replacing the per-batch rayon fan-out. Serial and
+//! parallel runs select bit-identical designs (the shard math is shared and
+//! reductions are order-fixed).
+//!
+//! ## The swap polish
+//!
+//! A pass of [`Designer::cisp`]'s polish asks, for every selected link `out`
+//! and every unselected pool link `in` the budget allows, what the stretch
+//! of `S∖out ∪ in` would be, and applies the best strictly improving swap.
+//! Two mechanisms keep that from being `|S|²` matrix sweeps plus
+//! `|S|·|pool|` kernel calls; both run on the calling thread.
+//!
+//! * **Leave-one-out closures.** The matrix of `S∖out` for every `out` comes
+//!   from [`cisp_graph::leave_one_out_closures`] — `|S|·log₂|S|` one-link
+//!   sweeps by divide and conquer where a rebuild per `out` costs `|S|²` —
+//!   visited in `selected` order, which is the pass's tie-break order.
+//!   [`SwapPolishStats::improve_sweeps`] counts the sweeps.
+//! * **A monotone lower bound.** Adding links only shrinks distances, so
+//!   `stretch(S ∪ in)`, scored once per pass against the full selection's
+//!   matrix, is a lower bound on `stretch(S∖out ∪ in)` for every `out`. A
+//!   trial whose bound cannot pass the acceptance test is decided without
+//!   scoring it. [`SwapPolishStats::trials_bounded_out`] against
+//!   [`SwapPolishStats::trials_feasible`] is the share decided that way.
+//!
+//! The swap chosen is the one the plain "rebuild per `out`, score every
+//! trial" pass would choose (`tests/matrix_engine_parity.rs` keeps that pass
+//! as the oracle), and the reported stretch and topology are re-derived from
+//! a freshly built topology after every applied swap.
 
 use std::sync::RwLock;
 use std::thread;
+use std::time::Instant;
 
 use cisp_geo::GeoPoint;
-use cisp_graph::{improve_with_link_tracked, DistMatrix, ImprovedPairs};
+use cisp_graph::{improve_with_link_tracked, leave_one_out_closures, DistMatrix, ImprovedPairs};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{PoolScorer, RoundUpdate, ScoreContext, ShardPool};
+use crate::engine::{exact_score, PoolScorer, RoundUpdate, ScoreContext, ShardPool};
 use crate::links::CandidateLink;
-use crate::topology::{
-    improve_with_link, mean_stretch_with_link, mean_stretch_with_link_compact, HybridTopology,
-    ScoringWeights,
-};
+use crate::topology::{HybridTopology, ScoringWeights};
 
 /// How the greedy scores a candidate link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -128,7 +148,8 @@ pub struct DesignConfig {
     /// Fan candidate scoring out across persistent worker shards. Scoring is
     /// read-only and the reduction order is fixed, so parallel and serial
     /// runs select identical designs; the flag exists for benchmarking and
-    /// for debugging with a deterministic single-threaded profile.
+    /// for debugging with a deterministic single-threaded profile. The swap
+    /// polish runs on the calling thread either way.
     pub parallel: bool,
     /// Scoring engine for the greedy phases.
     pub engine: ScoringEngine,
@@ -211,6 +232,31 @@ pub struct DesignOutcome {
     pub history: Vec<DesignStep>,
 }
 
+/// Wall-clock and work counters of one [`Designer::cisp_profiled`] run's swap
+/// polish, summed over its passes.
+/// `trials_scored + trials_bounded_out == trials_feasible`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct SwapPolishStats {
+    /// Wall-clock of the polish: every pass, the topology rebuilds after
+    /// applied swaps included.
+    pub wall_ms: f64,
+    /// Passes run, the last non-improving one included.
+    pub passes: u64,
+    /// Swaps applied (at most one per pass).
+    pub swaps_applied: u64,
+    /// Selected links whose removal was tried.
+    pub out_links: u64,
+    /// `(out, in)` trials the tower budget allows.
+    pub trials_feasible: u64,
+    /// Of those, trials scored with the exact kernel.
+    pub trials_scored: u64,
+    /// Of those, trials decided by the lower bound without scoring.
+    pub trials_bounded_out: u64,
+    /// One-link matrix sweeps made to build the leave-one-out matrices (the
+    /// topology rebuild after an applied swap is not counted).
+    pub improve_sweeps: u64,
+}
+
 /// Score every candidate in `pool` against `topology`: the predicted mean
 /// stretch after adding each link, one O(n²) sweep per candidate. Runs the
 /// sweeps across cores when `parallel` is set; output order follows `pool`
@@ -238,13 +284,9 @@ pub fn score_candidates(
     )
 }
 
-/// The one serial-vs-parallel scoring dispatch: predicted mean stretch of
-/// each `pool` candidate against explicit matrices (the cached topology
-/// matrices in the greedy, a scratch matrix in the swap polish). Uses the
-/// compact vectorised kernel when the caller precomputed [`ScoringWeights`],
-/// the scalar reference kernel otherwise. The two kernels agree to summation
-/// ulp (pinned by the kernel parity tests) but not bitwise — every path of a
-/// design run therefore uses one or the other consistently, never a mix.
+/// The one serial-vs-parallel scoring dispatch: predicted mean stretch
+/// ([`exact_score`]) of each `pool` candidate against explicit matrices — the
+/// cached topology matrices of the full-rescore greedy.
 #[allow(clippy::too_many_arguments)]
 fn score_pool_against(
     effective: &DistMatrix,
@@ -255,22 +297,7 @@ fn score_pool_against(
     pool: &[usize],
     parallel: bool,
 ) -> Vec<f64> {
-    let score_one = |&idx: &usize| {
-        let l = &candidates[idx];
-        match sw {
-            Some(sw) => {
-                mean_stretch_with_link_compact(effective, sw, l.site_a, l.site_b, l.mw_length_km)
-            }
-            None => mean_stretch_with_link(
-                effective,
-                geodesic,
-                traffic,
-                l.site_a,
-                l.site_b,
-                l.mw_length_km,
-            ),
-        }
-    };
+    let score_one = |&idx: &usize| exact_score(effective, geodesic, traffic, sw, &candidates[idx]);
     if parallel {
         pool.par_iter().map(score_one).collect()
     } else {
@@ -459,30 +486,10 @@ impl<'a> Designer<'a> {
                     chosen = Some(pos);
                     break;
                 }
-                let exact = {
-                    let matrix = ctx.matrix.read().unwrap();
-                    let l = &self.input.candidates[pool[pos]];
-                    // Same kernel as the shards' exact rescoring, so the
-                    // winner's refreshed value is bit-identical to what a
-                    // shard fallback would have produced.
-                    match ctx.sw {
-                        Some(sw) => mean_stretch_with_link_compact(
-                            &matrix,
-                            sw,
-                            l.site_a,
-                            l.site_b,
-                            l.mw_length_km,
-                        ),
-                        None => mean_stretch_with_link(
-                            &matrix,
-                            ctx.geodesic,
-                            ctx.traffic,
-                            l.site_a,
-                            l.site_b,
-                            l.mw_length_km,
-                        ),
-                    }
-                };
+                // Same kernel as the shards' exact rescoring, so the
+                // winner's refreshed value is bit-identical to what a shard
+                // fallback would have produced.
+                let exact = ctx.exact(&ctx.matrix.read().unwrap(), pos);
                 values[pos] = exact;
                 refreshed[pos] = true;
                 overrides.push((pos, exact));
@@ -698,140 +705,169 @@ impl<'a> Designer<'a> {
 
     /// The full cISP heuristic: greedy pruning at an inflated budget, then
     /// re-selection within the real budget, then swap-based polishing.
+    ///
+    /// `history` of the returned outcome is the phase-2 greedy build-out
+    /// (re-selection within the real budget, over the pruned pool). The
+    /// polish does not rewrite it: after a swap, `selected`, `topology`,
+    /// `total_towers` and `mean_stretch` describe the polished design while
+    /// `history` still ends at the greedy's last step.
     pub fn cisp(&self, budget_towers: f64) -> DesignOutcome {
+        self.cisp_profiled(budget_towers).0
+    }
+
+    /// [`Self::cisp`] plus the swap polish's work counters.
+    pub fn cisp_profiled(&self, budget_towers: f64) -> (DesignOutcome, SwapPolishStats) {
         assert!(budget_towers >= 0.0);
         // Phase 1: candidate pruning at inflated budget.
         let pruning = self.greedy_over(
             &self.input.useful_candidates(),
             budget_towers * self.config.pruning_budget_factor,
         );
-        let pool = pruning.selected.clone();
+        let pool = pruning.selected;
         // Phase 2: selection within the real budget, restricted to the pool.
         let mut outcome = self.greedy_over(&pool, budget_towers);
         // Phase 3: swap local search within the pool.
-        self.swap_polish(&mut outcome, &pool, budget_towers);
-        outcome
+        let stats = self.swap_polish(&mut outcome, &pool, budget_towers, |_, _, _| {});
+        (outcome, stats)
     }
 
-    /// Swap local search: per pass, evaluate every budget-feasible
-    /// "replace one selected link with one unselected pool link" move and
-    /// apply the best improving one.
+    /// Swap local search: per pass, decide every budget-feasible "replace
+    /// one selected link with one unselected pool link" move and apply the
+    /// best improving one (see the module docs for the two mechanisms).
     ///
-    /// For each `out` link, the effective matrix of the remaining selection
-    /// is rebuilt once into a reusable copy-on-write scratch buffer, and
-    /// every `in` candidate is then scored against that scratch with the
-    /// allocation-free one-link kernel. Trial scoring runs on the same
-    /// persistent worker shards as the greedy (spawned once, owning stable
-    /// pool slices across all passes) instead of re-fanning a rayon batch
-    /// per `out` link.
-    fn swap_polish(&self, outcome: &mut DesignOutcome, pool: &[usize], budget_towers: f64) {
-        let budget = budget_towers.floor() as usize;
-        if pool.is_empty() || outcome.selected.is_empty() || self.config.max_swap_passes == 0 {
-            return;
-        }
-        let geodesic = outcome.topology.geodesic_matrix().clone();
-        let scratch = RwLock::new(outcome.topology.fiber_matrix().clone());
-        // Every swap trial's scratch matrix is the fiber matrix improved by
-        // some link subset, so distances are finite wherever fiber is —
-        // weights computed against fiber stay valid for every trial, and the
-        // shards' exact kernel runs compact whenever they exist.
-        let sw = ScoringWeights::compute(
-            outcome.topology.fiber_matrix(),
-            &geodesic,
-            &self.input.traffic,
-        );
-        let ctx = ScoreContext {
-            candidates: &self.input.candidates,
-            pool,
-            geodesic: &geodesic,
-            traffic: &self.input.traffic,
-            matrix: &scratch,
-            sw: sw.as_ref(),
-        };
-        let workers = self.shard_count(pool.len());
-        if workers <= 1 {
-            let mut scorer = PoolScorer::inline(pool.len());
-            self.run_swap_passes(outcome, &ctx, &mut scorer, budget);
-        } else {
-            thread::scope(|scope| {
-                let mut scorer = PoolScorer::Sharded(ShardPool::spawn(scope, &ctx, workers));
-                self.run_swap_passes(outcome, &ctx, &mut scorer, budget);
-            });
-        }
-    }
-
-    /// The swap passes themselves, generic over the scorer backend.
-    fn run_swap_passes(
+    /// Selected links are visited in `outcome.selected` order and, within
+    /// one, replacements in ascending pool position; a trial becomes the
+    /// incumbent only if it beats the incumbent by more than 1e-12, so the
+    /// earliest of near-tied trials wins. `on_bounded_out` sees every trial
+    /// the bound decides — the matrix without `out`, the replacement's
+    /// candidate index and the incumbent stretch it was judged against — so
+    /// a test can score it after all.
+    fn swap_polish(
         &self,
         outcome: &mut DesignOutcome,
-        ctx: &ScoreContext,
-        scorer: &mut PoolScorer,
-        budget: usize,
-    ) {
+        pool: &[usize],
+        budget_towers: f64,
+        mut on_bounded_out: impl FnMut(&DistMatrix, usize, f64),
+    ) -> SwapPolishStats {
+        let started = Instant::now();
+        let mut stats = SwapPolishStats::default();
+        let budget = budget_towers.floor() as usize;
+        if pool.is_empty() || outcome.selected.is_empty() {
+            return stats;
+        }
+        let input = self.input;
+        let geodesic = outcome.topology.geodesic_matrix().clone();
+        // Every trial matrix is the fiber matrix improved by some link
+        // subset, so distances are finite wherever fiber is — weights
+        // computed against fiber stay valid for every trial.
+        let sw = ScoringWeights::compute(&input.fiber_km, &geodesic, &input.traffic);
+        let score = |matrix: &DistMatrix, idx: usize| {
+            exact_score(
+                matrix,
+                &geodesic,
+                &input.traffic,
+                sw.as_ref(),
+                &input.candidates[idx],
+            )
+        };
+        let mut is_selected = vec![false; input.candidates.len()];
+        // Per pass: the unselected pool links in pool order, as (candidate
+        // index, tower cost, bound floor).
+        let mut replacements: Vec<(usize, usize, f64)> = Vec::new();
+        let mut links: Vec<(usize, usize, f64)> = Vec::new();
+        let mut scratch: Vec<DistMatrix> = Vec::new();
+
         for _ in 0..self.config.max_swap_passes {
-            // Best swap found this pass: (out_idx, in_idx, resulting stretch).
-            let mut best: Option<(usize, usize, f64)> = None;
+            stats.passes += 1;
+            is_selected.fill(false);
+            for &idx in &outcome.selected {
+                is_selected[idx] = true;
+            }
+            // `stretch(S ∪ in)` is a lower bound on `stretch(S∖out ∪ in)`
+            // for every `out`: the second selection is a subset of the
+            // first, more links only shrink distances, and with `sw`
+            // present the stretch is one fixed positive-weighted sum of
+            // them. (Without `sw` the scalar kernel averages over the pairs
+            // that are reachable, a set that grows with the selection, and
+            // nothing is monotone: the floor is −∞ and every trial is
+            // scored.)
+            //
+            // The floor is what the computed trial stretch cannot fall
+            // below. Bound and trial are computed from matrices that apply
+            // their links in different orders (`leave_one_out_closures`'
+            // arithmetic contract): an entry is off by at most one ulp per
+            // link on its path, and the compact kernel's sum of at most
+            // n²/2 positive terms in 8 lanes by at most n²/16 ulp more —
+            // under 1.1e-13 relative a side at the paper's n = 119, so
+            // 1e-12 covers both sides with a factor of four to spare (and
+            // the worst case, every rounding pointing one way, up to
+            // n ≈ 270). A looser slack costs nothing measurable: trials
+            // within 1e-12 of their bound are not the ones a pass accepts.
+            const BOUND_SLACK_REL: f64 = 1e-12;
+            let full = outcome.topology.effective_matrix();
+            replacements.clear();
+            replacements.extend(pool.iter().filter(|&&idx| !is_selected[idx]).map(|&idx| {
+                let floor = match sw {
+                    Some(_) => score(full, idx) * (1.0 - BOUND_SLACK_REL),
+                    None => f64::NEG_INFINITY,
+                };
+                (idx, input.candidates[idx].tower_count, floor)
+            }));
+            links.clear();
+            links.extend(outcome.selected.iter().map(|&idx| {
+                let l = &input.candidates[idx];
+                (l.site_a, l.site_b, l.mw_length_km)
+            }));
+
+            // Best swap found this pass: (out_idx, in_idx).
+            let mut best: Option<(usize, usize)> = None;
             let mut best_stretch = outcome.mean_stretch;
-
-            for &out_idx in &outcome.selected {
-                let out_cost = self.input.candidates[out_idx].tower_count;
-                let base_towers = outcome.total_towers - out_cost;
-
-                // Budget-feasible replacement trials, as ascending pool
-                // positions (the shard owners' index space).
-                let trials: Vec<usize> = (0..ctx.pool.len())
-                    .filter(|&p| {
-                        let in_idx = ctx.pool[p];
-                        in_idx != out_idx
-                            && !outcome.selected.contains(&in_idx)
-                            && base_towers + self.input.candidates[in_idx].tower_count <= budget
-                    })
-                    .collect();
-                if trials.is_empty() {
-                    continue;
-                }
-
-                // Effective matrix of the selection without `out_idx`.
-                {
-                    let mut matrix = ctx.matrix.write().unwrap();
-                    matrix.copy_from(&self.input.fiber_km);
-                    for &idx in &outcome.selected {
-                        if idx != out_idx {
-                            let l = &self.input.candidates[idx];
-                            improve_with_link(&mut matrix, l.site_a, l.site_b, l.mw_length_km);
+            let sweeps =
+                leave_one_out_closures(&input.fiber_km, &links, &mut scratch, |k, without_out| {
+                    let out_idx = outcome.selected[k];
+                    let base_towers = outcome.total_towers - input.candidates[out_idx].tower_count;
+                    stats.out_links += 1;
+                    for &(in_idx, in_cost, floor) in &replacements {
+                        if base_towers + in_cost > budget {
+                            continue;
+                        }
+                        stats.trials_feasible += 1;
+                        // The acceptance test below, applied to the floor:
+                        // float addition is monotone, so a trial at or above
+                        // its floor fails it whenever the floor does.
+                        if floor + 1e-12 >= best_stretch {
+                            stats.trials_bounded_out += 1;
+                            on_bounded_out(without_out, in_idx, best_stretch);
+                            continue;
+                        }
+                        stats.trials_scored += 1;
+                        let stretch = score(without_out, in_idx);
+                        if stretch + 1e-12 < best_stretch {
+                            best_stretch = stretch;
+                            best = Some((out_idx, in_idx));
                         }
                     }
-                }
+                });
+            stats.improve_sweeps += sweeps as u64;
 
-                let stretches = scorer.score_trials(ctx, &trials);
-                for (&p, &stretch) in trials.iter().zip(&stretches) {
-                    if stretch + 1e-12 < best_stretch {
-                        best_stretch = stretch;
-                        best = Some((out_idx, ctx.pool[p], stretch));
-                    }
-                }
+            let Some((out_idx, in_idx)) = best else { break };
+            stats.swaps_applied += 1;
+            outcome.selected.retain(|&i| i != out_idx);
+            outcome.selected.push(in_idx);
+            outcome.total_towers = outcome.total_towers - input.candidates[out_idx].tower_count
+                + input.candidates[in_idx].tower_count;
+            let mut topology = input.empty_topology();
+            for &idx in &outcome.selected {
+                topology.add_mw_link(input.candidates[idx].clone());
             }
-
-            match best {
-                Some((out_idx, in_idx, _stretch)) => {
-                    let out_cost = self.input.candidates[out_idx].tower_count;
-                    let in_cost = self.input.candidates[in_idx].tower_count;
-                    outcome.selected.retain(|&i| i != out_idx);
-                    outcome.selected.push(in_idx);
-                    outcome.total_towers = outcome.total_towers - out_cost + in_cost;
-                    let mut topology = self.input.empty_topology();
-                    for &idx in &outcome.selected {
-                        topology.add_mw_link(self.input.candidates[idx].clone());
-                    }
-                    // Re-derive the stretch from the rebuilt topology so the
-                    // reported value is bit-identical to what
-                    // `topology.mean_stretch()` returns.
-                    outcome.mean_stretch = topology.mean_stretch();
-                    outcome.topology = topology;
-                }
-                None => break,
-            }
+            // Re-derive the stretch from the rebuilt topology so the
+            // reported value is bit-identical to what
+            // `topology.mean_stretch()` returns.
+            outcome.mean_stretch = topology.mean_stretch();
+            outcome.topology = topology;
         }
+        stats.wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        stats
     }
 }
 
@@ -1107,6 +1143,129 @@ mod tests {
         .greedy(30.0);
         assert_eq!(incremental.selected, full.selected);
         assert!((incremental.mean_stretch - full.mean_stretch).abs() == 0.0);
+    }
+
+    /// `synthetic_input` with uneven traffic and MW detour factors, so the
+    /// pool holds many near-useless replacements as well as a few good ones.
+    fn uneven_input(n: usize, salt: u64) -> DesignInput {
+        let mut input = synthetic_input(n);
+        let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for i in 0..n {
+            for j in (i + 1)..n {
+                // Heavy-tailed, and most pairs carry nothing.
+                let h = if unit() < 0.7 { 0.0 } else { unit().powi(4) };
+                input.traffic.set_sym(i, j, h);
+            }
+        }
+        for link in &mut input.candidates {
+            link.mw_length_km *= 1.0 + 0.5 * unit();
+        }
+        input
+    }
+
+    #[test]
+    fn bounded_out_trials_would_not_have_been_accepted() {
+        let mut totals = SwapPolishStats::default();
+        for (n, salt, budget) in [
+            (12, 1, 150.0),
+            (16, 2, 200.0),
+            (20, 3, 300.0),
+            (20, 4, 500.0),
+            (24, 5, 400.0),
+            (24, 6, 250.0),
+        ] {
+            let input = uneven_input(n, salt);
+            let designer = Designer::new(&input);
+            let pool = designer
+                .greedy_over(&input.useful_candidates(), budget * 2.0)
+                .selected;
+            let mut outcome = designer.greedy_over(&pool, budget);
+            let links_before = outcome.selected.len();
+            let geodesic = outcome.topology.geodesic_matrix().clone();
+            let sw = ScoringWeights::compute(&input.fiber_km, &geodesic, &input.traffic);
+            assert!(sw.is_some());
+            let stats =
+                designer.swap_polish(&mut outcome, &pool, budget, |matrix, in_idx, best| {
+                    let stretch = exact_score(
+                        matrix,
+                        &geodesic,
+                        &input.traffic,
+                        sw.as_ref(),
+                        &input.candidates[in_idx],
+                    );
+                    assert!(
+                        stretch + 1e-12 >= best,
+                        "n = {n}: trial {in_idx} bounded out at {best} scores {stretch}"
+                    );
+                });
+            assert_eq!(
+                stats.trials_scored + stats.trials_bounded_out,
+                stats.trials_feasible
+            );
+            assert_eq!(stats.out_links, stats.passes * links_before as u64);
+            let depth = links_before.next_power_of_two().trailing_zeros() as u64;
+            assert!(stats.improve_sweeps <= stats.passes * links_before as u64 * depth);
+            assert!(stats.swaps_applied <= stats.passes && stats.passes <= 3);
+            totals.trials_feasible += stats.trials_feasible;
+            totals.trials_bounded_out += stats.trials_bounded_out;
+            totals.swaps_applied += stats.swaps_applied;
+        }
+        // The fixtures exercise both the bound and the swap itself.
+        assert!(totals.trials_bounded_out * 4 > totals.trials_feasible);
+        assert!(totals.swaps_applied > 0);
+    }
+
+    #[test]
+    fn bound_is_off_when_fiber_leaves_a_traffic_pair_unreachable() {
+        // No `ScoringWeights` ⇒ the scalar kernel's mean runs over the
+        // reachable pairs only, which is not monotone in the selection:
+        // every feasible trial must be scored.
+        let mut input = uneven_input(12, 1);
+        input.traffic.set_sym(0, 11, 1.0);
+        input.fiber_km.set_sym(0, 11, f64::INFINITY);
+        let (outcome, stats) = Designer::new(&input).cisp_profiled(150.0);
+        assert!(stats.trials_feasible > 0);
+        assert_eq!(stats.trials_bounded_out, 0);
+        assert_eq!(stats.trials_scored, stats.trials_feasible);
+        assert!(outcome.total_towers <= 150);
+    }
+
+    #[test]
+    fn cisp_profiled_is_cisp_and_history_is_the_greedy_build_out() {
+        let input = uneven_input(20, 3);
+        let designer = Designer::new(&input);
+        let plain = designer.cisp(300.0);
+        let (profiled, stats) = designer.cisp_profiled(300.0);
+        assert_eq!(plain.selected, profiled.selected);
+        assert!((plain.mean_stretch - profiled.mean_stretch).abs() == 0.0);
+        assert!(stats.swaps_applied > 0, "fixture must exercise a swap");
+        // `history` still lists the phase-2 greedy's picks, one of which the
+        // polish has since swapped out.
+        let greedy_picks: Vec<usize> = profiled.history.iter().map(|s| s.candidate_index).collect();
+        assert_eq!(greedy_picks.len(), profiled.selected.len());
+        assert_ne!(greedy_picks, profiled.selected);
+        // Zero passes: no polish, empty counters.
+        let none = Designer::with_config(
+            &input,
+            DesignConfig {
+                max_swap_passes: 0,
+                ..DesignConfig::default()
+            },
+        )
+        .cisp_profiled(300.0);
+        let counters = SwapPolishStats {
+            wall_ms: 0.0,
+            ..none.1
+        };
+        assert_eq!(counters, SwapPolishStats::default());
+        assert!(stats.wall_ms > 0.0);
+        assert_eq!(none.0.selected, greedy_picks);
     }
 
     #[test]

@@ -35,10 +35,15 @@
 //! instead of re-fanning a fresh rayon batch per scoring round, worker
 //! threads are spawned once per design run, each *owning a stable contiguous
 //! slice of the candidate pool* (and that slice's cached predictions) across
-//! all greedy rounds and swap passes. Rounds are one command broadcast and
-//! one reply collection per worker; the matrix being scored against is
-//! shared behind a [`RwLock`] that the designer write-locks only to apply an
-//! accepted link.
+//! all greedy rounds. Rounds are one command broadcast and one reply
+//! collection per worker; the matrix being scored against is shared behind a
+//! [`RwLock`] that the designer write-locks only to apply an accepted link.
+//! The shards serve the greedy only: the swap polish decides most of its
+//! trials from a bound and scores the few that are left on the calling
+//! thread (see [`crate::design`]), so there is no trial command here.
+//!
+//! [`exact_score`] is the one place a run's exact kernel is chosen; the
+//! shards, the greedy and the polish all score through it.
 
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -65,8 +70,8 @@ pub struct ScoreContext<'a> {
     /// Traffic weights.
     pub traffic: &'a DistMatrix,
     /// The matrix candidates are scored against — the greedy's effective
-    /// matrix, or the swap polish's trial scratch. The designer write-locks
-    /// it between rounds; shards read-lock it while scoring.
+    /// matrix. The designer write-locks it between rounds; shards read-lock
+    /// it while scoring.
     pub matrix: &'a RwLock<DistMatrix>,
     /// Compacted per-run scoring weights ([`ScoringWeights::compute`]),
     /// when the run's starting matrix admits them. `Some` routes every
@@ -75,6 +80,43 @@ pub struct ScoreContext<'a> {
     /// keeps everything on the scalar kernel — which the incremental
     /// engine never does, since it falls back to full rescoring instead.
     pub sw: Option<&'a ScoringWeights>,
+}
+
+impl ScoreContext<'_> {
+    /// [`exact_score`] of pool position `pos` against `matrix`.
+    #[inline]
+    pub fn exact(&self, matrix: &DistMatrix, pos: usize) -> f64 {
+        exact_score(
+            matrix,
+            self.geodesic,
+            self.traffic,
+            self.sw,
+            &self.candidates[self.pool[pos]],
+        )
+    }
+}
+
+/// Predicted mean stretch of `matrix` with `link` added — the one place a
+/// design run picks its exact kernel: the compact vectorised kernel when the
+/// run precomputed [`ScoringWeights`], the scalar reference kernel
+/// otherwise. The two agree to summation ulp (pinned by the kernel parity
+/// tests), not bitwise, so every exact score of a run — the greedy's
+/// batches, the shards' re-scores, the winner's refresh, the swap polish's
+/// bounds and trials — comes through here with that run's one `sw` and
+/// never mixes them.
+#[inline]
+pub fn exact_score(
+    matrix: &DistMatrix,
+    geodesic: &DistMatrix,
+    traffic: &DistMatrix,
+    sw: Option<&ScoringWeights>,
+    link: &CandidateLink,
+) -> f64 {
+    let (i, j, m) = (link.site_a, link.site_b, link.mw_length_km);
+    match sw {
+        Some(sw) => mean_stretch_with_link_compact(matrix, sw, i, j, m),
+        None => mean_stretch_with_link(matrix, geodesic, traffic, i, j, m),
+    }
 }
 
 /// Width of the repair sweep's blockwise row scan: candidate-beats-pair
@@ -269,27 +311,6 @@ impl ShardState {
         self.stats
     }
 
-    /// Exact kernel score of one pool position against `matrix`: the
-    /// compact vectorised kernel when the run precomputed
-    /// [`ScoringWeights`], the scalar reference kernel otherwise.
-    #[inline]
-    fn exact(ctx: &ScoreContext, matrix: &DistMatrix, pos: usize) -> f64 {
-        let l = &ctx.candidates[ctx.pool[pos]];
-        match ctx.sw {
-            Some(sw) => {
-                mean_stretch_with_link_compact(matrix, sw, l.site_a, l.site_b, l.mw_length_km)
-            }
-            None => mean_stretch_with_link(
-                matrix,
-                ctx.geodesic,
-                ctx.traffic,
-                l.site_a,
-                l.site_b,
-                l.mw_length_km,
-            ),
-        }
-    }
-
     /// The *via part* of one cached prediction's incremental repair: the
     /// signed change contributed by pairs whose via term moved — pairs
     /// incident to a *changed neighbour* (a vertex whose distance to a
@@ -455,7 +476,7 @@ impl ShardState {
         let matrix = ctx.matrix.read().unwrap();
         for (k, pos) in self.range.clone().enumerate() {
             if !self.removed[k] {
-                self.values[k] = Self::exact(ctx, &matrix, pos);
+                self.values[k] = ctx.exact(&matrix, pos);
             }
         }
         self.by_m = self
@@ -581,42 +602,23 @@ impl ShardState {
         // Pass 3: the deferred exact re-scores (overwriting whatever the
         // correction pass added to them).
         for &k in &needs_exact {
-            self.values[k as usize] = Self::exact(ctx, &matrix, self.range.start + k as usize);
+            self.values[k as usize] = ctx.exact(&matrix, self.range.start + k as usize);
         }
-    }
-
-    /// Exact-score the owned subset of `positions` (ascending pool
-    /// positions) against the context matrix — the swap polish's trial
-    /// evaluation. Returns `(pool_position, predicted_stretch)` pairs in
-    /// ascending position order.
-    pub fn score_trials(&self, ctx: &ScoreContext, positions: &[usize]) -> Vec<(usize, f64)> {
-        let matrix = ctx.matrix.read().unwrap();
-        positions
-            .iter()
-            .copied()
-            .filter(|pos| self.range.contains(pos))
-            .map(|pos| (pos, Self::exact(ctx, &matrix, pos)))
-            .collect()
     }
 }
 
 enum Cmd {
     Init,
     Apply(Arc<RoundUpdate>),
-    ScoreTrials(Arc<Vec<usize>>),
-}
-
-enum Reply {
-    Values(Vec<f64>),
-    Trials(Vec<(usize, f64)>),
 }
 
 /// Persistent worker shards: one scoped thread per shard, alive for the
 /// whole design run, each owning a stable contiguous slice of the candidate
-/// pool. Communication is one command and one reply per worker per round.
+/// pool. Communication is one command and one reply — the shard's cached
+/// values — per worker per round.
 pub struct ShardPool {
     txs: Vec<Sender<Cmd>>,
-    rxs: Vec<Receiver<Reply>>,
+    rxs: Vec<Receiver<Vec<f64>>>,
     ranges: Vec<Range<usize>>,
 }
 
@@ -643,24 +645,15 @@ impl ShardPool {
             let range = start..start + size;
             start += size;
             let (cmd_tx, cmd_rx) = channel::<Cmd>();
-            let (reply_tx, reply_rx) = channel::<Reply>();
+            let (reply_tx, reply_rx) = channel::<Vec<f64>>();
             let mut state = ShardState::new(range.clone());
             scope.spawn(move || {
                 while let Ok(cmd) = cmd_rx.recv() {
-                    let reply = match cmd {
-                        Cmd::Init => {
-                            state.init_score(ctx);
-                            Reply::Values(state.values().to_vec())
-                        }
-                        Cmd::Apply(update) => {
-                            state.apply(ctx, &update);
-                            Reply::Values(state.values().to_vec())
-                        }
-                        Cmd::ScoreTrials(positions) => {
-                            Reply::Trials(state.score_trials(ctx, &positions))
-                        }
-                    };
-                    if reply_tx.send(reply).is_err() {
+                    match cmd {
+                        Cmd::Init => state.init_score(ctx),
+                        Cmd::Apply(update) => state.apply(ctx, &update),
+                    }
+                    if reply_tx.send(state.values().to_vec()).is_err() {
                         break;
                     }
                 }
@@ -674,10 +667,7 @@ impl ShardPool {
 
     fn collect_values(&self, out: &mut [f64]) {
         for (rx, range) in self.rxs.iter().zip(&self.ranges) {
-            match rx.recv().expect("scoring shard died") {
-                Reply::Values(values) => out[range.clone()].copy_from_slice(&values),
-                Reply::Trials(_) => unreachable!("values reply expected"),
-            }
+            out[range.clone()].copy_from_slice(&rx.recv().expect("scoring shard died"));
         }
     }
 }
@@ -731,38 +721,6 @@ impl PoolScorer {
                         .expect("scoring shard died");
                 }
                 pool.collect_values(out);
-            }
-        }
-    }
-
-    /// Exact-score `positions` (ascending pool positions) against the
-    /// context matrix; the result is aligned with `positions`.
-    pub fn score_trials(&mut self, ctx: &ScoreContext, positions: &[usize]) -> Vec<f64> {
-        match self {
-            Self::Inline(state) => state
-                .score_trials(ctx, positions)
-                .into_iter()
-                .map(|(_, v)| v)
-                .collect(),
-            Self::Sharded(pool) => {
-                let positions_arc = Arc::new(positions.to_vec());
-                for tx in &pool.txs {
-                    tx.send(Cmd::ScoreTrials(Arc::clone(&positions_arc)))
-                        .expect("scoring shard died");
-                }
-                // Shard ranges are ascending and disjoint and each shard
-                // replies in ascending position order, so concatenating the
-                // replies re-creates exactly the ascending `positions` order.
-                let mut merged = Vec::with_capacity(positions.len());
-                for rx in &pool.rxs {
-                    match rx.recv().expect("scoring shard died") {
-                        Reply::Trials(part) => merged.extend(part),
-                        Reply::Values(_) => unreachable!("trials reply expected"),
-                    }
-                }
-                debug_assert!(merged.windows(2).all(|w| w[0].0 < w[1].0));
-                debug_assert_eq!(merged.len(), positions.len());
-                merged.into_iter().map(|(_, v)| v).collect()
             }
         }
     }
@@ -839,7 +797,7 @@ mod tests {
         // Every repaired value matches an exact rescore to ulp noise.
         let m = matrix.read().unwrap();
         for (pos, &v) in values.iter().enumerate().skip(1) {
-            let exact = ShardState::exact(&ctx, &m, pos);
+            let exact = ctx.exact(&m, pos);
             assert!(
                 (v - exact).abs() < 1e-12,
                 "pos {pos}: repaired {v} vs exact {exact}"
@@ -886,7 +844,7 @@ mod tests {
             if pos == 1 {
                 continue;
             }
-            let exact = ShardState::exact(&ctx, &m, pos);
+            let exact = ctx.exact(&m, pos);
             assert!((v - exact).abs() < 1e-12, "pos {pos}: {v} vs {exact}");
         }
     }

@@ -28,8 +28,9 @@
 //!   dense all-pairs sweeps run on, with the shared unordered-pair iterator,
 //!   the exact one-edge improvement kernels ([`improve_with_link`] and the
 //!   delta-tracking [`improve_with_link_tracked`] that reports an
-//!   [`ImprovedPairs`] set for incremental rescoring) and the batched
-//!   multi-link commit kernel ([`improve_with_links`]),
+//!   [`ImprovedPairs`] set for incremental rescoring), the batched
+//!   multi-link commit kernel ([`improve_with_links`]) and the
+//!   divide-and-conquer [`leave_one_out_closures`] the swap polish walks,
 //! * [`triangle`] — [`UpperTriangleMatrix`], symmetric upper-triangle-only
 //!   storage behind the same entry/pair API (half the memory traffic),
 //! * [`bitset`] — O(1) membership over small index universes (disabled-link
@@ -71,8 +72,8 @@ pub use csr::{CsrGraph, CsrTree};
 pub use dijkstra::{shortest_path, shortest_path_costs, Path};
 pub use graph::Graph;
 pub use matrix::{
-    improve_with_link, improve_with_link_tracked, improve_with_links, pair_count, pair_index,
-    pair_indices, DistMatrix, ImprovedPairs,
+    improve_with_link, improve_with_link_tracked, improve_with_links, leave_one_out_closures,
+    pair_count, pair_index, pair_indices, DistMatrix, ImprovedPairs,
 };
 pub use partition::{partition_lookahead, partition_path_links};
 pub use paths::PathStore;

@@ -424,6 +424,75 @@ pub fn improve_with_link_tracked(
     improved
 }
 
+/// Visit every *leave-one-out closure* of a link set: for each `k`, in input
+/// order, `visit(k, &m_k)` where `m_k` is `base` improved by every link of
+/// `links` except the `k`-th. Returns the number of [`improve_with_link`]
+/// sweeps made.
+///
+/// Divide and conquer instead of one rebuild per `k`: apply the right half of
+/// the links to a copy of the current matrix and recurse into the left half,
+/// then the reverse, so a leaf has had every link but its own applied on the
+/// way down. That is `S·⌈log₂S⌉` sweeps at most where `S` rebuilds cost
+/// `S·(S−1)`. `scratch` is the matrix stack, one per recursion level
+/// (`⌈log₂S⌉` of them): it is grown here when too short and every level is
+/// refilled with [`DistMatrix::copy_from`], so a caller that keeps the
+/// vector across calls allocates nothing after the first.
+///
+/// **Arithmetic contract.** A leaf applies the same links as the sequential
+/// rebuild (`base`, then every link but the `k`-th in input order) in a
+/// different order — for `k` in the left half the right half goes first. The
+/// closure of a link set does not depend on the order, but the float sum
+/// along a multi-link path associates by it, so entries agree with the
+/// sequential rebuild to summation ulp (a few 1e-16 relative per link on the
+/// path), not bit for bit — the same relaxation [`improve_with_links`] makes.
+/// `base` must satisfy [`improve_with_link`]'s precondition.
+pub fn leave_one_out_closures(
+    base: &DistMatrix,
+    links: &[(usize, usize, f64)],
+    scratch: &mut Vec<DistMatrix>,
+    mut visit: impl FnMut(usize, &DistMatrix),
+) -> usize {
+    if links.is_empty() {
+        return 0;
+    }
+    let depth = links.len().next_power_of_two().trailing_zeros() as usize;
+    if scratch.len() < depth {
+        scratch.resize_with(depth, || DistMatrix::zeros(0));
+    }
+    leave_one_out_range(base, scratch, links, 0..links.len(), &mut visit)
+}
+
+/// One node of [`leave_one_out_closures`]: `current` already holds every
+/// link outside `range`. Returns the sweeps made at and below this node.
+fn leave_one_out_range(
+    current: &DistMatrix,
+    scratch: &mut [DistMatrix],
+    links: &[(usize, usize, f64)],
+    range: std::ops::Range<usize>,
+    visit: &mut impl FnMut(usize, &DistMatrix),
+) -> usize {
+    if range.len() == 1 {
+        visit(range.start, current);
+        return 0;
+    }
+    let mid = range.start + range.len() / 2;
+    let (next, deeper) = scratch
+        .split_first_mut()
+        .expect("scratch holds one matrix per recursion level");
+    let mut sweeps = range.len();
+    for (applied, descend) in [
+        (mid..range.end, range.start..mid),
+        (range.start..mid, mid..range.end),
+    ] {
+        next.copy_from(current);
+        for &(i, j, length) in &links[applied] {
+            improve_with_link(next, i, j, length);
+        }
+        sweeps += leave_one_out_range(next, deeper, links, descend, visit);
+    }
+    sweeps
+}
+
 /// Shared preamble of the batched multi-link improvement kernels: the portal
 /// set (the new links' endpoints), the exact all-pairs closure *between*
 /// portals over "old matrix ∪ new links", and a pre-update snapshot of the
@@ -835,6 +904,110 @@ mod tests {
         assert_eq!(m.get(2, 4), 1.0);
         assert_eq!(m.get(0, 4), 2.0, "multi-new-link path through the portals");
         assert_eq!(m.get(1, 3), 4.0, "untouched pair keeps old distance");
+    }
+
+    /// The oracle of [`leave_one_out_closures`]: `base`, then every link but
+    /// the `skip`-th, one sequential sweep each.
+    fn rebuild_without(
+        base: &DistMatrix,
+        links: &[(usize, usize, f64)],
+        skip: usize,
+    ) -> DistMatrix {
+        let mut m = base.clone();
+        for (k, &(i, j, length)) in links.iter().enumerate() {
+            if k != skip {
+                improve_with_link(&mut m, i, j, length);
+            }
+        }
+        m
+    }
+
+    /// `count` pseudo-random links over `n` vertices at 0.3–0.9× the base
+    /// distance of their endpoints, so most of them reroute some pair.
+    fn shortcut_links(base: &DistMatrix, count: usize) -> Vec<(usize, usize, f64)> {
+        let n = base.n();
+        (0..count)
+            .map(|k| {
+                let i = (k * 7 + 1) % n;
+                let j = (i + 1 + (k * 5) % (n - 1)) % n;
+                (
+                    i,
+                    j,
+                    base.get(i, j) * (0.3 + 0.6 * ((k * 37 % 101) as f64 / 101.0)),
+                )
+            })
+            .collect()
+    }
+
+    fn assert_leaves_match_rebuild(base: &DistMatrix, links: &[(usize, usize, f64)]) -> usize {
+        let mut visited = Vec::new();
+        let mut scratch = Vec::new();
+        let sweeps = leave_one_out_closures(base, links, &mut scratch, |k, leaf| {
+            let want = rebuild_without(base, links, k);
+            for (got, want) in leaf.as_slice().iter().zip(want.as_slice()) {
+                assert!(
+                    (got - want).abs() <= 1e-12 * want.abs(),
+                    "leaf {k}: {got} vs sequential rebuild {want}"
+                );
+            }
+            visited.push(k);
+        });
+        assert_eq!(visited, (0..links.len()).collect::<Vec<_>>(), "visit order");
+        sweeps
+    }
+
+    #[test]
+    fn leave_one_out_matches_sequential_rebuild() {
+        let n = 12;
+        // Irregular spacing: multi-link paths sum lengths that do not round
+        // the same way in every order.
+        let pos: Vec<f64> = (0..n).map(|i| (i * i) as f64 * 0.37 + i as f64).collect();
+        let base = DistMatrix::from_fn(n, |i, j| (pos[i] - pos[j]).abs() * 2.0);
+        for count in [1usize, 2, 3, 7, 64] {
+            let links = shortcut_links(&base, count);
+            let sweeps = assert_leaves_match_rebuild(&base, &links);
+            let depth = count.next_power_of_two().trailing_zeros() as usize;
+            assert!(sweeps <= count * depth, "{sweeps} sweeps for {count} links");
+        }
+        assert_eq!(
+            leave_one_out_closures(&base, &[], &mut Vec::new(), |_, _| panic!("no leaf")),
+            0
+        );
+    }
+
+    #[test]
+    fn leave_one_out_handles_shared_endpoints_and_duplicates() {
+        let base = line_metric(8);
+        // A star on vertex 0, a link listed twice, and a link no better than
+        // the base distance.
+        let links = [
+            (0usize, 7usize, 3.0),
+            (0, 4, 2.0),
+            (0, 2, 1.0),
+            (4, 7, 1.5),
+            (0, 4, 2.0),
+            (1, 2, 50.0),
+        ];
+        assert_leaves_match_rebuild(&base, &links);
+        // Leaving out one copy of the duplicate leaves the other in place.
+        leave_one_out_closures(&base, &links, &mut Vec::new(), |k, leaf| {
+            if k == 1 || k == 4 {
+                assert_eq!(leaf.get(0, 4), 2.0);
+            }
+        });
+    }
+
+    #[test]
+    fn leave_one_out_reuses_its_scratch_stack() {
+        let base = line_metric(6);
+        let links = shortcut_links(&base, 7);
+        let mut scratch = Vec::new();
+        leave_one_out_closures(&base, &links, &mut scratch, |_, _| {});
+        assert_eq!(scratch.len(), 3, "⌈log₂ 7⌉ levels");
+        let ptrs: Vec<_> = scratch.iter().map(|m| m.as_slice().as_ptr()).collect();
+        leave_one_out_closures(&base, &links[..5], &mut scratch, |_, _| {});
+        let again: Vec<_> = scratch.iter().map(|m| m.as_slice().as_ptr()).collect();
+        assert_eq!(ptrs, again, "no reallocation on reuse");
     }
 
     #[test]

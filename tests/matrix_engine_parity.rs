@@ -14,13 +14,16 @@
 //! * `mean_stretch` / `mean_stretch_with` match reference recomputation;
 //! * the incremental delta-scoring greedy — serial and parallel — selects
 //!   exactly the same designs as the full-rescore engine, and both match a
-//!   naive full-rescoring nested-`Vec` greedy.
+//!   naive full-rescoring nested-`Vec` greedy;
+//! * `cisp()`'s swap polish (leave-one-out matrices, trials decided by a
+//!   lower bound) applies exactly the swaps of a naive nested-`Vec` polish
+//!   that rebuilds per removed link and scores every feasible trial.
 
 // The nested-Vec reference implementations are deliberately naive index
 // loops — that is the point of a reference.
 #![allow(clippy::needless_range_loop)]
 
-use cisp::core::design::{DesignConfig, DesignInput, Designer, ScoringEngine};
+use cisp::core::design::{DesignConfig, DesignInput, Designer, GreedyScore, ScoringEngine};
 use cisp::core::links::CandidateLink;
 use cisp::core::topology::{
     improve_with_link, improve_with_link_tracked, mean_stretch_with_link,
@@ -191,6 +194,109 @@ fn naive_greedy(input: &DesignInput, budget: usize) -> Vec<usize> {
     selected
 }
 
+/// Reference: the swap polish with none of the engine's machinery. Per pass
+/// and per selected link `out` (in `selected` order), rebuild the nested
+/// matrix of the other links from fiber, then score *every* budget-feasible
+/// unselected pool link (in pool order) by materialising the trial matrix;
+/// a trial becomes the incumbent when it beats it by more than 1e-12, and the
+/// pass's incumbent is applied as "remove `out`, append `in`". Returns the
+/// final mean stretch.
+fn naive_swap_polish(
+    input: &DesignInput,
+    pool: &[usize],
+    selected: &mut Vec<usize>,
+    budget: usize,
+    passes: usize,
+) -> f64 {
+    let n = input.sites.len();
+    let geodesic_km: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|j| geodesic::distance_km(input.sites[i], input.sites[j]))
+                .collect()
+        })
+        .collect();
+    let traffic = input.traffic.to_nested();
+    let build = |links: &[usize], skip: Option<usize>| {
+        let mut m = input.fiber_km.to_nested();
+        for &idx in links {
+            if Some(idx) != skip {
+                let l = &input.candidates[idx];
+                improve_with_link_nested(&mut m, l.site_a, l.site_b, l.mw_length_km);
+            }
+        }
+        m
+    };
+    let stretch_of = |m: &[Vec<f64>]| mean_stretch_nested(m, &geodesic_km, &traffic);
+    let cost = |idx: usize| input.candidates[idx].tower_count;
+
+    let mut current = stretch_of(&build(selected, None));
+    for _ in 0..passes {
+        let total: usize = selected.iter().map(|&i| cost(i)).sum();
+        let mut best: Option<(usize, usize)> = None;
+        let mut best_stretch = current;
+        for &out_idx in selected.iter() {
+            let without = build(selected, Some(out_idx));
+            for &in_idx in pool {
+                if selected.contains(&in_idx) || total - cost(out_idx) + cost(in_idx) > budget {
+                    continue;
+                }
+                let l = &input.candidates[in_idx];
+                let mut trial = without.clone();
+                improve_with_link_nested(&mut trial, l.site_a, l.site_b, l.mw_length_km);
+                let stretch = stretch_of(&trial);
+                if stretch + 1e-12 < best_stretch {
+                    best_stretch = stretch;
+                    best = Some((out_idx, in_idx));
+                }
+            }
+        }
+        let Some((out_idx, in_idx)) = best else { break };
+        selected.retain(|&i| i != out_idx);
+        selected.push(in_idx);
+        current = stretch_of(&build(selected, None));
+    }
+    current
+}
+
+/// `cisp()` against [`naive_swap_polish`]. Phases 1 and 2 come from the
+/// public greedy (the 2×-budget pool, then a greedy over an input restricted
+/// to the pool, in pool order — what `cisp` does internally); the polish is
+/// the oracle's alone. Returns the number of swaps the oracle applied.
+fn assert_cisp_matches_naive_polish(
+    input: &DesignInput,
+    budget: usize,
+    config: DesignConfig,
+) -> usize {
+    let pool = Designer::with_config(input, config)
+        .greedy(budget as f64 * config.pruning_budget_factor)
+        .selected;
+    let restricted = DesignInput {
+        candidates: pool.iter().map(|&i| input.candidates[i].clone()).collect(),
+        ..input.clone()
+    };
+    let greedy: Vec<usize> = Designer::with_config(&restricted, config)
+        .greedy(budget as f64)
+        .selected
+        .iter()
+        .map(|&k| pool[k])
+        .collect();
+    let mut want = greedy.clone();
+    let want_stretch = naive_swap_polish(input, &pool, &mut want, budget, config.max_swap_passes);
+
+    let got = Designer::with_config(input, config).cisp(budget as f64);
+    assert_eq!(got.selected, want, "config {config:?}");
+    let want_towers: usize = want.iter().map(|&i| input.candidates[i].tower_count).sum();
+    assert_eq!(got.total_towers, want_towers);
+    assert!(
+        (got.mean_stretch - want_stretch).abs() < 1e-12,
+        "cisp {} vs oracle {want_stretch}",
+        got.mean_stretch
+    );
+    // A swap removes one greedy pick and appends its replacement.
+    want.iter().filter(|i| !greedy.contains(i)).count()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -358,6 +464,22 @@ proptest! {
         let auto = Designer::new(&input).cisp(budget);
         prop_assert_eq!(&auto.selected, &serial.selected);
         prop_assert!((auto.mean_stretch - serial.mean_stretch).abs() == 0.0);
+    }
+
+    #[test]
+    fn cisp_swap_polish_matches_naive_rebuild_and_score_everything_oracle(
+        n in 6usize..25,
+        seed in 0u64..10_000,
+        towers_per_site in 8usize..31,
+        max_swap_passes in 1usize..4,
+    ) {
+        let input = random_input(n, seed);
+        for score in [GreedyScore::AbsoluteGain, GreedyScore::GainPerTower] {
+            for parallel in [false, true] {
+                let config = DesignConfig { score, parallel, max_swap_passes, ..DesignConfig::default() };
+                assert_cisp_matches_naive_polish(&input, n * towers_per_site, config);
+            }
+        }
     }
 
     #[test]
@@ -539,4 +661,19 @@ fn engine_and_reference_agree_on_fixed_instance() {
     )
     .mean_stretch();
     assert!(engine.mean_stretch < fiber_only);
+}
+
+/// The oracle comparison on fixed instances where the polish does apply
+/// swaps, so the property above is known not to be vacuous.
+#[test]
+fn swap_polish_oracle_agrees_where_swaps_are_applied() {
+    let mut swaps = 0;
+    for (n, seed, budget) in [(14, 7, 250), (20, 99, 420), (24, 4242, 500)] {
+        swaps += assert_cisp_matches_naive_polish(
+            &random_input(n, seed),
+            budget,
+            DesignConfig::default(),
+        );
+    }
+    assert!(swaps >= 2, "fixtures must exercise the swap, got {swaps}");
 }

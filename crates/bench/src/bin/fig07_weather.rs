@@ -37,6 +37,10 @@ fn main() {
         report.intervals, report.mean_failed_links
     );
     println!("# failure sweep: {}", report.failure_sweep);
+    println!(
+        "# {} distinct failure sets, {} one-link closure sweeps",
+        report.distinct_failure_sets, report.closure_sweeps
+    );
 
     for (series, label) in [
         (WeatherSeries::Best, "best"),

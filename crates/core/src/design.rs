@@ -56,8 +56,8 @@
 //! `|S|·|pool|` kernel calls; both run on the calling thread.
 //!
 //! * **Leave-one-out closures.** The matrix of `S∖out` for every `out` comes
-//!   from [`cisp_graph::leave_one_out_closures`] — `|S|·log₂|S|` one-link
-//!   sweeps by divide and conquer where a rebuild per `out` costs `|S|²` —
+//!   from [`cisp_graph::leave_out_closures`] over the sets `{out}` — one-link
+//!   sweeps, `|S|·log₂|S|` of them where a rebuild per `out` costs `|S|²` —
 //!   visited in `selected` order, which is the pass's tie-break order.
 //!   [`SwapPolishStats::improve_sweeps`] counts the sweeps.
 //! * **A monotone lower bound.** Adding links only shrinks distances, so
@@ -77,7 +77,7 @@ use std::thread;
 use std::time::Instant;
 
 use cisp_geo::GeoPoint;
-use cisp_graph::{improve_with_link_tracked, leave_one_out_closures, DistMatrix, ImprovedPairs};
+use cisp_graph::{improve_with_link_tracked, leave_out_closures, DistMatrix, ImprovedPairs};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -794,7 +794,7 @@ impl<'a> Designer<'a> {
             //
             // The floor is what the computed trial stretch cannot fall
             // below. Bound and trial are computed from matrices that apply
-            // their links in different orders (`leave_one_out_closures`'
+            // their links in different orders (`leave_out_closures`'
             // arithmetic contract): an entry is off by at most one ulp per
             // link on its path, and the compact kernel's sum of at most
             // n²/2 positive terms in 8 lanes by at most n²/16 ulp more —
@@ -822,8 +822,14 @@ impl<'a> Designer<'a> {
             // Best swap found this pass: (out_idx, in_idx).
             let mut best: Option<(usize, usize)> = None;
             let mut best_stretch = outcome.mean_stretch;
-            let sweeps =
-                leave_one_out_closures(&input.fiber_km, &links, &mut scratch, |k, without_out| {
+            // Leave-one-out: set `k` fails the `k`-th selected link alone.
+            let leave_one_out: Vec<[usize; 1]> = (0..links.len()).map(|k| [k]).collect();
+            let sweeps = leave_out_closures(
+                &input.fiber_km,
+                &links,
+                &leave_one_out,
+                &mut scratch,
+                |k, without_out| {
                     let out_idx = outcome.selected[k];
                     let base_towers = outcome.total_towers - input.candidates[out_idx].tower_count;
                     stats.out_links += 1;
@@ -847,7 +853,8 @@ impl<'a> Designer<'a> {
                             best = Some((out_idx, in_idx));
                         }
                     }
-                });
+                },
+            );
             stats.improve_sweeps += sweeps as u64;
 
             let Some((out_idx, in_idx)) = best else { break };

@@ -22,7 +22,7 @@
 use cisp_geo::latency::StretchAccumulator;
 use cisp_geo::units::FIBER_LATENCY_FACTOR;
 use cisp_geo::{geodesic, latency, GeoPoint};
-use cisp_graph::{pair_index, BitSet, DistMatrix, PathStore, UpperTriangleMatrix};
+use cisp_graph::{pair_index, BitSet, DistMatrix, PathStore};
 use serde::{Deserialize, Serialize};
 
 use crate::links::CandidateLink;
@@ -694,22 +694,6 @@ impl HybridTopology {
         out.copy_from(&self.fiber_km);
         cisp_graph::improve_with_links(out, &self.enabled_link_triples(disabled));
     }
-
-    /// [`Self::effective_matrix_without_into`] over symmetric
-    /// upper-triangle-only storage: refills `out` (reusing its allocation)
-    /// with the effective distances that result from disabling the given
-    /// links. Sweeps that only read unordered pairs — the weather year
-    /// analysis — use this variant to halve the scratch matrix's memory
-    /// traffic; the triangle batch kernel is bit-identical to the
-    /// full-storage one.
-    pub fn effective_matrix_without_into_tri(
-        &self,
-        disabled: &[usize],
-        out: &mut UpperTriangleMatrix,
-    ) {
-        out.copy_from_dist(&self.fiber_km);
-        out.improve_with_links(&self.enabled_link_triples(disabled));
-    }
 }
 
 #[cfg(test)]
@@ -976,25 +960,6 @@ mod tests {
         assert_eq!(&scratch, topo.effective_matrix());
         topo.effective_matrix_without_into(&[0], &mut scratch);
         assert_eq!(&scratch, topo.fiber_matrix());
-    }
-
-    #[test]
-    fn effective_matrix_without_into_tri_matches_full_storage() {
-        let sites = line_sites();
-        let geo01 = geodesic::distance_km(sites[0], sites[1]);
-        let geo12 = geodesic::distance_km(sites[1], sites[2]);
-        let fiber = fiber_matrix(&sites);
-        let mut topo = HybridTopology::new(sites, uniform_traffic(3), fiber);
-        topo.add_mw_link(mw_link(0, 1, geo01 * 1.02, 4));
-        topo.add_mw_link(mw_link(1, 2, geo12 * 1.03, 4));
-        let mut tri = UpperTriangleMatrix::zeros(3);
-        for disabled in [vec![], vec![0], vec![1], vec![0, 1]] {
-            let full = topo.effective_matrix_without(&disabled);
-            topo.effective_matrix_without_into_tri(&disabled, &mut tri);
-            for (i, j, v) in full.upper_triangle() {
-                assert_eq!(tri.get(i, j), v, "disabled {disabled:?}, pair ({i}, {j})");
-            }
-        }
     }
 
     #[test]

@@ -30,9 +30,8 @@
 //!   delta-tracking [`improve_with_link_tracked`] that reports an
 //!   [`ImprovedPairs`] set for incremental rescoring), the batched
 //!   multi-link commit kernel ([`improve_with_links`]) and the
-//!   divide-and-conquer [`leave_one_out_closures`] the swap polish walks,
-//! * [`triangle`] — [`UpperTriangleMatrix`], symmetric upper-triangle-only
-//!   storage behind the same entry/pair API (half the memory traffic),
+//!   divide-and-conquer [`leave_out_closures`] — one matrix per failure set
+//!   of a link list — that the swap polish and the storm year walk,
 //! * [`bitset`] — O(1) membership over small index universes (disabled-link
 //!   sets in the failure analysis, improved-pair sets in the incremental
 //!   scorer).
@@ -65,17 +64,15 @@ pub mod matrix;
 pub mod partition;
 pub mod paths;
 pub mod search;
-pub mod triangle;
 
 pub use bitset::BitSet;
 pub use csr::{CsrGraph, CsrTree};
 pub use dijkstra::{shortest_path, shortest_path_costs, Path};
 pub use graph::Graph;
 pub use matrix::{
-    improve_with_link, improve_with_link_tracked, improve_with_links, leave_one_out_closures,
+    improve_with_link, improve_with_link_tracked, improve_with_links, leave_out_closures,
     pair_count, pair_index, pair_indices, DistMatrix, ImprovedPairs,
 };
 pub use partition::{partition_lookahead, partition_path_links};
 pub use paths::PathStore;
 pub use search::SearchCore;
-pub use triangle::UpperTriangleMatrix;

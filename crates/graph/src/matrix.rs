@@ -424,95 +424,129 @@ pub fn improve_with_link_tracked(
     improved
 }
 
-/// Visit every *leave-one-out closure* of a link set: for each `k`, in input
-/// order, `visit(k, &m_k)` where `m_k` is `base` improved by every link of
-/// `links` except the `k`-th. Returns the number of [`improve_with_link`]
-/// sweeps made.
+/// Visit the closure every *failure set* leaves behind: for each `k`, in
+/// input order, `visit(k, &m_k)` where `m_k` is `base` improved by every link
+/// of `links` whose index is not in `sets[k]` (indices `≥ links.len()` name
+/// nothing). Returns the number of [`improve_with_link`] sweeps made.
 ///
-/// Divide and conquer instead of one rebuild per `k`: apply the right half of
-/// the links to a copy of the current matrix and recurse into the left half,
-/// then the reverse, so a leaf has had every link but its own applied on the
-/// way down. That is `S·⌈log₂S⌉` sweeps at most where `S` rebuilds cost
-/// `S·(S−1)`. `scratch` is the matrix stack, one per recursion level
-/// (`⌈log₂S⌉` of them): it is grown here when too short and every level is
-/// refilled with [`DistMatrix::copy_from`], so a caller that keeps the
-/// vector across calls allocates nothing after the first.
+/// Divide and conquer over the *sets* instead of one rebuild per set: a node
+/// owns a range of sets and a copy of its parent's matrix; the links the
+/// parent held back that fail in none of the node's sets are applied to that
+/// copy once, shared by everything below, and the range is halved. A leaf
+/// has had exactly its surviving links applied. Singleton sets `[0], [1], …`
+/// make it leave-one-out — `S·⌈log₂S⌉` sweeps at most where `S` rebuilds
+/// cost `S·(S−1)` — which is how the swap polish walks it; the storm year
+/// hands it its stormy intervals in chronological order, where neighbours
+/// share most of their survivors. `scratch` is the matrix stack, one per tree
+/// level (`⌈log₂ sets⌉ + 1`): grown here when too short and refilled with
+/// [`DistMatrix::copy_from`], so a caller that keeps the vector across calls
+/// allocates no matrix after the first.
 ///
 /// **Arithmetic contract.** A leaf applies the same links as the sequential
-/// rebuild (`base`, then every link but the `k`-th in input order) in a
-/// different order — for `k` in the left half the right half goes first. The
-/// closure of a link set does not depend on the order, but the float sum
-/// along a multi-link path associates by it, so entries agree with the
-/// sequential rebuild to summation ulp (a few 1e-16 relative per link on the
-/// path), not bit for bit — the same relaxation [`improve_with_links`] makes.
-/// `base` must satisfy [`improve_with_link`]'s precondition.
-pub fn leave_one_out_closures(
+/// rebuild (`base`, then every surviving link in input order) in a different
+/// order — those shared with more neighbours first. The closure of a link set
+/// does not depend on the order, but the float sum along a multi-link path
+/// associates by it, so entries agree with the sequential rebuild to
+/// summation ulp (a few 1e-16 relative per link on the path), not bit for
+/// bit — the same relaxation [`improve_with_links`] makes. `base` must
+/// satisfy [`improve_with_link`]'s precondition.
+pub fn leave_out_closures<S: AsRef<[usize]>>(
     base: &DistMatrix,
     links: &[(usize, usize, f64)],
+    sets: &[S],
     scratch: &mut Vec<DistMatrix>,
     mut visit: impl FnMut(usize, &DistMatrix),
 ) -> usize {
-    if links.is_empty() {
+    if sets.is_empty() {
         return 0;
     }
-    let depth = links.len().next_power_of_two().trailing_zeros() as usize;
+    let depth = sets.len().next_power_of_two().trailing_zeros() as usize + 1;
     if scratch.len() < depth {
         scratch.resize_with(depth, || DistMatrix::zeros(0));
     }
-    leave_one_out_range(base, scratch, links, 0..links.len(), &mut visit)
+    let held_back: Vec<usize> = (0..links.len()).collect();
+    leave_out_range(
+        base,
+        scratch,
+        links,
+        sets,
+        &held_back,
+        0..sets.len(),
+        &mut visit,
+    )
 }
 
-/// One node of [`leave_one_out_closures`]: `current` already holds every
-/// link outside `range`. Returns the sweeps made at and below this node.
-fn leave_one_out_range(
-    current: &DistMatrix,
+/// One node of [`leave_out_closures`]: `parent` holds every link but
+/// `held_back` (ascending link indices, each failing in some set of the
+/// parent's range). Returns the sweeps made at and below this node.
+fn leave_out_range<S: AsRef<[usize]>>(
+    parent: &DistMatrix,
     scratch: &mut [DistMatrix],
     links: &[(usize, usize, f64)],
+    sets: &[S],
+    held_back: &[usize],
     range: std::ops::Range<usize>,
     visit: &mut impl FnMut(usize, &DistMatrix),
 ) -> usize {
+    let (current, deeper) = scratch
+        .split_first_mut()
+        .expect("scratch holds one matrix per tree level");
+    current.copy_from(parent);
+    let mut fails = vec![false; links.len()];
+    for &l in sets[range.clone()].iter().flat_map(|s| s.as_ref()) {
+        if let Some(f) = fails.get_mut(l) {
+            *f = true;
+        }
+    }
+    let (still_held, survivors): (Vec<usize>, Vec<usize>) =
+        held_back.iter().partition(|&&l| fails[l]);
+    for &l in &survivors {
+        let (i, j, length) = links[l];
+        improve_with_link(current, i, j, length);
+    }
     if range.len() == 1 {
         visit(range.start, current);
-        return 0;
+        return survivors.len();
     }
     let mid = range.start + range.len() / 2;
-    let (next, deeper) = scratch
-        .split_first_mut()
-        .expect("scratch holds one matrix per recursion level");
-    let mut sweeps = range.len();
-    for (applied, descend) in [
-        (mid..range.end, range.start..mid),
-        (range.start..mid, mid..range.end),
-    ] {
-        next.copy_from(current);
-        for &(i, j, length) in &links[applied] {
-            improve_with_link(next, i, j, length);
-        }
-        sweeps += leave_one_out_range(next, deeper, links, descend, visit);
+    let mut sweeps = survivors.len();
+    for half in [range.start..mid, mid..range.end] {
+        sweeps += leave_out_range(current, deeper, links, sets, &still_held, half, visit);
     }
     sweeps
 }
 
-/// Shared preamble of the batched multi-link improvement kernels: the portal
-/// set (the new links' endpoints), the exact all-pairs closure *between*
-/// portals over "old matrix ∪ new links", and a pre-update snapshot of the
-/// portal rows. Both the full-matrix and the upper-triangle batch kernels
-/// consume this, which is what keeps their arithmetic bit-identical.
-pub(crate) struct PortalClosure {
-    /// Sorted, deduplicated endpoint vertices of the new links.
-    pub portals: Vec<usize>,
-    /// `p × p` portal-to-portal closure distances (row-major).
-    pub a: Vec<f64>,
-    /// `p × n` pre-update portal rows of the matrix (row-major, one row per
-    /// portal in `portals` order).
-    pub snap: Vec<f64>,
-}
+/// Apply the exact improvement of a whole *batch* of new edges to a
+/// metric-closed symmetric distance matrix in one pass: afterwards
+/// `D'[s][t]` is the shortest distance over any mix of old paths and new
+/// links — identical (up to float summation order) to applying
+/// [`improve_with_link`] once per link sequentially.
+///
+/// Instead of `k` full matrix sweeps, the batch kernel closes the new links
+/// over their endpoint set (the *portals*, `p ≤ 2k` of them) and then makes
+/// a single sweep: any path through new links enters the portal set at a
+/// first portal and leaves it at a last portal, so
+/// `D'[s][t] = min(D[s][t], min_{u,v} D[s][v] + A[v][u] + D[u][t])` with `A`
+/// the portal closure — one matrix pass of memory traffic regardless of `k`.
+/// The result is written symmetrically (each unordered pair computed once
+/// and mirrored). Returns the number of *ordered* entries improved, matching
+/// [`improve_with_link`]'s convention.
+///
+/// This is the multi-link commit primitive behind a rebuild from fiber, which
+/// replays every surviving link of a failure set onto the fiber matrix.
+pub fn improve_with_links(matrix: &mut DistMatrix, links: &[(usize, usize, f64)]) -> usize {
+    let n = matrix.n();
+    for &(i, j, m) in links {
+        assert!(i < n && j < n && i != j);
+        assert!(m >= 0.0);
+    }
+    match links.len() {
+        0 => return 0,
+        1 => return improve_with_link(matrix, links[0].0, links[0].1, links[0].2),
+        _ => {}
+    }
 
-pub(crate) fn portal_closure(
-    n: usize,
-    links: &[(usize, usize, f64)],
-    get: impl Fn(usize, usize) -> f64,
-) -> PortalClosure {
+    // The portals: sorted, deduplicated endpoints of the new links.
     let mut portals: Vec<usize> = links.iter().flat_map(|&(i, j, _)| [i, j]).collect();
     portals.sort_unstable();
     portals.dedup();
@@ -522,15 +556,15 @@ pub(crate) fn portal_closure(
         portal_of[u] = k;
     }
 
-    // Portal-to-portal distances: the old closure restricted to portals,
-    // improved by the new links, then re-closed with Floyd–Warshall over the
-    // (tiny) portal set. The old matrix is metric-closed, so paths through
-    // non-portal vertices are already inside its entries and closing over
-    // portals alone is exact.
+    // `a`, `p × p`: portal-to-portal distances — the old closure restricted
+    // to portals, improved by the new links, then re-closed with
+    // Floyd–Warshall over the (tiny) portal set. The old matrix is
+    // metric-closed, so paths through non-portal vertices are already inside
+    // its entries and closing over portals alone is exact.
     let mut a = vec![0.0; p * p];
     for (ki, &u) in portals.iter().enumerate() {
         for (kj, &v) in portals.iter().enumerate() {
-            a[ki * p + kj] = get(u, v);
+            a[ki * p + kj] = matrix.get(u, v);
         }
     }
     for &(i, j, m) in links {
@@ -552,77 +586,14 @@ pub(crate) fn portal_closure(
         }
     }
 
+    // `snap`, `p × n`: the pre-update portal rows of the matrix.
     let mut snap = Vec::with_capacity(p * n);
     for &u in &portals {
-        for t in 0..n {
-            snap.push(get(u, t));
-        }
+        snap.extend_from_slice(matrix.row(u));
     }
-    PortalClosure { portals, a, snap }
-}
 
-/// Apply the exact improvement of a whole *batch* of new edges to a
-/// metric-closed symmetric distance matrix in one pass: afterwards
-/// `D'[s][t]` is the shortest distance over any mix of old paths and new
-/// links — identical (up to float summation order) to applying
-/// [`improve_with_link`] once per link sequentially.
-///
-/// Instead of `k` full matrix sweeps, the batch kernel closes the new links
-/// over their endpoint set (the *portals*, `p ≤ 2k` of them) and then makes
-/// a single sweep: any path through new links enters the portal set at a
-/// first portal and leaves it at a last portal, so
-/// `D'[s][t] = min(D[s][t], min_{u,v} D[s][v] + A[v][u] + D[u][t])` with `A`
-/// the portal closure — one matrix pass of memory traffic regardless of `k`.
-/// The result is written symmetrically (each unordered pair computed once
-/// and mirrored). Returns the number of *ordered* entries improved, matching
-/// [`improve_with_link`]'s convention.
-///
-/// This is the multi-link commit primitive behind weather rebuilds, which
-/// replay every surviving link onto the fiber matrix per failure set.
-pub fn improve_with_links(matrix: &mut DistMatrix, links: &[(usize, usize, f64)]) -> usize {
-    let n = matrix.n();
-    for &(i, j, m) in links {
-        assert!(i < n && j < n && i != j);
-        assert!(m >= 0.0);
-    }
-    match links.len() {
-        0 => return 0,
-        1 => return improve_with_link(matrix, links[0].0, links[0].1, links[0].2),
-        _ => {}
-    }
-    let pc = portal_closure(n, links, |i, j| matrix.get(i, j));
-    // Each unordered pair visited once and mirror-written, so the count is
-    // doubled to the ordered-entry convention.
-    2 * batch_sweep(matrix, n, &pc)
-}
-
-/// Storage-agnostic pair access for [`batch_sweep`]: one implementation of
-/// the batched sweep's arithmetic serves both the full and the triangular
-/// storage, making their bit-identity true by construction.
-pub(crate) trait BatchTarget {
-    fn pair_get(&self, i: usize, j: usize) -> f64;
-    /// Store `v` for the unordered pair (both orientations where the storage
-    /// distinguishes them).
-    fn pair_set(&mut self, i: usize, j: usize, v: f64);
-}
-
-impl BatchTarget for DistMatrix {
-    #[inline]
-    fn pair_get(&self, i: usize, j: usize) -> f64 {
-        self.get(i, j)
-    }
-    #[inline]
-    fn pair_set(&mut self, i: usize, j: usize, v: f64) {
-        self.set_sym(i, j, v);
-    }
-}
-
-/// The batched portal sweep shared by [`improve_with_links`] and
-/// `UpperTriangleMatrix::improve_with_links`: every unordered pair visited
-/// once, improvements written through [`BatchTarget::pair_set`]. Returns the
-/// number of unordered pairs improved.
-pub(crate) fn batch_sweep<M: BatchTarget>(matrix: &mut M, n: usize, pc: &PortalClosure) -> usize {
-    let p = pc.portals.len();
+    // The sweep: every unordered pair visited once, improvements written to
+    // both orientations.
     let mut e = vec![0.0; p];
     let mut improved = 0;
     for s in 0..n {
@@ -630,8 +601,8 @@ pub(crate) fn batch_sweep<M: BatchTarget>(matrix: &mut M, n: usize, pc: &PortalC
         // accumulated row-of-A-major so both arrays stream contiguously.
         e.fill(f64::INFINITY);
         for kv in 0..p {
-            let d_sv = pc.snap[kv * n + s];
-            for (e_u, &a_vu) in e.iter_mut().zip(&pc.a[kv * p..kv * p + p]) {
+            let d_sv = snap[kv * n + s];
+            for (e_u, &a_vu) in e.iter_mut().zip(&a[kv * p..kv * p + p]) {
                 let c = d_sv + a_vu;
                 if c < *e_u {
                     *e_u = c;
@@ -640,15 +611,15 @@ pub(crate) fn batch_sweep<M: BatchTarget>(matrix: &mut M, n: usize, pc: &PortalC
         }
         for t in (s + 1)..n {
             let mut via = f64::INFINITY;
-            for (&e_u, snap_row) in e.iter().zip(pc.snap.chunks_exact(n)) {
+            for (&e_u, snap_row) in e.iter().zip(snap.chunks_exact(n)) {
                 let c = e_u + snap_row[t];
                 if c < via {
                     via = c;
                 }
             }
-            if via < matrix.pair_get(s, t) {
-                matrix.pair_set(s, t, via);
-                improved += 1;
+            if via < matrix.get(s, t) {
+                matrix.set_sym(s, t, via);
+                improved += 2;
             }
         }
     }
@@ -906,16 +877,16 @@ mod tests {
         assert_eq!(m.get(1, 3), 4.0, "untouched pair keeps old distance");
     }
 
-    /// The oracle of [`leave_one_out_closures`]: `base`, then every link but
-    /// the `skip`-th, one sequential sweep each.
+    /// The oracle of [`leave_out_closures`]: `base`, then every link whose
+    /// index is not in `set`, one sequential sweep each.
     fn rebuild_without(
         base: &DistMatrix,
         links: &[(usize, usize, f64)],
-        skip: usize,
+        set: &[usize],
     ) -> DistMatrix {
         let mut m = base.clone();
         for (k, &(i, j, length)) in links.iter().enumerate() {
-            if k != skip {
+            if !set.contains(&k) {
                 improve_with_link(&mut m, i, j, length);
             }
         }
@@ -939,11 +910,27 @@ mod tests {
             .collect()
     }
 
-    fn assert_leaves_match_rebuild(base: &DistMatrix, links: &[(usize, usize, f64)]) -> usize {
+    /// Irregular spacing: multi-link paths sum lengths that do not round the
+    /// same way in every order.
+    fn irregular_metric(n: usize) -> DistMatrix {
+        let pos: Vec<f64> = (0..n).map(|i| (i * i) as f64 * 0.37 + i as f64).collect();
+        DistMatrix::from_fn(n, |i, j| (pos[i] - pos[j]).abs() * 2.0)
+    }
+
+    /// The leave-one-out sets of `count` links: `[0], [1], …`.
+    fn singletons(count: usize) -> Vec<[usize; 1]> {
+        (0..count).map(|k| [k]).collect()
+    }
+
+    fn assert_leaves_match_rebuild<S: AsRef<[usize]>>(
+        base: &DistMatrix,
+        links: &[(usize, usize, f64)],
+        sets: &[S],
+    ) -> usize {
         let mut visited = Vec::new();
         let mut scratch = Vec::new();
-        let sweeps = leave_one_out_closures(base, links, &mut scratch, |k, leaf| {
-            let want = rebuild_without(base, links, k);
+        let sweeps = leave_out_closures(base, links, sets, &mut scratch, |k, leaf| {
+            let want = rebuild_without(base, links, sets[k].as_ref());
             for (got, want) in leaf.as_slice().iter().zip(want.as_slice()) {
                 assert!(
                     (got - want).abs() <= 1e-12 * want.abs(),
@@ -952,25 +939,32 @@ mod tests {
             }
             visited.push(k);
         });
-        assert_eq!(visited, (0..links.len()).collect::<Vec<_>>(), "visit order");
+        assert_eq!(visited, (0..sets.len()).collect::<Vec<_>>(), "visit order");
         sweeps
     }
 
     #[test]
     fn leave_one_out_matches_sequential_rebuild() {
-        let n = 12;
-        // Irregular spacing: multi-link paths sum lengths that do not round
-        // the same way in every order.
-        let pos: Vec<f64> = (0..n).map(|i| (i * i) as f64 * 0.37 + i as f64).collect();
-        let base = DistMatrix::from_fn(n, |i, j| (pos[i] - pos[j]).abs() * 2.0);
+        let base = irregular_metric(12);
+        // The recursion PR 15 pinned: a range of `s` leaves sweeps each half
+        // onto the other's copy, `s` sweeps, and halves.
+        fn halving_sweeps(s: usize) -> usize {
+            match s {
+                0 | 1 => 0,
+                _ => s + halving_sweeps(s / 2) + halving_sweeps(s - s / 2),
+            }
+        }
         for count in [1usize, 2, 3, 7, 64] {
             let links = shortcut_links(&base, count);
-            let sweeps = assert_leaves_match_rebuild(&base, &links);
-            let depth = count.next_power_of_two().trailing_zeros() as usize;
-            assert!(sweeps <= count * depth, "{sweeps} sweeps for {count} links");
+            let sweeps = assert_leaves_match_rebuild(&base, &links, &singletons(count));
+            assert_eq!(sweeps, halving_sweeps(count), "{count} links");
         }
+        let links = shortcut_links(&base, 7);
+        let no_sets: [&[usize]; 0] = [];
         assert_eq!(
-            leave_one_out_closures(&base, &[], &mut Vec::new(), |_, _| panic!("no leaf")),
+            leave_out_closures(&base, &links, &no_sets, &mut Vec::new(), |_, _| panic!(
+                "no leaf"
+            )),
             0
         );
     }
@@ -988,9 +982,10 @@ mod tests {
             (0, 4, 2.0),
             (1, 2, 50.0),
         ];
-        assert_leaves_match_rebuild(&base, &links);
+        let sets = singletons(links.len());
+        assert_leaves_match_rebuild(&base, &links, &sets);
         // Leaving out one copy of the duplicate leaves the other in place.
-        leave_one_out_closures(&base, &links, &mut Vec::new(), |k, leaf| {
+        leave_out_closures(&base, &links, &sets, &mut Vec::new(), |k, leaf| {
             if k == 1 || k == 4 {
                 assert_eq!(leaf.get(0, 4), 2.0);
             }
@@ -1002,12 +997,53 @@ mod tests {
         let base = line_metric(6);
         let links = shortcut_links(&base, 7);
         let mut scratch = Vec::new();
-        leave_one_out_closures(&base, &links, &mut scratch, |_, _| {});
-        assert_eq!(scratch.len(), 3, "⌈log₂ 7⌉ levels");
+        leave_out_closures(&base, &links, &singletons(7), &mut scratch, |_, _| {});
+        assert_eq!(scratch.len(), 4, "⌈log₂ 7⌉ + 1 levels");
         let ptrs: Vec<_> = scratch.iter().map(|m| m.as_slice().as_ptr()).collect();
-        leave_one_out_closures(&base, &links[..5], &mut scratch, |_, _| {});
+        leave_out_closures(&base, &links[..5], &singletons(5), &mut scratch, |_, _| {});
         let again: Vec<_> = scratch.iter().map(|m| m.as_slice().as_ptr()).collect();
         assert_eq!(ptrs, again, "no reallocation on reuse");
+    }
+
+    #[test]
+    fn leave_out_sets_match_sequential_rebuild() {
+        let base = irregular_metric(12);
+        let links = shortcut_links(&base, 23);
+        let all: Vec<usize> = (0..links.len()).collect();
+        let sets: Vec<Vec<usize>> = vec![
+            vec![],
+            vec![4],
+            vec![4, 9, 17],
+            vec![9, 17, 20, 4], // overlaps its neighbour, unsorted
+            vec![9],            // nested in both
+            vec![0, 1, 2, 3],
+            vec![0, 1, 2, 3], // identical neighbours
+            all.clone(),
+            vec![22, 23, 99],  // stale indices name nothing
+            vec![5, 5, 5, 11], // a link named more than once
+            vec![],
+        ];
+        let sweeps = assert_leaves_match_rebuild(&base, &links, &sets);
+        let rebuilds: usize = sets
+            .iter()
+            .map(|s| (0..links.len()).filter(|k| !s.contains(k)).count())
+            .sum();
+        assert!(sweeps < rebuilds, "{sweeps} sweeps, {rebuilds} rebuilding");
+
+        // One set: the plain rebuild, on a copy (the base is not handed out).
+        let sweeps = assert_leaves_match_rebuild(&base, &links, &[[4usize, 9]]);
+        assert_eq!(sweeps, links.len() - 2);
+        // Every link failing in every set, and no links at all: every leaf
+        // is the base.
+        let no_sweeps = |links: &[(usize, usize, f64)], sets: &[Vec<usize>]| {
+            let is_base = |_, leaf: &DistMatrix| assert_eq!(leaf, &base);
+            assert_eq!(
+                leave_out_closures(&base, links, sets, &mut Vec::new(), is_base),
+                0
+            );
+        };
+        no_sweeps(&links, &[all.clone(), all]);
+        no_sweeps(&[], &[vec![0]]);
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! arena-backed [`PathStore`] — the whole routing table is two allocations
 //! instead of one `Vec` per demand. Link failures (the weather scenarios)
 //! are expressed as a disabled-link mask handed to
-//! [`compute_routes_avoiding`]; disabled links simply price as `+∞`.
+//! [`compute_routes_avoiding`]; disabled links simply price as `+∞`. A
+//! caller that holds the all-links-up table and fails a few links at a time
+//! (the storm sweep: ≈5 % of the demands cross a failed link per run) uses
+//! [`reroute_avoiding`], which re-routes only what the failure touches.
 
 use cisp_graph::{CsrGraph, PathStore};
 use serde::{Deserialize, Serialize};
@@ -224,6 +227,17 @@ fn is_disabled(disabled: &[bool], link: u32) -> bool {
     disabled.get(link as usize).copied().unwrap_or(false)
 }
 
+/// The shortest-path tree from `source` over the links `disabled` leaves up.
+fn surviving_tree(csr: &CsrGraph, source: NodeId, disabled: &[bool]) -> cisp_graph::CsrTree {
+    csr.shortest_path_tree_with(source, None, |id, w| {
+        if is_disabled(disabled, id) {
+            f64::INFINITY
+        } else {
+            w
+        }
+    })
+}
+
 /// Compute routes for a set of demands under a scheme.
 pub fn compute_routes(
     network: &Network,
@@ -256,15 +270,8 @@ pub fn compute_routes_avoiding(
                     store.push_path(&[]);
                     continue;
                 }
-                let tree = trees[d.src].get_or_insert_with(|| {
-                    csr.shortest_path_tree_with(d.src, None, |id, w| {
-                        if is_disabled(disabled, id) {
-                            f64::INFINITY
-                        } else {
-                            w
-                        }
-                    })
-                });
+                let tree =
+                    trees[d.src].get_or_insert_with(|| surviving_tree(&csr, d.src, disabled));
                 tree.edge_path_into(d.dst, &mut scratch);
                 store.push_path(&scratch);
             }
@@ -328,6 +335,52 @@ pub fn compute_routes_avoiding(
             RoutingTable::from_store(store)
         }
     }
+}
+
+/// [`compute_routes_avoiding`] for a caller that already holds
+/// `base_routes = compute_routes(network, demands, scheme)`: the same table,
+/// from re-routing only what the failure touches.
+///
+/// Under [`RoutingScheme::ShortestPath`] a base route that crosses no
+/// disabled link is kept as it is. Removing links lengthens distances or
+/// leaves them, so such a route is still a shortest one; and it is still the
+/// one the search picks among equals, because every node on it keeps its
+/// distance and its predecessor was the first settled node to offer that
+/// distance before the removal, when there were only more nodes to offer it.
+/// Trees are grown only for the sources that own a broken route. The other
+/// schemes place each demand against the load of the ones before it, so one
+/// broken route can move every later one: they fall through to the full
+/// computation.
+pub fn reroute_avoiding(
+    network: &Network,
+    demands: &[Demand],
+    base_routes: &RoutingTable,
+    scheme: RoutingScheme,
+    disabled: &[bool],
+) -> RoutingTable {
+    assert_eq!(base_routes.len(), demands.len(), "a base route per demand");
+    if scheme != RoutingScheme::ShortestPath {
+        return compute_routes_avoiding(network, demands, scheme, disabled);
+    }
+    let broken = |route: &[u32]| route.iter().any(|&l| is_disabled(disabled, l));
+    if !(0..demands.len()).any(|k| broken(base_routes.route(k))) {
+        return base_routes.clone();
+    }
+    let csr = network_csr(network);
+    let mut trees: Vec<Option<cisp_graph::CsrTree>> = vec![None; network.num_nodes()];
+    let mut store = PathStore::with_capacity(demands.len(), base_routes.store().total_links());
+    let mut scratch = Vec::new();
+    for (k, d) in demands.iter().enumerate() {
+        let base = base_routes.route(k);
+        if broken(base) {
+            let tree = trees[d.src].get_or_insert_with(|| surviving_tree(&csr, d.src, disabled));
+            tree.edge_path_into(d.dst, &mut scratch);
+            store.push_path(&scratch);
+        } else {
+            store.push_path(base);
+        }
+    }
+    RoutingTable::from_store(store)
 }
 
 #[cfg(test)]

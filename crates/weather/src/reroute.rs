@@ -7,10 +7,21 @@
 //! record the best, worst and 99th-percentile stretch across the year, plus
 //! the fiber-only stretch for comparison; Fig. 7 plots the CDFs of these four
 //! series over all pairs.
+//!
+//! A storm year almost never repeats a failure set (187 distinct sets in the
+//! 198 stormy intervals of the paper-scale year, no two neighbours equal), so
+//! remembering matrices per set gains nothing. What neighbouring intervals
+//! share is most of their *surviving* links: the year's sets go through one
+//! [`cisp_graph::leave_out_closures`] in chronological order, which applies
+//! a surviving link once for a whole run of intervals, and the per-pair
+//! samples are taken at its leaves.
+//! [`HybridTopology::effective_matrix_without`] stays as the per-set oracle.
+
+use std::collections::HashSet;
 
 use cisp_core::topology::HybridTopology;
 use cisp_geo::latency;
-use cisp_graph::{pair_indices, UpperTriangleMatrix};
+use cisp_graph::{leave_out_closures, pair_indices};
 use serde::{Deserialize, Serialize};
 
 use crate::failures::{failure_sweep, FailureConfig, FailureSweepStats};
@@ -44,6 +55,14 @@ pub struct WeatherYearReport {
     pub mean_failed_links: f64,
     /// What each step of the failure cascade decided over the year.
     pub failure_sweep: FailureSweepStats,
+    /// One-link matrix sweeps the year's failure sets cost
+    /// ([`leave_out_closures`]' count; a rebuild per set would make one per
+    /// surviving link per set).
+    #[serde(default)]
+    pub closure_sweeps: usize,
+    /// Distinct non-empty failure sets among the year's intervals.
+    #[serde(default)]
+    pub distinct_failure_sets: usize,
 }
 
 impl WeatherYearReport {
@@ -86,6 +105,19 @@ pub enum WeatherSeries {
     FiberOnly,
 }
 
+/// Offer `value`, `times` over, to `top`: the largest samples seen so far,
+/// ascending. Only the `top.len()` largest of a pair's year are ever read.
+fn offer(top: &mut [f64], value: f64, times: usize) {
+    for _ in 0..times.min(top.len()) {
+        if value <= top[0] {
+            return;
+        }
+        let above = top.partition_point(|&t| t < value);
+        top.copy_within(1..above, 0);
+        top[above - 1] = value;
+    }
+}
+
 /// Run the year-long weather analysis on a designed topology.
 pub fn weather_year_analysis(
     topology: &HybridTopology,
@@ -93,73 +125,69 @@ pub fn weather_year_analysis(
     config: &FailureConfig,
 ) -> WeatherYearReport {
     assert!(!year.is_empty());
-    let n = topology.num_sites();
 
     // Fair-weather and fiber-only baselines.
     let best_matrix = topology.effective_matrix();
     let fiber_matrix = topology.fiber_matrix();
 
-    // Per-interval stretch samples, one slot per analysed pair (positive
-    // geodesic distance only). The per-interval effective matrix is rebuilt
-    // into one reusable upper-triangle scratch buffer — the sweep only reads
-    // unordered pairs, so symmetric storage halves the scratch memory
-    // traffic — and consecutive intervals with an identical failure set
-    // (common during calm spells and long storms) reuse the previous
-    // rebuild outright.
-    let analysed: Vec<(usize, usize)> = pair_indices(n)
-        .filter(|&(i, j)| topology.geodesic_km(i, j) > 0.0)
+    // The analysed pairs (positive geodesic distance only).
+    let analysed: Vec<(usize, usize, f64)> = pair_indices(topology.num_sites())
+        .map(|(i, j)| (i, j, topology.geodesic_km(i, j)))
+        .filter(|&(_, _, geo)| geo > 0.0)
         .collect();
-    let mut samples: Vec<Vec<f64>> = analysed
-        .iter()
-        .map(|_| Vec::with_capacity(year.len()))
-        .collect();
-    let (failures, stats) = failure_sweep(topology, year.fields(), config);
-    let mut scratch = UpperTriangleMatrix::zeros(n);
-    let mut scratch_failed: Option<Vec<usize>> = None;
-    for failed in failures {
-        if failed.is_empty() {
-            for (slot, &(i, j)) in samples.iter_mut().zip(&analysed) {
-                slot.push(latency::distance_stretch(
-                    best_matrix[i][j],
-                    topology.geodesic_km(i, j),
-                ));
-            }
-        } else {
-            if scratch_failed.as_deref() != Some(failed.as_slice()) {
-                topology.effective_matrix_without_into_tri(&failed, &mut scratch);
-                scratch_failed = Some(failed);
-            }
-            for (slot, &(i, j)) in samples.iter_mut().zip(&analysed) {
-                slot.push(latency::distance_stretch(
-                    scratch.get(i, j),
-                    topology.geodesic_km(i, j),
-                ));
-            }
-        }
-    }
 
-    let mut pairs = Vec::new();
-    for (s, &(i, j)) in samples.iter_mut().zip(&analysed) {
-        if s.is_empty() {
-            continue;
-        }
-        let geo = topology.geodesic_km(i, j);
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let p99_idx = ((s.len() - 1) as f64 * 0.99).round() as usize;
-        pairs.push(PairWeatherStats {
+    // The stormy intervals' failure sets in chronological order (one that
+    // repeats its neighbour costs a leaf, not a sweep); calm intervals are
+    // only counted.
+    let (failures, stats) = failure_sweep(topology, year.fields(), config);
+    let calm = failures.iter().filter(|failed| failed.is_empty()).count();
+    let sets: Vec<Vec<usize>> = failures.into_iter().filter(|f| !f.is_empty()).collect();
+
+    // `p99` and `worst` are order statistics of the top of a pair's year:
+    // with the samples sorted ascending they sit at `p99_idx` and at the
+    // end, so the `keep` largest samples per pair are all that is stored.
+    let p99_idx = ((year.len() - 1) as f64 * 0.99).round() as usize;
+    let keep = year.len() - p99_idx;
+    let mut tops = vec![f64::NEG_INFINITY; analysed.len() * keep];
+    for (top, &(i, j, geo)) in tops.chunks_exact_mut(keep).zip(&analysed) {
+        offer(top, latency::distance_stretch(best_matrix[i][j], geo), calm);
+    }
+    let links: Vec<(usize, usize, f64)> = topology
+        .mw_links()
+        .iter()
+        .map(|l| (l.site_a, l.site_b, l.mw_length_km))
+        .collect();
+    let closure_sweeps = leave_out_closures(
+        fiber_matrix,
+        &links,
+        &sets,
+        &mut Vec::new(),
+        |_, effective| {
+            for (top, &(i, j, geo)) in tops.chunks_exact_mut(keep).zip(&analysed) {
+                offer(top, latency::distance_stretch(effective[i][j], geo), 1);
+            }
+        },
+    );
+
+    let pairs = tops
+        .chunks_exact(keep)
+        .zip(&analysed)
+        .map(|(top, &(i, j, geo))| PairWeatherStats {
             site_a: i,
             site_b: j,
             best: latency::distance_stretch(best_matrix[i][j], geo),
-            p99: s[p99_idx],
-            worst: *s.last().unwrap(),
+            p99: top[0],
+            worst: top[keep - 1],
             fiber_only: latency::distance_stretch(fiber_matrix[i][j], geo),
-        });
-    }
+        })
+        .collect();
 
     WeatherYearReport {
         intervals: year.len(),
         mean_failed_links: stats.failed as f64 / year.len() as f64,
         failure_sweep: stats,
+        closure_sweeps,
+        distinct_failure_sets: sets.iter().collect::<HashSet<_>>().len(),
         pairs,
     }
 }

@@ -44,6 +44,10 @@ fn main() {
         report.mean_failed_links
     );
     println!("  failure sweep: {}", report.failure_sweep);
+    println!(
+        "  {} distinct failure sets, {} one-link closure sweeps",
+        report.distinct_failure_sets, report.closure_sweeps
+    );
 
     // The year sweep reuses one storm-independent geometry across all 365
     // fields; the one-shot call builds its own per field. Same code path,

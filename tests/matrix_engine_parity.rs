@@ -9,8 +9,6 @@
 //! * `improve_with_link` produces exactly the nested-`Vec` reference's
 //!   matrix, and the delta-tracking variant is bit-identical to it while
 //!   reporting exactly the pairs that changed;
-//! * `UpperTriangleMatrix` (symmetric upper-triangle-only storage) computes
-//!   bit-identical improvements to the full `DistMatrix`;
 //! * `mean_stretch` / `mean_stretch_with` match reference recomputation;
 //! * the incremental delta-scoring greedy — serial and parallel — selects
 //!   exactly the same designs as the full-rescore engine, and both match a
@@ -31,7 +29,7 @@ use cisp::core::topology::{
 };
 use cisp::geo::{geodesic, GeoPoint};
 use cisp::graph::DistMatrix;
-use cisp::graph::{ImprovedPairs, UpperTriangleMatrix};
+use cisp::graph::ImprovedPairs;
 use proptest::prelude::*;
 
 /// SplitMix64, used to derive deterministic pseudo-random fixtures from a
@@ -578,26 +576,6 @@ proptest! {
                     prop_assert_eq!(old, before.get(i, j));
                     prop_assert!(delta.touches(i) && delta.touches(j));
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn upper_triangle_improve_matches_dist_matrix(
-        n in 3usize..8,
-        seed in 0u64..10_000,
-        picks in (0usize..1_000, 0usize..1_000, 0usize..1_000),
-    ) {
-        let input = random_input(n, seed);
-        let mut full = input.fiber_km.clone();
-        let mut tri = UpperTriangleMatrix::from_dist(&input.fiber_km);
-        for pick in [picks.0, picks.1, picks.2] {
-            let link = &input.candidates[pick % input.candidates.len()];
-            improve_with_link(&mut full, link.site_a, link.site_b, link.mw_length_km);
-            tri.improve_with_link(link.site_a, link.site_b, link.mw_length_km);
-            for (i, j, v) in full.upper_triangle() {
-                prop_assert_eq!(tri.get(i, j), v);
-                prop_assert_eq!(tri.get(j, i), v);
             }
         }
     }

@@ -9,8 +9,13 @@ use cisp::geo::{fresnel, geodesic, latency, GeoPoint};
 use cisp::lp::model::{Problem, VarKind};
 use cisp::lp::simplex::solve_lp;
 use cisp::netsim::network::{LinkSpec, Network, Transmit};
+use cisp::netsim::routing::{
+    compute_routes, compute_routes_avoiding, reroute_avoiding, Demand, RoutingScheme,
+};
 use cisp::traffic::matrix::TrafficMatrix;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a latitude/longitude pair well inside the contiguous US, so the
 /// geometric properties are tested on the domain the pipeline actually uses.
@@ -188,5 +193,63 @@ proptest! {
         prop_assert_eq!(delivered + dropped, offered as u64);
         prop_assert_eq!(net.link_state(link).packets_forwarded, delivered);
         prop_assert_eq!(net.link_state(link).packets_dropped, dropped);
+    }
+
+    // Re-routing only what a failure touches yields the table a full
+    // recomputation does. Delays come from four values (zero among them)
+    // and links are doubled, so equal-cost ties are the rule; the last node
+    // has no link, so one demand is unroutable whatever the mask.
+    #[test]
+    fn reroute_avoiding_matches_full_recomputation(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut below = |bound: usize| (rng.gen::<f64>() * bound as f64) as usize;
+        let n = 4 + below(8);
+        let mut net = Network::new(n);
+        for a in 0..n - 1 {
+            for b in 0..n - 1 {
+                if a != b && below(10) < 3 {
+                    let spec = LinkSpec {
+                        from: a,
+                        to: b,
+                        rate_bps: [1e9, 2e9][below(2)],
+                        propagation_s: [0.0, 0.001, 0.002, 0.003][below(4)],
+                        buffer_bytes: 1e6,
+                    };
+                    match below(3) {
+                        0 => { net.add_link(spec); }
+                        1 => { net.add_bidirectional_link(spec); }
+                        _ => { net.add_link(spec); net.add_link(spec); }
+                    }
+                }
+            }
+        }
+        let mut demands = vec![Demand::new(0, n - 1, 1e8), Demand::new(1, 1, 1e8)];
+        for _ in 0..1 + below(30) {
+            demands.push(Demand::new(below(n - 1), below(n - 1), [1e8, 2e8, 5e8][below(3)]));
+        }
+        let links = net.num_links();
+        let mut masks: Vec<Vec<bool>> = vec![Vec::new(), vec![false; links], vec![true; links]];
+        for density in [1, 3, 6] {
+            masks.push((0..links).map(|_| below(10) < density).collect());
+        }
+        // A mask shorter than the link table disables nothing beyond its end.
+        masks.push(vec![true; links / 2]);
+
+        for scheme in [
+            RoutingScheme::ShortestPath,
+            RoutingScheme::MinMaxUtilization,
+            RoutingScheme::ThroughputOptimal,
+        ] {
+            let base = compute_routes(&net, &demands, scheme);
+            prop_assert!(base.route(0).is_empty());
+            for mask in &masks {
+                let full = compute_routes_avoiding(&net, &demands, scheme, mask);
+                let partial = reroute_avoiding(&net, &demands, &base, scheme, mask);
+                prop_assert!(partial == full, "{:?} under {:?}", scheme, mask);
+                if !mask.contains(&true) {
+                    prop_assert_eq!(&partial, &base);
+                }
+            }
+        }
     }
 }

@@ -8,6 +8,8 @@
 //!   119-site topology over whole storm years and on random topologies and
 //!   fields built to sit on the cascade's decision boundaries;
 //! * the one-shot `link_failures` against a reused `FailureGeometry`;
+//! * `weather_year_analysis` against a rebuild with `effective_matrix_without`
+//!   per interval and a full sort of every pair's samples;
 //! * `FadeMargin::safe_rain_mm_h` against `survives` itself;
 //! * `TrigPoint::distance_km` against `geodesic::distance_km`, bit for bit.
 
@@ -22,6 +24,7 @@ use cisp::weather::failures::{
     failure_sweep, link_failures, FailureConfig, FailureGeometry, FailureSweepStats,
 };
 use cisp::weather::storms::{Storm, StormField, StormYear, StormYearConfig};
+use cisp::weather::{weather_year_analysis, WeatherYearReport};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,8 +99,14 @@ fn assert_parity(
 }
 
 /// The 119 US population centres, fiber at 1.9× geodesic, candidates to
-/// each site's eight nearest neighbours, designed greedily.
-fn designed_us_topology() -> HybridTopology {
+/// each site's eight nearest neighbours, designed greedily (once: the
+/// design is most of a debug run of this file).
+fn designed_us_topology() -> &'static HybridTopology {
+    static DESIGNED: std::sync::OnceLock<HybridTopology> = std::sync::OnceLock::new();
+    DESIGNED.get_or_init(design_us_topology)
+}
+
+fn design_us_topology() -> HybridTopology {
     let cities = us_population_centers();
     let sites: Vec<GeoPoint> = cities.iter().map(|c| c.location).collect();
     let n = sites.len();
@@ -145,9 +154,9 @@ fn designed_topology_matches_the_exact_oracle_over_storm_years() {
     let mut stats = Vec::new();
     for seed in [1_013, 77_003] {
         let year = StormYear::generate(seed, &StormYearConfig::us_default());
-        stats.push(assert_parity(&topology, year.fields(), &config));
+        stats.push(assert_parity(topology, year.fields(), &config));
 
-        let (sets, swept) = failure_sweep(&topology, year.fields(), &config);
+        let (sets, swept) = failure_sweep(topology, year.fields(), &config);
         assert_eq!(sets.len(), year.len());
         assert_eq!(swept, *stats.last().unwrap());
     }
@@ -156,6 +165,124 @@ fn designed_topology_matches_the_exact_oracle_over_storm_years() {
         assert!(s.failed > 0 && s.exact > s.failed, "{s}");
         assert!(s.rain_bound_share() > 0.5, "{s}");
         assert!(s.storms_culled > 0, "{s}");
+    }
+}
+
+/// `weather_year_analysis` against the loop it replaced, written out: per
+/// interval the matrix of that interval's failure set rebuilt from fiber,
+/// per pair every sample of the year, sorted.
+fn assert_year_matches_naive_rebuild(
+    topology: &HybridTopology,
+    year: &StormYear,
+) -> WeatherYearReport {
+    let config = FailureConfig::default();
+    let report = weather_year_analysis(topology, year, &config);
+    assert_eq!(report.intervals, year.len());
+
+    let n = topology.num_sites();
+    let pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+        .filter(|&(i, j)| topology.geodesic_km(i, j) > 0.0)
+        .collect();
+    // The failure sets themselves are the other tests' subject.
+    let sets = failure_sweep(topology, year.fields(), &config).0;
+    let mut samples = vec![Vec::new(); pairs.len()];
+    let fair = topology.effective_matrix_without(&[]);
+    for failed in &sets {
+        let rebuilt = (!failed.is_empty()).then(|| topology.effective_matrix_without(failed));
+        let matrix = rebuilt.as_ref().unwrap_or(&fair);
+        for (s, &(i, j)) in samples.iter_mut().zip(&pairs) {
+            s.push(matrix.get(i, j) / topology.geodesic_km(i, j));
+        }
+    }
+    let mut stormy: Vec<_> = sets.iter().filter(|failed| !failed.is_empty()).collect();
+    stormy.sort();
+    stormy.dedup();
+    assert_eq!(report.distinct_failure_sets, stormy.len());
+    assert_eq!(report.closure_sweeps == 0, stormy.is_empty());
+
+    assert_eq!(report.pairs.len(), pairs.len());
+    for ((stats, s), &(i, j)) in report.pairs.iter().zip(&mut samples).zip(&pairs) {
+        assert_eq!((stats.site_a, stats.site_b), (i, j));
+        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let p99_idx = ((s.len() - 1) as f64 * 0.99).round() as usize;
+        let geo = topology.geodesic_km(i, j);
+        for (what, got, want) in [
+            (
+                "best",
+                stats.best,
+                topology.effective_matrix().get(i, j) / geo,
+            ),
+            ("p99", stats.p99, s[p99_idx]),
+            ("worst", stats.worst, s[s.len() - 1]),
+            (
+                "fiber_only",
+                stats.fiber_only,
+                topology.fiber_matrix().get(i, j) / geo,
+            ),
+        ] {
+            assert!(
+                (got - want).abs() <= 1e-12 * want.abs(),
+                "{what} of ({i}, {j}): {got} vs naive {want}"
+            );
+        }
+    }
+    report
+}
+
+/// A violent storm parked on the middle of `link`.
+fn storm_on(topology: &HybridTopology, link: usize) -> StormField {
+    let l = &topology.mw_links()[link];
+    let sites = topology.sites();
+    StormField {
+        storms: vec![Storm {
+            center: geodesic::intermediate(sites[l.site_a], sites[l.site_b], 0.5),
+            radius_km: 60.0,
+            peak_mm_h: 120.0,
+        }],
+    }
+}
+
+#[test]
+fn year_analysis_matches_naive_rebuild_on_the_five_site_fixture() {
+    // Chicago, Kansas City, Dallas, Denver, Phoenix.
+    let sites = [
+        (41.9, -87.6),
+        (39.1, -94.6),
+        (32.8, -96.8),
+        (39.7, -105.0),
+        (33.4, -112.1),
+    ]
+    .map(|(lat, lon)| GeoPoint::new(lat, lon))
+    .to_vec();
+    let topology = topology_with_links(sites, &[(0, 1), (1, 2), (1, 3), (3, 4)]);
+    let links = topology.mw_links().len();
+
+    let generated = StormYear::generate(7, &StormYearConfig::us_default());
+    assert_year_matches_naive_rebuild(&topology, &generated);
+    // No stormy interval at all.
+    let calm = StormYear::from_fields(vec![StormField::default(); 40]);
+    assert_year_matches_naive_rebuild(&topology, &calm);
+    // Every interval stormy: runs of one link down, neighbours repeating,
+    // so p99 (the second-worst of 120) is not the fair-weather value.
+    let all_stormy: Vec<StormField> = (0..120)
+        .map(|day| storm_on(&topology, day / 3 % links))
+        .collect();
+    let report = assert_year_matches_naive_rebuild(&topology, &StormYear::from_fields(all_stormy));
+    assert!(report.mean_failed_links >= 1.0 && report.distinct_failure_sets >= links);
+}
+
+#[test]
+fn year_analysis_matches_naive_rebuild_on_a_designed_topology() {
+    let topology = designed_us_topology();
+    // A whole year, and 150 days of another (a rebuild per stormy interval
+    // is what makes the naive side slow in a debug build).
+    for (seed, days) in [(1_013, 365), (77_003, 150)] {
+        let config = StormYearConfig {
+            days,
+            ..StormYearConfig::us_default()
+        };
+        assert_year_matches_naive_rebuild(topology, &StormYear::generate(seed, &config));
     }
 }
 
@@ -178,15 +305,6 @@ fn boundary_topology(rng: &mut StdRng) -> HybridTopology {
     sites.push(sites[0]);
     sites.push(GeoPoint::new(sites[1].lat_deg + 1e-5, sites[1].lon_deg));
     let n = sites.len();
-    let traffic = vec![vec![1.0; n]; n];
-    let fiber: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| geodesic::distance_km(sites[i], sites[j]) * 1.9)
-                .collect()
-        })
-        .collect();
-    let mut topology = HybridTopology::new(sites.clone(), traffic, fiber);
     let mut pairs = vec![(0, n - 2), (1, n - 1)];
     for i in 0..n - 2 {
         for j in (i + 1)..n - 2 {
@@ -195,7 +313,22 @@ fn boundary_topology(rng: &mut StdRng) -> HybridTopology {
             }
         }
     }
-    for (a, b) in pairs {
+    topology_with_links(sites, &pairs)
+}
+
+/// `sites` under uniform traffic with fiber at 1.9× geodesic and an MW link
+/// on each of `pairs`.
+fn topology_with_links(sites: Vec<GeoPoint>, pairs: &[(usize, usize)]) -> HybridTopology {
+    let n = sites.len();
+    let fiber: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|j| geodesic::distance_km(sites[i], sites[j]) * 1.9)
+                .collect()
+        })
+        .collect();
+    let mut topology = HybridTopology::new(sites.clone(), vec![vec![1.0; n]; n], fiber);
+    for &(a, b) in pairs {
         let geo = geodesic::distance_km(sites[a], sites[b]);
         topology.add_mw_link(CandidateLink {
             site_a: a,

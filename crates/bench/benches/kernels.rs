@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use std::sync::RwLock;
 
 use cisp_bench::synthetic_design_input;
-use cisp_core::design::{score_candidates, DesignConfig, DesignInput, Designer};
+use cisp_core::design::{DesignInput, Designer};
 use cisp_core::engine::{RoundUpdate, ScoreContext, ShardState};
 use cisp_core::topology::{mean_stretch_with_link, mean_stretch_with_link_compact, ScoringWeights};
 use cisp_data::cities::us_top_cities;
@@ -120,37 +120,17 @@ fn bench_simplex(c: &mut Criterion) {
 }
 
 /// A dense synthetic design input (`n` sites, all-pairs candidates) for the
-/// candidate-scoring kernel benchmarks.
+/// scoring-kernel benchmarks.
 fn scoring_input(n: usize) -> DesignInput {
     synthetic_design_input(n)
-}
-
-/// The greedy designer's inner loop: one O(n²) mean-stretch-with-link sweep
-/// per candidate, serial vs fanned out across cores. The parallel/serial
-/// ratio here is the speedup the design pipeline's scoring phases see.
-fn bench_candidate_scoring(c: &mut Criterion) {
-    let mut group = c.benchmark_group("candidate_scoring");
-    group.sample_size(10);
-    for &n in &[30usize, 60, 90] {
-        let input = scoring_input(n);
-        let topology = input.empty_topology();
-        let pool = input.useful_candidates();
-        group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, _| {
-            b.iter(|| score_candidates(&topology, &input.candidates, black_box(&pool), false))
-        });
-        group.bench_with_input(BenchmarkId::new("rayon", n), &n, |b, _| {
-            b.iter(|| score_candidates(&topology, &input.candidates, black_box(&pool), true))
-        });
-    }
-    group.finish();
 }
 
 /// The one-candidate scoring kernel itself: the scalar reference
 /// (`mean_stretch_with_link`, branchy per-pair skip tests) against the
 /// compact blocked form (`mean_stretch_with_link_compact`, precomputed
 /// weight matrix, branchless min/select chains, fixed-lane accumulators).
-/// The ratio here is the per-sweep speedup every scoring path — greedy
-/// rounds, swap trials, full rescans — inherits.
+/// The ratio here is the per-sweep speedup every exact score — the greedy's
+/// first round and winner refreshes, the swap trials — inherits.
 fn bench_scoring_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("scoring_kernel");
     for &n in &[60usize, 120] {
@@ -192,12 +172,9 @@ fn bench_scoring_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// The greedy inner loop, per accepted link: the rebuild-and-rescore engine
-/// re-sweeps every surviving candidate with the O(n²) kernel
-/// (`full_rescore`), while the incremental delta-scoring engine repairs the
-/// cached predictions from the accepted link's improved-pair set
-/// (`incremental`). The ratio is the per-round speedup the design pipeline's
-/// greedy phases see on the default engine.
+/// The greedy inner loop, per accepted link: one shard repairing its cached
+/// predictions from the accepted link's improved-pair set
+/// (`ShardState::apply`, the largest stage left on `design_us_flat`).
 fn bench_incremental_vs_full_rescore(c: &mut Criterion) {
     let mut group = c.benchmark_group("incremental_vs_full_rescore");
     group.sample_size(10);
@@ -211,15 +188,9 @@ fn bench_incremental_vs_full_rescore(c: &mut Criterion) {
         let pool = input.useful_candidates();
 
         // Pause the real greedy mid-run: warm the topology with its first
-        // selections, then measure the round that accepts the next one —
-        // the steady-state round the engines differ on.
-        let config = DesignConfig {
-            parallel: false,
-            ..DesignConfig::default()
-        };
-        let trajectory = Designer::with_config(&input, config)
-            .greedy((4 * n) as f64)
-            .selected;
+        // selections, then measure the round that accepts the next one — a
+        // steady-state round.
+        let trajectory = Designer::new(&input).greedy((4 * n) as f64).selected;
         assert!(trajectory.len() >= 2, "trajectory too short at n = {n}");
         let split = trajectory.len() * 2 / 3;
         let accepted = trajectory[split];
@@ -229,16 +200,8 @@ fn bench_incremental_vs_full_rescore(c: &mut Criterion) {
             topology.add_mw_link(input.candidates[idx].clone());
         }
 
-        // Full rescore: every pool candidate re-scored against the
-        // post-accept matrix.
-        let mut after = topology.clone();
-        after.add_mw_link(input.candidates[accepted].clone());
-        group.bench_with_input(BenchmarkId::new("full_rescore", n), &n, |b, _| {
-            b.iter(|| score_candidates(&after, &input.candidates, black_box(&pool), false))
-        });
-
-        // Incremental: one shard repairs its cached predictions from the
-        // accepted link's delta.
+        // One shard repairs its cached predictions from the accepted link's
+        // delta.
         let matrix = RwLock::new(topology.effective_matrix().clone());
         let mut sw = ScoringWeights::compute(
             topology.effective_matrix(),
@@ -256,7 +219,7 @@ fn bench_incremental_vs_full_rescore(c: &mut Criterion) {
             geodesic: topology.geodesic_matrix(),
             traffic: topology.traffic(),
             matrix: &matrix,
-            sw: Some(&sw),
+            sw: &sw,
         };
         let mut state = ShardState::new(0..pool.len());
         state.init_score(&ctx);
@@ -324,7 +287,6 @@ criterion_group!(
     bench_tower_queries,
     bench_dijkstra,
     bench_simplex,
-    bench_candidate_scoring,
     bench_scoring_kernel,
     bench_incremental_vs_full_rescore,
     bench_failure_sweep

@@ -111,8 +111,8 @@ pub fn all_pairs_candidates(
 
 /// A dense synthetic design input: `n` scattered US-extent sites, fiber at
 /// 2× geodesic, uniform traffic, and an all-pairs candidate set at 1.05×
-/// geodesic with one tower per 60 km. Shared by the scoring-kernel
-/// benchmarks and the `bench_design_baseline` binary so their inputs agree.
+/// geodesic with one tower per 60 km. Shared by the criterion benches
+/// (`kernels`, `design_scaling`) so their inputs agree.
 pub fn synthetic_design_input(n: usize) -> cisp_core::design::DesignInput {
     let sites: Vec<cisp_geo::GeoPoint> = (0..n)
         .map(|i| {

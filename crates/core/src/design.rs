@@ -28,24 +28,24 @@
 //!
 //! Candidate scoring — one O(n²)
 //! [`mean_stretch_with_link`](crate::topology::mean_stretch_with_link) sweep
-//! per candidate — dominates design time. The default engine
-//! ([`ScoringEngine::Incremental`], see [`crate::engine`]) keeps a cached
-//! predicted stretch per pool candidate and, after each accepted link,
-//! repairs the caches from the link's improved-pair delta instead of
-//! re-sweeping: candidates whose endpoints the accepted link did not touch
-//! get an exact O(|improved|) repair, touched candidates are re-scored with
-//! the exact kernel, and the winning candidate of every round is always
-//! re-scored exactly before acceptance — so the engine selects the same
-//! designs as full rescoring (pinned by `tests/matrix_engine_parity.rs`).
-//! [`ScoringEngine::FullRescore`] keeps the rebuild-and-rescore path as the
-//! conservative reference.
+//! per candidate — dominates design time. The greedy (see [`crate::engine`])
+//! keeps a cached predicted stretch per pool candidate and, after each
+//! accepted link, repairs the caches from the link's improved-pair delta
+//! instead of re-sweeping: candidates whose endpoints the accepted link did
+//! not touch get an exact O(|improved|) repair, touched candidates are
+//! re-scored with the exact kernel, and the winning candidate of every round
+//! is always re-scored exactly before acceptance — so it selects what
+//! re-scoring every candidate every round selects
+//! (`tests/matrix_engine_parity.rs` keeps that naive greedy as the oracle).
+//! The cached predictions need every traffic pair reachable over fiber; on
+//! an input where one is not, the greedy falls to a plain
+//! rebuild-and-rescore loop on the scalar kernel.
 //!
 //! Scoring parallelism in the greedy comes from *persistent worker shards*
-//! ([`crate::engine::ShardPool`]): worker threads spawned once per greedy
-//! run, each owning a stable contiguous slice of the candidate pool across
-//! all its rounds, replacing the per-batch rayon fan-out. Serial and
-//! parallel runs select bit-identical designs (the shard math is shared and
-//! reductions are order-fixed).
+//! ([`crate::engine::ShardPool`]): one worker thread per core, spawned once
+//! per greedy run, each owning a stable contiguous slice of the candidate
+//! pool across all its rounds. Every shard count selects bit-identical
+//! designs (the shard math is shared and reductions are order-fixed).
 //!
 //! ## The swap polish
 //!
@@ -95,44 +95,6 @@ pub enum GreedyScore {
     GainPerTower,
 }
 
-/// Pool-size threshold of [`ScoringEngine::Auto`]: pools at or below this
-/// size run the full-rescore engine (whose per-round cost is small and whose
-/// bound-ordered scan skips most of it), larger pools the incremental
-/// engine. Chosen from the recorded `BENCH_design.json` crossover: at
-/// n=30 (pool ≈ 435) full rescore wins, at n=60 (pool ≈ 1770) the
-/// incremental engine is ~2× ahead.
-pub const AUTO_FULL_RESCORE_MAX_POOL: usize = 512;
-
-/// How the greedy maintains candidate scores across rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScoringEngine {
-    /// Pick the engine per run from the pool size (the default):
-    /// [`Self::FullRescore`] at or below [`AUTO_FULL_RESCORE_MAX_POOL`]
-    /// candidates — where cached-score bookkeeping costs more than it saves
-    /// — and [`Self::Incremental`] above it. Both engines select identical
-    /// designs, so this is purely a performance dispatch.
-    Auto,
-    /// Incremental delta-scoring: cached per-candidate gains repaired from
-    /// each accepted link's improved-pair set, with exact kernel re-scoring
-    /// of touched candidates and of every round's winner. Selects the same
-    /// designs as [`Self::FullRescore`] whenever candidate scores are
-    /// separated by more than the repair's ulp-level summation noise
-    /// (~1e-14 relative; exactly tied scores could in principle break ties
-    /// differently — pinned equal on all parity/property fixtures). Falls
-    /// back to [`Self::FullRescore`] automatically when the input has
-    /// non-finite distances on traffic pairs (where the incremental
-    /// decomposition does not apply).
-    Incremental,
-    /// The conservative reference: every surviving candidate re-scored
-    /// against the current matrix each round. When the run's starting
-    /// matrix is verified metric, the scan is bound-ordered: candidates
-    /// are scored in descending order of their O(1) gain upper bound
-    /// ([`ScoringWeights::gain_upper_bound`]) and the round stops as soon
-    /// as no unscored bound can beat the best exact score — the selected
-    /// argmax (and tie-break) is provably unchanged.
-    FullRescore,
-}
-
 /// Configuration of the design procedures.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DesignConfig {
@@ -145,14 +107,6 @@ pub struct DesignConfig {
     pub max_swap_passes: usize,
     /// Minimum mean-stretch gain for a link to be worth adding.
     pub min_gain: f64,
-    /// Fan candidate scoring out across persistent worker shards. Scoring is
-    /// read-only and the reduction order is fixed, so parallel and serial
-    /// runs select identical designs; the flag exists for benchmarking and
-    /// for debugging with a deterministic single-threaded profile. The swap
-    /// polish runs on the calling thread either way.
-    pub parallel: bool,
-    /// Scoring engine for the greedy phases.
-    pub engine: ScoringEngine,
 }
 
 impl Default for DesignConfig {
@@ -162,8 +116,6 @@ impl Default for DesignConfig {
             pruning_budget_factor: 2.0,
             max_swap_passes: 3,
             min_gain: 1e-9,
-            parallel: true,
-            engine: ScoringEngine::Auto,
         }
     }
 }
@@ -257,54 +209,6 @@ pub struct SwapPolishStats {
     pub improve_sweeps: u64,
 }
 
-/// Score every candidate in `pool` against `topology`: the predicted mean
-/// stretch after adding each link, one O(n²) sweep per candidate. Runs the
-/// sweeps across cores when `parallel` is set; output order follows `pool`
-/// either way. Public so the kernel benchmarks can measure the serial vs
-/// parallel scorer on identical inputs.
-pub fn score_candidates(
-    topology: &HybridTopology,
-    candidates: &[CandidateLink],
-    pool: &[usize],
-    parallel: bool,
-) -> Vec<f64> {
-    let sw = ScoringWeights::compute(
-        topology.effective_matrix(),
-        topology.geodesic_matrix(),
-        topology.traffic(),
-    );
-    score_pool_against(
-        topology.effective_matrix(),
-        topology.geodesic_matrix(),
-        topology.traffic(),
-        sw.as_ref(),
-        candidates,
-        pool,
-        parallel,
-    )
-}
-
-/// The one serial-vs-parallel scoring dispatch: predicted mean stretch
-/// ([`exact_score`]) of each `pool` candidate against explicit matrices — the
-/// cached topology matrices of the full-rescore greedy.
-#[allow(clippy::too_many_arguments)]
-fn score_pool_against(
-    effective: &DistMatrix,
-    geodesic: &DistMatrix,
-    traffic: &DistMatrix,
-    sw: Option<&ScoringWeights>,
-    candidates: &[CandidateLink],
-    pool: &[usize],
-    parallel: bool,
-) -> Vec<f64> {
-    let score_one = |&idx: &usize| exact_score(effective, geodesic, traffic, sw, &candidates[idx]);
-    if parallel {
-        pool.par_iter().map(score_one).collect()
-    } else {
-        pool.iter().map(score_one).collect()
-    }
-}
-
 /// The topology designer.
 pub struct Designer<'a> {
     input: &'a DesignInput,
@@ -331,40 +235,24 @@ impl<'a> Designer<'a> {
     }
 
     /// Greedy design over an explicit candidate pool (indices into the input
-    /// candidate list), dispatched to the configured scoring engine.
+    /// candidate list), one scoring shard per core.
     fn greedy_over(&self, pool: &[usize], budget_towers: f64) -> DesignOutcome {
-        match self.config.engine {
-            ScoringEngine::Auto => {
-                if pool.len() <= AUTO_FULL_RESCORE_MAX_POOL {
-                    self.greedy_full_rescore(pool, budget_towers)
-                } else {
-                    self.greedy_incremental(pool, budget_towers)
-                }
-            }
-            ScoringEngine::Incremental => self.greedy_incremental(pool, budget_towers),
-            ScoringEngine::FullRescore => self.greedy_full_rescore(pool, budget_towers),
-        }
+        self.greedy_sharded(pool, budget_towers, rayon::current_num_threads())
     }
 
-    /// Number of persistent scoring shards a design run fans out to (1 = run
-    /// inline on the calling thread).
-    fn shard_count(&self, pool_len: usize) -> usize {
-        if self.config.parallel {
-            rayon::current_num_threads().clamp(1, pool_len.max(1))
-        } else {
-            1
-        }
-    }
-
-    /// The incremental delta-scoring greedy (see [`crate::engine`]).
+    /// The incremental delta-scoring greedy (see [`crate::engine`]) over
+    /// `shards` persistent scoring shards, clamped to the pool size; one
+    /// shard runs inline on the calling thread. The shard count never changes
+    /// the design.
     ///
     /// Every pool candidate's predicted stretch is cached; after each
     /// accepted link the caches are repaired from the link's improved-pair
-    /// set by the persistent shards. Selection re-scores the provisional
-    /// winner with the exact kernel and accepts only once the exact value is
-    /// still the best cached priority, so the chosen sequence matches full
-    /// rescoring while almost all O(n²) sweeps disappear.
-    fn greedy_incremental(&self, pool: &[usize], budget_towers: f64) -> DesignOutcome {
+    /// set by the shards. Selection re-scores the provisional winner with
+    /// the exact kernel and accepts only once the exact value is still the
+    /// best cached priority, so the chosen sequence is the one re-scoring
+    /// every candidate every round would choose while almost all O(n²)
+    /// sweeps disappear.
+    fn greedy_sharded(&self, pool: &[usize], budget_towers: f64, shards: usize) -> DesignOutcome {
         let input = self.input;
         let base = input.empty_topology();
         let sw = ScoringWeights::compute(
@@ -374,10 +262,8 @@ impl<'a> Designer<'a> {
         );
         let Some(mut sw) = sw else {
             // Non-finite distances on scored pairs (or no traffic at all):
-            // the delta decomposition does not apply; use the reference
-            // engine (which falls back to the scalar kernel for the same
-            // reason).
-            return self.greedy_full_rescore(pool, budget_towers);
+            // the delta decomposition does not apply.
+            return self.greedy_rescore(pool, budget_towers);
         };
         // Arms the O(1) per-row metric skip of the repair sweeps when the
         // starting matrix is verified metric (distances only shrink, so one
@@ -390,22 +276,21 @@ impl<'a> Designer<'a> {
             geodesic: base.geodesic_matrix(),
             traffic: base.traffic(),
             matrix: &effective,
-            sw: Some(&sw),
+            sw: &sw,
         };
-        let workers = self.shard_count(pool.len());
-        let selected = if workers <= 1 || pool.is_empty() {
+        let shards = shards.clamp(1, pool.len().max(1));
+        let selected = if shards == 1 {
             let mut scorer = PoolScorer::inline(pool.len());
             self.run_incremental(&ctx, &mut scorer, budget_towers)
         } else {
             thread::scope(|scope| {
-                let mut scorer = PoolScorer::Sharded(ShardPool::spawn(scope, &ctx, workers));
+                let mut scorer = PoolScorer::Sharded(ShardPool::spawn(scope, &ctx, shards));
                 self.run_incremental(&ctx, &mut scorer, budget_towers)
             })
         };
 
         // Replay the selection through a fresh topology so the returned
-        // state (and its reported stretch) is bit-identical to what the
-        // full-rescore engine builds.
+        // state (and its reported stretch) is what `add_mw_link` builds.
         let mut topology = input.empty_topology();
         let mut history = Vec::with_capacity(selected.len());
         let mut total_towers = 0usize;
@@ -472,8 +357,8 @@ impl<'a> Designer<'a> {
                     if priority <= self.config.min_gain {
                         continue;
                     }
-                    // Strict `>` keeps the lowest position on ties, matching
-                    // the full-rescore engine's deterministic tie-break.
+                    // Strict `>` keeps the lowest position on ties: the
+                    // greedy's deterministic tie-break.
                     if best.is_none() || priority > best.unwrap().0 {
                         best = Some((priority, pos));
                     }
@@ -516,39 +401,21 @@ impl<'a> Designer<'a> {
                 Some(pos),
                 overrides,
                 &ctx.matrix.read().unwrap(),
-                ctx.sw
-                    .expect("incremental greedy always precomputes weights"),
+                ctx.sw,
             );
             scorer.apply(ctx, update, &mut values);
         }
         selected
     }
 
-    /// The reference rebuild-and-rescore greedy: every surviving affordable
-    /// candidate is re-scored with the exact O(n²) kernel after every
-    /// accepted link, and the true argmax is taken (ties broken by earliest
-    /// pool position). This is the semantics the incremental engine is
-    /// pinned against — and the cost profile it exists to remove.
-    ///
-    /// When the starting matrix is verified metric, the per-round scan is
-    /// bound-ordered ([`Self::bound_ordered_argmax`]): candidates are sorted
-    /// by their O(1) gain upper bound and exact scoring stops once no
-    /// remaining bound can beat the incumbent. Every skipped candidate's
-    /// exact priority is at most its bound, which is strictly below the
-    /// incumbent's exact priority — so the argmax and its tie-break are
-    /// identical to the plain scan's.
-    fn greedy_full_rescore(&self, pool: &[usize], budget_towers: f64) -> DesignOutcome {
+    /// What the greedy falls to when fiber leaves a traffic pair unreachable
+    /// ([`ScoringWeights::compute`] returns `None`): every surviving
+    /// affordable candidate re-scored with the scalar kernel — whose per-pair
+    /// finiteness test handles pairs that become reachable mid-run — after
+    /// every accepted link, and the true argmax taken (strict `>` keeps the
+    /// earliest pool position on ties).
+    fn greedy_rescore(&self, pool: &[usize], budget_towers: f64) -> DesignOutcome {
         let mut topology = self.input.empty_topology();
-        let mut sw = ScoringWeights::compute(
-            topology.effective_matrix(),
-            topology.geodesic_matrix(),
-            topology.traffic(),
-        );
-        let bounds_armed = match sw.as_mut() {
-            Some(sw) => sw.enable_gain_bounds(topology.effective_matrix()),
-            None => false,
-        };
-        let sw = sw;
         let mut selected = Vec::new();
         let mut history = Vec::new();
         let mut total_towers = 0usize;
@@ -563,41 +430,29 @@ impl<'a> Designer<'a> {
                 .copied()
                 .filter(|&idx| total_towers + self.input.candidates[idx].tower_count <= budget)
                 .collect();
-            if affordable.is_empty() {
-                break;
-            }
-            let best = if bounds_armed {
-                self.bound_ordered_argmax(
-                    &topology,
-                    sw.as_ref().expect("armed bounds imply computed weights"),
-                    current_stretch,
-                    &affordable,
-                )
-            } else {
-                // One full batch of O(n²) scoring sweeps, fanned out across
-                // cores, then the exact argmax (strict `>` keeps the
-                // earliest pool position on ties).
-                let scores = score_pool_against(
-                    topology.effective_matrix(),
-                    topology.geodesic_matrix(),
-                    topology.traffic(),
-                    sw.as_ref(),
-                    &self.input.candidates,
-                    &affordable,
-                    self.config.parallel,
+            // One batch of O(n²) scoring sweeps, fanned out across cores.
+            let scores: Vec<f64> = affordable
+                .par_iter()
+                .map(|&idx| {
+                    exact_score(
+                        topology.effective_matrix(),
+                        topology.geodesic_matrix(),
+                        topology.traffic(),
+                        None,
+                        &self.input.candidates[idx],
+                    )
+                })
+                .collect();
+            let mut best: Option<(f64, usize)> = None;
+            for (&idx, &with_link) in affordable.iter().zip(&scores) {
+                let score = self.score(
+                    current_stretch - with_link,
+                    self.input.candidates[idx].tower_count,
                 );
-                let mut best: Option<(f64, usize)> = None;
-                for (&idx, &with_link) in affordable.iter().zip(&scores) {
-                    let score = self.score(
-                        current_stretch - with_link,
-                        self.input.candidates[idx].tower_count,
-                    );
-                    if score > self.config.min_gain && (best.is_none() || score > best.unwrap().0) {
-                        best = Some((score, idx));
-                    }
+                if score > self.config.min_gain && (best.is_none() || score > best.unwrap().0) {
+                    best = Some((score, idx));
                 }
-                best
-            };
+            }
             let Some((_, idx)) = best else { break };
             let link = self.input.candidates[idx].clone();
             total_towers += link.tower_count;
@@ -619,82 +474,6 @@ impl<'a> Designer<'a> {
             topology,
             history,
         }
-    }
-
-    /// Bound-ordered exact argmax over `affordable`: the same `(priority,
-    /// index)` winner as the plain scan, exactly scoring only candidates
-    /// whose gain upper bound could still beat the incumbent.
-    ///
-    /// Both scoring rules are monotone in the gain at fixed tower cost, so
-    /// `priority <= self.score(gain_upper_bound, cost)` always holds; a
-    /// candidate whose bound is strictly below the incumbent's exact
-    /// priority (or at most `min_gain`) can therefore never be selected.
-    /// Bounds *equal* to the incumbent priority keep scoring — such a
-    /// candidate could tie exactly and win the earliest-position tie-break.
-    fn bound_ordered_argmax(
-        &self,
-        topology: &HybridTopology,
-        sw: &ScoringWeights,
-        current_stretch: f64,
-        affordable: &[usize],
-    ) -> Option<(f64, usize)> {
-        let effective = topology.effective_matrix();
-        // (priority bound, scan order, candidate index).
-        let mut entries: Vec<(f64, usize, usize)> = affordable
-            .iter()
-            .enumerate()
-            .map(|(ord, &idx)| {
-                let l = &self.input.candidates[idx];
-                let gain_ub =
-                    sw.gain_upper_bound(effective.get(l.site_a, l.site_b), l.mw_length_km);
-                (self.score(gain_ub, l.tower_count), ord, idx)
-            })
-            .filter(|&(bound, _, _)| bound > self.config.min_gain)
-            .collect();
-        // Descending bound; the plain scan's order on equal bounds.
-        entries.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        // Incumbent under the plain scan's tie-break: highest exact
-        // priority, earliest scan order among equals.
-        let mut best: Option<(f64, usize, usize)> = None;
-        const CHUNK: usize = 64;
-        let mut start = 0;
-        while start < entries.len() {
-            if let Some((best_priority, _, _)) = best {
-                if entries[start].0 < best_priority {
-                    break;
-                }
-            }
-            let chunk = &entries[start..(start + CHUNK).min(entries.len())];
-            let chunk_pool: Vec<usize> = chunk.iter().map(|&(_, _, idx)| idx).collect();
-            let scores = score_pool_against(
-                effective,
-                topology.geodesic_matrix(),
-                topology.traffic(),
-                Some(sw),
-                &self.input.candidates,
-                &chunk_pool,
-                self.config.parallel,
-            );
-            for (&(_, ord, idx), &with_link) in chunk.iter().zip(&scores) {
-                let priority = self.score(
-                    current_stretch - with_link,
-                    self.input.candidates[idx].tower_count,
-                );
-                if priority <= self.config.min_gain {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((bp, bo, _)) => priority > bp || (priority == bp && ord < bo),
-                };
-                if better {
-                    best = Some((priority, ord, idx));
-                }
-            }
-            start += CHUNK;
-        }
-        best.map(|(priority, _, idx)| (priority, idx))
     }
 
     /// Pure greedy design at the given tower budget (all useful candidates).
@@ -1026,30 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_scoring_select_identical_designs() {
-        let input = synthetic_input(9);
-        let parallel = Designer::with_config(
-            &input,
-            DesignConfig {
-                parallel: true,
-                ..DesignConfig::default()
-            },
-        )
-        .cisp(35.0);
-        let serial = Designer::with_config(
-            &input,
-            DesignConfig {
-                parallel: false,
-                ..DesignConfig::default()
-            },
-        )
-        .cisp(35.0);
-        assert_eq!(parallel.selected, serial.selected);
-        assert_eq!(parallel.total_towers, serial.total_towers);
-        assert!((parallel.mean_stretch - serial.mean_stretch).abs() < 1e-15);
-    }
-
-    #[test]
     fn selected_links_are_within_candidate_range_and_unique() {
         let input = synthetic_input(7);
         let outcome = Designer::new(&input).cisp(35.0);
@@ -1066,90 +821,6 @@ mod tests {
             .sum();
         assert_eq!(cost, outcome.total_towers);
         assert!((outcome.topology.mean_stretch() - outcome.mean_stretch).abs() < 1e-12);
-    }
-
-    #[test]
-    fn incremental_and_full_rescore_engines_select_identically() {
-        let input = synthetic_input(9);
-        for parallel in [false, true] {
-            let incremental = Designer::with_config(
-                &input,
-                DesignConfig {
-                    engine: ScoringEngine::Incremental,
-                    parallel,
-                    ..DesignConfig::default()
-                },
-            )
-            .cisp(35.0);
-            let full = Designer::with_config(
-                &input,
-                DesignConfig {
-                    engine: ScoringEngine::FullRescore,
-                    parallel,
-                    ..DesignConfig::default()
-                },
-            )
-            .cisp(35.0);
-            assert_eq!(incremental.selected, full.selected, "parallel={parallel}");
-            assert_eq!(incremental.total_towers, full.total_towers);
-            assert!((incremental.mean_stretch - full.mean_stretch).abs() == 0.0);
-            let h_inc: Vec<usize> = incremental
-                .history
-                .iter()
-                .map(|s| s.candidate_index)
-                .collect();
-            let h_full: Vec<usize> = full.history.iter().map(|s| s.candidate_index).collect();
-            assert_eq!(h_inc, h_full);
-        }
-    }
-
-    #[test]
-    fn auto_engine_matches_both_pinned_engines() {
-        let input = synthetic_input(9);
-        // Small pool: Auto must take the full-rescore path...
-        assert!(input.useful_candidates().len() <= AUTO_FULL_RESCORE_MAX_POOL);
-        let auto = Designer::new(&input).cisp(35.0);
-        for engine in [ScoringEngine::Incremental, ScoringEngine::FullRescore] {
-            let pinned = Designer::with_config(
-                &input,
-                DesignConfig {
-                    engine,
-                    ..DesignConfig::default()
-                },
-            )
-            .cisp(35.0);
-            // ...but since both engines select identically, Auto matching
-            // both is the real invariant.
-            assert_eq!(auto.selected, pinned.selected, "{engine:?}");
-            assert!((auto.mean_stretch - pinned.mean_stretch).abs() == 0.0);
-        }
-    }
-
-    #[test]
-    fn incremental_engine_falls_back_on_non_finite_fiber() {
-        // Disconnect one pair in the fiber matrix: the incremental
-        // decomposition no longer applies, and the designer must silently
-        // use the full-rescore reference instead of misbehaving.
-        let mut input = synthetic_input(6);
-        input.fiber_km.set_sym(0, 5, f64::INFINITY);
-        let incremental = Designer::with_config(
-            &input,
-            DesignConfig {
-                engine: ScoringEngine::Incremental,
-                ..DesignConfig::default()
-            },
-        )
-        .greedy(30.0);
-        let full = Designer::with_config(
-            &input,
-            DesignConfig {
-                engine: ScoringEngine::FullRescore,
-                ..DesignConfig::default()
-            },
-        )
-        .greedy(30.0);
-        assert_eq!(incremental.selected, full.selected);
-        assert!((incremental.mean_stretch - full.mean_stretch).abs() == 0.0);
     }
 
     /// `synthetic_input` with uneven traffic and MW detour factors, so the
@@ -1174,6 +845,67 @@ mod tests {
             link.mw_length_km *= 1.0 + 0.5 * unit();
         }
         input
+    }
+
+    /// Bit-level identity of two outcomes: picks, build-out and stretch.
+    fn assert_same_outcome(got: &DesignOutcome, want: &DesignOutcome, what: &str) {
+        assert_eq!(got.selected, want.selected, "{what}");
+        assert_eq!(got.history, want.history, "{what}");
+        assert_eq!(got.total_towers, want.total_towers, "{what}");
+        assert_eq!(
+            got.mean_stretch.to_bits(),
+            want.mean_stretch.to_bits(),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn parallel_and_serial_scoring_select_identical_designs() {
+        // Shard counts are pinned here because `greedy_over` takes one per
+        // core, which is one on a single-core container.
+        for (salt, budget) in [(5, 400.0), (6, 250.0), (7, 2_000.0)] {
+            let input = uneven_input(24, salt);
+            let designer = Designer::new(&input);
+            let pool = input.useful_candidates();
+            let inline = designer.greedy_sharded(&pool, budget, 1);
+            assert!(inline.selected.len() >= 10, "fixture must run many rounds");
+            for shards in [2, 3, 5] {
+                let sharded = designer.greedy_sharded(&pool, budget, shards);
+                assert_same_outcome(&sharded, &inline, &format!("salt {salt}, {shards} shards"));
+            }
+        }
+    }
+
+    #[test]
+    fn pools_smaller_than_the_shard_count_design_like_one_shard() {
+        let input = uneven_input(12, 2);
+        let designer = Designer::new(&input);
+        let useful = input.useful_candidates();
+        for len in 0..=3 {
+            let pool = &useful[..len];
+            let inline = designer.greedy_sharded(pool, 500.0, 1);
+            let sharded = designer.greedy_sharded(pool, 500.0, 5);
+            assert_same_outcome(&sharded, &inline, &format!("pool of {len}"));
+            assert!(inline.selected.iter().all(|idx| pool.contains(idx)));
+            assert_eq!(inline.selected.is_empty(), len == 0);
+        }
+    }
+
+    #[test]
+    fn incremental_and_full_rescore_engines_select_identically() {
+        // The plain loop only ever runs where the incremental engine cannot;
+        // on inputs both accept it must be the same greedy.
+        for (input, budget) in [
+            (synthetic_input(9), 35.0),
+            (uneven_input(16, 2), 200.0),
+            (uneven_input(20, 3), 300.0),
+        ] {
+            let designer = Designer::new(&input);
+            let pool = input.useful_candidates();
+            let incremental = designer.greedy_over(&pool, budget);
+            let plain = designer.greedy_rescore(&pool, budget);
+            assert_same_outcome(&incremental, &plain, "incremental vs plain rescore");
+        }
     }
 
     #[test]
@@ -1273,18 +1005,5 @@ mod tests {
         assert_eq!(counters, SwapPolishStats::default());
         assert!(stats.wall_ms > 0.0);
         assert_eq!(none.0.selected, greedy_picks);
-    }
-
-    #[test]
-    fn score_candidates_serial_and_parallel_agree() {
-        let input = synthetic_input(8);
-        let topology = input.empty_topology();
-        let pool = input.useful_candidates();
-        let serial = score_candidates(&topology, &input.candidates, &pool, false);
-        let parallel = score_candidates(&topology, &input.candidates, &pool, true);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert!((s - p).abs() == 0.0, "serial {s} vs parallel {p}");
-        }
     }
 }

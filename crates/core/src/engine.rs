@@ -29,7 +29,7 @@
 //! it. The residual caveat: candidates whose exact scores tie to within the
 //! repair's ulp-level noise (~1e-14 relative) could in principle be ranked
 //! differently than by full rescoring; the parity property tests pin the
-//! two engines equal on every fixture tried.
+//! engine to a naive full-rescoring greedy on every fixture tried.
 //!
 //! Parallelism comes from **persistent worker shards** ([`ShardPool`]):
 //! instead of re-fanning a fresh rayon batch per scoring round, worker
@@ -73,13 +73,12 @@ pub struct ScoreContext<'a> {
     /// matrix. The designer write-locks it between rounds; shards read-lock
     /// it while scoring.
     pub matrix: &'a RwLock<DistMatrix>,
-    /// Compacted per-run scoring weights ([`ScoringWeights::compute`]),
-    /// when the run's starting matrix admits them. `Some` routes every
-    /// exact score through the vectorised compact kernel and feeds the
-    /// repair sweeps' `h/g` weights; `None` (some scored pair unreachable)
-    /// keeps everything on the scalar kernel — which the incremental
-    /// engine never does, since it falls back to full rescoring instead.
-    pub sw: Option<&'a ScoringWeights>,
+    /// Compacted per-run scoring weights ([`ScoringWeights::compute`]
+    /// against the run's starting matrix): every exact score goes through
+    /// the vectorised compact kernel, and the repair sweeps read their `h/g`
+    /// weights from here. A run whose starting matrix admits none has no
+    /// cached predictions to repair and never builds a context.
+    pub sw: &'a ScoringWeights,
 }
 
 impl ScoreContext<'_> {
@@ -90,7 +89,7 @@ impl ScoreContext<'_> {
             matrix,
             self.geodesic,
             self.traffic,
-            self.sw,
+            Some(self.sw),
             &self.candidates[self.pool[pos]],
         )
     }
@@ -515,9 +514,7 @@ impl ShardState {
         let pairs = pair_count(n);
         let improved_len = update.improved.len();
         debug_assert_eq!(self.by_m.len(), self.range.len(), "init_score not run");
-        let sw = ctx
-            .sw
-            .expect("incremental repair requires precomputed ScoringWeights");
+        let sw = ctx.sw;
         let mut in_affected = vec![false; n];
         let mut affected: Vec<u32> = Vec::with_capacity(n);
         let mut blockmin: Vec<f64> = Vec::with_capacity(2 * n.div_ceil(REPAIR_BLOCK));
@@ -672,10 +669,9 @@ impl ShardPool {
     }
 }
 
-/// The designer-facing scorer: a single inline shard on the serial path, a
-/// [`ShardPool`] on the parallel path. Identical numbers either way — the
-/// shard math is shared — so `DesignConfig::parallel` stays a pure
-/// performance switch.
+/// The designer-facing scorer: a single inline shard when the run has one
+/// shard, a [`ShardPool`] otherwise. Identical numbers either way — the
+/// shard math is shared — so the shard count never changes a design.
 pub enum PoolScorer {
     /// One shard spanning the whole pool, run on the calling thread.
     Inline(Box<ShardState>),
@@ -769,7 +765,7 @@ mod tests {
             geodesic: &geodesic,
             traffic: &traffic,
             matrix: &matrix,
-            sw: Some(&sw),
+            sw: &sw,
         };
         let mut scorer = PoolScorer::inline(pool.len());
         let mut values = vec![0.0; pool.len()];
@@ -820,7 +816,7 @@ mod tests {
             geodesic: &geodesic,
             traffic: &traffic,
             matrix: &matrix,
-            sw: Some(&sw),
+            sw: &sw,
         };
         let mut state = ShardState::new(0..pool.len());
         state.init_score(&ctx);
@@ -863,7 +859,7 @@ mod tests {
             geodesic: &geodesic,
             traffic: &traffic,
             matrix: &matrix,
-            sw: Some(&sw),
+            sw: &sw,
         };
         let mut state = ShardState::new(0..pool.len());
         state.init_score(&ctx);

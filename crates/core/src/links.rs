@@ -233,95 +233,6 @@ impl<'a> LinkBuilder<'a> {
         })
     }
 
-    /// Compute candidate links for every connected pair of sites.
-    ///
-    /// Runs one single-source search per site over the combined graph and
-    /// extracts every site-to-site path, so the overall cost is `S`
-    /// single-source runs rather than `S²` point-to-point runs. The search
-    /// runs on the CSR core ([`SearchCore`]) with multi-target early
-    /// termination: once every site `b > a` is settled the frontier is
-    /// abandoned. Settle order and distances match the exhaustive
-    /// binary-heap Dijkstra bitwise (pinned in `tests/design_pool_pruning.rs`).
-    pub fn all_candidate_links(&self) -> Vec<CandidateLink> {
-        self.all_candidate_links_with(1)
-    }
-
-    /// [`Self::all_candidate_links`] fanned out over `workers` threads
-    /// (`0` = one per core). Sites are split into contiguous chunks and the
-    /// per-chunk results concatenated in order, so the output is identical
-    /// to the serial run for every worker count.
-    pub fn all_candidate_links_with(&self, workers: usize) -> Vec<CandidateLink> {
-        self.all_candidate_links_profiled(workers).0
-    }
-
-    /// [`Self::all_candidate_links_with`] plus a wall-clock split of the
-    /// search and extraction stages (summed across workers).
-    pub fn all_candidate_links_profiled(
-        &self,
-        workers: usize,
-    ) -> (Vec<CandidateLink>, PoolSearchTimings) {
-        let n = self.sites.len();
-        let workers = resolve_workers(workers);
-        if workers <= 1 || n <= 2 {
-            let mut ctx = SiteSearchCtx::default();
-            let mut links = Vec::new();
-            for a in 0..n {
-                self.full_links_for_site(a, &mut ctx, &mut links);
-            }
-            return (links, ctx.timings);
-        }
-        use rayon::prelude::*;
-        let chunks = chunk_ranges(n, workers);
-        let per_chunk: Vec<(Vec<CandidateLink>, PoolSearchTimings)> = chunks
-            .into_par_iter()
-            .map(|(start, end)| {
-                let mut ctx = SiteSearchCtx::default();
-                let mut links = Vec::new();
-                for a in start..end {
-                    self.full_links_for_site(a, &mut ctx, &mut links);
-                }
-                (links, ctx.timings)
-            })
-            .collect();
-        let mut links = Vec::new();
-        let mut timings = PoolSearchTimings::default();
-        for (chunk_links, chunk_timings) in per_chunk {
-            links.extend(chunk_links);
-            timings.absorb(chunk_timings);
-        }
-        (links, timings)
-    }
-
-    /// Search from site `a` and append the links to every site `b > a`.
-    fn full_links_for_site(
-        &self,
-        a: usize,
-        ctx: &mut SiteSearchCtx,
-        links: &mut Vec<CandidateLink>,
-    ) {
-        let n = self.sites.len();
-        if a + 1 >= n {
-            return;
-        }
-        ctx.nodes.clear();
-        ctx.nodes.extend((a + 1..n).map(|b| self.site_node(b)));
-        let t0 = Instant::now();
-        ctx.core
-            .search(&self.csr, self.site_node(a), &ctx.nodes, f64::INFINITY);
-        ctx.timings.search_ms += t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        for b in (a + 1)..n {
-            let node = self.site_node(b);
-            if ctx.core.node_path_into(node, &mut ctx.path) {
-                // Paths that route *through* another site node are still
-                // valid microwave paths (the intermediate site hosts
-                // towers); we only count towers for cost purposes.
-                links.push(self.assemble_link(a, b, ctx.core.dist(node), &ctx.path));
-            }
-        }
-        ctx.timings.extract_ms += t1.elapsed().as_secs_f64() * 1e3;
-    }
-
     /// Build a [`CandidateLink`] from an extracted node path.
     fn assemble_link(&self, a: usize, b: usize, dist_km: f64, nodes: &[usize]) -> CandidateLink {
         let interior = if nodes.len() <= 2 {
@@ -343,45 +254,22 @@ impl<'a> LinkBuilder<'a> {
         }
     }
 
-    /// Compute candidate links for every connected pair of sites, pruned
-    /// against the fiber oracle *during* generation instead of after it.
+    /// Compute the candidate links that beat fiber: for every pair of sites
+    /// the tower graph connects, the link [`Self::candidate_link`] finds,
+    /// kept only if it survives the fiber-oracle elimination
+    /// (`mw_length_km < fiber_km[a][b]`), in a-major b-ascending order —
+    /// pinned to the pointwise queries by `tests/design_pool_pruning.rs`.
     ///
-    /// Exactly the links of [`Self::all_candidate_links`] that survive the
-    /// fiber-oracle elimination (`mw_length_km < fiber_km[a][b]`) are
-    /// emitted, bit-identical and in the same a-major b-ascending order —
-    /// pinned by `tests/design_pool_pruning.rs` — but three bounds avoid
-    /// paying for provably useless pairs:
+    /// Runs one single-source search per site over the CSR core
+    /// ([`SearchCore`]) and extracts every site-to-site path from it, so the
+    /// cost is `S` single-source runs rather than `S²` point-to-point runs.
+    /// The search stops once every site `b > a` is settled, and abandons its
+    /// frontier beyond the largest fiber distance of those sites: a tower
+    /// path longer than every remaining oracle cannot be emitted anyway.
     ///
-    /// 1. **Grid bound**: sites are bucketed into a geographic grid; a whole
-    ///    bucket is skipped for source `a` when even its *closest possible*
-    ///    member (`geodesic(a, centroid) − radius`, a triangle-inequality
-    ///    lower bound that holds wherever the centroid lands) is at least
-    ///    the bucket's largest fiber distance from `a` — a microwave path
-    ///    can never be shorter than the geodesic, so no member can beat
-    ///    fiber.
-    /// 2. **Pair bound**: same test per surviving pair with the exact
-    ///    geodesic.
-    /// 3. **Search bound**: the per-source Dijkstra abandons its frontier
-    ///    beyond the largest fiber distance of the surviving targets
-    ///    ([`dijkstra::shortest_path_tree_within`]); tower paths longer than
-    ///    every remaining oracle are unextractable anyway.
-    ///
-    /// All three prune only candidates the oracle would discard: the bounds
-    /// sit a safety margin (`GEO_SAFETY_KM`) above the exact `<` comparison,
-    /// so float noise in summed geodesic legs cannot drop a useful link.
-    pub fn pruned_candidate_links(
-        &self,
-        fiber_km: &DistMatrix,
-    ) -> (Vec<CandidateLink>, PoolPruneStats) {
-        let (links, stats, _) = self.pruned_candidate_links_profiled(fiber_km, 1);
-        (links, stats)
-    }
-
-    /// [`Self::pruned_candidate_links`] fanned out over `workers` threads
-    /// (`0` = one per core). Deterministic: sites are split into contiguous
-    /// chunks, chunk outputs concatenated in order and stats summed, so
-    /// links and stats are identical to the serial run for every worker
-    /// count.
+    /// `workers` threads share the sites (`0` = one per core) as contiguous
+    /// chunks whose outputs are concatenated in order and whose stats are
+    /// summed, so links and stats are identical for every worker count.
     pub fn pruned_candidate_links_with(
         &self,
         fiber_km: &DistMatrix,
@@ -400,7 +288,6 @@ impl<'a> LinkBuilder<'a> {
     ) -> (Vec<CandidateLink>, PoolPruneStats, PoolSearchTimings) {
         let n = self.sites.len();
         assert_eq!(fiber_km.n(), n, "fiber matrix size must match site count");
-        let grid = SiteGrid::build(self.sites);
         let workers = resolve_workers(workers);
         let mut stats = PoolPruneStats {
             pairs_total: (n * n.saturating_sub(1) / 2) as u64,
@@ -411,7 +298,7 @@ impl<'a> LinkBuilder<'a> {
         if workers <= 1 || n <= 2 {
             let mut ctx = SiteSearchCtx::default();
             for a in 0..n {
-                self.pruned_links_for_site(a, fiber_km, &grid, &mut ctx, &mut links, &mut stats);
+                self.pruned_links_for_site(a, fiber_km, &mut ctx, &mut links, &mut stats);
             }
             timings = ctx.timings;
         } else {
@@ -427,7 +314,6 @@ impl<'a> LinkBuilder<'a> {
                         self.pruned_links_for_site(
                             a,
                             fiber_km,
-                            &grid,
                             &mut ctx,
                             &mut chunk_links,
                             &mut chunk_stats,
@@ -438,8 +324,6 @@ impl<'a> LinkBuilder<'a> {
                 .collect();
             for (chunk_links, chunk_stats, chunk_timings) in per_chunk {
                 links.extend(chunk_links);
-                stats.bucket_pruned += chunk_stats.bucket_pruned;
-                stats.pair_pruned += chunk_stats.pair_pruned;
                 stats.unreachable += chunk_stats.unreachable;
                 stats.oracle_dropped += chunk_stats.oracle_dropped;
                 stats.emitted += chunk_stats.emitted;
@@ -449,77 +333,44 @@ impl<'a> LinkBuilder<'a> {
         (links, stats, timings)
     }
 
-    /// Run the pruned generation for source site `a`: bucket and pair
-    /// bounds, then one capped multi-target search over the CSR core.
+    /// Run the generation for source site `a`: one capped multi-target
+    /// search over the CSR core, then the oracle filter per target.
     fn pruned_links_for_site(
         &self,
         a: usize,
         fiber_km: &DistMatrix,
-        grid: &SiteGrid,
         ctx: &mut SiteSearchCtx,
         links: &mut Vec<CandidateLink>,
         stats: &mut PoolPruneStats,
     ) {
-        // Margin between "geodesic already at fiber" and the prune decision:
-        // microwave path lengths are sums of geodesic legs, mathematically
-        // >= the direct geodesic but computed with ~ulp noise. One
-        // millimetre dwarfs that noise by many orders of magnitude while
-        // pruning everything the oracle would reject by more than it.
-        const GEO_SAFETY_KM: f64 = 1e-6;
-        let fib_row = fiber_km.row(a);
-        ctx.targets.clear();
-        for bucket in &grid.buckets {
-            // Members paired as (a, b) with b > a only, so every
-            // unordered pair is examined exactly once.
-            let members = || bucket.members.iter().copied().filter(|&b| b > a);
-            let pairs = members().count();
-            if pairs == 0 {
-                continue;
-            }
-            let max_fib = members().fold(0.0f64, |acc, b| acc.max(fib_row[b]));
-            let lb_geo =
-                (geodesic::distance_km(self.sites[a], bucket.centroid) - bucket.radius_km).max(0.0);
-            if lb_geo >= max_fib + GEO_SAFETY_KM {
-                stats.bucket_pruned += pairs as u64;
-                continue;
-            }
-            for b in members() {
-                if geodesic::distance_km(self.sites[a], self.sites[b]) >= fib_row[b] + GEO_SAFETY_KM
-                {
-                    stats.pair_pruned += 1;
-                } else {
-                    ctx.targets.push(b);
-                }
-            }
-        }
-        if ctx.targets.is_empty() {
+        let n = self.sites.len();
+        if a + 1 >= n {
             return;
         }
-        ctx.targets.sort_unstable();
+        let fib_row = fiber_km.row(a);
         // Every settled distance below the cap is bit-identical to the
         // unbounded run's, and every unsettled node's tentative distance
         // exceeds the cap — so the strict `< fiber` extraction below sees
         // exactly the unbounded run's output. The search additionally stops
         // once every target is settled; that only skips work past the last
         // extraction the loop below would perform.
-        let cap = ctx
-            .targets
-            .iter()
-            .fold(0.0f64, |acc, &b| acc.max(fib_row[b]));
+        let cap = fib_row[a + 1..].iter().copied().fold(0.0f64, f64::max);
         ctx.nodes.clear();
-        ctx.nodes
-            .extend(ctx.targets.iter().map(|&b| self.site_node(b)));
+        ctx.nodes.extend((a + 1..n).map(|b| self.site_node(b)));
         let t0 = Instant::now();
         ctx.core
             .search(&self.csr, self.site_node(a), &ctx.nodes, cap);
         ctx.timings.search_ms += t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
-        for &b in &ctx.targets {
+        for (b, &fiber) in fib_row.iter().enumerate().skip(a + 1) {
             let node = self.site_node(b);
             let dist = ctx.core.dist(node);
             if !dist.is_finite() {
                 stats.unreachable += 1;
-            } else if dist < fib_row[b] {
+            } else if dist < fiber {
+                // Paths that route *through* another site node are still
+                // valid microwave paths (the intermediate site hosts
+                // towers); we only count towers for cost purposes.
                 let found = ctx.core.node_path_into(node, &mut ctx.path);
                 assert!(found, "settled node has a path");
                 links.push(self.assemble_link(a, b, dist, &ctx.path));
@@ -538,8 +389,6 @@ impl<'a> LinkBuilder<'a> {
 #[derive(Default)]
 struct SiteSearchCtx {
     core: SearchCore,
-    /// Surviving target *site* indices (pruned mode scratch).
-    targets: Vec<usize>,
     /// Target *node* ids handed to the search core.
     nodes: Vec<usize>,
     /// Extracted node path scratch.
@@ -547,17 +396,13 @@ struct SiteSearchCtx {
     timings: PoolSearchTimings,
 }
 
-/// Observational counters of one [`LinkBuilder::pruned_candidate_links`]
-/// run: how each unordered site pair was resolved. The categories partition
-/// `pairs_total`.
+/// Observational counters of one
+/// [`LinkBuilder::pruned_candidate_links_with`] run: how each unordered site
+/// pair was resolved. The categories partition `pairs_total`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolPruneStats {
     /// Unordered site pairs considered (`n·(n−1)/2`).
     pub pairs_total: u64,
-    /// Pairs discarded wholesale by the grid-bucket geodesic lower bound.
-    pub bucket_pruned: u64,
-    /// Pairs discarded by the exact per-pair geodesic-vs-fiber bound.
-    pub pair_pruned: u64,
     /// Pairs whose tower search found no path within the fiber cap at all.
     pub unreachable: u64,
     /// Pairs whose tower path exists but is no shorter than fiber (includes
@@ -565,78 +410,6 @@ pub struct PoolPruneStats {
     pub oracle_dropped: u64,
     /// Pairs emitted as useful candidate links.
     pub emitted: u64,
-}
-
-impl PoolPruneStats {
-    /// Fraction of pairs resolved without running a tower-path search
-    /// (grid- or pair-bounded out), in `[0, 1]`.
-    pub fn generation_prune_ratio(&self) -> f64 {
-        if self.pairs_total == 0 {
-            0.0
-        } else {
-            (self.bucket_pruned + self.pair_pruned) as f64 / self.pairs_total as f64
-        }
-    }
-}
-
-/// A geographic bucketing of the sites: grid cells over the lat/lon
-/// bounding box, each carrying its member centroid and covering radius.
-/// Only the *bound* `geodesic(x, member) >= geodesic(x, centroid) − radius`
-/// is relied on, which the triangle inequality gives for any centroid — a
-/// skewed centroid (e.g. near the antimeridian) only weakens pruning,
-/// never correctness.
-struct SiteGrid {
-    buckets: Vec<SiteBucket>,
-}
-
-struct SiteBucket {
-    /// Site indices in this cell, ascending.
-    members: Vec<usize>,
-    centroid: GeoPoint,
-    radius_km: f64,
-}
-
-impl SiteGrid {
-    fn build(sites: &[GeoPoint]) -> Self {
-        let side = (sites.len() as f64).sqrt().ceil().max(1.0) as usize;
-        let mut min_lat = f64::INFINITY;
-        let mut max_lat = f64::NEG_INFINITY;
-        let mut min_lon = f64::INFINITY;
-        let mut max_lon = f64::NEG_INFINITY;
-        for p in sites {
-            min_lat = min_lat.min(p.lat_deg);
-            max_lat = max_lat.max(p.lat_deg);
-            min_lon = min_lon.min(p.lon_deg);
-            max_lon = max_lon.max(p.lon_deg);
-        }
-        let dlat = ((max_lat - min_lat) / side as f64).max(1e-9);
-        let dlon = ((max_lon - min_lon) / side as f64).max(1e-9);
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); side * side];
-        for (i, p) in sites.iter().enumerate() {
-            let r = (((p.lat_deg - min_lat) / dlat) as usize).min(side - 1);
-            let c = (((p.lon_deg - min_lon) / dlon) as usize).min(side - 1);
-            members[r * side + c].push(i);
-        }
-        let buckets = members
-            .into_iter()
-            .filter(|m| !m.is_empty())
-            .map(|m| {
-                let lat = m.iter().map(|&i| sites[i].lat_deg).sum::<f64>() / m.len() as f64;
-                let lon = m.iter().map(|&i| sites[i].lon_deg).sum::<f64>() / m.len() as f64;
-                let centroid = GeoPoint::new(lat, lon);
-                let radius_km = m
-                    .iter()
-                    .map(|&i| geodesic::distance_km(centroid, sites[i]))
-                    .fold(0.0, f64::max);
-                SiteBucket {
-                    members: m,
-                    centroid,
-                    radius_km,
-                }
-            })
-            .collect();
-        Self { buckets }
-    }
 }
 
 #[cfg(test)]
@@ -666,6 +439,22 @@ mod tests {
             towers.push(tower(p.lat_deg, p.lon_deg));
         }
         (vec![site_a, site_b], TowerRegistry::from_towers(towers))
+    }
+
+    /// Fiber at `factor ×` the geodesic between every pair of sites.
+    fn scaled_geodesic(sites: &[GeoPoint], factor: f64) -> DistMatrix {
+        DistMatrix::from_fn(sites.len(), |i, j| {
+            geodesic::distance_km(sites[i], sites[j]) * factor
+        })
+    }
+
+    /// The pool oracle: one point-to-point query per pair (adjacency-list
+    /// Dijkstra, no search core), a-major b-ascending.
+    fn pointwise_links(builder: &LinkBuilder, n: usize) -> Vec<CandidateLink> {
+        (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .filter_map(|(a, b)| builder.candidate_link(a, b))
+            .collect()
     }
 
     fn feasible_hops(reg: &TowerRegistry) -> Vec<crate::hops::FeasibleHop> {
@@ -702,18 +491,20 @@ mod tests {
         let sites = vec![site_a, site_b];
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
         assert!(builder.candidate_link(0, 1).is_none());
-        assert_eq!(builder.all_candidate_links().len(), 0);
+        let (pool, stats) = builder.pruned_candidate_links_with(&scaled_geodesic(&sites, 2.0), 1);
+        assert!(pool.is_empty());
+        assert_eq!((stats.pairs_total, stats.unreachable), (1, 1));
     }
 
     #[test]
-    fn all_candidate_links_matches_pointwise_queries() {
+    fn pool_generation_matches_pointwise_queries() {
         let (sites, reg) = chain_setup();
         let hops = feasible_hops(&reg);
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
-        let all = builder.all_candidate_links();
-        assert_eq!(all.len(), 1);
+        let (pool, _) = builder.pruned_candidate_links_with(&scaled_geodesic(&sites, 2.0), 1);
+        assert_eq!(pool.len(), 1);
         let single = builder.candidate_link(0, 1).unwrap();
-        assert_eq!(all[0], single);
+        assert_eq!(pool[0], single);
     }
 
     #[test]
@@ -796,13 +587,11 @@ mod tests {
         let (sites, reg) = corridor_setup();
         let hops = feasible_hops(&reg);
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
-        let full = builder.all_candidate_links();
+        let full = pointwise_links(&builder, sites.len());
         assert!(!full.is_empty());
         // Generous fiber (2× geodesic): every tower path is useful.
-        let fiber = DistMatrix::from_fn(sites.len(), |i, j| {
-            geodesic::distance_km(sites[i], sites[j]) * 2.0
-        });
-        let (pruned, stats) = builder.pruned_candidate_links(&fiber);
+        let fiber = scaled_geodesic(&sites, 2.0);
+        let (pruned, stats) = builder.pruned_candidate_links_with(&fiber, 1);
         let filtered: Vec<CandidateLink> = full
             .iter()
             .filter(|l| l.mw_length_km < fiber.get(l.site_a, l.site_b))
@@ -811,11 +600,7 @@ mod tests {
         assert_eq!(pruned, filtered);
         assert_eq!(stats.emitted, pruned.len() as u64);
         assert_eq!(
-            stats.bucket_pruned
-                + stats.pair_pruned
-                + stats.unreachable
-                + stats.oracle_dropped
-                + stats.emitted,
+            stats.unreachable + stats.oracle_dropped + stats.emitted,
             stats.pairs_total
         );
     }
@@ -825,18 +610,16 @@ mod tests {
         let (sites, reg) = corridor_setup();
         let hops = feasible_hops(&reg);
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
-        // Fiber at 0.9× geodesic: no microwave path can beat it anywhere, so
-        // every pair must be bounded out before any Dijkstra pays for it.
-        let fiber = DistMatrix::from_fn(sites.len(), |i, j| {
-            geodesic::distance_km(sites[i], sites[j]) * 0.9
-        });
-        let (pruned, stats) = builder.pruned_candidate_links(&fiber);
+        // Fiber at 0.9× geodesic (not physical): no microwave path can beat
+        // it anywhere, so the oracle filter or the search cap drops every
+        // pair.
+        let fiber = scaled_geodesic(&sites, 0.9);
+        let (pruned, stats) = builder.pruned_candidate_links_with(&fiber, 1);
         assert!(pruned.is_empty());
-        assert_eq!(stats.bucket_pruned + stats.pair_pruned, stats.pairs_total);
-        assert_eq!(stats.generation_prune_ratio(), 1.0);
-        // And the full generation still finds links — the prune, not the
-        // tower graph, removed them.
-        assert!(!builder.all_candidate_links().is_empty());
+        assert_eq!(stats.unreachable + stats.oracle_dropped, stats.pairs_total);
+        // And the pointwise queries still find the tower paths — the
+        // oracle, not the tower graph, removed them.
+        assert!(!pointwise_links(&builder, sites.len()).is_empty());
     }
 
     #[test]
@@ -874,13 +657,9 @@ mod tests {
         let (sites, reg) = corridor_setup();
         let hops = feasible_hops(&reg);
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
-        let fiber = DistMatrix::from_fn(sites.len(), |i, j| {
-            geodesic::distance_km(sites[i], sites[j]) * 1.3
-        });
-        let serial_full = builder.all_candidate_links();
-        let (serial_pruned, serial_stats) = builder.pruned_candidate_links(&fiber);
+        let fiber = scaled_geodesic(&sites, 1.3);
+        let (serial_pruned, serial_stats) = builder.pruned_candidate_links_with(&fiber, 1);
         for workers in [0, 2, 3, 7] {
-            assert_eq!(builder.all_candidate_links_with(workers), serial_full);
             let (pruned, stats) = builder.pruned_candidate_links_with(&fiber, workers);
             assert_eq!(pruned, serial_pruned);
             assert_eq!(stats, serial_stats);
@@ -892,15 +671,15 @@ mod tests {
         let (sites, reg) = corridor_setup();
         let hops = feasible_hops(&reg);
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
-        let fiber = DistMatrix::from_fn(sites.len(), |i, j| {
-            geodesic::distance_km(sites[i], sites[j]) * 2.0
-        });
-        let (expected, expected_stats) = builder.pruned_candidate_links(&fiber);
+        let fiber = scaled_geodesic(&sites, 2.0);
         let (pool, stats, timings) = builder.pruned_candidate_links_profiled(&fiber, 1);
-        assert_eq!(pool, expected);
-        assert_eq!(stats, expected_stats);
-        assert!(timings.search_ms >= 0.0 && timings.extract_ms >= 0.0);
         assert!(!pool.is_empty());
+        assert_eq!(pool, pointwise_links(&builder, sites.len()));
+        assert_eq!(
+            (pool, stats),
+            builder.pruned_candidate_links_with(&fiber, 1)
+        );
+        assert!(timings.search_ms >= 0.0 && timings.extract_ms >= 0.0);
     }
 
     #[test]

@@ -66,26 +66,6 @@ pub struct ScenarioConfig {
     pub links: LinkBuilderConfig,
     /// Design heuristic parameters.
     pub design: DesignConfig,
-    /// Generate candidates with the fiber-oracle-bounded pruned path
-    /// ([`LinkBuilder::pruned_candidate_links`], the default) instead of
-    /// the exhaustive one. Either way the design input holds exactly the
-    /// links that survive the oracle — the flag exists so benchmarks and
-    /// parity tests can pay for (and compare against) the unpruned pool.
-    #[serde(default = "default_true")]
-    pub prune_candidates: bool,
-    /// Worker threads for the pool build (hop sweep + per-site searches):
-    /// `0` = one per core, `1` = serial. The pool is identical for every
-    /// value — sites are sharded into contiguous chunks merged in order —
-    /// so this only trades wall-clock for cores.
-    #[serde(default)]
-    pub pool_workers: usize,
-}
-
-// Referenced by the `serde(default)` attribute above; the offline serde
-// shim's no-op derive never expands that reference, hence the allow.
-#[allow(dead_code)]
-fn default_true() -> bool {
-    true
 }
 
 impl ScenarioConfig {
@@ -103,8 +83,6 @@ impl ScenarioConfig {
             fiber: FiberConfig::default(),
             links: LinkBuilderConfig::default(),
             design: DesignConfig::default(),
-            prune_candidates: true,
-            pool_workers: 0,
         }
     }
 
@@ -133,8 +111,6 @@ impl ScenarioConfig {
             fiber: FiberConfig::default(),
             links: LinkBuilderConfig::default(),
             design: DesignConfig::default(),
-            prune_candidates: true,
-            pool_workers: 0,
         }
     }
 
@@ -150,9 +126,8 @@ impl ScenarioConfig {
 
 /// Wall-clock split of one [`Scenario::build`] candidate-pool build.
 ///
-/// `search_ms`/`extract_ms` are summed across workers, so with
-/// `pool_workers > 1` they can exceed their share of the elapsed
-/// `total_ms`.
+/// `search_ms`/`extract_ms` are summed across workers (one per core), so
+/// they can exceed their share of the elapsed `total_ms`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PoolBuildProfile {
     /// Hop feasibility sweep (terrain/Fresnel clearance over all pairs).
@@ -176,7 +151,7 @@ pub struct Scenario {
     towers: TowerRegistry,
     fiber: FiberNetwork,
     input: DesignInput,
-    pool_stats: Option<PoolPruneStats>,
+    pool_stats: PoolPruneStats,
     pool_profile: PoolBuildProfile,
     attachment: AttachmentReport,
 }
@@ -224,7 +199,8 @@ impl Scenario {
         let sites: Vec<GeoPoint> = cities.iter().map(|c| c.location).collect();
         let build_start = Instant::now();
         let feasibility = HopFeasibility::new(&towers, &terrain, &clutter, config.hops);
-        let (hops, hop_sweep) = feasibility.all_feasible_hops_profiled(config.pool_workers);
+        // `0` workers: one per core, for the sweep and the searches alike.
+        let (hops, hop_sweep) = feasibility.all_feasible_hops_profiled(0);
         let hop_sweep_ms = build_start.elapsed().as_secs_f64() * 1e3;
 
         let attach_start = Instant::now();
@@ -234,14 +210,8 @@ impl Scenario {
 
         let traffic = population_product_traffic(&cities);
         let fiber_km = fiber.latency_equivalent_matrix();
-        let (candidates, pool_stats, timings) = if config.prune_candidates {
-            let (links, stats, timings) =
-                builder.pruned_candidate_links_profiled(&fiber_km, config.pool_workers);
-            (links, Some(stats), timings)
-        } else {
-            let (links, timings) = builder.all_candidate_links_profiled(config.pool_workers);
-            (links, None, timings)
-        };
+        let (candidates, pool_stats, timings) =
+            builder.pruned_candidate_links_profiled(&fiber_km, 0);
         let pool_profile = PoolBuildProfile {
             hop_sweep_ms,
             attach_ms,
@@ -295,9 +265,9 @@ impl Scenario {
         &self.input
     }
 
-    /// Candidate-generation pruning counters, when the scenario was built
-    /// with `prune_candidates` (None on the exhaustive path).
-    pub fn pool_stats(&self) -> Option<PoolPruneStats> {
+    /// How the pool build resolved each site pair: no tower path, a tower
+    /// path no shorter than fiber, or a candidate.
+    pub fn pool_stats(&self) -> PoolPruneStats {
         self.pool_stats
     }
 
@@ -312,8 +282,7 @@ impl Scenario {
         &self.attachment
     }
 
-    /// Run the cISP design heuristic at a tower budget (on the incremental
-    /// delta-scoring engine unless `config.design.engine` says otherwise).
+    /// Run the cISP design heuristic at a tower budget.
     pub fn design(&self, budget_towers: f64) -> DesignOutcome {
         Designer::with_config(&self.input, self.config.design).cisp(budget_towers)
     }
@@ -487,17 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_designs_identically_on_both_scoring_engines() {
-        use crate::design::ScoringEngine;
-        let mut full_config = ScenarioConfig::tiny_test();
-        full_config.design.engine = ScoringEngine::FullRescore;
-        let incremental = tiny().design(250.0);
-        let full = Scenario::build(&full_config).design(250.0);
-        assert_eq!(incremental.selected, full.selected);
-        assert!((incremental.mean_stretch - full.mean_stretch).abs() == 0.0);
-    }
-
-    #[test]
     fn conduit_backed_topology_is_bit_identical_to_the_designed_one() {
         let s = tiny();
         let outcome = s.design(250.0);
@@ -520,38 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn pruned_and_unpruned_scenarios_design_identically() {
-        let pruned = tiny();
-        let mut config = ScenarioConfig::tiny_test();
-        config.prune_candidates = false;
-        let unpruned = Scenario::build(&config);
-        // The pruned pool is exactly the oracle-surviving subset of the
-        // exhaustive pool, link for link.
-        let useful = unpruned.design_input().useful_candidates();
-        assert_eq!(pruned.design_input().candidates.len(), useful.len());
-        for (p, &u) in pruned.design_input().candidates.iter().zip(&useful) {
-            assert_eq!(p, &unpruned.design_input().candidates[u]);
-        }
-        assert!(pruned.pool_stats().is_some());
-        assert!(unpruned.pool_stats().is_none());
-        // Candidate indices differ between the two pools, so compare the
-        // selected links as physical (site_a, site_b, length) tuples.
-        let key = |s: &Scenario, o: &DesignOutcome| -> Vec<(usize, usize, f64)> {
-            o.selected
-                .iter()
-                .map(|&i| {
-                    let l = &s.design_input().candidates[i];
-                    (l.site_a, l.site_b, l.mw_length_km)
-                })
-                .collect()
-        };
-        let a = pruned.design(250.0);
-        let b = unpruned.design(250.0);
-        assert_eq!(key(&pruned, &a), key(&unpruned, &b));
-        assert!((a.mean_stretch - b.mean_stretch).abs() == 0.0);
-    }
-
-    #[test]
     fn pool_profile_and_attachment_report_are_populated() {
         let s = tiny();
         let profile = s.pool_profile();
@@ -564,19 +490,20 @@ mod tests {
         // The tiny scenario's registry seeds towers near every city, so no
         // site should be stranded.
         assert!(report.zero_attached().is_empty());
-    }
-
-    #[test]
-    fn pool_workers_do_not_change_the_pool() {
-        let auto = tiny(); // pool_workers = 0 (one per core)
-        let mut serial_config = ScenarioConfig::tiny_test();
-        serial_config.pool_workers = 1;
-        let serial = Scenario::build(&serial_config);
+        // Every pair is accounted for, and the pool holds only what beats
+        // fiber.
+        let stats = s.pool_stats();
+        let n = s.cities().len() as u64;
+        assert_eq!(stats.pairs_total, n * (n - 1) / 2);
         assert_eq!(
-            auto.design_input().candidates,
-            serial.design_input().candidates
+            stats.unreachable + stats.oracle_dropped + stats.emitted,
+            stats.pairs_total
         );
-        assert_eq!(auto.pool_stats(), serial.pool_stats());
+        assert_eq!(stats.emitted as usize, s.design_input().candidates.len());
+        assert_eq!(
+            s.design_input().useful_candidates().len(),
+            s.design_input().candidates.len()
+        );
     }
 
     #[test]

@@ -143,22 +143,15 @@ pub struct ScoringWeights {
     span: Vec<(u32, u32)>,
     /// `Σ h` over scored pairs — the kernel's constant denominator.
     den: f64,
-    /// `Σ h/geo` over scored pairs — the gain bound's total weight mass.
-    wsum: f64,
-    /// Gain-bound parameters, set by [`Self::enable_gain_bounds`] once the
-    /// effective matrix is verified metric.
-    bounds: Option<GainBoundParams>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct GainBoundParams {
     /// Absolute distance slack absorbing float noise in triangle-inequality
-    /// arguments (a few ulps of the largest finite distance).
-    slack_km: f64,
+    /// arguments (a few ulps of the largest finite distance), set by
+    /// [`Self::enable_gain_bounds`] once the effective matrix is verified
+    /// metric.
+    row_skip_slack_km: Option<f64>,
 }
 
-/// Relative tolerance of the one-time metricity check gating the gain
-/// bounds. Great-circle distances of near-collinear triples computed
+/// Relative tolerance of the one-time metricity check gating the row
+/// skip. Great-circle distances of near-collinear triples computed
 /// independently violate the triangle inequality by ~1e-10 relative; 1e-8
 /// leaves two orders of margin while staying far below any real detour.
 const METRIC_REL_TOL: f64 = 1e-8;
@@ -177,7 +170,6 @@ impl ScoringWeights {
         let mut weights = DistMatrix::zeros(n);
         let mut span = vec![(0u32, 0u32); n];
         let mut den = 0.0;
-        let mut wsum = 0.0;
         for (s, sp) in span.iter_mut().enumerate() {
             let eff_row = effective.row(s);
             let geo_row = geodesic.row(s);
@@ -196,7 +188,6 @@ impl ScoringWeights {
                 let w = h / geo;
                 weights.set_sym(s, t, w);
                 den += h;
-                wsum += w;
                 lo = lo.min(t);
                 hi = t + 1;
             }
@@ -211,8 +202,7 @@ impl ScoringWeights {
             weights,
             span,
             den,
-            wsum,
-            bounds: None,
+            row_skip_slack_km: None,
         })
     }
 
@@ -226,21 +216,15 @@ impl ScoringWeights {
         self.den
     }
 
-    /// Total weight mass `Σ h/geo` over scored pairs.
-    pub fn wsum(&self) -> f64 {
-        self.wsum
-    }
-
     /// Verify that `effective` satisfies the triangle inequality (within
-    /// float tolerance) and, if so, arm the O(1) pruning bounds
-    /// ([`Self::gain_upper_bound`], [`Self::row_skip_slack_km`]). Returns
-    /// whether bounds were armed.
+    /// float tolerance) and, if so, arm the repair sweeps' O(1) row skip
+    /// ([`Self::row_skip_slack_km`]). Returns whether it was armed.
     ///
-    /// The bounds' soundness rests on metricity, which
+    /// The skip's soundness rests on metricity, which
     /// [`improve_with_link`] preserves — so one check against the run's
     /// starting matrix covers every later round. Non-metric inputs (e.g.
-    /// arbitrary test fixtures) simply leave bounds disabled: every bound
-    /// degenerates to `+∞` and nothing is ever pruned.
+    /// arbitrary test fixtures) simply leave it disabled and every row is
+    /// scanned.
     pub fn enable_gain_bounds(&mut self, effective: &DistMatrix) -> bool {
         if effective.is_metric_within(METRIC_REL_TOL) {
             let max_finite = effective
@@ -249,50 +233,22 @@ impl ScoringWeights {
                 .copied()
                 .filter(|v| v.is_finite())
                 .fold(0.0, f64::max);
-            self.bounds = Some(GainBoundParams {
-                slack_km: 4.0 * METRIC_REL_TOL * max_finite,
-            });
+            self.row_skip_slack_km = Some(4.0 * METRIC_REL_TOL * max_finite);
             true
         } else {
             false
         }
     }
 
-    /// Whether [`Self::enable_gain_bounds`] armed the pruning bounds.
-    pub fn has_gain_bounds(&self) -> bool {
-        self.bounds.is_some()
-    }
-
-    /// Distance slack for the repair row-skip test, when bounds are armed:
-    /// a candidate `(i, j, m)` can only improve some pair in row `s` of a
+    /// Distance slack for the repair row-skip test, when it is armed: a
+    /// candidate `(i, j, m)` can only improve some pair in row `s` of a
     /// metric matrix if `|d(s,i) - d(s,j)| > m - slack`.
     ///
     /// Proof sketch: `d(s,i) + m + d(j,t) < d(s,t) <= d(s,j) + d(j,t)`
     /// forces `d(s,i) + m < d(s,j)` (and symmetrically for the other via
     /// orientation); the slack absorbs the metricity check's tolerance.
     pub fn row_skip_slack_km(&self) -> Option<f64> {
-        self.bounds.map(|b| b.slack_km)
-    }
-
-    /// Upper bound on the mean-stretch gain any candidate link `(i, j)` of
-    /// length `m` can achieve when the endpoints are currently `d_ij` apart
-    /// (`+∞` when bounds are disabled or `d_ij` is not finite).
-    ///
-    /// On a metric matrix no pair can improve by more than `d_ij - m`
-    /// (`d(s,t) <= d(s,i) + d_ij + d(j,t)`, while the via costs
-    /// `d(s,i) + m + d(j,t)`), so the gain is at most
-    /// `Σw · (d_ij - m) / Σh`. The bound is inflated by the float slack so
-    /// it stays an over-estimate of the computed (not just mathematical)
-    /// gain; an inflated bound only costs an unnecessary exact score, never
-    /// a wrong pruning decision.
-    pub fn gain_upper_bound(&self, d_ij: f64, m: f64) -> f64 {
-        match self.bounds {
-            Some(b) if d_ij.is_finite() => {
-                let headroom = ((d_ij - m) + b.slack_km).max(0.0);
-                (self.wsum * headroom / self.den) * (1.0 + 1e-9) + 1e-12
-            }
-            _ => f64::INFINITY,
-        }
+        self.row_skip_slack_km
     }
 }
 
@@ -871,36 +827,37 @@ mod tests {
             topo.traffic(),
         )
         .unwrap();
-        // Unarmed bounds never prune.
-        assert!(sw.gain_upper_bound(100.0, 50.0).is_infinite());
+        // Unarmed: no row is ever skipped.
+        assert!(sw.row_skip_slack_km().is_none());
         assert!(
             sw.enable_gain_bounds(topo.effective_matrix()),
             "2× geodesic is metric"
         );
-        let current = topo.mean_stretch();
+        // A candidate improves some pair of row `s` only if the endpoints'
+        // distances to `s` differ by more than its length less the slack.
+        let slack = sw.row_skip_slack_km().unwrap();
+        let eff = topo.effective_matrix();
         for (i, j) in [(0, 1), (0, 2), (1, 2)] {
-            let d_ij = topo.effective_km(i, j);
             for factor in [1.0, 1.02, 1.3] {
                 let m = topo.geodesic_km(i, j) * factor;
-                let link = mw_link(i, j, m, 4);
-                let gain = current - topo.mean_stretch_with(&link);
-                let bound = sw.gain_upper_bound(d_ij, m);
-                assert!(
-                    gain <= bound,
-                    "({i}, {j}) × {factor}: gain {gain} exceeds bound {bound}"
-                );
+                for s in 0..3 {
+                    let improves = (0..3).any(|t| {
+                        let via = (eff.get(s, i) + m + eff.get(j, t))
+                            .min(eff.get(s, j) + m + eff.get(i, t));
+                        via < eff.get(s, t)
+                    });
+                    let skipped = (eff.get(s, i) - eff.get(s, j)).abs() <= m - slack;
+                    assert!(!(improves && skipped), "({i}, {j}) × {factor}, row {s}");
+                }
             }
         }
-        // A link no shorter than the current distance provably gains nothing.
-        let d_01 = topo.effective_km(0, 1);
-        assert!(sw.gain_upper_bound(d_01, d_01 + 1.0) < 1e-9);
-        // Non-metric matrices leave bounds unarmed.
+        // Non-metric matrices leave the skip unarmed.
         let mut broken = topo.effective_matrix().clone();
         broken.set_sym(0, 2, 1e7);
         let mut sw2 =
             ScoringWeights::compute(&broken, topo.geodesic_matrix(), topo.traffic()).unwrap();
         assert!(!sw2.enable_gain_bounds(&broken));
-        assert!(sw2.gain_upper_bound(100.0, 50.0).is_infinite());
+        assert!(sw2.row_skip_slack_km().is_none());
     }
 
     #[test]

@@ -1,25 +1,24 @@
-//! Parity properties for grid-pruned candidate-pool generation.
+//! Parity properties for candidate-pool generation.
 //!
-//! `LinkBuilder::pruned_candidate_links` bounds out site pairs that provably
-//! cannot beat the fiber oracle *before* paying for their tower-path search.
-//! These properties pin it, on random site/tower layouts, to the naive
-//! generate-everything-then-filter pipeline:
+//! `LinkBuilder::pruned_candidate_links_with` runs one capped multi-target
+//! search per site on the CSR search core and keeps only the links that beat
+//! fiber. These properties pin it, on random site/tower layouts, to code it
+//! shares nothing with:
 //!
-//! * the pruned pool is exactly (`Vec` equality, bit-equal lengths, same
-//!   order) the oracle-filtered full pool, across fiber regimes from
-//!   "fiber always wins" to "microwave always wins";
-//! * a designer fed the pruned pool selects exactly the same physical links
-//!   as one fed the full pool, for every scoring engine, serial and
-//!   parallel;
+//! * the pool is exactly (`Vec` equality, bit-equal lengths, same order) the
+//!   pointwise `LinkBuilder::candidate_link(a, b)` queries — adjacency-list
+//!   Dijkstra, no search core, no cap — filtered by `< fiber_km`, across
+//!   fiber regimes from "fiber always wins" to "microwave always wins", and
+//!   its counters partition the pairs;
+//! * sharding the per-site searches over workers never changes the pool;
 //! * the CSR search core the generation runs on ([`SearchCore`]) produces
 //!   bit-identical distances, predecessors and tie-broken paths to the
-//!   lazy-deletion reference Dijkstra on the same site+tower graphs;
-//! * sharding the per-site searches over workers never changes the pool.
+//!   lazy-deletion reference Dijkstra on the same site+tower graphs.
 
 // The proptest shim's macro expansion is deeply recursive.
 #![recursion_limit = "256"]
 
-use cisp::core::design::{DesignConfig, DesignInput, Designer, ScoringEngine};
+use cisp::core::design::{DesignInput, Designer};
 use cisp::core::hops::{HopConfig, HopFeasibility};
 use cisp::core::links::{CandidateLink, LinkBuilder, LinkBuilderConfig};
 use cisp::data::towers::{Tower, TowerRegistry, TowerSource};
@@ -71,10 +70,11 @@ fn random_layout(n: usize, seed: u64) -> (Vec<GeoPoint>, TowerRegistry) {
     (sites, TowerRegistry::from_towers(towers))
 }
 
-/// Full pipeline from a layout to both candidate pools: feasible hops on
-/// flat terrain, then full-and-filtered vs pruned generation against the
-/// same fiber matrix.
-fn both_pools(
+/// Full pipeline from a layout to the pool and its oracle: feasible hops on
+/// flat terrain, then the generated pool against the pointwise queries
+/// filtered by the same fiber matrix. Returns `(oracle, pool)` after
+/// asserting what must hold in every regime.
+fn oracle_and_pool(
     sites: &[GeoPoint],
     towers: &TowerRegistry,
     fiber_km: &DistMatrix,
@@ -84,35 +84,27 @@ fn both_pools(
     let hops =
         HopFeasibility::new(towers, &terrain, &clutter, HopConfig::default()).all_feasible_hops();
     let builder = LinkBuilder::new(sites, towers, &hops, LinkBuilderConfig::default());
-    let full = builder.all_candidate_links();
-    let (pruned, stats) = builder.pruned_candidate_links(fiber_km);
+    let n = sites.len();
+    let oracle: Vec<CandidateLink> = (0..n)
+        .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+        .filter_map(|(a, b)| builder.candidate_link(a, b))
+        .filter(|l| l.mw_length_km < fiber_km.get(l.site_a, l.site_b))
+        .collect();
+    let (pool, stats) = builder.pruned_candidate_links_with(fiber_km, 1);
     // Sharding the per-site searches never changes the pool or the stats.
-    let (sharded, sharded_stats) = builder.pruned_candidate_links_with(fiber_km, 3);
-    assert_eq!(sharded, pruned);
-    assert_eq!(sharded_stats, stats);
+    for workers in [3, 7] {
+        let (sharded, sharded_stats) = builder.pruned_candidate_links_with(fiber_km, workers);
+        assert_eq!(sharded, pool);
+        assert_eq!(sharded_stats, stats);
+    }
     // The stats categories must partition the pair universe.
+    assert_eq!(stats.pairs_total as usize, n * (n - 1) / 2);
     assert_eq!(
-        stats.bucket_pruned
-            + stats.pair_pruned
-            + stats.unreachable
-            + stats.oracle_dropped
-            + stats.emitted,
+        stats.unreachable + stats.oracle_dropped + stats.emitted,
         stats.pairs_total
     );
-    assert_eq!(stats.emitted, pruned.len() as u64);
-    (full, pruned)
-}
-
-/// The physical identity of a selected link, comparable across pools whose
-/// candidate indices differ.
-fn selected_keys(input: &DesignInput, selected: &[usize]) -> Vec<(usize, usize, f64)> {
-    selected
-        .iter()
-        .map(|&idx| {
-            let l = &input.candidates[idx];
-            (l.site_a, l.site_b, l.mw_length_km)
-        })
-        .collect()
+    assert_eq!(stats.emitted, pool.len() as u64);
+    (oracle, pool)
 }
 
 proptest! {
@@ -120,11 +112,12 @@ proptest! {
     // denser cases than the pure-matrix properties.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // The pruned pool is exactly the oracle-filtered full pool — same
-    // links, bit-equal lengths, same order — across fiber regimes. At
-    // factor 0.8 fiber beats every geodesic (everything bounded out); at
-    // 2.4 virtually every tower path survives; between, the mix exercises
-    // all stat categories.
+    // The pool is exactly the oracle-filtered pointwise queries — same
+    // links, bit-equal lengths, same order — across fiber regimes. Below
+    // factor 1.0 fiber beats every geodesic (empty pool, every pair dropped
+    // by the oracle filter or out of the search cap's reach); at 2.4
+    // virtually every tower path survives; between, the mix exercises all
+    // stat categories.
     #[test]
     fn pruned_pool_equals_filtered_full_pool(
         n in 3usize..8,
@@ -136,72 +129,11 @@ proptest! {
         let fiber_km = DistMatrix::from_fn(n, |i, j| {
             geodesic::distance_km(sites[i], sites[j]) * factor
         });
-        let (full, pruned) = both_pools(&sites, &towers, &fiber_km);
-        let filtered: Vec<CandidateLink> = full
-            .iter()
-            .filter(|l| l.mw_length_km < fiber_km.get(l.site_a, l.site_b))
-            .cloned()
-            .collect();
-        prop_assert_eq!(pruned, filtered);
-    }
-
-    // A designer fed the pruned pool selects exactly the same physical
-    // links — compared as `(site_a, site_b, mw_length_km)`, since candidate
-    // indices differ between pools — as one fed the full pool, for every
-    // engine × parallelism combination, with bit-equal final stretch.
-    #[test]
-    fn pruned_pool_designs_identically_across_engines(
-        n in 4usize..8,
-        seed in 0u64..10_000,
-    ) {
-        let (sites, towers) = random_layout(n, seed);
-        // Fiber at 1.15× geodesic: tight enough that the oracle rejects some
-        // tower paths, loose enough that useful candidates survive.
-        let fiber_km = DistMatrix::from_fn(n, |i, j| {
-            geodesic::distance_km(sites[i], sites[j]) * 1.15
-        });
-        let traffic = DistMatrix::from_fn(n, |i, j| {
-            if i == j {
-                0.0
-            } else {
-                let (a, b) = (i.min(j) as u64, i.max(j) as u64);
-                0.05 + 0.95 * unit(seed, 2000 + a * 97 + b)
-            }
-        });
-        let (full, pruned) = both_pools(&sites, &towers, &fiber_km);
-        let full_input = DesignInput {
-            sites: sites.clone(),
-            traffic: traffic.clone(),
-            fiber_km: fiber_km.clone(),
-            candidates: full,
-        };
-        let pruned_input = DesignInput {
-            sites,
-            traffic,
-            fiber_km,
-            candidates: pruned,
-        };
-        let budget = 40.0;
-        for engine in [
-            ScoringEngine::Auto,
-            ScoringEngine::Incremental,
-            ScoringEngine::FullRescore,
-        ] {
-            for parallel in [false, true] {
-                let config = DesignConfig { engine, parallel, ..DesignConfig::default() };
-                let of_full = Designer::with_config(&full_input, config).greedy(budget);
-                let of_pruned =
-                    Designer::with_config(&pruned_input, config).greedy(budget);
-                prop_assert_eq!(
-                    selected_keys(&full_input, &of_full.selected),
-                    selected_keys(&pruned_input, &of_pruned.selected)
-                );
-                prop_assert!(
-                    (of_full.mean_stretch - of_pruned.mean_stretch).abs() == 0.0,
-                    "stretch diverged: engine {:?} parallel {}", engine, parallel
-                );
-            }
+        let (oracle, pool) = oracle_and_pool(&sites, &towers, &fiber_km);
+        if fiber_pct < 100 {
+            prop_assert!(pool.is_empty(), "fiber under the geodesic always wins");
         }
+        prop_assert_eq!(pool, oracle);
     }
 
     // The pool build's search core is pinned to the lazy-deletion reference
@@ -269,23 +201,21 @@ proptest! {
     }
 }
 
-/// Non-property sanity check on a fixed instance: the pruned pool is a
-/// strict subset of the full pool when fiber is tight, and designing from it
-/// still improves on fiber-only stretch.
+/// Non-property sanity check on a fixed instance: the pool is non-empty when
+/// fiber is loose, and designing from it improves on fiber-only stretch.
 #[test]
 fn pruned_pool_design_improves_on_fiber_only() {
     let (sites, towers) = random_layout(6, 424242);
     let n = sites.len();
     let fiber_km = DistMatrix::from_fn(n, |i, j| geodesic::distance_km(sites[i], sites[j]) * 1.8);
     let traffic = DistMatrix::from_fn(n, |i, j| if i == j { 0.0 } else { 1.0 });
-    let (full, pruned) = both_pools(&sites, &towers, &fiber_km);
-    assert!(!pruned.is_empty(), "layout should admit useful links");
-    assert!(pruned.len() <= full.len());
+    let (_, pool) = oracle_and_pool(&sites, &towers, &fiber_km);
+    assert!(!pool.is_empty(), "layout should admit useful links");
     let input = DesignInput {
         sites,
         traffic,
         fiber_km,
-        candidates: pruned,
+        candidates: pool,
     };
     let fiber_only = input.empty_topology().mean_stretch();
     let outcome = Designer::new(&input).greedy(60.0);

@@ -10,9 +10,10 @@
 //!   matrix, and the delta-tracking variant is bit-identical to it while
 //!   reporting exactly the pairs that changed;
 //! * `mean_stretch` / `mean_stretch_with` match reference recomputation;
-//! * the incremental delta-scoring greedy — serial and parallel — selects
-//!   exactly the same designs as the full-rescore engine, and both match a
-//!   naive full-rescoring nested-`Vec` greedy;
+//! * the greedy designer (incremental delta-scoring, one shard per core)
+//!   selects exactly the designs of a naive full-rescoring nested-`Vec`
+//!   greedy — on short and long runs, degenerate pools, exact ties, real
+//!   `Scenario::build` pools and the unreachable-fiber fallback;
 //! * `cisp()`'s swap polish (leave-one-out matrices, trials decided by a
 //!   lower bound) applies exactly the swaps of a naive nested-`Vec` polish
 //!   that rebuilds per removed link and scores every feasible trial.
@@ -21,8 +22,9 @@
 // loops — that is the point of a reference.
 #![allow(clippy::needless_range_loop)]
 
-use cisp::core::design::{DesignConfig, DesignInput, Designer, GreedyScore, ScoringEngine};
+use cisp::core::design::{DesignConfig, DesignInput, Designer, GreedyScore};
 use cisp::core::links::CandidateLink;
+use cisp::core::scenario::{Scenario, ScenarioConfig, TerrainKind};
 use cisp::core::topology::{
     improve_with_link, improve_with_link_tracked, mean_stretch_with_link,
     mean_stretch_with_link_compact, HybridTopology, ScoringWeights,
@@ -372,96 +374,22 @@ proptest! {
     ) {
         let input = random_input(n, seed);
         let budget = 4 * n;
-
-        // The incremental delta-scoring engine, serial and parallel. Pinned
-        // explicitly: the default `Auto` engine would pick full rescoring at
-        // these pool sizes, and this property exists to test the shards.
-        let parallel = Designer::with_config(
-            &input,
-            DesignConfig {
-                engine: ScoringEngine::Incremental,
-                parallel: true,
-                ..DesignConfig::default()
-            },
-        )
-        .greedy(budget as f64);
-        let serial = Designer::with_config(
-            &input,
-            DesignConfig {
-                engine: ScoringEngine::Incremental,
-                parallel: false,
-                ..DesignConfig::default()
-            },
-        )
-        .greedy(budget as f64);
-        // The full-rescore reference engine.
-        let full = Designer::with_config(
-            &input,
-            DesignConfig { engine: ScoringEngine::FullRescore, ..DesignConfig::default() },
-        )
-        .greedy(budget as f64);
-        // The default `Auto` engine, whichever side of its threshold it lands.
-        let auto = Designer::new(&input).greedy(budget as f64);
-        let reference = naive_greedy(&input, budget);
-
-        // Parallel and serial shard scoring must be bit-identical.
-        prop_assert_eq!(&parallel.selected, &serial.selected);
-        prop_assert!((parallel.mean_stretch - serial.mean_stretch).abs() == 0.0);
-        // The incremental engine must select the same design as the
-        // full-rescore engine, and both the same as the naive full-rescoring
-        // nested-Vec greedy; `Auto` delegates to one of them so it must agree
-        // with both.
-        prop_assert_eq!(&parallel.selected, &full.selected);
-        prop_assert!((parallel.mean_stretch - full.mean_stretch).abs() == 0.0);
-        prop_assert_eq!(&auto.selected, &full.selected);
-        prop_assert!((auto.mean_stretch - full.mean_stretch).abs() == 0.0);
-        prop_assert_eq!(&parallel.selected, &reference);
+        let engine = Designer::new(&input).greedy(budget as f64);
+        prop_assert_eq!(&engine.selected, &naive_greedy(&input, budget));
     }
 
+    // Pools of 0 to 3 candidates: fewer than the scoring shards of any
+    // multi-core machine.
     #[test]
-    fn cisp_heuristic_agrees_across_parallelism_and_engines(
-        n in 4usize..8,
+    fn greedy_matches_naive_reference_on_degenerate_pools(
+        n in 3usize..7,
         seed in 0u64..10_000,
+        pool_len in 0usize..4,
     ) {
-        let input = random_input(n, seed);
-        let budget = (3 * n) as f64;
-        let parallel = Designer::with_config(
-            &input,
-            DesignConfig {
-                engine: ScoringEngine::Incremental,
-                parallel: true,
-                ..DesignConfig::default()
-            },
-        )
-        .cisp(budget);
-        let serial = Designer::with_config(
-            &input,
-            DesignConfig {
-                engine: ScoringEngine::Incremental,
-                parallel: false,
-                ..DesignConfig::default()
-            },
-        )
-        .cisp(budget);
-        let full_serial = Designer::with_config(
-            &input,
-            DesignConfig {
-                engine: ScoringEngine::FullRescore,
-                parallel: false,
-                ..DesignConfig::default()
-            },
-        )
-        .cisp(budget);
-        prop_assert_eq!(&parallel.selected, &serial.selected);
-        prop_assert_eq!(parallel.total_towers, serial.total_towers);
-        prop_assert!((parallel.mean_stretch - serial.mean_stretch).abs() == 0.0);
-        // Incremental delta-scoring and full rescoring pick the same design,
-        // and the default `Auto` engine delegates to one of them.
-        prop_assert_eq!(&serial.selected, &full_serial.selected);
-        prop_assert!((serial.mean_stretch - full_serial.mean_stretch).abs() == 0.0);
-        let auto = Designer::new(&input).cisp(budget);
-        prop_assert_eq!(&auto.selected, &serial.selected);
-        prop_assert!((auto.mean_stretch - serial.mean_stretch).abs() == 0.0);
+        let mut input = random_input(n, seed);
+        input.candidates.truncate(pool_len);
+        let engine = Designer::new(&input).greedy(1_000.0);
+        prop_assert_eq!(&engine.selected, &naive_greedy(&input, 1_000));
     }
 
     #[test]
@@ -473,10 +401,8 @@ proptest! {
     ) {
         let input = random_input(n, seed);
         for score in [GreedyScore::AbsoluteGain, GreedyScore::GainPerTower] {
-            for parallel in [false, true] {
-                let config = DesignConfig { score, parallel, max_swap_passes, ..DesignConfig::default() };
-                assert_cisp_matches_naive_polish(&input, n * towers_per_site, config);
-            }
+            let config = DesignConfig { score, max_swap_passes, ..DesignConfig::default() };
+            assert_cisp_matches_naive_polish(&input, n * towers_per_site, config);
         }
     }
 
@@ -623,6 +549,27 @@ proptest! {
     }
 }
 
+proptest! {
+    // The naive reference pays rounds × candidates × n² per case.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // Long runs, where the cached predictions have been repaired dozens of
+    // times before a pick: every candidate is affordable, so the greedy runs
+    // until no link gains anything.
+    #[test]
+    fn incremental_greedy_matches_naive_reference_over_long_runs(
+        n in 18usize..23,
+        seed in 0u64..10_000,
+    ) {
+        let input = random_input(n, seed);
+        let budget = 1_000_000;
+        let reference = naive_greedy(&input, budget);
+        prop_assert!(reference.len() >= 50, "only {} rounds", reference.len());
+        let engine = Designer::new(&input).greedy(budget as f64);
+        prop_assert_eq!(&engine.selected, &reference);
+    }
+}
+
 /// Non-property sanity check: the naive reference and the engine agree on a
 /// fixed, human-auditable instance.
 #[test]
@@ -639,6 +586,101 @@ fn engine_and_reference_agree_on_fixed_instance() {
     )
     .mean_stretch();
     assert!(engine.mean_stretch < fiber_only);
+}
+
+/// Exactly tied candidates: collinear sites, uniform traffic, and every
+/// candidate listed twice. Both copies score bit-identically in every round
+/// (same endpoints, same length, same arithmetic), so the tie-break alone
+/// decides — the lowest pool position must win, and its twin, gaining
+/// nothing afterwards, must never be picked.
+#[test]
+fn exactly_tied_candidates_resolve_to_the_lowest_pool_position() {
+    let n = 9;
+    // Uneven spacing: mirror-image candidates would tie only to summation
+    // ulps, which the nested reference and the compact kernel round apart.
+    let sites: Vec<GeoPoint> = (0..n)
+        .map(|k| GeoPoint::new(0.0, -100.0 + 2.0 * k as f64 + 0.11 * (k * k) as f64))
+        .collect();
+    let fiber_km = DistMatrix::from_fn(n, |i, j| geodesic::distance_km(sites[i], sites[j]) * 2.0);
+    let traffic = DistMatrix::from_fn(n, |i, j| if i == j { 0.0 } else { 1.0 });
+    let mut candidates = Vec::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            // Longer links detour less, so the greedy has a real ranking to
+            // maintain between the ties.
+            let geo = geodesic::distance_km(sites[i], sites[j]);
+            candidates.push(CandidateLink {
+                site_a: i,
+                site_b: j,
+                mw_length_km: geo * (1.0 + 0.3 / (j - i) as f64),
+                tower_count: j - i,
+                tower_path: (0..j - i).collect(),
+            });
+        }
+    }
+    let distinct = candidates.len();
+    candidates.extend(candidates.clone());
+    let input = DesignInput {
+        sites,
+        traffic,
+        fiber_km,
+        candidates,
+    };
+    for score in [GreedyScore::AbsoluteGain, GreedyScore::GainPerTower] {
+        let config = DesignConfig {
+            score,
+            ..DesignConfig::default()
+        };
+        let engine = Designer::with_config(&input, config).greedy(40.0);
+        assert!(engine.selected.len() >= 5, "{score:?}: fixture too short");
+        assert!(
+            engine.selected.iter().all(|&idx| idx < distinct),
+            "{score:?}: a later twin won a tie: {:?}",
+            engine.selected
+        );
+        if score == GreedyScore::AbsoluteGain {
+            assert_eq!(engine.selected, naive_greedy(&input, 40));
+        }
+    }
+}
+
+/// The greedy on pools `Scenario::build` produces — real tower paths, real
+/// fiber, population-product traffic — against the naive reference.
+#[test]
+fn scenario_pools_design_like_the_naive_greedy() {
+    let mut us20 = ScenarioConfig::us_subset(42, 20);
+    us20.terrain = TerrainKind::Flat;
+    for (config, budget, min_rounds) in [(ScenarioConfig::tiny_test(), 300, 30), (us20, 3_000, 100)]
+    {
+        let scenario = Scenario::build(&config);
+        let engine = scenario.design_greedy(budget as f64);
+        assert!(
+            engine.selected.len() >= min_rounds,
+            "{} rounds over {} candidates",
+            engine.selected.len(),
+            scenario.design_input().candidates.len()
+        );
+        assert_eq!(
+            engine.selected,
+            naive_greedy(scenario.design_input(), budget)
+        );
+    }
+}
+
+/// Fiber that leaves a traffic pair unreachable: the cached predictions do
+/// not apply (no constant denominator) and the designer must fall back to
+/// plain rescoring on the scalar kernel, whose skip-the-unreachable rule is
+/// `mean_stretch_nested`'s.
+#[test]
+fn greedy_falls_back_on_non_finite_fiber() {
+    for seed in [11, 424242] {
+        let mut input = random_input(6, seed);
+        input.fiber_km.set_sym(0, 5, f64::INFINITY);
+        let engine = Designer::new(&input).greedy(30.0);
+        assert!(!engine.selected.is_empty());
+        assert_eq!(engine.selected, naive_greedy(&input, 30));
+        assert!(engine.mean_stretch.is_finite());
+    }
 }
 
 /// The oracle comparison on fixed instances where the polish does apply

@@ -31,7 +31,8 @@
 //!
 //! [`SimReport::per_class`]: cisp_netsim::SimReport::per_class
 
-use cisp_netsim::SimReport;
+use cisp_netsim::jobs::drain_jobs;
+use cisp_netsim::{SimReport, Simulation};
 use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
@@ -148,18 +149,21 @@ pub fn rank_upgrades(
     shortlist.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     shortlist.truncate(config.max_candidates);
 
-    let mut options: Vec<UpgradeOption> = shortlist
-        .into_iter()
-        .map(|(idx, utilization)| {
+    // One run per shortlisted link, `sim.workers` of them in flight.
+    let (width, sim) = lowered.config.sim.across_runs(shortlist.len());
+    let (mut options, _) = drain_jobs(
+        shortlist.len(),
+        width,
+        || (),
+        |_, j| {
+            let (idx, utilization) = shortlist[j];
             let (fwd, rev) = lowered.mw_link_ids[idx];
             let link = &mw_links[idx];
             let mut network = lowered.network.clone();
             for id in [fwd, rev] {
                 network.set_link_rate(id, network.link(id).rate_bps * config.rate_multiplier);
             }
-            let report =
-                cisp_netsim::Simulation::new(network, lowered.demands.clone(), lowered.config.sim)
-                    .run();
+            let report = Simulation::new(network, lowered.demands.clone(), sim).run();
             let upgraded_fg_p99_ms = foreground_p99_ms(&report);
             let improvement_ms = baseline_fg_p99_ms - upgraded_fg_p99_ms;
             let upgrade_cost_usd =
@@ -176,8 +180,8 @@ pub fn rank_upgrades(
                 improvement_ms,
                 improvement_per_musd_km: improvement_ms / cost_musd_km,
             }
-        })
-        .collect();
+        },
+    );
     options.sort_by(|a, b| {
         b.improvement_per_musd_km
             .total_cmp(&a.improvement_per_musd_km)

@@ -44,6 +44,11 @@
 //!   [`fluid::BackgroundModel::Fluid`]), while foreground packets ride on
 //!   the solved backlog timelines — million-user bulk demands at orders of
 //!   magnitude fewer events.
+//! * [`jobs`] — the workspace's one job-drain helper ([`jobs::drain_jobs`]:
+//!   independent jobs claimed from an atomic counter by scoped workers,
+//!   results in job order). The engine drains components through it; the
+//!   what-if sweeps in `cisp_weather` and `cisp_core::economics` drain whole
+//!   runs through it.
 //! * [`tcp`] — the simplified window-based TCP (with and without pacing) used
 //!   by the speed-mismatch experiment.
 //!
@@ -52,6 +57,7 @@
 
 pub mod flows;
 pub mod fluid;
+pub mod jobs;
 pub mod monitor;
 pub mod network;
 pub mod queue;

@@ -83,7 +83,7 @@
 //! [`TrafficClass::Background`]: crate::routing::TrafficClass::Background
 
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Barrier, Mutex};
 use std::thread;
 
@@ -92,6 +92,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::flows::{ArrivalProcess, EmissionSchedule, FlowSpec};
 use crate::fluid::{self, BackgroundModel, FluidOutcome};
+use crate::jobs::{drain_jobs, resolve_workers};
 use crate::monitor::{ClassReport, FlowMonitor, PerClassReport, SampleStats, SimReport};
 use crate::network::{DirtyLinks, LinkState, LinkStates, Network, QueueDiscipline, Transmit};
 use crate::queue::{Event, EventQueue, QueueStats};
@@ -138,6 +139,10 @@ pub struct SimConfig {
     pub seed: u64,
     /// Worker threads for sharded execution: 0 = the machine's available
     /// parallelism, 1 = serial. Results are bit-identical for every value.
+    /// A sweep of many short runs (`cisp_weather::simulate`,
+    /// `cisp_core::economics::rank_upgrades`) spends this budget *across*
+    /// its runs — that many runs in flight, each serial inside — because a
+    /// millisecond-scale run loses more to its own threads than it gains.
     pub workers: usize,
     /// Execution mode (component-sharded or time-windowed). Results are
     /// bit-identical for every mode.
@@ -170,6 +175,22 @@ impl Default for SimConfig {
             mode: ExecMode::ComponentSharded,
             background: BackgroundModel::Packet,
             discipline: QueueDiscipline::Fifo,
+        }
+    }
+}
+
+impl SimConfig {
+    /// How a sweep of `runs` independent runs spends [`Self::workers`]: the
+    /// number of runs to keep in flight (the width to hand
+    /// [`drain_jobs`]) and the configuration of each run — this one, made
+    /// serial when more than one run is in flight. Reports do not depend on
+    /// `workers`, so the sweep's results do not depend on the split.
+    pub fn across_runs(self, runs: usize) -> (usize, SimConfig) {
+        let width = resolve_workers(self.workers).min(runs);
+        if width > 1 {
+            (width, SimConfig { workers: 1, ..self })
+        } else {
+            (width, self)
         }
     }
 }
@@ -821,56 +842,23 @@ impl Simulation {
         comps
     }
 
-    /// Component-sharded execution: persistent workers drain the component
-    /// list (`workers <= 1` runs inline).
+    /// Component-sharded execution: the component list drained by `workers`
+    /// shards ([`drain_jobs`]; one worker runs inline). Components are
+    /// independent, so which shard runs which is irrelevant.
     fn run_components(
         ctx: &EngineContext<'_>,
         comps: &[Vec<u32>],
         workers: usize,
-    ) -> (Vec<Option<ComponentOutcome>>, QueueStats) {
-        let mut outcomes: Vec<Option<ComponentOutcome>> = (0..comps.len()).map(|_| None).collect();
+    ) -> (Vec<ComponentOutcome>, QueueStats) {
+        let (outcomes, shards) = drain_jobs(
+            comps.len(),
+            workers,
+            || Shard::new(*ctx, WholeComponent),
+            |shard, i| shard.run_component(&comps[i]),
+        );
         let mut queue_stats = QueueStats::default();
-        if workers <= 1 {
-            let mut shard = Shard::new(*ctx, WholeComponent);
-            for (i, comp) in comps.iter().enumerate() {
-                outcomes[i] = Some(shard.run_component(comp));
-            }
+        for shard in &shards {
             queue_stats.merge(&shard.queue.stats());
-        } else {
-            // Persistent workers drain the component list; assignment order
-            // is irrelevant because components are independent and merged by
-            // index below.
-            let next = AtomicUsize::new(0);
-            let per_worker: Vec<(Vec<(usize, ComponentOutcome)>, QueueStats)> =
-                thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            let next = &next;
-                            scope.spawn(move || {
-                                let mut shard = Shard::new(*ctx, WholeComponent);
-                                let mut done = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                                    if i >= comps.len() {
-                                        break;
-                                    }
-                                    done.push((i, shard.run_component(&comps[i])));
-                                }
-                                (done, shard.queue.stats())
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("simulation worker panicked"))
-                        .collect()
-                });
-            for (chunk, stats) in per_worker {
-                queue_stats.merge(&stats);
-                for (i, outcome) in chunk {
-                    outcomes[i] = Some(outcome);
-                }
-            }
         }
         (outcomes, queue_stats)
     }
@@ -885,7 +873,7 @@ impl Simulation {
         comps: &[Vec<u32>],
         workers: usize,
         window_s: f64,
-    ) -> (Vec<Option<ComponentOutcome>>, QueueStats) {
+    ) -> (Vec<ComponentOutcome>, QueueStats) {
         if comps.is_empty() {
             return (Vec::new(), QueueStats::default());
         }
@@ -964,7 +952,7 @@ impl Simulation {
                     .iter_mut()
                     .map(|shard| shard.next().expect("one partial per component and shard"))
                     .collect();
-                Some(merge_shard_partials(parts, ctx.demands, ctx.classify))
+                merge_shard_partials(parts, ctx.demands, ctx.classify)
             })
             .collect();
         (outcomes, queue_stats)
@@ -1050,11 +1038,7 @@ impl Simulation {
         };
         let fluid = fluid_solution.as_ref();
         let comps = self.partition_flows();
-        let requested = if self.config.workers == 0 {
-            thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            self.config.workers
-        };
+        let requested = resolve_workers(self.config.workers);
 
         let classify = crate::routing::any_background(&self.demands);
         let ctx = EngineContext {
@@ -1066,10 +1050,7 @@ impl Simulation {
             classify,
         };
         let (outcomes, queue_stats) = match self.config.mode {
-            ExecMode::ComponentSharded => {
-                let workers = requested.clamp(1, comps.len().max(1));
-                Self::run_components(&ctx, &comps, workers)
-            }
+            ExecMode::ComponentSharded => Self::run_components(&ctx, &comps, requested),
             ExecMode::TimeWindowed { window_s } => {
                 let workers = requested.max(1);
                 if workers == 1 {
@@ -1091,8 +1072,7 @@ impl Simulation {
         // (e.g. every demand unroutable after weather failures) produce
         // *zero components*, not components without outcomes — the loop
         // body simply never runs and the report is all zeroes (pinned by
-        // `unroutable_demands_yield_an_empty_report_in_every_mode`) — so a
-        // missing outcome here is an engine bug and must fail fast.
+        // `unroutable_demands_yield_an_empty_report_in_every_mode`).
         let mut monitor = FlowMonitor::new(self.demands.len());
         // Per-class sample accumulators, concatenated in the same component
         // order as the global monitor — each class's vector stays the
@@ -1101,8 +1081,8 @@ impl Simulation {
         let mut fg_queue_delays = SampleStats::default();
         let mut bg_delays = SampleStats::default();
         let mut bg_queue_delays = SampleStats::default();
-        for (comp, outcome) in comps.iter().zip(outcomes) {
-            let o = outcome.expect("every simulated component produces an outcome");
+        assert_eq!(outcomes.len(), comps.len(), "one outcome per component");
+        for (comp, o) in comps.iter().zip(outcomes) {
             monitor.delays.record_many(&o.delays);
             monitor.queue_delays.record_many(&o.queue_delays);
             if let Some(cs) = &o.class_samples {

@@ -61,6 +61,7 @@ use std::fmt;
 use cisp_core::topology::HybridTopology;
 use cisp_geo::geodesic::{self, PathSampler};
 use cisp_geo::{GeoPoint, TrigPoint};
+use cisp_netsim::jobs::{drain_jobs, resolve_workers};
 use serde::{Deserialize, Serialize};
 
 use crate::attenuation::FadeMargin;
@@ -144,6 +145,15 @@ pub struct FailureSweepStats {
 }
 
 impl FailureSweepStats {
+    /// Add another geometry's counts to these.
+    fn add(&mut self, other: &Self) {
+        self.link_fields += other.link_fields;
+        self.storms_culled += other.storms_culled;
+        self.by_rain_bound += other.by_rain_bound;
+        self.exact += other.exact;
+        self.failed += other.failed;
+    }
+
     /// Share of link × field pairs decided without the exact arithmetic
     /// (`NaN` before any field was evaluated).
     pub fn rain_bound_share(&self) -> f64 {
@@ -342,19 +352,38 @@ pub fn link_failures(
     FailureGeometry::new(topology, config).failures(field)
 }
 
-/// The failure set of every field, in field order, from one shared
-/// [`FailureGeometry`], with the cascade's counts over the whole sweep.
+/// The failure set of every field, in field order, with the cascade's
+/// counts over the whole sweep. Fields are independent, so they are drained
+/// by one worker per core, each with a [`FailureGeometry`] of its own; the
+/// sets and the summed counts are those of one geometry walking the fields
+/// in order.
 pub fn failure_sweep(
     topology: &HybridTopology,
     fields: &[StormField],
     config: &FailureConfig,
 ) -> (Vec<Vec<usize>>, FailureSweepStats) {
-    let mut geometry = FailureGeometry::new(topology, config);
-    let failed = fields
-        .iter()
-        .map(|field| geometry.failures(field))
-        .collect();
-    (failed, geometry.stats())
+    failure_sweep_on(topology, fields, config, 0)
+}
+
+/// [`failure_sweep`] on `workers` workers (`0` = one per core, `1` = the
+/// calling thread alone).
+pub(crate) fn failure_sweep_on(
+    topology: &HybridTopology,
+    fields: &[StormField],
+    config: &FailureConfig,
+    workers: usize,
+) -> (Vec<Vec<usize>>, FailureSweepStats) {
+    let (failed, geometries) = drain_jobs(
+        fields.len(),
+        resolve_workers(workers),
+        || FailureGeometry::new(topology, config),
+        |geometry, i| geometry.failures(&fields[i]),
+    );
+    let mut stats = FailureSweepStats::default();
+    for geometry in &geometries {
+        stats.add(&geometry.stats());
+    }
+    (failed, stats)
 }
 
 #[cfg(test)]
@@ -481,6 +510,12 @@ mod tests {
             }
         );
         assert!((stats.rain_bound_share() - 4.0 / 6.0).abs() < 1e-12);
+
+        // One geometry per worker: same sets, same summed counts.
+        for workers in [0, 1, 2, 3, 8] {
+            let swept = failure_sweep_on(&topo, &fields, &FailureConfig::default(), workers);
+            assert_eq!(swept, (failed.clone(), stats), "workers {workers}");
+        }
     }
 
     /// A clear-sky field: the configuration must be rejected before any

@@ -78,7 +78,7 @@ impl WeatherYearReport {
                 WeatherSeries::FiberOnly => p.fiber_only,
             })
             .collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v.sort_by(f64::total_cmp);
         v
     }
 

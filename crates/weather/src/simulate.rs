@@ -10,22 +10,45 @@
 //! network via [`LoweredNetwork::mw_link_ids`], the fair-weather routes that
 //! cross them are re-routed ([`reroute_avoiding`]: ≈5 % of the demands per
 //! interval at paper scale, every other route is kept), and the same demand
-//! set is replayed through the sharded packet engine.
+//! set is replayed through the packet engine.
 //!
-//! Calm intervals reuse the fair-weather run. A stormy interval that repeats
-//! the one before it reuses that result; that is rare (2 of the 133 stormy
-//! intervals of the paper-scale sweep) and a memo keyed by failure set finds
-//! no further repeat, so the previous interval is all that is remembered.
+//! # What runs where
+//!
+//! A sweep is one lowered network and many short, independent runs, so its
+//! parallelism is *across* runs. The fair-weather run comes first, under the
+//! caller's [`SimConfig`]. The failure sets of all fields are then computed
+//! ([`failure_sweep`](crate::failures::failure_sweep)'s cascade, fields
+//! drained in parallel), and the *jobs* are the distinct stormy neighbours:
+//! a calm interval is a copy of the fair-weather row, an interval whose
+//! failure set equals the previous stormy one is a copy of that row (2 of
+//! the 133 stormy intervals of the paper-scale sweep; a memo keyed by
+//! failure set finds no further repeat), and every other interval is a job.
+//! The jobs are drained by [`drain_jobs`] at a width of
+//! [`SimConfig::workers`] resolved as the engine resolves it (`0` = one per
+//! core; [`SimConfig::across_runs`]), and each job — re-route against the
+//! fair routes, clone network and demands, simulate, reduce to a row — runs
+//! on its worker with `workers: 1` whenever more than one job is in flight:
+//! a 6 ms run loses 1.7 ms to component-sharding threads of its own.
+//! `workers: 1` is therefore the fully serial sweep, and every width returns
+//! its rows bit for bit ([`SimReport`] does not depend on `workers`, jobs
+//! share nothing they write, rows are placed by job index).
+//! [`conduit_cut_analysis_on`] spends the same budget the same way over its
+//! cut scenarios.
+//!
+//! [`SimConfig`]: cisp_netsim::sim::SimConfig
+//! [`SimConfig::workers`]: cisp_netsim::sim::SimConfig::workers
+//! [`SimConfig::across_runs`]: cisp_netsim::sim::SimConfig::across_runs
 
 use cisp_core::evaluate::{lower, EvaluateConfig, LoweredNetwork};
 use cisp_core::topology::HybridTopology;
 use cisp_graph::DistMatrix;
-use cisp_netsim::routing::reroute_avoiding;
+use cisp_netsim::jobs::drain_jobs;
+use cisp_netsim::routing::{compute_routes_avoiding, reroute_avoiding};
 use cisp_netsim::sim::Simulation;
 use cisp_netsim::SimReport;
 use serde::{Deserialize, Serialize};
 
-use crate::failures::{failure_sweep, FailureConfig};
+use crate::failures::{failure_sweep_on, FailureConfig};
 use crate::storms::StormField;
 
 /// One interval's queueing-aware outcome.
@@ -82,7 +105,7 @@ impl QueueingWeatherReport {
             return self.fair.mean_delay_ms;
         }
         let mut sorted: Vec<f64> = self.intervals.iter().map(|i| i.mean_delay_ms).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        sorted.sort_by(f64::total_cmp);
         sorted[((sorted.len() - 1) as f64 * q).round() as usize]
     }
 
@@ -110,6 +133,8 @@ impl QueueingWeatherReport {
 /// Run the queueing-aware weather analysis: lower the designed topology
 /// once, then for every storm field fail the affected links, re-route the
 /// demands around them, and replay the traffic through the packet engine.
+/// `evaluate_config.sim.workers` runs are in flight at a time (see the
+/// [module documentation](self)); the report does not depend on it.
 pub fn storm_queueing_analysis(
     topology: &HybridTopology,
     offered_traffic: &DistMatrix,
@@ -120,34 +145,49 @@ pub fn storm_queueing_analysis(
     let lowered = lower(topology, offered_traffic, evaluate_config);
     let mut fair_sim = lowered.simulation();
     let fair = IntervalQueueing::from_report(&fair_sim.run(), 0);
+    let fair_routes = fair_sim.routes();
 
-    let mut intervals = Vec::with_capacity(fields.len());
-    let mut memo: Option<(Vec<usize>, IntervalQueueing)> = None;
-    for failed in failure_sweep(topology, fields, failure_config).0 {
-        if failed.is_empty() {
-            intervals.push(fair.clone());
-            continue;
-        }
-        if let Some((memo_failed, memo_interval)) = &memo {
-            if memo_failed == &failed {
-                intervals.push(memo_interval.clone());
-                continue;
+    let workers = lowered.config.sim.workers;
+    let failures = failure_sweep_on(topology, fields, failure_config, workers).0;
+    // The distinct stormy neighbours, and per interval the job whose row it
+    // takes (`None` = calm, the fair-weather row).
+    let mut jobs: Vec<&[usize]> = Vec::new();
+    let row_of: Vec<Option<usize>> = failures
+        .iter()
+        .map(|failed| {
+            if failed.is_empty() {
+                return None;
             }
-        }
-        let routes = reroute_avoiding(
-            &lowered.network,
-            &lowered.demands,
-            fair_sim.routes(),
-            lowered.config.sim.routing,
-            &lowered.disabled_mask(&failed),
-        );
-        let (network, demands) = (lowered.network.clone(), lowered.demands.clone());
-        let report = Simulation::with_routes(network, demands, routes, lowered.config.sim).run();
-        let interval = IntervalQueueing::from_report(&report, failed.len());
-        intervals.push(interval.clone());
-        memo = Some((failed, interval));
-    }
+            if jobs.last() != Some(&failed.as_slice()) {
+                jobs.push(failed);
+            }
+            Some(jobs.len() - 1)
+        })
+        .collect();
 
+    let (width, sim) = lowered.config.sim.across_runs(jobs.len());
+    let (rows, _) = drain_jobs(
+        jobs.len(),
+        width,
+        || (),
+        |_, j| {
+            let routes = reroute_avoiding(
+                &lowered.network,
+                &lowered.demands,
+                fair_routes,
+                sim.routing,
+                &lowered.disabled_mask(jobs[j]),
+            );
+            let (network, demands) = (lowered.network.clone(), lowered.demands.clone());
+            let report = Simulation::with_routes(network, demands, routes, sim).run();
+            IntervalQueueing::from_report(&report, jobs[j].len())
+        },
+    );
+
+    let intervals = row_of
+        .into_iter()
+        .map(|job| job.map_or_else(|| fair.clone(), |j| rows[j].clone()))
+        .collect();
     QueueingWeatherReport { fair, intervals }
 }
 
@@ -218,7 +258,7 @@ pub fn most_loaded_conduits(lowered: &LoweredNetwork, report: &SimReport) -> Vec
         })
         .filter(|&(_, u)| u > 0.0)
         .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     ranked.into_iter().map(|(s, _)| s).collect()
 }
 
@@ -282,10 +322,24 @@ pub fn conduit_cut_analysis_on(
         "conduit cut analysis needs a conduit-backed lowering"
     );
     let baseline = conduit_outcome(&mut lowered.simulation(), 0);
-    let cuts = cut_scenarios
-        .iter()
-        .map(|cut| conduit_outcome(&mut lowered.simulation_without_conduits(cut), cut.len()))
-        .collect();
+    let (width, sim) = lowered.config.sim.across_runs(cut_scenarios.len());
+    let (cuts, _) = drain_jobs(
+        cut_scenarios.len(),
+        width,
+        || (),
+        |_, j| {
+            let cut = &cut_scenarios[j];
+            let routes = compute_routes_avoiding(
+                &lowered.network,
+                &lowered.demands,
+                sim.routing,
+                &lowered.conduit_disabled_mask(cut),
+            );
+            let (network, demands) = (lowered.network.clone(), lowered.demands.clone());
+            let mut run = Simulation::with_routes(network, demands, routes, sim);
+            conduit_outcome(&mut run, cut.len())
+        },
+    );
     ConduitCutReport { baseline, cuts }
 }
 

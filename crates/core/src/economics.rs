@@ -117,6 +117,10 @@ fn link_hops(tower_count: usize) -> usize {
 /// returned options are sorted best-first and include every shortlisted
 /// candidate (negative improvements too — a ranking that silently dropped
 /// "upgrade did nothing" rows would overstate the tail's sensitivity).
+/// The two P99s subtracted are histogram quantiles (2⁻¹⁰ relative bins):
+/// bins are monotone, so an upgrade that lowers every delay never reads as
+/// a loss, and two upgrades whose P99s fall inside one bin tie and rank by
+/// MW-link index like any other tie.
 pub fn rank_upgrades(
     topology: &HybridTopology,
     lowered: &LoweredNetwork,
@@ -212,6 +216,11 @@ mod tests {
             GeoPoint::new(32.8, -96.8),
             GeoPoint::new(39.7, -105.0),
         ];
+        topology_over(sites, &[(0, 1), (1, 2), (1, 3)])
+    }
+
+    /// `sites` joined by the MW links `mw`, fiber at 1.9× geodesic.
+    fn topology_over(sites: Vec<GeoPoint>, mw: &[(usize, usize)]) -> HybridTopology {
         let n = sites.len();
         let traffic = vec![vec![1.0; n]; n];
         let fiber: Vec<Vec<f64>> = (0..n)
@@ -222,7 +231,7 @@ mod tests {
             })
             .collect();
         let mut topo = HybridTopology::new(sites.clone(), traffic, fiber);
-        for (a, b) in [(0usize, 1usize), (1, 2), (1, 3)] {
+        for &(a, b) in mw {
             let geo = geodesic::distance_km(sites[a], sites[b]);
             topo.add_mw_link(CandidateLink {
                 site_a: a.min(b),
@@ -287,6 +296,29 @@ mod tests {
             assert!(o.upgrade_cost_usd >= CostModel::default().hop_cost_1gbps_usd);
             assert!(o.length_km > 0.0);
         }
+    }
+
+    #[test]
+    fn an_upgrade_that_lowers_every_delay_never_ranks_as_a_loss() {
+        // Two sites, one MW link: every packet crosses exactly one queue,
+        // with the same arrival times before and after the upgrade (same
+        // seed), so by Lindley's recursion halving the service time lowers
+        // every waiting time that was positive and raises none. A binned
+        // P99 must keep that order.
+        let sites = vec![GeoPoint::new(41.9, -87.6), GeoPoint::new(39.1, -94.6)];
+        let topo = topology_over(sites, &[(0, 1)]);
+        let lowered = classified_lowering(&topo);
+        let ranking = rank_upgrades(
+            &topo,
+            &lowered,
+            &CostModel::default(),
+            &UpgradeConfig::default(),
+        );
+        assert_eq!(ranking.options.len(), 1);
+        let only = &ranking.options[0];
+        assert!(ranking.baseline_fg_p99_ms > 0.0);
+        assert!(only.upgraded_fg_p99_ms < ranking.baseline_fg_p99_ms);
+        assert!(only.improvement_ms > 0.0 && only.improvement_per_musd_km > 0.0);
     }
 
     #[test]

@@ -57,16 +57,19 @@
 //! without a boundary branch; [`WindowedShard`] consults the link-owner
 //! table, the window end and its outboxes.
 //!
-//! Deliveries never touch link state, so the final transmit records each
-//! one into its final link's stream instead of round-tripping it through
-//! the queue. A link's finish times strictly increase, so every stream is
-//! sorted by `(time, flow)`, and each link has exactly one owning shard, so
-//! the union of the shards' streams is the same stream set under every
-//! mode; one k-way merge per component restores the canonical order.
-//! Per-component results are then merged in component order, which makes
-//! the produced [`SimReport`] **bit-identical for every
-//! `(mode, workers, window)` configuration** — `workers: 1` is the pinned
-//! serial reference, `workers: 0` picks the machine's parallelism.
+//! Deliveries never touch link state, so the final transmit accounts for
+//! each one on the spot and stores nothing per packet. *Per-flow sums by
+//! ownership*: a flow delivers over one final link, that link has exactly
+//! one owning shard, and its finish times strictly increase — so a flow's
+//! delay sums are accumulated by one shard in one order under every mode,
+//! and the means are taken over them in flow-index order. *Histograms by
+//! addition*: every delay is also binned into its shard's
+//! [`DeliveryHistograms`], integer counts that the run adds up in whatever
+//! order the shards finish. Nothing depends on how the events were split,
+//! which makes the produced [`SimReport`] **bit-identical for every
+//! `(mode, workers, window)` configuration** by construction —
+//! `workers: 1` is the pinned serial reference, `workers: 0` picks the
+//! machine's parallelism.
 //!
 //! # Hybrid execution
 //!
@@ -81,8 +84,9 @@
 //!
 //! [`PathStore`]: cisp_graph::PathStore
 //! [`TrafficClass::Background`]: crate::routing::TrafficClass::Background
+//! [`DeliveryHistograms`]: crate::monitor::DeliveryHistograms
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Barrier, Mutex};
 use std::thread;
@@ -93,7 +97,7 @@ use serde::{Deserialize, Serialize};
 use crate::flows::{ArrivalProcess, EmissionSchedule, FlowSpec};
 use crate::fluid::{self, BackgroundModel, FluidOutcome};
 use crate::jobs::{drain_jobs, resolve_workers};
-use crate::monitor::{ClassReport, FlowMonitor, PerClassReport, SampleStats, SimReport};
+use crate::monitor::{FlowMonitor, SimReport};
 use crate::network::{DirtyLinks, LinkState, LinkStates, Network, QueueDiscipline, Transmit};
 use crate::queue::{Event, EventQueue, QueueStats};
 use crate::routing::{compute_routes, Demand, RoutingScheme, RoutingTable};
@@ -195,64 +199,6 @@ impl SimConfig {
     }
 }
 
-/// Per-flow tallies of one component run, aligned with the component's flow
-/// list.
-#[derive(Debug, Clone, Copy, Default)]
-struct FlowStat {
-    delay_sum: f64,
-    delivered: u64,
-    dropped: u64,
-}
-
-/// Per-class delivery samples of one component, split out of the merged
-/// delivery stream *during* the canonical-order merge — so each class's
-/// sample vector is the classwise subsequence of the global pop order and
-/// per-class statistics inherit the bit-identity contract. Collected only
-/// for classified demand sets (`EngineContext::classify`).
-#[derive(Default)]
-struct ClassSamples {
-    fg_delays: Vec<f64>,
-    fg_queue_delays: Vec<f64>,
-    bg_delays: Vec<f64>,
-    bg_queue_delays: Vec<f64>,
-}
-
-impl ClassSamples {
-    #[inline]
-    fn record(&mut self, demands: &[Demand], e: &Event) {
-        let (delays, queue_delays) = if demands[e.flow as usize].is_background() {
-            (&mut self.bg_delays, &mut self.bg_queue_delays)
-        } else {
-            (&mut self.fg_delays, &mut self.fg_queue_delays)
-        };
-        delays.push(e.time - e.sent_at);
-        queue_delays.push(e.queue_delay);
-    }
-}
-
-/// Everything one component's simulation produced, merged (in component
-/// order) into the global monitor and network state after all components
-/// finish. Every component yields exactly one outcome: zero-flow demand
-/// sets produce zero components, never empty components.
-struct ComponentOutcome {
-    delays: Vec<f64>,
-    queue_delays: Vec<f64>,
-    flow_stats: Vec<FlowStat>,
-    links: Vec<(u32, LinkState)>,
-    /// Per-class delivery samples (`Some` iff the run is classified).
-    class_samples: Option<ClassSamples>,
-}
-
-/// One shard's contribution to a component: the delivery streams of the
-/// final links it owns (each sorted by `(time, flow)`), its partial per-flow
-/// tallies, and the state of the links it owns. A whole-component run is
-/// the one-shard case.
-struct ShardPartial {
-    streams: Vec<Vec<Event>>,
-    flow_stats: Vec<FlowStat>,
-    links: Vec<(u32, LinkState)>,
-}
-
 /// The immutable inputs every engine entry point reads: the network and
 /// routed demand set, the run configuration, and the fluid solution
 /// foreground packets ride on (hybrid runs, `None` under pure packet
@@ -264,10 +210,6 @@ struct EngineContext<'a> {
     demands: &'a [Demand],
     config: &'a SimConfig,
     fluid: Option<&'a FluidOutcome>,
-    /// Any demand is background-tagged: collect per-class delivery samples
-    /// and publish [`SimReport::per_class`]. Computed once per run so
-    /// unclassified runs pay nothing.
-    classify: bool,
 }
 
 /// Where a shard's share of a component ends — the only thing the two
@@ -339,10 +281,12 @@ impl Boundary for WindowedShard<'_> {
 /// link-state arrays over the shared link table, its event queue and
 /// per-link transit pipelines (the staging invariant, see the module docs),
 /// the dirty-link tracker used to harvest and recycle only the links the
-/// worker actually touched, and the delivery streams of the component in
-/// progress. One `Shard` serves every component its worker runs:
-/// [`begin`](Self::begin) → [`advance`](Self::advance) (once, or once per
-/// window) → [`finish`](Self::finish).
+/// worker actually touched, and everything the worker's share of the run
+/// produced — its own [`FlowMonitor`] and the final link states — which
+/// [`RunTotals::of`] collects once the run is over. One `Shard`
+/// serves every component its worker runs: [`begin`](Self::begin) →
+/// [`advance`](Self::advance) (once, or once per window) →
+/// [`finish`](Self::finish).
 struct Shard<'a, B> {
     ctx: EngineContext<'a>,
     boundary: B,
@@ -358,18 +302,22 @@ struct Shard<'a, B> {
     /// by `begin`. Entries for flows outside the current component are
     /// stale, but a component only ever looks up its own flows.
     flow_pos: Vec<u32>,
-    /// Per-final-link delivery streams of the current component.
-    streams: Vec<Vec<Event>>,
-    /// Link index → its stream in `streams`, `u32::MAX` when unassigned.
-    /// Lazily assigned at a link's first delivery; component-local.
-    stream_of: Vec<u32>,
-    /// Links assigned a stream this component, for `stream_of` reset.
-    stream_links: Vec<u32>,
     /// Lazy emission schedule per flow position — `Some` for the flows whose
     /// first link this shard owns: emissions enter the network there, so
     /// that shard alone schedules them.
     schedules: Vec<Option<EmissionSchedule>>,
-    flow_stats: Vec<FlowStat>,
+    /// Tallies and delay histograms of the packets this shard delivered or
+    /// dropped. Only the shard owning a flow's last link delivers it, so
+    /// the flow's delay sums are whole here and zero on every other shard;
+    /// drops may come from any shard, but counters commute.
+    monitor: FlowMonitor,
+    /// The exact path, kept as the histograms' oracle: every delivery as
+    /// `(delay, queue_delay, is_background)`.
+    #[cfg(test)]
+    tap: Vec<(f64, f64, bool)>,
+    /// Final state of the links this shard owned, component after component
+    /// (components are link-disjoint and a link has one owner).
+    links: Vec<(u32, LinkState)>,
 }
 
 impl<'a, B: Boundary> Shard<'a, B> {
@@ -384,11 +332,11 @@ impl<'a, B: Boundary> Shard<'a, B> {
             transit: vec![VecDeque::new(); num_links],
             head_queued: vec![false; num_links],
             flow_pos: vec![0; ctx.demands.len()],
-            streams: Vec::new(),
-            stream_of: vec![u32::MAX; num_links],
-            stream_links: Vec::new(),
             schedules: Vec::new(),
-            flow_stats: Vec::new(),
+            monitor: FlowMonitor::new(ctx.demands.len()),
+            #[cfg(test)]
+            tap: Vec::new(),
+            links: Vec::new(),
         }
     }
 
@@ -404,7 +352,6 @@ impl<'a, B: Boundary> Shard<'a, B> {
         } = self.ctx;
         self.queue.clear();
         self.schedules.clear();
-        self.flow_stats = vec![FlowStat::default(); flows.len()];
         for (pos, &f) in flows.iter().enumerate() {
             self.flow_pos[f as usize] = pos as u32;
             let route = routes.route(f as usize);
@@ -502,13 +449,14 @@ impl<'a, B: Boundary> Shard<'a, B> {
         let link = route[ev.hop as usize] as usize;
         debug_assert!(self.boundary.owns(link), "event on a foreign link");
         let fluid_backlog = fluid.map_or(0.0, |f| f.backlog_bytes(link, ev.time));
+        let background = demands[ev.flow as usize].is_background();
         match self.states.transmit_classed(
             &network.links()[link],
             link,
             ev.time,
             config.packet_bytes,
             fluid_backlog,
-            demands[ev.flow as usize].is_background(),
+            background,
             config.discipline,
         ) {
             Transmit::Delivered {
@@ -524,10 +472,15 @@ impl<'a, B: Boundary> Shard<'a, B> {
                 };
                 match route.get(next.hop as usize) {
                     None => {
-                        let stat = &mut self.flow_stats[self.flow_pos[ev.flow as usize] as usize];
-                        stat.delay_sum += next.time - next.sent_at;
+                        let delay = next.time - next.sent_at;
+                        let stat = &mut self.monitor.flows[ev.flow as usize];
+                        stat.delay_sum += delay;
+                        stat.queue_delay_sum += next.queue_delay;
                         stat.delivered += 1;
-                        self.stream_for(link).push(next);
+                        let deliveries = &mut self.monitor.deliveries;
+                        deliveries.record(background, delay, next.queue_delay);
+                        #[cfg(test)]
+                        self.tap.push((delay, next.queue_delay, background));
                     }
                     Some(&upcoming) if self.boundary.owns(upcoming as usize) => {
                         if self.head_queued[link] {
@@ -541,121 +494,53 @@ impl<'a, B: Boundary> Shard<'a, B> {
                 }
             }
             Transmit::Dropped => {
-                self.flow_stats[self.flow_pos[ev.flow as usize] as usize].dropped += 1;
+                self.monitor.flows[ev.flow as usize].dropped += 1;
             }
         }
     }
 
-    /// The delivery stream for `link`, assigning one on first use.
-    #[inline]
-    fn stream_for(&mut self, link: usize) -> &mut Vec<Event> {
-        let mut sid = self.stream_of[link] as usize;
-        if sid == u32::MAX as usize {
-            sid = self.streams.len();
-            self.stream_of[link] = sid as u32;
-            self.stream_links.push(link as u32);
-            self.streams.push(Vec::new());
-        }
-        &mut self.streams[sid]
-    }
-
-    /// Close this shard's share of the component: hand out its delivery
-    /// streams, tallies and dirtied link states, and recycle the worker
-    /// arrays for the next component. (The queue and every pipeline are
-    /// empty by now — each popped head promoted its successor.)
-    fn finish(&mut self) -> ShardPartial {
-        for &l in &self.stream_links {
-            self.stream_of[l as usize] = u32::MAX;
-        }
-        self.stream_links.clear();
-        ShardPartial {
-            streams: std::mem::take(&mut self.streams),
-            flow_stats: std::mem::take(&mut self.flow_stats),
-            links: self.dirty.drain_snapshots(&mut self.states),
-        }
+    /// Close this shard's share of the component: keep the final state of
+    /// the links it dirtied and recycle the worker arrays for the next
+    /// component. (The queue and every pipeline are empty by now — each
+    /// popped head promoted its successor.)
+    fn finish(&mut self) {
+        self.links
+            .extend(self.dirty.drain_snapshots(&mut self.states));
     }
 }
 
-impl Shard<'_, WholeComponent> {
-    /// Simulate one whole component. All scoring of time and tie-breaks
-    /// happens inside the component, so the outcome does not depend on
-    /// which worker runs it.
-    fn run_component(&mut self, flows: &[u32]) -> ComponentOutcome {
-        self.begin(flows);
-        self.advance();
-        let partial = self.finish();
-        merge_shard_partials(vec![partial], self.ctx.demands, self.ctx.classify)
-    }
+/// What a run's shards produced between them. Every part is a sum that
+/// does not care about order: integer counts and bins, per-flow delay sums
+/// that are non-zero on one shard only, link states that are disjoint.
+struct RunTotals {
+    monitor: FlowMonitor,
+    queue_stats: QueueStats,
+    links: Vec<(u32, LinkState)>,
+    #[cfg(test)]
+    tap: Vec<(f64, f64, bool)>,
 }
 
-/// Merge one component's shard partials into its outcome. The delivery
-/// streams — each sorted by `(time, flow)`, keys unique across streams
-/// because a flow delivers over one link — are k-way merged into the
-/// canonical `(time, flow)` sample order, the order a single queue would
-/// have popped the deliveries in; per-flow tallies sum across shards (only
-/// the shard owning a flow's last link delivers it; drops may come from
-/// any shard, but counters commute).
-fn merge_shard_partials(
-    parts: Vec<ShardPartial>,
-    demands: &[Demand],
-    classify: bool,
-) -> ComponentOutcome {
-    let streams: Vec<&[Event]> = parts
-        .iter()
-        .flat_map(|p| p.streams.iter().map(Vec::as_slice))
-        .collect();
-    let total: usize = streams.iter().map(|s| s.len()).sum();
-    let mut delays = Vec::with_capacity(total);
-    let mut queue_delays = Vec::with_capacity(total);
-    let mut class_samples = classify.then(ClassSamples::default);
-    let mut record = |e: &Event| {
-        delays.push(e.time - e.sent_at);
-        queue_delays.push(e.queue_delay);
-        if let Some(cs) = class_samples.as_mut() {
-            cs.record(demands, e);
+impl RunTotals {
+    /// The first shard's products with the others' added — a serial run,
+    /// which every what-if sweep is made of, copies nothing.
+    fn of<B>(shards: Vec<Shard<'_, B>>) -> Self {
+        let mut shards = shards.into_iter();
+        let first = shards.next().expect("a run has at least one shard");
+        let mut totals = RunTotals {
+            queue_stats: first.queue.stats(),
+            monitor: first.monitor,
+            links: first.links,
+            #[cfg(test)]
+            tap: first.tap,
+        };
+        for shard in shards {
+            totals.queue_stats.merge(&shard.queue.stats());
+            totals.monitor.merge(&shard.monitor);
+            totals.links.extend(shard.links);
+            #[cfg(test)]
+            totals.tap.extend(shard.tap);
         }
-    };
-    if let [only] = streams.as_slice() {
-        // Every 1-hop mesh component: nothing to merge.
-        only.iter().for_each(&mut record);
-    } else {
-        // Max-heap over reversed `Event` order pops the earliest
-        // `(time, flow)` head; keys are unique across streams, so the
-        // stream-id tiebreak never decides. O(n log k) — cheaper than
-        // sorting the flat vector, and exactly the order that sort gives.
-        let mut cursors = vec![0usize; streams.len()];
-        let mut heads: BinaryHeap<(Event, u32)> = streams
-            .iter()
-            .enumerate()
-            .map(|(sid, stream)| (stream[0], sid as u32))
-            .collect();
-        while let Some((e, sid)) = heads.pop() {
-            record(&e);
-            let s = sid as usize;
-            cursors[s] += 1;
-            if let Some(&next) = streams[s].get(cursors[s]) {
-                heads.push((next, sid));
-            }
-        }
-    }
-
-    let mut rest = parts.into_iter();
-    let first = rest.next().expect("a component has at least one shard");
-    let (mut flow_stats, mut links) = (first.flow_stats, first.links);
-    for mut p in rest {
-        for (total, stat) in flow_stats.iter_mut().zip(&p.flow_stats) {
-            total.delay_sum += stat.delay_sum;
-            total.delivered += stat.delivered;
-            total.dropped += stat.dropped;
-        }
-        links.append(&mut p.links);
-    }
-    ComponentOutcome {
-        delays,
-        queue_delays,
-        flow_stats,
-        links,
-        class_samples,
+        totals
     }
 }
 
@@ -684,6 +569,9 @@ pub struct Simulation {
     routes: RoutingTable,
     config: SimConfig,
     last_queue_stats: QueueStats,
+    /// Every delivery of the most recent run, see [`Shard::tap`].
+    #[cfg(test)]
+    last_tap: Vec<(f64, f64, bool)>,
 }
 
 impl Simulation {
@@ -739,6 +627,8 @@ impl Simulation {
             routes,
             config,
             last_queue_stats: QueueStats::default(),
+            #[cfg(test)]
+            last_tap: Vec::new(),
         }
     }
 
@@ -845,22 +735,18 @@ impl Simulation {
     /// Component-sharded execution: the component list drained by `workers`
     /// shards ([`drain_jobs`]; one worker runs inline). Components are
     /// independent, so which shard runs which is irrelevant.
-    fn run_components(
-        ctx: &EngineContext<'_>,
-        comps: &[Vec<u32>],
-        workers: usize,
-    ) -> (Vec<ComponentOutcome>, QueueStats) {
-        let (outcomes, shards) = drain_jobs(
+    fn run_components(ctx: &EngineContext<'_>, comps: &[Vec<u32>], workers: usize) -> RunTotals {
+        let (_, shards) = drain_jobs(
             comps.len(),
             workers,
             || Shard::new(*ctx, WholeComponent),
-            |shard, i| shard.run_component(&comps[i]),
+            |shard, i| {
+                shard.begin(&comps[i]);
+                shard.advance();
+                shard.finish();
+            },
         );
-        let mut queue_stats = QueueStats::default();
-        for shard in &shards {
-            queue_stats.merge(&shard.queue.stats());
-        }
-        (outcomes, queue_stats)
+        RunTotals::of(shards)
     }
 
     /// Time-windowed execution: for every component (processed in order by
@@ -873,10 +759,7 @@ impl Simulation {
         comps: &[Vec<u32>],
         workers: usize,
         window_s: f64,
-    ) -> (Vec<ComponentOutcome>, QueueStats) {
-        if comps.is_empty() {
-            return (Vec::new(), QueueStats::default());
-        }
+    ) -> RunTotals {
         let (network, routes) = (ctx.network, ctx.routes);
         let num_links = network.num_links();
 
@@ -921,46 +804,27 @@ impl Simulation {
             next_times: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         };
 
-        let shard_results: Vec<(Vec<ShardPartial>, QueueStats)> = if workers == 1 {
-            vec![Self::run_windowed_shard(&plan, 0)]
-        } else {
-            thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|me| {
-                        let plan = &plan;
-                        scope.spawn(move || Self::run_windowed_shard(plan, me))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("windowed simulation worker panicked"))
-                    .collect()
-            })
-        };
-        let mut queue_stats = QueueStats::default();
-        let mut per_shard: Vec<std::vec::IntoIter<ShardPartial>> =
-            Vec::with_capacity(shard_results.len());
-        for (partials, stats) in shard_results {
-            queue_stats.merge(&stats);
-            per_shard.push(partials.into_iter());
-        }
-
-        let outcomes = comps
-            .iter()
-            .map(|_| {
-                let parts: Vec<ShardPartial> = per_shard
-                    .iter_mut()
-                    .map(|shard| shard.next().expect("one partial per component and shard"))
-                    .collect();
-                merge_shard_partials(parts, ctx.demands, ctx.classify)
-            })
-            .collect();
-        (outcomes, queue_stats)
+        let shards = thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|me| {
+                    let plan = &plan;
+                    scope.spawn(move || Self::run_windowed_shard(plan, me))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("windowed simulation worker panicked"))
+                .collect::<Vec<_>>()
+        });
+        RunTotals::of(shards)
     }
 
     /// One gang member's run over every component: simulate the events on
     /// the links this shard owns, window by window.
-    fn run_windowed_shard(plan: &WindowedPlan<'_>, me: usize) -> (Vec<ShardPartial>, QueueStats) {
+    fn run_windowed_shard<'a>(
+        plan: &'a WindowedPlan<'a>,
+        me: usize,
+    ) -> Shard<'a, WindowedShard<'a>> {
         let mut shard = Shard::new(
             plan.ctx,
             WindowedShard {
@@ -970,7 +834,6 @@ impl Simulation {
                 outbox: (0..plan.workers).map(|_| Vec::new()).collect(),
             },
         );
-        let mut partials = Vec::with_capacity(plan.comps.len());
         for (comp, &window) in plan.comps.iter().zip(&plan.windows) {
             shard.begin(comp);
             loop {
@@ -1010,10 +873,9 @@ impl Simulation {
                     shard.queue.push(ev);
                 }
             }
-            partials.push(shard.finish());
+            shard.finish();
         }
-        let stats = shard.queue.stats();
-        (partials, stats)
+        shard
     }
 
     /// Run the simulation and produce a report.
@@ -1040,64 +902,34 @@ impl Simulation {
         let comps = self.partition_flows();
         let requested = resolve_workers(self.config.workers);
 
-        let classify = crate::routing::any_background(&self.demands);
         let ctx = EngineContext {
             network: &self.network,
             routes: &self.routes,
             demands: &self.demands,
             config: &self.config,
             fluid,
-            classify,
         };
-        let (outcomes, queue_stats) = match self.config.mode {
-            ExecMode::ComponentSharded => Self::run_components(&ctx, &comps, requested),
-            ExecMode::TimeWindowed { window_s } => {
-                let workers = requested.max(1);
-                if workers == 1 {
-                    // One effective worker owns every link: the windowed
-                    // machinery (barriers, horizon exchange, inboxes, the
-                    // per-shard merge) buys nothing, so degenerate to the
-                    // serial component loop — bit-identical by the
-                    // cross-mode contract, minus the window overhead.
-                    Self::run_components(&ctx, &comps, 1)
-                } else {
-                    Self::run_windowed(&ctx, &comps, workers, window_s)
-                }
+        let totals = match self.config.mode {
+            // With one effective worker the windowed machinery (barriers,
+            // horizon exchange, inboxes) buys nothing: run the serial
+            // component loop.
+            ExecMode::TimeWindowed { window_s } if requested > 1 => {
+                Self::run_windowed(&ctx, &comps, requested, window_s)
             }
+            _ => Self::run_components(&ctx, &comps, requested),
         };
-        self.last_queue_stats = queue_stats;
-
-        // Merge in component order — the step that fixes the statistics'
-        // sample order independent of worker count. Zero-flow demand sets
-        // (e.g. every demand unroutable after weather failures) produce
-        // *zero components*, not components without outcomes — the loop
-        // body simply never runs and the report is all zeroes (pinned by
+        // Zero-flow demand sets (e.g. every demand unroutable after weather
+        // failures) produce *zero components*: no shard has anything to
+        // add and the report is all zeroes (pinned by
         // `unroutable_demands_yield_an_empty_report_in_every_mode`).
-        let mut monitor = FlowMonitor::new(self.demands.len());
-        // Per-class sample accumulators, concatenated in the same component
-        // order as the global monitor — each class's vector stays the
-        // classwise subsequence of the canonical sample order.
-        let mut fg_delays = SampleStats::default();
-        let mut fg_queue_delays = SampleStats::default();
-        let mut bg_delays = SampleStats::default();
-        let mut bg_queue_delays = SampleStats::default();
-        assert_eq!(outcomes.len(), comps.len(), "one outcome per component");
-        for (comp, o) in comps.iter().zip(outcomes) {
-            monitor.delays.record_many(&o.delays);
-            monitor.queue_delays.record_many(&o.queue_delays);
-            if let Some(cs) = &o.class_samples {
-                fg_delays.record_many(&cs.fg_delays);
-                fg_queue_delays.record_many(&cs.fg_queue_delays);
-                bg_delays.record_many(&cs.bg_delays);
-                bg_queue_delays.record_many(&cs.bg_queue_delays);
-            }
-            for (pos, &f) in comp.iter().enumerate() {
-                let stat = o.flow_stats[pos];
-                monitor.absorb_flow(f as usize, stat.delay_sum, stat.delivered, stat.dropped);
-            }
-            for (l, state) in &o.links {
-                self.network.states_mut().restore(*l as usize, state);
-            }
+        let monitor = totals.monitor;
+        self.last_queue_stats = totals.queue_stats;
+        for (l, state) in &totals.links {
+            self.network.states_mut().restore(*l as usize, state);
+        }
+        #[cfg(test)]
+        {
+            self.last_tap = totals.tap;
         }
 
         // Credit the fluid bytes each link carried before utilisations are
@@ -1114,36 +946,8 @@ impl Simulation {
             .map(|l| self.network.utilization(l, self.config.duration_s))
             .collect();
         let mut report = monitor.report(utilizations);
-        if classify {
-            // Delivered/dropped tallies split by the per-flow vectors and
-            // the class mask. Under the hybrid engine background flows never
-            // enter the packet engine, so the background entry is all zeroes
-            // there — its statistics live in `report.background`.
-            let (mut fg_delivered, mut fg_dropped) = (0u64, 0u64);
-            let (mut bg_delivered, mut bg_dropped) = (0u64, 0u64);
-            for (k, d) in self.demands.iter().enumerate() {
-                if d.is_background() {
-                    bg_delivered += monitor.flow_delivered[k];
-                    bg_dropped += monitor.flow_dropped[k];
-                } else {
-                    fg_delivered += monitor.flow_delivered[k];
-                    fg_dropped += monitor.flow_dropped[k];
-                }
-            }
-            report.per_class = Some(PerClassReport {
-                foreground: ClassReport::from_samples(
-                    &fg_delays,
-                    &fg_queue_delays,
-                    fg_delivered,
-                    fg_dropped,
-                ),
-                background: ClassReport::from_samples(
-                    &bg_delays,
-                    &bg_queue_delays,
-                    bg_delivered,
-                    bg_dropped,
-                ),
-            });
+        if crate::routing::any_background(&self.demands) {
+            report.per_class = Some(monitor.per_class(|k| self.demands[k].is_background()));
         }
         if let Some(f) = fluid_solution {
             if f.num_flows() > 0 {
@@ -1319,6 +1123,153 @@ mod tests {
         (net, demands)
     }
 
+    /// A 5-hop conduit-like chain with a mid-chain entrant; propagation far
+    /// exceeds the inter-packet gap, so every pipeline stays non-empty.
+    fn staging_chain() -> (Network, Vec<Demand>) {
+        let mut net = Network::new(6);
+        for i in 0..5 {
+            net.add_link(LinkSpec {
+                from: i,
+                to: i + 1,
+                rate_bps: 100e6,
+                propagation_s: 0.004,
+                buffer_bytes: 1e9,
+            });
+        }
+        let demands = vec![Demand::new(0, 5, 60e6), Demand::new(2, 4, 20e6)];
+        (net, demands)
+    }
+
+    /// The ring mesh with every other demand tagged background.
+    fn classified_mesh() -> (Network, Vec<Demand>) {
+        let (net, mut demands) = single_component_mesh(8);
+        for d in demands.iter_mut().skip(1).step_by(2) {
+            d.class = crate::routing::TrafficClass::Background;
+        }
+        (net, demands)
+    }
+
+    /// Run `sim` and check every delay statistic of its report against the
+    /// exact path — the delivery tap summarised by [`SampleStats`]: each
+    /// quantile within one 2⁻¹⁰ bin of the sorted one (2⁻⁴⁰ s for the zero
+    /// bin), each mean within 1e-12 relative of the naive running sum.
+    fn run_against_exact_path(sim: &mut Simulation, what: &str) -> SimReport {
+        use crate::monitor::{ClassReport, SampleStats};
+        let report = sim.run();
+        assert_eq!(sim.last_tap.len() as u64, report.delivered, "{what}");
+        let exact = |class: Option<bool>| {
+            let (mut delays, mut queue_delays) = (SampleStats::default(), SampleStats::default());
+            for &(delay, queue_delay, background) in &sim.last_tap {
+                if class.is_none_or(|c| c == background) {
+                    delays.record(delay);
+                    queue_delays.record(queue_delay);
+                }
+            }
+            (delays, queue_delays)
+        };
+        let quantile = |got_ms: f64, samples: &SampleStats, q: f64, name: &str| {
+            let want_ms = samples.quantile(q) * 1e3;
+            let bin_ms = want_ms * 2f64.powi(-10) + 2f64.powi(-40) * 1e3;
+            assert!(
+                (got_ms - want_ms).abs() <= bin_ms,
+                "{what}: {name} {got_ms} vs sorted {want_ms}"
+            );
+        };
+        let mean = |got_ms: f64, samples: &SampleStats, name: &str| {
+            let want_ms = samples.mean() * 1e3;
+            assert!(
+                (got_ms - want_ms).abs() <= want_ms * 1e-12,
+                "{what}: {name} {got_ms} vs running sum {want_ms}"
+            );
+        };
+        let (delays, queue_delays) = exact(None);
+        mean(report.mean_delay_ms, &delays, "mean_delay_ms");
+        mean(
+            report.mean_queue_delay_ms,
+            &queue_delays,
+            "mean_queue_delay_ms",
+        );
+        quantile(report.p95_delay_ms, &delays, 0.95, "p95_delay_ms");
+        if let Some(classes) = &report.per_class {
+            let class = |got: &ClassReport, background: bool| {
+                let (delays, queue_delays) = exact(Some(background));
+                assert_eq!(got.delivered, delays.count() as u64, "{what}");
+                mean(got.mean_delay_ms, &delays, "class mean_delay_ms");
+                mean(
+                    got.mean_queue_delay_ms,
+                    &queue_delays,
+                    "class mean_queue_delay_ms",
+                );
+                quantile(got.p99_delay_ms, &delays, 0.99, "p99_delay_ms");
+                quantile(
+                    got.p99_queue_delay_ms,
+                    &queue_delays,
+                    0.99,
+                    "p99_queue_delay_ms",
+                );
+            };
+            class(&classes.foreground, false);
+            class(&classes.background, true);
+        }
+        report
+    }
+
+    #[test]
+    fn report_matches_the_exact_path_on_every_fixture_in_every_mode() {
+        let fixtures = [
+            (
+                "ring mesh",
+                single_component_mesh(8),
+                BackgroundModel::Packet,
+            ),
+            ("pairs", multi_component_inputs(6), BackgroundModel::Packet),
+            ("staging chain", staging_chain(), BackgroundModel::Packet),
+            (
+                "classified mesh",
+                classified_mesh(),
+                BackgroundModel::Packet,
+            ),
+            ("hybrid mesh", classified_mesh(), BackgroundModel::Fluid),
+        ];
+        for (name, (net, demands), background) in fixtures {
+            let mut serial = None;
+            for arrivals in [ArrivalProcess::ConstantBitRate, ArrivalProcess::Poisson] {
+                for (workers, mode) in [
+                    (1, ExecMode::ComponentSharded),
+                    (2, ExecMode::ComponentSharded),
+                    (4, ExecMode::ComponentSharded),
+                    (2, ExecMode::windowed_auto()),
+                    (4, ExecMode::windowed_auto()),
+                    (3, ExecMode::TimeWindowed { window_s: 5e-4 }),
+                ] {
+                    let config = SimConfig {
+                        duration_s: 0.2,
+                        arrivals,
+                        seed: 3,
+                        workers,
+                        mode,
+                        background,
+                        ..SimConfig::default()
+                    };
+                    let what = format!("{name}, {arrivals:?}, workers {workers}, {mode:?}");
+                    let mut sim = Simulation::new(net.clone(), demands.clone(), config);
+                    let report = run_against_exact_path(&mut sim, &what);
+                    assert!(report.delivered > 0, "{what}");
+                    assert_eq!(
+                        report.per_class.is_some(),
+                        crate::routing::any_background(&demands),
+                        "{what}"
+                    );
+                    if workers == 1 {
+                        serial = Some(report);
+                    } else {
+                        assert_eq!(serial.as_ref(), Some(&report), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sharded_run_is_bit_identical_to_serial() {
         for arrivals in [ArrivalProcess::ConstantBitRate, ArrivalProcess::Poisson] {
@@ -1482,17 +1433,7 @@ mod tests {
         // head per link plus one pending emission per flow, every packet
         // must come out the far end, and the parallel modes must reproduce
         // the serial report float for float.
-        let mut net = Network::new(6);
-        for i in 0..5 {
-            net.add_link(LinkSpec {
-                from: i,
-                to: i + 1,
-                rate_bps: 100e6,
-                propagation_s: 0.004,
-                buffer_bytes: 1e9,
-            });
-        }
-        let demands = vec![Demand::new(0, 5, 60e6), Demand::new(2, 4, 20e6)];
+        let (net, demands) = staging_chain();
         let config = |workers, mode| SimConfig {
             duration_s: 0.3,
             workers,

@@ -1,13 +1,15 @@
 //! Property-based tests (proptest) on the workspace's core invariants:
 //! geodesic geometry, Fresnel clearance, the distance-matrix update used by
-//! the designer, the traffic-matrix algebra, the LP/MILP solver, and the
-//! packet-level link model.
+//! the designer, the traffic-matrix algebra, the LP/MILP solver, the
+//! packet-level link model, and the delay histogram behind every reported
+//! quantile.
 
 use cisp::core::links::CandidateLink;
 use cisp::core::topology::{improve_with_link, HybridTopology};
 use cisp::geo::{fresnel, geodesic, latency, GeoPoint};
 use cisp::lp::model::{Problem, VarKind};
 use cisp::lp::simplex::solve_lp;
+use cisp::netsim::monitor::{DelayHistogram, SampleStats};
 use cisp::netsim::network::{LinkSpec, Network, Transmit};
 use cisp::netsim::routing::{
     compute_routes, compute_routes_avoiding, reroute_avoiding, Demand, RoutingScheme,
@@ -250,6 +252,63 @@ proptest! {
                     prop_assert_eq!(&partial, &base);
                 }
             }
+        }
+    }
+
+    // The histogram against the exact path: samples log-uniform over 12
+    // decades with exact zeros, repeats and the odd value outside the
+    // binned range; every quantile within one 2⁻¹⁰ bin of the sorted one
+    // (below 2⁻⁴⁰ all that is known is "below 2⁻⁴⁰"), exact at both ends;
+    // and the same multiset dealt over several histograms and merged in a
+    // random order is the same histogram.
+    #[test]
+    fn delay_histogram_tracks_sorted_quantiles_and_merges_in_any_order(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1usize..3000);
+        let mut samples: Vec<f64> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let v = match rng.gen_range(0usize..12) {
+                0 => 0.0,
+                1 if !samples.is_empty() => samples[rng.gen_range(0..samples.len())],
+                2 if seed % 3 == 0 => [1e-14, 5e3][rng.gen_range(0usize..2)],
+                _ => 10f64.powf(rng.gen_range(-9.0..3.0)),
+            };
+            samples.push(v);
+        }
+        let mut whole = DelayHistogram::default();
+        let mut exact = SampleStats::default();
+        for &v in &samples {
+            whole.record(v);
+            exact.record(v);
+        }
+        prop_assert_eq!(whole.count(), n as u64);
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            let (got, want) = (whole.quantile(q), exact.quantile(q));
+            if q == 0.0 || q == 1.0 {
+                prop_assert_eq!(got, want);
+            } else if want < 1024.0 {
+                let bin = want * 2f64.powi(-10) + 2f64.powi(-40);
+                prop_assert!((got - want).abs() <= bin, "q {}: {} vs {}", q, got, want);
+            } else {
+                // Saturated: somewhere in the top bin, below the maximum.
+                prop_assert!((1023.0..=exact.max()).contains(&got), "q {}: {}", q, got);
+            }
+        }
+
+        let parts = [1usize, 2, 3, 7][rng.gen_range(0usize..4)];
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut hists = vec![DelayHistogram::default(); parts];
+        for dealt in 0..n {
+            order.swap(dealt, rng.gen_range(dealt..n));
+            hists[dealt % parts].record(samples[order[dealt]]);
+        }
+        let mut merged = DelayHistogram::default();
+        while !hists.is_empty() {
+            merged.merge(&hists.swap_remove(rng.gen_range(0..hists.len())));
+        }
+        prop_assert!(merged == whole, "{} parts", parts);
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            prop_assert_eq!(merged.quantile(q), whole.quantile(q));
         }
     }
 }

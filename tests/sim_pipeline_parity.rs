@@ -746,10 +746,36 @@ fn format_report_snapshot(title: &str, report: &SimReport) -> String {
     out
 }
 
+/// What the exact path — every delivery stored, sorted for the quantile,
+/// summed in `(time, flow)` order for the mean — reported for both golden
+/// workloads before delivery accounting went order-free.
+const EXACT_MEAN_DELAY_MS: f64 = 1.6924795942855517;
+const EXACT_P95_DELAY_MS: f64 = 3.1247731105952474;
+const EXACT_MEAN_QUEUE_DELAY_MS: f64 = 7.759006230470161e-5;
+
+/// The report's delay statistics against the exact path's: quantile within
+/// one 2⁻¹⁰ histogram bin, means within 1e-12 relative (only the order of
+/// the additions differs).
+fn assert_within_a_bin_of_the_exact_path(report: &SimReport) {
+    let p95_bin = EXACT_P95_DELAY_MS * 2f64.powi(-10);
+    assert!(
+        (report.p95_delay_ms - EXACT_P95_DELAY_MS).abs() <= p95_bin,
+        "p95_delay_ms {} is more than one bin from {EXACT_P95_DELAY_MS}",
+        report.p95_delay_ms
+    );
+    for (got, exact) in [
+        (report.mean_delay_ms, EXACT_MEAN_DELAY_MS),
+        (report.mean_queue_delay_ms, EXACT_MEAN_QUEUE_DELAY_MS),
+    ] {
+        assert!((got - exact).abs() <= exact * 1e-12, "{got} vs {exact}");
+    }
+}
+
 /// Golden-report regression pin: the serial `SimReport` of the designed
 /// backbone, rendered exactly, must match the checked-in snapshot. Any
-/// engine refactor that silently changes event order, merge order or float
-/// arithmetic fails here even if it stays self-consistent across modes.
+/// engine refactor that silently changes event order, per-flow summation
+/// or float arithmetic fails here even if it stays self-consistent across
+/// modes.
 #[test]
 fn golden_end_to_end_backbone_report_matches_snapshot() {
     let (lowered, _) = lowered_backbone();
@@ -778,6 +804,7 @@ fn golden_end_to_end_backbone_report_matches_snapshot() {
             "{discipline:?} drifted from FIFO on an unclassified workload"
         );
     }
+    assert_within_a_bin_of_the_exact_path(&report);
     let rendered = format_report_snapshot("end_to_end_backbone", &report);
     assert_snapshot_matches(
         concat!(
@@ -829,6 +856,7 @@ fn golden_hybrid_backbone_report_matches_snapshot() {
         "fluid safety valve fired on the pinned hybrid workload"
     );
     assert!(report.delivered > 0);
+    assert_within_a_bin_of_the_exact_path(&report);
     let rendered = format_report_snapshot("classified_hybrid_backbone", &report);
     assert_snapshot_matches(
         concat!(

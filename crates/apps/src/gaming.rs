@@ -12,7 +12,7 @@
 //!   (high-bandwidth) path, and then sends only a tiny "which branch
 //!   happened" message over the low-latency path — so on a speculation hit
 //!   the frame time collapses to the low-latency RTT, and on a miss it falls
-//!   back to the conventional RTT (Outatime-style speculation, [46]).
+//!   back to the conventional RTT (Outatime-style speculation, \[46\]).
 
 use serde::{Deserialize, Serialize};
 

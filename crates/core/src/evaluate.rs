@@ -70,11 +70,12 @@ pub struct EvaluateConfig {
     /// lookahead) parallelises inside a component instead, and whether that
     /// pays depends on how many packets the run carries. Measured on the
     /// paper-scale backbone (14 042 flows, 25 components, one dominant; two
-    /// cores): a 0.1 s run of 1.75 M packets falls from 1.70–1.79 s to
-    /// 1.05–1.07 s, while a 0.5 ms storm re-simulation of 8.6 k packets —
-    /// ≈12 ms in all — is slower for the thread spawns and barriers, 133 of
-    /// them taking 2.43–2.85 s → 2.94–3.02 s. The report is bit-identical
-    /// in every mode.
+    /// cores, 10 alternating pairs): a 0.1 s run of 1.75 M packets falls
+    /// from 0.752 s to 0.527 s of wall clock (10 of 10) for 0.750 → 0.870 s
+    /// of CPU (worse in 9 of 10) and ≈ 37 → ≈ 47 MiB of peak RSS, while a
+    /// 0.5 ms storm re-simulation of 8.6 k packets — ≈12 ms in all — is
+    /// slower for the thread spawns and barriers. The report is
+    /// bit-identical in every mode.
     pub sim: SimConfig,
 }
 

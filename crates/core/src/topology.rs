@@ -439,8 +439,8 @@ impl HybridTopology {
     /// conduit graph instead of a pre-flattened distance matrix.
     ///
     /// The dense latency-equivalent fiber matrix becomes a *derived cache*:
-    /// it is computed here from the conduit graph's per-source CSR Dijkstra
-    /// trees (times the 1.5× fiber propagation factor), exactly the way
+    /// it is computed here from the conduit graph's per-source shortest-path
+    /// searches (times the 1.5× fiber propagation factor), exactly the way
     /// [`FiberNetwork::latency_equivalent_matrix`] computes it — so a
     /// conduit-backed topology is bit-identical to a matrix-backed one fed
     /// that matrix, and the design engine runs on it unchanged. What the

@@ -18,7 +18,7 @@
 //! city set, so we model Europe the same way.
 
 use cisp_geo::{geodesic, units::FIBER_LATENCY_FACTOR, GeoPoint};
-use cisp_graph::{dijkstra, pair_count, CsrGraph, DistMatrix, Graph, PathStore};
+use cisp_graph::{pair_count, CsrGraph, DistMatrix, PathStore, SearchCore};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -65,12 +65,16 @@ impl Default for FiberConfig {
 /// ids*: edge `2·s` traverses segment `s` from `a` to `b`, edge `2·s + 1`
 /// traverses it from `b` to `a` (the id convention of
 /// [`FiberNetwork::route_csr`]). Unconnected pairs store an empty path.
+///
+/// [`pair_index`]: cisp_graph::pair_index
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ConduitRoutes {
     /// Shortest conduit route length per pair (km, `INFINITY` where
     /// unconnected, zero diagonal).
     pub route_km: DistMatrix,
     /// Directed conduit-edge path per unordered pair, [`pair_index`] order.
+    ///
+    /// [`pair_index`]: cisp_graph::pair_index
     pub paths: PathStore,
 }
 
@@ -160,15 +164,6 @@ impl FiberNetwork {
         &self.links
     }
 
-    /// Graph with conduit route lengths (km) as edge weights.
-    pub fn route_graph(&self) -> Graph {
-        let mut g = Graph::new(self.sites.len());
-        for l in &self.links {
-            g.add_undirected_edge(l.a, l.b, l.route_km);
-        }
-        g
-    }
-
     /// The conduit graph packed into flat CSR form, with the directed-edge
     /// id convention the stored conduit paths use: segment `s` contributes
     /// edge `2·s` (`a → b`) and edge `2·s + 1` (`b → a`), both weighted by
@@ -185,46 +180,49 @@ impl FiberNetwork {
     /// Shortest fiber *route length* (km, physical conduit distance) between
     /// two sites, if connected.
     pub fn shortest_route_km(&self, from: usize, to: usize) -> Option<f64> {
-        dijkstra::shortest_path(&self.route_graph(), from, to).map(|p| p.cost)
+        let mut core = SearchCore::new();
+        core.search(&self.route_csr(), from, &[to], f64::INFINITY);
+        core.settled(to).then(|| core.dist(to))
     }
 
-    /// All-pairs shortest fiber route lengths, as a flat matrix in
-    /// kilometres (`f64::INFINITY` where unconnected). One CSR Dijkstra tree
-    /// per source; bit-identical to the adjacency-list formulation (pinned
-    /// by the CSR parity suites).
-    pub fn route_distance_matrix(&self) -> DistMatrix {
+    /// One full search per source site over [`Self::route_csr`], `visit`ed
+    /// when it finishes; returns the distances as a matrix, row per source.
+    fn search_from_every_site(&self, mut visit: impl FnMut(usize, &SearchCore)) -> DistMatrix {
         let csr = self.route_csr();
         let n = self.sites.len();
+        let mut core = SearchCore::new();
         let mut data = Vec::with_capacity(n * n);
         for i in 0..n {
-            data.append(&mut csr.shortest_path_tree(i, None).dist);
+            core.search(&csr, i, &[], f64::INFINITY);
+            data.extend((0..n).map(|j| core.dist(j)));
+            visit(i, &core);
         }
         DistMatrix::from_flat(n, data)
     }
 
+    /// All-pairs shortest fiber route lengths, as a flat matrix in
+    /// kilometres (`f64::INFINITY` where unconnected), bit-identical to the
+    /// adjacency-list reference (pinned by the search parity suites).
+    pub fn route_distance_matrix(&self) -> DistMatrix {
+        self.search_from_every_site(|_, _| {})
+    }
+
     /// All-pairs shortest conduit routes: the route-length matrix together
-    /// with the conduit-hop path realising each pair, from the same CSR
-    /// Dijkstra trees (so `routes.route_km` is bit-identical to
+    /// with the conduit-hop path realising each pair, from the same searches
+    /// (so `routes.route_km` is bit-identical to
     /// [`Self::route_distance_matrix`]). This is what the conduit-backed
     /// topology constructor consumes.
     pub fn shortest_routes(&self) -> ConduitRoutes {
-        let csr = self.route_csr();
         let n = self.sites.len();
-        let mut data = Vec::with_capacity(n * n);
         let mut paths = PathStore::with_capacity(pair_count(n), 4 * n);
         let mut scratch = Vec::new();
-        for i in 0..n {
-            let tree = csr.shortest_path_tree(i, None);
+        let route_km = self.search_from_every_site(|i, core| {
             for j in (i + 1)..n {
-                tree.edge_path_into(j, &mut scratch);
+                core.edge_path_into(j, &mut scratch);
                 paths.push_path(&scratch);
             }
-            data.extend_from_slice(&tree.dist);
-        }
-        ConduitRoutes {
-            route_km: DistMatrix::from_flat(n, data),
-            paths,
-        }
+        });
+        ConduitRoutes { route_km, paths }
     }
 
     /// All-pairs *latency-equivalent* fiber distances: physical route length
@@ -371,7 +369,7 @@ mod tests {
 
     /// Walk a stored conduit path from `i`, checking hop contiguity, and
     /// return `(end_node, summed_route_km)`. The sum is accumulated in hop
-    /// order, which is exactly how the Dijkstra tree accumulated the
+    /// order, which is exactly how the search accumulated the
     /// pair's distance.
     fn walk_path(net: &FiberNetwork, i: usize, path: &[u32]) -> (usize, f64) {
         let mut cur = i;
@@ -403,7 +401,7 @@ mod tests {
                 assert!(!path.is_empty(), "connected pair must have a path");
                 let (end, total) = walk_path(&net, i, path);
                 assert_eq!(end, j, "path must end at the pair's far site");
-                // Same summation order as the Dijkstra tree: exact equality.
+                // Same summation order as the search: exact equality.
                 assert_eq!(total, routes.route_km[i][j], "pair ({i}, {j})");
             }
         }

@@ -25,15 +25,6 @@ impl BitSet {
         }
     }
 
-    /// Build from a list of member indices over `0..capacity`.
-    pub fn from_indices(capacity: usize, indices: &[usize]) -> Self {
-        let mut set = Self::new(capacity);
-        for &i in indices {
-            set.insert(i);
-        }
-        set
-    }
-
     /// The universe size this set was created with.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -90,6 +81,14 @@ impl BitSet {
 mod tests {
     use super::*;
 
+    fn from_indices(capacity: usize, indices: &[usize]) -> BitSet {
+        let mut set = BitSet::new(capacity);
+        for &i in indices {
+            set.insert(i);
+        }
+        set
+    }
+
     #[test]
     fn insert_contains_remove() {
         let mut s = BitSet::new(130);
@@ -107,14 +106,14 @@ mod tests {
 
     #[test]
     fn from_indices_and_iter() {
-        let s = BitSet::from_indices(70, &[3, 68, 3]);
+        let s = from_indices(70, &[3, 68, 3]);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 68]);
         assert_eq!(s.capacity(), 70);
     }
 
     #[test]
     fn clear_empties_but_keeps_capacity() {
-        let mut s = BitSet::from_indices(80, &[0, 41, 79]);
+        let mut s = from_indices(80, &[0, 41, 79]);
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.capacity(), 80);

@@ -1,5 +1,4 @@
-//! Flat compressed-sparse-row adjacency and its predecessor-tracking
-//! Dijkstra.
+//! Flat compressed-sparse-row adjacency: a storage format.
 //!
 //! The adjacency-list [`Graph`](crate::Graph) stores one heap allocation per
 //! node; every neighbour scan chases a `Vec` pointer and the edges of a node
@@ -12,21 +11,13 @@
 //! interchangeably: a network whose links are added in id order produces a
 //! CSR whose `edge_ids` are exactly those link ids.
 //!
-//! [`CsrGraph::shortest_path_tree`] is the standard lazy-deletion binary-heap
-//! Dijkstra with deterministic tie-breaking (by node index), tracking both
-//! the predecessor *node* and the predecessor *edge id* so callers can
-//! extract either node paths or edge-id routes ([`CsrTree::edge_path_to`] —
-//! the form the simulator's source routes use). Costs may be the stored
-//! weights or a per-edge override ([`CsrGraph::shortest_path_tree_with`]),
-//! which is how congestion-aware routing re-prices links between placements
-//! without rebuilding the structure; a non-finite cost disables the edge.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! Searching it is [`SearchCore`](crate::SearchCore)'s job; a node's slots
+//! keep insertion order, which is what makes that search's tie-breaks equal
+//! to the adjacency reference's.
 
 use crate::graph::Graph;
 
-/// Sentinel for "no predecessor" in [`CsrTree`].
+/// Sentinel for "no predecessor" in [`SearchCore`](crate::SearchCore).
 pub const NO_EDGE: u32 = u32::MAX;
 
 /// A directed graph in compressed-sparse-row form.
@@ -115,172 +106,12 @@ impl CsrGraph {
         let range = self.slots(u);
         range.map(move |s| (self.targets[s] as usize, self.weights[s], self.edge_ids[s]))
     }
-
-    /// Dijkstra from `source` over the stored weights, optionally stopping
-    /// once `target` is settled.
-    pub fn shortest_path_tree(&self, source: usize, target: Option<usize>) -> CsrTree {
-        self.shortest_path_tree_with(source, target, |_, weight| weight)
-    }
-
-    /// Dijkstra with per-edge cost override: `cost(edge_id, stored_weight)`
-    /// is the traversal cost of each edge. Return a non-finite cost to
-    /// disable an edge (failed links, congestion-priced routing).
-    pub fn shortest_path_tree_with(
-        &self,
-        source: usize,
-        target: Option<usize>,
-        mut cost: impl FnMut(u32, f64) -> f64,
-    ) -> CsrTree {
-        let n = self.node_count();
-        assert!(source < n, "source out of range");
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev_node = vec![NO_EDGE; n];
-        let mut prev_edge = vec![NO_EDGE; n];
-        let mut settled = vec![false; n];
-        let mut heap = BinaryHeap::new();
-        dist[source] = 0.0;
-        heap.push(CsrHeapEntry {
-            cost: 0.0,
-            node: source as u32,
-        });
-
-        while let Some(CsrHeapEntry { cost: d, node }) = heap.pop() {
-            let u = node as usize;
-            if settled[u] {
-                continue;
-            }
-            settled[u] = true;
-            if Some(u) == target {
-                break;
-            }
-            for s in self.slots(u) {
-                let c = cost(self.edge_ids[s], self.weights[s]);
-                if !c.is_finite() {
-                    continue;
-                }
-                let v = self.targets[s] as usize;
-                let next = d + c;
-                if next < dist[v] {
-                    dist[v] = next;
-                    prev_node[v] = node;
-                    prev_edge[v] = self.edge_ids[s];
-                    heap.push(CsrHeapEntry {
-                        cost: next,
-                        node: v as u32,
-                    });
-                }
-            }
-        }
-
-        CsrTree {
-            source,
-            dist,
-            prev_node,
-            prev_edge,
-        }
-    }
-}
-
-/// Min-heap entry: lowest cost first, ties broken by node index.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CsrHeapEntry {
-    cost: f64,
-    node: u32,
-}
-
-impl Eq for CsrHeapEntry {}
-
-impl Ord for CsrHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for CsrHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A shortest-path tree over a [`CsrGraph`]: distances plus predecessor node
-/// *and* predecessor edge id, so both node paths and edge-id routes can be
-/// extracted without re-walking the adjacency.
-#[derive(Debug, Clone)]
-pub struct CsrTree {
-    /// Source the tree was grown from.
-    pub source: usize,
-    /// `dist[v]` is the shortest-path cost source → v (infinity when
-    /// unreached).
-    pub dist: Vec<f64>,
-    /// Predecessor node of `v` (`NO_EDGE` when unreached or the source).
-    pub prev_node: Vec<u32>,
-    /// Id of the edge entering `v` on its shortest path (`NO_EDGE` when
-    /// unreached or the source).
-    pub prev_edge: Vec<u32>,
-}
-
-impl CsrTree {
-    /// Whether `target` was reached.
-    #[inline]
-    pub fn reached(&self, target: usize) -> bool {
-        self.dist[target].is_finite()
-    }
-
-    /// Edge-id route source → `target` (empty when `target == source`), or
-    /// `None` when unreachable. The route is written into `out` (cleared
-    /// first) so hot callers can reuse one buffer.
-    pub fn edge_path_into(&self, target: usize, out: &mut Vec<u32>) -> bool {
-        out.clear();
-        if !self.reached(target) {
-            return false;
-        }
-        let mut cur = target;
-        while cur != self.source {
-            let e = self.prev_edge[cur];
-            if e == NO_EDGE {
-                out.clear();
-                return false;
-            }
-            out.push(e);
-            cur = self.prev_node[cur] as usize;
-        }
-        out.reverse();
-        true
-    }
-
-    /// Edge-id route source → `target`, or `None` when unreachable.
-    pub fn edge_path_to(&self, target: usize) -> Option<Vec<u32>> {
-        let mut out = Vec::new();
-        self.edge_path_into(target, &mut out).then_some(out)
-    }
-
-    /// Node path source → `target` (inclusive), or `None` when unreachable.
-    pub fn node_path_to(&self, target: usize) -> Option<Vec<usize>> {
-        if !self.reached(target) {
-            return None;
-        }
-        let mut nodes = vec![target];
-        let mut cur = target;
-        while cur != self.source {
-            if self.prev_node[cur] == NO_EDGE {
-                return None;
-            }
-            cur = self.prev_node[cur] as usize;
-            nodes.push(cur);
-        }
-        nodes.reverse();
-        Some(nodes)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra;
+    use crate::{dijkstra, SearchCore};
 
     fn diamond() -> Graph {
         let mut g = Graph::new(4);
@@ -303,14 +134,20 @@ mod tests {
         assert_eq!(out0[1].0, 2);
     }
 
+    // The search over this format lives in `search.rs`; these pin that the
+    // packing itself — slot order, edge ids — hands it the adjacency
+    // reference's graph.
+
     #[test]
     fn csr_dijkstra_matches_adjacency_dijkstra() {
         let g = diamond();
         let csr = CsrGraph::from_graph(&g);
+        let mut core = SearchCore::new();
         for src in 0..4 {
             let reference = dijkstra::shortest_path_tree(&g, src, None);
-            let tree = csr.shortest_path_tree(src, None);
-            assert_eq!(tree.dist, reference.dist, "source {src}");
+            core.search(&csr, src, &[], f64::INFINITY);
+            let dist: Vec<f64> = (0..4).map(|v| core.dist(v)).collect();
+            assert_eq!(dist, reference.dist, "source {src}");
         }
     }
 
@@ -318,24 +155,28 @@ mod tests {
     fn edge_path_costs_match_distances() {
         let g = diamond();
         let csr = CsrGraph::from_graph(&g);
-        let tree = csr.shortest_path_tree(0, None);
+        let mut core = SearchCore::new();
+        core.search(&csr, 0, &[], f64::INFINITY);
+        let edge_weights: std::collections::HashMap<u32, f64> = (0..4)
+            .flat_map(|u| csr.neighbors(u).map(|(_, w, id)| (id, w)))
+            .collect();
+        let mut path = Vec::new();
         for target in 0..4 {
-            let path = tree.edge_path_to(target).unwrap();
-            let edge_weights: std::collections::HashMap<u32, f64> = (0..4)
-                .flat_map(|u| csr.neighbors(u).map(|(_, w, id)| (id, w)))
-                .collect();
+            assert!(core.edge_path_into(target, &mut path));
             let cost: f64 = path.iter().map(|e| edge_weights[e]).sum();
-            assert!((cost - tree.dist[target]).abs() < 1e-12, "target {target}");
+            assert!((cost - core.dist(target)).abs() < 1e-12, "target {target}");
         }
-        assert!(tree.edge_path_to(0).unwrap().is_empty());
+        assert!(core.edge_path_into(0, &mut path) && path.is_empty());
     }
 
     #[test]
     fn node_paths_are_connected() {
         let g = diamond();
         let csr = CsrGraph::from_graph(&g);
-        let tree = csr.shortest_path_tree(0, Some(3));
-        let nodes = tree.node_path_to(3).unwrap();
+        let mut core = SearchCore::new();
+        core.search(&csr, 0, &[3], f64::INFINITY);
+        let mut nodes = Vec::new();
+        assert!(core.node_path_into(3, &mut nodes));
         assert_eq!(nodes.first(), Some(&0));
         assert_eq!(nodes.last(), Some(&3));
         for w in nodes.windows(2) {
@@ -349,36 +190,51 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         g.add_edge(2, 3, 1.0);
         let csr = CsrGraph::from_graph(&g);
-        let tree = csr.shortest_path_tree(0, None);
-        assert!(!tree.reached(3));
-        assert!(tree.edge_path_to(3).is_none());
-        assert!(tree.node_path_to(3).is_none());
-        let mut buf = vec![9u32];
-        assert!(!tree.edge_path_into(3, &mut buf));
-        assert!(buf.is_empty(), "failed extraction clears the buffer");
+        let mut core = SearchCore::new();
+        core.search(&csr, 0, &[], f64::INFINITY);
+        assert!(core.dist(3).is_infinite());
+        let mut nodes = vec![9usize];
+        assert!(!core.node_path_into(3, &mut nodes));
+        let mut edges = vec![9u32];
+        assert!(!core.edge_path_into(3, &mut edges));
+        assert!(
+            nodes.is_empty() && edges.is_empty(),
+            "failed extraction clears the buffer"
+        );
     }
 
     #[test]
     fn cost_override_reprices_and_disables_edges() {
-        let g = diamond();
-        let csr = CsrGraph::from_graph(&g);
+        let mut core = SearchCore::new();
+        let mut path = |csr: &CsrGraph, target: usize, cost: fn(u32, f64) -> f64| {
+            core.search_with(csr, 0, &[], f64::INFINITY, cost);
+            let mut nodes = Vec::new();
+            assert!(core.node_path_into(target, &mut nodes));
+            nodes
+        };
+        let csr = CsrGraph::from_graph(&diamond());
+        // Stored weights: 0-1-3 and 0-2-3 both cost 3; node 1 settles first.
+        assert_eq!(path(&csr, 3, |_, w| w), vec![0, 1, 3]);
         // Disable the 0→1 edge (id 0): the best route to 3 flips to 0-2-3.
-        let tree =
-            csr.shortest_path_tree_with(0, None, |id, w| if id == 0 { f64::INFINITY } else { w });
-        assert_eq!(tree.node_path_to(3).unwrap(), vec![0, 2, 3]);
-        // Re-pricing every edge to 1 makes 0-1-3 and 0-2-3 tie; the
-        // deterministic tie-break picks the same path every run.
-        let first = csr
-            .shortest_path_tree_with(0, None, |_, _| 1.0)
-            .node_path_to(3)
-            .unwrap();
+        let without_0 = |id, w| if id == 0 { f64::INFINITY } else { w };
+        assert_eq!(path(&csr, 3, without_0), vec![0, 2, 3]);
+        // Re-pricing the 1→3 edge (id 3) flips it the same way.
+        let dear_3 = |id, w| if id == 3 { 9.0 } else { w };
+        assert_eq!(path(&csr, 3, dear_3), vec![0, 2, 3]);
+        // Unit costs make the two routes tie again; the deterministic
+        // tie-break picks the same path every run.
+        let first = path(&csr, 3, |_, _| 1.0);
         for _ in 0..5 {
-            let again = csr
-                .shortest_path_tree_with(0, None, |_, _| 1.0)
-                .node_path_to(3)
-                .unwrap();
-            assert_eq!(again, first);
+            assert_eq!(path(&csr, 3, |_, _| 1.0), first);
         }
+        // A detour that is shorter by weight loses to the direct edge by hops.
+        let mut g = Graph::new(3);
+        g.add_undirected_edge(0, 1, 1.0);
+        g.add_undirected_edge(1, 2, 1.0);
+        g.add_undirected_edge(0, 2, 5.0);
+        let csr = CsrGraph::from_graph(&g);
+        assert_eq!(path(&csr, 2, |_, w| w), vec![0, 1, 2]);
+        assert_eq!(path(&csr, 2, |_, _| 1.0), vec![0, 2]);
     }
 
     #[test]
@@ -391,9 +247,17 @@ mod tests {
             g.add_undirected_edge(i, i + 5, 2.5);
         }
         let csr = CsrGraph::from_graph(&g);
-        let full = csr.shortest_path_tree(0, None);
-        let early = csr.shortest_path_tree(0, Some(17));
-        assert_eq!(early.dist[17], full.dist[17]);
+        let mut core = SearchCore::new();
+        core.search(&csr, 0, &[], f64::INFINITY);
+        let mut full_path = Vec::new();
+        assert!(core.edge_path_into(17, &mut full_path));
+        let full_dist = core.dist(17);
+        core.search(&csr, 0, &[17], f64::INFINITY);
+        let mut early_path = Vec::new();
+        assert!(core.edge_path_into(17, &mut early_path));
+        assert_eq!(core.dist(17), full_dist);
+        assert_eq!(early_path, full_path);
+        assert!(!core.settled(29), "the run stopped at its target");
     }
 
     #[test]
@@ -402,9 +266,8 @@ mod tests {
         CsrGraph::from_edges(2, [(0usize, 1usize, -1.0)]);
     }
 
-    // NaN would make `CsrHeapEntry::cmp`'s `unwrap_or(Equal)` tie-break
-    // nondeterministic; CSR construction is the last gate before the search
-    // cores trust every weight.
+    // NaN would make the search's `(dist, node)` order meaningless; CSR
+    // construction is the last gate before `SearchCore` trusts every weight.
     #[test]
     #[should_panic(expected = "finite")]
     fn rejects_nan_weights() {

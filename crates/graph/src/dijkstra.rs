@@ -1,8 +1,12 @@
-//! Dijkstra shortest paths with deterministic tie-breaking.
+//! The reference Dijkstra: adjacency list, lazy-deletion binary heap,
+//! deterministic tie-breaking.
 //!
-//! The designer runs Dijkstra over graphs with up to a few hundred thousand
-//! edges (the tower hop graph), once per city, so the implementation uses the
-//! standard binary-heap formulation with lazy deletion.
+//! This is the textbook formulation, kept as the thing
+//! [`SearchCore`](crate::SearchCore) — the search production code runs — is
+//! pinned against, bit for bit. Its own callers are the ones that want an
+//! independent or a one-off answer: the candidate pool's pointwise oracle
+//! (`LinkBuilder::candidate_link`), [`disjoint`](crate::disjoint) for
+//! Fig. 4(b), and the parity tests.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -180,12 +184,6 @@ pub fn shortest_path(graph: &Graph, source: NodeId, target: NodeId) -> Option<Pa
     shortest_path_tree(graph, source, Some(target)).path_to(target)
 }
 
-/// Cost of the shortest path from `source` to every node (infinity where
-/// unreachable).
-pub fn shortest_path_costs(graph: &Graph, source: NodeId) -> Vec<f64> {
-    shortest_path_tree(graph, source, None).dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +224,7 @@ mod tests {
         g.add_undirected_edge(0, 1, 1.0);
         g.add_undirected_edge(2, 3, 1.0);
         assert!(shortest_path(&g, 0, 3).is_none());
-        let costs = shortest_path_costs(&g, 0);
+        let costs = shortest_path_tree(&g, 0, None).dist;
         assert!(costs[3].is_infinite());
         assert_eq!(costs[1], 1.0);
     }
@@ -244,7 +242,7 @@ mod tests {
     #[test]
     fn costs_from_source_are_monotone_on_line() {
         let g = line_graph(10);
-        let costs = shortest_path_costs(&g, 0);
+        let costs = shortest_path_tree(&g, 0, None).dist;
         for (i, &cost) in costs.iter().enumerate() {
             assert_eq!(cost, i as f64);
         }

@@ -46,12 +46,6 @@ impl Graph {
         self.edge_count
     }
 
-    /// Append a new isolated node and return its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.adjacency.push(Vec::new());
-        self.adjacency.len() - 1
-    }
-
     /// Add a directed edge. Panics on out-of-range nodes or negative/NaN
     /// weights (shortest-path preconditions).
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, weight: f64) {
@@ -81,18 +75,6 @@ impl Graph {
         self.adjacency[from].iter().any(|e| e.to == to)
     }
 
-    /// Weight of the minimum-weight directed edge `from → to`, if any.
-    pub fn edge_weight(&self, from: NodeId, to: NodeId) -> Option<f64> {
-        self.adjacency[from]
-            .iter()
-            .filter(|e| e.to == to)
-            .map(|e| e.weight)
-            .fold(None, |acc, w| match acc {
-                None => Some(w),
-                Some(prev) => Some(prev.min(w)),
-            })
-    }
-
     /// Iterate over all directed edges as `(from, to, weight)` triples.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
         self.adjacency
@@ -116,19 +98,6 @@ impl Graph {
         let mut out = Graph::new(self.node_count());
         for (from, to, w) in self.edges() {
             if !gone[from] && !gone[to] {
-                out.add_edge(from, to, w);
-            }
-        }
-        out
-    }
-
-    /// Build a copy of the graph with specific directed edges removed.
-    /// Each entry of `removed` is a `(from, to)` pair; all parallel edges
-    /// between that pair are dropped.
-    pub fn without_edges(&self, removed: &[(NodeId, NodeId)]) -> Graph {
-        let mut out = Graph::new(self.node_count());
-        for (from, to, w) in self.edges() {
-            if !removed.contains(&(from, to)) {
                 out.add_edge(from, to, w);
             }
         }
@@ -165,23 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn add_node_returns_new_id() {
-        let mut g = Graph::new(2);
-        assert_eq!(g.add_node(), 2);
-        assert_eq!(g.add_node(), 3);
-        assert_eq!(g.node_count(), 4);
-    }
-
-    #[test]
-    fn edge_weight_picks_minimum_parallel_edge() {
-        let mut g = Graph::new(2);
-        g.add_edge(0, 1, 5.0);
-        g.add_edge(0, 1, 3.0);
-        assert_eq!(g.edge_weight(0, 1), Some(3.0));
-        assert_eq!(g.edge_weight(1, 0), None);
-    }
-
-    #[test]
     fn edges_iterator_covers_everything() {
         let g = diamond();
         let edges: Vec<_> = g.edges().collect();
@@ -200,14 +152,6 @@ mod tests {
         assert!(g2.has_edge(0, 2));
         // Original untouched.
         assert!(g.has_edge(0, 1));
-    }
-
-    #[test]
-    fn without_edges_removes_only_named_pairs() {
-        let g = diamond();
-        let g2 = g.without_edges(&[(0, 1)]);
-        assert!(!g2.has_edge(0, 1));
-        assert!(g2.has_edge(1, 0), "reverse direction is a different edge");
     }
 
     #[test]

@@ -4,20 +4,26 @@
 //! tower-to-tower hop graph (hundreds of thousands of edges), the city-level
 //! candidate-link graph used by the topology optimiser, and the designed
 //! topology used for routing and failure analysis. This crate provides the
-//! shared machinery:
+//! shared machinery. Shortest paths come in two roles: [`search`] is the
+//! core every production search runs on, [`dijkstra`] the adjacency-list
+//! reference it is pinned against.
 //!
 //! * [`Graph`] — a compact adjacency-list weighted graph,
-//! * [`dijkstra`] — single-source shortest paths with path extraction,
-//! * [`kshortest`] — Yen's algorithm for k shortest loopless paths,
-//! * [`disjoint`] — iterative node-disjoint shortest paths (the procedure
-//!   behind Fig. 4(b): find a path, delete its interior towers, repeat),
-//! * [`csr`] — [`CsrGraph`], the flat compressed-sparse-row adjacency the
-//!   packet simulator routes over, with a predecessor-tracking Dijkstra
-//!   whose trees yield edge-id routes directly,
+//! * [`csr`] — [`CsrGraph`], the flat compressed-sparse-row storage of the
+//!   same graph (edge ids preserved from insertion order, so the packet
+//!   simulator's link ids *are* its edge ids),
 //! * [`search`] — [`SearchCore`], a reusable bounded multi-target Dijkstra
 //!   over [`CsrGraph`] (generation-stamped scratch, indexed d-ary heap with
-//!   decrease-key) whose settle order is bit-identical to the lazy-deletion
-//!   implementations; the candidate pool build's per-site search engine,
+//!   decrease-key, per-edge cost override that also disables edges) — the
+//!   candidate pool's per-site searches, the conduit route matrices and the
+//!   simulator's routing and re-routing all run on it,
+//! * [`dijkstra`] — the reference: single-source shortest paths over
+//!   [`Graph`] with a lazy-deletion binary heap, whose settle order
+//!   `SearchCore` reproduces bit for bit; the pool's pointwise oracle and
+//!   the parity tests call it,
+//! * [`disjoint`] — iterative node-disjoint shortest paths on the reference
+//!   (the procedure behind Fig. 4(b): find a path, delete its interior
+//!   towers, repeat),
 //! * [`paths`] — [`PathStore`], arena-backed storage for many short paths
 //!   (offset + link-id arrays; a whole routing table in two allocations),
 //! * [`partition`] — balanced link partitions over path sets and their
@@ -59,15 +65,14 @@ pub mod csr;
 pub mod dijkstra;
 pub mod disjoint;
 pub mod graph;
-pub mod kshortest;
 pub mod matrix;
 pub mod partition;
 pub mod paths;
 pub mod search;
 
 pub use bitset::BitSet;
-pub use csr::{CsrGraph, CsrTree};
-pub use dijkstra::{shortest_path, shortest_path_costs, Path};
+pub use csr::CsrGraph;
+pub use dijkstra::{shortest_path, Path};
 pub use graph::Graph;
 pub use matrix::{
     improve_with_link, improve_with_link_tracked, improve_with_links, leave_out_closures,

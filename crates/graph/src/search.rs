@@ -1,11 +1,15 @@
-//! Reusable single-source shortest-path core over [`CsrGraph`].
+//! The shortest-path core: single-source Dijkstra over [`CsrGraph`].
 //!
-//! The lazy-deletion [`BinaryHeap`](std::collections::BinaryHeap) Dijkstras
-//! in [`dijkstra`](crate::dijkstra) and [`csr`](crate::csr) allocate fresh
-//! `dist`/`prev`/`settled` arrays per source and push a new heap entry on
-//! every relaxation. Fine for one-off queries; wasteful for the candidate
-//! pool build, which runs one bounded search per site (119 at paper scale)
-//! over the same ~12.5k-node tower graph. [`SearchCore`] keeps all scratch
+//! `cisp_graph` answers "shortest path" in two roles. [`SearchCore`] is the
+//! search production code runs — the candidate pool's per-site tower
+//! searches, the conduit route matrices, the simulator's routing tables and
+//! every storm's re-route. [`dijkstra`](crate::dijkstra) is the adjacency-list
+//! reference that `SearchCore` is pinned against; it serves the pool's
+//! pointwise oracle, the disjoint-path figure and the parity tests.
+//!
+//! The core is built for many searches over one graph (one bounded search
+//! per site, 119 at paper scale, over the same ~12.5k-node tower graph; one
+//! search per demand in congestion-aware routing), so it keeps all scratch
 //! alive between runs:
 //!
 //! * **generation-stamped buffers** — `dist`/`prev`/`settled` validity is a
@@ -15,16 +19,19 @@
 //!   occupies at most one slot;
 //! * **multi-target early termination** — the search stops as soon as every
 //!   requested target is settled, composed with the `max_cost` cap used by
-//!   the oracle prune.
+//!   the oracle prune;
+//! * **per-edge cost override** — [`SearchCore::search_with`] prices every
+//!   edge through a caller's closure (congestion-aware routing re-prices
+//!   links between placements without rebuilding the graph); a non-finite
+//!   cost takes the edge out (failed links).
 //!
-//! The settle order is pinned to the lazy-deletion implementations: the next
+//! The settle order is pinned to the reference's lazy-deletion heap: the next
 //! settled node is the smallest `(tentative distance, node index)` pair, and
 //! relaxation uses strict `<`, so predecessors are first-writer-wins in CSR
 //! slot order. A run of [`SearchCore::search`] therefore produces *bit
 //! identical* distances, predecessors, and extracted paths to
-//! [`dijkstra::shortest_path_tree`](crate::dijkstra::shortest_path_tree) /
-//! [`CsrGraph::shortest_path_tree`] over the same graph — the property the
-//! pool-build parity tests pin.
+//! [`dijkstra::shortest_path_tree`](crate::dijkstra::shortest_path_tree) over
+//! the same graph — the property the parity tests pin.
 //!
 //! Weights are validated finite and non-negative at graph construction
 //! ([`CsrGraph::from_edges`], [`Graph::add_edge`](crate::Graph::add_edge)),
@@ -98,9 +105,9 @@ impl SearchCore {
         self.heap.clear();
     }
 
-    /// `(dist, node)` heap order — the exact tie-break of the lazy-deletion
-    /// heaps, which is what makes settle order (and therefore first-writer
-    /// predecessors) bit-identical to them.
+    /// `(dist, node)` heap order — the exact tie-break of the reference's
+    /// lazy-deletion heap, which is what makes settle order (and therefore
+    /// first-writer predecessors) bit-identical to it.
     #[inline]
     fn less(&self, a: u32, b: u32) -> bool {
         let da = self.dist[a as usize];
@@ -183,11 +190,27 @@ impl SearchCore {
     /// * the frontier is exhausted.
     ///
     /// Results are read back through [`dist`](Self::dist) /
-    /// [`settled`](Self::settled) / [`node_path_into`](Self::node_path_into)
-    /// and stay valid until the next `search` call. Distances of touched but
-    /// unsettled nodes are the tentative values at stop time — exactly what
-    /// the lazy bounded tree reports, which the oracle-prune stats rely on.
+    /// [`settled`](Self::settled) / [`node_path_into`](Self::node_path_into) /
+    /// [`edge_path_into`](Self::edge_path_into) and stay valid until the next
+    /// search. Distances of touched but unsettled nodes are the tentative
+    /// values at stop time — exactly what the reference's bounded tree
+    /// reports, which the oracle-prune stats rely on.
     pub fn search(&mut self, graph: &CsrGraph, source: usize, targets: &[usize], max_cost: f64) {
+        self.search_with(graph, source, targets, max_cost, |_, weight| weight);
+    }
+
+    /// [`search`](Self::search) with a per-edge cost override:
+    /// `cost(edge_id, stored_weight)` is the traversal cost of each edge, and
+    /// must not be negative. An edge whose cost is not finite (`+∞`, NaN) is
+    /// skipped (failed links, congestion-priced routing).
+    pub fn search_with(
+        &mut self,
+        graph: &CsrGraph,
+        source: usize,
+        targets: &[usize],
+        max_cost: f64,
+        mut cost: impl FnMut(u32, f64) -> f64,
+    ) {
         let n = graph.node_count();
         assert!(source < n, "source out of range");
         self.begin(n);
@@ -212,7 +235,7 @@ impl SearchCore {
 
         while let Some(&root) = self.heap.first() {
             let u = root as usize;
-            // Identical stop condition to the lazy heap's `cost > max_cost`
+            // Identical stop condition to the reference's `cost > max_cost`
             // break: the indexed heap's minimum IS the smallest tentative
             // distance (no stale entries to pop through).
             if self.dist[u] > max_cost {
@@ -229,18 +252,22 @@ impl SearchCore {
             let du = self.dist[u];
             for s in graph.slots(u) {
                 let v = graph.targets[s] as usize;
-                let next = du + graph.weights[s];
+                // An edge priced `+∞` or NaN offers `+∞` or NaN: it passes
+                // neither strict test below, which is how it is skipped.
+                let next = du + cost(graph.edge_ids[s], graph.weights[s]);
                 if self.touched[v] != gen {
-                    self.dist[v] = next;
-                    self.prev_node[v] = root;
-                    self.prev_edge[v] = graph.edge_ids[s];
-                    self.touched[v] = gen;
-                    self.heap_push(v as u32);
+                    if next < f64::INFINITY {
+                        self.dist[v] = next;
+                        self.prev_node[v] = root;
+                        self.prev_edge[v] = graph.edge_ids[s];
+                        self.touched[v] = gen;
+                        self.heap_push(v as u32);
+                    }
                 } else if next < self.dist[v] {
                     // Strict `<` and settled nodes never improving keeps
                     // first-writer-wins predecessor ties identical to the
-                    // reference implementations. A settled node cannot pass
-                    // the strict test (weights are non-negative).
+                    // reference. A settled node cannot pass the strict test
+                    // (costs are non-negative).
                     debug_assert!(self.settled[v] != gen);
                     self.dist[v] = next;
                     self.prev_node[v] = root;
@@ -284,27 +311,50 @@ impl SearchCore {
         Some((self.prev_node[v] as usize, self.prev_edge[v]))
     }
 
-    /// Write the node path source → `target` (inclusive) into `out`
-    /// (cleared first); returns `false` (clearing `out`) when `target` was
-    /// not reached. Identical path to
-    /// [`CsrTree::node_path_to`](crate::csr::CsrTree::node_path_to).
-    pub fn node_path_into(&self, target: usize, out: &mut Vec<usize>) -> bool {
-        out.clear();
+    /// Walk the current best path from `target` back to the source, `visit`ing
+    /// every node on it but the source; `false` when `target` was not reached.
+    fn walk_back(&self, target: usize, mut visit: impl FnMut(usize)) -> bool {
         if self.touched[target] != self.gen {
             return false;
         }
         let mut cur = target;
-        out.push(cur);
         while cur != self.source {
             if self.prev_node[cur] == NO_EDGE {
-                out.clear();
                 return false;
             }
+            visit(cur);
             cur = self.prev_node[cur] as usize;
-            out.push(cur);
         }
-        out.reverse();
         true
+    }
+
+    /// Write the node path source → `target` (inclusive) into `out`
+    /// (cleared first); returns `false` (clearing `out`) when `target` was
+    /// not reached.
+    pub fn node_path_into(&self, target: usize, out: &mut Vec<usize>) -> bool {
+        out.clear();
+        let reached = self.walk_back(target, |v| out.push(v));
+        if reached {
+            out.push(self.source);
+            out.reverse();
+        } else {
+            out.clear();
+        }
+        reached
+    }
+
+    /// [`node_path_into`](Self::node_path_into) as edge ids: the route
+    /// source → `target`, empty when `target` is the source — the form the
+    /// simulator's source routes and the stored conduit paths use.
+    pub fn edge_path_into(&self, target: usize, out: &mut Vec<u32>) -> bool {
+        out.clear();
+        let reached = self.walk_back(target, |v| out.push(self.prev_edge[v]));
+        if reached {
+            out.reverse();
+        } else {
+            out.clear();
+        }
+        reached
     }
 }
 

@@ -8,24 +8,26 @@
 //! * [`RoutingScheme::ShortestPath`] — minimum propagation latency.
 //! * [`RoutingScheme::MinMaxUtilization`] — greedy sequential placement of
 //!   demands (heaviest first) on the path minimising the resulting maximum
-//!   link utilisation, the classic traffic-engineering objective of [42].
+//!   link utilisation, the classic traffic-engineering objective of \[42\].
 //! * [`RoutingScheme::ThroughputOptimal`] — load-balancing placement that
 //!   minimises the sum of squared link utilisations, spreading load so the
 //!   network can absorb the most additional traffic.
 //!
-//! The machinery is the flat engine from `cisp_graph`: the network's link
-//! table is packed once into a [`CsrGraph`] (link ids *are* CSR edge ids, by
-//! construction), shortest-path demands share one predecessor-tracking
-//! Dijkstra tree per distinct source, and the computed routes land in an
-//! arena-backed [`PathStore`] — the whole routing table is two allocations
-//! instead of one `Vec` per demand. Link failures (the weather scenarios)
-//! are expressed as a disabled-link mask handed to
+//! Every search here runs on `cisp_graph`'s one shortest-path core: the
+//! network's link table is packed once into a [`CsrGraph`] (link ids *are* CSR
+//! edge ids, by construction), one reused [`SearchCore`] answers every query
+//! — shortest-path demands share one search per distinct source, stopped once
+//! that source's destinations are settled; the congestion-aware schemes
+//! re-price the links per demand through its cost override — and the
+//! computed routes land in an arena-backed [`PathStore`], so the whole routing
+//! table is two allocations instead of one `Vec` per demand. Link failures
+//! (the weather scenarios) are expressed as a disabled-link mask handed to
 //! [`compute_routes_avoiding`]; disabled links simply price as `+∞`. A
 //! caller that holds the all-links-up table and fails a few links at a time
 //! (the storm sweep: ≈5 % of the demands cross a failed link per run) uses
 //! [`reroute_avoiding`], which re-routes only what the failure touches.
 
-use cisp_graph::{CsrGraph, PathStore};
+use cisp_graph::{CsrGraph, PathStore, SearchCore};
 use serde::{Deserialize, Serialize};
 
 use crate::network::{LinkId, Network, NodeId};
@@ -48,8 +50,8 @@ pub enum RoutingScheme {
 /// is about (gaming frames, small web transfers) — is always simulated
 /// packet by packet. Background bulk traffic is eligible for flow-level
 /// fluid modelling when the engine runs with
-/// [`crate::sim::BackgroundModel::Fluid`]; under the default
-/// [`crate::sim::BackgroundModel::Packet`] the tag changes nothing, so
+/// [`crate::fluid::BackgroundModel::Fluid`]; under the default
+/// [`crate::fluid::BackgroundModel::Packet`] the tag changes nothing, so
 /// untagged callers keep bit-identical behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TrafficClass {
@@ -227,15 +229,43 @@ fn is_disabled(disabled: &[bool], link: u32) -> bool {
     disabled.get(link as usize).copied().unwrap_or(false)
 }
 
-/// The shortest-path tree from `source` over the links `disabled` leaves up.
-fn surviving_tree(csr: &CsrGraph, source: NodeId, disabled: &[bool]) -> cisp_graph::CsrTree {
-    csr.shortest_path_tree_with(source, None, |id, w| {
+/// Latency-shortest routes, over the links `disabled` leaves up, for the
+/// demands `which` names: one search per distinct source among them, stopped
+/// once that source's destinations are settled. Returns the routes in search
+/// order together with each demand's slot among them (`usize::MAX` for one
+/// `which` does not name); callers re-pack into demand order.
+fn shortest_routes_by_source(
+    csr: &CsrGraph,
+    demands: &[Demand],
+    mut which: Vec<usize>,
+    disabled: &[bool],
+) -> (PathStore, Vec<usize>) {
+    // Stable, so a source's demands keep demand order.
+    which.sort_by_key(|&k| demands[k].src);
+    let surviving = |id, w| {
         if is_disabled(disabled, id) {
             f64::INFINITY
         } else {
             w
         }
-    })
+    };
+    let mut core = SearchCore::new();
+    let mut routed = PathStore::with_capacity(which.len(), which.len() * 4);
+    let mut slot_of = vec![usize::MAX; demands.len()];
+    let mut targets = Vec::new();
+    let mut scratch = Vec::new();
+    for group in which.chunk_by(|&a, &b| demands[a].src == demands[b].src) {
+        targets.clear();
+        targets.extend(group.iter().map(|&k| demands[k].dst));
+        let src = demands[group[0]].src;
+        core.search_with(csr, src, &targets, f64::INFINITY, surviving);
+        for &k in group {
+            slot_of[k] = routed.len();
+            core.edge_path_into(demands[k].dst, &mut scratch);
+            routed.push_path(&scratch);
+        }
+    }
+    (routed, slot_of)
 }
 
 /// Compute routes for a set of demands under a scheme.
@@ -258,24 +288,11 @@ pub fn compute_routes_avoiding(
     disabled: &[bool],
 ) -> RoutingTable {
     let csr = network_csr(network);
-    match scheme {
+    // Routes accumulate in search / placement order; re-packed into demand
+    // order below.
+    let (placed, slot_of) = match scheme {
         RoutingScheme::ShortestPath => {
-            // One full Dijkstra tree per distinct source, shared by every
-            // demand originating there.
-            let mut trees: Vec<Option<cisp_graph::CsrTree>> = vec![None; network.num_nodes()];
-            let mut store = PathStore::with_capacity(demands.len(), demands.len() * 4);
-            let mut scratch = Vec::new();
-            for d in demands {
-                if d.src == d.dst {
-                    store.push_path(&[]);
-                    continue;
-                }
-                let tree =
-                    trees[d.src].get_or_insert_with(|| surviving_tree(&csr, d.src, disabled));
-                tree.edge_path_into(d.dst, &mut scratch);
-                store.push_path(&scratch);
-            }
-            RoutingTable::from_store(store)
+            shortest_routes_by_source(&csr, demands, (0..demands.len()).collect(), disabled)
         }
         RoutingScheme::MinMaxUtilization | RoutingScheme::ThroughputOptimal => {
             // Sequential placement, heaviest demands first, each on the path
@@ -290,19 +307,14 @@ pub fn compute_routes_avoiding(
                     .then(a.cmp(&b))
             });
             let mut loads = vec![0.0f64; network.num_links()];
-            // Routes accumulate in placement order; re-packed into demand
-            // order below.
             let mut placed = PathStore::with_capacity(demands.len(), demands.len() * 4);
             let mut slot_of = vec![0usize; demands.len()];
+            let mut core = SearchCore::new();
             let mut scratch = Vec::new();
             for (slot, &k) in order.iter().enumerate() {
                 slot_of[k] = slot;
                 let d = demands[k];
-                if d.src == d.dst {
-                    placed.push_path(&[]);
-                    continue;
-                }
-                let tree = csr.shortest_path_tree_with(d.src, Some(d.dst), |id, w| {
+                core.search_with(&csr, d.src, &[d.dst], f64::INFINITY, |id, w| {
                     if is_disabled(disabled, id) {
                         return f64::INFINITY;
                     }
@@ -322,19 +334,20 @@ pub fn compute_routes_avoiding(
                         RoutingScheme::ShortestPath => unreachable!(),
                     }
                 });
-                tree.edge_path_into(d.dst, &mut scratch);
+                core.edge_path_into(d.dst, &mut scratch);
                 for &l in &scratch {
                     loads[l as usize] += d.amount_bps;
                 }
                 placed.push_path(&scratch);
             }
-            let mut store = PathStore::with_capacity(demands.len(), placed.total_links());
-            for &slot in &slot_of {
-                store.push_path(placed.path(slot));
-            }
-            RoutingTable::from_store(store)
+            (placed, slot_of)
         }
+    };
+    let mut store = PathStore::with_capacity(demands.len(), placed.total_links());
+    for &slot in &slot_of {
+        store.push_path(placed.path(slot));
     }
+    RoutingTable::from_store(store)
 }
 
 /// [`compute_routes_avoiding`] for a caller that already holds
@@ -347,10 +360,10 @@ pub fn compute_routes_avoiding(
 /// one the search picks among equals, because every node on it keeps its
 /// distance and its predecessor was the first settled node to offer that
 /// distance before the removal, when there were only more nodes to offer it.
-/// Trees are grown only for the sources that own a broken route. The other
-/// schemes place each demand against the load of the ones before it, so one
-/// broken route can move every later one: they fall through to the full
-/// computation.
+/// Only the sources that own a broken route are searched, each until its
+/// broken destinations are settled. The other schemes place each demand
+/// against the load of the ones before it, so one broken route can move every
+/// later one: they fall through to the full computation.
 pub fn reroute_avoiding(
     network: &Network,
     demands: &[Demand],
@@ -362,23 +375,26 @@ pub fn reroute_avoiding(
     if scheme != RoutingScheme::ShortestPath {
         return compute_routes_avoiding(network, demands, scheme, disabled);
     }
-    let broken = |route: &[u32]| route.iter().any(|&l| is_disabled(disabled, l));
-    if !(0..demands.len()).any(|k| broken(base_routes.route(k))) {
+    let broken: Vec<usize> = (0..demands.len())
+        .filter(|&k| {
+            base_routes
+                .route(k)
+                .iter()
+                .any(|&l| is_disabled(disabled, l))
+        })
+        .collect();
+    if broken.is_empty() {
         return base_routes.clone();
     }
-    let csr = network_csr(network);
-    let mut trees: Vec<Option<cisp_graph::CsrTree>> = vec![None; network.num_nodes()];
+    let (rerouted, slot_of) =
+        shortest_routes_by_source(&network_csr(network), demands, broken, disabled);
     let mut store = PathStore::with_capacity(demands.len(), base_routes.store().total_links());
-    let mut scratch = Vec::new();
-    for (k, d) in demands.iter().enumerate() {
-        let base = base_routes.route(k);
-        if broken(base) {
-            let tree = trees[d.src].get_or_insert_with(|| surviving_tree(&csr, d.src, disabled));
-            tree.edge_path_into(d.dst, &mut scratch);
-            store.push_path(&scratch);
+    for (k, &slot) in slot_of.iter().enumerate() {
+        store.push_path(if slot == usize::MAX {
+            base_routes.route(k)
         } else {
-            store.push_path(base);
-        }
+            rerouted.path(slot)
+        });
     }
     RoutingTable::from_store(store)
 }

@@ -20,7 +20,7 @@
 //! | [`geo`] | `cisp-geo` | geodesics, Fresnel zones, latency/stretch math |
 //! | [`terrain`] | `cisp-terrain` | synthetic elevation + clutter model |
 //! | [`data`] | `cisp-data` | cities, data centers, towers, fiber conduits |
-//! | [`graph`] | `cisp-graph` | Dijkstra, k-shortest, disjoint paths |
+//! | [`graph`] | `cisp-graph` | the shortest-path core, disjoint paths, flat matrices |
 //! | [`lp`] | `cisp-lp` | simplex LP + branch-and-bound MILP solver |
 //! | [`core`] | `cisp-core` | hop feasibility, topology design, augmentation, cost |
 //! | [`traffic`] | `cisp-traffic` | traffic matrices, mixes, perturbations |

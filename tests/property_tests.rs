@@ -1,18 +1,22 @@
 //! Property-based tests (proptest) on the workspace's core invariants:
 //! geodesic geometry, Fresnel clearance, the distance-matrix update used by
 //! the designer, the traffic-matrix algebra, the LP/MILP solver, the
-//! packet-level link model, and the delay histogram behind every reported
-//! quantile.
+//! packet-level link model, the routing tables (against a naive search
+//! written here), and the delay histogram behind every reported quantile.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use cisp::core::links::CandidateLink;
 use cisp::core::topology::{improve_with_link, HybridTopology};
 use cisp::geo::{fresnel, geodesic, latency, GeoPoint};
+use cisp::graph::PathStore;
 use cisp::lp::model::{Problem, VarKind};
 use cisp::lp::simplex::solve_lp;
 use cisp::netsim::monitor::{DelayHistogram, SampleStats};
 use cisp::netsim::network::{LinkSpec, Network, Transmit};
 use cisp::netsim::routing::{
-    compute_routes, compute_routes_avoiding, reroute_avoiding, Demand, RoutingScheme,
+    compute_routes, compute_routes_avoiding, reroute_avoiding, Demand, RoutingScheme, RoutingTable,
 };
 use cisp::traffic::matrix::TrafficMatrix;
 use proptest::prelude::*;
@@ -23,6 +27,153 @@ use rand::{Rng, SeedableRng};
 /// geometric properties are tested on the domain the pipeline actually uses.
 fn us_point() -> impl Strategy<Value = GeoPoint> {
     (26.0..48.0f64, -123.0..-68.0f64).prop_map(|(lat, lon)| GeoPoint::new(lat, lon))
+}
+
+const ROUTING_SCHEMES: [RoutingScheme; 3] = [
+    RoutingScheme::ShortestPath,
+    RoutingScheme::MinMaxUtilization,
+    RoutingScheme::ThroughputOptimal,
+];
+
+/// A network, demands and disabled-link masks for the routing properties.
+/// Delays come from four values (zero among them) and links are doubled, so
+/// equal-cost ties are the rule; sources interleave; the last node has no
+/// link, so demand 0 is unroutable whatever the mask.
+fn random_routing_case(seed: u64) -> (Network, Vec<Demand>, Vec<Vec<bool>>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut below = |bound: usize| (rng.gen::<f64>() * bound as f64) as usize;
+    let n = 4 + below(8);
+    let mut net = Network::new(n);
+    for a in 0..n - 1 {
+        for b in 0..n - 1 {
+            if a != b && below(10) < 3 {
+                let spec = LinkSpec {
+                    from: a,
+                    to: b,
+                    rate_bps: [1e9, 2e9][below(2)],
+                    propagation_s: [0.0, 0.001, 0.002, 0.003][below(4)],
+                    buffer_bytes: 1e6,
+                };
+                match below(3) {
+                    0 => {
+                        net.add_link(spec);
+                    }
+                    1 => {
+                        net.add_bidirectional_link(spec);
+                    }
+                    _ => {
+                        net.add_link(spec);
+                        net.add_link(spec);
+                    }
+                }
+            }
+        }
+    }
+    let mut demands = vec![Demand::new(0, n - 1, 1e8), Demand::new(1, 1, 1e8)];
+    for _ in 0..1 + below(30) {
+        demands.push(Demand::new(
+            below(n - 1),
+            below(n - 1),
+            [1e8, 2e8, 5e8][below(3)],
+        ));
+    }
+    let links = net.num_links();
+    let mut masks: Vec<Vec<bool>> = vec![Vec::new(), vec![false; links], vec![true; links]];
+    for density in [1, 3, 6] {
+        masks.push((0..links).map(|_| below(10) < density).collect());
+    }
+    // A mask shorter than the link table disables nothing beyond its end.
+    masks.push(vec![true; links / 2]);
+    (net, demands, masks)
+}
+
+/// The routing oracle: a lazy `BinaryHeap` over the link table itself, one
+/// full run per demand, sharing no code with `cisp_graph`. What it has in
+/// common with `SearchCore` is the contract only — settle the smallest
+/// `(distance, node)`, relax with strict `<` in link-id order, skip a link
+/// whose cost is not finite. Returns the link ids of the cheapest
+/// `src → dst` walk, empty when there is none (or `src == dst`).
+fn naive_route(
+    net: &Network,
+    src: usize,
+    dst: usize,
+    cost: impl Fn(usize, &LinkSpec) -> f64,
+) -> Vec<u32> {
+    let mut dist = vec![f64::INFINITY; net.num_nodes()];
+    let mut via: Vec<Option<usize>> = vec![None; net.num_nodes()];
+    let mut done = vec![false; net.num_nodes()];
+    // Non-negative floats order as their bit patterns do.
+    let mut heap = BinaryHeap::from([Reverse((0.0f64.to_bits(), src))]);
+    dist[src] = 0.0;
+    while let Some(Reverse((bits, u))) = heap.pop() {
+        if std::mem::replace(&mut done[u], true) {
+            continue;
+        }
+        for (l, spec) in net.links().iter().enumerate() {
+            if spec.from != u {
+                continue;
+            }
+            let next = f64::from_bits(bits) + cost(l, spec);
+            if next.is_finite() && next < dist[spec.to] {
+                dist[spec.to] = next;
+                via[spec.to] = Some(l);
+                heap.push(Reverse((next.to_bits(), spec.to)));
+            }
+        }
+    }
+    let mut route = Vec::new();
+    let mut at = dst;
+    while at != src {
+        let Some(l) = via[at] else {
+            return Vec::new();
+        };
+        route.push(l as u32);
+        at = net.link(l).from;
+    }
+    route.reverse();
+    route
+}
+
+/// The table `netsim::routing` documents, demand by demand on
+/// [`naive_route`]: shortest-path demands do not see each other, the
+/// congestion-aware schemes place the heaviest first against the load
+/// already placed.
+fn naive_table(
+    net: &Network,
+    demands: &[Demand],
+    scheme: RoutingScheme,
+    mask: &[bool],
+) -> RoutingTable {
+    let mut routes = vec![Vec::new(); demands.len()];
+    let mut order: Vec<usize> = (0..demands.len()).collect();
+    order.sort_by(|&a, &b| demands[b].amount_bps.total_cmp(&demands[a].amount_bps));
+    let mut loads = vec![0.0f64; net.num_links()];
+    for k in order {
+        let d = demands[k];
+        routes[k] = naive_route(net, d.src, d.dst, |l, spec| {
+            if mask.get(l) == Some(&true) {
+                return f64::INFINITY;
+            }
+            let toward_short = 1e-6 * spec.propagation_s;
+            match scheme {
+                RoutingScheme::ShortestPath => spec.propagation_s,
+                RoutingScheme::MinMaxUtilization => {
+                    ((loads[l] + d.amount_bps) / spec.rate_bps).powi(4) + toward_short
+                }
+                RoutingScheme::ThroughputOptimal => {
+                    (2.0 * loads[l] + d.amount_bps) / spec.rate_bps + toward_short
+                }
+            }
+        });
+        for &l in &routes[k] {
+            loads[l as usize] += d.amount_bps;
+        }
+    }
+    let mut store = PathStore::new();
+    for route in &routes {
+        store.push_path(route);
+    }
+    RoutingTable::from_store(store)
 }
 
 proptest! {
@@ -198,50 +349,11 @@ proptest! {
     }
 
     // Re-routing only what a failure touches yields the table a full
-    // recomputation does. Delays come from four values (zero among them)
-    // and links are doubled, so equal-cost ties are the rule; the last node
-    // has no link, so one demand is unroutable whatever the mask.
+    // recomputation does.
     #[test]
     fn reroute_avoiding_matches_full_recomputation(seed in 0u64..u64::MAX) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut below = |bound: usize| (rng.gen::<f64>() * bound as f64) as usize;
-        let n = 4 + below(8);
-        let mut net = Network::new(n);
-        for a in 0..n - 1 {
-            for b in 0..n - 1 {
-                if a != b && below(10) < 3 {
-                    let spec = LinkSpec {
-                        from: a,
-                        to: b,
-                        rate_bps: [1e9, 2e9][below(2)],
-                        propagation_s: [0.0, 0.001, 0.002, 0.003][below(4)],
-                        buffer_bytes: 1e6,
-                    };
-                    match below(3) {
-                        0 => { net.add_link(spec); }
-                        1 => { net.add_bidirectional_link(spec); }
-                        _ => { net.add_link(spec); net.add_link(spec); }
-                    }
-                }
-            }
-        }
-        let mut demands = vec![Demand::new(0, n - 1, 1e8), Demand::new(1, 1, 1e8)];
-        for _ in 0..1 + below(30) {
-            demands.push(Demand::new(below(n - 1), below(n - 1), [1e8, 2e8, 5e8][below(3)]));
-        }
-        let links = net.num_links();
-        let mut masks: Vec<Vec<bool>> = vec![Vec::new(), vec![false; links], vec![true; links]];
-        for density in [1, 3, 6] {
-            masks.push((0..links).map(|_| below(10) < density).collect());
-        }
-        // A mask shorter than the link table disables nothing beyond its end.
-        masks.push(vec![true; links / 2]);
-
-        for scheme in [
-            RoutingScheme::ShortestPath,
-            RoutingScheme::MinMaxUtilization,
-            RoutingScheme::ThroughputOptimal,
-        ] {
+        let (net, demands, masks) = random_routing_case(seed);
+        for scheme in ROUTING_SCHEMES {
             let base = compute_routes(&net, &demands, scheme);
             prop_assert!(base.route(0).is_empty());
             for mask in &masks {
@@ -251,6 +363,24 @@ proptest! {
                 if !mask.contains(&true) {
                     prop_assert_eq!(&partial, &base);
                 }
+            }
+        }
+    }
+
+    // Every way to a routing table against the search one would write
+    // first: the tables are equal, not merely as short.
+    #[test]
+    fn routing_tables_equal_the_naive_search(seed in 0u64..u64::MAX) {
+        let (net, demands, masks) = random_routing_case(seed);
+        for scheme in ROUTING_SCHEMES {
+            let base = compute_routes(&net, &demands, scheme);
+            prop_assert!(base == naive_table(&net, &demands, scheme, &[]), "{:?}", scheme);
+            for mask in &masks {
+                let want = naive_table(&net, &demands, scheme, mask);
+                let full = compute_routes_avoiding(&net, &demands, scheme, mask);
+                prop_assert!(full == want, "{:?} avoiding {:?}", scheme, mask);
+                let partial = reroute_avoiding(&net, &demands, &base, scheme, mask);
+                prop_assert!(partial == want, "{:?} re-routing {:?}", scheme, mask);
             }
         }
     }

@@ -17,7 +17,7 @@
 use cisp::core::evaluate::{evaluate, lower, lower_classified, pair_rtts, EvaluateConfig};
 use cisp::core::scenario::{population_product_traffic, Scenario, ScenarioConfig};
 use cisp::graph::csr::CsrGraph;
-use cisp::graph::{dijkstra, Graph, PathStore};
+use cisp::graph::{dijkstra, Graph, PathStore, SearchCore};
 use cisp::netsim::flows::ArrivalProcess;
 use cisp::netsim::network::{LinkSpec, Network};
 use cisp::netsim::routing::{
@@ -95,26 +95,24 @@ fn csr_dijkstra_matches_adjacency_dijkstra_on_random_graphs() {
         let n = 30 + (seed as usize % 4) * 17;
         let g = random_graph(n, 3 * n, 1000 + seed);
         let csr = CsrGraph::from_graph(&g);
+        let mut core = SearchCore::new();
+        let mut nodes = Vec::new();
         for source in [0usize, n / 2, n - 1] {
             let reference = dijkstra::shortest_path_tree(&g, source, None);
-            let tree = csr.shortest_path_tree(source, None);
+            core.search(&csr, source, &[], f64::INFINITY);
             // Random float weights make shortest paths unique almost surely,
             // and both algorithms accumulate `dist[u] + w` along the same
             // tree — distances must agree exactly.
-            assert_eq!(tree.dist, reference.dist, "seed {seed}, source {source}");
-            // Extracted paths cost exactly their distance.
+            let dist: Vec<f64> = (0..n).map(|v| core.dist(v)).collect();
+            assert_eq!(dist, reference.dist, "seed {seed}, source {source}");
+            // Extracted paths are the reference's.
             for target in 0..n {
-                match (tree.node_path_to(target), reference.path_to(target)) {
-                    (Some(csr_nodes), Some(path)) => {
-                        assert_eq!(*csr_nodes.first().unwrap(), source);
-                        assert_eq!(*csr_nodes.last().unwrap(), target);
-                        assert_eq!(path.cost, tree.dist[target]);
-                    }
-                    (None, None) => {}
-                    (a, b) => panic!(
-                        "reachability mismatch at seed {seed}, target {target}: {a:?} vs {b:?}"
-                    ),
-                }
+                let found = core.node_path_into(target, &mut nodes);
+                assert_eq!(
+                    found.then_some(&nodes),
+                    reference.path_to(target).map(|p| p.nodes).as_ref(),
+                    "seed {seed}, source {source}, target {target}"
+                );
             }
         }
     }

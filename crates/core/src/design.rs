@@ -39,13 +39,15 @@
 //! (`tests/matrix_engine_parity.rs` keeps that naive greedy as the oracle).
 //! The cached predictions need every traffic pair reachable over fiber; on
 //! an input where one is not, the greedy falls to a plain
-//! rebuild-and-rescore loop on the scalar kernel.
+//! rebuild-and-rescore loop on the scalar kernel, each round's batch of
+//! scores fanned out through [`cisp_netsim::jobs::drain_jobs`].
 //!
 //! Scoring parallelism in the greedy comes from *persistent worker shards*
-//! ([`crate::engine::ShardPool`]): one worker thread per core, spawned once
-//! per greedy run, each owning a stable contiguous slice of the candidate
-//! pool across all its rounds. Every shard count selects bit-identical
-//! designs (the shard math is shared and reductions are order-fixed).
+//! ([`crate::engine::ShardPool`]): one worker thread per core
+//! ([`cisp_netsim::jobs::resolve_workers`]), spawned once per greedy run,
+//! each owning a stable contiguous slice of the candidate pool across all
+//! its rounds. Every shard count selects bit-identical designs (the shard
+//! math is shared and reductions are order-fixed).
 //!
 //! ## The swap polish
 //!
@@ -78,7 +80,7 @@ use std::time::Instant;
 
 use cisp_geo::GeoPoint;
 use cisp_graph::{improve_with_link_tracked, leave_out_closures, DistMatrix, ImprovedPairs};
-use rayon::prelude::*;
+use cisp_netsim::jobs::{drain_jobs, resolve_workers};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{exact_score, PoolScorer, RoundUpdate, ScoreContext, ShardPool};
@@ -237,7 +239,7 @@ impl<'a> Designer<'a> {
     /// Greedy design over an explicit candidate pool (indices into the input
     /// candidate list), one scoring shard per core.
     fn greedy_over(&self, pool: &[usize], budget_towers: f64) -> DesignOutcome {
-        self.greedy_sharded(pool, budget_towers, rayon::current_num_threads())
+        self.greedy_sharded(pool, budget_towers, resolve_workers(0))
     }
 
     /// The incremental delta-scoring greedy (see [`crate::engine`]) over
@@ -431,18 +433,20 @@ impl<'a> Designer<'a> {
                 .filter(|&idx| total_towers + self.input.candidates[idx].tower_count <= budget)
                 .collect();
             // One batch of O(n²) scoring sweeps, fanned out across cores.
-            let scores: Vec<f64> = affordable
-                .par_iter()
-                .map(|&idx| {
+            let (scores, _) = drain_jobs(
+                affordable.len(),
+                resolve_workers(0),
+                || (),
+                |_, k| {
                     exact_score(
                         topology.effective_matrix(),
                         topology.geodesic_matrix(),
                         topology.traffic(),
                         None,
-                        &self.input.candidates[idx],
+                        &self.input.candidates[affordable[k]],
                     )
-                })
-                .collect();
+                },
+            );
             let mut best: Option<(f64, usize)> = None;
             for (&idx, &with_link) in affordable.iter().zip(&scores) {
                 let score = self.score(

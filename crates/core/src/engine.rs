@@ -32,7 +32,8 @@
 //! engine to a naive full-rescoring greedy on every fixture tried.
 //!
 //! Parallelism comes from **persistent worker shards** ([`ShardPool`]):
-//! instead of re-fanning a fresh rayon batch per scoring round, worker
+//! instead of a fresh `cisp_netsim::jobs::drain_jobs` fan-out per scoring
+//! round (what the fallback greedy's stateless batches get), worker
 //! threads are spawned once per design run, each *owning a stable contiguous
 //! slice of the candidate pool* (and that slice's cached predictions) across
 //! all greedy rounds. Rounds are one command broadcast and one reply

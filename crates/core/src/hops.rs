@@ -47,9 +47,14 @@
 //! marginal always reaches tier 4. Samples outside the envelope's grid skip
 //! tier 2. Nothing here is a second implementation of the verdict: tiers
 //! 1–3 only ever *skip* work tier 4 would have done.
+//!
+//! The sweep over every tower pair in range
+//! ([`HopFeasibility::all_feasible_hops_with`]) drains fixed-length runs of
+//! pairs through [`cisp_netsim::jobs::drain_jobs`] and merges in pair order.
 
 use cisp_data::towers::TowerRegistry;
 use cisp_geo::{fresnel, geodesic, units};
+use cisp_netsim::jobs::{drain_jobs, resolve_workers};
 use cisp_terrain::{clutter::ClutterModel, profile, ObstructionEnvelope, TerrainModel};
 use serde::{Deserialize, Serialize};
 
@@ -61,6 +66,10 @@ const BOUND_SLACK_M: f64 = 1e-3;
 /// in degrees: a great-circle hop bows poleward of both its ends (by
 /// ≈ 0.002° for 100 km at 49° N).
 const GRID_MARGIN_DEG: f64 = 0.1;
+
+/// Consecutive tower pairs one job of the sweep assesses: a few milliseconds
+/// of work, and several hundred jobs at paper scale (470 k pairs).
+const PAIRS_PER_JOB: usize = 1024;
 
 /// Parameters of the hop-feasibility assessment.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -340,62 +349,46 @@ impl<'a> HopFeasibility<'a> {
     }
 
     /// [`Self::all_feasible_hops`] fanned out over `workers` threads
-    /// (`0` = one per core). Pairs are split into contiguous chunks and the
-    /// chunk results concatenated in input order, so the hop list is
-    /// identical — order included — for every worker count.
+    /// (`0` = one per core). The hop list is identical — order included —
+    /// for every worker count.
     pub fn all_feasible_hops_with(&self, workers: usize) -> Vec<FeasibleHop> {
         self.all_feasible_hops_profiled(workers).0
     }
 
     /// [`Self::all_feasible_hops_with`], also reporting which cascade tier
-    /// decided the sweep's samples. Each chunk counts into its own
-    /// [`HopSweepStats`] and the chunk counts are summed in chunk order; a
-    /// sample's tier depends only on the sample and on cell bounds that are
-    /// pure functions of the cell, so the counts are worker-count invariant
-    /// too.
+    /// decided the sweep's samples.
     ///
-    /// A pair over mountains costs several times a pair over plains (its
-    /// samples reach the later tiers) and neighbouring pairs share terrain,
-    /// so each worker takes every `workers`-th of many small chunks rather
-    /// than one contiguous share.
+    /// One [`drain_jobs`] job per `PAIRS_PER_JOB` consecutive pairs, each
+    /// counting into its own [`HopSweepStats`]; hops are concatenated and
+    /// counts summed in job order. The jobs do not depend on `workers`, and
+    /// a sample's tier depends only on the sample and on cell bounds that
+    /// are pure functions of the cell, so the hop list and the counts are
+    /// the same for every worker count. A pair over mountains costs several
+    /// times a pair over plains (its samples reach the later tiers) and
+    /// neighbouring pairs share terrain; workers claim the next job as they
+    /// finish one, so none is left holding a mountain range.
     pub fn all_feasible_hops_profiled(&self, workers: usize) -> (Vec<FeasibleHop>, HopSweepStats) {
-        use rayon::prelude::*;
-
-        /// Chunks dealt to each worker.
-        const CHUNKS_PER_WORKER: usize = 64;
-
         let pairs = self.towers.pairs_within(self.config.max_range_km);
         let cells_before = self.envelope.cells_filled();
-        let workers = crate::links::resolve_workers(workers);
-        let chunks = crate::links::chunk_ranges(pairs.len(), workers * CHUNKS_PER_WORKER);
-        let per_worker: Vec<Vec<(Vec<FeasibleHop>, HopSweepStats)>> = (0..workers)
-            .into_par_iter()
-            .map(|worker| {
-                chunks
+        let jobs: Vec<&[(usize, usize)]> = pairs.chunks(PAIRS_PER_JOB).collect();
+        let (per_job, _) = drain_jobs(
+            jobs.len(),
+            resolve_workers(workers),
+            || (),
+            |_, job| {
+                let mut stats = HopSweepStats::default();
+                let hops: Vec<FeasibleHop> = jobs[job]
                     .iter()
-                    .skip(worker)
-                    .step_by(workers)
-                    .map(|&(start, end)| {
-                        let mut stats = HopSweepStats::default();
-                        let hops = pairs[start..end]
-                            .iter()
-                            .filter_map(|&(i, j)| self.assess_pair_counted(i, j, &mut stats))
-                            .collect();
-                        (hops, stats)
-                    })
-                    .collect()
-            })
-            .collect();
-        // Chunk k is the (k / workers)-th result of worker k % workers.
-        let mut per_worker: Vec<_> = per_worker.into_iter().map(Vec::into_iter).collect();
-        let mut hops = Vec::new();
+                    .filter_map(|&(i, j)| self.assess_pair_counted(i, j, &mut stats))
+                    .collect();
+                (hops, stats)
+            },
+        );
+        let mut hops = Vec::with_capacity(per_job.iter().map(|(job_hops, _)| job_hops.len()).sum());
         let mut stats = HopSweepStats::default();
-        for k in 0..chunks.len() {
-            let (chunk_hops, chunk_stats) = per_worker[k % workers]
-                .next()
-                .expect("every worker returns one result per chunk it was dealt");
-            hops.extend(chunk_hops);
-            stats.add_samples(&chunk_stats);
+        for (job_hops, job_stats) in per_job {
+            hops.extend(job_hops);
+            stats.add_samples(&job_stats);
         }
         stats.cells_filled = (self.envelope.cells_filled() - cells_before) as u64;
         (hops, stats)
@@ -577,8 +570,8 @@ mod tests {
     }
 
     // The hop list — order included — and the per-tier sample counts must be
-    // identical for every worker count (chunks merged in input order; a
-    // sample's tier does not depend on which worker filled its cell).
+    // identical for every worker count (a sample's tier does not depend on
+    // which worker filled its cell). 190 pairs: one job.
     #[test]
     fn parallel_sweep_is_worker_count_invariant() {
         let mut towers = Vec::new();
@@ -609,6 +602,47 @@ mod tests {
         assert_eq!(again, serial);
         assert_eq!(again_stats.cells_filled, 0);
         assert_eq!(again_stats.by_cell_bound, serial_stats.by_cell_bound);
+    }
+
+    // Enough pairs for three jobs: the job-order merge must give the plain
+    // pair loop's hop list and counts at every width.
+    #[test]
+    fn multi_job_sweep_matches_the_plain_pair_loop() {
+        // A 0.04° lattice (≤ 4.5 km a step, every pair in range) whose pairs
+        // outnumber two jobs; short towers block the longer hops.
+        let side = (2usize..)
+            .find(|s| s.pow(2) * (s.pow(2) - 1) / 2 > 2 * PAIRS_PER_JOB)
+            .unwrap();
+        let at = |k: usize, step: usize| (k / step % side) as f64 * 0.04;
+        let reg = registry(
+            (0..side * side)
+                .map(|k| {
+                    tower(
+                        40.0 + at(k, side),
+                        -100.0 + at(k, 1),
+                        15.0 + (k * 13 % 50) as f64,
+                    )
+                })
+                .collect(),
+        );
+        let (terrain, clutter) = (TerrainModel::flat(), ClutterModel::none());
+        let engine = HopFeasibility::new(&reg, &terrain, &clutter, HopConfig::default());
+
+        let pairs = reg.pairs_within(engine.config().max_range_km);
+        assert!(pairs.len() > 2 * PAIRS_PER_JOB, "{} pairs", pairs.len());
+        let mut plain_stats = HopSweepStats::default();
+        let plain: Vec<FeasibleHop> = pairs
+            .iter()
+            .filter_map(|&(i, j)| engine.assess_pair_counted(i, j, &mut plain_stats))
+            .collect();
+        // Some hops are blocked, and the third job still finds one.
+        assert!(plain.len() < pairs.len());
+        let last = plain[plain.len() - 1];
+        assert!(pairs[2 * PAIRS_PER_JOB..].contains(&(last.tower_a, last.tower_b)));
+        for workers in [1, 2, 3, 7, 0] {
+            let swept = engine.all_feasible_hops_profiled(workers);
+            assert_eq!(swept, (plain.clone(), plain_stats), "workers {workers}");
+        }
     }
 
     #[test]

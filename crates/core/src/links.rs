@@ -10,40 +10,22 @@
 //! Sites are attached to the tower graph through every tower within a
 //! configurable radius of the site, reflecting the paper's observation that
 //! each city hosts plenty of towers suitable as path starting points.
+//!
+//! The pool is one single-source search per site, fanned out through
+//! [`cisp_netsim::jobs::drain_jobs`] ([`LinkBuilder::pruned_candidate_links_with`]);
+//! [`LinkBuilder::candidate_link`] is the point-to-point oracle the tests
+//! hold it to, on the adjacency-list reference search and no fan-out at all.
 
 use std::time::Instant;
+use std::{panic, thread};
 
 use cisp_data::towers::TowerRegistry;
 use cisp_geo::{geodesic, GeoPoint};
 use cisp_graph::{dijkstra, CsrGraph, DistMatrix, Graph, SearchCore};
+use cisp_netsim::jobs::{drain_jobs, resolve_workers};
 use serde::{Deserialize, Serialize};
 
 use crate::hops::FeasibleHop;
-
-/// Split `0..len` into at most `workers` contiguous ranges whose sizes
-/// differ by ≤ 1 (used to fan sweeps out with a deterministic merge order).
-pub(crate) fn chunk_ranges(len: usize, workers: usize) -> Vec<(usize, usize)> {
-    let w = workers.min(len).max(1);
-    let base = len / w;
-    let remainder = len % w;
-    let mut out = Vec::with_capacity(w);
-    let mut start = 0;
-    for k in 0..w {
-        let size = base + usize::from(k < remainder);
-        out.push((start, start + size));
-        start += size;
-    }
-    out
-}
-
-/// Resolve a worker-count knob: `0` means one worker per core.
-pub(crate) fn resolve_workers(workers: usize) -> usize {
-    if workers == 0 {
-        rayon::current_num_threads()
-    } else {
-        workers
-    }
-}
 
 /// A candidate direct microwave link between two sites.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -122,13 +104,6 @@ pub struct PoolSearchTimings {
     pub search_ms: f64,
     /// Time spent extracting paths and assembling links, milliseconds.
     pub extract_ms: f64,
-}
-
-impl PoolSearchTimings {
-    fn absorb(&mut self, other: PoolSearchTimings) {
-        self.search_ms += other.search_ms;
-        self.extract_ms += other.extract_ms;
-    }
 }
 
 /// Builds candidate links from sites, towers and feasible hops.
@@ -267,9 +242,11 @@ impl<'a> LinkBuilder<'a> {
     /// frontier beyond the largest fiber distance of those sites: a tower
     /// path longer than every remaining oracle cannot be emitted anyway.
     ///
-    /// `workers` threads share the sites (`0` = one per core) as contiguous
-    /// chunks whose outputs are concatenated in order and whose stats are
-    /// summed, so links and stats are identical for every worker count.
+    /// `workers` threads share the sites (`0` = one per core), one
+    /// [`drain_jobs`] job per source site; the jobs' links are concatenated
+    /// and their stats summed in site order, so links and stats are
+    /// identical for every worker count. The calling thread runs none of the
+    /// jobs (see the comment at the call).
     pub fn pruned_candidate_links_with(
         &self,
         fiber_km: &DistMatrix,
@@ -288,47 +265,42 @@ impl<'a> LinkBuilder<'a> {
     ) -> (Vec<CandidateLink>, PoolPruneStats, PoolSearchTimings) {
         let n = self.sites.len();
         assert_eq!(fiber_km.n(), n, "fiber matrix size must match site count");
-        let workers = resolve_workers(workers);
+        // `drain_jobs` makes its caller a worker, and a worker allocates the
+        // tower paths of its links: thousands of small blocks that outlive
+        // this builder. On the heap of the thread that built the tower graph
+        // they land above and between the graph, and once that is freed the
+        // allocator can neither return the hole nor keep later allocations
+        // out of it (`cisp_benchmark`: resident set after a build 36 -> 67
+        // MiB). So a helper thread is the caller.
+        let (per_site, ctxs) = thread::scope(|scope| {
+            let fan_out = scope.spawn(|| {
+                // The last site has no site after it to search for.
+                drain_jobs(
+                    n.saturating_sub(1),
+                    resolve_workers(workers),
+                    SiteSearchCtx::default,
+                    |ctx, a| self.pruned_links_for_site(a, fiber_km, ctx),
+                )
+            });
+            fan_out
+                .join()
+                .unwrap_or_else(|payload| panic::resume_unwind(payload))
+        });
         let mut stats = PoolPruneStats {
             pairs_total: (n * n.saturating_sub(1) / 2) as u64,
             ..PoolPruneStats::default()
         };
+        let mut links = Vec::with_capacity(per_site.iter().map(|(l, _)| l.len()).sum());
+        for (site_links, site_stats) in per_site {
+            links.extend(site_links);
+            stats.unreachable += site_stats.unreachable;
+            stats.oracle_dropped += site_stats.oracle_dropped;
+            stats.emitted += site_stats.emitted;
+        }
         let mut timings = PoolSearchTimings::default();
-        let mut links = Vec::new();
-        if workers <= 1 || n <= 2 {
-            let mut ctx = SiteSearchCtx::default();
-            for a in 0..n {
-                self.pruned_links_for_site(a, fiber_km, &mut ctx, &mut links, &mut stats);
-            }
-            timings = ctx.timings;
-        } else {
-            use rayon::prelude::*;
-            let chunks = chunk_ranges(n, workers);
-            let per_chunk: Vec<(Vec<CandidateLink>, PoolPruneStats, PoolSearchTimings)> = chunks
-                .into_par_iter()
-                .map(|(start, end)| {
-                    let mut ctx = SiteSearchCtx::default();
-                    let mut chunk_links = Vec::new();
-                    let mut chunk_stats = PoolPruneStats::default();
-                    for a in start..end {
-                        self.pruned_links_for_site(
-                            a,
-                            fiber_km,
-                            &mut ctx,
-                            &mut chunk_links,
-                            &mut chunk_stats,
-                        );
-                    }
-                    (chunk_links, chunk_stats, ctx.timings)
-                })
-                .collect();
-            for (chunk_links, chunk_stats, chunk_timings) in per_chunk {
-                links.extend(chunk_links);
-                stats.unreachable += chunk_stats.unreachable;
-                stats.oracle_dropped += chunk_stats.oracle_dropped;
-                stats.emitted += chunk_stats.emitted;
-                timings.absorb(chunk_timings);
-            }
+        for ctx in ctxs {
+            timings.search_ms += ctx.timings.search_ms;
+            timings.extract_ms += ctx.timings.extract_ms;
         }
         (links, stats, timings)
     }
@@ -340,13 +312,10 @@ impl<'a> LinkBuilder<'a> {
         a: usize,
         fiber_km: &DistMatrix,
         ctx: &mut SiteSearchCtx,
-        links: &mut Vec<CandidateLink>,
-        stats: &mut PoolPruneStats,
-    ) {
+    ) -> (Vec<CandidateLink>, PoolPruneStats) {
         let n = self.sites.len();
-        if a + 1 >= n {
-            return;
-        }
+        let mut links = Vec::new();
+        let mut stats = PoolPruneStats::default();
         let fib_row = fiber_km.row(a);
         // Every settled distance below the cap is bit-identical to the
         // unbounded run's, and every unsettled node's tentative distance
@@ -380,6 +349,7 @@ impl<'a> LinkBuilder<'a> {
             }
         }
         ctx.timings.extract_ms += t1.elapsed().as_secs_f64() * 1e3;
+        (links, stats)
     }
 }
 
@@ -680,23 +650,6 @@ mod tests {
             builder.pruned_candidate_links_with(&fiber, 1)
         );
         assert!(timings.search_ms >= 0.0 && timings.extract_ms >= 0.0);
-    }
-
-    #[test]
-    fn chunk_ranges_cover_input_exactly() {
-        for len in [0usize, 1, 2, 5, 7, 16, 119] {
-            for workers in [1usize, 2, 3, 8, 200] {
-                let chunks = chunk_ranges(len, workers);
-                assert!(chunks.len() <= workers.max(1));
-                let mut expect = 0;
-                for &(start, end) in &chunks {
-                    assert_eq!(start, expect);
-                    assert!(end >= start);
-                    expect = end;
-                }
-                assert_eq!(expect, len);
-            }
-        }
     }
 
     #[test]

@@ -596,21 +596,6 @@ impl HybridTopology {
         self.mw_links.iter().map(|l| l.tower_count).sum()
     }
 
-    /// Rebuild the effective matrix from scratch (fiber plus all built MW
-    /// links), committing every link in one batched pass
-    /// ([`cisp_graph::improve_with_links`]). Only needed by callers that
-    /// mutate links wholesale, e.g. the weather failure analysis which
-    /// removes links.
-    pub fn recompute_effective(&mut self) {
-        self.effective_km.copy_from(&self.fiber_km);
-        let links: Vec<(usize, usize, f64)> = self
-            .mw_links
-            .iter()
-            .map(|l| (l.site_a, l.site_b, l.mw_length_km))
-            .collect();
-        cisp_graph::improve_with_links(&mut self.effective_km, &links);
-    }
-
     /// The surviving links of a disabled-set as batch-commit triples.
     fn enabled_link_triples(&self, disabled: &[usize]) -> Vec<(usize, usize, f64)> {
         let mut mask = BitSet::new(self.mw_links.len());
@@ -631,24 +616,16 @@ impl HybridTopology {
     }
 
     /// Effective distance matrix that would result from disabling the given
-    /// subset of built MW links (by index into [`Self::mw_links`]); the
-    /// topology itself is not modified. Used for weather-failure analysis.
+    /// subset of built MW links (by index into [`Self::mw_links`]): fiber,
+    /// then every surviving link in one batched pass
+    /// ([`cisp_graph::improve_with_links`]); `self` is not modified. A test
+    /// oracle: the storm year gets every failure set's matrix from
+    /// [`cisp_graph::leave_out_closures`], which `tests/storm_failures.rs`
+    /// and `tests/matrix_engine_parity.rs` hold to this rebuild per set.
     pub fn effective_matrix_without(&self, disabled: &[usize]) -> DistMatrix {
         let mut matrix = self.fiber_km.clone();
-        self.effective_matrix_without_into(disabled, &mut matrix);
+        cisp_graph::improve_with_links(&mut matrix, &self.enabled_link_triples(disabled));
         matrix
-    }
-
-    /// Scratch-buffer variant of [`Self::effective_matrix_without`]: refills
-    /// `out` (reusing its allocation) with the effective matrix that results
-    /// from disabling the given links. Callers that evaluate many failure
-    /// sets — the year-long weather sweep — reuse one buffer across calls.
-    /// The surviving links are committed in one batched pass
-    /// ([`cisp_graph::improve_with_links`]): one matrix sweep instead of one
-    /// per surviving link.
-    pub fn effective_matrix_without_into(&self, disabled: &[usize], out: &mut DistMatrix) {
-        out.copy_from(&self.fiber_km);
-        cisp_graph::improve_with_links(out, &self.enabled_link_triples(disabled));
     }
 }
 
@@ -869,11 +846,10 @@ mod tests {
         let geo12 = geodesic::distance_km(sites[1], sites[2]);
         topo.add_mw_link(mw_link(0, 1, geo01 * 1.02, 4));
         topo.add_mw_link(mw_link(1, 2, geo12 * 1.04, 4));
-        let incremental = topo.effective_matrix().clone();
-        topo.recompute_effective();
+        let recomputed = topo.effective_matrix_without(&[]);
         for i in 0..3 {
             for j in 0..3 {
-                assert!((incremental.get(i, j) - topo.effective_km(i, j)).abs() < 1e-9);
+                assert!((topo.effective_km(i, j) - recomputed.get(i, j)).abs() < 1e-9);
             }
         }
     }
@@ -903,20 +879,6 @@ mod tests {
         // nothing rather than panicking.
         let matrix = topo.effective_matrix_without(&[7, 99]);
         assert_eq!(&matrix, topo.effective_matrix());
-    }
-
-    #[test]
-    fn effective_matrix_without_into_reuses_buffer() {
-        let sites = line_sites();
-        let geo01 = geodesic::distance_km(sites[0], sites[1]);
-        let fiber = fiber_matrix(&sites);
-        let mut topo = HybridTopology::new(sites, uniform_traffic(3), fiber);
-        topo.add_mw_link(mw_link(0, 1, geo01 * 1.02, 4));
-        let mut scratch = DistMatrix::zeros(3);
-        topo.effective_matrix_without_into(&[], &mut scratch);
-        assert_eq!(&scratch, topo.effective_matrix());
-        topo.effective_matrix_without_into(&[0], &mut scratch);
-        assert_eq!(&scratch, topo.fiber_matrix());
     }
 
     #[test]

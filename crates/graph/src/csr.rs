@@ -80,7 +80,24 @@ impl CsrGraph {
     /// Build from an adjacency-list [`Graph`], preserving its edge iteration
     /// order as edge ids.
     pub fn from_graph(graph: &Graph) -> Self {
-        Self::from_edges(graph.node_count(), graph.edges())
+        // An adjacency list is grouped by source already: the slots are
+        // `graph.edges()` in order, without the 24-byte-an-edge list of them
+        // that `from_edges` has to collect.
+        let mut offsets = Vec::with_capacity(graph.node_count() + 1);
+        offsets.push(0);
+        let mut targets = Vec::with_capacity(graph.edge_count());
+        let mut weights = Vec::with_capacity(graph.edge_count());
+        for u in 0..graph.node_count() {
+            targets.extend(graph.neighbors(u).iter().map(|e| e.to as u32));
+            weights.extend(graph.neighbors(u).iter().map(|e| e.weight));
+            offsets.push(targets.len() as u32);
+        }
+        Self {
+            offsets,
+            edge_ids: (0..targets.len() as u32).collect(),
+            targets,
+            weights,
+        }
     }
 
     /// Number of nodes.
@@ -132,6 +149,18 @@ mod tests {
         assert_eq!(out0.len(), 2);
         assert_eq!(out0[0].0, 1);
         assert_eq!(out0[1].0, 2);
+
+        // `from_graph` skips the edge list `from_edges` collects: same slots
+        // and ids, also with interleaved sources and parallel edges.
+        let mut g = Graph::new(5);
+        for (from, to) in [(3, 0), (1, 2), (3, 0), (0, 3), (1, 0)] {
+            g.add_edge(from, to, (from + 2 * to) as f64);
+        }
+        let (direct, listed) = (CsrGraph::from_graph(&g), CsrGraph::from_edges(5, g.edges()));
+        for u in 0..5 {
+            let slots = |csr: &CsrGraph| csr.neighbors(u).collect::<Vec<_>>();
+            assert_eq!(slots(&direct), slots(&listed), "node {u}");
+        }
     }
 
     // The search over this format lives in `search.rs`; these pin that the

@@ -357,14 +357,47 @@ impl ImprovedPairs {
 ///
 /// `matrix` must be symmetric and satisfy the triangle inequality (the fiber
 /// matrix and every matrix produced by repeated application of this function
-/// do); under that precondition the single sweep below is exact — a new edge
+/// do); under that precondition a single sweep is exact — a new edge
 /// can only reroute a pair through itself once. Returns the number of
 /// (ordered) entries whose distance improved.
 pub fn improve_with_link(matrix: &mut DistMatrix, i: usize, j: usize, length: f64) -> usize {
+    improve_sweep(matrix, i, j, length, |_, _, _| {})
+}
+
+/// [`improve_with_link`] with delta tracking: the same sweep (so the updated
+/// matrix is bit-identical to the untracked kernel's), plus a record of every
+/// unordered pair that improved into `out`. `out` is reset first, so one
+/// buffer can be reused across calls.
+pub fn improve_with_link_tracked(
+    matrix: &mut DistMatrix,
+    i: usize,
+    j: usize,
+    length: f64,
+    out: &mut ImprovedPairs,
+) -> usize {
+    out.reset(matrix.n());
+    improve_sweep(matrix, i, j, length, |s, t, old| {
+        if s != t {
+            out.record(s, t, old);
+        }
+    })
+}
+
+/// The one-edge sweep behind [`improve_with_link`] and
+/// [`improve_with_link_tracked`]: `improved(s, t, old)` sees every ordered
+/// entry that shrank, in row-major order, with the distance it replaced.
+#[inline]
+fn improve_sweep(
+    matrix: &mut DistMatrix,
+    i: usize,
+    j: usize,
+    length: f64,
+    mut improved: impl FnMut(usize, usize, f64),
+) -> usize {
     let n = matrix.n();
     assert!(i < n && j < n && i != j);
     assert!(length >= 0.0);
-    let mut improved = 0;
+    let mut count = 0;
     let data = matrix.as_mut_slice();
     let (row_i, row_j) = (i * n, j * n);
     for s in 0..n {
@@ -376,52 +409,15 @@ pub fn improve_with_link(matrix: &mut DistMatrix, i: usize, j: usize, length: f6
             let via_ij = d_si + length + data[row_j + t];
             let via_ji = d_sj + length + data[row_i + t];
             let best = via_ij.min(via_ji);
-            if best < data[row_s + t] {
-                data[row_s + t] = best;
-                improved += 1;
-            }
-        }
-    }
-    improved
-}
-
-/// [`improve_with_link`] with delta tracking: identical arithmetic, identical
-/// traversal order (so the updated matrix is bit-identical to the untracked
-/// kernel's), plus a record of every unordered pair that improved into `out`.
-/// `out` is reset first, so one buffer can be reused across calls.
-pub fn improve_with_link_tracked(
-    matrix: &mut DistMatrix,
-    i: usize,
-    j: usize,
-    length: f64,
-    out: &mut ImprovedPairs,
-) -> usize {
-    let n = matrix.n();
-    assert!(i < n && j < n && i != j);
-    assert!(length >= 0.0);
-    out.reset(n);
-    let mut improved = 0;
-    let data = matrix.as_mut_slice();
-    let (row_i, row_j) = (i * n, j * n);
-    for s in 0..n {
-        let d_si = data[s * n + i];
-        let d_sj = data[s * n + j];
-        let row_s = s * n;
-        for t in 0..n {
-            let via_ij = d_si + length + data[row_j + t];
-            let via_ji = d_sj + length + data[row_i + t];
-            let best = via_ij.min(via_ji);
             let cur = data[row_s + t];
             if best < cur {
                 data[row_s + t] = best;
-                improved += 1;
-                if s != t {
-                    out.record(s, t, cur);
-                }
+                count += 1;
+                improved(s, t, cur);
             }
         }
     }
-    improved
+    count
 }
 
 /// Visit the closure every *failure set* leaves behind: for each `k`, in
@@ -533,7 +529,10 @@ fn leave_out_range<S: AsRef<[usize]>>(
 /// [`improve_with_link`]'s convention.
 ///
 /// This is the multi-link commit primitive behind a rebuild from fiber, which
-/// replays every surviving link of a failure set onto the fiber matrix.
+/// replays every surviving link of a failure set onto the fiber matrix. No
+/// production path rebuilds any more ([`leave_out_closures`] shares the
+/// sweeps between failure sets); it is reached only through the test oracle
+/// `HybridTopology::effective_matrix_without`.
 pub fn improve_with_links(matrix: &mut DistMatrix, links: &[(usize, usize, f64)]) -> usize {
     let n = matrix.n();
     for &(i, j, m) in links {

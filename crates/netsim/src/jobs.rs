@@ -2,12 +2,19 @@
 //! an atomic counter by a handful of scoped workers, results returned in job
 //! order.
 //!
-//! The engine drains a run's link-disjoint components through it, and the
+//! The engine drains a run's link-disjoint components through it, the
 //! what-if sweeps above the engine (storm intervals, conduit cuts, capacity
 //! upgrades, the failure cascade over a year's fields) drain whole runs
-//! through it. A job must not read what another job writes; under that
-//! contract the results are those of the serial loop for every width, so the
-//! width is a pure performance knob — [`resolve_workers`] maps the
+//! through it, and so does the design side in `cisp_core`: the hop sweep (a
+//! job per run of tower pairs), the candidate-pool search (a job per source
+//! site) and the fallback greedy's scoring batches. What else spawns a
+//! thread does another job: the windowed gang in [`crate::sim`] and
+//! `cisp_core`'s scoring shards keep their workers across rounds, and the
+//! pool search's helper thread only takes the *caller's* seat here.
+//!
+//! A job must not read what another job writes; under that contract the
+//! results are those of the serial loop for every width, so the width is a
+//! pure performance knob — [`resolve_workers`] maps the
 //! [`SimConfig::workers`](crate::sim::SimConfig::workers) convention onto it.
 
 use std::panic;

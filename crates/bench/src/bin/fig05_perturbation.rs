@@ -7,9 +7,10 @@
 //! delay moves by < 0.1 ms and loss stays ≈0 up to ~70 % load even with plain
 //! shortest-path routing.
 
-use cisp_bench::{bridge::build_simulation_inputs, print_series, us_scenario, Scale};
+use cisp_bench::{print_series, us_scenario, Scale};
+use cisp_core::evaluate::{lower, EvaluateConfig};
 use cisp_core::scenario::population_product_traffic;
-use cisp_netsim::sim::{SimConfig, Simulation};
+use cisp_netsim::sim::SimConfig;
 use cisp_traffic::perturb::perturbed_populations;
 
 fn main() {
@@ -39,18 +40,23 @@ fn main() {
         let mut delay_points = Vec::new();
         let mut loss_points = Vec::new();
         for &load in &loads {
-            let (network, demands) =
-                build_simulation_inputs(&outcome.topology, &offered, design_gbps, load);
-            let mut sim = Simulation::new(
-                network,
-                demands,
-                SimConfig {
-                    duration_s,
-                    seed: 11,
-                    ..SimConfig::default()
+            // Provisioned for `design_gbps` on the designed-for matrix,
+            // offered `load × design_gbps` of the perturbed one.
+            let lowered = lower(
+                &outcome.topology,
+                &offered,
+                &EvaluateConfig {
+                    design_aggregate_gbps: design_gbps,
+                    load_fraction: load,
+                    sim: SimConfig {
+                        duration_s,
+                        seed: 11,
+                        ..SimConfig::default()
+                    },
+                    ..EvaluateConfig::default()
                 },
             );
-            let report = sim.run();
+            let report = lowered.simulation().run();
             delay_points.push((load * 100.0, report.mean_delay_ms));
             loss_points.push((load * 100.0, report.loss_rate * 100.0));
         }

@@ -6,13 +6,14 @@
 //! 100 % of the design capacity. The paper finds less than 0.05 ms of mean
 //! delay difference and near-zero loss up to ~70 % load.
 
-use cisp_bench::{bridge::build_simulation_inputs, print_series, us_scenario, Scale};
+use cisp_bench::{print_series, us_scenario, Scale};
 use cisp_core::design::{DesignInput, Designer};
+use cisp_core::evaluate::{lower, EvaluateConfig};
 use cisp_core::scenario::population_product_traffic;
 use cisp_data::datacenters::google_us_datacenters;
 use cisp_geo::geodesic;
 use cisp_graph::DistMatrix;
-use cisp_netsim::sim::{SimConfig, Simulation};
+use cisp_netsim::sim::SimConfig;
 use cisp_traffic::matrix::TrafficMatrix;
 
 /// Build the three component matrices over the scenario's sites, using the
@@ -113,18 +114,23 @@ fn main() {
         let mut delay_points = Vec::new();
         let mut loss_points = Vec::new();
         for &load in &loads {
-            let (network, demands) =
-                build_simulation_inputs(&outcome.topology, offered, design_gbps, load);
-            let mut sim = Simulation::new(
-                network,
-                demands,
-                SimConfig {
-                    duration_s: 0.3,
-                    seed: 13,
-                    ..SimConfig::default()
+            // Provisioned for `design_gbps` on the designed-for mix, offered
+            // `load × design_gbps` of this one.
+            let lowered = lower(
+                &outcome.topology,
+                offered,
+                &EvaluateConfig {
+                    design_aggregate_gbps: design_gbps,
+                    load_fraction: load,
+                    sim: SimConfig {
+                        duration_s: 0.3,
+                        seed: 13,
+                        ..SimConfig::default()
+                    },
+                    ..EvaluateConfig::default()
                 },
             );
-            let report = sim.run();
+            let report = lowered.simulation().run();
             delay_points.push((load * 100.0, report.mean_delay_ms));
             loss_points.push((load * 100.0, report.loss_rate * 100.0));
         }

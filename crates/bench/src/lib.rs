@@ -1,8 +1,8 @@
-//! Shared infrastructure for the experiment harness.
+//! Shared infrastructure for the figure binaries.
 //!
 //! Every figure and table of the paper's evaluation has a corresponding
-//! binary under `src/bin/` (see `DESIGN.md` §3 for the full index). The
-//! binaries share three things, provided here:
+//! binary under `src/bin/` (the README's quickstart says how to run one).
+//! The binaries share three things, provided here:
 //!
 //! * [`Scale`] — every experiment runs at one of three scales. `Tiny` is for
 //!   smoke tests, `Reduced` (the default) reproduces the *shape* of each
@@ -13,8 +13,6 @@
 //!   "the US network" means at a given scale.
 //! * plain-text table/series printers, so each binary's output is the rows
 //!   or series the corresponding figure plots.
-
-pub mod bridge;
 
 use cisp_core::scenario::{Scenario, ScenarioConfig};
 use cisp_data::towers::TowerRegistryConfig;
@@ -79,59 +77,6 @@ impl Scale {
             Scale::Reduced => "reduced",
             Scale::Full => "full (paper scale)",
         }
-    }
-}
-
-/// A direct microwave candidate for every site pair: latency-equivalent
-/// length `mw_factor ×` geodesic, costing one tower per `tower_span_km` of
-/// geodesic distance (minimum one). The synthetic design inputs used by the
-/// criterion benches all share this builder so the candidate format lives in
-/// one place.
-pub fn all_pairs_candidates(
-    sites: &[cisp_geo::GeoPoint],
-    mw_factor: f64,
-    tower_span_km: f64,
-) -> Vec<cisp_core::links::CandidateLink> {
-    let mut candidates = Vec::new();
-    for i in 0..sites.len() {
-        for j in (i + 1)..sites.len() {
-            let geo = cisp_geo::geodesic::distance_km(sites[i], sites[j]);
-            let towers = ((geo / tower_span_km).ceil() as usize).max(1);
-            candidates.push(cisp_core::links::CandidateLink {
-                site_a: i,
-                site_b: j,
-                mw_length_km: geo * mw_factor,
-                tower_count: towers,
-                tower_path: (0..towers).collect(),
-            });
-        }
-    }
-    candidates
-}
-
-/// A dense synthetic design input: `n` scattered US-extent sites, fiber at
-/// 2× geodesic, uniform traffic, and an all-pairs candidate set at 1.05×
-/// geodesic with one tower per 60 km. Shared by the criterion benches
-/// (`kernels`, `design_scaling`) so their inputs agree.
-pub fn synthetic_design_input(n: usize) -> cisp_core::design::DesignInput {
-    let sites: Vec<cisp_geo::GeoPoint> = (0..n)
-        .map(|i| {
-            cisp_geo::GeoPoint::new(
-                30.0 + ((i * 13) % 17) as f64,
-                -120.0 + ((i * 7) % 43) as f64 * 1.2,
-            )
-        })
-        .collect();
-    let traffic = cisp_graph::DistMatrix::from_fn(n, |i, j| if i == j { 0.0 } else { 1.0 });
-    let fiber_km = cisp_graph::DistMatrix::from_fn(n, |i, j| {
-        cisp_geo::geodesic::distance_km(sites[i], sites[j]) * 2.0
-    });
-    let candidates = all_pairs_candidates(&sites, 1.05, 60.0);
-    cisp_core::design::DesignInput {
-        sites,
-        traffic,
-        fiber_km,
-        candidates,
     }
 }
 

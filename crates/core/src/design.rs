@@ -28,8 +28,8 @@
 //!
 //! Candidate scoring — one O(n²)
 //! [`mean_stretch_with_link`](crate::topology::mean_stretch_with_link) sweep
-//! per candidate — dominates design time. The greedy (see [`crate::engine`])
-//! keeps a cached predicted stretch per pool candidate and, after each
+//! per candidate — dominates design time. The greedy (the private `engine`
+//! module) keeps a cached predicted stretch per pool candidate and, after each
 //! accepted link, repairs the caches from the link's improved-pair delta
 //! instead of re-sweeping: candidates whose endpoints the accepted link did
 //! not touch get an exact O(|improved|) repair, touched candidates are
@@ -43,7 +43,7 @@
 //! scores fanned out through [`cisp_netsim::jobs::drain_jobs`].
 //!
 //! Scoring parallelism in the greedy comes from *persistent worker shards*
-//! ([`crate::engine::ShardPool`]): one worker thread per core
+//! (`engine::ShardPool`): one worker thread per core
 //! ([`cisp_netsim::jobs::resolve_workers`]), spawned once per greedy run,
 //! each owning a stable contiguous slice of the candidate pool across all
 //! its rounds. Every shard count selects bit-identical designs (the shard
@@ -92,8 +92,7 @@ use crate::topology::{HybridTopology, ScoringWeights};
 pub enum GreedyScore {
     /// Absolute reduction in mean stretch (the paper's rule).
     AbsoluteGain,
-    /// Reduction in mean stretch per tower of cost (cost-aware variant,
-    /// used in the ablation benchmarks).
+    /// Reduction in mean stretch per tower of cost (cost-aware variant).
     GainPerTower,
 }
 
@@ -242,7 +241,7 @@ impl<'a> Designer<'a> {
         self.greedy_sharded(pool, budget_towers, resolve_workers(0))
     }
 
-    /// The incremental delta-scoring greedy (see [`crate::engine`]) over
+    /// The incremental delta-scoring greedy (the `engine` module) over
     /// `shards` persistent scoring shards, clamped to the pool size; one
     /// shard runs inline on the calling thread. The shard count never changes
     /// the design.

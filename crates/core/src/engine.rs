@@ -219,11 +219,6 @@ impl RoundUpdate {
         }
     }
 
-    /// The accepted link's improved-pair set.
-    pub fn improved(&self) -> &ImprovedPairs {
-        &self.improved
-    }
-
     /// The pre-update distance of `(x, y)`, reconstructed from the delta:
     /// the recorded old value for improved pairs, the (unchanged) current
     /// value otherwise.
@@ -240,22 +235,6 @@ impl RoundUpdate {
             matrix.get(x, y)
         }
     }
-}
-
-/// Counters of how one shard's repair rounds split their work, accumulated
-/// across every [`ShardState::apply`] call. Purely observational (the bench
-/// binary records the pruning ratios); never read by the engine itself.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RepairStats {
-    /// Candidates re-scored with the exact kernel (repair would have cost
-    /// at least as much).
-    pub exact_fallbacks: u64,
-    /// Candidates repaired incrementally.
-    pub repaired: u64,
-    /// Changed-neighbour rows visited by the via-part sweeps.
-    pub rows_affected: u64,
-    /// Of those, rows skipped in O(1) by the metric or row-max bound.
-    pub rows_skipped: u64,
 }
 
 /// One shard: a stable contiguous range of pool positions and their cached
@@ -278,8 +257,6 @@ pub struct ShardState {
     /// parallel array so the correction pass streams sequentially instead
     /// of chasing `candidates[pool[pos]]` pointers per prefix entry.
     by_m_sites: Vec<(u32, u32)>,
-    /// Work counters across all rounds.
-    stats: RepairStats,
 }
 
 impl ShardState {
@@ -292,23 +269,12 @@ impl ShardState {
             removed: vec![false; len],
             by_m: Vec::new(),
             by_m_sites: Vec::new(),
-            stats: RepairStats::default(),
         }
-    }
-
-    /// The owned pool-position range.
-    pub fn range(&self) -> Range<usize> {
-        self.range.clone()
     }
 
     /// Cached values, indexed by `pool_position - range.start`.
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Accumulated repair-work counters.
-    pub fn stats(&self) -> RepairStats {
-        self.stats
     }
 
     /// The *via part* of one cached prediction's incremental repair: the
@@ -324,7 +290,6 @@ impl ShardState {
     /// candidate-independent base plus pair-major corrections), the repair
     /// telescopes to exactly `min(via_new, d_new) − min(via_old, d_old)`
     /// per pair — a full rescore's change.
-    #[allow(clippy::too_many_arguments)]
     fn via_repair(
         sw: &ScoringWeights,
         matrix: &DistMatrix,
@@ -333,7 +298,6 @@ impl ShardState {
         in_affected: &mut [bool],
         affected: &mut Vec<u32>,
         blockmin: &mut Vec<f64>,
-        stats: &mut RepairStats,
     ) -> f64 {
         let n = matrix.n();
         let nb = n.div_ceil(REPAIR_BLOCK);
@@ -357,7 +321,6 @@ impl ShardState {
                 }
             }
         }
-        stats.rows_affected += affected.len() as u64;
         // Metric row skip: on a verified-metric matrix a via through this
         // candidate can only beat some pair of row `s` if the endpoints'
         // distances to `s` differ by more than the link length
@@ -373,7 +336,6 @@ impl ShardState {
         for &s in affected.iter() {
             let s = s as usize;
             if (row_i[s] - row_j[s]).abs() <= m_slack {
-                stats.rows_skipped += 1;
                 continue;
             }
             let d_si_m = row_i[s] + m;
@@ -383,7 +345,6 @@ impl ShardState {
             // largest current distance, no pair of the row can be beaten
             // and the whole row contributes nothing.
             if d_si_m.min(d_sj_m) >= update.row_max[s] {
-                stats.rows_skipped += 1;
                 continue;
             }
             let d_si_old = update.old_dist(matrix, s, i);
@@ -543,7 +504,6 @@ impl ShardState {
             if neighbour_rows * n / row_cost_div + improved_len >= pairs {
                 needs_exact.push(k as u32);
             } else {
-                self.stats.repaired += 1;
                 self.values[k] += update.direct_base
                     + Self::via_repair(
                         sw,
@@ -553,11 +513,9 @@ impl ShardState {
                         &mut in_affected,
                         &mut affected,
                         &mut blockmin,
-                        &mut self.stats,
                     );
             }
         }
-        self.stats.exact_fallbacks += needs_exact.len() as u64;
 
         // Pass 2, pair-major: the direct part's corrections. A candidate
         // corrects the base only when one of its vias beats the pair's old
@@ -864,6 +822,7 @@ mod tests {
         };
         let mut state = ShardState::new(0..pool.len());
         state.init_score(&ctx);
+        let scored = state.values().to_vec();
         let accepted = candidates[0].clone();
         let mut improved = ImprovedPairs::new(n);
         {
@@ -878,12 +837,13 @@ mod tests {
         }
         let update = RoundUpdate::new(improved, Some(0), Vec::new(), &matrix.read().unwrap(), &sw);
         state.apply(&ctx, &update);
-        let stats = state.stats();
-        assert_eq!(
-            stats.repaired + stats.exact_fallbacks,
-            (pool.len() - 1) as u64,
-            "every surviving candidate is either repaired or re-scored"
-        );
-        assert!(stats.rows_skipped <= stats.rows_affected);
+        // The round drops the accepted candidate and no other, and a built
+        // link only shrinks distances: no surviving prediction rises, some
+        // fall.
+        assert_eq!(state.removed.iter().filter(|&&r| r).count(), 1);
+        assert!(state.removed[0]);
+        let survivors = || state.values().iter().zip(&scored).skip(1);
+        assert!(survivors().all(|(v, s)| *v <= s + 1e-12));
+        assert!(survivors().any(|(v, s)| v < s));
     }
 }

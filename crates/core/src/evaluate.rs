@@ -635,6 +635,41 @@ mod tests {
     }
 
     #[test]
+    fn mw_links_are_faster_than_fiber() {
+        let topo = test_topology();
+        let config = fast_config();
+        let lowered = lower(&topo, topo.traffic(), &config);
+        // Each MW link against the fiber link between the same two sites.
+        for (k, &(fwd, _)) in lowered.mw_link_ids.iter().enumerate() {
+            let mw = lowered.network.link(fwd);
+            let fiber = lowered
+                .network
+                .links()
+                .iter()
+                .find(|l| (l.from, l.to, l.rate_bps) == (mw.from, mw.to, config.fiber_rate_bps))
+                .expect("fiber link exists");
+            assert!(mw.propagation_s < fiber.propagation_s, "MW link {k}");
+        }
+    }
+
+    #[test]
+    fn higher_design_target_gives_more_capacity() {
+        let topo = test_topology();
+        let mw_rates = |design_aggregate_gbps| -> Vec<f64> {
+            let config = EvaluateConfig {
+                design_aggregate_gbps,
+                ..fast_config()
+            };
+            let lowered = lower(&topo, topo.traffic(), &config);
+            let rate = |&(fwd, _): &(LinkId, LinkId)| lowered.network.link(fwd).rate_bps;
+            lowered.mw_link_ids.iter().map(rate).collect()
+        };
+        let (small, large) = (mw_rates(4.0), mw_rates(100.0));
+        assert!(small.iter().zip(&large).all(|(s, l)| l >= s));
+        assert!(small.iter().zip(&large).any(|(s, l)| l > s));
+    }
+
+    #[test]
     fn evaluate_produces_physical_rtts() {
         let topo = test_topology();
         let report = evaluate(&topo, topo.traffic(), &fast_config());

@@ -18,7 +18,7 @@
 //!    workspace's own MILP solver at small scale; the scalable cISP
 //!    heuristic ([`design`]) uses the paper's greedy candidate pruning plus
 //!    a swap-based refinement, running on the incremental delta-scoring
-//!    engine and its persistent worker shards ([`engine`]).
+//!    engine and its persistent worker shards (the private `engine` module).
 //! 4. **Capacity augmentation** ([`augment`]): parallel tower series (the k²
 //!    trick of §3.3) sized from per-link traffic, with new towers charged to
 //!    the cost model ([`cost`]).
@@ -48,7 +48,7 @@ pub mod augment;
 pub mod cost;
 pub mod design;
 pub mod economics;
-pub mod engine;
+mod engine;
 pub mod evaluate;
 pub mod hops;
 pub mod ilp;

@@ -2,7 +2,8 @@
 //!
 //! Four kinds of input data feed the paper's evaluation; this crate provides
 //! each of them, either as embedded public data or as a seeded synthetic
-//! stand-in (see `DESIGN.md` §1 for the substitution rationale):
+//! stand-in (the README's *Fiber layer* and *Design at paper scale* sections
+//! say how the stand-ins are built and used):
 //!
 //! * [`cities`] — the most populous cities of the contiguous United States
 //!   (embedded, real coordinates and populations) plus the coalescing step

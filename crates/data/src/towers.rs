@@ -281,12 +281,6 @@ impl TowerRegistry {
         self.towers.is_empty()
     }
 
-    /// Rebuild the spatial index (needed after deserialisation, where the
-    /// index is skipped).
-    pub fn rebuild_index(&mut self) {
-        *self = Self::from_towers(std::mem::take(&mut self.towers));
-    }
-
     /// Indices of towers within `radius_km` of `point`.
     pub fn towers_within(&self, point: GeoPoint, radius_km: f64) -> Vec<usize> {
         let mut result = Vec::new();

@@ -18,7 +18,8 @@
 //! line-of-sight hops across plains are almost always feasible, hops across
 //! mountain corridors frequently are not, and therefore tower routes detour
 //! and link costs rise exactly where they did in the paper (e.g. the long
-//! Illinois–California link through the Rockies). See `DESIGN.md` §1.
+//! Illinois–California link through the Rockies). See the README's
+//! *Design at paper scale* for how the hop sweep uses the model.
 //!
 //! # Example
 //!

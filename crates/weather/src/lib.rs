@@ -16,7 +16,7 @@
 //!   an effective-path-length correction.
 //! * [`storms`] — a seeded synthetic precipitation year: seasonally modulated
 //!   storm systems with spatially correlated rain fields, standing in for the
-//!   TRMM/GPM rasters (see `DESIGN.md` §1).
+//!   TRMM/GPM rasters (README, *The evaluation pipeline*, step 4).
 //! * [`failures`] — per-interval link-outage computation for a designed
 //!   topology: a storm-independent [`FailureGeometry`] decides most links of
 //!   most fields from a conservative rain bound and runs the exact per-hop

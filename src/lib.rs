@@ -10,8 +10,8 @@
 //! speed-of-light lower bound, plus every substrate its evaluation relies on
 //! (terrain and tower models, a fiber conduit map, an ILP/MILP solver, a
 //! packet-level simulator, a weather model, and application-level latency
-//! models). See `README.md` for a tour and `DESIGN.md` for the full system
-//! inventory and experiment index.
+//! models). See `README.md` for a tour: *Workspace layout* is the system
+//! inventory, *The evaluation pipeline* the chain the experiments run over.
 //!
 //! ## Crate map
 //!

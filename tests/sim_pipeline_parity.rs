@@ -865,6 +865,111 @@ fn golden_hybrid_backbone_report_matches_snapshot() {
     );
 }
 
+/// The hybrid engine's headline workload: the conduit-backed miniature US
+/// backbone (12 sites, 1 500 raw towers, regional terrain — the figure
+/// binaries' `--tiny` scenario) carrying a million users' worth of bulk
+/// background traffic (10⁶ × 140 kbps = 140 Gbps) as fluid next to a 2 Gbps
+/// packet-simulated foreground. MW buffers are deep so the fluid backlog's
+/// ramp on oversubscribed links shows up as *delay* in delivered foreground
+/// packets, not only as drops: with the default shallow buffer the backlog
+/// pins at the ceiling and FIFO's foreground queueing is all-or-nothing.
+#[test]
+fn million_user_hybrid_backbone() {
+    let scenario = Scenario::build(&ScenarioConfig {
+        max_sites: Some(12),
+        towers: cisp::data::towers::TowerRegistryConfig {
+            raw_count: 1_500,
+            ..Default::default()
+        },
+        ..ScenarioConfig::us_paper(42)
+    });
+    let outcome = scenario.design(300.0);
+    let traffic = population_product_traffic(scenario.cities());
+    let lowered = lower_classified(
+        &scenario.conduit_backed_topology(&outcome),
+        &traffic,
+        &traffic,
+        140.0,
+        &EvaluateConfig {
+            design_aggregate_gbps: 4.0,
+            load_fraction: 0.5,
+            mw_buffer_bytes: 2_000_000.0,
+            ..EvaluateConfig::default()
+        },
+    );
+    let base = SimConfig {
+        duration_s: 0.05,
+        workers: 1,
+        background: BackgroundModel::Fluid,
+        ..SimConfig::default()
+    };
+    let simulation =
+        |config| Simulation::new(lowered.network.clone(), lowered.demands.clone(), config);
+    let mut hybrid_sim = simulation(base);
+    let hybrid = hybrid_sim.run();
+    let serial_under = |discipline| simulation(SimConfig { discipline, ..base }).run();
+    assert_eq!(
+        hybrid,
+        serial_under(QueueDiscipline::Fifo),
+        "explicit Fifo differs from the default config"
+    );
+
+    // One report in every execution mode and at every width, under every
+    // discipline.
+    for discipline in test_disciplines() {
+        let serial = serial_under(discipline);
+        for workers in test_worker_counts().into_iter().chain([0]) {
+            for mode in [ExecMode::ComponentSharded, ExecMode::windowed_auto()] {
+                let report = simulation(SimConfig {
+                    discipline,
+                    workers,
+                    mode,
+                    ..base
+                })
+                .run();
+                assert_eq!(
+                    serial, report,
+                    "{discipline:?}, workers {workers}, {mode:?}"
+                );
+            }
+        }
+    }
+
+    let bg = hybrid.background.as_ref().expect("background stats");
+    assert!(!bg.truncated, "the fluid solver's safety valve fired");
+    // The fluid model stands in for at least ten times the events the
+    // hybrid run itself processes (one per transmit attempt, forwarded or
+    // dropped, plus one per delivery).
+    let forwarded: u64 = hybrid_sim.network().states().packets_forwarded.iter().sum();
+    let events = forwarded + hybrid.dropped + hybrid.delivered;
+    assert!(events > 0);
+    assert!(
+        bg.packet_equivalent_events >= 10.0 * events as f64,
+        "{} packet-equivalent events avoided against {events} processed",
+        bg.packet_equivalent_events
+    );
+
+    // Strict priority strictly improves the foreground P99 queueing delay
+    // while the fluid background keeps delivering within 5 % of FIFO's bits.
+    let sp = serial_under(QueueDiscipline::StrictPriority);
+    let fg_p99_queue_ms = |r: &SimReport| {
+        let per_class = r.per_class.as_ref().expect("per-class stats");
+        per_class.foreground.p99_queue_delay_ms
+    };
+    assert!(
+        fg_p99_queue_ms(&sp) < fg_p99_queue_ms(&hybrid),
+        "strict priority {} ms vs FIFO {} ms",
+        fg_p99_queue_ms(&sp),
+        fg_p99_queue_ms(&hybrid)
+    );
+    let sp_bg = sp.background.as_ref().expect("background stats");
+    let bg_ratio = sp_bg.delivered_bits / bg.delivered_bits;
+    assert!(
+        (bg_ratio - 1.0).abs() <= 0.05,
+        "background ratio {bg_ratio}"
+    );
+}
+
 /// Compare a rendered snapshot against its checked-in golden file, or
 /// regenerate the file when `CISP_BLESS=1` is set.
 fn assert_snapshot_matches(path: &str, rendered: &str) {

@@ -4,7 +4,7 @@
 //! in the United States: Berkeley County SC, Council Bluffs IA, Douglas
 //! County GA, Lenoir NC, Mayes County OK, and The Dalles OR.
 
-use cisp_geo::GeoPoint;
+use cisp_geo::{geodesic, GeoPoint};
 use serde::{Deserialize, Serialize};
 
 /// A wide-area data-center site.
@@ -38,10 +38,29 @@ pub fn google_us_datacenters() -> Vec<DataCenter> {
     ]
 }
 
+/// Index of the site closest to each of [`google_us_datacenters`], in that
+/// order: the population centers that stand in for the data centers in the
+/// §6.3 and §6.4 traffic models. A tie goes to the lower site index.
+///
+/// # Panics
+/// If `sites` is empty.
+pub fn dc_proxy_sites(sites: &[GeoPoint]) -> Vec<usize> {
+    google_us_datacenters()
+        .iter()
+        .map(|dc| {
+            (0..sites.len())
+                .min_by(|&a, &b| {
+                    geodesic::distance_km(sites[a], dc.location)
+                        .total_cmp(&geodesic::distance_km(sites[b], dc.location))
+                })
+                .expect("at least one site")
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cisp_geo::geodesic;
 
     #[test]
     fn there_are_six_sites() {
@@ -64,5 +83,17 @@ mod tests {
             assert!(dc.location.lat_deg > 24.0 && dc.location.lat_deg < 50.0);
             assert!(dc.location.lon_deg > -125.0 && dc.location.lon_deg < -66.0);
         }
+    }
+
+    #[test]
+    fn each_dc_maps_to_its_nearest_site_and_a_tie_to_the_lower_index() {
+        let dcs = google_us_datacenters();
+        // A far-away decoy, then every DC's own location in reverse; the last
+        // DC's location comes again at the end, an exact tie with index 1.
+        let mut sites = vec![GeoPoint::new(0.0, 0.0)];
+        sites.extend(dcs.iter().rev().map(|dc| dc.location));
+        sites.push(dcs[dcs.len() - 1].location);
+        let expected: Vec<usize> = (1..=dcs.len()).rev().collect();
+        assert_eq!(dc_proxy_sites(&sites), expected);
     }
 }

@@ -11,9 +11,8 @@ use cisp::core::augment::augment_for_throughput;
 use cisp::core::cost::CostModel;
 use cisp::core::design::{DesignInput, Designer};
 use cisp::core::scenario::{Scenario, ScenarioConfig};
-use cisp::data::datacenters::google_us_datacenters;
+use cisp::data::datacenters::{dc_proxy_sites, google_us_datacenters};
 use cisp::data::towers::TowerRegistryConfig;
-use cisp::geo::geodesic;
 
 fn main() {
     // A reduced US scenario provides towers, fiber and candidate links.
@@ -29,18 +28,7 @@ fn main() {
     let n = base.sites.len();
 
     // Represent each data center by the population center closest to it.
-    let dc_sites: Vec<usize> = google_us_datacenters()
-        .iter()
-        .map(|dc| {
-            (0..n)
-                .min_by(|&a, &b| {
-                    geodesic::distance_km(base.sites[a], dc.location)
-                        .partial_cmp(&geodesic::distance_km(base.sites[b], dc.location))
-                        .unwrap()
-                })
-                .unwrap()
-        })
-        .collect();
+    let dc_sites = dc_proxy_sites(&base.sites);
     println!("data-center proxy sites:");
     for (&site, dc) in dc_sites.iter().zip(google_us_datacenters()) {
         println!("  {:<22} → {}", dc.name, scenario.cities()[site].name);

@@ -381,7 +381,7 @@ pub fn fig04b_disjoint_paths(ctx: &Context) {
 
     let max_paths = 20;
     let result = iterative_disjoint_paths(
-        builder.graph(),
+        builder.csr_graph(),
         builder.site_node(a),
         builder.site_node(b),
         max_paths,

@@ -50,7 +50,9 @@
 //!
 //! The sweep over every tower pair in range
 //! ([`HopFeasibility::all_feasible_hops_with`]) drains fixed-length runs of
-//! pairs through [`cisp_netsim::jobs::drain_jobs`] and merges in pair order.
+//! towers through [`cisp_netsim::jobs::drain_jobs`]; each job enumerates its
+//! own towers' in-range partners, so the list of pairs is never held, and
+//! the jobs merge in pair order.
 
 use cisp_data::towers::TowerRegistry;
 use cisp_geo::{fresnel, geodesic, units};
@@ -67,9 +69,10 @@ const BOUND_SLACK_M: f64 = 1e-3;
 /// ≈ 0.002° for 100 km at 49° N).
 const GRID_MARGIN_DEG: f64 = 0.1;
 
-/// Consecutive tower pairs one job of the sweep assesses: a few milliseconds
-/// of work, and several hundred jobs at paper scale (470 k pairs).
-const PAIRS_PER_JOB: usize = 1024;
+/// Consecutive towers one job of the sweep enumerates the partners `j > i`
+/// of and assesses: ≈ 1 000 pairs at paper scale (470 k pairs over 10.5 k
+/// towers), a few milliseconds of work, and several hundred jobs.
+const TOWERS_PER_JOB: usize = 24;
 
 /// Parameters of the hop-feasibility assessment.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -358,8 +361,11 @@ impl<'a> HopFeasibility<'a> {
     /// [`Self::all_feasible_hops_with`], also reporting which cascade tier
     /// decided the sweep's samples.
     ///
-    /// One [`drain_jobs`] job per `PAIRS_PER_JOB` consecutive pairs, each
-    /// counting into its own [`HopSweepStats`]; hops are concatenated and
+    /// One [`drain_jobs`] job per `TOWERS_PER_JOB` consecutive towers `i`:
+    /// it finds each tower's partners `j > i` within range, in ascending
+    /// order, and assesses those pairs, counting into its own
+    /// [`HopSweepStats`]. That is [`TowerRegistry::pairs_within`]'s order,
+    /// job by job, without holding its list. Hops are concatenated and
     /// counts summed in job order. The jobs do not depend on `workers`, and
     /// a sample's tier depends only on the sample and on cell bounds that
     /// are pure functions of the cell, so the hop list and the counts are
@@ -368,31 +374,62 @@ impl<'a> HopFeasibility<'a> {
     /// neighbouring pairs share terrain; workers claim the next job as they
     /// finish one, so none is left holding a mountain range.
     pub fn all_feasible_hops_profiled(&self, workers: usize) -> (Vec<FeasibleHop>, HopSweepStats) {
-        let pairs = self.towers.pairs_within(self.config.max_range_km);
+        let towers = self.towers.towers();
+        assert!(towers.len() <= u32::MAX as usize, "tower index exceeds u32");
+        let range_km = self.config.max_range_km;
         let cells_before = self.envelope.cells_filled();
-        let jobs: Vec<&[(usize, usize)]> = pairs.chunks(PAIRS_PER_JOB).collect();
         let (per_job, _) = drain_jobs(
-            jobs.len(),
+            towers.len().div_ceil(TOWERS_PER_JOB),
             resolve_workers(workers),
-            || (),
-            |_, job| {
+            Vec::new,
+            |near, job| {
                 let mut stats = HopSweepStats::default();
-                let hops: Vec<FeasibleHop> = jobs[job]
-                    .iter()
-                    .filter_map(|&(i, j)| self.assess_pair_counted(i, j, &mut stats))
-                    .collect();
-                (hops, stats)
+                let mut found = JobHops::default();
+                let run = towers.iter().enumerate().skip(job * TOWERS_PER_JOB);
+                for (i, tower) in run.take(TOWERS_PER_JOB) {
+                    self.towers
+                        .towers_within_into(tower.location, range_km, near);
+                    let before = found.partners.len();
+                    for &j in near.iter().filter(|&&j| j > i) {
+                        if let Some(hop) = self.assess_pair_counted(i, j, &mut stats) {
+                            found.partners.push(j as u32);
+                            found.lengths_km.push(hop.length_km);
+                        }
+                    }
+                    found.per_tower.push((found.partners.len() - before) as u32);
+                }
+                (found, stats)
             },
         );
-        let mut hops = Vec::with_capacity(per_job.iter().map(|(job_hops, _)| job_hops.len()).sum());
+        let total = per_job.iter().map(|(found, _)| found.partners.len()).sum();
+        let mut hops = Vec::with_capacity(total);
         let mut stats = HopSweepStats::default();
-        for (job_hops, job_stats) in per_job {
-            hops.extend(job_hops);
+        for (job, (found, job_stats)) in per_job.into_iter().enumerate() {
+            let mut k = 0;
+            for (i, &count) in (job * TOWERS_PER_JOB..).zip(&found.per_tower) {
+                hops.extend((k..k + count as usize).map(|k| FeasibleHop {
+                    tower_a: i,
+                    tower_b: found.partners[k] as usize,
+                    length_km: found.lengths_km[k],
+                }));
+                k += count as usize;
+            }
             stats.add_samples(&job_stats);
         }
         stats.cells_filled = (self.envelope.cells_filled() - cells_before) as u64;
         (hops, stats)
     }
+}
+
+/// One sweep job's feasible hops, held compact until the merge: the job's
+/// `k`-th tower owns the next `per_tower[k]` entries of `partners` and
+/// `lengths_km`. That is 12 bytes a hop where the merged list spends 24, so
+/// the merge, which holds both, is not the build's peak.
+#[derive(Default)]
+struct JobHops {
+    per_tower: Vec<u32>,
+    partners: Vec<u32>,
+    lengths_km: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -571,7 +608,7 @@ mod tests {
 
     // The hop list — order included — and the per-tier sample counts must be
     // identical for every worker count (a sample's tier does not depend on
-    // which worker filled its cell). 190 pairs: one job.
+    // which worker filled its cell). 20 towers: one job.
     #[test]
     fn parallel_sweep_is_worker_count_invariant() {
         let mut towers = Vec::new();
@@ -604,15 +641,13 @@ mod tests {
         assert_eq!(again_stats.by_cell_bound, serial_stats.by_cell_bound);
     }
 
-    // Enough pairs for three jobs: the job-order merge must give the plain
+    // Enough towers for three jobs: the job-order merge must give the plain
     // pair loop's hop list and counts at every width.
     #[test]
     fn multi_job_sweep_matches_the_plain_pair_loop() {
-        // A 0.04° lattice (≤ 4.5 km a step, every pair in range) whose pairs
-        // outnumber two jobs; short towers block the longer hops.
-        let side = (2usize..)
-            .find(|s| s.pow(2) * (s.pow(2) - 1) / 2 > 2 * PAIRS_PER_JOB)
-            .unwrap();
+        // A 0.04° lattice (≤ 4.5 km a step, every pair in range) with a
+        // third job's worth of towers; short towers block the longer hops.
+        let side = (2usize..).find(|s| s.pow(2) >= 3 * TOWERS_PER_JOB).unwrap();
         let at = |k: usize, step: usize| (k / step % side) as f64 * 0.04;
         let reg = registry(
             (0..side * side)
@@ -629,7 +664,7 @@ mod tests {
         let engine = HopFeasibility::new(&reg, &terrain, &clutter, HopConfig::default());
 
         let pairs = reg.pairs_within(engine.config().max_range_km);
-        assert!(pairs.len() > 2 * PAIRS_PER_JOB, "{} pairs", pairs.len());
+        assert!(reg.len() > 2 * TOWERS_PER_JOB, "{} towers", reg.len());
         let mut plain_stats = HopSweepStats::default();
         let plain: Vec<FeasibleHop> = pairs
             .iter()
@@ -637,8 +672,7 @@ mod tests {
             .collect();
         // Some hops are blocked, and the third job still finds one.
         assert!(plain.len() < pairs.len());
-        let last = plain[plain.len() - 1];
-        assert!(pairs[2 * PAIRS_PER_JOB..].contains(&(last.tower_a, last.tower_b)));
+        assert!(plain[plain.len() - 1].tower_a >= 2 * TOWERS_PER_JOB);
         for workers in [1, 2, 3, 7, 0] {
             let swept = engine.all_feasible_hops_profiled(workers);
             assert_eq!(swept, (plain.clone(), plain_stats), "workers {workers}");

@@ -11,17 +11,20 @@
 //! configurable radius of the site, reflecting the paper's observation that
 //! each city hosts plenty of towers suitable as path starting points.
 //!
-//! The pool is one single-source search per site, fanned out through
-//! [`cisp_netsim::jobs::drain_jobs`] ([`LinkBuilder::pruned_candidate_links_with`]);
-//! [`LinkBuilder::candidate_link`] is the point-to-point oracle the tests
-//! hold it to, on the adjacency-list reference search and no fan-out at all.
+//! The tower + site graph is held once, as the [`CsrGraph`] the searches
+//! run over, built straight from the hop list and the site attachments. The
+//! pool is one single-source search per site over it, fanned out through
+//! [`cisp_netsim::jobs::drain_jobs`] ([`LinkBuilder::pruned_candidate_links_with`]).
+//! The tests hold the pool to a point-to-point oracle that shares none of
+//! this: the same graph built as an adjacency list in test code, one
+//! reference Dijkstra per site pair, no fan-out at all.
 
 use std::time::Instant;
 use std::{panic, thread};
 
 use cisp_data::towers::TowerRegistry;
 use cisp_geo::{geodesic, GeoPoint};
-use cisp_graph::{dijkstra, CsrGraph, DistMatrix, Graph, SearchCore};
+use cisp_graph::{CsrGraph, DistMatrix, SearchCore};
 use cisp_netsim::jobs::{drain_jobs, resolve_workers};
 use serde::{Deserialize, Serialize};
 
@@ -110,7 +113,6 @@ pub struct PoolSearchTimings {
 pub struct LinkBuilder<'a> {
     sites: &'a [GeoPoint],
     towers: &'a TowerRegistry,
-    graph: Graph,
     csr: CsrGraph,
     config: LinkBuilderConfig,
     attachment: AttachmentReport,
@@ -119,7 +121,11 @@ pub struct LinkBuilder<'a> {
 impl<'a> LinkBuilder<'a> {
     /// Construct the combined tower + site graph.
     ///
-    /// Graph layout: nodes `0..T` are towers, nodes `T..T+S` are sites.
+    /// Layout: nodes `0..T` are towers, nodes `T..T+S` are sites. Each hop
+    /// is an undirected edge, in hop order, then each site's attachment to
+    /// every tower within the attach radius, in site order and ascending
+    /// tower index; the CSR is built from them in two passes, so no edge
+    /// list and no adjacency list is ever held. `hops` is not kept.
     pub fn new(
         sites: &'a [GeoPoint],
         towers: &'a TowerRegistry,
@@ -129,25 +135,25 @@ impl<'a> LinkBuilder<'a> {
         assert!(!sites.is_empty(), "need at least one site");
         assert!(config.site_attach_radius_km > 0.0);
         let t = towers.len();
-        let mut graph = Graph::new(t + sites.len());
-        for hop in hops {
-            graph.add_undirected_edge(hop.tower_a, hop.tower_b, hop.length_km);
-        }
+        let mut attach = Vec::new();
         let mut attached_per_site = Vec::with_capacity(sites.len());
         let mut near: Vec<usize> = Vec::new();
         for (s, &site) in sites.iter().enumerate() {
             towers.towers_within_into(site, config.site_attach_radius_km, &mut near);
-            for &tower_idx in &near {
+            attach.extend(near.iter().map(|&tower_idx| {
                 let d = geodesic::distance_km(site, towers.towers()[tower_idx].location);
-                graph.add_undirected_edge(t + s, tower_idx, d);
-            }
+                (t + s, tower_idx, d)
+            }));
             attached_per_site.push(near.len());
         }
-        let csr = CsrGraph::from_graph(&graph);
+        let csr = CsrGraph::from_undirected(t + sites.len(), || {
+            hops.iter()
+                .map(|hop| (hop.tower_a, hop.tower_b, hop.length_km))
+                .chain(attach.iter().copied())
+        });
         Self {
             sites,
             towers,
-            graph,
             csr,
             config,
             attachment: AttachmentReport { attached_per_site },
@@ -159,12 +165,8 @@ impl<'a> LinkBuilder<'a> {
         self.towers.len() + site
     }
 
-    /// The combined tower + site graph (towers first, then sites).
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The CSR mirror of the combined graph that the search core runs over.
+    /// The combined tower + site graph (towers first, then sites) that the
+    /// search core runs over.
     pub fn csr_graph(&self) -> &CsrGraph {
         &self.csr
     }
@@ -179,33 +181,9 @@ impl<'a> LinkBuilder<'a> {
         self.config
     }
 
-    /// Number of towers attached to a given site.
+    /// Number of towers attached to a given site: its node's degree.
     pub fn attached_towers(&self, site: usize) -> usize {
-        self.graph.neighbors(self.site_node(site)).len()
-    }
-
-    /// Find the candidate link between two sites, if the tower graph connects
-    /// them.
-    pub fn candidate_link(&self, a: usize, b: usize) -> Option<CandidateLink> {
-        assert!(a < self.sites.len() && b < self.sites.len());
-        if a == b {
-            return None;
-        }
-        let (a, b) = (a.min(b), a.max(b));
-        let path = dijkstra::shortest_path(&self.graph, self.site_node(a), self.site_node(b))?;
-        let tower_path: Vec<usize> = path
-            .interior_nodes()
-            .iter()
-            .copied()
-            .filter(|&n| n < self.towers.len())
-            .collect();
-        Some(CandidateLink {
-            site_a: a,
-            site_b: b,
-            mw_length_km: path.cost,
-            tower_count: tower_path.len(),
-            tower_path,
-        })
+        self.csr.degree(self.site_node(site))
     }
 
     /// Build a [`CandidateLink`] from an extracted node path.
@@ -230,10 +208,11 @@ impl<'a> LinkBuilder<'a> {
     }
 
     /// Compute the candidate links that beat fiber: for every pair of sites
-    /// the tower graph connects, the link [`Self::candidate_link`] finds,
-    /// kept only if it survives the fiber-oracle elimination
+    /// the tower graph connects, the shortest tower path between them, kept
+    /// only if it survives the fiber-oracle elimination
     /// (`mw_length_km < fiber_km[a][b]`), in a-major b-ascending order —
-    /// pinned to the pointwise queries by `tests/design_pool_pruning.rs`.
+    /// pinned to pointwise reference queries by
+    /// `tests/design_pool_pruning.rs`.
     ///
     /// Runs one single-source search per site over the CSR core
     /// ([`SearchCore`]) and extracts every site-to-site path from it, so the
@@ -387,7 +366,65 @@ mod tests {
     use super::*;
     use crate::hops::{HopConfig, HopFeasibility};
     use cisp_data::towers::{Tower, TowerSource};
+    use cisp_graph::{dijkstra, Graph};
     use cisp_terrain::{clutter::ClutterModel, TerrainModel};
+
+    /// The pointwise oracle, sharing no code with the pool: the builder's
+    /// tower + site graph as an adjacency list, built from the hops and the
+    /// site attachments in the builder's order, and one reference Dijkstra
+    /// per site pair.
+    struct Pointwise {
+        graph: Graph,
+        towers: usize,
+        sites: usize,
+    }
+
+    impl Pointwise {
+        fn of(builder: &LinkBuilder, hops: &[FeasibleHop]) -> Self {
+            let (towers, sites) = (builder.towers.len(), builder.sites.len());
+            let mut graph = Graph::new(towers + sites);
+            for hop in hops {
+                graph.add_undirected_edge(hop.tower_a, hop.tower_b, hop.length_km);
+            }
+            let radius = builder.config.site_attach_radius_km;
+            for (s, &site) in builder.sites.iter().enumerate() {
+                for tower_idx in builder.towers.towers_within(site, radius) {
+                    let d =
+                        geodesic::distance_km(site, builder.towers.towers()[tower_idx].location);
+                    graph.add_undirected_edge(towers + s, tower_idx, d);
+                }
+            }
+            Self {
+                graph,
+                towers,
+                sites,
+            }
+        }
+
+        /// The candidate link between two sites, if the tower graph connects
+        /// them.
+        fn candidate_link(&self, a: usize, b: usize) -> Option<CandidateLink> {
+            assert!(a < self.sites && b < self.sites);
+            if a == b {
+                return None;
+            }
+            let (a, b) = (a.min(b), a.max(b));
+            let path = dijkstra::shortest_path(&self.graph, self.towers + a, self.towers + b)?;
+            let tower_path: Vec<usize> = path
+                .interior_nodes()
+                .iter()
+                .copied()
+                .filter(|&n| n < self.towers)
+                .collect();
+            Some(CandidateLink {
+                site_a: a,
+                site_b: b,
+                mw_length_km: path.cost,
+                tower_count: tower_path.len(),
+                tower_path,
+            })
+        }
+    }
 
     fn tower(lat: f64, lon: f64) -> Tower {
         Tower {
@@ -420,10 +457,12 @@ mod tests {
 
     /// The pool oracle: one point-to-point query per pair (adjacency-list
     /// Dijkstra, no search core), a-major b-ascending.
-    fn pointwise_links(builder: &LinkBuilder, n: usize) -> Vec<CandidateLink> {
+    fn pointwise_links(builder: &LinkBuilder, hops: &[FeasibleHop]) -> Vec<CandidateLink> {
+        let oracle = Pointwise::of(builder, hops);
+        let n = oracle.sites;
         (0..n)
             .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
-            .filter_map(|(a, b)| builder.candidate_link(a, b))
+            .filter_map(|(a, b)| oracle.candidate_link(a, b))
             .collect()
     }
 
@@ -440,7 +479,9 @@ mod tests {
         let hops = feasible_hops(&reg);
         assert!(!hops.is_empty());
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
-        let link = builder.candidate_link(0, 1).expect("link should exist");
+        let link = Pointwise::of(&builder, &hops)
+            .candidate_link(0, 1)
+            .expect("link should exist");
         let geo = geodesic::distance_km(sites[0], sites[1]);
         assert!(
             link.stretch_over(geo) < 1.05,
@@ -460,7 +501,9 @@ mod tests {
         let hops = feasible_hops(&reg);
         let sites = vec![site_a, site_b];
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
-        assert!(builder.candidate_link(0, 1).is_none());
+        assert!(Pointwise::of(&builder, &hops)
+            .candidate_link(0, 1)
+            .is_none());
         let (pool, stats) = builder.pruned_candidate_links_with(&scaled_geodesic(&sites, 2.0), 1);
         assert!(pool.is_empty());
         assert_eq!((stats.pairs_total, stats.unreachable), (1, 1));
@@ -473,7 +516,7 @@ mod tests {
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
         let (pool, _) = builder.pruned_candidate_links_with(&scaled_geodesic(&sites, 2.0), 1);
         assert_eq!(pool.len(), 1);
-        let single = builder.candidate_link(0, 1).unwrap();
+        let single = Pointwise::of(&builder, &hops).candidate_link(0, 1).unwrap();
         assert_eq!(pool[0], single);
     }
 
@@ -482,7 +525,9 @@ mod tests {
         let (sites, reg) = chain_setup();
         let hops = feasible_hops(&reg);
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
-        assert!(builder.candidate_link(0, 0).is_none());
+        assert!(Pointwise::of(&builder, &hops)
+            .candidate_link(0, 0)
+            .is_none());
         assert_eq!(builder.attached_towers(0), 1);
     }
 
@@ -510,7 +555,7 @@ mod tests {
                 site_attach_radius_km: 25.0,
             },
         );
-        assert!(narrow.candidate_link(0, 1).is_none());
+        assert!(Pointwise::of(&narrow, &hops).candidate_link(0, 1).is_none());
         let wide = LinkBuilder::new(
             &sites,
             &reg,
@@ -519,7 +564,7 @@ mod tests {
                 site_attach_radius_km: 60.0,
             },
         );
-        assert!(wide.candidate_link(0, 1).is_some());
+        assert!(Pointwise::of(&wide, &hops).candidate_link(0, 1).is_some());
     }
 
     #[test]
@@ -527,7 +572,7 @@ mod tests {
         let (sites, reg) = chain_setup();
         let hops = feasible_hops(&reg);
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
-        let link = builder.candidate_link(0, 1).unwrap();
+        let link = Pointwise::of(&builder, &hops).candidate_link(0, 1).unwrap();
         // Towers were created west-to-east, so the path indices must be
         // increasing.
         let mut sorted = link.tower_path.clone();
@@ -557,7 +602,7 @@ mod tests {
         let (sites, reg) = corridor_setup();
         let hops = feasible_hops(&reg);
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
-        let full = pointwise_links(&builder, sites.len());
+        let full = pointwise_links(&builder, &hops);
         assert!(!full.is_empty());
         // Generous fiber (2× geodesic): every tower path is useful.
         let fiber = scaled_geodesic(&sites, 2.0);
@@ -589,7 +634,7 @@ mod tests {
         assert_eq!(stats.unreachable + stats.oracle_dropped, stats.pairs_total);
         // And the pointwise queries still find the tower paths — the
         // oracle, not the tower graph, removed them.
-        assert!(!pointwise_links(&builder, sites.len()).is_empty());
+        assert!(!pointwise_links(&builder, &hops).is_empty());
     }
 
     #[test]
@@ -644,7 +689,7 @@ mod tests {
         let fiber = scaled_geodesic(&sites, 2.0);
         let (pool, stats, timings) = builder.pruned_candidate_links_profiled(&fiber, 1);
         assert!(!pool.is_empty());
-        assert_eq!(pool, pointwise_links(&builder, sites.len()));
+        assert_eq!(pool, pointwise_links(&builder, &hops));
         assert_eq!(
             (pool, stats),
             builder.pruned_candidate_links_with(&fiber, 1)

@@ -202,10 +202,15 @@ impl Scenario {
         // `0` workers: one per core, for the sweep and the searches alike.
         let (hops, hop_sweep) = feasibility.all_feasible_hops_profiled(0);
         let hop_sweep_ms = build_start.elapsed().as_secs_f64() * 1e3;
+        // Each of the build's large pieces is freed once its reader is done:
+        // the envelope grid after the sweep, the hop list once the tower
+        // graph holds its edges.
+        drop(feasibility);
 
         let attach_start = Instant::now();
         let builder = LinkBuilder::new(&sites, &towers, &hops, config.links);
         let attach_ms = attach_start.elapsed().as_secs_f64() * 1e3;
+        drop(hops);
         let attachment = builder.attachment_report().clone();
 
         let traffic = population_product_traffic(&cities);

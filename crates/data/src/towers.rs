@@ -289,9 +289,9 @@ impl TowerRegistry {
     }
 
     /// [`Self::towers_within`] writing into a caller-owned buffer (cleared
-    /// first), so sweeping callers — site attachment, `pairs_within` — reuse
-    /// one allocation across queries. Results are ascending tower indices,
-    /// identical to `towers_within`.
+    /// first), so sweeping callers — site attachment, the hop sweep,
+    /// `pairs_within` — reuse one allocation across queries. Results are
+    /// ascending tower indices, identical to `towers_within`.
     pub fn towers_within_into(&self, point: GeoPoint, radius_km: f64, result: &mut Vec<usize>) {
         assert!(radius_km >= 0.0);
         result.clear();

@@ -1,15 +1,25 @@
 //! Flat compressed-sparse-row adjacency: a storage format.
 //!
-//! The adjacency-list [`Graph`](crate::Graph) stores one heap allocation per
+//! The adjacency-list [`Graph`] stores one heap allocation per
 //! node; every neighbour scan chases a `Vec` pointer and the edges of a node
 //! are scattered across the heap. [`CsrGraph`] packs the same directed graph
-//! into three parallel flat arrays (edge targets, edge weights, original
-//! edge ids) plus one offset array, so a node's out-edges are a contiguous
-//! slice, the whole structure is two allocations, and a full Dijkstra sweep
-//! streams memory linearly. Edge ids are preserved from insertion order,
-//! which is what lets the packet simulator use CSR slots and link ids
-//! interchangeably: a network whose links are added in id order produces a
-//! CSR whose `edge_ids` are exactly those link ids.
+//! into parallel flat arrays (edge targets, edge weights and, where an
+//! edge's id is not its slot index, original edge ids) plus one offset
+//! array, so a node's out-edges are a contiguous slice and a full Dijkstra
+//! sweep streams memory linearly.
+//!
+//! Three constructors, one layout:
+//!
+//! * [`CsrGraph::from_edges`] — directed edges, edge id = insertion
+//!   position, which is what lets the packet simulator use CSR slots and
+//!   link ids interchangeably: a network whose links are added in id order
+//!   produces a CSR whose `edge_ids` are exactly those link ids;
+//! * [`CsrGraph::from_undirected`] — undirected edges in two passes over the
+//!   caller's iterator (degrees, then placement), never holding an edge
+//!   list; the candidate pool's tower + site graph is built this way,
+//!   straight from the hop list;
+//! * [`CsrGraph::from_graph`] — the adjacency-list reference's conversion,
+//!   which the tests pin the other two against.
 //!
 //! Searching it is [`SearchCore`](crate::SearchCore)'s job; a node's slots
 //! keep insertion order, which is what makes that search's tie-breaks equal
@@ -29,7 +39,8 @@ pub struct CsrGraph {
     pub(crate) targets: Vec<u32>,
     /// Weight per edge slot.
     pub(crate) weights: Vec<f64>,
-    /// Original (insertion-order) edge id per edge slot.
+    /// Original (insertion-order) edge id per edge slot; empty when every
+    /// edge's id is its slot index, which saves four bytes an edge.
     pub(crate) edge_ids: Vec<u32>,
 }
 
@@ -77,12 +88,60 @@ impl CsrGraph {
         }
     }
 
+    /// Build from undirected `(a, b, weight)` edges without collecting them:
+    /// `edges` is called twice, once to count degrees and once to place the
+    /// slots. Each edge becomes `a → b` then `b → a`, and a node's slots keep
+    /// insertion order, so the result is slot for slot the CSR that
+    /// [`from_graph`](Self::from_graph) makes of an adjacency list built with
+    /// [`Graph::add_undirected_edge`] in the same order. Edge ids are slot
+    /// indices, as there. Weights must be finite and non-negative.
+    pub fn from_undirected<I>(n: usize, edges: impl Fn() -> I) -> Self
+    where
+        I: IntoIterator<Item = (usize, usize, f64)>,
+    {
+        let mut offsets = vec![0u32; n + 1];
+        for (a, b, w) in edges() {
+            assert!(a < n && b < n, "edge endpoint out of range");
+            assert!(
+                w.is_finite() && w >= 0.0,
+                "edge weight must be finite and non-negative, got {w}"
+            );
+            offsets[a + 1] += 1;
+            offsets[b + 1] += 1;
+        }
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        let m = offsets[n] as usize;
+        let mut targets = vec![0u32; m];
+        let mut weights = vec![0.0; m];
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        let mut place = |from: usize, to: usize, w: f64| {
+            let slot = cursor[from] as usize;
+            cursor[from] += 1;
+            targets[slot] = to as u32;
+            weights[slot] = w;
+        };
+        for (a, b, w) in edges() {
+            place(a, b, w);
+            place(b, a, w);
+        }
+        Self {
+            offsets,
+            targets,
+            weights,
+            edge_ids: Vec::new(),
+        }
+    }
+
     /// Build from an adjacency-list [`Graph`], preserving its edge iteration
-    /// order as edge ids.
+    /// order as edge ids. The adjacency list is the reference the tests pin
+    /// [`from_undirected`](Self::from_undirected) and the search core
+    /// against; production graphs are built with that or
+    /// [`from_edges`](Self::from_edges).
     pub fn from_graph(graph: &Graph) -> Self {
         // An adjacency list is grouped by source already: the slots are
-        // `graph.edges()` in order, without the 24-byte-an-edge list of them
-        // that `from_edges` has to collect.
+        // `graph.edges()` in order, and each slot's id is its index.
         let mut offsets = Vec::with_capacity(graph.node_count() + 1);
         offsets.push(0);
         let mut targets = Vec::with_capacity(graph.edge_count());
@@ -94,9 +153,9 @@ impl CsrGraph {
         }
         Self {
             offsets,
-            edge_ids: (0..targets.len() as u32).collect(),
             targets,
             weights,
+            edge_ids: Vec::new(),
         }
     }
 
@@ -112,16 +171,32 @@ impl CsrGraph {
         self.targets.len()
     }
 
+    /// Number of out-edges of a node.
+    #[inline]
+    pub fn degree(&self, u: usize) -> usize {
+        self.slots(u).len()
+    }
+
     /// Out-edge slot range of a node.
     #[inline]
     pub(crate) fn slots(&self, u: usize) -> std::ops::Range<usize> {
         self.offsets[u] as usize..self.offsets[u + 1] as usize
     }
 
+    /// Edge id of slot `s`.
+    #[inline]
+    pub(crate) fn edge_id(&self, s: usize) -> u32 {
+        if self.edge_ids.is_empty() {
+            s as u32
+        } else {
+            self.edge_ids[s]
+        }
+    }
+
     /// Out-edges of `u` as `(target, weight, edge_id)` triples.
     pub fn neighbors(&self, u: usize) -> impl Iterator<Item = (usize, f64, u32)> + '_ {
         let range = self.slots(u);
-        range.map(move |s| (self.targets[s] as usize, self.weights[s], self.edge_ids[s]))
+        range.map(move |s| (self.targets[s] as usize, self.weights[s], self.edge_id(s)))
     }
 }
 
@@ -161,6 +236,43 @@ mod tests {
             let slots = |csr: &CsrGraph| csr.neighbors(u).collect::<Vec<_>>();
             assert_eq!(slots(&direct), slots(&listed), "node {u}");
         }
+    }
+
+    #[test]
+    fn from_undirected_matches_the_adjacency_list_slot_for_slot() {
+        // Interleaved endpoints, a parallel edge, a self-loop and an
+        // isolated node (5).
+        let edges = [
+            (3, 0, 1.5),
+            (1, 2, 0.25),
+            (3, 0, 2.0),
+            (0, 4, 0.0),
+            (2, 2, 3.0),
+        ];
+        let mut g = Graph::new(6);
+        for &(a, b, w) in &edges {
+            g.add_undirected_edge(a, b, w);
+        }
+        let direct = CsrGraph::from_undirected(6, || edges);
+        assert_eq!(direct.offsets, CsrGraph::from_graph(&g).offsets);
+        for u in 0..6 {
+            let slots = |csr: &CsrGraph| {
+                csr.neighbors(u)
+                    .map(|(v, w, id)| (v, w.to_bits(), id))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(slots(&direct), slots(&CsrGraph::from_graph(&g)), "node {u}");
+        }
+        assert_eq!(
+            CsrGraph::from_undirected(3, std::iter::empty).edge_count(),
+            0
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn from_undirected_rejects_infinite_weights() {
+        CsrGraph::from_undirected(2, || [(0usize, 1usize, f64::INFINITY)]);
     }
 
     // The search over this format lives in `search.rs`; these pin that the

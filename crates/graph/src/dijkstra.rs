@@ -3,10 +3,10 @@
 //!
 //! This is the textbook formulation, kept as the thing
 //! [`SearchCore`](crate::SearchCore) — the search production code runs — is
-//! pinned against, bit for bit. Its own callers are the ones that want an
-//! independent or a one-off answer: the candidate pool's pointwise oracle
-//! (`LinkBuilder::candidate_link`), [`disjoint`](crate::disjoint) for
-//! Fig. 4(b), and the parity tests.
+//! pinned against, bit for bit. Only tests call it, because they want an
+//! answer that shares no code with the core: the candidate pool's pointwise
+//! oracle, the clone-and-remove reference of [`disjoint`](crate::disjoint),
+//! and the parity tests.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -10,9 +10,20 @@
 //! compute a max-flow style optimal disjoint set (neither does the paper),
 //! because the question it answers is "what does the *next* parallel route
 //! cost once the best towers are taken".
+//!
+//! It runs on the [`CsrGraph`] the candidate pool searches, through
+//! [`SearchCore::search_with`]: instead of a copy of the graph without the
+//! used towers, every edge *into* a used tower is priced `+∞`, which the
+//! search skips. A used tower is then never reached, so its own out-edges
+//! never count either, and each search relaxes the edges the copy would hold
+//! in the order it would hold them: paths and cost bits equal the
+//! clone-and-remove iteration over the adjacency list, which
+//! `tests/design_pool_pruning.rs` keeps as the reference.
 
-use crate::dijkstra::{shortest_path, Path};
-use crate::graph::{Graph, NodeId};
+use crate::csr::CsrGraph;
+use crate::dijkstra::Path;
+use crate::graph::NodeId;
+use crate::search::SearchCore;
 
 /// Result of the disjoint-path iteration.
 #[derive(Debug, Clone)]
@@ -40,32 +51,51 @@ impl DisjointPaths {
 }
 
 /// Find up to `max_paths` interior-node-disjoint paths from `source` to
-/// `target` by repeatedly removing the interior nodes of each shortest path
-/// found. The endpoints themselves are never removed (in the paper's setting
-/// they are the cities, which host many towers).
+/// `target` by repeatedly taking the interior nodes of each shortest path
+/// found out of the graph. The endpoints themselves are never taken out (in
+/// the paper's setting they are the cities, which host many towers).
 pub fn iterative_disjoint_paths(
-    graph: &Graph,
+    graph: &CsrGraph,
     source: NodeId,
     target: NodeId,
     max_paths: usize,
 ) -> DisjointPaths {
-    let mut working = graph.clone();
+    assert!(target < graph.node_count(), "target out of range");
+    // The head of every edge, by edge id: what the cost closure is handed.
+    let mut head = vec![0u32; graph.edge_count()];
+    for s in 0..graph.edge_count() {
+        head[graph.edge_id(s) as usize] = graph.targets[s];
+    }
+    let mut used = vec![false; graph.node_count()];
+    let mut core = SearchCore::new();
     let mut paths = Vec::new();
 
     for _ in 0..max_paths {
-        match shortest_path(&working, source, target) {
-            Some(p) => {
-                let interior: Vec<NodeId> = p.interior_nodes().to_vec();
-                working = working.without_nodes(&interior);
-                paths.push(p);
-                if paths.last().map(|p| p.hop_count()) == Some(1) {
-                    // Direct source→target edge: removing interior nodes
-                    // changes nothing, so every further iteration would
-                    // return the same single-hop path. Stop here.
-                    break;
-                }
+        core.search_with(graph, source, &[target], f64::INFINITY, |id, w| {
+            if used[head[id as usize] as usize] {
+                f64::INFINITY
+            } else {
+                w
             }
-            None => break,
+        });
+        let mut nodes = Vec::new();
+        if !core.node_path_into(target, &mut nodes) {
+            break;
+        }
+        let p = Path {
+            nodes,
+            cost: core.dist(target),
+        };
+        for &n in p.interior_nodes() {
+            used[n] = true;
+        }
+        let direct = p.hop_count() == 1;
+        paths.push(p);
+        if direct {
+            // Direct source→target edge: taking interior nodes out changes
+            // nothing, so every further iteration would return the same
+            // single-hop path. Stop here.
+            break;
         }
     }
 
@@ -89,6 +119,18 @@ pub fn are_interior_disjoint(paths: &[Path]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
+
+    /// The fixtures below are written as adjacency lists; each runs on its
+    /// CSR.
+    fn iterative_disjoint_paths(
+        graph: &Graph,
+        source: NodeId,
+        target: NodeId,
+        max_paths: usize,
+    ) -> DisjointPaths {
+        super::iterative_disjoint_paths(&CsrGraph::from_graph(graph), source, target, max_paths)
+    }
 
     /// A "ladder" graph with several parallel routes of increasing length
     /// between node 0 and node 1. Interior nodes 2.. form the rungs.

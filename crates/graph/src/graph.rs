@@ -86,8 +86,8 @@ impl Graph {
     /// Build a copy of the graph with a set of nodes removed (their edges are
     /// dropped; node ids are preserved, removed nodes become isolated).
     ///
-    /// Used by the disjoint-path iteration, which removes the interior towers
-    /// of each found path.
+    /// The reference disjoint-path iteration in the tests removes the
+    /// interior towers of each found path with it.
     pub fn without_nodes(&self, removed: &[NodeId]) -> Graph {
         let mut gone = vec![false; self.node_count()];
         for &n in removed {

@@ -5,25 +5,29 @@
 //! candidate-link graph used by the topology optimiser, and the designed
 //! topology used for routing and failure analysis. This crate provides the
 //! shared machinery. Shortest paths come in two roles: [`search`] is the
-//! core every production search runs on, [`dijkstra`] the adjacency-list
-//! reference it is pinned against.
+//! core every search outside the tests runs on, [`dijkstra`] the
+//! adjacency-list reference it is pinned against.
 //!
-//! * [`Graph`] — a compact adjacency-list weighted graph,
-//! * [`csr`] — [`CsrGraph`], the flat compressed-sparse-row storage of the
-//!   same graph (edge ids preserved from insertion order, so the packet
-//!   simulator's link ids *are* its edge ids),
+//! * [`Graph`] — a compact adjacency-list weighted graph, the reference
+//!   storage: only tests and the reference search build one,
+//! * [`csr`] — [`CsrGraph`], the flat compressed-sparse-row storage every
+//!   search runs over (edge ids preserved from insertion order, so the
+//!   packet simulator's link ids *are* its edge ids; the candidate pool's
+//!   tower + site graph is built straight from its hop list, never as an
+//!   adjacency list),
 //! * [`search`] — [`SearchCore`], a reusable bounded multi-target Dijkstra
 //!   over [`CsrGraph`] (generation-stamped scratch, indexed d-ary heap with
 //!   decrease-key, per-edge cost override that also disables edges) — the
-//!   candidate pool's per-site searches, the conduit route matrices and the
-//!   simulator's routing and re-routing all run on it,
+//!   candidate pool's per-site searches, the disjoint paths, the conduit
+//!   route matrices and the simulator's routing and re-routing all run on
+//!   it,
 //! * [`dijkstra`] — the reference: single-source shortest paths over
 //!   [`Graph`] with a lazy-deletion binary heap, whose settle order
-//!   `SearchCore` reproduces bit for bit; the pool's pointwise oracle and
-//!   the parity tests call it,
-//! * [`disjoint`] — iterative node-disjoint shortest paths on the reference
-//!   (the procedure behind Fig. 4(b): find a path, delete its interior
-//!   towers, repeat),
+//!   `SearchCore` reproduces bit for bit; only the parity tests call it,
+//! * [`disjoint`] — iterative node-disjoint shortest paths on the CSR
+//!   graph (the procedure behind Fig. 4(b): find a path, take its interior
+//!   towers out, repeat), pinned to the clone-and-remove iteration over
+//!   [`Graph`],
 //! * [`paths`] — [`PathStore`], arena-backed storage for many short paths
 //!   (offset + link-id arrays; a whole routing table in two allocations),
 //! * [`partition`] — balanced link partitions over path sets and their

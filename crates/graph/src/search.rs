@@ -2,10 +2,11 @@
 //!
 //! `cisp_graph` answers "shortest path" in two roles. [`SearchCore`] is the
 //! search production code runs — the candidate pool's per-site tower
-//! searches, the conduit route matrices, the simulator's routing tables and
-//! every storm's re-route. [`dijkstra`](crate::dijkstra) is the adjacency-list
-//! reference that `SearchCore` is pinned against; it serves the pool's
-//! pointwise oracle, the disjoint-path figure and the parity tests.
+//! searches, the disjoint-path figure, the conduit route matrices, the
+//! simulator's routing tables and every storm's re-route.
+//! [`dijkstra`](crate::dijkstra) is the adjacency-list reference that
+//! `SearchCore` is pinned against; only the tests call it (the pool's
+//! pointwise oracle, the disjoint-path reference, the parity tests).
 //!
 //! The core is built for many searches over one graph (one bounded search
 //! per site, 119 at paper scale, over the same ~12.5k-node tower graph; one
@@ -23,7 +24,8 @@
 //! * **per-edge cost override** — [`SearchCore::search_with`] prices every
 //!   edge through a caller's closure (congestion-aware routing re-prices
 //!   links between placements without rebuilding the graph); a non-finite
-//!   cost takes the edge out (failed links).
+//!   cost takes the edge out (failed links, the towers a disjoint path has
+//!   used).
 //!
 //! The settle order is pinned to the reference's lazy-deletion heap: the next
 //! settled node is the smallest `(tentative distance, node index)` pair, and
@@ -34,7 +36,8 @@
 //! the same graph — the property the parity tests pin.
 //!
 //! Weights are validated finite and non-negative at graph construction
-//! ([`CsrGraph::from_edges`], [`Graph::add_edge`](crate::Graph::add_edge)),
+//! ([`CsrGraph::from_edges`], [`CsrGraph::from_undirected`],
+//! [`Graph::add_edge`](crate::Graph::add_edge)),
 //! so the `(dist, node)` comparison below never sees a NaN.
 
 use crate::csr::{CsrGraph, NO_EDGE};
@@ -254,12 +257,13 @@ impl SearchCore {
                 let v = graph.targets[s] as usize;
                 // An edge priced `+∞` or NaN offers `+∞` or NaN: it passes
                 // neither strict test below, which is how it is skipped.
-                let next = du + cost(graph.edge_ids[s], graph.weights[s]);
+                let id = graph.edge_id(s);
+                let next = du + cost(id, graph.weights[s]);
                 if self.touched[v] != gen {
                     if next < f64::INFINITY {
                         self.dist[v] = next;
                         self.prev_node[v] = root;
-                        self.prev_edge[v] = graph.edge_ids[s];
+                        self.prev_edge[v] = id;
                         self.touched[v] = gen;
                         self.heap_push(v as u32);
                     }
@@ -271,7 +275,7 @@ impl SearchCore {
                     debug_assert!(self.settled[v] != gen);
                     self.dist[v] = next;
                     self.prev_node[v] = root;
-                    self.prev_edge[v] = graph.edge_ids[s];
+                    self.prev_edge[v] = id;
                     self.sift_up(self.pos[v] as usize);
                 }
             }

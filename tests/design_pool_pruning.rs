@@ -3,27 +3,33 @@
 //! `LinkBuilder::pruned_candidate_links_with` runs one capped multi-target
 //! search per site on the CSR search core and keeps only the links that beat
 //! fiber. These properties pin it, on random site/tower layouts, to code it
-//! shares nothing with:
+//! shares nothing with — the tower + site graph built here as an adjacency
+//! list ([`reference_graph`], the way the builder once held it):
 //!
+//! * the builder's CSR, built straight from the hop list, is slot for slot
+//!   the CSR of that adjacency list;
 //! * the pool is exactly (`Vec` equality, bit-equal lengths, same order) the
-//!   pointwise `LinkBuilder::candidate_link(a, b)` queries — adjacency-list
-//!   Dijkstra, no search core, no cap — filtered by `< fiber_km`, across
-//!   fiber regimes from "fiber always wins" to "microwave always wins", and
-//!   its counters partition the pairs;
+//!   pointwise queries — adjacency-list Dijkstra between each site pair, no
+//!   search core, no cap — filtered by `< fiber_km`, across fiber regimes
+//!   from "fiber always wins" to "microwave always wins", and its counters
+//!   partition the pairs;
 //! * sharding the per-site searches over workers never changes the pool;
 //! * the CSR search core the generation runs on ([`SearchCore`]) produces
 //!   bit-identical distances, predecessors and tie-broken paths to the
-//!   lazy-deletion reference Dijkstra on the same site+tower graphs.
+//!   lazy-deletion reference Dijkstra on the same site+tower graphs;
+//! * the disjoint paths of Fig. 4(b), run on the CSR with used towers priced
+//!   out, equal the clone-and-remove iteration over the adjacency list.
 
 // The proptest shim's macro expansion is deeply recursive.
 #![recursion_limit = "256"]
 
 use cisp::core::design::{DesignInput, Designer};
-use cisp::core::hops::{HopConfig, HopFeasibility};
+use cisp::core::hops::{FeasibleHop, HopConfig, HopFeasibility};
 use cisp::core::links::{CandidateLink, LinkBuilder, LinkBuilderConfig};
 use cisp::data::towers::{Tower, TowerRegistry, TowerSource};
 use cisp::geo::{geodesic, GeoPoint};
-use cisp::graph::{dijkstra, DistMatrix, SearchCore};
+use cisp::graph::disjoint::iterative_disjoint_paths;
+use cisp::graph::{dijkstra, CsrGraph, DistMatrix, Graph, Path, SearchCore};
 use cisp::terrain::{clutter::ClutterModel, TerrainModel};
 use proptest::prelude::*;
 
@@ -70,6 +76,52 @@ fn random_layout(n: usize, seed: u64) -> (Vec<GeoPoint>, TowerRegistry) {
     (sites, TowerRegistry::from_towers(towers))
 }
 
+/// The feasible hops of a layout, on flat terrain.
+fn flat_hops(towers: &TowerRegistry) -> Vec<FeasibleHop> {
+    let terrain = TerrainModel::flat();
+    let clutter = ClutterModel::none();
+    HopFeasibility::new(towers, &terrain, &clutter, HopConfig::default()).all_feasible_hops()
+}
+
+/// The tower + site graph as an adjacency list, built the way
+/// `LinkBuilder::new` lays it out: towers `0..T`, sites `T..T+S`; every hop
+/// in hop order, then every site's attachment to each tower within the
+/// default attach radius, in site order.
+fn reference_graph(sites: &[GeoPoint], towers: &TowerRegistry, hops: &[FeasibleHop]) -> Graph {
+    let t = towers.len();
+    let mut graph = Graph::new(t + sites.len());
+    for hop in hops {
+        graph.add_undirected_edge(hop.tower_a, hop.tower_b, hop.length_km);
+    }
+    let radius = LinkBuilderConfig::default().site_attach_radius_km;
+    for (s, &site) in sites.iter().enumerate() {
+        for tower_idx in towers.towers_within(site, radius) {
+            let d = geodesic::distance_km(site, towers.towers()[tower_idx].location);
+            graph.add_undirected_edge(t + s, tower_idx, d);
+        }
+    }
+    graph
+}
+
+/// The pointwise oracle: the reference Dijkstra between sites `a < b` of
+/// the reference graph, as the candidate link the pool should hold.
+fn candidate_link(graph: &Graph, towers: usize, a: usize, b: usize) -> Option<CandidateLink> {
+    let path = dijkstra::shortest_path(graph, towers + a, towers + b)?;
+    let tower_path: Vec<usize> = path
+        .interior_nodes()
+        .iter()
+        .copied()
+        .filter(|&v| v < towers)
+        .collect();
+    Some(CandidateLink {
+        site_a: a,
+        site_b: b,
+        mw_length_km: path.cost,
+        tower_count: tower_path.len(),
+        tower_path,
+    })
+}
+
 /// Full pipeline from a layout to the pool and its oracle: feasible hops on
 /// flat terrain, then the generated pool against the pointwise queries
 /// filtered by the same fiber matrix. Returns `(oracle, pool)` after
@@ -79,15 +131,13 @@ fn oracle_and_pool(
     towers: &TowerRegistry,
     fiber_km: &DistMatrix,
 ) -> (Vec<CandidateLink>, Vec<CandidateLink>) {
-    let terrain = TerrainModel::flat();
-    let clutter = ClutterModel::none();
-    let hops =
-        HopFeasibility::new(towers, &terrain, &clutter, HopConfig::default()).all_feasible_hops();
+    let hops = flat_hops(towers);
     let builder = LinkBuilder::new(sites, towers, &hops, LinkBuilderConfig::default());
+    let graph = reference_graph(sites, towers, &hops);
     let n = sites.len();
     let oracle: Vec<CandidateLink> = (0..n)
         .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
-        .filter_map(|(a, b)| builder.candidate_link(a, b))
+        .filter_map(|(a, b)| candidate_link(&graph, towers.len(), a, b))
         .filter(|l| l.mw_length_km < fiber_km.get(l.site_a, l.site_b))
         .collect();
     let (pool, stats) = builder.pruned_candidate_links_with(fiber_km, 1);
@@ -105,6 +155,26 @@ fn oracle_and_pool(
     );
     assert_eq!(stats.emitted, pool.len() as u64);
     (oracle, pool)
+}
+
+/// The clone-and-remove iteration `iterative_disjoint_paths` replaced: find
+/// the shortest path, copy the graph without its interior nodes, repeat,
+/// stopping after a direct edge.
+fn disjoint_paths_by_removal(graph: &Graph, source: usize, target: usize, max: usize) -> Vec<Path> {
+    let mut working = graph.clone();
+    let mut paths: Vec<Path> = Vec::new();
+    while paths.len() < max {
+        let Some(p) = dijkstra::shortest_path(&working, source, target) else {
+            break;
+        };
+        working = working.without_nodes(p.interior_nodes());
+        let direct = p.hop_count() == 1;
+        paths.push(p);
+        if direct {
+            break;
+        }
+    }
+    paths
 }
 
 proptest! {
@@ -148,12 +218,9 @@ proptest! {
         cap_pct in 50u32..200,
     ) {
         let (sites, towers) = random_layout(n, seed);
-        let terrain = TerrainModel::flat();
-        let clutter = ClutterModel::none();
-        let hops = HopFeasibility::new(&towers, &terrain, &clutter, HopConfig::default())
-            .all_feasible_hops();
+        let hops = flat_hops(&towers);
         let builder = LinkBuilder::new(&sites, &towers, &hops, LinkBuilderConfig::default());
-        let graph = builder.graph();
+        let graph = &reference_graph(&sites, &towers, &hops);
         let csr = builder.csr_graph();
         let node_count = graph.node_count();
         let mut core = SearchCore::new();
@@ -196,6 +263,60 @@ proptest! {
                         || (core.dist(t).is_infinite() && bounded.dist[t].is_infinite()),
                     "capped dist mismatch at target {}", t
                 );
+            }
+        }
+    }
+
+    // The builder's CSR comes straight from the hop list in two passes; it
+    // must be the CSR of the adjacency list built the old way, slot for
+    // slot: the same degrees (hence offsets), and per slot the same target,
+    // weight bits and edge id.
+    #[test]
+    fn builder_csr_equals_the_adjacency_list_built_the_old_way(
+        n in 3usize..8,
+        seed in 0u64..10_000,
+    ) {
+        let (sites, towers) = random_layout(n, seed);
+        let hops = flat_hops(&towers);
+        let builder = LinkBuilder::new(&sites, &towers, &hops, LinkBuilderConfig::default());
+        let graph = reference_graph(&sites, &towers, &hops);
+        let (built, reference) = (builder.csr_graph(), CsrGraph::from_graph(&graph));
+        prop_assert_eq!(built.node_count(), reference.node_count());
+        prop_assert_eq!(built.edge_count(), reference.edge_count());
+        let slots = |csr: &CsrGraph, u: usize| -> Vec<(usize, u64, u32)> {
+            csr.neighbors(u).map(|(v, w, id)| (v, w.to_bits(), id)).collect()
+        };
+        for u in 0..reference.node_count() {
+            prop_assert_eq!(built.degree(u), reference.degree(u));
+            prop_assert!(slots(built, u) == slots(&reference, u), "slots of node {}", u);
+        }
+        for s in 0..n {
+            prop_assert_eq!(builder.attached_towers(s), graph.neighbors(builder.site_node(s)).len());
+        }
+    }
+
+    // Fig. 4(b)'s disjoint paths on the CSR, used towers priced `+∞`, give
+    // the clone-and-remove iteration's node paths and cost bits, between
+    // every site pair.
+    #[test]
+    fn csr_disjoint_paths_match_the_clone_and_remove_reference(
+        n in 3usize..8,
+        seed in 0u64..10_000,
+        max_paths in 1usize..8,
+    ) {
+        let (sites, towers) = random_layout(n, seed);
+        let hops = flat_hops(&towers);
+        let builder = LinkBuilder::new(&sites, &towers, &hops, LinkBuilderConfig::default());
+        let graph = reference_graph(&sites, &towers, &hops);
+        for a in 0..n {
+            for b in 0..n {
+                let (source, target) = (builder.site_node(a), builder.site_node(b));
+                let got = iterative_disjoint_paths(builder.csr_graph(), source, target, max_paths);
+                let want = disjoint_paths_by_removal(&graph, source, target, max_paths);
+                let bits = |paths: &[Path]| -> Vec<(Vec<usize>, u64)> {
+                    paths.iter().map(|p| (p.nodes.clone(), p.cost.to_bits())).collect()
+                };
+                prop_assert!(bits(&got.paths) == bits(&want), "paths of sites {} -> {}", a, b);
             }
         }
     }

@@ -14,10 +14,8 @@
 //!   the frame time collapses to the low-latency RTT, and on a miss it falls
 //!   back to the conventional RTT (Outatime-style speculation, \[46\]).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the thin-client streaming model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GameModel {
     /// Client+server processing and rendering overhead per frame, ms.
     pub processing_ms: f64,
@@ -45,7 +43,7 @@ impl Default for GameModel {
 }
 
 /// Thin-client frame time over conventional connectivity only.
-pub fn frame_time_conventional_ms(model: &GameModel, conventional_rtt_ms: f64) -> f64 {
+pub(crate) fn frame_time_conventional_ms(model: &GameModel, conventional_rtt_ms: f64) -> f64 {
     assert!(conventional_rtt_ms >= 0.0);
     model.processing_ms + conventional_rtt_ms
 }
@@ -77,7 +75,7 @@ pub fn fat_client_latency_ms(conventional_rtt_ms: f64, use_lowlat: bool, fractio
 /// end-to-end pipeline feeds this model: per-pair RTTs measured by the
 /// packet simulator (propagation + serialization + queueing) instead of a
 /// single synthetic RTT.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FrameTimeStats {
     /// Mean thin-client frame time over conventional connectivity, ms.
     pub mean_conventional_ms: f64,

@@ -27,5 +27,5 @@ pub mod value;
 pub mod web;
 
 pub use gaming::{frame_time_distribution, frame_time_ms, FrameTimeStats, GameModel};
-pub use value::{cost_benefit_table, ValueEstimate};
+pub use value::cost_benefit_table;
 pub use web::{PageCorpus, ReplayScenario, WebReplayReport};

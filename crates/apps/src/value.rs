@@ -15,10 +15,8 @@
 //! The functions here reproduce those arithmetic chains from their published
 //! inputs so the assumptions are explicit and adjustable.
 
-use serde::{Deserialize, Serialize};
-
 /// A value-per-GB estimate with its provenance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ValueEstimate {
     /// Application setting.
     pub setting: String,
@@ -36,7 +34,7 @@ pub struct ValueEstimate {
 /// provider, ~0.7 % search-volume loss per +400 ms, ~20 B US searches/month,
 /// ~250 KB transferred per search, profit margin on the marginal searches
 /// ≈ revenue (ad-serving marginal cost is small relative to revenue).
-pub fn web_search_value(latency_saving_ms: f64) -> ValueEstimate {
+pub(crate) fn web_search_value(latency_saving_ms: f64) -> ValueEstimate {
     assert!(latency_saving_ms > 0.0);
     let us_search_revenue_per_year = 28.6e9_f64;
     let volume_sensitivity_per_400ms = 0.007;
@@ -62,7 +60,7 @@ pub fn web_search_value(latency_saving_ms: f64) -> ValueEstimate {
 
 /// E-commerce value per GB for a 200 ms page-speed improvement achieved by
 /// carrying only the latency-critical ~10 % of bytes over cISP.
-pub fn ecommerce_value() -> ValueEstimate {
+pub(crate) fn ecommerce_value() -> ValueEstimate {
     let traffic_pb_per_year = 483e6_f64 / 1e6; // 483 PB/yr, from the paper
     let profit_per_year = 7.9e9_f64;
     // Conversion-rate sensitivity per 100 ms: 1 %–7 % of profit.

@@ -12,10 +12,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One object on a page.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageObject {
     /// Transfer size in bytes.
     pub bytes: f64,
@@ -27,7 +26,7 @@ pub struct PageObject {
 }
 
 /// A synthetic web page.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Page {
     /// The page's objects (the first is the root document).
     pub objects: Vec<PageObject>,
@@ -38,7 +37,7 @@ pub struct Page {
 }
 
 /// A corpus of synthetic pages (the stand-in for the Alexa sample).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PageCorpus {
     /// The pages.
     pub pages: Vec<Page>,
@@ -101,7 +100,7 @@ impl PageCorpus {
 }
 
 /// Which latency treatment a replay applies (Fig. 13's three lines).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplayScenario {
     /// Unmodified latencies.
     Baseline,
@@ -126,7 +125,7 @@ impl ReplayScenario {
     /// the paper's observation that only ~8.5 % of *bytes* but a large share
     /// of *latency-critical packets* travel client→server. Scaling just that
     /// leg therefore retains most of the benefit.
-    pub fn rtt_multiplier(&self) -> f64 {
+    pub(crate) fn rtt_multiplier(&self) -> f64 {
         match *self {
             ReplayScenario::Baseline => 1.0,
             ReplayScenario::Cisp { factor } => factor,
@@ -136,7 +135,7 @@ impl ReplayScenario {
 }
 
 /// Result of replaying the corpus under one scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WebReplayReport {
     /// Page load times, seconds (one per page, corpus order).
     pub page_load_times_s: Vec<f64>,

@@ -37,7 +37,7 @@ use cisp_weather::storms::{StormYear, StormYearConfig};
 use crate::{cdf_points, fmt, print_series, print_table, Context, Scale};
 
 /// A figure's command-line name and the function that prints it.
-pub type Figure = (&'static str, fn(&Context));
+pub(crate) type Figure = (&'static str, fn(&Context));
 
 /// Every figure, in the paper's order.
 pub const FIGURES: [Figure; 15] = [
@@ -104,7 +104,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<(Scale, Vec<Figure>), Str
 ///     solver finishes: the paper reports agreement to two decimal places.
 ///
 /// Output: one row per city count with both runtimes and both stretches.
-pub fn fig02_scaling(ctx: &Context) {
+pub(crate) fn fig02_scaling(ctx: &Context) {
     ctx.header("Fig. 2");
 
     let (heuristic_sizes, exact_sizes): (Vec<usize>, Vec<usize>) = match ctx.scale {
@@ -182,7 +182,7 @@ pub fn fig02_scaling(ctx: &Context) {
 /// A last table says how the pipeline got there: what decided the hop
 /// sweep's samples, where the pool build's time went, how the site pairs
 /// were resolved and how much work the swap polish did.
-pub fn fig03_us_topology(ctx: &Context) {
+pub(crate) fn fig03_us_topology(ctx: &Context) {
     ctx.header("Fig. 3");
 
     let scenario = ctx.us();
@@ -303,7 +303,7 @@ fn link_rows(scenario: &Scenario, outcome: &DesignOutcome) -> Vec<Vec<String>> {
 /// A single greedy design run at the largest budget produces the whole curve:
 /// every greedy step records the cumulative tower cost and the mean stretch
 /// at that point. Two curves are produced, one per maximum hop length.
-pub fn fig04a_stretch_vs_budget(ctx: &Context) {
+pub(crate) fn fig04a_stretch_vs_budget(ctx: &Context) {
     ctx.header("Fig. 4(a)");
 
     let max_budget = ctx.scale.us_budget_towers() * 2.5;
@@ -336,7 +336,7 @@ pub fn fig04a_stretch_vs_budget(ctx: &Context) {
 /// towers it used, and repeats 20 times; even the 20th path has stretch ~1.15,
 /// far below fiber's 1.75. Here we pick the longest candidate link of the
 /// scenario and run the same iteration over the feasible-hop graph.
-pub fn fig04b_disjoint_paths(ctx: &Context) {
+pub(crate) fn fig04b_disjoint_paths(ctx: &Context) {
     ctx.header("Fig. 4(b)");
 
     let scenario = ctx.us();
@@ -407,7 +407,7 @@ pub fn fig04b_disjoint_paths(ctx: &Context) {
 /// the (fixed) latency-driven build is amortised over more traffic, then
 /// flattens once bandwidth augmentation dominates. The paper sweeps up to
 /// 1 Tbps and reports $0.81/GB at 100 Gbps.
-pub fn fig04c_cost_per_gb(ctx: &Context) {
+pub(crate) fn fig04c_cost_per_gb(ctx: &Context) {
     ctx.header("Fig. 4(c)");
 
     let scenario = ctx.us();
@@ -446,7 +446,7 @@ pub fn fig04c_cost_per_gb(ctx: &Context) {
 /// loads from 10 % to 100 % of the design capacity. The paper finds mean
 /// delay moves by < 0.1 ms and loss stays ≈0 up to ~70 % load even with plain
 /// shortest-path routing.
-pub fn fig05_perturbation(ctx: &Context) {
+pub(crate) fn fig05_perturbation(ctx: &Context) {
     ctx.header("Fig. 5");
 
     let scenario = ctx.us();
@@ -522,7 +522,7 @@ fn load_sweep(
 /// pacing the mismatch inflates the ingress queue (especially its 95th
 /// percentile); with pacing queueing is back to the control level, and flow
 /// completion times are unaffected either way.
-pub fn fig06_speed_mismatch(ctx: &Context) {
+pub(crate) fn fig06_speed_mismatch(ctx: &Context) {
     ctx.header("Fig. 6");
 
     let (runs, duration_s) = match ctx.scale {
@@ -587,7 +587,7 @@ pub fn fig06_speed_mismatch(ctx: &Context) {
 /// every pair falls back to its shortest surviving route. Output: the four
 /// CDFs the paper plots — best (fair weather), 99th percentile, worst, and
 /// fiber-only stretch — over all city pairs.
-pub fn fig07_weather(ctx: &Context) {
+pub(crate) fn fig07_weather(ctx: &Context) {
     ctx.header("Fig. 7");
 
     let scenario = ctx.us();
@@ -638,7 +638,7 @@ pub fn fig07_weather(ctx: &Context) {
 /// above 300 k, using crowd-sourced-style synthetic towers and the US fiber
 /// inflation assumption. The paper reports a network of similar cost (~3 k
 /// towers) achieving 1.04× mean stretch at the same 100 Gbps aggregate.
-pub fn fig08_europe(ctx: &Context) {
+pub(crate) fn fig08_europe(ctx: &Context) {
     ctx.header("Fig. 8");
 
     let scenario = ctx.scenario(Region::Europe, HopConfig::paper_baseline());
@@ -676,7 +676,7 @@ pub fn fig08_europe(ctx: &Context) {
 ///   proportional to its population.
 ///
 /// The paper finds both DC scenarios cost less per GB than City–City.
-pub fn fig09_traffic_models(ctx: &Context) {
+pub(crate) fn fig09_traffic_models(ctx: &Context) {
     ctx.header("Fig. 9");
 
     let scenario = ctx.us();
@@ -781,7 +781,7 @@ fn build_and_evaluate(ctx: &Context, range_km: f64, height_fraction: f64) -> (f6
 /// (range, usable height fraction) and reports the percentage increase in
 /// cost per GB and in mean stretch relative to the baseline. The paper's
 /// worst combination costs 11 % more and stretches 10 % more.
-pub fn fig10_tower_constraints(ctx: &Context) {
+pub(crate) fn fig10_tower_constraints(ctx: &Context) {
     ctx.header("Fig. 10");
 
     // (range km, usable height fraction), ordered as in the paper's x-axis.
@@ -834,7 +834,7 @@ pub fn fig10_tower_constraints(ctx: &Context) {
 /// 4:3:3 (matching), 5:3:3, 4:3:4 and 4:4:3 at aggregate loads from 10 % to
 /// 100 % of the design capacity. The paper finds less than 0.05 ms of mean
 /// delay difference and near-zero loss up to ~70 % load.
-pub fn fig11_traffic_mix(ctx: &Context) {
+pub(crate) fn fig11_traffic_mix(ctx: &Context) {
     ctx.header("Fig. 11");
 
     let scenario = ctx.us();
@@ -875,7 +875,7 @@ pub fn fig11_traffic_mix(ctx: &Context) {
 /// thin-client game, with conventional connectivity only and with a parallel
 /// low-latency augmentation carrying the "which speculation branch happened"
 /// messages at one third of the conventional RTT.
-pub fn fig12_gaming(ctx: &Context) {
+pub(crate) fn fig12_gaming(ctx: &Context) {
     ctx.header("Fig. 12");
 
     let model = GameModel::default();
@@ -901,7 +901,7 @@ pub fn fig12_gaming(ctx: &Context) {
 /// prints the PLT and object-load-time CDFs plus the median improvements the
 /// paper quotes (31 % / 27 % median PLT reduction, 49 % object reduction,
 /// ~8.5 % of bytes on cISP for the selective variant).
-pub fn fig13_web(ctx: &Context) {
+pub(crate) fn fig13_web(ctx: &Context) {
     ctx.header("Fig. 13");
 
     let pages = match ctx.scale {
@@ -966,7 +966,7 @@ pub fn fig13_web(ctx: &Context) {
 /// microwave-link capacity upgrade buys the most foreground P99 latency
 /// per dollar-km? (`cisp_core::economics::rank_upgrades`, grounded in
 /// simulation rather than propagation arithmetic.)
-pub fn sec8_cost_benefit(ctx: &Context) {
+pub(crate) fn sec8_cost_benefit(ctx: &Context) {
     ctx.header("§8");
 
     let scenario = ctx.us();

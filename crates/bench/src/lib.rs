@@ -43,7 +43,7 @@ pub enum Scale {
 
 impl Scale {
     /// Number of US sites to include at this scale.
-    pub fn us_sites(&self) -> Option<usize> {
+    pub(crate) fn us_sites(&self) -> Option<usize> {
         match self {
             Scale::Tiny => Some(12),
             Scale::Reduced => Some(40),
@@ -62,7 +62,7 @@ impl Scale {
 
     /// Tower budget for the headline US design at this scale (the paper's
     /// Fig. 3 uses 3 000 towers for 120 sites).
-    pub fn us_budget_towers(&self) -> f64 {
+    pub(crate) fn us_budget_towers(&self) -> f64 {
         match self {
             Scale::Tiny => 300.0,
             Scale::Reduced => 1_200.0,
@@ -112,7 +112,7 @@ impl Context {
     }
 
     /// Print the header line every figure's output opens with.
-    pub fn header(&self, figure: &str) {
+    pub(crate) fn header(&self, figure: &str) {
         println!("# {figure} reproduction — scale: {}", self.scale.label());
     }
 
@@ -160,7 +160,7 @@ impl Context {
     }
 
     /// The US design at the scale's tower budget: the network of Fig. 3.
-    pub fn us_design(&self) -> Rc<Design> {
+    pub(crate) fn us_design(&self) -> Rc<Design> {
         self.design(&self.us(), self.scale.us_budget_towers())
     }
 
@@ -183,7 +183,7 @@ fn hop_bits(hops: &HopConfig) -> [u64; 4] {
 
 /// Print a table with a title, column headers and rows of already formatted
 /// cells.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     println!("{}", headers.join("\t"));
     for row in rows {
@@ -193,7 +193,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 
 /// Print a named series of `(x, y)` points (one per line), the form used for
 /// the paper's line plots and CDFs.
-pub fn print_series(name: &str, points: &[(f64, f64)]) {
+pub(crate) fn print_series(name: &str, points: &[(f64, f64)]) {
     println!("\n-- series: {name} --");
     for (x, y) in points {
         println!("{x:.6}\t{y:.6}");
@@ -201,7 +201,7 @@ pub fn print_series(name: &str, points: &[(f64, f64)]) {
 }
 
 /// Turn a sorted sample vector into CDF points `(value, fraction ≤ value)`.
-pub fn cdf_points(sorted_values: &[f64]) -> Vec<(f64, f64)> {
+pub(crate) fn cdf_points(sorted_values: &[f64]) -> Vec<(f64, f64)> {
     let n = sorted_values.len();
     sorted_values
         .iter()

@@ -15,14 +15,13 @@
 
 use std::collections::HashSet;
 
-use cisp_graph::DistMatrix;
-use serde::{Deserialize, Serialize};
+use cisp_graph::{CsrGraph, DistMatrix, SearchCore};
 
 use crate::cost::BuildInventory;
 use crate::topology::HybridTopology;
 
 /// Configuration of the augmentation step.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AugmentConfig {
     /// Capacity of a single series of towers, in Gbps (paper: 1 Gbps).
     pub per_series_gbps: f64,
@@ -37,7 +36,7 @@ impl Default for AugmentConfig {
 }
 
 /// Provisioning decision for one built microwave link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProvision {
     /// Index of the link in `topology.mw_links()`.
     pub link_index: usize,
@@ -52,15 +51,10 @@ impl LinkProvision {
     pub fn extra_series(&self) -> usize {
         self.series.saturating_sub(1)
     }
-
-    /// Capacity provided by the provisioned series under the k² rule.
-    pub fn capacity_gbps(&self, config: &AugmentConfig) -> f64 {
-        (self.series * self.series) as f64 * config.per_series_gbps
-    }
 }
 
 /// The result of routing and augmentation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Augmentation {
     /// Per-link provisioning, indexed like `topology.mw_links()`.
     pub links: Vec<LinkProvision>,
@@ -110,7 +104,7 @@ impl Augmentation {
 
 /// Scale a relative traffic matrix so that the sum over unordered pairs
 /// equals `aggregate_gbps`. Returns the per-pair demand matrix in Gbps.
-pub fn scale_traffic(traffic: &DistMatrix, aggregate_gbps: f64) -> DistMatrix {
+pub(crate) fn scale_traffic(traffic: &DistMatrix, aggregate_gbps: f64) -> DistMatrix {
     assert!(aggregate_gbps >= 0.0);
     let total = traffic.upper_triangle_sum();
     assert!(total > 0.0, "traffic matrix has no positive entries");
@@ -128,10 +122,12 @@ pub fn scale_traffic(traffic: &DistMatrix, aggregate_gbps: f64) -> DistMatrix {
 /// shortest latency-equivalent path over fiber plus built MW links, recording
 /// which MW links it uses.
 ///
-/// Routing uses a Dijkstra over the *site* graph whose edges are all fiber
-/// pairs plus the built MW links, matching how the paper's simulations
-/// aggregate parallel tower series into site-to-site links (§5).
-pub fn route_demands(
+/// Routing searches the *site* graph whose edges are all fiber pairs plus
+/// the built MW links, matching how the paper's simulations aggregate
+/// parallel tower series into site-to-site links (§5). Of two equally short
+/// routes the one found first keeps the demand: sites settle in `(distance,
+/// index)` order and each site's fiber edges come before its MW links.
+pub(crate) fn route_demands(
     topology: &HybridTopology,
     demands_gbps: &DistMatrix,
     config: &AugmentConfig,
@@ -140,68 +136,45 @@ pub fn route_demands(
     let n = topology.num_sites();
     assert_eq!(demands_gbps.n(), n);
 
-    // Adjacency: (neighbor, length_km, Some(mw link index) or None for fiber).
-    let mut adjacency: Vec<Vec<(usize, f64, Option<usize>)>> = vec![Vec::new(); n];
-    for (i, neighbors) in adjacency.iter_mut().enumerate() {
-        for j in 0..n {
-            if i != j && topology.fiber_km(i, j).is_finite() {
-                neighbors.push((j, topology.fiber_km(i, j), None));
-            }
-        }
-    }
-    for (idx, link) in topology.mw_links().iter().enumerate() {
-        adjacency[link.site_a].push((link.site_b, link.mw_length_km, Some(idx)));
-        adjacency[link.site_b].push((link.site_a, link.mw_length_km, Some(idx)));
-    }
+    // Every finite fiber pair, then both directions of each MW link: an
+    // edge id at or past `fiber_edges` belongs to MW link
+    // `(id - fiber_edges) / 2`.
+    let mut edges: Vec<(usize, usize, f64)> = (0..n)
+        .flat_map(|i| (0..n).map(move |j| (i, j, topology.fiber_km(i, j))))
+        .filter(|&(i, j, km)| i != j && km.is_finite())
+        .collect();
+    let fiber_edges = edges.len();
+    edges.extend(topology.mw_links().iter().flat_map(|link| {
+        [
+            (link.site_a, link.site_b, link.mw_length_km),
+            (link.site_b, link.site_a, link.mw_length_km),
+        ]
+    }));
+    let graph = CsrGraph::from_edges(n, edges);
 
     let mut loads = vec![0.0f64; topology.mw_links().len()];
     let mut mw_traffic = 0.0f64;
     let mut total_traffic = 0.0f64;
+    let mut search = SearchCore::new();
 
     for s in 0..n {
-        // Dijkstra from s, remembering the incoming edge kind.
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<(usize, Option<usize>)>> = vec![None; n];
-        let mut settled = vec![false; n];
-        dist[s] = 0.0;
-        let mut heap = std::collections::BinaryHeap::new();
-        heap.push(std::cmp::Reverse((ordered_float(0.0), s)));
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-            let d = d.0;
-            if settled[u] {
-                continue;
-            }
-            settled[u] = true;
-            for &(v, w, link) in &adjacency[u] {
-                let nd = d + w;
-                if nd < dist[v] - 1e-12 {
-                    dist[v] = nd;
-                    prev[v] = Some((u, link));
-                    heap.push(std::cmp::Reverse((ordered_float(nd), v)));
-                }
-            }
-        }
-
+        search.search(&graph, s, &[], f64::INFINITY);
         for t in (s + 1)..n {
             let demand = demands_gbps[s][t];
             if demand <= 0.0 {
                 continue;
             }
             total_traffic += demand;
-            // Walk the predecessor chain, accumulating MW link loads.
+            // Walk the predecessor chain, accumulating MW link loads (an
+            // unreachable pair has none: its demand stays on absent fiber).
             let mut used_mw = false;
             let mut cur = t;
-            while cur != s {
-                match prev[cur] {
-                    Some((p, link)) => {
-                        if let Some(idx) = link {
-                            loads[idx] += demand;
-                            used_mw = true;
-                        }
-                        cur = p;
-                    }
-                    None => break, // unreachable pair: demand stays on (absent) fiber
+            while let Some((prev, edge)) = search.prev(cur) {
+                if let Some(mw_edge) = (edge as usize).checked_sub(fiber_edges) {
+                    loads[mw_edge / 2] += demand;
+                    used_mw = true;
                 }
+                cur = prev;
             }
             if used_mw {
                 mw_traffic += demand;
@@ -246,23 +219,6 @@ pub fn augment_for_throughput(
 ) -> Augmentation {
     let demands = scale_traffic(topology.traffic(), aggregate_gbps);
     route_demands(topology, &demands, config, aggregate_gbps)
-}
-
-/// A totally ordered f64 wrapper for the binary heap (all values are finite).
-fn ordered_float(v: f64) -> OrderedF64 {
-    OrderedF64(v)
-}
-
-#[derive(PartialEq, PartialOrd)]
-struct OrderedF64(f64);
-
-impl Eq for OrderedF64 {}
-
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.partial_cmp(other).unwrap_or(std::cmp::Ordering::Equal)
-    }
 }
 
 #[cfg(test)]
@@ -310,6 +266,51 @@ mod tests {
     }
 
     #[test]
+    fn equally_short_routes_resolve_to_the_lower_numbered_relay() {
+        // Site 3's demand from site 0 has two routes of exactly 300 km, via
+        // relay 1 or via relay 2, each 100 km of fiber from site 0. One
+        // relay reaches site 3 over 200 km of fiber, the other over a
+        // 200 km MW link. The relays settle at the same distance, lower
+        // index first, and a tie never displaces the route found first: so
+        // the route through relay 1 carries the demand, whichever kind of
+        // link it ends in.
+        let sites = vec![
+            GeoPoint::new(40.0, -100.0),
+            GeoPoint::new(40.5, -99.0),
+            GeoPoint::new(39.5, -99.0),
+            GeoPoint::new(40.0, -98.0),
+        ];
+        let mut traffic = vec![vec![0.0; 4]; 4];
+        traffic[0][3] = 1.0;
+        traffic[3][0] = 1.0;
+        for (mw_relay, fiber_relay) in [(2, 1), (1, 2)] {
+            let mut fiber = vec![vec![1000.0; 4]; 4];
+            for (i, row) in fiber.iter_mut().enumerate() {
+                row[i] = 0.0;
+            }
+            for (a, b, km) in [(0, 1, 100.0), (0, 2, 100.0), (fiber_relay, 3, 200.0)] {
+                fiber[a][b] = km;
+                fiber[b][a] = km;
+            }
+            let mut topo = HybridTopology::new(sites.clone(), traffic.clone(), fiber);
+            topo.add_mw_link(CandidateLink {
+                site_a: mw_relay,
+                site_b: 3,
+                mw_length_km: 200.0,
+                tower_count: 3,
+                tower_path: vec![0, 1, 2],
+            });
+            let aug = augment_for_throughput(&topo, 1.0, &AugmentConfig::default());
+            let on_mw = if mw_relay == 1 { 1.0 } else { 0.0 };
+            assert_eq!(aug.links[0].load_gbps, on_mw, "MW link at relay {mw_relay}");
+            assert_eq!(
+                aug.mw_traffic_fraction, on_mw,
+                "MW link at relay {mw_relay}"
+            );
+        }
+    }
+
+    #[test]
     fn scale_traffic_hits_aggregate() {
         let traffic = DistMatrix::from_nested(vec![
             vec![0.0, 1.0, 3.0],
@@ -354,7 +355,6 @@ mod tests {
                 l.load_gbps
             );
             assert!((k - 1.0) * (k - 1.0) < l.load_gbps || l.series == 1);
-            assert!(l.capacity_gbps(&AugmentConfig::default()) >= l.load_gbps - 1e-9);
         }
     }
 

@@ -7,13 +7,11 @@
 //! GB amortises build plus operation over five years at the provisioned
 //! aggregate throughput.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds in a (non-leap) year.
 const SECONDS_PER_YEAR: f64 = 365.0 * 24.0 * 3600.0;
 
 /// The cost model parameters, with the paper's defaults.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Cost of one bidirectional 1 Gbps MW hop installed on existing towers.
     pub hop_cost_1gbps_usd: f64,
@@ -41,7 +39,7 @@ impl Default for CostModel {
 }
 
 /// A breakdown of the total cost of a provisioned network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// Radio/installation capital expenditure (all hop installations).
     pub radio_capex_usd: f64,
@@ -53,14 +51,14 @@ pub struct CostBreakdown {
 
 impl CostBreakdown {
     /// Total cost over the amortisation horizon.
-    pub fn total_usd(&self) -> f64 {
+    pub(crate) fn total_usd(&self) -> f64 {
         self.radio_capex_usd + self.tower_capex_usd + self.rent_opex_usd
     }
 }
 
 /// Inventory of the physical build of a provisioned network, produced by the
 /// capacity-augmentation step.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BuildInventory {
     /// Number of tower-to-tower hop installations, counting each parallel
     /// series separately (one radio pair each).
@@ -87,7 +85,7 @@ impl CostModel {
 
     /// Total gigabytes carried over the amortisation horizon at a sustained
     /// aggregate throughput of `aggregate_gbps` gigabits per second.
-    pub fn gigabytes_over_horizon(&self, aggregate_gbps: f64) -> f64 {
+    pub(crate) fn gigabytes_over_horizon(&self, aggregate_gbps: f64) -> f64 {
         assert!(aggregate_gbps >= 0.0);
         // Gbps → GB/s is /8; integrate over the horizon.
         aggregate_gbps / 8.0 * SECONDS_PER_YEAR * self.amortization_years

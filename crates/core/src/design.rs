@@ -81,14 +81,13 @@ use std::time::Instant;
 use cisp_geo::GeoPoint;
 use cisp_graph::{improve_with_link_tracked, leave_out_closures, DistMatrix, ImprovedPairs};
 use cisp_netsim::jobs::{drain_jobs, resolve_workers};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{exact_score, PoolScorer, RoundUpdate, ScoreContext, ShardPool};
 use crate::links::CandidateLink;
 use crate::topology::{HybridTopology, ScoringWeights};
 
 /// How the greedy scores a candidate link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GreedyScore {
     /// Absolute reduction in mean stretch (the paper's rule).
     AbsoluteGain,
@@ -97,7 +96,7 @@ pub enum GreedyScore {
 }
 
 /// Configuration of the design procedures.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DesignConfig {
     /// Scoring rule for the greedy.
     pub score: GreedyScore,
@@ -124,7 +123,7 @@ impl Default for DesignConfig {
 /// One step of the greedy build-out: the cumulative tower cost and the mean
 /// stretch after adding the step's link. Recording every step lets a single
 /// design run produce the whole stretch-vs-budget curve of Fig. 4(a).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignStep {
     /// Index into the candidate list of the link added at this step.
     pub candidate_index: usize,
@@ -160,7 +159,7 @@ impl DesignInput {
     /// Indices of candidates that survive the fiber-oracle elimination: the
     /// MW link must be strictly shorter (latency-equivalent) than the fiber
     /// distance between its endpoints.
-    pub fn useful_candidates(&self) -> Vec<usize> {
+    pub(crate) fn useful_candidates(&self) -> Vec<usize> {
         self.candidates
             .iter()
             .enumerate()
@@ -188,7 +187,7 @@ pub struct DesignOutcome {
 /// Wall-clock and work counters of one [`Designer::cisp_profiled`] run's swap
 /// polish, summed over its passes.
 /// `trials_scored + trials_bounded_out == trials_feasible`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SwapPolishStats {
     /// Wall-clock of the polish: every pass, the topology rebuilds after
     /// applied swaps included.

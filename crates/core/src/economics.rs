@@ -33,14 +33,13 @@
 
 use cisp_netsim::jobs::drain_jobs;
 use cisp_netsim::{SimReport, Simulation};
-use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
 use crate::evaluate::LoweredNetwork;
 use crate::topology::HybridTopology;
 
 /// Knobs of the upgrade search.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UpgradeConfig {
     /// Factor applied to an upgraded link's rate in both directions.
     /// The default `2.0` models one extra parallel radio series.
@@ -61,7 +60,7 @@ impl Default for UpgradeConfig {
 }
 
 /// One evaluated upgrade: what it costs, and what it buys.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UpgradeOption {
     /// Index into `topology.mw_links()` / `lowered.mw_link_ids`.
     pub mw_link_index: usize,
@@ -86,7 +85,7 @@ pub struct UpgradeOption {
 }
 
 /// The ranked outcome of one [`rank_upgrades`] search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UpgradeRanking {
     /// Baseline foreground P99 queueing delay, ms.
     pub baseline_fg_p99_ms: f64,

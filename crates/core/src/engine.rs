@@ -60,7 +60,7 @@ use crate::topology::{mean_stretch_with_link, mean_stretch_with_link_compact, Sc
 /// pool, the weighting matrices, and the (designer-updated) matrix scored
 /// against. Shared immutably with every worker for the lifetime of a design
 /// run.
-pub struct ScoreContext<'a> {
+pub(crate) struct ScoreContext<'a> {
     /// All candidate links of the design input.
     pub candidates: &'a [CandidateLink],
     /// The candidate pool: indices into `candidates`, in selection-priority
@@ -85,7 +85,7 @@ pub struct ScoreContext<'a> {
 impl ScoreContext<'_> {
     /// [`exact_score`] of pool position `pos` against `matrix`.
     #[inline]
-    pub fn exact(&self, matrix: &DistMatrix, pos: usize) -> f64 {
+    pub(crate) fn exact(&self, matrix: &DistMatrix, pos: usize) -> f64 {
         exact_score(
             matrix,
             self.geodesic,
@@ -105,7 +105,7 @@ impl ScoreContext<'_> {
 /// bounds and trials — comes through here with that run's one `sw` and
 /// never mixes them.
 #[inline]
-pub fn exact_score(
+pub(crate) fn exact_score(
     matrix: &DistMatrix,
     geodesic: &DistMatrix,
     traffic: &DistMatrix,
@@ -128,7 +128,7 @@ const REPAIR_BLOCK: usize = 16;
 /// accepting a link, with the lookup structures the repair sweeps need
 /// (built once, shared by every shard).
 #[derive(Debug)]
-pub struct RoundUpdate {
+pub(crate) struct RoundUpdate {
     /// The accepted link's improved-pair set (old distances included), from
     /// [`cisp_graph::improve_with_link_tracked`].
     improved: ImprovedPairs,
@@ -167,7 +167,7 @@ impl RoundUpdate {
     /// candidate-independent per-round constants — the direct part's pair
     /// list and base sum, and the row maxima — are computed here once
     /// rather than by every shard.
-    pub fn new(
+    pub(crate) fn new(
         improved: ImprovedPairs,
         removed_pos: Option<usize>,
         overrides: Vec<(usize, f64)>,
@@ -242,7 +242,7 @@ impl RoundUpdate {
 /// path owns a single shard spanning the whole pool. All scoring math lives
 /// here, so serial and sharded runs are identical by construction.
 #[derive(Clone)]
-pub struct ShardState {
+pub(crate) struct ShardState {
     range: Range<usize>,
     /// Cached predicted mean stretch per owned pool position.
     values: Vec<f64>,
@@ -261,7 +261,7 @@ pub struct ShardState {
 
 impl ShardState {
     /// A shard owning `range` of the pool (values start unscored).
-    pub fn new(range: Range<usize>) -> Self {
+    pub(crate) fn new(range: Range<usize>) -> Self {
         let len = range.len();
         Self {
             range,
@@ -273,7 +273,7 @@ impl ShardState {
     }
 
     /// Cached values, indexed by `pool_position - range.start`.
-    pub fn values(&self) -> &[f64] {
+    pub(crate) fn values(&self) -> &[f64] {
         &self.values
     }
 
@@ -433,7 +433,7 @@ impl ShardState {
 
     /// Score every owned candidate with the exact kernel (round 0), and
     /// build the length-sorted candidate index the correction pass uses.
-    pub fn init_score(&mut self, ctx: &ScoreContext) {
+    pub(crate) fn init_score(&mut self, ctx: &ScoreContext) {
         let matrix = ctx.matrix.read().unwrap();
         for (k, pos) in self.range.clone().enumerate() {
             if !self.removed[k] {
@@ -461,7 +461,7 @@ impl ShardState {
     /// drop the accepted candidate, then repair every surviving cached
     /// value. A candidate whose repair would visit at least as many pairs as
     /// a full sweep is re-scored with the exact kernel instead.
-    pub fn apply(&mut self, ctx: &ScoreContext, update: &RoundUpdate) {
+    pub(crate) fn apply(&mut self, ctx: &ScoreContext, update: &RoundUpdate) {
         for &(pos, v) in &update.overrides {
             if self.range.contains(&pos) {
                 self.values[pos - self.range.start] = v;
@@ -572,7 +572,7 @@ enum Cmd {
 /// whole design run, each owning a stable contiguous slice of the candidate
 /// pool. Communication is one command and one reply — the shard's cached
 /// values — per worker per round.
-pub struct ShardPool {
+pub(crate) struct ShardPool {
     txs: Vec<Sender<Cmd>>,
     rxs: Vec<Receiver<Vec<f64>>>,
     ranges: Vec<Range<usize>>,
@@ -583,7 +583,7 @@ impl ShardPool {
     /// at most one) and spawn one persistent scoped worker per shard.
     /// Workers exit when the pool is dropped (their command channels close),
     /// which is before the scope joins.
-    pub fn spawn<'scope, 'env>(
+    pub(crate) fn spawn<'scope, 'env>(
         scope: &'scope Scope<'scope, 'env>,
         ctx: &'env ScoreContext<'env>,
         workers: usize,
@@ -631,7 +631,7 @@ impl ShardPool {
 /// The designer-facing scorer: a single inline shard when the run has one
 /// shard, a [`ShardPool`] otherwise. Identical numbers either way — the
 /// shard math is shared — so the shard count never changes a design.
-pub enum PoolScorer {
+pub(crate) enum PoolScorer {
     /// One shard spanning the whole pool, run on the calling thread.
     Inline(Box<ShardState>),
     /// Persistent worker shards.
@@ -640,13 +640,13 @@ pub enum PoolScorer {
 
 impl PoolScorer {
     /// An inline scorer over a pool of `len` candidates.
-    pub fn inline(len: usize) -> Self {
+    pub(crate) fn inline(len: usize) -> Self {
         Self::Inline(Box::new(ShardState::new(0..len)))
     }
 
     /// Score the whole pool with the exact kernel into `out`
     /// (pool-position-indexed).
-    pub fn init(&mut self, ctx: &ScoreContext, out: &mut [f64]) {
+    pub(crate) fn init(&mut self, ctx: &ScoreContext, out: &mut [f64]) {
         match self {
             Self::Inline(state) => {
                 state.init_score(ctx);
@@ -663,7 +663,7 @@ impl PoolScorer {
 
     /// Broadcast one accepted-link round and collect the repaired values
     /// into `out`.
-    pub fn apply(&mut self, ctx: &ScoreContext, update: RoundUpdate, out: &mut [f64]) {
+    pub(crate) fn apply(&mut self, ctx: &ScoreContext, update: RoundUpdate, out: &mut [f64]) {
         match self {
             Self::Inline(state) => {
                 state.apply(ctx, &update);

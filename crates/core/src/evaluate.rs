@@ -32,21 +32,17 @@
 
 use cisp_geo::latency;
 use cisp_geo::units::{FIBER_LATENCY_FACTOR, SPEED_OF_LIGHT_KM_PER_S};
-use cisp_graph::{DistMatrix, PathStore};
+use cisp_graph::DistMatrix;
 use cisp_netsim::network::{LinkId, LinkSpec, Network};
-use cisp_netsim::routing::{
-    compute_routes_avoiding, install_pinned_routes, Demand, RoutingTable, TrafficClass,
-};
+use cisp_netsim::routing::{compute_routes_avoiding, Demand, TrafficClass};
 use cisp_netsim::sim::{SimConfig, Simulation};
 use cisp_netsim::SimReport;
-use cisp_traffic::{ClassifiedTraffic, TrafficMatrix};
-use serde::{Deserialize, Serialize};
 
 use crate::augment::{augment_for_throughput, AugmentConfig};
 use crate::topology::HybridTopology;
 
 /// Configuration of the design → simulation lowering.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EvaluateConfig {
     /// Aggregate throughput the microwave links are provisioned for, Gbps.
     pub design_aggregate_gbps: f64,
@@ -173,13 +169,6 @@ impl LoweredNetwork {
         )
     }
 
-    /// A simulation whose routes avoid the given failed microwave links
-    /// (indices into `topology.mw_links()`). Demands with no surviving path
-    /// emit nothing.
-    pub fn simulation_without(&self, failed_mw_links: &[usize]) -> Simulation {
-        self.simulation_avoiding(&self.disabled_mask(failed_mw_links))
-    }
-
     /// A simulation whose routes avoid the given *cut conduit segments*
     /// (indices into the topology's conduit layer): surviving traffic
     /// re-routes over the remaining conduits and the microwave spine;
@@ -187,40 +176,6 @@ impl LoweredNetwork {
     /// conduit-backed lowering.
     pub fn simulation_without_conduits(&self, cut_segments: &[usize]) -> Simulation {
         self.simulation_avoiding(&self.conduit_disabled_mask(cut_segments))
-    }
-
-    /// Pin every demand to its pure-fiber conduit route (ignoring the
-    /// microwave spine): the topology's stored per-pair conduit paths,
-    /// translated hop by hop into directed simulator link ids and
-    /// installed via [`install_pinned_routes`] (which re-validates the
-    /// walk). Panics unless both the topology and this lowering are
-    /// conduit-backed.
-    pub fn pinned_fiber_routes(&self, topology: &HybridTopology) -> RoutingTable {
-        let layer = topology
-            .conduits()
-            .expect("pinned fiber routes need a conduit-backed topology");
-        assert_eq!(
-            self.conduit_link_ids.len(),
-            layer.num_segments(),
-            "lowering does not match the topology's conduit layer"
-        );
-        let mut store = PathStore::with_capacity(self.demands.len(), self.demands.len() * 4);
-        for (k, &(src, dst)) in self.demand_pairs.iter().enumerate() {
-            let d = &self.demands[k];
-            if d.src == d.dst {
-                store.push_path(&[]);
-                continue;
-            }
-            store.push_path_from(layer.hops(src, dst).into_iter().filter_map(|hop| {
-                let (fwd, rev) = self.conduit_link_ids[hop.segment as usize];
-                let id = if hop.forward { fwd } else { rev };
-                // Dedup-collapsed (zero-length) segments contribute no
-                // simulator hop; the walk stays contiguous because their
-                // endpoints are the same node.
-                (id != usize::MAX).then_some(id as u32)
-            }));
-        }
-        install_pinned_routes(&self.network, &self.demands, store)
     }
 }
 
@@ -269,22 +224,6 @@ pub fn lower_classified(
                 TrafficClass::Background,
             ),
         ],
-        config,
-    )
-}
-
-/// [`lower_classified`] over a `cisp_traffic` classified split.
-pub fn lower_traffic_classified(
-    topology: &HybridTopology,
-    classified: &ClassifiedTraffic,
-    background_aggregate_gbps: f64,
-    config: &EvaluateConfig,
-) -> LoweredNetwork {
-    lower_classified(
-        topology,
-        classified.foreground.as_matrix(),
-        classified.background.as_matrix(),
-        background_aggregate_gbps,
         config,
     )
 }
@@ -450,18 +389,9 @@ fn lower_with(
     }
 }
 
-/// [`lower`] over a `cisp_traffic` matrix.
-pub fn lower_traffic(
-    topology: &HybridTopology,
-    offered_traffic: &TrafficMatrix,
-    config: &EvaluateConfig,
-) -> LoweredNetwork {
-    lower(topology, offered_traffic.as_matrix(), config)
-}
-
 /// Queueing-aware round-trip time of one site pair, extracted from a
 /// simulation run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PairRtt {
     /// First site of the pair.
     pub site_a: usize,
@@ -541,12 +471,6 @@ impl EvaluationReport {
             0.0
         }
     }
-
-    /// The simulated RTT samples, milliseconds (input for the application
-    /// models' distributions).
-    pub fn rtt_samples_ms(&self) -> Vec<f64> {
-        self.pair_rtts.iter().map(|p| p.simulated_rtt_ms).collect()
-    }
 }
 
 /// Lower, simulate, and extract per-pair RTTs in one step.
@@ -569,6 +493,42 @@ mod tests {
     use super::*;
     use crate::links::CandidateLink;
     use cisp_geo::{geodesic, GeoPoint};
+    use cisp_graph::PathStore;
+    use cisp_netsim::routing::{install_pinned_routes, RoutingTable};
+
+    /// Pin every demand of a conduit-backed lowering to its pure-fiber
+    /// conduit route (ignoring the microwave spine): the topology's stored
+    /// per-pair conduit paths, translated hop by hop into directed
+    /// simulator link ids and installed via [`install_pinned_routes`]
+    /// (which re-validates the walk). The reference the Dijkstra routes of
+    /// a pure-fiber lowering are pinned against.
+    fn pinned_fiber_routes(lowered: &LoweredNetwork, topology: &HybridTopology) -> RoutingTable {
+        let layer = topology
+            .conduits()
+            .expect("pinned fiber routes need a conduit-backed topology");
+        assert_eq!(
+            lowered.conduit_link_ids.len(),
+            layer.num_segments(),
+            "lowering does not match the topology's conduit layer"
+        );
+        let demands = &lowered.demands;
+        let mut store = PathStore::with_capacity(demands.len(), demands.len() * 4);
+        for (k, &(src, dst)) in lowered.demand_pairs.iter().enumerate() {
+            if demands[k].src == demands[k].dst {
+                store.push_path(&[]);
+                continue;
+            }
+            store.push_path_from(layer.hops(src, dst).into_iter().filter_map(|hop| {
+                let (fwd, rev) = lowered.conduit_link_ids[hop.segment as usize];
+                let id = if hop.forward { fwd } else { rev };
+                // Dedup-collapsed (zero-length) segments contribute no
+                // simulator hop; the walk stays contiguous because their
+                // endpoints are the same node.
+                (id != usize::MAX).then_some(id as u32)
+            }));
+        }
+        install_pinned_routes(&lowered.network, demands, store)
+    }
 
     /// Four sites across the central US, direct MW links on a chain, fiber
     /// at 1.9× elsewhere.
@@ -691,7 +651,7 @@ mod tests {
             assert!(p.delivered > 0);
         }
         assert!(report.mean_rtt_ms() > 0.0);
-        assert_eq!(report.rtt_samples_ms().len(), 6);
+        assert_eq!(report.pair_rtts.len(), 6);
     }
 
     #[test]
@@ -702,7 +662,8 @@ mod tests {
         // Fail every MW link: everything rides fiber, so the mean delay
         // must rise strictly.
         let all_failed: Vec<usize> = (0..topo.mw_links().len()).collect();
-        let stormy = lowered.simulation_without(&all_failed).run();
+        let mask = lowered.disabled_mask(&all_failed);
+        let stormy = lowered.simulation_avoiding(&mask).run();
         assert!(stormy.delivered > 0);
         assert!(
             stormy.mean_delay_ms > fair.mean_delay_ms,
@@ -711,7 +672,6 @@ mod tests {
             fair.mean_delay_ms
         );
         // No traffic crosses a disabled link.
-        let mask = lowered.disabled_mask(&all_failed);
         for (l, &disabled) in mask.iter().enumerate() {
             if disabled {
                 assert_eq!(stormy.link_utilizations[l], 0.0, "link {l} carried load");
@@ -878,7 +838,7 @@ mod tests {
             ),
         );
         let lowered = lower(&topo, topo.traffic(), &fast_config());
-        let pinned = lowered.pinned_fiber_routes(&topo);
+        let pinned = pinned_fiber_routes(&lowered, &topo);
         let dijkstra = lowered.simulation();
         for (k, &(i, j)) in lowered.demand_pairs.iter().enumerate() {
             // The pinned route's propagation realises the latency-equivalent
@@ -981,16 +941,6 @@ mod tests {
     }
 
     #[test]
-    fn traffic_matrix_wrapper_matches_raw_matrix() {
-        let topo = test_topology();
-        let tm = TrafficMatrix::from_dist_matrix(topo.traffic().clone());
-        let a = lower(&topo, topo.traffic(), &fast_config());
-        let b = lower_traffic(&topo, &tm, &fast_config());
-        assert_eq!(a.demands.len(), b.demands.len());
-        assert_eq!(a.network.num_links(), b.network.num_links());
-    }
-
-    #[test]
     fn stale_failure_indices_are_tolerated() {
         let topo = test_topology();
         let lowered = lower(&topo, topo.traffic(), &fast_config());
@@ -1059,19 +1009,5 @@ mod tests {
             assert_eq!(p.delivered, 0);
             assert_eq!(p.simulated_rtt_ms, p.propagation_rtt_ms);
         }
-    }
-
-    #[test]
-    fn traffic_classified_wrapper_matches_raw_matrices() {
-        let topo = test_topology();
-        let config = fast_config();
-        let classified = ClassifiedTraffic {
-            foreground: TrafficMatrix::from_dist_matrix(topo.traffic().clone()),
-            background: TrafficMatrix::from_dist_matrix(topo.traffic().clone()),
-        };
-        let a = lower_classified(&topo, topo.traffic(), topo.traffic(), 2.0, &config);
-        let b = lower_traffic_classified(&topo, &classified, 2.0, &config);
-        assert_eq!(a.demands.len(), b.demands.len());
-        assert_eq!(a.network.num_links(), b.network.num_links());
     }
 }

@@ -58,7 +58,6 @@ use cisp_data::towers::TowerRegistry;
 use cisp_geo::{fresnel, geodesic, units};
 use cisp_netsim::jobs::{drain_jobs, resolve_workers};
 use cisp_terrain::{clutter::ClutterModel, profile, ObstructionEnvelope, TerrainModel};
-use serde::{Deserialize, Serialize};
 
 /// ε of the cascade: a bound decides a sample only with this much margin to
 /// spare, in metres. See the module docs.
@@ -75,7 +74,7 @@ const GRID_MARGIN_DEG: f64 = 0.1;
 const TOWERS_PER_JOB: usize = 24;
 
 /// Parameters of the hop-feasibility assessment.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HopConfig {
     /// Maximum tower-to-tower range in kilometres (paper default: 100 km).
     pub max_range_km: f64,
@@ -118,7 +117,7 @@ impl HopConfig {
 }
 
 /// A feasible microwave hop between two towers of a [`TowerRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeasibleHop {
     /// Index of the first tower (lower index).
     pub tower_a: usize,
@@ -132,7 +131,7 @@ pub struct FeasibleHop {
 /// the module docs). `samples` is the sum of the four tiers; a blocked hop
 /// stops at its first blocked sample, so it contributes only the samples
 /// probed up to there.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HopSweepStats {
     /// Interior samples probed.
     pub samples: u64,
@@ -246,13 +245,15 @@ impl<'a> HopFeasibility<'a> {
         self.config
     }
 
-    /// Assess a single tower pair. Returns the hop if it is feasible.
-    pub fn assess_pair(&self, i: usize, j: usize) -> Option<FeasibleHop> {
+    /// Assess a single tower pair. Returns the hop if it is feasible. The
+    /// pointwise reference the sweep is checked against.
+    #[cfg(test)]
+    fn assess_pair(&self, i: usize, j: usize) -> Option<FeasibleHop> {
         self.assess_pair_counted(i, j, &mut HopSweepStats::default())
     }
 
-    /// [`Self::assess_pair`], adding the tier that decided each probed
-    /// sample to `stats`.
+    /// Assess a single tower pair, adding the tier that decided each probed
+    /// sample to `stats`. Returns the hop if it is feasible.
     fn assess_pair_counted(
         &self,
         i: usize,

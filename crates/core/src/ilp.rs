@@ -24,226 +24,35 @@
 //!   shortest path, so the optimal objective value (and the optimal `x`) are
 //!   unchanged — only the branch-and-bound tree gets much smaller.
 //!
-//! This module also provides [`exact_subset_search`], a combinatorial
-//! branch-and-bound over link subsets used to cross-validate the ILP and to
-//! serve as the "exact solver" curve in the Fig. 2 reproduction at sizes our
-//! dense simplex cannot reach.
+//! The formulation is built and solved only in this module's tests, where
+//! it cross-validates [`exact_subset_search`]: a combinatorial
+//! branch-and-bound over link subsets that is the "exact solver" curve of
+//! the Fig. 2 reproduction, at sizes the dense simplex cannot reach.
 
 use cisp_graph::DistMatrix;
-use cisp_lp::{
-    branch_bound::{solve_milp, MilpOptions},
-    model::{Problem, VarId, VarKind},
-};
-use serde::{Deserialize, Serialize};
 
 use crate::design::{DesignInput, DesignOutcome};
 use crate::topology::{improve_with_link, weighted_mean_stretch};
 
-/// Statistics about a built ILP model (for the scaling experiment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IlpModelStats {
-    /// Number of decision variables.
-    pub num_vars: usize,
-    /// Number of constraints.
-    pub num_constraints: usize,
-    /// Number of candidate links offered to the solver.
-    pub num_candidates: usize,
-    /// Number of commodities (site pairs with positive traffic).
-    pub num_commodities: usize,
-}
-
 /// Errors from the exact solvers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExactSolveError {
-    /// The MILP search hit its node or time limit before proving optimality.
+    /// The search hit its node or time limit before proving optimality.
     LimitReached,
-    /// The model was infeasible (should not happen: fiber-only is feasible).
-    Infeasible,
 }
 
 impl std::fmt::Display for ExactSolveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExactSolveError::LimitReached => write!(f, "exact solver hit its search limit"),
-            ExactSolveError::Infeasible => write!(f, "design ILP unexpectedly infeasible"),
         }
     }
 }
 
 impl std::error::Error for ExactSolveError {}
 
-/// The assembled ILP model, ready to solve.
-pub struct IlpFormulation {
-    problem: Problem,
-    /// `x` variable of each offered candidate (indexed like `candidate_pool`).
-    x_vars: Vec<VarId>,
-    /// Candidate indices (into `DesignInput::candidates`) offered to the ILP.
-    candidate_pool: Vec<usize>,
-    stats: IlpModelStats,
-}
-
-impl IlpFormulation {
-    /// Build the flow ILP for the given candidate pool and tower budget.
-    ///
-    /// `pool` holds indices into `input.candidates`; pass
-    /// `input.useful_candidates()` for the full (oracle-filtered) problem.
-    pub fn build(input: &DesignInput, pool: &[usize], budget_towers: f64) -> Self {
-        let n = input.sites.len();
-        let mut problem = Problem::minimize();
-
-        // Candidate build variables.
-        let x_vars: Vec<VarId> = pool
-            .iter()
-            .map(|&idx| {
-                let l = &input.candidates[idx];
-                problem.add_var(
-                    &format!("x_{}_{}", l.site_a, l.site_b),
-                    VarKind::Binary,
-                    0.0,
-                )
-            })
-            .collect();
-
-        // Budget constraint.
-        problem.add_le(
-            pool.iter()
-                .zip(&x_vars)
-                .map(|(&idx, &x)| (x, input.candidates[idx].tower_count as f64))
-                .collect(),
-            budget_towers,
-        );
-
-        // Commodities: unordered pairs with positive traffic.
-        let commodities: Vec<(usize, usize)> = input
-            .traffic
-            .upper_triangle()
-            .filter(|&(_, _, h)| h > 0.0)
-            .map(|(s, t, _)| (s, t))
-            .collect();
-
-        let geodesic = |s: usize, t: usize| -> f64 {
-            cisp_geo::geodesic::distance_km(input.sites[s], input.sites[t]).max(1e-6)
-        };
-
-        // Per-commodity flow variables and constraints.
-        for &(s, t) in &commodities {
-            let h = input.traffic.get(s, t);
-            let weight = h / geodesic(s, t);
-            let direct_fiber = input.fiber_km.get(s, t);
-
-            // Arc variable registry for this commodity:
-            // (from, to, length, optional pool position for MW arcs).
-            let mut arcs: Vec<(usize, usize, f64, Option<usize>)> = Vec::new();
-            // Fiber arcs between every ordered pair (always available).
-            for i in 0..n {
-                for j in 0..n {
-                    if i != j && input.fiber_km[i][j].is_finite() {
-                        arcs.push((i, j, input.fiber_km[i][j], None));
-                    }
-                }
-            }
-            // MW arcs for pool candidates, oracle-filtered per commodity:
-            // an arc can only help if entering and leaving it could beat the
-            // commodity's direct fiber distance.
-            for (pos, &idx) in pool.iter().enumerate() {
-                let l = &input.candidates[idx];
-                let (i, j, m) = (l.site_a, l.site_b, l.mw_length_km);
-                let via_ij = input.fiber_km[s][i] + m + input.fiber_km[j][t];
-                let via_ji = input.fiber_km[s][j] + m + input.fiber_km[i][t];
-                if via_ij.min(via_ji) < direct_fiber + 1e-9 {
-                    arcs.push((i, j, m, Some(pos)));
-                    arcs.push((j, i, m, Some(pos)));
-                }
-            }
-
-            // Flow variables.
-            let flow_vars: Vec<VarId> = arcs
-                .iter()
-                .map(|&(i, j, len, mw)| {
-                    let name = match mw {
-                        Some(_) => format!("f_{s}_{t}_mw_{i}_{j}"),
-                        None => format!("f_{s}_{t}_fi_{i}_{j}"),
-                    };
-                    problem.add_var(&name, VarKind::Continuous, weight * len)
-                })
-                .collect();
-
-            // Flow conservation at every node.
-            for node in 0..n {
-                let mut terms = Vec::new();
-                for (arc_idx, &(i, j, _, _)) in arcs.iter().enumerate() {
-                    if i == node {
-                        terms.push((flow_vars[arc_idx], 1.0));
-                    } else if j == node {
-                        terms.push((flow_vars[arc_idx], -1.0));
-                    }
-                }
-                let rhs = if node == s {
-                    1.0
-                } else if node == t {
-                    -1.0
-                } else {
-                    0.0
-                };
-                if !terms.is_empty() || rhs != 0.0 {
-                    problem.add_eq(terms, rhs);
-                }
-            }
-
-            // Coupling: MW arcs only usable if the link is built.
-            for (arc_idx, &(_, _, _, mw)) in arcs.iter().enumerate() {
-                if let Some(pos) = mw {
-                    problem.add_le(vec![(flow_vars[arc_idx], 1.0), (x_vars[pos], -1.0)], 0.0);
-                }
-            }
-        }
-
-        let stats = IlpModelStats {
-            num_vars: problem.num_vars(),
-            num_constraints: problem.num_constraints(),
-            num_candidates: pool.len(),
-            num_commodities: commodities.len(),
-        };
-
-        Self {
-            problem,
-            x_vars,
-            candidate_pool: pool.to_vec(),
-            stats,
-        }
-    }
-
-    /// Model-size statistics.
-    pub fn stats(&self) -> IlpModelStats {
-        self.stats
-    }
-
-    /// Solve the ILP and convert the result into a [`DesignOutcome`].
-    pub fn solve(
-        &self,
-        input: &DesignInput,
-        options: &MilpOptions,
-    ) -> Result<DesignOutcome, ExactSolveError> {
-        let solution = solve_milp(&self.problem, options).map_err(|e| match e {
-            cisp_lp::branch_bound::MilpError::Infeasible => ExactSolveError::Infeasible,
-            _ => ExactSolveError::LimitReached,
-        })?;
-        if !solution.proven_optimal {
-            return Err(ExactSolveError::LimitReached);
-        }
-        let selected: Vec<usize> = self
-            .candidate_pool
-            .iter()
-            .zip(&self.x_vars)
-            .filter(|(_, x)| solution.values[x.index()] > 0.5)
-            .map(|(&idx, _)| idx)
-            .collect();
-        Ok(outcome_from_selection(input, &selected))
-    }
-}
-
 /// Build a [`DesignOutcome`] from an explicit selection of candidate indices.
-pub fn outcome_from_selection(input: &DesignInput, selected: &[usize]) -> DesignOutcome {
+pub(crate) fn outcome_from_selection(input: &DesignInput, selected: &[usize]) -> DesignOutcome {
     let mut topology = input.empty_topology();
     let mut total_towers = 0;
     for &idx in selected {
@@ -398,6 +207,194 @@ mod tests {
     use crate::links::CandidateLink;
     use cisp_geo::{geodesic, GeoPoint};
     use cisp_graph::DistMatrix;
+    use cisp_lp::{
+        branch_bound::{solve_milp, MilpError, MilpOptions},
+        model::{Problem, VarId, VarKind},
+    };
+
+    /// Statistics about a built ILP model.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct IlpModelStats {
+        /// Number of decision variables.
+        pub num_vars: usize,
+        /// Number of constraints.
+        pub num_constraints: usize,
+        /// Number of candidate links offered to the solver.
+        pub num_candidates: usize,
+        /// Number of commodities (site pairs with positive traffic).
+        pub num_commodities: usize,
+    }
+
+    /// The assembled ILP model, ready to solve.
+    struct IlpFormulation {
+        problem: Problem,
+        /// `x` variable of each offered candidate (indexed like `candidate_pool`).
+        x_vars: Vec<VarId>,
+        /// Candidate indices (into `DesignInput::candidates`) offered to the ILP.
+        candidate_pool: Vec<usize>,
+        stats: IlpModelStats,
+    }
+
+    impl IlpFormulation {
+        /// Build the flow ILP for the given candidate pool and tower budget.
+        ///
+        /// `pool` holds indices into `input.candidates`; pass
+        /// `input.useful_candidates()` for the full (oracle-filtered) problem.
+        fn build(input: &DesignInput, pool: &[usize], budget_towers: f64) -> Self {
+            let n = input.sites.len();
+            let mut problem = Problem::minimize();
+
+            // Candidate build variables.
+            let x_vars: Vec<VarId> = pool
+                .iter()
+                .map(|&idx| {
+                    let l = &input.candidates[idx];
+                    problem.add_var(
+                        &format!("x_{}_{}", l.site_a, l.site_b),
+                        VarKind::Binary,
+                        0.0,
+                    )
+                })
+                .collect();
+
+            // Budget constraint.
+            problem.add_le(
+                pool.iter()
+                    .zip(&x_vars)
+                    .map(|(&idx, &x)| (x, input.candidates[idx].tower_count as f64))
+                    .collect(),
+                budget_towers,
+            );
+
+            // Commodities: unordered pairs with positive traffic.
+            let commodities: Vec<(usize, usize)> = input
+                .traffic
+                .upper_triangle()
+                .filter(|&(_, _, h)| h > 0.0)
+                .map(|(s, t, _)| (s, t))
+                .collect();
+
+            let geodesic = |s: usize, t: usize| -> f64 {
+                cisp_geo::geodesic::distance_km(input.sites[s], input.sites[t]).max(1e-6)
+            };
+
+            // Per-commodity flow variables and constraints.
+            for &(s, t) in &commodities {
+                let h = input.traffic.get(s, t);
+                let weight = h / geodesic(s, t);
+                let direct_fiber = input.fiber_km.get(s, t);
+
+                // Arc variable registry for this commodity:
+                // (from, to, length, optional pool position for MW arcs).
+                let mut arcs: Vec<(usize, usize, f64, Option<usize>)> = Vec::new();
+                // Fiber arcs between every ordered pair (always available).
+                for i in 0..n {
+                    for j in 0..n {
+                        if i != j && input.fiber_km[i][j].is_finite() {
+                            arcs.push((i, j, input.fiber_km[i][j], None));
+                        }
+                    }
+                }
+                // MW arcs for pool candidates, oracle-filtered per commodity:
+                // an arc can only help if entering and leaving it could beat the
+                // commodity's direct fiber distance.
+                for (pos, &idx) in pool.iter().enumerate() {
+                    let l = &input.candidates[idx];
+                    let (i, j, m) = (l.site_a, l.site_b, l.mw_length_km);
+                    let via_ij = input.fiber_km[s][i] + m + input.fiber_km[j][t];
+                    let via_ji = input.fiber_km[s][j] + m + input.fiber_km[i][t];
+                    if via_ij.min(via_ji) < direct_fiber + 1e-9 {
+                        arcs.push((i, j, m, Some(pos)));
+                        arcs.push((j, i, m, Some(pos)));
+                    }
+                }
+
+                // Flow variables.
+                let flow_vars: Vec<VarId> = arcs
+                    .iter()
+                    .map(|&(i, j, len, mw)| {
+                        let name = match mw {
+                            Some(_) => format!("f_{s}_{t}_mw_{i}_{j}"),
+                            None => format!("f_{s}_{t}_fi_{i}_{j}"),
+                        };
+                        problem.add_var(&name, VarKind::Continuous, weight * len)
+                    })
+                    .collect();
+
+                // Flow conservation at every node.
+                for node in 0..n {
+                    let mut terms = Vec::new();
+                    for (arc_idx, &(i, j, _, _)) in arcs.iter().enumerate() {
+                        if i == node {
+                            terms.push((flow_vars[arc_idx], 1.0));
+                        } else if j == node {
+                            terms.push((flow_vars[arc_idx], -1.0));
+                        }
+                    }
+                    let rhs = if node == s {
+                        1.0
+                    } else if node == t {
+                        -1.0
+                    } else {
+                        0.0
+                    };
+                    if !terms.is_empty() || rhs != 0.0 {
+                        problem.add_eq(terms, rhs);
+                    }
+                }
+
+                // Coupling: MW arcs only usable if the link is built.
+                for (arc_idx, &(_, _, _, mw)) in arcs.iter().enumerate() {
+                    if let Some(pos) = mw {
+                        problem.add_le(vec![(flow_vars[arc_idx], 1.0), (x_vars[pos], -1.0)], 0.0);
+                    }
+                }
+            }
+
+            let stats = IlpModelStats {
+                num_vars: problem.num_vars(),
+                num_constraints: problem.num_constraints(),
+                num_candidates: pool.len(),
+                num_commodities: commodities.len(),
+            };
+
+            Self {
+                problem,
+                x_vars,
+                candidate_pool: pool.to_vec(),
+                stats,
+            }
+        }
+
+        /// Model-size statistics.
+        fn stats(&self) -> IlpModelStats {
+            self.stats
+        }
+
+        /// Solve the ILP and convert the result into a [`DesignOutcome`]. The
+        /// model is never infeasible: fiber only satisfies every constraint.
+        fn solve(
+            &self,
+            input: &DesignInput,
+            options: &MilpOptions,
+        ) -> Result<DesignOutcome, ExactSolveError> {
+            let solution = solve_milp(&self.problem, options).map_err(|e| match e {
+                MilpError::Infeasible => panic!("design ILP unexpectedly infeasible"),
+                _ => ExactSolveError::LimitReached,
+            })?;
+            if !solution.proven_optimal {
+                return Err(ExactSolveError::LimitReached);
+            }
+            let selected: Vec<usize> = self
+                .candidate_pool
+                .iter()
+                .zip(&self.x_vars)
+                .filter(|(_, x)| solution.values[x.index()] > 0.5)
+                .map(|(&idx, _)| idx)
+                .collect();
+            Ok(outcome_from_selection(input, &selected))
+        }
+    }
 
     fn synthetic_input(n: usize) -> DesignInput {
         let sites: Vec<GeoPoint> = (0..n)

@@ -14,11 +14,12 @@
 //!    link's latency and its tower count is the link's cost.
 //! 3. **Topology design** ([`design`], [`ilp`]): choose the subset of links
 //!    to build under a tower budget, minimising traffic-weighted mean
-//!    stretch. The exact flow-based ILP ([`ilp`]) is solved with the
-//!    workspace's own MILP solver at small scale; the scalable cISP
-//!    heuristic ([`design`]) uses the paper's greedy candidate pruning plus
-//!    a swap-based refinement, running on the incremental delta-scoring
-//!    engine and its persistent worker shards (the private `engine` module).
+//!    stretch. The exact subset search ([`ilp`]) is cross-checked in tests
+//!    against the flow-based ILP on the workspace's own MILP solver; the
+//!    scalable cISP heuristic ([`design`]) uses the paper's greedy
+//!    candidate pruning plus a swap-based refinement, running on the
+//!    incremental delta-scoring engine and its persistent worker shards
+//!    (the private `engine` module).
 //! 4. **Capacity augmentation** ([`augment`]): parallel tower series (the k²
 //!    trick of §3.3) sized from per-link traffic, with new towers charged to
 //!    the cost model ([`cost`]).
@@ -58,7 +59,7 @@ pub mod topology;
 
 pub use cost::CostModel;
 pub use design::{DesignInput, DesignOutcome, Designer};
-pub use economics::{rank_upgrades, UpgradeConfig, UpgradeOption, UpgradeRanking};
-pub use hops::{HopConfig, HopFeasibility, HopSweepStats};
+pub use economics::{rank_upgrades, UpgradeConfig, UpgradeRanking};
+pub use hops::{HopConfig, HopFeasibility};
 pub use links::{CandidateLink, LinkBuilder};
 pub use topology::HybridTopology;

@@ -26,12 +26,11 @@ use cisp_data::towers::TowerRegistry;
 use cisp_geo::{geodesic, GeoPoint};
 use cisp_graph::{CsrGraph, DistMatrix, SearchCore};
 use cisp_netsim::jobs::{drain_jobs, resolve_workers};
-use serde::{Deserialize, Serialize};
 
 use crate::hops::FeasibleHop;
 
 /// A candidate direct microwave link between two sites.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateLink {
     /// Index of the first site (lower index).
     pub site_a: usize,
@@ -45,19 +44,8 @@ pub struct CandidateLink {
     pub tower_path: Vec<usize>,
 }
 
-impl CandidateLink {
-    /// Stretch of the microwave path over the geodesic between the sites.
-    pub fn stretch_over(&self, geodesic_km: f64) -> f64 {
-        if geodesic_km <= 0.0 {
-            1.0
-        } else {
-            self.mw_length_km / geodesic_km
-        }
-    }
-}
-
 /// Configuration for attaching sites to the tower graph.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LinkBuilderConfig {
     /// Towers within this distance of a site can serve as the first/last
     /// tower of its links.
@@ -77,7 +65,7 @@ impl Default for LinkBuilderConfig {
 /// A site with zero attached towers can never originate a microwave link
 /// no matter how dense the hop graph is; surfacing those sites up front
 /// turns a silent empty-pool symptom into a diagnosable input problem.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttachmentReport {
     /// Number of towers attached to each site, indexed by site.
     pub attached_per_site: Vec<usize>,
@@ -93,16 +81,11 @@ impl AttachmentReport {
             .map(|(s, _)| s)
             .collect()
     }
-
-    /// Smallest per-site attachment count (0 when any site is stranded).
-    pub fn min_attached(&self) -> usize {
-        self.attached_per_site.iter().copied().min().unwrap_or(0)
-    }
 }
 
 /// Wall-clock split of one pool-generation run, summed across workers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct PoolSearchTimings {
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct PoolSearchTimings {
     /// Time spent in per-site shortest-path searches, milliseconds.
     pub search_ms: f64,
     /// Time spent extracting paths and assembling links, milliseconds.
@@ -237,7 +220,7 @@ impl<'a> LinkBuilder<'a> {
 
     /// [`Self::pruned_candidate_links_with`] plus a wall-clock split of the
     /// search and extraction stages (summed across workers).
-    pub fn pruned_candidate_links_profiled(
+    pub(crate) fn pruned_candidate_links_profiled(
         &self,
         fiber_km: &DistMatrix,
         workers: usize,
@@ -348,7 +331,7 @@ struct SiteSearchCtx {
 /// Observational counters of one
 /// [`LinkBuilder::pruned_candidate_links_with`] run: how each unordered site
 /// pair was resolved. The categories partition `pairs_total`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolPruneStats {
     /// Unordered site pairs considered (`n·(n−1)/2`).
     pub pairs_total: u64,
@@ -483,11 +466,8 @@ mod tests {
             .candidate_link(0, 1)
             .expect("link should exist");
         let geo = geodesic::distance_km(sites[0], sites[1]);
-        assert!(
-            link.stretch_over(geo) < 1.05,
-            "stretch {}",
-            link.stretch_over(geo)
-        );
+        let stretch = link.mw_length_km / geo;
+        assert!(stretch < 1.05, "stretch {stretch}");
         assert!(link.tower_count >= 5, "towers {}", link.tower_count);
         assert_eq!(link.site_a, 0);
         assert_eq!(link.site_b, 1);
@@ -650,7 +630,6 @@ mod tests {
         let report = builder.attachment_report();
         assert_eq!(report.attached_per_site, vec![1, 0]);
         assert_eq!(report.zero_attached(), vec![1]);
-        assert_eq!(report.min_attached(), 0);
         // The report mirrors the graph's own attachment counts.
         for s in 0..sites.len() {
             assert_eq!(report.attached_per_site[s], builder.attached_towers(s));
@@ -664,7 +643,7 @@ mod tests {
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
         let report = builder.attachment_report();
         assert!(report.zero_attached().is_empty());
-        assert!(report.min_attached() >= 1);
+        assert!(report.attached_per_site.iter().all(|&n| n >= 1));
     }
 
     #[test]
@@ -695,18 +674,5 @@ mod tests {
             builder.pruned_candidate_links_with(&fiber, 1)
         );
         assert!(timings.search_ms >= 0.0 && timings.extract_ms >= 0.0);
-    }
-
-    #[test]
-    fn stretch_over_zero_geodesic_is_one() {
-        let link = CandidateLink {
-            site_a: 0,
-            site_b: 1,
-            mw_length_km: 10.0,
-            tower_count: 2,
-            tower_path: vec![0, 1],
-        };
-        assert_eq!(link.stretch_over(0.0), 1.0);
-        assert!((link.stretch_over(8.0) - 1.25).abs() < 1e-12);
     }
 }

@@ -22,7 +22,6 @@ use cisp_data::{
 use cisp_geo::GeoPoint;
 use cisp_graph::DistMatrix;
 use cisp_terrain::{clutter::ClutterModel, TerrainModel};
-use serde::{Deserialize, Serialize};
 
 use crate::augment::{augment_for_throughput, AugmentConfig, Augmentation};
 use crate::cost::{CostBreakdown, CostModel};
@@ -34,7 +33,7 @@ use crate::topology::HybridTopology;
 use std::time::Instant;
 
 /// Which terrain model a scenario uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TerrainKind {
     /// The region's synthetic terrain (mountains and all).
     Regional,
@@ -43,7 +42,7 @@ pub enum TerrainKind {
 }
 
 /// Full configuration of a deployment scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Master seed for all synthetic datasets.
     pub seed: u64,
@@ -128,7 +127,7 @@ impl ScenarioConfig {
 ///
 /// `search_ms`/`extract_ms` are summed across workers (one per core), so
 /// they can exceed their share of the elapsed `total_ms`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PoolBuildProfile {
     /// Hop feasibility sweep (terrain/Fresnel clearance over all pairs).
     pub hop_sweep_ms: f64,
@@ -392,7 +391,7 @@ mod tests {
                 s.design_input().sites[link.site_b],
             );
             assert!(link.mw_length_km >= geo - 1e-6);
-            assert!(link.stretch_over(geo) < 1.6, "very indirect candidate");
+            assert!(link.mw_length_km / geo < 1.6, "very indirect candidate");
         }
     }
 

@@ -23,7 +23,6 @@ use cisp_geo::latency::StretchAccumulator;
 use cisp_geo::units::FIBER_LATENCY_FACTOR;
 use cisp_geo::{geodesic, latency, GeoPoint};
 use cisp_graph::{pair_index, BitSet, DistMatrix, PathStore};
-use serde::{Deserialize, Serialize};
 
 use crate::links::CandidateLink;
 
@@ -225,7 +224,7 @@ impl ScoringWeights {
     /// starting matrix covers every later round. Non-metric inputs (e.g.
     /// arbitrary test fixtures) simply leave it disabled and every row is
     /// scanned.
-    pub fn enable_gain_bounds(&mut self, effective: &DistMatrix) -> bool {
+    pub(crate) fn enable_gain_bounds(&mut self, effective: &DistMatrix) -> bool {
         if effective.is_metric_within(METRIC_REL_TOL) {
             let max_finite = effective
                 .as_slice()
@@ -247,7 +246,7 @@ impl ScoringWeights {
     /// Proof sketch: `d(s,i) + m + d(j,t) < d(s,t) <= d(s,j) + d(j,t)`
     /// forces `d(s,i) + m < d(s,j)` (and symmetrically for the other via
     /// orientation); the slack absorbs the metricity check's tolerance.
-    pub fn row_skip_slack_km(&self) -> Option<f64> {
+    pub(crate) fn row_skip_slack_km(&self) -> Option<f64> {
         self.row_skip_slack_km
     }
 }
@@ -313,7 +312,7 @@ pub fn mean_stretch_with_link_compact(
 
 /// One directed hop of a conduit route: which physical segment the route
 /// traverses and in which direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConduitHop {
     /// Index into [`ConduitLayer::segments`].
     pub segment: u32,
@@ -330,7 +329,7 @@ pub struct ConduitHop {
 /// pair), and each demand's fiber fallback rides its pair's stored hops —
 /// so concurrent demands queue against each other on shared conduits, and
 /// cutting a segment severs every route that traverses it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConduitLayer {
     /// The physical conduit segments, in the fiber network's order.
     segments: Vec<FiberLink>,
@@ -383,7 +382,7 @@ impl ConduitLayer {
 }
 
 /// The designed hybrid network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HybridTopology {
     /// Site locations.
     sites: Vec<GeoPoint>,
@@ -524,7 +523,7 @@ impl HybridTopology {
 
     /// Effective latency-equivalent distance between two sites in km over the
     /// built network.
-    pub fn effective_km(&self, a: usize, b: usize) -> f64 {
+    pub(crate) fn effective_km(&self, a: usize, b: usize) -> f64 {
         self.effective_km.get(a, b)
     }
 
@@ -564,18 +563,6 @@ impl HybridTopology {
         weighted_mean_stretch(&self.effective_km, &self.geodesic_km, &self.traffic)
     }
 
-    /// Unweighted stretch values for every pair with positive geodesic
-    /// distance (used for CDFs such as Fig. 7).
-    pub fn all_stretches(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        for (i, j, eff) in self.effective_km.upper_triangle() {
-            if self.geodesic_km.get(i, j) > 0.0 && eff.is_finite() {
-                out.push(self.stretch(i, j));
-            }
-        }
-        out
-    }
-
     /// Mean stretch that would result from additionally building `link`,
     /// without mutating the topology. Used by the greedy designer to score
     /// candidates.
@@ -588,12 +575,6 @@ impl HybridTopology {
             link.site_b,
             link.mw_length_km,
         )
-    }
-
-    /// Total cost, in towers, of the built microwave links (the budget
-    /// currency of the design problem).
-    pub fn total_tower_cost(&self) -> usize {
-        self.mw_links.iter().map(|l| l.tower_count).sum()
     }
 
     /// The surviving links of a disabled-set as batch-commit triples.
@@ -677,7 +658,6 @@ mod tests {
         // Stretch = 2.0 everywhere by construction.
         assert!((topo.mean_stretch() - 2.0).abs() < 1e-9);
         assert!((topo.stretch(0, 2) - 2.0).abs() < 1e-9);
-        assert_eq!(topo.total_tower_cost(), 0);
     }
 
     #[test]
@@ -691,7 +671,6 @@ mod tests {
         // Other pairs may also improve (via the new link), never get worse.
         assert!(topo.stretch(0, 1) <= 2.0 + 1e-9);
         assert!(topo.mean_stretch() < 2.0);
-        assert_eq!(topo.total_tower_cost(), 8);
     }
 
     #[test]
@@ -888,8 +867,12 @@ mod tests {
         let fiber = fiber_matrix(&sites);
         let mut topo = HybridTopology::new(sites, uniform_traffic(3), fiber);
         topo.add_mw_link(mw_link(0, 1, geo01 * 1.0, 3));
-        for s in topo.all_stretches() {
-            assert!(s >= 1.0 - 1e-9, "stretch {s} below physical bound");
+        for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+            let s = topo.stretch(i, j);
+            assert!(
+                s >= 1.0 - 1e-9,
+                "stretch {s} of ({i}, {j}) below physical bound"
+            );
         }
     }
 

@@ -4,15 +4,14 @@
 //! contiguous United States. In addition, we coalesce suburbs and cities
 //! within 50 km of each other, ending up with 120 population centers." This
 //! module provides the [`City`] type, the embedded US and EU city tables, and
-//! [`coalesce_cities`], which implements exactly that merge.
+//! `coalesce_cities`, which implements exactly that merge.
 
 use cisp_geo::{geodesic, GeoPoint};
-use serde::{Deserialize, Serialize};
 
 use crate::{eu_cities::EU_CITIES, us_cities::US_CITIES};
 
 /// A city or coalesced population center.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct City {
     /// Name of the city (for coalesced centers, the name of the most populous
     /// constituent city).
@@ -36,7 +35,7 @@ impl City {
 }
 
 /// Geographic region of a deployment scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Region {
     /// Contiguous United States.
     UnitedStates,
@@ -56,7 +55,7 @@ impl Region {
 
     /// All raw (pre-coalescing) cities of the region, ordered by decreasing
     /// population.
-    pub fn raw_cities(&self) -> Vec<City> {
+    pub(crate) fn raw_cities(&self) -> Vec<City> {
         let table = match self {
             Region::UnitedStates => US_CITIES,
             Region::Europe => EU_CITIES,
@@ -78,7 +77,7 @@ pub fn us_top_cities(n: usize) -> Vec<City> {
 }
 
 /// European cities with population at least `min_population`.
-pub fn eu_cities_above(min_population: u64) -> Vec<City> {
+pub(crate) fn eu_cities_above(min_population: u64) -> Vec<City> {
     Region::Europe
         .raw_cities()
         .into_iter()
@@ -92,7 +91,7 @@ pub fn eu_cities_above(min_population: u64) -> Vec<City> {
 /// with a map: take the most populous unassigned city, absorb every
 /// unassigned city within `radius_km` of it, and repeat. The center keeps the
 /// anchor city's name and location and the summed population.
-pub fn coalesce_cities(cities: &[City], radius_km: f64) -> Vec<City> {
+pub(crate) fn coalesce_cities(cities: &[City], radius_km: f64) -> Vec<City> {
     assert!(radius_km >= 0.0);
     let mut sorted: Vec<&City> = cities.iter().collect();
     sorted.sort_by(|a, b| b.population.cmp(&a.population).then(a.name.cmp(&b.name)));

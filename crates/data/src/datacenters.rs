@@ -5,10 +5,9 @@
 //! County GA, Lenoir NC, Mayes County OK, and The Dalles OR.
 
 use cisp_geo::{geodesic, GeoPoint};
-use serde::{Deserialize, Serialize};
 
 /// A wide-area data-center site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataCenter {
     /// Site name.
     pub name: String,

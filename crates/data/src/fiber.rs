@@ -20,13 +20,12 @@
 use cisp_geo::{geodesic, units::FIBER_LATENCY_FACTOR, GeoPoint};
 use cisp_graph::{pair_count, CsrGraph, DistMatrix, PathStore, SearchCore};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::cities::City;
 use crate::rng::seeded_rng;
 
 /// A fiber conduit segment between two cities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiberLink {
     /// Index of one endpoint city.
     pub a: usize,
@@ -37,7 +36,7 @@ pub struct FiberLink {
 }
 
 /// Configuration of the synthetic conduit generator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FiberConfig {
     /// Number of nearest neighbours each city is connected to.
     pub neighbors_per_city: usize,
@@ -67,7 +66,7 @@ impl Default for FiberConfig {
 /// [`FiberNetwork::route_csr`]). Unconnected pairs store an empty path.
 ///
 /// [`pair_index`]: cisp_graph::pair_index
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConduitRoutes {
     /// Shortest conduit route length per pair (km, `INFINITY` where
     /// unconnected, zero diagonal).
@@ -79,7 +78,7 @@ pub struct ConduitRoutes {
 }
 
 /// The synthetic fiber conduit network over a set of sites.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FiberNetwork {
     sites: Vec<GeoPoint>,
     links: Vec<FiberLink>,
@@ -177,14 +176,6 @@ impl FiberNetwork {
         )
     }
 
-    /// Shortest fiber *route length* (km, physical conduit distance) between
-    /// two sites, if connected.
-    pub fn shortest_route_km(&self, from: usize, to: usize) -> Option<f64> {
-        let mut core = SearchCore::new();
-        core.search(&self.route_csr(), from, &[to], f64::INFINITY);
-        core.settled(to).then(|| core.dist(to))
-    }
-
     /// One full search per source site over [`Self::route_csr`], `visit`ed
     /// when it finishes; returns the distances as a matrix, row per source.
     fn search_from_every_site(&self, mut visit: impl FnMut(usize, &SearchCore)) -> DistMatrix {
@@ -203,14 +194,14 @@ impl FiberNetwork {
     /// All-pairs shortest fiber route lengths, as a flat matrix in
     /// kilometres (`f64::INFINITY` where unconnected), bit-identical to the
     /// adjacency-list reference (pinned by the search parity suites).
-    pub fn route_distance_matrix(&self) -> DistMatrix {
+    pub(crate) fn route_distance_matrix(&self) -> DistMatrix {
         self.search_from_every_site(|_, _| {})
     }
 
     /// All-pairs shortest conduit routes: the route-length matrix together
     /// with the conduit-hop path realising each pair, from the same searches
     /// (so `routes.route_km` is bit-identical to
-    /// [`Self::route_distance_matrix`]). This is what the conduit-backed
+    /// `Self::route_distance_matrix`). This is what the conduit-backed
     /// topology constructor consumes.
     pub fn shortest_routes(&self) -> ConduitRoutes {
         let n = self.sites.len();
@@ -232,29 +223,6 @@ impl FiberNetwork {
         let mut matrix = self.route_distance_matrix();
         matrix.map_in_place(|d| d * FIBER_LATENCY_FACTOR);
         matrix
-    }
-
-    /// Mean stretch of shortest fiber paths relative to c-latency across all
-    /// connected pairs (the paper's InterTubes number is 1.93×).
-    pub fn mean_latency_stretch(&self) -> f64 {
-        let matrix = self.route_distance_matrix();
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for i in 0..self.sites.len() {
-            for j in (i + 1)..self.sites.len() {
-                let geo = geodesic::distance_km(self.sites[i], self.sites[j]);
-                if geo < 1.0 || !matrix[i][j].is_finite() {
-                    continue;
-                }
-                total += matrix[i][j] * FIBER_LATENCY_FACTOR / geo;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            f64::NAN
-        } else {
-            total / count as f64
-        }
     }
 }
 
@@ -298,7 +266,18 @@ mod tests {
     #[test]
     fn mean_latency_stretch_matches_intertubes_ballpark() {
         let net = us_network();
-        let stretch = net.mean_latency_stretch();
+        let latency_km = net.latency_equivalent_matrix();
+        let sites = net.sites();
+        let mut stretches = Vec::new();
+        for i in 0..sites.len() {
+            for j in (i + 1)..sites.len() {
+                let geo = geodesic::distance_km(sites[i], sites[j]);
+                if geo >= 1.0 && latency_km[i][j].is_finite() {
+                    stretches.push(latency_km[i][j] / geo);
+                }
+            }
+        }
+        let stretch = stretches.iter().sum::<f64>() / stretches.len() as f64;
         // Paper: 1.93×. The synthetic network should land in the same band.
         assert!(
             stretch > 1.7 && stretch < 2.3,
@@ -317,8 +296,9 @@ mod tests {
     #[test]
     fn shortest_route_is_symmetric() {
         let net = us_network();
-        let a = net.shortest_route_km(0, 10).unwrap();
-        let b = net.shortest_route_km(10, 0).unwrap();
+        let m = net.route_distance_matrix();
+        let (a, b) = (m[0][10], m[10][0]);
+        assert!(a.is_finite());
         assert!((a - b).abs() < 1e-9);
     }
 
@@ -343,7 +323,7 @@ mod tests {
                 route_km: 200.0,
             }],
         );
-        assert_eq!(net.shortest_route_km(0, 1), Some(200.0));
+        assert_eq!(net.route_distance_matrix()[0][1], 200.0);
     }
 
     #[test]

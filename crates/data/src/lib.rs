@@ -32,7 +32,7 @@ pub mod rng;
 pub mod towers;
 pub mod us_cities;
 
-pub use cities::{coalesce_cities, City, Region};
+pub use cities::{City, Region};
 pub use datacenters::google_us_datacenters;
 pub use fiber::{FiberLink, FiberNetwork};
 pub use towers::{Tower, TowerRegistry, TowerRegistryConfig};

@@ -4,7 +4,7 @@
 //! generated from a single experiment seed. To keep the datasets independent
 //! of each other — so that, say, changing the tower count does not silently
 //! reshuffle the weather — each consumer derives its own stream seed with
-//! [`derive_seed`] using a domain label.
+//! `derive_seed` using a domain label.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,7 +29,7 @@ fn hash_label(label: &str) -> u64 {
 }
 
 /// Derive a stream seed from a master seed and a domain label.
-pub fn derive_seed(master_seed: u64, label: &str) -> u64 {
+pub(crate) fn derive_seed(master_seed: u64, label: &str) -> u64 {
     splitmix64(master_seed ^ hash_label(label))
 }
 

@@ -21,13 +21,12 @@ use std::collections::HashMap;
 
 use cisp_geo::{geodesic, GeoPoint};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::cities::City;
 use crate::rng::seeded_rng;
 
 /// Where a synthetic tower "came from", mirroring the paper's data sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TowerSource {
     /// FCC Antenna Structure Registration-like entry (subject to the 100 m
     /// height rule).
@@ -37,7 +36,7 @@ pub enum TowerSource {
 }
 
 /// A single tower.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tower {
     /// Ground location of the tower.
     pub location: GeoPoint,
@@ -48,7 +47,7 @@ pub struct Tower {
 }
 
 /// Configuration of the synthetic registry generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TowerRegistryConfig {
     /// Number of towers to generate *before* culling.
     pub raw_count: usize,
@@ -89,11 +88,10 @@ impl TowerRegistryConfig {
 }
 
 /// The culled tower registry with a spatial index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TowerRegistry {
     towers: Vec<Tower>,
     /// Grid index: 0.5°-cell → tower indices, for range queries.
-    #[serde(skip)]
     grid: GridIndex,
 }
 
@@ -160,14 +158,6 @@ impl GridIndex {
             Ok(k) => &self.items[self.offsets[k] as usize..self.offsets[k + 1] as usize],
             Err(_) => &[],
         }
-    }
-
-    fn max_occupancy(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -330,11 +320,6 @@ impl TowerRegistry {
         }
         pairs
     }
-
-    /// Histogram of towers per 0.5° cell (diagnostics / tests).
-    pub fn max_cell_occupancy(&self) -> usize {
-        self.grid.max_occupancy()
-    }
 }
 
 #[cfg(test)]
@@ -383,7 +368,11 @@ mod tests {
     #[test]
     fn culling_respects_cell_cap() {
         let reg = small_registry(4);
-        assert!(reg.max_cell_occupancy() <= 50);
+        let mut per_cell = std::collections::HashMap::new();
+        for t in reg.towers() {
+            *per_cell.entry(t.location.grid_cell(CELL_DEG)).or_insert(0) += 1;
+        }
+        assert!(per_cell.values().all(|&n| n <= 50), "{per_cell:?}");
     }
 
     #[test]
@@ -472,7 +461,6 @@ mod tests {
     fn from_towers_roundtrip_and_empty() {
         let empty = TowerRegistry::from_towers(Vec::new());
         assert!(empty.is_empty());
-        assert_eq!(empty.max_cell_occupancy(), 0);
         assert!(empty
             .towers_within(GeoPoint::new(0.0, 0.0), 50.0)
             .is_empty());

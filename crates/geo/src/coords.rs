@@ -5,7 +5,6 @@
 //! a plain `(lat, lon)` pair in degrees with a handful of convenience methods;
 //! all heavier geometry lives in [`crate::geodesic`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point on the Earth's surface, given by latitude and longitude in degrees.
@@ -14,7 +13,7 @@ use std::fmt;
 /// ordered lexicographically (latitude first) so it can be used as a map key
 /// after quantisation; exact float equality is intentional because points in
 /// this workspace come from datasets, not from accumulation of arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees, in `[-90, 90]`.
     pub lat_deg: f64,
@@ -50,13 +49,13 @@ impl GeoPoint {
 
     /// Latitude in radians.
     #[inline]
-    pub fn lat_rad(&self) -> f64 {
+    pub(crate) fn lat_rad(&self) -> f64 {
         self.lat_deg.to_radians()
     }
 
     /// Longitude in radians.
     #[inline]
-    pub fn lon_rad(&self) -> f64 {
+    pub(crate) fn lon_rad(&self) -> f64 {
         self.lon_deg.to_radians()
     }
 
@@ -90,7 +89,7 @@ impl GeoPoint {
 
     /// Reconstruct a point from a unit vector; the inverse of
     /// [`GeoPoint::to_unit_vector`] up to floating-point error.
-    pub fn from_unit_vector(v: [f64; 3]) -> Self {
+    pub(crate) fn from_unit_vector(v: [f64; 3]) -> Self {
         let norm = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
         let x = v[0] / norm;
         let y = v[1] / norm;
@@ -105,27 +104,6 @@ impl GeoPoint {
 impl fmt::Display for GeoPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({:.4}°, {:.4}°)", self.lat_deg, self.lon_deg)
-    }
-}
-
-/// A point together with a height above ground level, e.g. a tower-mounted
-/// antenna. Heights are metres above the local terrain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SitedPoint {
-    /// Ground location.
-    pub location: GeoPoint,
-    /// Height of the antenna mount above ground, in metres.
-    pub height_above_ground_m: f64,
-}
-
-impl SitedPoint {
-    /// Create a sited point; the height must be non-negative.
-    pub fn new(location: GeoPoint, height_above_ground_m: f64) -> Self {
-        debug_assert!(height_above_ground_m >= 0.0);
-        Self {
-            location,
-            height_above_ground_m,
-        }
     }
 }
 

@@ -39,7 +39,7 @@ pub fn fresnel_radius_midpoint_m(hop_km: f64, freq_ghz: f64) -> f64 {
 
 /// Earth-curvature bulge height at a point `d1_km` from one end and `d2_km`
 /// from the other, for refraction factor `k`, in metres.
-pub fn earth_bulge_m(d1_km: f64, d2_km: f64, k: f64) -> f64 {
+pub(crate) fn earth_bulge_m(d1_km: f64, d2_km: f64, k: f64) -> f64 {
     assert!(k > 0.0, "K-factor must be positive");
     d1_km * d2_km / (12.75 * k)
 }
@@ -55,7 +55,7 @@ pub fn earth_bulge_midpoint_m(hop_km: f64, k: f64) -> f64 {
 /// Total clearance (in metres, above the straight chord between the two
 /// antennas) that an obstacle at `d1_km`/`d2_km` must stay below for the hop
 /// to be viable: Earth bulge plus a fully clear first Fresnel zone.
-pub fn required_clearance_m(d1_km: f64, d2_km: f64, freq_ghz: f64, k: f64) -> f64 {
+pub(crate) fn required_clearance_m(d1_km: f64, d2_km: f64, freq_ghz: f64, k: f64) -> f64 {
     earth_bulge_m(d1_km, d2_km, k) + fresnel_radius_m(d1_km, d2_km, freq_ghz)
 }
 
@@ -65,7 +65,7 @@ pub fn required_clearance_m(d1_km: f64, d2_km: f64, freq_ghz: f64, k: f64) -> f6
 ///
 /// `h_a_m` and `h_b_m` are the antenna heights above some common datum (e.g.
 /// metres above sea level); `frac` is the fractional distance from A to B.
-pub fn line_of_sight_height_m(h_a_m: f64, h_b_m: f64, frac: f64) -> f64 {
+pub(crate) fn line_of_sight_height_m(h_a_m: f64, h_b_m: f64, frac: f64) -> f64 {
     assert!((0.0..=1.0).contains(&frac));
     h_a_m + (h_b_m - h_a_m) * frac
 }
@@ -86,12 +86,12 @@ pub struct ClearanceSample {
 impl ClearanceSample {
     /// Margin in metres between the bottom of the required clearance zone and
     /// the obstacle. Non-negative margins mean the sample is clear.
-    pub fn margin_m(&self) -> f64 {
+    pub(crate) fn margin_m(&self) -> f64 {
         (self.sight_line_m - self.required_m) - self.obstacle_m
     }
 
     /// Whether the obstacle stays out of the required clearance zone.
-    pub fn is_clear(&self) -> bool {
+    pub(crate) fn is_clear(&self) -> bool {
         self.margin_m() >= 0.0
     }
 }
@@ -173,7 +173,7 @@ pub fn sample_headroom_m(
 /// per pair; because the per-sample expressions are the same, the boolean
 /// verdict is bit-identical to the allocating path.
 #[inline]
-pub fn sample_margin_m(
+pub(crate) fn sample_margin_m(
     hop_km: f64,
     h_a_m: f64,
     h_b_m: f64,
@@ -185,7 +185,7 @@ pub fn sample_margin_m(
     sample_headroom_m(hop_km, h_a_m, h_b_m, frac, freq_ghz, k) - obstacle_m
 }
 
-/// Whether one profile sample is clear; see [`sample_margin_m`].
+/// Whether one profile sample is clear; see `sample_margin_m`.
 #[inline]
 pub fn sample_is_clear(
     hop_km: f64,

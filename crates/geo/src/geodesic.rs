@@ -24,7 +24,7 @@ pub fn distance_km(a: GeoPoint, b: GeoPoint) -> f64 {
 }
 
 /// Central angle between two points, in radians.
-pub fn central_angle_rad(a: GeoPoint, b: GeoPoint) -> f64 {
+pub(crate) fn central_angle_rad(a: GeoPoint, b: GeoPoint) -> f64 {
     distance_km(a, b) / EARTH_RADIUS_KM
 }
 
@@ -190,12 +190,6 @@ pub fn cross_track_distance_km(a: GeoPoint, b: GeoPoint, p: GeoPoint) -> f64 {
     (delta13.sin() * (theta13 - theta12).sin()).asin().abs() * EARTH_RADIUS_KM
 }
 
-/// Total length, in km, of a polyline of points (sum of consecutive
-/// great-circle segment lengths). Returns 0 for fewer than two points.
-pub fn path_length_km(points: &[GeoPoint]) -> f64 {
-    points.windows(2).map(|w| distance_km(w[0], w[1])).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,7 +260,7 @@ mod tests {
     fn sample_path_lengths_sum_to_total() {
         let pts = sample_path(nyc(), la(), 50);
         assert_eq!(pts.len(), 50);
-        let total = path_length_km(&pts);
+        let total: f64 = pts.windows(2).map(|w| distance_km(w[0], w[1])).sum();
         assert!((total - distance_km(nyc(), la())).abs() < 1e-6);
     }
 
@@ -327,11 +321,5 @@ mod tests {
         let detour_len = distance_km(a, detour_mid) + distance_km(detour_mid, b);
         let stretch = detour_len / distance_km(a, b);
         assert!(stretch < 1.002, "stretch was {stretch}");
-    }
-
-    #[test]
-    fn path_length_of_degenerate_inputs() {
-        assert_eq!(path_length_km(&[]), 0.0);
-        assert_eq!(path_length_km(&[nyc()]), 0.0);
     }
 }

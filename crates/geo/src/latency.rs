@@ -5,28 +5,13 @@
 //! c-latency of its endpoints. A stretch of 1.0 means "as fast as physics
 //! allows"; today's Internet averages 3–4× and fiber shortest paths ~1.9×.
 
-use crate::units::{FIBER_LATENCY_FACTOR, SPEED_OF_LIGHT_KM_PER_S};
+use crate::units::SPEED_OF_LIGHT_KM_PER_S;
 
 /// One-way propagation latency of `distance_km` at the speed of light, in
 /// milliseconds.
 #[inline]
 pub fn c_latency_ms(distance_km: f64) -> f64 {
     distance_km / SPEED_OF_LIGHT_KM_PER_S * 1_000.0
-}
-
-/// One-way propagation latency of `distance_km` at the speed of light, in
-/// microseconds.
-#[inline]
-pub fn c_latency_us(distance_km: f64) -> f64 {
-    distance_km / SPEED_OF_LIGHT_KM_PER_S * 1_000_000.0
-}
-
-/// One-way propagation latency of a *fiber route* of physical length
-/// `route_km`, in milliseconds — i.e. with the ~2c/3 propagation speed of
-/// light in silica applied.
-#[inline]
-pub fn fiber_latency_ms(route_km: f64) -> f64 {
-    c_latency_ms(route_km * FIBER_LATENCY_FACTOR)
 }
 
 /// Round-trip time in milliseconds of a one-way path latency.
@@ -127,6 +112,7 @@ pub fn weighted_mean_stretch(pairs: &[(f64, f64)]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::units::FIBER_LATENCY_FACTOR;
 
     #[test]
     fn c_latency_of_known_distances() {
@@ -135,14 +121,12 @@ mod tests {
         // NYC-LA ≈ 3936 km → ≈ 13.1 ms one-way.
         let ms = c_latency_ms(3936.0);
         assert!((ms - 13.13).abs() < 0.05, "ms = {ms}");
-        // Microseconds variant is 1000× the milliseconds variant.
-        assert!((c_latency_us(123.0) - c_latency_ms(123.0) * 1000.0).abs() < 1e-9);
     }
 
     #[test]
     fn fiber_is_fifty_percent_slower() {
         let d = 1000.0;
-        assert!((fiber_latency_ms(d) / c_latency_ms(d) - 1.5).abs() < 1e-12);
+        assert!((c_latency_ms(d * FIBER_LATENCY_FACTOR) / c_latency_ms(d) - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -161,7 +145,7 @@ mod tests {
         // A fiber route 1.3× longer than the geodesic has stretch 1.95.
         let geo = 1000.0;
         let route = 1300.0;
-        let s = stretch(fiber_latency_ms(route), geo);
+        let s = stretch(c_latency_ms(route * FIBER_LATENCY_FACTOR), geo);
         assert!((s - 1.95).abs() < 1e-9, "s = {s}");
     }
 

@@ -37,8 +37,8 @@
 //! assert!(fresnel_m > 20.0 && bulge_m > 100.0);
 //!
 //! // c-latency of the hop, one way.
-//! let us = latency::c_latency_us(d);
-//! assert!(us > 300.0 && us < 340.0);
+//! let ms = latency::c_latency_ms(d);
+//! assert!(ms > 0.300 && ms < 0.340);
 //! ```
 
 pub mod coords;
@@ -49,4 +49,4 @@ pub mod units;
 
 pub use coords::GeoPoint;
 pub use geodesic::TrigPoint;
-pub use latency::{c_latency_ms, c_latency_us, fiber_latency_ms, stretch};
+pub use latency::{c_latency_ms, stretch};

@@ -35,30 +35,6 @@ pub const DEFAULT_K_FACTOR: f64 = 1.3;
 /// conditions (§2, "A maximum range of around 100 km is practicable").
 pub const DEFAULT_MAX_HOP_KM: f64 = 100.0;
 
-/// Convert kilometres to metres.
-#[inline]
-pub fn km_to_m(km: f64) -> f64 {
-    km * 1_000.0
-}
-
-/// Convert metres to kilometres.
-#[inline]
-pub fn m_to_km(m: f64) -> f64 {
-    m / 1_000.0
-}
-
-/// Convert degrees to radians.
-#[inline]
-pub fn deg_to_rad(deg: f64) -> f64 {
-    deg.to_radians()
-}
-
-/// Convert radians to degrees.
-#[inline]
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad.to_degrees()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,12 +54,5 @@ mod tests {
     fn fiber_factor_matches_refractive_index() {
         // n ≈ 1.468 for silica; the paper rounds to 1.5.
         assert!((FIBER_LATENCY_FACTOR - 1.5).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn unit_conversions_roundtrip() {
-        assert!((km_to_m(1.234) - 1234.0).abs() < 1e-9);
-        assert!((m_to_km(km_to_m(42.5)) - 42.5).abs() < 1e-12);
-        assert!((rad_to_deg(deg_to_rad(123.4)) - 123.4).abs() < 1e-9);
     }
 }

@@ -5,12 +5,10 @@
 //! with `contains` is an O(k) scan per query; [`BitSet`] answers in one word
 //! load.
 
-use serde::{Deserialize, Serialize};
-
 const WORD_BITS: usize = 64;
 
 /// A fixed-capacity set of `usize` indices backed by `u64` words.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,

@@ -28,7 +28,7 @@
 use crate::graph::Graph;
 
 /// Sentinel for "no predecessor" in [`SearchCore`](crate::SearchCore).
-pub const NO_EDGE: u32 = u32::MAX;
+pub(crate) const NO_EDGE: u32 = u32::MAX;
 
 /// A directed graph in compressed-sparse-row form.
 #[derive(Debug, Clone)]

@@ -102,24 +102,24 @@ pub fn iterative_disjoint_paths(
     DisjointPaths { paths }
 }
 
-/// Check that a set of paths is pairwise interior-node-disjoint (test and
-/// validation helper).
-pub fn are_interior_disjoint(paths: &[Path]) -> bool {
-    let mut seen = std::collections::HashSet::new();
-    for p in paths {
-        for &n in p.interior_nodes() {
-            if !seen.insert(n) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Graph;
+
+    /// Whether a set of paths is pairwise interior-node-disjoint: the
+    /// oracle the searches' results are checked against.
+    fn are_interior_disjoint(paths: &[Path]) -> bool {
+        let mut seen = std::collections::HashSet::new();
+        for p in paths {
+            for &n in p.interior_nodes() {
+                if !seen.insert(n) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
 
     /// The fixtures below are written as adjacency lists; each runs on its
     /// CSR.

@@ -6,13 +6,11 @@
 //! may be added directed or undirected (an undirected edge is simply a pair
 //! of directed edges).
 
-use serde::{Deserialize, Serialize};
-
 /// Node identifier: a dense index into the graph's node range.
 pub type NodeId = usize;
 
 /// A directed edge out of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Target node.
     pub to: NodeId,
@@ -21,7 +19,7 @@ pub struct Edge {
 }
 
 /// Weighted directed graph stored as per-node adjacency lists.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     adjacency: Vec<Vec<Edge>>,
     edge_count: usize,
@@ -71,7 +69,8 @@ impl Graph {
     }
 
     /// Whether a directed edge `from → to` exists (linear in the out-degree).
-    pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
         self.adjacency[from].iter().any(|e| e.to == to)
     }
 

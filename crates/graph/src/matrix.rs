@@ -16,11 +16,10 @@
 //! (or [`pair_indices`]) instead of hand-rolled nested loops.
 
 use crate::bitset::BitSet;
-use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
 /// A dense square matrix of `f64` in one contiguous row-major allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistMatrix {
     n: usize,
     data: Vec<f64>,
@@ -119,7 +118,7 @@ impl DistMatrix {
 
     /// The whole matrix as one mutable row-major slice.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 

@@ -9,12 +9,10 @@
 //! Link ids are stored as `u32` (4 billion links is far beyond any network
 //! here), halving the arena's footprint relative to `usize` ids.
 
-use serde::{Deserialize, Serialize};
-
 /// A compact arena of paths: `offsets[k]..offsets[k + 1]` delimits path `k`
 /// in the shared `links` array. `offsets` always starts with 0 (and so is
 /// never empty) — `Default` goes through [`PathStore::new`] to uphold that.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathStore {
     offsets: Vec<usize>,
     links: Vec<u32>,

@@ -311,7 +311,7 @@ pub fn solve_milp(problem: &Problem, options: &MilpOptions) -> Result<MilpSoluti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Problem, VarKind};
+    use crate::model::{Problem, Sense, VarKind};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-5, "{a} != {b}");
@@ -380,7 +380,7 @@ mod tests {
         let mut p = Problem::minimize();
         let x = p.add_var("x", VarKind::Binary, 1.0);
         let y = p.add_var("y", VarKind::Binary, 1.0);
-        p.add_ge(vec![(x, 1.0), (y, 1.0)], 3.0);
+        p.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Ge, 3.0);
         assert_eq!(
             solve_milp(&p, &MilpOptions::default()).unwrap_err(),
             MilpError::Infeasible
@@ -391,7 +391,7 @@ mod tests {
     fn already_integral_root() {
         let mut p = Problem::minimize();
         let x = p.add_var("x", VarKind::Integer, 1.0);
-        p.add_ge(vec![(x, 1.0)], 3.0);
+        p.add_constraint(vec![(x, 1.0)], Sense::Ge, 3.0);
         let sol = solve_milp(&p, &MilpOptions::default()).unwrap();
         assert_close(sol.objective, 3.0);
         assert_eq!(sol.nodes_explored, 1);
@@ -429,7 +429,7 @@ mod tests {
         let mut p = Problem::minimize();
         let x = p.add_var("x", VarKind::Continuous, 1.0);
         let y = p.add_var("y", VarKind::Binary, 10.0);
-        p.add_ge(vec![(x, 1.0), (y, 6.0)], 5.0);
+        p.add_constraint(vec![(x, 1.0), (y, 6.0)], Sense::Ge, 5.0);
         let sol = solve_milp(&p, &MilpOptions::default()).unwrap();
         assert_close(sol.objective, 5.0);
         assert!(sol.values[x.index()] > 4.9);
@@ -462,7 +462,7 @@ mod tests {
                 .filter(|(_, (members, _))| members.contains(&element))
                 .map(|(i, _)| (vars[i], 1.0))
                 .collect();
-            p.add_ge(terms, 1.0);
+            p.add_constraint(terms, Sense::Ge, 1.0);
         }
         let sol = solve_milp(&p, &MilpOptions::default()).unwrap();
         assert_close(sol.objective, 6.0);

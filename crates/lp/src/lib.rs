@@ -43,6 +43,6 @@ pub mod branch_bound;
 pub mod model;
 pub mod simplex;
 
-pub use branch_bound::{solve_milp, MilpOptions, MilpSolution};
+pub use branch_bound::{solve_milp, MilpOptions};
 pub use model::{Problem, VarId, VarKind};
-pub use simplex::{solve_lp, LpError, LpSolution};
+pub use simplex::solve_lp;

@@ -120,18 +120,13 @@ impl Problem {
         self.add_constraint(terms, Sense::Le, rhs);
     }
 
-    /// Add a `≥` constraint.
-    pub fn add_ge(&mut self, terms: Vec<(VarId, f64)>, rhs: f64) {
-        self.add_constraint(terms, Sense::Ge, rhs);
-    }
-
     /// Add an `=` constraint.
     pub fn add_eq(&mut self, terms: Vec<(VarId, f64)>, rhs: f64) {
         self.add_constraint(terms, Sense::Eq, rhs);
     }
 
     /// Add a constraint of arbitrary sense.
-    pub fn add_constraint(&mut self, terms: Vec<(VarId, f64)>, sense: Sense, rhs: f64) {
+    pub(crate) fn add_constraint(&mut self, terms: Vec<(VarId, f64)>, sense: Sense, rhs: f64) {
         assert!(rhs.is_finite(), "constraint rhs must be finite");
         for &(v, c) in &terms {
             assert!(
@@ -164,7 +159,7 @@ impl Problem {
     }
 
     /// Objective value of a candidate assignment.
-    pub fn objective_value(&self, values: &[f64]) -> f64 {
+    pub(crate) fn objective_value(&self, values: &[f64]) -> f64 {
         assert_eq!(values.len(), self.num_vars());
         self.variables
             .iter()
@@ -208,7 +203,7 @@ impl Problem {
 
     /// Return a copy of the problem with every integer/binary variable
     /// relaxed to a continuous variable with the same bounds.
-    pub fn relaxed(&self) -> Problem {
+    pub(crate) fn relaxed(&self) -> Problem {
         let mut p = self.clone();
         for v in &mut p.variables {
             v.kind = VarKind::Continuous;
@@ -217,7 +212,7 @@ impl Problem {
     }
 
     /// Indices of the variables that must be integral.
-    pub fn integer_vars(&self) -> Vec<usize> {
+    pub(crate) fn integer_vars(&self) -> Vec<usize> {
         self.variables
             .iter()
             .enumerate()
@@ -256,7 +251,7 @@ mod tests {
         let x = p.add_var("x", VarKind::Continuous, 2.0);
         let y = p.add_var("y", VarKind::Continuous, 3.0);
         p.add_le(vec![(x, 1.0), (y, 1.0)], 10.0);
-        p.add_ge(vec![(x, 1.0)], 2.0);
+        p.add_constraint(vec![(x, 1.0)], Sense::Ge, 2.0);
         p.add_eq(vec![(y, 1.0)], 4.0);
 
         assert_eq!(p.objective_value(&[2.0, 4.0]), 16.0);

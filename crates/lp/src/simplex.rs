@@ -355,7 +355,7 @@ pub fn solve_lp(problem: &Problem) -> Result<LpSolution, LpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Problem, VarKind};
+    use crate::model::{Problem, Sense, VarKind};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -384,8 +384,8 @@ mod tests {
         let x = p.add_var("x", VarKind::Continuous, 2.0);
         let y = p.add_var("y", VarKind::Continuous, 3.0);
         p.add_eq(vec![(x, 1.0), (y, 1.0)], 10.0);
-        p.add_ge(vec![(x, 1.0)], 3.0);
-        p.add_ge(vec![(y, 1.0)], 2.0);
+        p.add_constraint(vec![(x, 1.0)], Sense::Ge, 3.0);
+        p.add_constraint(vec![(y, 1.0)], Sense::Ge, 2.0);
         let sol = solve_lp(&p).unwrap();
         assert_close(sol.objective, 22.0);
         assert_close(sol.values[x.index()], 8.0);
@@ -396,7 +396,7 @@ mod tests {
     fn infeasible_lp_detected() {
         let mut p = Problem::minimize();
         let x = p.add_var("x", VarKind::Continuous, 1.0);
-        p.add_ge(vec![(x, 1.0)], 5.0);
+        p.add_constraint(vec![(x, 1.0)], Sense::Ge, 5.0);
         p.add_le(vec![(x, 1.0)], 3.0);
         assert!(matches!(solve_lp(&p), Err(LpError::Infeasible)));
     }
@@ -406,7 +406,7 @@ mod tests {
         let mut p = Problem::minimize();
         let x = p.add_var("x", VarKind::Continuous, -1.0);
         let y = p.add_var("y", VarKind::Continuous, 0.0);
-        p.add_ge(vec![(x, 1.0), (y, -1.0)], 0.0);
+        p.add_constraint(vec![(x, 1.0), (y, -1.0)], Sense::Ge, 0.0);
         match solve_lp(&p) {
             Err(LpError::Unbounded) => {}
             other => panic!("expected unbounded, got {other:?}"),
@@ -443,7 +443,7 @@ mod tests {
         let x = p.add_var("x", VarKind::Continuous, 0.0);
         let y = p.add_var("y", VarKind::Continuous, 1.0);
         p.add_le(vec![(x, 1.0), (y, -1.0)], -2.0);
-        p.add_ge(vec![(x, 1.0)], 1.0);
+        p.add_constraint(vec![(x, 1.0)], Sense::Ge, 1.0);
         let sol = solve_lp(&p).unwrap();
         assert_close(sol.objective, 3.0);
         assert_close(sol.values[y.index()], 3.0);

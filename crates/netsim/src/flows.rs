@@ -7,12 +7,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::network::NodeId;
 
 /// How packet emission times are spaced within a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalProcess {
     /// Evenly spaced packets (constant bit rate).
     ConstantBitRate,
@@ -21,7 +20,7 @@ pub enum ArrivalProcess {
 }
 
 /// A UDP flow between two nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSpec {
     /// Source node.
     pub src: NodeId,
@@ -35,12 +34,12 @@ pub struct FlowSpec {
 
 impl FlowSpec {
     /// Mean inter-packet gap in seconds.
-    pub fn mean_gap_s(&self) -> f64 {
+    pub(crate) fn mean_gap_s(&self) -> f64 {
         self.packet_bytes * 8.0 / self.rate_bps
     }
 
     /// Expected number of packets over `duration` seconds.
-    pub fn expected_packets(&self, duration: f64) -> f64 {
+    pub(crate) fn expected_packets(&self, duration: f64) -> f64 {
         duration / self.mean_gap_s()
     }
 }
@@ -65,7 +64,7 @@ pub fn emission_times(
 /// [`emission_times`] into a caller-owned buffer (cleared first), so
 /// callers can reuse one allocation across flows instead of building a
 /// fresh `Vec` per flow.
-pub fn emission_times_into(
+pub(crate) fn emission_times_into(
     flow: &FlowSpec,
     flow_index: usize,
     duration: f64,
@@ -89,7 +88,7 @@ pub fn emission_times_into(
 /// time accumulates through the same operations), so lazy and eager
 /// scheduling drive bit-identical simulations.
 #[derive(Debug, Clone)]
-pub enum EmissionSchedule {
+pub(crate) enum EmissionSchedule {
     /// Evenly spaced from a deterministic per-flow phase in `[0, gap)`.
     Cbr {
         /// Next emission time.
@@ -110,7 +109,12 @@ pub enum EmissionSchedule {
 
 impl EmissionSchedule {
     /// The emission schedule of `flow` under `process`.
-    pub fn new(flow: &FlowSpec, flow_index: usize, process: ArrivalProcess, seed: u64) -> Self {
+    pub(crate) fn new(
+        flow: &FlowSpec,
+        flow_index: usize,
+        process: ArrivalProcess,
+        seed: u64,
+    ) -> Self {
         assert!(flow.rate_bps > 0.0 && flow.packet_bytes > 0.0);
         let gap = flow.mean_gap_s();
         match process {
@@ -140,7 +144,7 @@ impl EmissionSchedule {
 
     /// The next emission time in `[0, duration)`, or `None` once the flow
     /// has emitted its last packet.
-    pub fn next_emission(&mut self, duration: f64) -> Option<f64> {
+    pub(crate) fn next_emission(&mut self, duration: f64) -> Option<f64> {
         assert!(duration > 0.0);
         match self {
             EmissionSchedule::Cbr { next, gap } => {

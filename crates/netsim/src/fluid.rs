@@ -32,8 +32,8 @@
 //!
 //! The solved backlog timelines couple back into the packet engine: a
 //! foreground packet arriving at a link at time `t` waits behind
-//! [`FluidOutcome::backlog_bytes`]`(link, t)` extra bytes
-//! ([`crate::network::LinkStates::transmit_queued`]), and the combined
+//! `FluidOutcome::backlog_bytes(link, t)` extra bytes
+//! (`crate::network::LinkStates::transmit_queued`), and the combined
 //! occupancy feeds the drop check. Foreground statistics stay exact and
 //! per-flow; the background class is reported in aggregate
 //! ([`crate::monitor::BackgroundStats`]).
@@ -48,8 +48,6 @@
 //! from pure packet by at most `Σ_route buffer_bytes · 8 / rate_bps` — the
 //! envelope the parity tests assert.
 
-use serde::{Deserialize, Serialize};
-
 use crate::flows::FlowSpec;
 use crate::monitor::BackgroundStats;
 use crate::network::{Network, QueueDiscipline, WFQ_FOREGROUND_WEIGHT};
@@ -59,7 +57,7 @@ use crate::sim::SimConfig;
 /// How [`crate::routing::TrafficClass::Background`] demands are executed
 /// ([`SimConfig::background`]). A pure performance knob for the foreground
 /// class: foreground flows are packet-simulated either way.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BackgroundModel {
     /// Background demands are packet-simulated like everything else.
     #[default]
@@ -101,7 +99,7 @@ impl FluidOutcome {
     /// for links without background traffic — the guarantee that makes
     /// hybrid bit-identical to pure packet off the background routes.
     #[inline]
-    pub fn backlog_bytes(&self, link: usize, t: f64) -> f64 {
+    pub(crate) fn backlog_bytes(&self, link: usize, t: f64) -> f64 {
         let ti = self.timeline_of[link];
         if ti == u32::MAX {
             return 0.0;
@@ -118,7 +116,7 @@ impl FluidOutcome {
 
     /// Fluid bytes carried per touched link, credited into the link byte
     /// counters before utilisations are computed.
-    pub fn link_bytes(&self) -> &[(u32, f64)] {
+    pub(crate) fn link_bytes(&self) -> &[(u32, f64)] {
         &self.link_bytes
     }
 
@@ -128,7 +126,7 @@ impl FluidOutcome {
     }
 
     /// Background flows modelled (0 = the fluid layer is inert).
-    pub fn num_flows(&self) -> usize {
+    pub(crate) fn num_flows(&self) -> usize {
         self.stats.flows
     }
 }

@@ -69,8 +69,7 @@ pub mod sim;
 pub mod tcp;
 
 pub use fluid::BackgroundModel;
-pub use monitor::{BackgroundStats, ClassReport, PerClassReport, SimReport};
+pub use monitor::SimReport;
 pub use network::{LinkSpec, Network, QueueDiscipline};
-pub use queue::QueueStats;
 pub use routing::{RoutingScheme, TrafficClass};
 pub use sim::{SimConfig, Simulation};

@@ -15,12 +15,10 @@
 //! Reported quantiles are histogram quantiles: within 2⁻¹⁰ relative of the
 //! nearest-rank sample, exact at the minimum and the maximum.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulator for scalar samples (delay, queue occupancy, …). Keeps every
 /// sample: for the few hundred values of [`crate::tcp`], and as the exact
 /// oracle [`DelayHistogram`] is tested against.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SampleStats {
     values: Vec<f64>,
 }
@@ -189,7 +187,7 @@ impl DelayHistogram {
 /// an unclassified run is all foreground). Every shard fills its own and
 /// the run adds them up — see [`DelayHistogram::merge`].
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct DeliveryHistograms {
+pub(crate) struct DeliveryHistograms {
     /// One-way delay per class.
     pub delay: [DelayHistogram; 2],
     /// Total queueing delay per class.
@@ -199,13 +197,13 @@ pub struct DeliveryHistograms {
 impl DeliveryHistograms {
     /// Record one delivered packet.
     #[inline]
-    pub fn record(&mut self, background: bool, delay_s: f64, queue_delay_s: f64) {
+    pub(crate) fn record(&mut self, background: bool, delay_s: f64, queue_delay_s: f64) {
         self.delay[background as usize].record(delay_s);
         self.queue_delay[background as usize].record(queue_delay_s);
     }
 
     /// Add `other`'s deliveries.
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         for class in 0..2 {
             self.delay[class].merge(&other.delay[class]);
             self.queue_delay[class].merge(&other.queue_delay[class]);
@@ -215,7 +213,7 @@ impl DeliveryHistograms {
 
 /// Tallies of one flow — or of any set of flows, since they add.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FlowStat {
+pub(crate) struct FlowStat {
     /// Summed one-way delay of the delivered packets, seconds.
     pub delay_sum: f64,
     /// Summed total queueing delay of the delivered packets, seconds.
@@ -228,7 +226,7 @@ pub struct FlowStat {
 
 impl FlowStat {
     /// Add `other`'s tallies.
-    pub fn add(&mut self, other: &FlowStat) {
+    pub(crate) fn add(&mut self, other: &FlowStat) {
         self.delay_sum += other.delay_sum;
         self.queue_delay_sum += other.queue_delay_sum;
         self.delivered += other.delivered;
@@ -237,18 +235,18 @@ impl FlowStat {
 
     /// Mean one-way delay of the delivered packets in milliseconds (0 if
     /// none).
-    pub fn mean_delay_ms(&self) -> f64 {
+    pub(crate) fn mean_delay_ms(&self) -> f64 {
         mean_ms(self.delay_sum, self.delivered)
     }
 
     /// Mean total queueing delay per delivered packet in milliseconds (0 if
     /// none).
-    pub fn mean_queue_delay_ms(&self) -> f64 {
+    pub(crate) fn mean_queue_delay_ms(&self) -> f64 {
         mean_ms(self.queue_delay_sum, self.delivered)
     }
 
     /// Loss rate over all offered packets.
-    pub fn loss_rate(&self) -> f64 {
+    pub(crate) fn loss_rate(&self) -> f64 {
         let total = self.delivered + self.dropped;
         if total == 0 {
             0.0
@@ -269,7 +267,7 @@ fn mean_ms(sum_s: f64, n: u64) -> f64 {
 
 /// The simulation-wide monitor.
 #[derive(Debug, Clone, Default)]
-pub struct FlowMonitor {
+pub(crate) struct FlowMonitor {
     /// Tallies per flow.
     pub flows: Vec<FlowStat>,
     /// Delay histograms of the delivered packets.
@@ -278,7 +276,7 @@ pub struct FlowMonitor {
 
 impl FlowMonitor {
     /// A monitor tracking `num_flows` flows.
-    pub fn new(num_flows: usize) -> Self {
+    pub(crate) fn new(num_flows: usize) -> Self {
         Self {
             flows: vec![FlowStat::default(); num_flows],
             deliveries: DeliveryHistograms::default(),
@@ -288,13 +286,13 @@ impl FlowMonitor {
     /// Fold tallies of `flow` into the monitor — the single entry for
     /// per-flow statistics. A flow delivers on exactly one shard, so its
     /// delay sums arrive whole (every other shard adds zero).
-    pub fn absorb_flow(&mut self, flow: usize, stat: &FlowStat) {
+    pub(crate) fn absorb_flow(&mut self, flow: usize, stat: &FlowStat) {
         self.flows[flow].add(stat);
     }
 
     /// Add what `other` monitored of the same flows (another shard of the
     /// same run); the order monitors are merged in is irrelevant.
-    pub fn merge(&mut self, other: &FlowMonitor) {
+    pub(crate) fn merge(&mut self, other: &FlowMonitor) {
         for (flow, stat) in other.flows.iter().enumerate() {
             self.absorb_flow(flow, stat);
         }
@@ -313,7 +311,7 @@ impl FlowMonitor {
     }
 
     /// Summarise into a report.
-    pub fn report(&self, link_utilizations: Vec<f64>) -> SimReport {
+    pub(crate) fn report(&self, link_utilizations: Vec<f64>) -> SimReport {
         let all = self.totals(|_| true);
         let mut delay = self.deliveries.delay[0].clone();
         delay.merge(&self.deliveries.delay[1]);
@@ -342,7 +340,7 @@ impl FlowMonitor {
     /// The per-class breakdown, `is_background` telling each flow's class.
     /// Under the hybrid engine background flows never enter the packet
     /// engine, so the background entry is all zeroes there.
-    pub fn per_class(&self, is_background: impl Fn(usize) -> bool) -> PerClassReport {
+    pub(crate) fn per_class(&self, is_background: impl Fn(usize) -> bool) -> PerClassReport {
         let class = |c: usize| {
             let t = self.totals(|k| is_background(k) as usize == c);
             ClassReport {
@@ -366,7 +364,7 @@ impl FlowMonitor {
 /// statistics stay exact and per-flow in the rest of [`SimReport`]; the
 /// background class only matters in aggregate (its throughput, and the queue
 /// it induced), so that is all the fluid model reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackgroundStats {
     /// Background flows modelled as fluid.
     pub flows: usize,
@@ -406,7 +404,7 @@ pub struct BackgroundStats {
 /// the economics loop read. Delay statistics cover the class's *delivered*
 /// packets; background entries are all zero in hybrid runs, where the
 /// background class is fluid (see [`BackgroundStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClassReport {
     /// Packets delivered.
     pub delivered: u64,
@@ -425,7 +423,7 @@ pub struct ClassReport {
 }
 
 /// The per-class breakdown of a classified run ([`SimReport::per_class`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PerClassReport {
     /// The latency-sensitive foreground class.
     pub foreground: ClassReport,
@@ -436,7 +434,7 @@ pub struct PerClassReport {
 
 /// Summary of a simulation run — the numbers the paper's Figs. 5, 6 and 11
 /// plot, plus per-flow delay means for the application models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Mean one-way packet delay in milliseconds.
     pub mean_delay_ms: f64,

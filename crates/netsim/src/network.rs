@@ -10,7 +10,7 @@
 //! FIFO queue, at a fraction of the bookkeeping cost.
 //!
 //! On top of the aggregate clock, [`QueueDiscipline`] generalises the model
-//! to per-class service ([`LinkStates::transmit_classed`]): strict priority
+//! to per-class service (`LinkStates::transmit_classed`): strict priority
 //! (foreground preempts queued background service, including the hybrid
 //! engine's fluid backlog) and weighted-fair queueing (per-class virtual
 //! clocks served at weighted shares of the wire while the other class is
@@ -25,15 +25,13 @@
 //! the cache, and the sharded simulation engine can hand each worker its
 //! own state arrays over the shared immutable [`LinkSpec`] table.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node in the simulated network.
 pub type NodeId = usize;
 /// Identifier of a (unidirectional) link.
 pub type LinkId = usize;
 
 /// Static description of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Source node.
     pub from: NodeId,
@@ -49,7 +47,7 @@ pub struct LinkSpec {
 
 impl LinkSpec {
     /// Serialisation (transmission) delay of a packet of `bytes` on this link.
-    pub fn serialization_s(&self, bytes: f64) -> f64 {
+    pub(crate) fn serialization_s(&self, bytes: f64) -> f64 {
         bytes * 8.0 / self.rate_bps
     }
 
@@ -58,7 +56,7 @@ impl LinkSpec {
     /// is `inf` or NaN), so the transmit paths drop on such links instead of
     /// propagating NaN through `free_at`.
     #[inline]
-    pub fn can_transmit(&self) -> bool {
+    pub(crate) fn can_transmit(&self) -> bool {
         self.rate_bps.is_finite() && self.rate_bps > 0.0
     }
 }
@@ -68,7 +66,7 @@ impl LinkSpec {
 /// ([`crate::sim::SimConfig::discipline`]); every discipline is a pure
 /// function of per-link state, so reports stay bit-identical across
 /// execution modes, workers, windows and queue backends.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QueueDiscipline {
     /// One shared FIFO virtual clock — both classes interleave in arrival
     /// order and foreground packets wait behind the fluid background backlog.
@@ -87,14 +85,14 @@ pub enum QueueDiscipline {
     /// Weighted-fair queueing over per-class virtual clocks: while the other
     /// class is busy (its clock is ahead of now, or fluid backlog occupies
     /// the link) a class is served at its weighted share of the wire
-    /// ([`WFQ_FOREGROUND_WEIGHT`]); an idle other class returns the full
+    /// (`WFQ_FOREGROUND_WEIGHT`); an idle other class returns the full
     /// rate, so single-class workloads behave exactly like FIFO.
     WeightedFair,
 }
 
 /// Foreground share of the wire under [`QueueDiscipline::WeightedFair`]
 /// while the background class is busy (background gets the complement).
-pub const WFQ_FOREGROUND_WEIGHT: f64 = 0.75;
+pub(crate) const WFQ_FOREGROUND_WEIGHT: f64 = 0.75;
 
 /// Snapshot of one link's dynamic state (assembled from [`LinkStates`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -209,7 +207,7 @@ impl LinkStates {
 
     /// Reset a single link to the zero state (workers recycle their arrays
     /// between components).
-    pub fn reset_link(&mut self, id: LinkId) {
+    pub(crate) fn reset_link(&mut self, id: LinkId) {
         self.free_at[id] = 0.0;
         self.fg_free_at[id] = 0.0;
         self.bg_free_at[id] = 0.0;
@@ -235,7 +233,7 @@ impl LinkStates {
     }
 
     /// Overwrite one link's state from a snapshot (the engine's merge step).
-    pub fn restore(&mut self, id: LinkId, state: &LinkState) {
+    pub(crate) fn restore(&mut self, id: LinkId, state: &LinkState) {
         self.free_at[id] = state.free_at;
         self.fg_free_at[id] = state.fg_free_at;
         self.bg_free_at[id] = state.bg_free_at;
@@ -263,7 +261,7 @@ impl LinkStates {
     /// occupancy. With `extra_backlog_bytes == 0.0` this is bit-identical to
     /// the pure packet model.
     #[inline]
-    pub fn transmit_queued(
+    pub(crate) fn transmit_queued(
         &mut self,
         spec: &LinkSpec,
         id: LinkId,
@@ -315,7 +313,7 @@ impl LinkStates {
     // packet for no readability gain at the two call sites.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub fn transmit_classed(
+    pub(crate) fn transmit_classed(
         &mut self,
         spec: &LinkSpec,
         id: LinkId,
@@ -468,14 +466,14 @@ impl LinkStates {
 /// per worker: the component engine marks every link of a component's
 /// routes, the windowed engine only the links the worker's shard owns.
 #[derive(Debug, Clone, Default)]
-pub struct DirtyLinks {
+pub(crate) struct DirtyLinks {
     seen: Vec<bool>,
     touched: Vec<u32>,
 }
 
 impl DirtyLinks {
     /// A tracker over `num_links` links, nothing dirty.
-    pub fn new(num_links: usize) -> Self {
+    pub(crate) fn new(num_links: usize) -> Self {
         Self {
             seen: vec![false; num_links],
             touched: Vec::new(),
@@ -484,7 +482,7 @@ impl DirtyLinks {
 
     /// Mark a link dirty (idempotent; first-mark order is preserved).
     #[inline]
-    pub fn mark(&mut self, id: LinkId) {
+    pub(crate) fn mark(&mut self, id: LinkId) {
         if !self.seen[id] {
             self.seen[id] = true;
             self.touched.push(id as u32);
@@ -492,20 +490,15 @@ impl DirtyLinks {
     }
 
     /// Number of links currently marked dirty.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.touched.len()
-    }
-
-    /// `true` when nothing is marked.
-    pub fn is_empty(&self) -> bool {
-        self.touched.is_empty()
     }
 
     /// Harvest every dirty link: snapshot it from `states`, reset it there,
     /// clear its mark, and return the `(link, snapshot)` pairs in mark
     /// order. Afterwards both the tracker and the dirtied slots of `states`
     /// are ready for the next shard of work.
-    pub fn drain_snapshots(&mut self, states: &mut LinkStates) -> Vec<(u32, LinkState)> {
+    pub(crate) fn drain_snapshots(&mut self, states: &mut LinkStates) -> Vec<(u32, LinkState)> {
         let mut out = Vec::with_capacity(self.touched.len());
         for l in self.touched.drain(..) {
             out.push((l, states.snapshot(l as usize)));
@@ -605,7 +598,7 @@ impl Network {
     }
 
     /// Mutable access to the dynamic state arrays (the engine's merge step).
-    pub fn states_mut(&mut self) -> &mut LinkStates {
+    pub(crate) fn states_mut(&mut self) -> &mut LinkStates {
         &mut self.states
     }
 
@@ -773,7 +766,7 @@ mod tests {
         states.transmit(&spec, 0, 0.0, 1500.0);
         states.transmit(&spec, 2, 0.0, 1500.0);
         let mut dirty = DirtyLinks::new(3);
-        assert!(dirty.is_empty());
+        assert_eq!(dirty.len(), 0);
         dirty.mark(2);
         dirty.mark(0);
         dirty.mark(2); // idempotent
@@ -785,7 +778,7 @@ mod tests {
         assert_eq!(harvested[1].0, 0);
         assert_eq!(harvested[0].1.packets_forwarded, 1);
         // Harvested slots are reset, the tracker is reusable.
-        assert!(dirty.is_empty());
+        assert_eq!(dirty.len(), 0);
         assert_eq!(states.snapshot(0), LinkState::default());
         assert_eq!(states.snapshot(2), LinkState::default());
         dirty.mark(1);

@@ -115,15 +115,6 @@ impl QueueStats {
         self.peak_occupancy = self.peak_occupancy.max(other.peak_occupancy);
         self.resizes += other.resizes;
     }
-
-    /// Mean queue length observed at push time (0 when nothing was pushed).
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.pushes == 0 {
-            0.0
-        } else {
-            self.occupancy_sum as f64 / self.pushes as f64
-        }
-    }
 }
 
 /// Smallest bucket ring; also the shrink floor.
@@ -274,7 +265,7 @@ impl EventQueue {
     /// queued). One locate serves the test and the removal — what a
     /// windowed shard's "pop while before the window end" loop wants.
     #[inline]
-    pub fn pop_if(&mut self, take: impl FnOnce(&Event) -> bool) -> Option<Event> {
+    pub(crate) fn pop_if(&mut self, take: impl FnOnce(&Event) -> bool) -> Option<Event> {
         let b = self.locate()?;
         let bucket = &mut self.buckets[b];
         if !take(bucket.last().expect("located bucket is non-empty")) {
@@ -321,7 +312,7 @@ impl EventQueue {
     /// adds empty buckets (not counted as a resize); the width stays until
     /// [`calibrate`](Self::calibrate) or a resize re-derives it. Never
     /// shrinks the ring.
-    pub fn reserve(&mut self, events: usize) {
+    pub(crate) fn reserve(&mut self, events: usize) {
         let nb = events
             .div_ceil(2)
             .next_power_of_two()
@@ -348,7 +339,7 @@ impl EventQueue {
     /// fraction of the events that will crowd the front. A rate that is not
     /// finite and positive changes nothing; the width is held to the same
     /// floor as a rebuild's.
-    pub fn calibrate(&mut self, events_per_s: f64) {
+    pub(crate) fn calibrate(&mut self, events_per_s: f64) {
         let width = 3.0 / events_per_s;
         if !(width.is_finite() && width > 0.0) {
             return;
@@ -862,7 +853,6 @@ mod tests {
         assert_eq!(s.pushes, 10);
         assert_eq!(s.peak_occupancy, 10);
         assert_eq!(s.occupancy_sum, 55);
-        assert_eq!(s.mean_occupancy(), 5.5);
         assert_eq!(s.resizes, 0, "ten events never leave the initial ring");
     }
 }

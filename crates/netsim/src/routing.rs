@@ -28,12 +28,11 @@
 //! [`reroute_avoiding`], which re-routes only what the failure touches.
 
 use cisp_graph::{CsrGraph, PathStore, SearchCore};
-use serde::{Deserialize, Serialize};
 
 use crate::network::{LinkId, Network, NodeId};
 
 /// The routing schemes the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingScheme {
     /// Latency-shortest paths (the design target).
     ShortestPath,
@@ -53,7 +52,7 @@ pub enum RoutingScheme {
 /// [`crate::fluid::BackgroundModel::Fluid`]; under the default
 /// [`crate::fluid::BackgroundModel::Packet`] the tag changes nothing, so
 /// untagged callers keep bit-identical behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TrafficClass {
     /// Latency-sensitive traffic, simulated packet-level in every mode.
     #[default]
@@ -63,7 +62,7 @@ pub enum TrafficClass {
 }
 
 /// A demand to be routed: `amount_bps` from `src` to `dst`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Demand {
     /// Source node.
     pub src: NodeId,
@@ -108,7 +107,7 @@ impl Demand {
 /// ([`crate::monitor::SimReport::per_class`]) and are where the queue
 /// disciplines ([`crate::network::QueueDiscipline`]) differ; on an
 /// unclassified set every discipline degrades to FIFO exactly.
-pub fn any_background(demands: &[Demand]) -> bool {
+pub(crate) fn any_background(demands: &[Demand]) -> bool {
     demands.iter().any(Demand::is_background)
 }
 
@@ -155,8 +154,9 @@ impl RoutingTable {
             .sum()
     }
 
-    /// Offered utilisation of every link under the routed demands.
-    pub fn link_loads_bps(&self, network: &Network, demands: &[Demand]) -> Vec<f64> {
+    /// Offered load of every link under the routed demands.
+    #[cfg(test)]
+    fn link_loads_bps(&self, network: &Network, demands: &[Demand]) -> Vec<f64> {
         let mut loads = vec![0.0; network.num_links()];
         for (k, demand) in demands.iter().enumerate() {
             for &l in self.route(k) {
@@ -167,7 +167,8 @@ impl RoutingTable {
     }
 
     /// Maximum link utilisation (load / rate) under the routed demands.
-    pub fn max_utilization(&self, network: &Network, demands: &[Demand]) -> f64 {
+    #[cfg(test)]
+    fn max_utilization(&self, network: &Network, demands: &[Demand]) -> f64 {
         self.link_loads_bps(network, demands)
             .iter()
             .enumerate()

@@ -81,7 +81,7 @@
 //! delay sums are accumulated by one shard in one order under every plan,
 //! and the means are taken over them in flow-index order. *Histograms by
 //! addition*: every delay is also binned into its shard's
-//! [`DeliveryHistograms`], integer counts that the run adds up in whatever
+//! `DeliveryHistograms`, integer counts that the run adds up in whatever
 //! order the shards finish. Nothing depends on how the events were split,
 //! which makes the produced [`SimReport`] **bit-identical for every
 //! `workers` value and every execution plan** by construction —
@@ -102,7 +102,6 @@
 //!
 //! [`PathStore`]: cisp_graph::PathStore
 //! [`TrafficClass::Background`]: crate::routing::TrafficClass::Background
-//! [`DeliveryHistograms`]: crate::monitor::DeliveryHistograms
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
@@ -111,14 +110,13 @@ use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use cisp_graph::{partition_lookahead, partition_path_links};
-use serde::{Deserialize, Serialize};
 
 use crate::flows::{ArrivalProcess, EmissionSchedule, FlowSpec};
 use crate::fluid::{self, BackgroundModel, FluidOutcome};
 use crate::jobs::{drain_jobs, resolve_workers};
 use crate::monitor::{FlowMonitor, SimReport};
 use crate::network::{DirtyLinks, LinkState, LinkStates, Network, QueueDiscipline, Transmit};
-use crate::queue::{Event, EventQueue, QueueStats};
+use crate::queue::{Event, EventQueue};
 use crate::routing::{compute_routes, Demand, RoutingScheme, RoutingTable};
 
 /// An execution forced on every component of a run through
@@ -149,7 +147,7 @@ impl ExecMode {
 }
 
 /// Configuration of a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Simulated duration in seconds (paper: 1 s).
     pub duration_s: f64,
@@ -607,8 +605,9 @@ impl<'a, B: Boundary> Shard<'a, B> {
 /// that are non-zero on one shard only, link states that are disjoint.
 struct RunTotals {
     monitor: FlowMonitor,
-    queue_stats: QueueStats,
     links: Vec<(u32, LinkState)>,
+    #[cfg(test)]
+    queue_stats: crate::queue::QueueStats,
     #[cfg(test)]
     tap: Vec<(f64, f64, bool)>,
 }
@@ -620,18 +619,21 @@ impl RunTotals {
         let mut shards = shards.into_iter();
         let first = shards.next().expect("a run has at least one shard");
         let mut totals = RunTotals {
-            queue_stats: first.queue.stats(),
             monitor: first.monitor,
             links: first.links,
+            #[cfg(test)]
+            queue_stats: first.queue.stats(),
             #[cfg(test)]
             tap: first.tap,
         };
         for shard in shards {
-            totals.queue_stats.merge(&shard.queue.stats());
             totals.monitor.merge(&shard.monitor);
             totals.links.extend(shard.links);
             #[cfg(test)]
-            totals.tap.extend(shard.tap);
+            {
+                totals.queue_stats.merge(&shard.queue.stats());
+                totals.tap.extend(shard.tap);
+            }
         }
         totals
     }
@@ -800,7 +802,10 @@ pub struct Simulation {
     demands: Vec<Demand>,
     routes: RoutingTable,
     config: SimConfig,
-    last_queue_stats: QueueStats,
+    /// Event-queue occupancy statistics aggregated across every worker of
+    /// the most recent run (all zeroes before the first run).
+    #[cfg(test)]
+    last_queue_stats: crate::queue::QueueStats,
     /// Every delivery of the most recent run, see [`Shard::tap`].
     #[cfg(test)]
     last_tap: Vec<(f64, f64, bool)>,
@@ -858,18 +863,11 @@ impl Simulation {
             demands,
             routes,
             config,
-            last_queue_stats: QueueStats::default(),
+            #[cfg(test)]
+            last_queue_stats: Default::default(),
             #[cfg(test)]
             last_tap: Vec::new(),
         }
-    }
-
-    /// Event-queue occupancy statistics aggregated across every worker of
-    /// the most recent [`run`](Self::run) (all zeroes before the first
-    /// run). Deliberately *not* part of the [`SimReport`]: they describe
-    /// how the run was scheduled, not what it computed.
-    pub fn queue_stats(&self) -> QueueStats {
-        self.last_queue_stats
     }
 
     /// The computed routing table.
@@ -891,24 +889,6 @@ impl Simulation {
     /// the component engine's parallelism grain.
     pub fn num_components(&self) -> usize {
         self.partition_flows().len()
-    }
-
-    /// Mean propagation-only latency across demands, weighted by demand rate.
-    /// This is the zero-load baseline the queueing delays add to.
-    pub fn weighted_propagation_ms(&self) -> f64 {
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (k, d) in self.demands.iter().enumerate() {
-            if !self.routes.route(k).is_empty() {
-                num += d.amount_bps * self.routes.route_latency_s(&self.network, k);
-                den += d.amount_bps;
-            }
-        }
-        if den > 0.0 {
-            num / den * 1e3
-        } else {
-            0.0
-        }
     }
 
     /// Group the active flows (non-empty route, positive rate) into
@@ -1174,12 +1154,12 @@ impl Simulation {
         // add and the report is all zeroes (pinned by
         // `unroutable_demands_yield_an_empty_report_in_every_mode`).
         let monitor = totals.monitor;
-        self.last_queue_stats = totals.queue_stats;
         for (l, state) in &totals.links {
             self.network.states_mut().restore(*l as usize, state);
         }
         #[cfg(test)]
         {
+            self.last_queue_stats = totals.queue_stats;
             self.last_tap = totals.tap;
         }
 
@@ -1213,6 +1193,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::network::LinkSpec;
+    use crate::queue::QueueStats;
     use crate::routing::compute_routes_avoiding;
 
     /// Widths under test: `CISP_TEST_WORKERS` (comma-separated) or `1,2,4`.
@@ -1325,7 +1306,6 @@ mod tests {
             "{}",
             report.mean_delay_ms
         );
-        assert!((sim.weighted_propagation_ms() - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1736,7 +1716,7 @@ mod tests {
         assert_eq!(serial.flow_delivered, vec![4500, 1500]);
         let in_flight_per_link = 0.004 * 60e6 / (500.0 * 8.0);
         assert!(in_flight_per_link > 50.0);
-        let peak = serial_sim.queue_stats().peak_occupancy;
+        let peak = serial_sim.last_queue_stats.peak_occupancy;
         assert!(
             peak <= (net.num_links() + demands.len()) as u64,
             "queue peaked at {peak} events"
@@ -1766,13 +1746,12 @@ mod tests {
                 ..SimConfig::default()
             },
         );
-        assert_eq!(sim.queue_stats(), QueueStats::default());
+        assert_eq!(sim.last_queue_stats, QueueStats::default());
         let report = sim.run();
         assert!(report.delivered > 0);
-        let stats = sim.queue_stats();
+        let stats = sim.last_queue_stats;
         assert!(stats.pushes > 0);
         assert!(stats.peak_occupancy > 0);
-        assert!(stats.mean_occupancy() > 0.0);
         // Sized for the component and calibrated once up front: no growth
         // resizes.
         assert!(stats.resizes <= 2, "{stats:?}");

@@ -17,13 +17,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::monitor::SampleStats;
 use crate::network::{LinkSpec, Network, Transmit};
 
 /// Configuration of the speed-mismatch experiment.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SpeedMismatchConfig {
     /// Number of sources.
     pub num_sources: usize,
@@ -81,14 +80,14 @@ impl SpeedMismatchConfig {
     }
 
     /// Mean flow inter-arrival time for the configured offered load.
-    pub fn mean_interarrival_s(&self) -> f64 {
+    pub(crate) fn mean_interarrival_s(&self) -> f64 {
         let flows_per_s = self.offered_load * self.bottleneck_rate_bps / (self.flow_bytes * 8.0);
         1.0 / flows_per_s
     }
 }
 
 /// Results of one speed-mismatch run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpeedMismatchReport {
     /// Median queue occupancy at the ingress `M`, in packets.
     pub median_queue_pkts: f64,

@@ -14,7 +14,6 @@
 //! paper treats as within-city anyway).
 
 use cisp_geo::GeoPoint;
-use serde::{Deserialize, Serialize};
 
 use crate::envelope::LatLonRect;
 use crate::noise::{fbm, fbm_range, FbmParams};
@@ -41,7 +40,7 @@ const VARIATION_SEED_MASK: u64 = 0xBEEF;
 const OPEN_VARIATION_M: f64 = 3.0;
 
 /// Parameters of the clutter model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClutterParams {
     /// Maximum canopy height in heavily forested areas, metres.
     pub max_canopy_m: f64,
@@ -63,7 +62,7 @@ impl Default for ClutterParams {
 }
 
 /// Deterministic clutter-height field.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClutterModel {
     seed: u64,
     params: ClutterParams,

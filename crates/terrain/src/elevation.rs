@@ -17,7 +17,6 @@
 
 use cisp_geo::units::EARTH_RADIUS_KM;
 use cisp_geo::{geodesic, GeoPoint};
-use serde::{Deserialize, Serialize};
 
 use crate::envelope::LatLonRect;
 use crate::noise::{fbm, fbm_range, ridged, ridged_max, FbmParams};
@@ -42,11 +41,11 @@ const SKIP_MARGIN_KM: f64 = 1.0;
 
 /// Precomputed axis geometry of one [`MountainRange`].
 ///
-/// `distance_to_axis_km` recomputes the axis length, the axis bearing, and
-/// two haversines per query even though the axis never moves. The elevation
-/// hot path (hop-feasibility sampling evaluates the terrain at millions of
-/// points) caches the per-axis constants here, plus a conservative reject
-/// radius that skips the whole range with one dot product.
+/// The axis distance needs the axis length, the axis bearing and two
+/// haversines, even though the axis never moves. The elevation hot path
+/// (hop-feasibility sampling evaluates the terrain at millions of points)
+/// caches the per-axis constants here, plus a conservative reject radius
+/// that skips the whole range with one dot product.
 #[derive(Debug, Clone)]
 struct RangeAxis {
     /// Axis length `d(start, end)` in km.
@@ -66,7 +65,7 @@ struct RangeAxis {
 }
 
 /// A mountain range modelled as a ridge line with Gaussian cross-section.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MountainRange {
     /// Human-readable name (for diagnostics only).
     pub name: String,
@@ -99,7 +98,9 @@ impl MountainRange {
         }
     }
 
-    /// Shortest distance from `p` to the ridge axis segment, in kilometres.
+    /// Shortest distance from `p` to the ridge axis segment, in kilometres:
+    /// the reference the cached query is pinned against.
+    #[cfg(test)]
     fn distance_to_axis_km(&self, p: GeoPoint) -> f64 {
         let total = geodesic::distance_km(self.start, self.end);
         if total < 1e-9 {
@@ -129,7 +130,9 @@ impl MountainRange {
         }
     }
 
-    /// Ridge height contribution at `p`, before crest noise, in metres.
+    /// Ridge height contribution at `p`, before crest noise, in metres: the
+    /// reference the cached query is pinned against.
+    #[cfg(test)]
     fn contribution_m(&self, p: GeoPoint) -> f64 {
         let d = self.distance_to_axis_km(p);
         // Ignore anything beyond 4 sigma: negligible and saves work.
@@ -140,9 +143,9 @@ impl MountainRange {
         self.peak_m * (-0.5 * x * x).exp()
     }
 
-    /// Lower bound on [`Self::distance_to_axis_km`] — the value the model
-    /// computes, planar along-track test included — over every point within
-    /// `radius_km` of `center`.
+    /// Lower bound on [`Self::distance_to_axis_cached_km`] — the value the
+    /// model computes, planar along-track test included — over every point
+    /// within `radius_km` of `center`.
     ///
     /// The model returns one of three great-circle quantities: `d_sp`
     /// (distance to the start), `d_ep` (to the end) or the cross-track
@@ -206,8 +209,8 @@ impl MountainRange {
         bound
     }
 
-    /// Upper bound on [`Self::contribution_m`] over every point within
-    /// `radius_km` of `center`: the Gaussian is decreasing in the axis
+    /// Upper bound on [`Self::contribution_cached_m`] over every point
+    /// within `radius_km` of `center`: the Gaussian is decreasing in the axis
     /// distance, so it is evaluated at that distance's lower bound.
     fn max_contribution_m(&self, center: GeoPoint, radius_km: f64) -> f64 {
         let d = self.axis_distance_lower_bound_km(center, radius_km);
@@ -230,11 +233,12 @@ impl MountainRange {
         }
     }
 
-    /// [`Self::distance_to_axis_km`] with the axis constants supplied from a
-    /// [`RangeAxis`] cache. Every expression reuses or replays the exact
-    /// arithmetic of the uncached version (the cached values are pure
-    /// functions of the axis endpoints), so the result is bit-identical —
-    /// which the `cached_elevation_matches_reference` test pins.
+    /// Shortest distance from `p` to the ridge axis segment, in kilometres,
+    /// with the axis constants supplied from a [`RangeAxis`] cache. Every
+    /// expression reuses or replays the exact arithmetic of the test-only
+    /// uncached reference (the cached values are pure functions of the axis
+    /// endpoints), so the result is bit-identical — which the
+    /// `cached_elevation_matches_reference` test pins.
     fn distance_to_axis_cached_km(&self, axis: &RangeAxis, p: GeoPoint) -> f64 {
         if axis.degenerate {
             return geodesic::distance_km(self.start, p);
@@ -265,7 +269,8 @@ impl MountainRange {
         }
     }
 
-    /// [`Self::contribution_m`] over the cached axis geometry.
+    /// Ridge height contribution at `p`, before crest noise, in metres, over
+    /// the cached axis geometry.
     fn contribution_cached_m(&self, axis: &RangeAxis, p: GeoPoint) -> f64 {
         let d = self.distance_to_axis_cached_km(axis, p);
         if d > 4.0 * self.half_width_km {
@@ -277,7 +282,7 @@ impl MountainRange {
 }
 
 /// Parameters of the base (non-mountain) terrain field.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BaseTerrainParams {
     /// Mean elevation of the lowlands, metres.
     pub baseline_m: f64,
@@ -298,17 +303,15 @@ impl Default for BaseTerrainParams {
 }
 
 /// The procedural elevation model. See the module docs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TerrainModel {
     seed: u64,
     base: BaseTerrainParams,
     ranges: Vec<MountainRange>,
     /// Extra crest-noise amplitude as a fraction of the local ridge height.
     crest_noise_fraction: f64,
-    /// Per-range axis cache, parallel to `ranges`. Rebuilt by the
-    /// constructor; when absent (e.g. a deserialized model) queries fall
-    /// back to the uncached path, so the cache is purely a speedup.
-    #[serde(skip)]
+    /// Per-range axis constants, parallel to `ranges`, built by the
+    /// constructor and read by every elevation query.
     axes: Vec<RangeAxis>,
 }
 
@@ -507,33 +510,23 @@ impl TerrainModel {
             // The crest-noise modulation is the same value for every range
             // at a given point; compute it at most once per query.
             let mut modulation: Option<f64> = None;
-            if self.axes.len() == self.ranges.len() {
-                let vp = p.to_unit_vector();
-                for (range, axis) in self.ranges.iter().zip(&self.axes) {
-                    // Chord length is a lower bound on the great-circle
-                    // distance to the axis start; beyond the reject radius
-                    // the Gaussian is exactly zero, so skipping changes
-                    // nothing.
-                    let dx = vp[0] - axis.start_unit[0];
-                    let dy = vp[1] - axis.start_unit[1];
-                    let dz = vp[2] - axis.start_unit[2];
-                    let chord_km = EARTH_RADIUS_KM * (dx * dx + dy * dy + dz * dz).sqrt();
-                    if chord_km > axis.skip_beyond_km {
-                        continue;
-                    }
-                    let ridge = range.contribution_cached_m(axis, p);
-                    if ridge > 0.0 {
-                        let m = *modulation.get_or_insert_with(|| self.crest_modulation(p));
-                        elevation += ridge * m;
-                    }
+            let vp = p.to_unit_vector();
+            for (range, axis) in self.ranges.iter().zip(&self.axes) {
+                // Chord length is a lower bound on the great-circle
+                // distance to the axis start; beyond the reject radius
+                // the Gaussian is exactly zero, so skipping changes
+                // nothing.
+                let dx = vp[0] - axis.start_unit[0];
+                let dy = vp[1] - axis.start_unit[1];
+                let dz = vp[2] - axis.start_unit[2];
+                let chord_km = EARTH_RADIUS_KM * (dx * dx + dy * dy + dz * dz).sqrt();
+                if chord_km > axis.skip_beyond_km {
+                    continue;
                 }
-            } else {
-                for range in &self.ranges {
-                    let ridge = range.contribution_m(p);
-                    if ridge > 0.0 {
-                        let m = *modulation.get_or_insert_with(|| self.crest_modulation(p));
-                        elevation += ridge * m;
-                    }
+                let ridge = range.contribution_cached_m(axis, p);
+                if ridge > 0.0 {
+                    let m = *modulation.get_or_insert_with(|| self.crest_modulation(p));
+                    elevation += ridge * m;
                 }
             }
         }

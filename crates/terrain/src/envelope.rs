@@ -10,7 +10,7 @@
 //! * a **global** scalar: baseline + full relief + every range's peak + the
 //!   tallest clutter — exact for a constant model (flat terrain, no
 //!   clutter), loose otherwise;
-//! * a **per-cell** maximum over a [`CELLS_PER_DEG`]-per-degree lat/lon grid
+//! * a **per-cell** maximum over a `CELLS_PER_DEG`-per-degree lat/lon grid
 //!   (0.05° cells, ≈ 5.5 km of latitude), computed the first time a point in
 //!   the cell is looked up and kept as an `f32` rounded up.
 //!
@@ -49,7 +49,7 @@ use crate::elevation::TerrainModel;
 /// (0.05°) a cell spans about one lattice cell of the finest noise octaves,
 /// so per-octave ranges stay tight, while a continental bounding box needs
 /// well under a million cells (the contiguous US: ≈ 0.57 M, 2.2 MiB).
-pub const CELLS_PER_DEG: f64 = 20.0;
+pub(crate) const CELLS_PER_DEG: f64 = 20.0;
 
 /// Largest grid allocated (8 MiB of cells). A bounding box needing more gets
 /// no grid and every lookup answers `None`.

@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use cisp_geo::GeoPoint;
-//! use cisp_terrain::{TerrainModel, profile::elevation_profile};
+//! use cisp_terrain::{clutter::ClutterModel, profile::obstruction_profile, TerrainModel};
 //!
 //! let terrain = TerrainModel::united_states(42);
 //! // Denver sits much higher than New Orleans.
@@ -36,7 +36,7 @@
 //! // Sample a 100 km profile for a line-of-sight check.
 //! let a = GeoPoint::new(41.0, -100.0);
 //! let b = GeoPoint::new(41.0, -98.8);
-//! let profile = elevation_profile(&terrain, a, b, 64);
+//! let profile = obstruction_profile(&terrain, &ClutterModel::none(), a, b, 64);
 //! assert_eq!(profile.len(), 64);
 //! ```
 

@@ -61,7 +61,7 @@ pub fn value_noise(x: f64, y: f64, seed: u64) -> f64 {
 
 /// Parameters for fractal Brownian motion.
 #[derive(Debug, Clone, Copy)]
-pub struct FbmParams {
+pub(crate) struct FbmParams {
     /// Number of octaves to sum.
     pub octaves: u32,
     /// Spatial frequency of the first octave (cycles per unit distance).
@@ -110,7 +110,7 @@ fn ridged_octave_seed(seed: u64, octave: u64) -> u64 {
 
 /// Fractal Brownian motion: a sum of value-noise octaves, normalised to
 /// `[0, 1]`.
-pub fn fbm(x: f64, y: f64, seed: u64, params: FbmParams) -> f64 {
+pub(crate) fn fbm(x: f64, y: f64, seed: u64, params: FbmParams) -> f64 {
     let mut total = 0.0;
     let mut max_amplitude = 0.0;
     for (octave, amplitude, frequency) in octaves(params) {
@@ -123,7 +123,7 @@ pub fn fbm(x: f64, y: f64, seed: u64, params: FbmParams) -> f64 {
 
 /// Ridged multifractal noise in `[0, 1]`: sharp crests, useful for mountain
 /// ridge crest variation.
-pub fn ridged(x: f64, y: f64, seed: u64, params: FbmParams) -> f64 {
+pub(crate) fn ridged(x: f64, y: f64, seed: u64, params: FbmParams) -> f64 {
     let mut total = 0.0;
     let mut max_amplitude = 0.0;
     for (octave, amplitude, frequency) in octaves(params) {
@@ -204,7 +204,7 @@ fn octave_range(x: (f64, f64), y: (f64, f64), frequency: f64, octave_seed: u64) 
 /// Bounds `(lo, hi)` on [`fbm`] over the rectangle `x × y`: the normalised
 /// sums of the per-octave extrema. Requires `params.gain > 0` (amplitudes
 /// keep their sign).
-pub fn fbm_range(x: (f64, f64), y: (f64, f64), seed: u64, params: FbmParams) -> (f64, f64) {
+pub(crate) fn fbm_range(x: (f64, f64), y: (f64, f64), seed: u64, params: FbmParams) -> (f64, f64) {
     assert!(params.gain > 0.0, "range bounds need positive amplitudes");
     let (mut lo, mut hi, mut max_amplitude) = (0.0, 0.0, 0.0);
     for (octave, amplitude, frequency) in octaves(params) {
@@ -220,7 +220,7 @@ pub fn fbm_range(x: (f64, f64), y: (f64, f64), seed: u64, params: FbmParams) -> 
 /// `r = 1 - |2n - 1|` peaks at `n = 0.5`, so its maximum over the octave's
 /// noise range is 1 when the range straddles 0.5 and is attained at the end
 /// nearer 0.5 otherwise. Requires `params.gain > 0`.
-pub fn ridged_max(x: (f64, f64), y: (f64, f64), seed: u64, params: FbmParams) -> f64 {
+pub(crate) fn ridged_max(x: (f64, f64), y: (f64, f64), seed: u64, params: FbmParams) -> f64 {
     assert!(params.gain > 0.0, "range bounds need positive amplitudes");
     let (mut hi, mut max_amplitude) = (0.0, 0.0);
     for (octave, amplitude, frequency) in octaves(params) {

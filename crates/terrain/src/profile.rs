@@ -10,20 +10,6 @@ use cisp_geo::{geodesic, GeoPoint};
 use crate::clutter::ClutterModel;
 use crate::elevation::TerrainModel;
 
-/// Sample the ground elevation (metres ASL) at `n_samples` evenly spaced
-/// points along the great circle from `a` to `b`, including the endpoints.
-pub fn elevation_profile(
-    terrain: &TerrainModel,
-    a: GeoPoint,
-    b: GeoPoint,
-    n_samples: usize,
-) -> Vec<f64> {
-    geodesic::sample_path(a, b, n_samples)
-        .into_iter()
-        .map(|p| terrain.elevation_m(p))
-        .collect()
-}
-
 /// Sample the obstruction surface — ground elevation plus clutter — along the
 /// great circle from `a` to `b`.
 pub fn obstruction_profile(
@@ -48,19 +34,6 @@ pub fn samples_for_hop(hop_km: f64) -> usize {
     ((hop_km.ceil() as usize) + 1).clamp(16, 160)
 }
 
-/// Highest obstruction along a path (convenience for diagnostics).
-pub fn max_obstruction_m(
-    terrain: &TerrainModel,
-    clutter: &ClutterModel,
-    a: GeoPoint,
-    b: GeoPoint,
-    n_samples: usize,
-) -> f64 {
-    obstruction_profile(terrain, clutter, a, b, n_samples)
-        .into_iter()
-        .fold(f64::NEG_INFINITY, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,7 +43,7 @@ mod tests {
         let terrain = TerrainModel::united_states(11);
         let a = GeoPoint::new(41.0, -100.0);
         let b = GeoPoint::new(40.0, -98.0);
-        let profile = elevation_profile(&terrain, a, b, 33);
+        let profile = obstruction_profile(&terrain, &ClutterModel::none(), a, b, 33);
         assert_eq!(profile.len(), 33);
         assert!((profile[0] - terrain.elevation_m(a)).abs() < 1e-9);
         assert!((profile[32] - terrain.elevation_m(b)).abs() < 1e-9);
@@ -82,7 +55,7 @@ mod tests {
         let clutter = ClutterModel::with_seed(11);
         let a = GeoPoint::new(41.0, -100.0);
         let b = GeoPoint::new(40.0, -98.0);
-        let bare = elevation_profile(&terrain, a, b, 21);
+        let bare = obstruction_profile(&terrain, &ClutterModel::none(), a, b, 21);
         let full = obstruction_profile(&terrain, &clutter, a, b, 21);
         for (g, o) in bare.iter().zip(full.iter()) {
             assert!(o >= g);
@@ -114,7 +87,9 @@ mod tests {
         // Denver to Grand Junction crosses the central Rockies.
         let denver = GeoPoint::new(39.74, -104.99);
         let gj = GeoPoint::new(39.06, -108.55);
-        let peak = max_obstruction_m(&terrain, &clutter, denver, gj, 120);
+        let peak = obstruction_profile(&terrain, &clutter, denver, gj, 120)
+            .into_iter()
+            .fold(f64::NEG_INFINITY, f64::max);
         assert!(peak > 2000.0, "peak = {peak}");
     }
 }

@@ -22,7 +22,5 @@ pub mod models;
 pub mod perturb;
 
 pub use matrix::TrafficMatrix;
-pub use models::{
-    city_city_matrix, city_dc_matrix, dc_dc_matrix, ClassifiedTraffic, SiteSet, TrafficMix,
-};
+pub use models::{ClassifiedTraffic, SiteSet, TrafficMix};
 pub use perturb::perturbed_populations;

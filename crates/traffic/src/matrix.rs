@@ -8,10 +8,9 @@
 //! demands for capacity planning and packet simulation.
 
 use cisp_graph::{pair_indices, DistMatrix};
-use serde::{Deserialize, Serialize};
 
 /// A symmetric traffic matrix over `n` sites.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficMatrix {
     weights: DistMatrix,
 }
@@ -63,11 +62,6 @@ impl TrafficMatrix {
         self.weights.get(i, j)
     }
 
-    /// The underlying matrix.
-    pub fn as_matrix(&self) -> &DistMatrix {
-        &self.weights
-    }
-
     /// Consume into the underlying matrix.
     pub fn into_matrix(self) -> DistMatrix {
         self.weights
@@ -80,7 +74,7 @@ impl TrafficMatrix {
 
     /// Normalise so that the maximum pair weight is 1 (no-op for an all-zero
     /// matrix).
-    pub fn normalized(&self) -> Self {
+    pub(crate) fn normalized(&self) -> Self {
         let max = self.weights.max_value();
         if max <= 0.0 {
             return self.clone();
@@ -213,7 +207,7 @@ mod tests {
             vec![1.0, 0.0, 3.0, 0.0],
         ]);
         let mixed = TrafficMatrix::mix(&[(1.0, &a), (2.0, &b)]);
-        assert!(mixed.as_matrix().is_symmetric(1e-12));
+        assert!(mixed.weights.is_symmetric(1e-12));
     }
 
     #[test]

@@ -15,12 +15,11 @@
 
 use cisp_data::{cities::City, datacenters::DataCenter};
 use cisp_geo::geodesic;
-use serde::{Deserialize, Serialize};
 
 use crate::matrix::TrafficMatrix;
 
 /// A combined site list: population centers followed by data centers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SiteSet {
     /// Population centers (cities).
     pub cities: Vec<City>,
@@ -57,20 +56,14 @@ impl SiteSet {
             .collect()
     }
 
-    /// Global index of city `i`.
-    pub fn city_index(&self, i: usize) -> usize {
-        assert!(i < self.cities.len());
-        i
-    }
-
     /// Global index of data center `i`.
-    pub fn dc_index(&self, i: usize) -> usize {
+    pub(crate) fn dc_index(&self, i: usize) -> usize {
         assert!(i < self.datacenters.len());
         self.cities.len() + i
     }
 
     /// Index of the data center closest to the given city.
-    pub fn closest_dc(&self, city: usize) -> Option<usize> {
+    pub(crate) fn closest_dc(&self, city: usize) -> Option<usize> {
         let loc = self.cities[city].location;
         self.datacenters
             .iter()
@@ -83,7 +76,7 @@ impl SiteSet {
 
 /// City–City population-product traffic over a site set (data-center rows are
 /// zero).
-pub fn city_city_matrix(sites: &SiteSet) -> TrafficMatrix {
+pub(crate) fn city_city_matrix(sites: &SiteSet) -> TrafficMatrix {
     let n = sites.len();
     let mut weights = vec![vec![0.0; n]; n];
     for (i, a) in sites.cities.iter().enumerate() {
@@ -97,7 +90,7 @@ pub fn city_city_matrix(sites: &SiteSet) -> TrafficMatrix {
 }
 
 /// DC–DC traffic: equal weight between every pair of data centers.
-pub fn dc_dc_matrix(sites: &SiteSet) -> TrafficMatrix {
+pub(crate) fn dc_dc_matrix(sites: &SiteSet) -> TrafficMatrix {
     let n = sites.len();
     let mut weights = vec![vec![0.0; n]; n];
     for i in 0..sites.datacenters.len() {
@@ -112,7 +105,7 @@ pub fn dc_dc_matrix(sites: &SiteSet) -> TrafficMatrix {
 
 /// City–DC traffic: each city exchanges traffic, proportional to its
 /// population, with its closest data center.
-pub fn city_dc_matrix(sites: &SiteSet) -> TrafficMatrix {
+pub(crate) fn city_dc_matrix(sites: &SiteSet) -> TrafficMatrix {
     let n = sites.len();
     let mut weights = vec![vec![0.0; n]; n];
     if sites.datacenters.is_empty() {
@@ -129,7 +122,7 @@ pub fn city_dc_matrix(sites: &SiteSet) -> TrafficMatrix {
 
 /// A named traffic mix (shares of city-city : city-DC : DC-DC), e.g. the
 /// designed-for 4:3:3 of §6.4 and its perturbations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficMix {
     /// Share of city-to-city traffic.
     pub city_city: f64,
@@ -234,8 +227,8 @@ impl TrafficMix {
 /// A traffic mix split by latency class, for hybrid fluid/packet
 /// simulation: latency-sensitive user-facing traffic (foreground) and bulk
 /// replication traffic (background). Produced by [`TrafficMix::classified`];
-/// consumed by `cisp_core::evaluate::lower_traffic_classified`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// consumed by `cisp_core::evaluate::lower_classified`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassifiedTraffic {
     /// Latency-sensitive traffic, simulated packet-level.
     pub foreground: TrafficMatrix,
@@ -285,7 +278,6 @@ mod tests {
     fn site_set_indexing() {
         let s = site_set();
         assert_eq!(s.len(), 18);
-        assert_eq!(s.city_index(3), 3);
         assert_eq!(s.dc_index(0), 12);
         assert_eq!(s.locations().len(), 18);
     }

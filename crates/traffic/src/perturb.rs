@@ -9,8 +9,6 @@ use cisp_data::cities::City;
 use cisp_data::rng::seeded_rng;
 use rand::Rng;
 
-use crate::matrix::TrafficMatrix;
-
 /// Re-weight city populations by factors drawn from `U[1 − γ, 1 + γ]`.
 ///
 /// γ must lie in `[0, 1]` so populations stay non-negative. The RNG stream is
@@ -32,26 +30,20 @@ pub fn perturbed_populations(cities: &[City], gamma: f64, seed: u64) -> Vec<City
         .collect()
 }
 
-/// Population-product traffic matrix for a perturbed set of cities, over the
-/// same site indexing as the unperturbed set (cities only).
-pub fn perturbed_city_city_matrix(cities: &[City], gamma: f64, seed: u64) -> TrafficMatrix {
-    let perturbed = perturbed_populations(cities, gamma, seed);
-    let n = perturbed.len();
-    let mut weights = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                weights[i][j] = perturbed[i].population as f64 * perturbed[j].population as f64;
-            }
-        }
-    }
-    TrafficMatrix::from_matrix(weights).normalized()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::TrafficMatrix;
+    use crate::models::{city_city_matrix, SiteSet};
     use cisp_data::cities::us_top_cities;
+
+    /// The population-product matrix over perturbed cities.
+    fn perturbed_city_city_matrix(cities: &[City], gamma: f64, seed: u64) -> TrafficMatrix {
+        city_city_matrix(&SiteSet::new(
+            perturbed_populations(cities, gamma, seed),
+            Vec::new(),
+        ))
+    }
 
     #[test]
     fn zero_gamma_is_identity() {

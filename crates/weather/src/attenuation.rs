@@ -7,8 +7,6 @@
 //! A link is considered failed when the total attenuation exceeds its fade
 //! margin — the binary model §6.1 adopts.
 
-use serde::{Deserialize, Serialize};
-
 /// ITU-R P.838-3 coefficients (horizontal polarisation) at selected
 /// frequencies bracketing the paper's 6–18 GHz band.
 const COEFFS: &[(f64, f64, f64)] = &[
@@ -47,7 +45,7 @@ fn coefficients(freq_ghz: f64) -> (f64, f64) {
 
 /// Specific attenuation `γ` in dB/km for rain rate `rain_mm_h` at
 /// `freq_ghz`.
-pub fn specific_attenuation_db_per_km(rain_mm_h: f64, freq_ghz: f64) -> f64 {
+pub(crate) fn specific_attenuation_db_per_km(rain_mm_h: f64, freq_ghz: f64) -> f64 {
     assert!(rain_mm_h >= 0.0);
     if rain_mm_h == 0.0 {
         return 0.0;
@@ -58,7 +56,7 @@ pub fn specific_attenuation_db_per_km(rain_mm_h: f64, freq_ghz: f64) -> f64 {
 
 /// Effective path length factor (ITU-R P.530 style): rain cells are a few km
 /// to a few tens of km across, so long paths are only partially covered.
-pub fn effective_path_km(path_km: f64, rain_mm_h: f64) -> f64 {
+pub(crate) fn effective_path_km(path_km: f64, rain_mm_h: f64) -> f64 {
     assert!(path_km >= 0.0);
     if path_km == 0.0 || rain_mm_h <= 0.0 {
         return 0.0;
@@ -70,12 +68,12 @@ pub fn effective_path_km(path_km: f64, rain_mm_h: f64) -> f64 {
 
 /// Total rain attenuation in dB over a path of `path_km` experiencing a
 /// (uniform) rain rate of `rain_mm_h` at `freq_ghz`.
-pub fn rain_attenuation_db(path_km: f64, rain_mm_h: f64, freq_ghz: f64) -> f64 {
+pub(crate) fn rain_attenuation_db(path_km: f64, rain_mm_h: f64, freq_ghz: f64) -> f64 {
     specific_attenuation_db_per_km(rain_mm_h, freq_ghz) * effective_path_km(path_km, rain_mm_h)
 }
 
 /// Link fade budget parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FadeMargin {
     /// Attenuation the link can absorb before its bandwidth degrades, dB.
     pub margin_db: f64,

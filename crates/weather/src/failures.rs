@@ -62,13 +62,12 @@ use cisp_core::topology::HybridTopology;
 use cisp_geo::geodesic::{self, PathSampler};
 use cisp_geo::{GeoPoint, TrigPoint};
 use cisp_netsim::jobs::{drain_jobs, resolve_workers};
-use serde::{Deserialize, Serialize};
 
 use crate::attenuation::FadeMargin;
 use crate::storms::{rain_sample_points, Storm, StormField};
 
 /// Configuration of the failure model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FailureConfig {
     /// Fade margin per hop.
     pub fade_margin: FadeMargin,
@@ -129,7 +128,7 @@ const RAIN_BOUND_ROUND_UP: f64 = 1.0 + 1e-9;
 /// What the cascade decided, counted over every field a
 /// [`FailureGeometry`] has evaluated.
 /// `by_rain_bound + exact == link_fields` and `failed <= exact`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FailureSweepStats {
     /// Link × field pairs evaluated.
     pub link_fields: u64,

@@ -36,7 +36,6 @@ pub mod reroute;
 pub mod simulate;
 pub mod storms;
 
-pub use attenuation::{rain_attenuation_db, specific_attenuation_db_per_km};
 pub use failures::{
     failure_sweep, link_failures, FailureConfig, FailureGeometry, FailureSweepStats,
 };

@@ -22,13 +22,12 @@ use std::collections::HashSet;
 use cisp_core::topology::HybridTopology;
 use cisp_geo::latency;
 use cisp_graph::{leave_out_closures, pair_indices};
-use serde::{Deserialize, Serialize};
 
 use crate::failures::{failure_sweep, FailureConfig, FailureSweepStats};
 use crate::storms::StormYear;
 
 /// Per-pair stretch statistics across the year.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PairWeatherStats {
     /// First site of the pair.
     pub site_a: usize,
@@ -45,7 +44,7 @@ pub struct PairWeatherStats {
 }
 
 /// The full year analysis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeatherYearReport {
     /// Per-pair statistics.
     pub pairs: Vec<PairWeatherStats>,
@@ -58,10 +57,8 @@ pub struct WeatherYearReport {
     /// One-link matrix sweeps the year's failure sets cost
     /// ([`leave_out_closures`]' count; a rebuild per set would make one per
     /// surviving link per set).
-    #[serde(default)]
     pub closure_sweeps: usize,
     /// Distinct non-empty failure sets among the year's intervals.
-    #[serde(default)]
     pub distinct_failure_sets: usize,
 }
 
@@ -93,7 +90,7 @@ impl WeatherYearReport {
 }
 
 /// Which Fig. 7 series to extract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeatherSeries {
     /// Fair-weather (all links up) stretch.
     Best,

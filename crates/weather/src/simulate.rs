@@ -46,13 +46,12 @@ use cisp_netsim::jobs::drain_jobs;
 use cisp_netsim::routing::{compute_routes_avoiding, reroute_avoiding};
 use cisp_netsim::sim::Simulation;
 use cisp_netsim::SimReport;
-use serde::{Deserialize, Serialize};
 
 use crate::failures::{failure_sweep_on, FailureConfig};
 use crate::storms::StormField;
 
 /// One interval's queueing-aware outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IntervalQueueing {
     /// Number of microwave links down this interval.
     pub failed_links: usize,
@@ -80,7 +79,7 @@ impl IntervalQueueing {
 
 /// The queueing-aware weather report: the fair-weather baseline plus one
 /// entry per analysed storm interval.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueueingWeatherReport {
     /// All-links-up baseline.
     pub fair: IntervalQueueing,
@@ -193,7 +192,7 @@ pub fn storm_queueing_analysis(
 
 /// The delivered outcome of one conduit-cut scenario (or the uncut
 /// baseline).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConduitCutOutcome {
     /// Number of conduit segments cut in this scenario.
     pub cut_segments: usize,
@@ -214,7 +213,7 @@ pub struct ConduitCutOutcome {
 
 /// The conduit-cut report: the uncut baseline plus one outcome per cut
 /// scenario, in scenario order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConduitCutReport {
     /// All-conduits-up baseline.
     pub baseline: ConduitCutOutcome,

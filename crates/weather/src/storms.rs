@@ -14,10 +14,9 @@ use cisp_geo::geodesic::{self, PathSampler};
 use cisp_geo::GeoPoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A single storm cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Storm {
     /// Storm centre.
     pub center: GeoPoint,
@@ -62,7 +61,7 @@ pub(crate) fn rain_sample_points(a: GeoPoint, b: GeoPoint) -> impl Iterator<Item
 }
 
 /// The storm field of one 30-minute interval.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StormField {
     /// Active storms during the interval.
     pub storms: Vec<Storm>,
@@ -83,7 +82,7 @@ impl StormField {
 }
 
 /// Configuration of the synthetic storm year.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StormYearConfig {
     /// Bounding box `(min_lat, max_lat, min_lon, max_lon)` storms appear in.
     pub bbox: (f64, f64, f64, f64),
@@ -108,7 +107,7 @@ impl StormYearConfig {
 }
 
 /// A year of daily 30-minute storm fields.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StormYear {
     fields: Vec<StormField>,
 }

@@ -4,6 +4,7 @@
 
 use cisp::core::cost::CostModel;
 use cisp::core::scenario::{population_product_traffic, Scenario, ScenarioConfig};
+use cisp::data::cities::{population_coverage, us_population_centers, us_top_cities};
 use cisp::geo::latency;
 use cisp::netsim::network::{LinkSpec, Network};
 use cisp::netsim::routing::Demand;
@@ -15,6 +16,16 @@ use cisp::weather::storms::{StormYear, StormYearConfig};
 /// The shared miniature scenario (built once per test; cheap at tiny scale).
 fn tiny_scenario() -> Scenario {
     Scenario::build(&ScenarioConfig::tiny_test())
+}
+
+/// §2: the paper's 120 US population centres hold 85 % of the population
+/// within 100 km. Over every tabulated city the coalesced centres must
+/// reach that share at least.
+#[test]
+fn us_population_centers_cover_the_paper_share() {
+    let centers = us_population_centers();
+    let coverage = population_coverage(&centers, &us_top_cities(usize::MAX), 100.0);
+    assert!(coverage >= 0.85, "coverage = {coverage}");
 }
 
 #[test]

@@ -188,6 +188,14 @@ proptest! {
     }
 
     #[test]
+    fn geo_point_try_new_accepts_exactly_the_valid_range(lat in -180.0..180.0f64, lon in -360.0..360.0f64) {
+        let valid = (-90.0..=90.0).contains(&lat) && (-180.0..=180.0).contains(&lon);
+        prop_assert_eq!(GeoPoint::try_new(lat, lon), valid.then(|| GeoPoint::new(lat, lon)));
+        prop_assert_eq!(GeoPoint::try_new(f64::NAN, lon), None);
+        prop_assert_eq!(GeoPoint::try_new(lat, f64::INFINITY), None);
+    }
+
+    #[test]
     fn geodesic_triangle_inequality(a in us_point(), b in us_point(), c in us_point()) {
         let ab = geodesic::distance_km(a, b);
         let bc = geodesic::distance_km(b, c);

@@ -239,9 +239,12 @@ pub(crate) fn fig03_us_topology(ctx: &Context) {
             count("hop sweep: samples", sweep.samples),
             count("hop sweep: by global bound", sweep.by_global_bound),
             count("hop sweep: by cell bound", sweep.by_cell_bound),
+            count("hop sweep: by fine cell bound", sweep.by_fine_bound),
             count("hop sweep: elevation only", sweep.elevation_only),
             count("hop sweep: exact", sweep.exact),
             count("hop sweep: cells filled", sweep.cells_filled),
+            count("hop sweep: fine cells filled", sweep.fine_cells_filled),
+            count("hop sweep: exact locates", sweep.exact_locates),
             ms("pool build: hop sweep ms", profile.hop_sweep_ms),
             ms("pool build: attach ms", profile.attach_ms),
             ms("pool build: search ms", profile.search_ms),

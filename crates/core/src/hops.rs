@@ -17,8 +17,8 @@
 //! (sight line minus bulge and Fresnel radius,
 //! [`fresnel::sample_headroom_m`]) depends only on the two antennas and the
 //! *obstacle* is `elevation_m(p) + clutter_m(p)` — four noise fields (16
-//! octaves) and nine ridge distances, ~0.7 µs. The median feasible hop
-//! clears its tightest sample by tens of metres, so most samples can be
+//! octaves) and nine ridge distances, ≈ 0.75–1.1 µs. The median feasible
+//! hop clears its tightest sample by tens of metres, so most samples can be
 //! decided from an upper bound on the obstacle ([`ObstructionEnvelope`])
 //! that costs a table look-up. Each sample runs down four tiers and stops
 //! at the first that decides it; every tier returns the verdict the last
@@ -27,8 +27,12 @@
 //! 1. **Global bound**: `headroom − U_global >= ε` ⇒ clear, before the
 //!    sample's position is even computed. On flat terrain `U_global` is the
 //!    surface itself, so this decides every clear sample.
-//! 2. **Cell bound**: locate the sample, look its 0.05° cell's maximum up:
-//!    `headroom − U_cell >= ε` ⇒ clear.
+//! 2. **Cell bounds**: locate the sample's cell (below), look its 0.1°
+//!    coarse cell's maximum up: `headroom − U_coarse >= ε` ⇒ clear; failing
+//!    that, its 0.025° fine cell's: `headroom − U_fine >= ε` ⇒ clear. A fine
+//!    cell is filled only when a sample in it gets this far, and stores its
+//!    bound as a byte below the coarse one, rounded up
+//!    ([`cisp_terrain::envelope`]).
 //! 3. **Elevation only**: sample the terrain but not the clutter. With
 //!    `bare = headroom − elevation_m(p)` and the clutter model's global
 //!    `[c_min, c_max]`: `bare − c_max >= ε` ⇒ clear, `bare − c_min < −ε` ⇒
@@ -37,8 +41,22 @@
 //!    arithmetic of the reference profile pipeline, and the only place a
 //!    marginal sample is ever judged.
 //!
-//! **Soundness.** `U_global`, `U_cell`, `c_min` and `c_max` bound the
-//! sampled surface at every point (the argument for each is in
+//! **Locating a sample.** Tier 2 needs the sample's cell, not its point.
+//! Each half of the middle-out probe walks the great circle from the exact
+//! vector of the middle sample by a fixed rotation
+//! ([`geodesic::GreatCircleWalk`], ≈ 18 flops a sample), and
+//! [`ObstructionEnvelope::walk_cell`] finds the cell by comparisons alone:
+//! no `asin`, no `atan2`, no slerp sines. After at most 80 steps the walked
+//! vector is within ≈ 1e-14 of the exact one (a test bounds it by a tenth
+//! of the guard over 160-sample paths); a comparison within the guard
+//! (1e-12) of a cell edge falls back to [`geodesic::PathSampler::point_at`]
+//! and [`ObstructionEnvelope::cell_at`], so the walk finds exactly the cell
+//! the exact point lies in. Tiers 3 and 4 still sample the terrain at
+//! `point_at(frac)`, bit for bit. A grid spanning 180° of longitude or more
+//! is not walked: every sample is located from its exact point.
+//!
+//! **Soundness.** `U_global`, `U_coarse`, `U_fine`, `c_min` and `c_max`
+//! bound the sampled surface at every point (the argument for each is in
 //! [`cisp_terrain::envelope`]), so in real arithmetic tiers 1–3 can only
 //! fire when tier 4 would agree. `BOUND_SLACK_M` (ε = 1 mm) covers the
 //! difference between real and `f64` arithmetic: the bounds and the
@@ -57,6 +75,7 @@
 use cisp_data::towers::TowerRegistry;
 use cisp_geo::{fresnel, geodesic, units};
 use cisp_netsim::jobs::{drain_jobs, resolve_workers};
+use cisp_terrain::envelope::{GridCursor, Walked};
 use cisp_terrain::{clutter::ClutterModel, profile, ObstructionEnvelope, TerrainModel};
 
 /// ε of the cascade: a bound decides a sample only with this much margin to
@@ -128,41 +147,53 @@ pub struct FeasibleHop {
 }
 
 /// How one hop sweep's interior samples were decided, by cascade tier (see
-/// the module docs). `samples` is the sum of the four tiers; a blocked hop
-/// stops at its first blocked sample, so it contributes only the samples
-/// probed up to there.
+/// the module docs). `samples` is the sum of the five deciding counts (tier
+/// 2 has two); a blocked hop stops at its first blocked sample, so it
+/// contributes only the samples probed up to there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HopSweepStats {
     /// Interior samples probed.
     pub samples: u64,
     /// Cleared by the global obstruction bound (tier 1).
     pub by_global_bound: u64,
-    /// Cleared by the sample's grid-cell bound (tier 2).
+    /// Cleared by the sample's coarse grid-cell bound (tier 2).
     pub by_cell_bound: u64,
+    /// Cleared by the sample's fine grid-cell bound, after the coarse one
+    /// did not (tier 2, second level).
+    pub by_fine_bound: u64,
     /// Decided from the terrain elevation without sampling clutter (tier 3).
     pub elevation_only: u64,
     /// Judged by the exact terrain + clutter arithmetic (tier 4).
     pub exact: u64,
-    /// Envelope grid cells computed during the sweep.
+    /// Coarse envelope grid cells computed during the sweep.
     pub cells_filled: u64,
+    /// Fine envelope grid cells computed during the sweep.
+    pub fine_cells_filled: u64,
+    /// Samples whose walked position lay too close to a cell edge (or too
+    /// far from the grid) to be located, so their exact point was computed
+    /// and located instead.
+    pub exact_locates: u64,
 }
 
 impl HopSweepStats {
-    /// Share of the probed samples decided by a bound (tiers 1 and 2),
-    /// without sampling the terrain; 0 for an empty sweep.
+    /// Share of the probed samples decided by a bound (tier 1 and both
+    /// levels of tier 2), without sampling the terrain; 0 for an empty sweep.
     pub fn bound_share(&self) -> f64 {
         if self.samples == 0 {
             return 0.0;
         }
-        (self.by_global_bound + self.by_cell_bound) as f64 / self.samples as f64
+        (self.by_global_bound + self.by_cell_bound + self.by_fine_bound) as f64
+            / self.samples as f64
     }
 
     fn add_samples(&mut self, other: &Self) {
         self.samples += other.samples;
         self.by_global_bound += other.by_global_bound;
         self.by_cell_bound += other.by_cell_bound;
+        self.by_fine_bound += other.by_fine_bound;
         self.elevation_only += other.elevation_only;
         self.exact += other.exact;
+        self.exact_locates += other.exact_locates;
     }
 }
 
@@ -283,9 +314,11 @@ impl<'a> HopFeasibility<'a> {
         let denom = (n - 1) as f64;
         let global_max_m = self.envelope.global_max_m();
         let (clutter_min_m, clutter_max_m) = self.envelope.clutter_range_m();
+        let walks = self.envelope.walks();
         // One interior sample of the reference profile pipeline, decided by
-        // the first tier of the cascade that can (module docs).
-        let mut clear = |idx: usize| -> bool {
+        // the first tier of the cascade that can (module docs); `side` is the
+        // walk of the probe's half it lies in.
+        let mut clear = |idx: usize, side: &mut ProbeSide| -> bool {
             let frac = idx as f64 / denom;
             let headroom_m =
                 fresnel::sample_headroom_m(length_km, h_a, h_b, frac, frequency_ghz, k_factor);
@@ -294,13 +327,33 @@ impl<'a> HopFeasibility<'a> {
                 stats.by_global_bound += 1;
                 return true;
             }
-            let p = sampler.point_at(frac);
-            if let Some(cell_max_m) = self.envelope.cell_max_m(p) {
-                if headroom_m - cell_max_m >= BOUND_SLACK_M {
+            let walked = if walks {
+                let v = side.vector_at(&sampler, idx, denom);
+                self.envelope.walk_cell(v, &mut side.cursor)
+            } else {
+                Walked::Undecided
+            };
+            // Tiers 3 and 4 sample the terrain at exactly this point.
+            let mut point = None;
+            let cell = match walked {
+                Walked::Cell(cell) => Some(cell),
+                Walked::Outside => None,
+                Walked::Undecided => {
+                    stats.exact_locates += u64::from(walks);
+                    self.envelope.cell_at(*point.insert(sampler.point_at(frac)))
+                }
+            };
+            if let Some(cell) = cell {
+                if headroom_m - self.envelope.cell_max_m(cell) >= BOUND_SLACK_M {
                     stats.by_cell_bound += 1;
                     return true;
                 }
+                if headroom_m - self.envelope.fine_max_m(cell) >= BOUND_SLACK_M {
+                    stats.by_fine_bound += 1;
+                    return true;
+                }
             }
+            let p = point.unwrap_or_else(|| sampler.point_at(frac));
             let elevation_m = self.terrain.elevation_m(p);
             let bare_m = headroom_m - elevation_m;
             let clear_of_any_clutter = bare_m - clutter_max_m >= BOUND_SLACK_M;
@@ -321,19 +374,22 @@ impl<'a> HopFeasibility<'a> {
             )
         };
         // Interior samples are indices 1..=n-2 (endpoints are the antennas
-        // themselves); probe them middle-out with early exit.
+        // themselves); probe them middle-out with early exit, each half
+        // walking away from the middle sample.
         let mid = (n - 1) / 2;
+        let mut lower = ProbeSide::new(mid, -1);
+        let mut upper = ProbeSide::new(mid, 1);
         let mut lo = mid as isize;
         let mut hi = mid + 1;
         while lo >= 1 || hi <= n - 2 {
             if lo >= 1 {
-                if !clear(lo as usize) {
+                if !clear(lo as usize, &mut lower) {
                     return None;
                 }
                 lo -= 1;
             }
             if hi <= n - 2 {
-                if !clear(hi) {
+                if !clear(hi, &mut upper) {
                     return None;
                 }
                 hi += 1;
@@ -379,6 +435,7 @@ impl<'a> HopFeasibility<'a> {
         assert!(towers.len() <= u32::MAX as usize, "tower index exceeds u32");
         let range_km = self.config.max_range_km;
         let cells_before = self.envelope.cells_filled();
+        let fine_before = self.envelope.fine_cells_filled();
         let (per_job, _) = drain_jobs(
             towers.len().div_ceil(TOWERS_PER_JOB),
             resolve_workers(workers),
@@ -418,6 +475,7 @@ impl<'a> HopFeasibility<'a> {
             stats.add_samples(&job_stats);
         }
         stats.cells_filled = (self.envelope.cells_filled() - cells_before) as u64;
+        stats.fine_cells_filled = (self.envelope.fine_cells_filled() - fine_before) as u64;
         (hops, stats)
     }
 }
@@ -431,6 +489,48 @@ struct JobHops {
     per_tower: Vec<u32>,
     partners: Vec<u32>,
     lengths_km: Vec<f64>,
+}
+
+/// One half of a hop's middle-out probe: a [`geodesic::GreatCircleWalk`]
+/// from the middle sample, one sample a step, started the first time one of
+/// the half's samples needs a position and stepped only as far as it is
+/// asked; and the grid cursor its positions are located from.
+struct ProbeSide {
+    start: usize,
+    /// `-1` towards the first antenna, `1` towards the second.
+    direction: isize,
+    /// The walk and the sample it is at.
+    walk: Option<(geodesic::GreatCircleWalk, usize)>,
+    cursor: GridCursor,
+}
+
+impl ProbeSide {
+    fn new(start: usize, direction: isize) -> Self {
+        Self {
+            start,
+            direction,
+            walk: None,
+            cursor: GridCursor::default(),
+        }
+    }
+
+    /// The walked unit vector of sample `idx` of a path with `denom + 1`
+    /// samples; `idx` never moves back towards the middle.
+    fn vector_at(&mut self, sampler: &geodesic::PathSampler, idx: usize, denom: f64) -> [f64; 3] {
+        let (walk, at) = self.walk.get_or_insert_with(|| {
+            (
+                sampler.walk(self.start as f64 / denom, self.direction as f64 / denom),
+                self.start,
+            )
+        });
+        let ahead = (idx as isize - *at as isize) * self.direction;
+        debug_assert!(ahead >= 0, "sample {idx} is behind the walk at {at}");
+        for _ in 0..ahead {
+            walk.step();
+        }
+        *at = idx;
+        walk.position()
+    }
 }
 
 #[cfg(test)]
@@ -638,8 +738,9 @@ mod tests {
         assert_eq!(engine.all_feasible_hops(), serial);
         let (again, again_stats) = engine.all_feasible_hops_profiled(2);
         assert_eq!(again, serial);
-        assert_eq!(again_stats.cells_filled, 0);
+        assert_eq!(again_stats.cells_filled + again_stats.fine_cells_filled, 0);
         assert_eq!(again_stats.by_cell_bound, serial_stats.by_cell_bound);
+        assert_eq!(again_stats.by_fine_bound, serial_stats.by_fine_bound);
     }
 
     // Enough towers for three jobs: the job-order merge must give the plain

@@ -127,13 +127,86 @@ impl PathSampler {
         if self.delta < 1e-12 {
             return self.a;
         }
+        GeoPoint::from_unit_vector(self.blend(f))
+    }
+
+    /// The slerp blend `point_at` normalises: the unit vector of the point at
+    /// fraction `f`, to within rounding.
+    fn blend(&self, f: f64) -> [f64; 3] {
         let wa = ((1.0 - f) * self.delta).sin() / self.sin_delta;
         let wb = (f * self.delta).sin() / self.sin_delta;
-        GeoPoint::from_unit_vector([
+        [
             wa * self.va[0] + wb * self.vb[0],
             wa * self.va[1] + wb * self.vb[1],
             wa * self.va[2] + wb * self.vb[2],
-        ])
+        ]
+    }
+
+    /// A walk along the path that starts at fraction `f` and moves by `step`
+    /// (a signed fraction of the path) each time it is stepped; see
+    /// [`GreatCircleWalk`].
+    pub fn walk(&self, f: f64, step: f64) -> GreatCircleWalk {
+        assert!((0.0..=1.0).contains(&f), "fraction must be in [0, 1]");
+        if self.delta < 1e-12 {
+            return GreatCircleWalk {
+                v: self.va,
+                t: [0.0; 3],
+                cos: 1.0,
+                sin: 0.0,
+            };
+        }
+        let [ax, ay, az] = self.va;
+        let [bx, by, bz] = self.vb;
+        let normal = [ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx];
+        let norm = (normal[0] * normal[0] + normal[1] * normal[1] + normal[2] * normal[2]).sqrt();
+        let [nx, ny, nz] = normal.map(|c| c / norm);
+        let v = self.blend(f);
+        let theta = step * self.delta;
+        GreatCircleWalk {
+            v,
+            t: [
+                ny * v[2] - nz * v[1],
+                nz * v[0] - nx * v[2],
+                nx * v[1] - ny * v[0],
+            ],
+            cos: theta.cos(),
+            sin: theta.sin(),
+        }
+    }
+}
+
+/// Equally spaced points of one great circle, by a fixed rotation per step
+/// and no trigonometry.
+///
+/// The walk keeps a point `v` and the tangent `t = n × v` (`n` the circle's
+/// unit normal), and a step by the angle `θ` is `v' = v·cosθ + t·sinθ`,
+/// `t' = t·cosθ − v·sinθ`: twelve multiplications and six additions. It
+/// starts from the exact slerp vector, so after `k` steps it is off the
+/// point [`PathSampler::point_at`] computes by `k` steps' rounding (each
+/// ≈ 1e-16 of the unit vector, plus the ≈ 1e-16 by which `cos²θ + sin²θ`
+/// misses 1). Its vectors are therefore unit only to within that drift;
+/// callers that need a point bit for bit use `point_at`.
+#[derive(Debug, Clone, Copy)]
+pub struct GreatCircleWalk {
+    v: [f64; 3],
+    t: [f64; 3],
+    cos: f64,
+    sin: f64,
+}
+
+impl GreatCircleWalk {
+    /// The current point, as an (almost) unit vector.
+    pub fn position(&self) -> [f64; 3] {
+        self.v
+    }
+
+    /// Move one step along the circle.
+    pub fn step(&mut self) {
+        let (c, s) = (self.cos, self.sin);
+        let [vx, vy, vz] = self.v;
+        let [tx, ty, tz] = self.t;
+        self.v = [vx * c + tx * s, vy * c + ty * s, vz * c + tz * s];
+        self.t = [tx * c - vx * s, ty * c - vy * s, tz * c - vz * s];
     }
 }
 
@@ -279,6 +352,32 @@ mod tests {
         let s = PathSampler::new(nyc(), nyc());
         let p = s.point_at(0.5);
         assert!(p.lat_deg == nyc().lat_deg && p.lon_deg == nyc().lon_deg);
+    }
+
+    #[test]
+    fn walk_stays_on_the_sampled_points() {
+        // Both directions, from the middle of a 160-sample path, 79 steps.
+        let (a, b) = (
+            GeoPoint::new(61.5, -150.0),
+            destination(GeoPoint::new(61.5, -150.0), 37.0, 99.0),
+        );
+        let sampler = PathSampler::new(a, b);
+        let denom = 159.0;
+        for dir in [-1.0, 1.0] {
+            let mut walk = sampler.walk(80.0 / denom, dir / denom);
+            for k in 0..=79 {
+                let f = (80.0 + dir * k as f64) / denom;
+                let v = walk.position();
+                let exact = sampler.point_at(f).to_unit_vector();
+                let drift = (0..3).map(|c| (v[c] - exact[c]).abs()).fold(0.0, f64::max);
+                assert!(drift < 1e-14, "drift {drift} after {k} steps");
+                walk.step();
+            }
+        }
+        // A degenerate path stands still.
+        let mut walk = PathSampler::new(a, a).walk(0.5, 0.1);
+        walk.step();
+        assert_eq!(walk.position(), a.to_unit_vector());
     }
 
     #[test]

@@ -39,6 +39,14 @@ const CREST_SEED_MASK: u64 = 0xA11C_E5ED;
 /// cover ULP-level error, so 1 km is vast.
 const SKIP_MARGIN_KM: f64 = 1.0;
 
+/// Slack of `MountainRange::axis_distance_lower_bound_km`, in km: covers
+/// rounding in its distances (~1e-12 km) with room.
+const AXIS_BOUND_SLACK_KM: f64 = 1e-6;
+
+/// Margin of the same bound's obtuse-angle test, on cosines: dwarfs the
+/// rounding of the model's bearing comparison.
+const AXIS_BOUND_OBTUSE_MARGIN: f64 = 1e-9;
+
 /// Precomputed axis geometry of one [`MountainRange`].
 ///
 /// The axis distance needs the axis length, the axis bearing and two
@@ -62,6 +70,20 @@ struct RangeAxis {
     /// axis point exceeds `4σ`, where the Gaussian contribution is defined
     /// to be exactly `0.0` — so skipping is bit-identical.
     skip_beyond_km: f64,
+}
+
+impl RangeAxis {
+    /// `geodesic::cross_track_distance_km(start, end, p)` from the distance
+    /// `d_start_km` and bearing `bearing_deg` of `p` seen from the start:
+    /// the same expression, with its central angle and axis bearing taken
+    /// from values the caller and the cache already hold.
+    #[inline]
+    fn cross_track_km(&self, d_start_km: f64, bearing_deg: f64) -> f64 {
+        let delta13 = d_start_km / EARTH_RADIUS_KM;
+        let theta13 = bearing_deg.to_radians();
+        let theta12 = self.bearing_axis_deg.to_radians();
+        (delta13.sin() * (theta13 - theta12).sin()).asin().abs() * EARTH_RADIUS_KM
+    }
 }
 
 /// A mountain range modelled as a ridge line with Gaussian cross-section.
@@ -143,6 +165,43 @@ impl MountainRange {
         self.peak_m * (-0.5 * x * x).exp()
     }
 
+    /// [`Self::axis_distance_lower_bound_km`] from the range's endpoints
+    /// alone: the reference the cached bound is pinned against.
+    #[cfg(test)]
+    fn axis_distance_lower_bound_uncached_km(&self, center: GeoPoint, radius_km: f64) -> f64 {
+        let r = radius_km + AXIS_BOUND_SLACK_KM;
+        let total = geodesic::distance_km(self.start, self.end);
+        let d_start = geodesic::distance_km(self.start, center);
+        let start_lo = d_start - r;
+        if total < 1e-9 {
+            return start_lo;
+        }
+        let far = start_lo - total;
+        if far > 4.0 * self.half_width_km {
+            return far;
+        }
+        let d_end = geodesic::distance_km(self.end, center);
+        let xt = geodesic::cross_track_distance_km(self.start, self.end, center);
+        let end_lo = d_end - r;
+        let xt_hi = xt + r;
+        let mut bound = far.max(xt - r);
+        if start_lo > xt_hi
+            && (start_lo * start_lo - xt_hi * xt_hi).sqrt() > total + AXIS_BOUND_SLACK_KM
+        {
+            bound = bound.max(start_lo.min(end_lo));
+        }
+        let angle = |km: f64| km / EARTH_RADIUS_KM;
+        let total_cos = angle(total).cos();
+        if total_cos > 0.0
+            && angle(d_start + r) <= std::f64::consts::PI
+            && angle(end_lo.max(0.0)).cos()
+                < angle(d_start + r).cos() * total_cos - AXIS_BOUND_OBTUSE_MARGIN
+        {
+            bound = bound.max(start_lo);
+        }
+        bound
+    }
+
     /// Lower bound on [`Self::distance_to_axis_cached_km`] — the value the
     /// model computes, planar along-track test included — over every point
     /// within `radius_km` of `center`.
@@ -175,12 +234,20 @@ impl MountainRange {
     ///
     /// Without the two caps every range would cast its full height along the
     /// whole great circle through its axis.
-    fn axis_distance_lower_bound_km(&self, center: GeoPoint, radius_km: f64) -> f64 {
-        // Covers rounding in the distances below (~1e-12 km) with room.
-        const SLACK_KM: f64 = 1e-6;
-        const OBTUSE_MARGIN: f64 = 1e-9;
-        let r = radius_km + SLACK_KM;
-        let total = geodesic::distance_km(self.start, self.end);
+    ///
+    /// The axis length and bearing come from the [`RangeAxis`] cache, and the
+    /// cross-track distance reuses `d_start` for its central angle
+    /// ([`RangeAxis::cross_track_km`], as in
+    /// [`Self::distance_to_axis_cached_km`]): the same values as the
+    /// uncached expression, bit for bit (pinned by a test).
+    fn axis_distance_lower_bound_km(
+        &self,
+        axis: &RangeAxis,
+        center: GeoPoint,
+        radius_km: f64,
+    ) -> f64 {
+        let r = radius_km + AXIS_BOUND_SLACK_KM;
+        let total = axis.total_km;
         let d_start = geodesic::distance_km(self.start, center);
         let start_lo = d_start - r;
         if total < 1e-9 {
@@ -191,18 +258,21 @@ impl MountainRange {
             return far;
         }
         let d_end = geodesic::distance_km(self.end, center);
-        let xt = geodesic::cross_track_distance_km(self.start, self.end, center);
+        let xt = axis.cross_track_km(d_start, geodesic::initial_bearing_deg(self.start, center));
         let end_lo = d_end - r;
         let xt_hi = xt + r;
         let mut bound = far.max(xt - r);
-        if start_lo > xt_hi && (start_lo * start_lo - xt_hi * xt_hi).sqrt() > total + SLACK_KM {
+        if start_lo > xt_hi
+            && (start_lo * start_lo - xt_hi * xt_hi).sqrt() > total + AXIS_BOUND_SLACK_KM
+        {
             bound = bound.max(start_lo.min(end_lo));
         }
         let angle = |km: f64| km / EARTH_RADIUS_KM;
         let total_cos = angle(total).cos();
         if total_cos > 0.0
             && angle(d_start + r) <= std::f64::consts::PI
-            && angle(end_lo.max(0.0)).cos() < angle(d_start + r).cos() * total_cos - OBTUSE_MARGIN
+            && angle(end_lo.max(0.0)).cos()
+                < angle(d_start + r).cos() * total_cos - AXIS_BOUND_OBTUSE_MARGIN
         {
             bound = bound.max(start_lo);
         }
@@ -212,8 +282,8 @@ impl MountainRange {
     /// Upper bound on [`Self::contribution_cached_m`] over every point
     /// within `radius_km` of `center`: the Gaussian is decreasing in the axis
     /// distance, so it is evaluated at that distance's lower bound.
-    fn max_contribution_m(&self, center: GeoPoint, radius_km: f64) -> f64 {
-        let d = self.axis_distance_lower_bound_km(center, radius_km);
+    fn max_contribution_m(&self, axis: &RangeAxis, center: GeoPoint, radius_km: f64) -> f64 {
+        let d = self.axis_distance_lower_bound_km(axis, center, radius_km);
         if d > 4.0 * self.half_width_km {
             return 0.0;
         }
@@ -246,13 +316,7 @@ impl MountainRange {
         let total = axis.total_km;
         let d_sp = geodesic::distance_km(self.start, p);
         let bearing_p = geodesic::initial_bearing_deg(self.start, p);
-        // cross_track_distance_km inlined so its central angle reuses d_sp
-        // and its axis bearing comes from the cache: same values, computed
-        // once instead of three times.
-        let delta13 = d_sp / EARTH_RADIUS_KM;
-        let theta13 = bearing_p.to_radians();
-        let theta12 = axis.bearing_axis_deg.to_radians();
-        let xt = (delta13.sin() * (theta13 - theta12).sin()).asin().abs() * EARTH_RADIUS_KM;
+        let xt = axis.cross_track_km(d_sp, bearing_p);
         let at = (d_sp * d_sp - xt * xt).max(0.0).sqrt();
         let mut diff = (axis.bearing_axis_deg - bearing_p).abs();
         if diff > 180.0 {
@@ -584,7 +648,8 @@ impl TerrainModel {
             let ridges: f64 = self
                 .ranges
                 .iter()
-                .map(|range| range.max_contribution_m(center, radius_km))
+                .zip(&self.axes)
+                .map(|(range, axis)| range.max_contribution_m(axis, center, radius_km))
                 .sum();
             if ridges > 0.0 {
                 let crest_hi = ridged_max(
@@ -759,6 +824,57 @@ mod tests {
                         range.name
                     );
                 }
+            }
+        }
+    }
+
+    // The fill-time axis-distance bound takes the axis length and bearing
+    // from the cache and reuses `d_start` for the cross-track angle; it must
+    // equal the expression built from the endpoints alone, bit for bit, on
+    // rectangles near, across, beyond and far from every range (degenerate
+    // and random axes included).
+    #[test]
+    fn cached_axis_bound_matches_the_uncached_expression() {
+        let unit = |k: u64| (crate::noise::mix64(k) >> 11) as f64 / (1u64 << 53) as f64;
+        let mut ranges: Vec<MountainRange> = TerrainModel::united_states(42).ranges;
+        ranges.extend(TerrainModel::europe(42).ranges);
+        let start = GeoPoint::new(40.0, -100.0);
+        ranges.push(MountainRange::new("point", start, start, 900.0, 20.0));
+        for k in 0..40u64 {
+            let end = geodesic::destination(start, unit(k) * 360.0, unit(k + 99) * 600.0);
+            ranges.push(MountainRange::new(
+                "random",
+                start,
+                end,
+                1_000.0,
+                5.0 + 80.0 * unit(k + 7),
+            ));
+        }
+        let mut draw = 0u64;
+        for range in &ranges {
+            let axis = range.axis();
+            for _ in 0..200 {
+                draw += 3;
+                // A centre within ≈ 8° of the axis start, a rectangle of
+                // 0.001°–1°.
+                let center = GeoPoint::new(
+                    range.start.lat_deg + 16.0 * (unit(draw) - 0.5),
+                    range.start.lon_deg + 16.0 * (unit(draw + 1) - 0.5),
+                );
+                let side = 10f64.powf(-3.0 * unit(draw + 2));
+                let rect = LatLonRect {
+                    lat: (center.lat_deg - side / 2.0, center.lat_deg + side / 2.0),
+                    lon: (center.lon_deg - side, center.lon_deg + side),
+                };
+                let (c, r) = rect.bounding_disc();
+                let cached = range.axis_distance_lower_bound_km(&axis, c, r);
+                let uncached = range.axis_distance_lower_bound_uncached_km(c, r);
+                assert_eq!(
+                    cached.to_bits(),
+                    uncached.to_bits(),
+                    "{} at {c}",
+                    range.name
+                );
             }
         }
     }

@@ -2,16 +2,20 @@
 //! checked against oracles that share none of their code:
 //!
 //! * `value_noise_range` against dense sampling of `value_noise`;
-//! * the envelope's per-cell bound against `elevation_m + clutter_m` at
-//!   random points, for the two built-in terrains and for random models
-//!   with hostile range geometry;
+//! * the envelope's coarse and fine cell bounds against `elevation_m +
+//!   clutter_m` at random points, for the two built-in terrains and for
+//!   random models with hostile range geometry;
 //! * the cascaded hop sweep against an exact-only sweep written here from
-//!   the public per-sample functions, hop list order included.
+//!   the public per-sample functions, hop list order included, across the
+//!   Rockies, across the Alps, on flat terrain and along cell edges.
+//!
+//! The sweeps run at every width in `CISP_TEST_WORKERS` (comma-separated,
+//! default `1,0,3`; `0` is one worker per core).
 
-use cisp::core::hops::{FeasibleHop, HopConfig, HopFeasibility};
+use cisp::core::hops::{FeasibleHop, HopConfig, HopFeasibility, HopSweepStats};
 use cisp::core::scenario::ScenarioConfig;
-use cisp::data::cities::us_population_centers;
-use cisp::data::towers::{TowerRegistry, TowerRegistryConfig};
+use cisp::data::cities::{europe_population_centers, us_population_centers, City};
+use cisp::data::towers::{Tower, TowerRegistry, TowerRegistryConfig, TowerSource};
 use cisp::geo::{fresnel, geodesic, GeoPoint};
 use cisp::terrain::clutter::{ClutterModel, ClutterParams};
 use cisp::terrain::elevation::BaseTerrainParams;
@@ -45,9 +49,10 @@ impl Draws {
     }
 }
 
-/// Check `cell_max_m(p) >= elevation_m(p) + clutter_m(p)` at `p` and at a
-/// few points scattered within a cell's width of it (so several positions
-/// of the same and of neighbouring cells are hit).
+/// Check `fine_max_m >= elevation_m(p) + clutter_m(p)` for `p`'s cell
+/// (and so the coarse bound, which is never below it) at `p` and at a few
+/// points scattered within a coarse cell's width of it (so several
+/// positions of the same and of neighbouring cells are hit).
 fn check_bound_around(
     envelope: &ObstructionEnvelope,
     terrain: &TerrainModel,
@@ -56,18 +61,19 @@ fn check_bound_around(
     draws: &mut Draws,
 ) -> TestCaseResult {
     for k in 0..4 {
-        let spread = if k == 0 { 0.0 } else { 0.05 };
+        let spread = if k == 0 { 0.0 } else { 0.1 };
         let p = GeoPoint::new(
             anchor.lat_deg + draws.between(-spread, spread),
             anchor.lon_deg + draws.between(-spread, spread),
         );
-        let Some(bound) = envelope.cell_max_m(p) else {
+        let Some(cell) = envelope.cell_at(p) else {
             continue; // off the grid: the sweep samples such points exactly
         };
+        let (coarse, fine) = (envelope.cell_max_m(cell), envelope.fine_max_m(cell));
         let surface = terrain.elevation_m(p) + clutter.clutter_m(p);
         prop_assert!(
-            bound >= surface,
-            "bound {bound} < surface {surface} at {p} ({terrain:?}, {clutter:?})"
+            fine <= coarse && fine >= surface,
+            "bounds {coarse} / {fine}, surface {surface} at {p} ({terrain:?}, {clutter:?})"
         );
     }
     Ok(())
@@ -205,7 +211,7 @@ proptest! {
             for anchor in anchors {
                 check_bound_around(&envelope, &terrain, &clutter, anchor, &mut draws)?;
             }
-            prop_assert!(envelope.cells_filled() > 0);
+            prop_assert!(envelope.cells_filled() > 0 && envelope.fine_cells_filled() > 0);
         }
     }
 
@@ -274,28 +280,77 @@ fn exact_only_hops(
         .collect()
 }
 
-// (c) Regional terrain: a registry straddling the central Rockies' crest
-// (≈ -106°) from the Great Basin to the high plains, so the sweep sees
-// blocked, marginal and wide-open hops.
-#[test]
-fn cascaded_sweep_equals_exact_only_sweep_across_the_rockies() {
-    let bbox = (32.0, 46.0, -116.0, -96.0);
-    let cities: Vec<_> = us_population_centers()
+/// `CISP_TEST_WORKERS` (comma-separated) or `1,0,3`.
+fn test_widths() -> Vec<usize> {
+    std::env::var("CISP_TEST_WORKERS")
+        .ok()
+        .map(|s| {
+            s.split(',')
+                .filter_map(|t| t.trim().parse().ok())
+                .collect::<Vec<usize>>()
+        })
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| vec![1, 0, 3])
+}
+
+/// Sweep `towers` with a fresh engine (so every sweep fills its own grid)
+/// at every test width, check each hop list against `reference`, and
+/// return the counts, which must not depend on the width either.
+fn sweep_at_every_width(
+    towers: &TowerRegistry,
+    terrain: &TerrainModel,
+    clutter: &ClutterModel,
+    config: HopConfig,
+    reference: &[FeasibleHop],
+) -> HopSweepStats {
+    let mut counts: Option<HopSweepStats> = None;
+    for workers in test_widths() {
+        let engine = HopFeasibility::new(towers, terrain, clutter, config);
+        let (hops, stats) = engine.all_feasible_hops_profiled(workers);
+        assert!(hops == reference, "hop list differs at workers = {workers}");
+        assert_eq!(
+            *counts.get_or_insert(stats),
+            stats,
+            "counts at workers = {workers}"
+        );
+        assert_eq!(
+            stats.samples,
+            stats.by_global_bound
+                + stats.by_cell_bound
+                + stats.by_fine_bound
+                + stats.elevation_only
+                + stats.exact
+        );
+    }
+    counts.expect("at least one width")
+}
+
+/// A synthesized registry over `bbox`, clustered around the cities in it.
+fn regional_towers(seed: u64, bbox: (f64, f64, f64, f64), cities: Vec<City>) -> TowerRegistry {
+    let cities: Vec<City> = cities
         .into_iter()
         .filter(|c| {
             (bbox.0..=bbox.1).contains(&c.location.lat_deg)
                 && (bbox.2..=bbox.3).contains(&c.location.lon_deg)
         })
         .collect();
-    let towers = TowerRegistry::synthesize(
-        11,
+    TowerRegistry::synthesize(
+        seed,
         bbox,
         &cities,
         &TowerRegistryConfig {
             raw_count: 2_150,
             ..TowerRegistryConfig::default()
         },
-    );
+    )
+}
+
+// (c) Regional terrain: a registry straddling the central Rockies' crest
+// (≈ -106°) from the Great Basin to the high plains, so the sweep sees
+// blocked, marginal and wide-open hops.
+#[test]
+fn cascaded_sweep_equals_exact_only_sweep_across_the_rockies() {
+    let towers = regional_towers(11, (32.0, 46.0, -116.0, -96.0), us_population_centers());
     assert!(towers.len() >= 1_500, "only {} towers", towers.len());
     let terrain = TerrainModel::united_states(11);
     let clutter = ClutterModel::with_seed(11);
@@ -306,22 +361,33 @@ fn cascaded_sweep_equals_exact_only_sweep_across_the_rockies() {
     // Both verdicts are well represented.
     assert!(reference.len() * 10 > pairs && reference.len() * 10 < pairs * 9);
 
-    // A fresh engine per worker count: every sweep fills its own grid.
-    let engine = HopFeasibility::new(&towers, &terrain, &clutter, config);
-    let (serial, stats) = engine.all_feasible_hops_profiled(1);
-    assert!(serial == reference, "serial hop list differs");
-    for workers in [0, 3] {
-        let engine = HopFeasibility::new(&towers, &terrain, &clutter, config);
-        let hops = engine.all_feasible_hops_with(workers);
-        assert!(hops == reference, "hop list differs at workers = {workers}");
-    }
-    // The bounds did decide samples on the way, and some were marginal.
-    assert_eq!(
-        stats.samples,
-        stats.by_global_bound + stats.by_cell_bound + stats.elevation_only + stats.exact
-    );
+    let stats = sweep_at_every_width(&towers, &terrain, &clutter, config, &reference);
+    // Both bound levels decided samples on the way, and some were marginal.
     assert!(stats.bound_share() > 0.25 && stats.exact > 0, "{stats:?}");
-    assert!(stats.cells_filled > 0);
+    assert!(stats.by_fine_bound > 0 && stats.cells_filled > 0 && stats.fine_cells_filled > 0);
+    // Off the cell edges, the walk locates samples on its own.
+    assert!(stats.exact_locates * 10_000 < stats.samples, "{stats:?}");
+}
+
+// (c) The European terrain: a registry across the Alps' main ridge, from
+// the Po valley to the Swiss plateau and Bavaria.
+#[test]
+fn cascaded_sweep_equals_exact_only_sweep_across_the_alps() {
+    let towers = regional_towers(5, (44.5, 48.8, 5.5, 13.5), europe_population_centers());
+    assert!(towers.len() >= 1_000, "only {} towers", towers.len());
+    let terrain = TerrainModel::europe(5);
+    let clutter = ClutterModel::with_seed(5);
+    let config = HopConfig::default();
+
+    let reference = exact_only_hops(&towers, &terrain, &clutter, config);
+    let pairs = towers.pairs_within(config.max_range_km).len();
+    assert!(reference.len() * 10 > pairs && reference.len() * 10 < pairs * 9);
+
+    let stats = sweep_at_every_width(&towers, &terrain, &clutter, config, &reference);
+    assert!(
+        stats.by_cell_bound > 0 && stats.by_fine_bound > 0 && stats.exact > 0,
+        "{stats:?}"
+    );
 }
 
 // (c) Flat terrain: the global bound is the surface, no grid exists, and
@@ -342,17 +408,68 @@ fn cascaded_sweep_equals_exact_only_sweep_on_tiny_test() {
 
     let reference = exact_only_hops(&towers, &terrain, &clutter, scenario.hops);
     assert!(!reference.is_empty());
-    for workers in [1, 0, 3] {
-        let engine = HopFeasibility::new(&towers, &terrain, &clutter, scenario.hops);
-        let (hops, stats) = engine.all_feasible_hops_profiled(workers);
-        assert!(hops == reference, "hop list differs at workers = {workers}");
-        assert_eq!(stats.by_cell_bound, 0);
-        assert_eq!(stats.cells_filled, 0);
-        // Every clear sample is decided before its position is computed;
-        // only a blocked hop's one blocked sample reaches the terrain.
+    let stats = sweep_at_every_width(&towers, &terrain, &clutter, scenario.hops, &reference);
+    assert_eq!(stats.by_cell_bound + stats.by_fine_bound, 0);
+    assert_eq!(stats.cells_filled + stats.fine_cells_filled, 0);
+    assert_eq!(stats.exact_locates, 0);
+    // Every clear sample is decided before its position is computed;
+    // only a blocked hop's one blocked sample reaches the terrain.
+    assert_eq!(
+        stats.samples - stats.by_global_bound,
+        (towers.pairs_within(scenario.hops.max_range_km).len() - reference.len()) as u64
+    );
+}
+
+/// A registry of the towers at `(lat, lon, height)`.
+fn registry(towers: &[(f64, f64, f64)]) -> TowerRegistry {
+    TowerRegistry::from_towers(
+        towers
+            .iter()
+            .map(|&(lat, lon, height_m)| Tower {
+                location: GeoPoint::new(lat, lon),
+                height_m,
+                source: TowerSource::RentalCompany,
+            })
+            .collect(),
+    )
+}
+
+// (c) Hops along cell edges. The grid's edges lie a whole number of fine
+// cells from its south-west corner, which sits `GRID_MARGIN_DEG` (0.1°,
+// four fine cells) beyond the southernmost and westernmost tower. So hops
+// between towers on one meridian run along a column edge, and hops between
+// towers on the equator (the one parallel a great circle follows) along a
+// row edge. Every sample the cascade locates is then within the walk's
+// guard of an edge and takes the exact fallback; the verdicts and the hop
+// list stay the exact-only ones.
+#[test]
+fn hops_along_cell_edges_take_the_exact_fallback() {
+    let terrain = TerrainModel::united_states(3);
+    let clutter = ClutterModel::with_seed(3);
+    let config = HopConfig::default();
+    for (edge, towers) in [
+        // Meridian -98° over Kansas: 40, 49 and 89 km hops.
+        (
+            "meridian",
+            registry(&[
+                (38.5, -98.0, 160.0),
+                (38.86, -98.0, 90.0),
+                (39.3, -98.0, 160.0),
+            ]),
+        ),
+        // The equator: 39, 56 and 95 km hops.
+        (
+            "parallel",
+            registry(&[(0.0, 10.0, 160.0), (0.0, 10.5, 90.0), (0.0, 10.85, 160.0)]),
+        ),
+    ] {
+        let reference = exact_only_hops(&towers, &terrain, &clutter, config);
+        let stats = sweep_at_every_width(&towers, &terrain, &clutter, config, &reference);
+        assert!(stats.samples > stats.by_global_bound, "{edge}: {stats:?}");
         assert_eq!(
+            stats.exact_locates,
             stats.samples - stats.by_global_bound,
-            (towers.pairs_within(scenario.hops.max_range_km).len() - reference.len()) as u64
+            "{edge}: {stats:?}"
         );
     }
 }

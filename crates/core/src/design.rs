@@ -31,10 +31,11 @@
 //! per candidate — dominates design time. The greedy (the private `engine`
 //! module) keeps a cached predicted stretch per pool candidate and, after each
 //! accepted link, repairs the caches from the link's improved-pair delta
-//! instead of re-sweeping: candidates whose endpoints the accepted link did
-//! not touch get an exact O(|improved|) repair, touched candidates are
-//! re-scored with the exact kernel, and the winning candidate of every round
-//! is always re-scored exactly before acceptance — so it selects what
+//! instead of re-sweeping: a candidate's repair visits only the improved
+//! pairs and the rows of its endpoints' changed neighbours, a candidate whose
+//! repair would cost a sweep is re-scored with the exact kernel, and the
+//! winning candidate of every round is always re-scored exactly before
+//! acceptance — so it selects what
 //! re-scoring every candidate every round selects
 //! (`tests/matrix_engine_parity.rs` keeps that naive greedy as the oracle).
 //! The cached predictions need every traffic pair reachable over fiber; on
@@ -79,7 +80,7 @@ use std::thread;
 use std::time::Instant;
 
 use cisp_geo::GeoPoint;
-use cisp_graph::{improve_with_link_tracked, leave_out_closures, DistMatrix, ImprovedPairs};
+use cisp_graph::{leave_out_closures, DistMatrix};
 use cisp_netsim::jobs::{drain_jobs, resolve_workers};
 
 use crate::engine::{exact_score, PoolScorer, RoundUpdate, ScoreContext, ShardPool};
@@ -334,14 +335,17 @@ impl<'a> Designer<'a> {
         let mut current_stretch = stretch_of(&ctx.matrix.read().unwrap());
         let mut selected = Vec::new();
         let mut total_towers = 0usize;
-        let mut improved = ImprovedPairs::new(ctx.geodesic.n());
+        // One update (the pre-round matrix among its buffers) serves every
+        // round: the scorer hands it back after each repair.
+        let mut update = RoundUpdate::new(ctx.geodesic.n(), ctx.sw);
+        let mut overrides: Vec<(usize, f64)> = Vec::new();
 
         loop {
             // Select this round's link: repeatedly take the best cached
             // priority among affordable candidates, re-score it with the
             // exact kernel, and accept once the winner's value is exact.
             refreshed.fill(false);
-            let mut overrides: Vec<(usize, f64)> = Vec::new();
+            overrides.clear();
             let mut chosen: Option<usize> = None;
             loop {
                 let mut best: Option<(f64, usize)> = None;
@@ -381,29 +385,16 @@ impl<'a> Designer<'a> {
             }
 
             let Some(pos) = chosen else { break };
-            let link = self.input.candidates[pool[pos]].clone();
+            let link = &self.input.candidates[pool[pos]];
             total_towers += link.tower_count;
             {
                 let mut matrix = ctx.matrix.write().unwrap();
-                improve_with_link_tracked(
-                    &mut matrix,
-                    link.site_a,
-                    link.site_b,
-                    link.mw_length_km,
-                    &mut improved,
-                );
+                update.accept(&mut matrix, link, pos, &overrides, ctx.sw);
+                current_stretch = stretch_of(&matrix);
             }
-            current_stretch = stretch_of(&ctx.matrix.read().unwrap());
             selected.push(pool[pos]);
             removed[pos] = true;
-            let update = RoundUpdate::new(
-                std::mem::replace(&mut improved, ImprovedPairs::new(ctx.geodesic.n())),
-                Some(pos),
-                overrides,
-                &ctx.matrix.read().unwrap(),
-                ctx.sw,
-            );
-            scorer.apply(ctx, update, &mut values);
+            update = scorer.apply(ctx, update, &mut values);
         }
         selected
     }

@@ -1,10 +1,8 @@
 //! The incremental delta-scoring engine and its persistent worker shards.
 //!
-//! The greedy designer's cost used to be dominated by full O(n²) rescoring
-//! sweeps: after every accepted link, every surviving candidate's predicted
-//! mean stretch was recomputed from scratch. This module replaces that with
-//! per-candidate *cached* predictions that are repaired incrementally from
-//! the accepted link's [`ImprovedPairs`] delta:
+//! The greedy designer keeps one cached predicted mean stretch per pool
+//! candidate and, after every accepted link, *repairs* those caches instead
+//! of re-scoring every candidate with an O(n²) sweep.
 //!
 //! A candidate's predicted stretch is `Σ w(s,t) · min(D[s][t], via(s,t))`
 //! (over the objective's pairs, divided by `Σ w · g`-weights), where
@@ -12,16 +10,31 @@
 //! endpoints. After a link is accepted, a pair's term can change only if one
 //! of its five inputs changed: `(s,t)` itself improved, or `s`/`t` is a
 //! *changed neighbour* of an endpoint (its distance to `i` or `j`
-//! improved). [`ShardState::apply`] therefore repairs each cached value by
-//! visiting exactly those pairs — the improved list plus the rows of the
-//! candidate's changed neighbours — reconstructing each pair's old term from
-//! the delta's recorded old distances ([`RoundUpdate::old_dist`]) and
-//! subtracting it from the new term. Distances only shrink, so a
-//! monotonicity fast path skips most row entries without touching the old
-//! values at all. A candidate whose repair would visit at least as many
-//! pairs as a full sweep is re-scored with the exact kernel instead
-//! (deterministically in the accepted link, so serial and parallel runs stay
-//! bit-identical).
+//! improved). [`ShardState::apply`] repairs each cached value from exactly
+//! those pairs, in three passes over one [`RoundUpdate`]:
+//!
+//! 1. **Via part, candidate-major.** The rows of the candidate's changed
+//!    neighbours, each pair's new term minus its old term. Every old
+//!    distance is a plain read of the *pre-round matrix* the update carries
+//!    (the matrix as it stood before the accepted link). Vias only shrink,
+//!    so a pair contributes exactly when `via_new < d_st && via_new !=
+//!    via_old`; rows are dismissed by an O(1) metric test and a row-max
+//!    prune, blocks by a one-compare lower bound and then by that exact
+//!    contribution test, evaluated branchless over the block. Only blocks
+//!    holding a contributing pair are walked scalar.
+//! 2. **Direct part, pair-major.** The improved pairs' candidate-independent
+//!    base (added in pass 1) plus per-candidate corrections. Every via is at
+//!    least the candidate's length, so a pair can only correct the
+//!    candidates shorter than its old distance: the shard keeps its
+//!    candidates' lengths and sites as parallel arrays in ascending length
+//!    order, takes that prefix with one `partition_point`, and adds the
+//!    corrections branchless into an accumulator in the same order, copied
+//!    back to pool order once per round. Each candidate sees its additions
+//!    in improved-pair order, as a pool-order scatter would.
+//! 3. **Exact fallback.** A candidate whose repair would visit at least as
+//!    many pairs as a full sweep is re-scored with the exact kernel instead
+//!    (deterministically in the accepted link, so serial and parallel runs
+//!    stay bit-identical).
 //!
 //! The repair is mathematically identical to a full rescore — only
 //! floating-point summation order differs, which the designer absorbs by
@@ -35,10 +48,13 @@
 //! instead of a fresh `cisp_netsim::jobs::drain_jobs` fan-out per scoring
 //! round (what the fallback greedy's stateless batches get), worker
 //! threads are spawned once per design run, each *owning a stable contiguous
-//! slice of the candidate pool* (and that slice's cached predictions) across
-//! all greedy rounds. Rounds are one command broadcast and one reply
-//! collection per worker; the matrix being scored against is shared behind a
-//! [`RwLock`] that the designer write-locks only to apply an accepted link.
+//! slice of the candidate pool* (and that slice's cached predictions and
+//! repair scratch) across all greedy rounds. Rounds are one command
+//! broadcast and one reply collection per worker; the matrix being scored
+//! against is shared behind a [`RwLock`] that the designer write-locks only
+//! to apply an accepted link. The round's [`RoundUpdate`] goes out behind an
+//! `Arc` and comes back to the designer once every shard has replied, so its
+//! buffers — the pre-round matrix among them — are allocated once per run.
 //! The shards serve the greedy only: the swap polish decides most of its
 //! trials from a bound and scores the few that are left on the calling
 //! thread (see [`crate::design`]), so there is no trial command here.
@@ -51,7 +67,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, RwLock};
 use std::thread::Scope;
 
-use cisp_graph::{pair_count, pair_index, DistMatrix, ImprovedPairs};
+use cisp_graph::{improve_with_link_tracked, pair_count, DistMatrix, ImprovedPairs};
 
 use crate::links::CandidateLink;
 use crate::topology::{mean_stretch_with_link, mean_stretch_with_link_compact, ScoringWeights};
@@ -119,32 +135,53 @@ pub(crate) fn exact_score(
     }
 }
 
-/// Width of the repair sweep's blockwise row scan: candidate-beats-pair
-/// tests are evaluated `REPAIR_BLOCK` pairs at a time, with a one-compare
-/// per-block lower-bound skip in front of the branchless any-hit fold.
+/// Width of the repair sweep's blockwise row scan: the exact contribution
+/// test is evaluated `REPAIR_BLOCK` pairs at a time, branchless, with a
+/// one-compare per-block lower-bound skip in front of it.
 const REPAIR_BLOCK: usize = 16;
 
-/// The per-round delta the designer broadcasts to every shard after
-/// accepting a link, with the lookup structures the repair sweeps need
-/// (built once, shared by every shard).
+/// `a.min(b)` for the repair loops, whose operands are sums of
+/// non-negative distances and never NaN: one compare-and-select, where
+/// `f64::min`'s NaN handling costs extra instructions per call and keeps the
+/// block test from vectorising. No `-0.0` arises either, so equal operands
+/// have equal bits and the result is bit for bit `f64::min`'s.
+#[inline(always)]
+fn min_no_nan(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// The per-round delta the designer hands every shard after accepting a
+/// link, with the lookup structures the repair sweeps need (built once per
+/// round, shared by every shard). A greedy run allocates one update and
+/// refills it with [`Self::accept`] every round.
 #[derive(Debug)]
 pub(crate) struct RoundUpdate {
-    /// The accepted link's improved-pair set (old distances included), from
-    /// [`cisp_graph::improve_with_link_tracked`].
+    /// The accepted link's improved pairs `(a, b, old)`, from
+    /// [`improve_with_link_tracked`].
     improved: ImprovedPairs,
+    /// The matrix as it stood before the accepted link, with both entries
+    /// of every improved pair set to the old distance `improved` recorded
+    /// for it (the matrix is symmetric only up to summation ulps, and the
+    /// repair reads a pair's old distance from either side). Every old
+    /// distance the repair needs is a plain read of it: the via part's
+    /// endpoint rows and the pair-major pass's two rows per improved pair
+    /// are its row slices.
+    old: DistMatrix,
     /// Pool position of the accepted candidate — removed from scoring.
-    removed_pos: Option<usize>,
+    removed_pos: usize,
     /// Exact kernel values the designer computed during selection (pool
     /// position, predicted stretch *before* the accepted link). Applied
     /// before the delta so shard caches match what the designer compared.
     overrides: Vec<(usize, f64)>,
-    /// Old distance of each improved pair, dense over [`pair_index`]
-    /// (meaningful only where the improved-pair bitset is set).
-    old_overlay: Vec<f64>,
     /// `changed_nbrs[v]` = vertices whose distance to `v` improved.
     changed_nbrs: Vec<Vec<u32>>,
     /// The direct part's scored pairs `(a, b, old, new, weight)` (positive
-    /// objective weight only).
+    /// objective weight only), in improved-pair order — the order every
+    /// candidate's pair-major corrections are added in.
     direct_pairs: Vec<(u32, u32, f64, f64, f64)>,
     /// The direct part's candidate-independent base,
     /// `Σ w·(new − old) / den`, in predicted-stretch units.
@@ -153,7 +190,8 @@ pub(crate) struct RoundUpdate {
     row_max: Vec<f64>,
     /// Largest current distance per [`REPAIR_BLOCK`]-wide block of each row
     /// (row-major, `n.div_ceil(REPAIR_BLOCK)` entries per row) — the via
-    /// part's per-block prune bound.
+    /// part's per-block lower-bound skip, tried before the exact
+    /// contribution test.
     row_blockmax: Vec<f64>,
     /// Distance slack of the metric row-skip test
     /// ([`ScoringWeights::row_skip_slack_km`]); `None` when the run's
@@ -162,101 +200,136 @@ pub(crate) struct RoundUpdate {
 }
 
 impl RoundUpdate {
-    /// Package one accepted link's delta for broadcast. `matrix` is the
-    /// updated (post-link) matrix the shards will score against; the
-    /// candidate-independent per-round constants — the direct part's pair
-    /// list and base sum, and the row maxima — are computed here once
-    /// rather than by every shard.
-    pub(crate) fn new(
-        improved: ImprovedPairs,
-        removed_pos: Option<usize>,
-        overrides: Vec<(usize, f64)>,
-        matrix: &DistMatrix,
-        sw: &ScoringWeights,
-    ) -> Self {
-        let n = improved.n();
-        let den = sw.den();
-        let mut old_overlay = vec![0.0; pair_count(n)];
-        let mut changed_nbrs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for &(a, b, old) in improved.pairs() {
-            old_overlay[pair_index(n, a as usize, b as usize)] = old;
-            changed_nbrs[a as usize].push(b);
-            changed_nbrs[b as usize].push(a);
-        }
-        let direct_pairs: Vec<(u32, u32, f64, f64, f64)> = improved
-            .pairs()
-            .iter()
-            .filter_map(|&(a, b, old_d)| {
-                let w = sw.weights().get(a as usize, b as usize);
-                (w > 0.0).then(|| (a, b, old_d, matrix.get(a as usize, b as usize), w))
-            })
-            .collect();
-        let direct_base = direct_pairs
-            .iter()
-            .map(|&(_, _, old_d, new_d, w)| w * (new_d - old_d) / den)
-            .sum();
-        let nb = n.div_ceil(REPAIR_BLOCK);
-        let mut row_max = vec![0.0_f64; n];
-        let mut row_blockmax = vec![0.0_f64; n * nb];
-        for s in 0..n {
-            for (b, chunk) in matrix.row(s).chunks(REPAIR_BLOCK).enumerate() {
-                let m = chunk.iter().copied().fold(0.0_f64, f64::max);
-                row_blockmax[s * nb + b] = m;
-                row_max[s] = row_max[s].max(m);
-            }
-        }
+    /// The buffers of a greedy run over `n` sites scored with `sw`; nothing
+    /// in them is meaningful before the first [`Self::accept`].
+    pub(crate) fn new(n: usize, sw: &ScoringWeights) -> Self {
         Self {
-            improved,
-            removed_pos,
-            overrides,
-            old_overlay,
-            changed_nbrs,
-            direct_pairs,
-            direct_base,
-            row_max,
-            row_blockmax,
+            improved: ImprovedPairs::new(n),
+            old: DistMatrix::zeros(n),
+            removed_pos: 0,
+            overrides: Vec::new(),
+            changed_nbrs: vec![Vec::new(); n],
+            direct_pairs: Vec::new(),
+            direct_base: 0.0,
+            row_max: vec![0.0; n],
+            row_blockmax: vec![0.0; n * n.div_ceil(REPAIR_BLOCK)],
             row_skip_slack: sw.row_skip_slack_km(),
         }
     }
 
-    /// The pre-update distance of `(x, y)`, reconstructed from the delta:
-    /// the recorded old value for improved pairs, the (unchanged) current
-    /// value otherwise.
-    #[inline]
-    fn old_dist(&self, matrix: &DistMatrix, x: usize, y: usize) -> f64 {
-        if x == y {
-            return matrix.get(x, y);
+    /// Add `link`, the candidate at pool position `pos`, to `matrix` and
+    /// refill this update with the round: the pre-round copy of `matrix`,
+    /// the improved pairs, the designer's exact `overrides`, and the
+    /// candidate-independent per-round constants — the direct part's pair
+    /// list and base sum, and the row maxima — computed here once rather
+    /// than by every shard.
+    pub(crate) fn accept(
+        &mut self,
+        matrix: &mut DistMatrix,
+        link: &CandidateLink,
+        pos: usize,
+        overrides: &[(usize, f64)],
+        sw: &ScoringWeights,
+    ) {
+        self.old.copy_from(matrix);
+        improve_with_link_tracked(
+            matrix,
+            link.site_a,
+            link.site_b,
+            link.mw_length_km,
+            &mut self.improved,
+        );
+        self.removed_pos = pos;
+        self.overrides.clear();
+        self.overrides.extend_from_slice(overrides);
+        for list in &mut self.changed_nbrs {
+            list.clear();
         }
-        let (a, b) = if x < y { (x, y) } else { (y, x) };
-        let p = pair_index(self.improved.n(), a, b);
-        if self.improved.pair_set().contains(p) {
-            self.old_overlay[p]
-        } else {
-            matrix.get(x, y)
+        self.direct_pairs.clear();
+        for &(a, b, old_d) in self.improved.pairs() {
+            self.old.set_sym(a as usize, b as usize, old_d);
+            self.changed_nbrs[a as usize].push(b);
+            self.changed_nbrs[b as usize].push(a);
+            let w = sw.weights().get(a as usize, b as usize);
+            if w > 0.0 {
+                let new_d = matrix.get(a as usize, b as usize);
+                self.direct_pairs.push((a, b, old_d, new_d, w));
+            }
+        }
+        let den = sw.den();
+        self.direct_base = self
+            .direct_pairs
+            .iter()
+            .map(|&(_, _, old_d, new_d, w)| w * (new_d - old_d) / den)
+            .sum();
+        let n = matrix.n();
+        let nb = n.div_ceil(REPAIR_BLOCK);
+        for s in 0..n {
+            let mut row_max = 0.0_f64;
+            for (b, chunk) in matrix.row(s).chunks(REPAIR_BLOCK).enumerate() {
+                let m = chunk.iter().copied().fold(0.0_f64, f64::max);
+                self.row_blockmax[s * nb + b] = m;
+                row_max = row_max.max(m);
+            }
+            self.row_max[s] = row_max;
         }
     }
 }
 
-/// One shard: a stable contiguous range of pool positions and their cached
-/// predicted-stretch values. [`ShardPool`] workers each own one; the serial
-/// path owns a single shard spanning the whole pool. All scoring math lives
-/// here, so serial and sharded runs are identical by construction.
-#[derive(Clone)]
+/// A shard's per-round working buffers, sized once per greedy run by
+/// [`ShardState::init_score`].
+#[derive(Default)]
+struct RepairScratch {
+    /// Membership flags of `affected`; all `false` between candidates.
+    in_affected: Vec<bool>,
+    /// The current candidate's changed neighbours, deduplicated.
+    affected: Vec<u32>,
+    /// Per-block minima of the current candidate's endpoint rows (`i`'s
+    /// blocks, then `j`'s).
+    blockmin: Vec<f64>,
+    /// Owned slots deferred to an exact re-score this round.
+    needs_exact: Vec<u32>,
+    /// The owned cached values in ascending length order while the
+    /// pair-major pass adds to them.
+    acc: Vec<f64>,
+}
+
+impl RepairScratch {
+    /// Buffers for a shard of `len` candidates over `n` sites.
+    fn new(n: usize, len: usize) -> Self {
+        Self {
+            in_affected: vec![false; n],
+            affected: Vec::with_capacity(n),
+            blockmin: Vec::with_capacity(2 * n.div_ceil(REPAIR_BLOCK)),
+            needs_exact: Vec::new(),
+            acc: vec![0.0; len],
+        }
+    }
+}
+
+/// One shard: a stable contiguous range of pool positions, their cached
+/// predicted-stretch values and the repair's scratch. [`ShardPool`] workers
+/// each own one; the serial path owns a single shard spanning the whole
+/// pool. All scoring math lives here, so serial and sharded runs are
+/// identical by construction.
 pub(crate) struct ShardState {
     range: Range<usize>,
     /// Cached predicted mean stretch per owned pool position.
     values: Vec<f64>,
     /// Owned pool positions already accepted into the design.
     removed: Vec<bool>,
-    /// Owned candidates as `(mw_length_km, pool_position)`, ascending by
-    /// length — the pair-major correction pass iterates the prefix whose
-    /// length (a lower bound on any via through the candidate) stays below
-    /// an improved pair's old distance. Built by [`Self::init_score`].
-    by_m: Vec<(f64, u32)>,
-    /// The endpoint sites of each `by_m` entry, same order — a compact
-    /// parallel array so the correction pass streams sequentially instead
-    /// of chasing `candidates[pool[pos]]` pointers per prefix entry.
+    /// Owned candidates' lengths in ascending order (ties by pool position).
+    /// A length is a lower bound on any via through the candidate, so an
+    /// improved pair can only correct the prefix below its old distance.
+    /// This and the two arrays below are parallel, built by
+    /// [`Self::init_score`], so the pair-major pass streams them
+    /// sequentially with no `candidates[pool[pos]]` pointer chase.
+    by_m_len: Vec<f64>,
+    /// The endpoint sites of each `by_m_len` entry.
     by_m_sites: Vec<(u32, u32)>,
+    /// The `values` index of each `by_m_len` entry.
+    by_m_slot: Vec<u32>,
+    scratch: RepairScratch,
 }
 
 impl ShardState {
@@ -267,8 +340,10 @@ impl ShardState {
             range,
             values: vec![f64::INFINITY; len],
             removed: vec![false; len],
-            by_m: Vec::new(),
+            by_m_len: Vec::new(),
             by_m_sites: Vec::new(),
+            by_m_slot: Vec::new(),
+            scratch: RepairScratch::default(),
         }
     }
 
@@ -282,9 +357,10 @@ impl ShardState {
     /// incident to a *changed neighbour* (a vertex whose distance to a
     /// candidate endpoint improved) — with the direct term read as-is:
     /// `min(via_new, d) − min(via_old, d)` with `d` the current direct
-    /// distance. Vias only shrink, so rows are swept with a single-compare
-    /// fast path: a pair the candidate does not beat *now* was not beaten
-    /// before either, contributing zero.
+    /// distance and `via_old` read from the update's pre-round matrix.
+    /// Vias only shrink, so only pairs with `via_new < d` can contribute,
+    /// and those contribute exactly when `via_new != via_old`; the sweep
+    /// adds the pairs that pass, in row-then-column order.
     ///
     /// Together with the *direct part* ([`ShardState::apply`]'s
     /// candidate-independent base plus pair-major corrections), the repair
@@ -295,15 +371,19 @@ impl ShardState {
         matrix: &DistMatrix,
         link: &CandidateLink,
         update: &RoundUpdate,
-        in_affected: &mut [bool],
-        affected: &mut Vec<u32>,
-        blockmin: &mut Vec<f64>,
+        scratch: &mut RepairScratch,
     ) -> f64 {
         let n = matrix.n();
         let nb = n.div_ceil(REPAIR_BLOCK);
         let (i, j, m) = (link.site_a, link.site_b, link.mw_length_km);
-        let row_i = matrix.row(i);
-        let row_j = matrix.row(j);
+        let (row_i, row_j) = (matrix.row(i), matrix.row(j));
+        let (old_i, old_j) = (update.old.row(i), update.old.row(j));
+        let RepairScratch {
+            in_affected,
+            affected,
+            blockmin,
+            ..
+        } = scratch;
         let mut dnum = 0.0;
         // Per-block minima of the endpoint rows, for the per-block skip
         // below. Built lazily: candidates whose every affected row is
@@ -347,8 +427,11 @@ impl ShardState {
             if d_si_m.min(d_sj_m) >= update.row_max[s] {
                 continue;
             }
-            let d_si_old = update.old_dist(matrix, s, i);
-            let d_sj_old = update.old_dist(matrix, s, j);
+            // The old legs are read down the columns, `old[s][i]` and
+            // `old[s][j]`; the matrix is symmetric only up to ulps, and this
+            // is the side every cached value was repaired from.
+            let d_si_m_old = update.old.get(s, i) + m;
+            let d_sj_m_old = update.old.get(s, j) + m;
             let eff_row = matrix.row(s);
             let w_row = sw.weights().row(s);
             if !blockmin_ready {
@@ -370,58 +453,44 @@ impl ShardState {
             // Blockwise scan, two tiers per block: a one-compare lower-bound
             // skip (the cheapest via anyone in the block could offer, from
             // the endpoint rows' block minima, against the block's largest
-            // current distance), then a branchless vector-friendly pass
-            // asking "does the candidate beat any pair in this block?" —
-            // only blocks with a hit (rare — the fast-path rate is a few
-            // percent) are re-walked scalar. A pair the candidate does not
-            // beat now was (vias only shrink) not beaten before either and
-            // contributes nothing.
-            let mut t0 = 0;
-            for b in 0..nb {
+            // current distance), then the exact contribution test,
+            // branchless over the block. Only blocks holding a contributing
+            // pair are walked scalar.
+            for (b, t0) in (0..n).step_by(REPAIR_BLOCK).enumerate() {
                 let t1 = (t0 + REPAIR_BLOCK).min(n);
                 if (d_si_m + bmin_j[b]).min(d_sj_m + bmin_i[b]) >= row_bmax[b] {
-                    t0 = t1;
                     continue;
                 }
-                let any_hit = row_j[t0..t1]
+                let any_contribution = row_j[t0..t1]
                     .iter()
                     .zip(&row_i[t0..t1])
+                    .zip(old_j[t0..t1].iter().zip(&old_i[t0..t1]))
                     .zip(&eff_row[t0..t1])
-                    .fold(false, |acc, ((&d_jt, &d_it), &d_st)| {
-                        acc | ((d_si_m + d_jt).min(d_sj_m + d_it) < d_st)
+                    .fold(false, |acc, (((&d_jt, &d_it), (&o_jt, &o_it)), &d_st)| {
+                        let via_new = min_no_nan(d_si_m + d_jt, d_sj_m + d_it);
+                        let via_old = min_no_nan(d_si_m_old + o_jt, d_sj_m_old + o_it);
+                        acc | ((via_new < d_st) & (via_new != via_old))
                     });
-                if !any_hit {
-                    t0 = t1;
+                if !any_contribution {
                     continue;
                 }
                 for t in t0..t1 {
-                    let (d_jt, d_it, d_st) = (row_j[t], row_i[t], eff_row[t]);
-                    let via_new = (d_si_m + d_jt).min(d_sj_m + d_it);
-                    if via_new >= d_st {
-                        continue;
-                    }
-                    if t == s || (in_affected[t] && t < s) {
+                    let d_st = eff_row[t];
+                    let via_new = min_no_nan(d_si_m + row_j[t], d_sj_m + row_i[t]);
+                    let via_old = min_no_nan(d_si_m_old + old_j[t], d_sj_m_old + old_i[t]);
+                    if !(via_new < d_st && via_new != via_old)
+                        || t == s
+                        || (in_affected[t] && t < s)
+                    {
                         continue;
                     }
                     let w = w_row[t];
                     if w <= 0.0 {
                         continue;
                     }
-                    // Old t-side via inputs moved only for changed
-                    // neighbours.
-                    let (old_jt, old_it) = if in_affected[t] {
-                        (update.old_dist(matrix, j, t), update.old_dist(matrix, i, t))
-                    } else {
-                        (d_jt, d_it)
-                    };
-                    let via_old = (d_si_old + m + old_jt).min(d_sj_old + m + old_it);
-                    let new_term = via_new.min(d_st);
-                    let old_term = via_old.min(d_st);
-                    if new_term != old_term {
-                        dnum += w * (new_term - old_term);
-                    }
+                    // `via_new < d_st`, so the new term is `via_new`.
+                    dnum += w * (via_new - min_no_nan(via_old, d_st));
                 }
-                t0 = t1;
             }
         }
 
@@ -431,8 +500,9 @@ impl ShardState {
         dnum / sw.den()
     }
 
-    /// Score every owned candidate with the exact kernel (round 0), and
-    /// build the length-sorted candidate index the correction pass uses.
+    /// Score every owned candidate with the exact kernel (round 0), build
+    /// the length-ordered arrays the pair-major pass streams, and size the
+    /// repair scratch.
     pub(crate) fn init_score(&mut self, ctx: &ScoreContext) {
         let matrix = ctx.matrix.read().unwrap();
         for (k, pos) in self.range.clone().enumerate() {
@@ -440,21 +510,19 @@ impl ShardState {
                 self.values[k] = ctx.exact(&matrix, pos);
             }
         }
-        self.by_m = self
-            .range
-            .clone()
-            .map(|pos| (ctx.candidates[ctx.pool[pos]].mw_length_km, pos as u32))
-            .collect();
-        self.by_m
-            .sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap().then(x.1.cmp(&y.1)));
-        self.by_m_sites = self
-            .by_m
+        let link = |slot: u32| &ctx.candidates[ctx.pool[self.range.start + slot as usize]];
+        let mut order: Vec<u32> = (0..self.range.len() as u32).collect();
+        order.sort_by(|&x, &y| {
+            let (mx, my) = (link(x).mw_length_km, link(y).mw_length_km);
+            mx.partial_cmp(&my).unwrap().then(x.cmp(&y))
+        });
+        self.by_m_len = order.iter().map(|&k| link(k).mw_length_km).collect();
+        self.by_m_sites = order
             .iter()
-            .map(|&(_, pos)| {
-                let l = &ctx.candidates[ctx.pool[pos as usize]];
-                (l.site_a as u32, l.site_b as u32)
-            })
+            .map(|&k| (link(k).site_a as u32, link(k).site_b as u32))
             .collect();
+        self.by_m_slot = order;
+        self.scratch = RepairScratch::new(matrix.n(), self.range.len());
     }
 
     /// Apply one accepted-link round: sync the designer's exact overrides,
@@ -467,19 +535,15 @@ impl ShardState {
                 self.values[pos - self.range.start] = v;
             }
         }
-        if let Some(pos) = update.removed_pos {
-            if self.range.contains(&pos) {
-                self.removed[pos - self.range.start] = true;
-            }
+        if self.range.contains(&update.removed_pos) {
+            self.removed[update.removed_pos - self.range.start] = true;
         }
         let n = ctx.geodesic.n();
         let pairs = pair_count(n);
         let improved_len = update.improved.len();
-        debug_assert_eq!(self.by_m.len(), self.range.len(), "init_score not run");
+        debug_assert_eq!(self.by_m_len.len(), self.range.len(), "init_score not run");
         let sw = ctx.sw;
-        let mut in_affected = vec![false; n];
-        let mut affected: Vec<u32> = Vec::with_capacity(n);
-        let mut blockmin: Vec<f64> = Vec::with_capacity(2 * n.div_ceil(REPAIR_BLOCK));
+        let scratch = &mut self.scratch;
         let matrix = ctx.matrix.read().unwrap();
 
         // Pass 1, candidate-major: the via part plus the direct base. A
@@ -493,7 +557,7 @@ impl ShardState {
         } else {
             1
         };
-        let mut needs_exact: Vec<u32> = Vec::new();
+        scratch.needs_exact.clear();
         for (k, pos) in self.range.clone().enumerate() {
             if self.removed[k] {
                 continue;
@@ -502,62 +566,48 @@ impl ShardState {
             let neighbour_rows =
                 update.changed_nbrs[l.site_a].len() + update.changed_nbrs[l.site_b].len();
             if neighbour_rows * n / row_cost_div + improved_len >= pairs {
-                needs_exact.push(k as u32);
+                scratch.needs_exact.push(k as u32);
             } else {
-                self.values[k] += update.direct_base
-                    + Self::via_repair(
-                        sw,
-                        &matrix,
-                        l,
-                        update,
-                        &mut in_affected,
-                        &mut affected,
-                        &mut blockmin,
-                    );
+                self.values[k] +=
+                    update.direct_base + Self::via_repair(sw, &matrix, l, update, scratch);
             }
         }
 
         // Pass 2, pair-major: the direct part's corrections. A candidate
         // corrects the base only when one of its vias beats the pair's old
         // distance; every via is at least the candidate's own length, so
-        // only the length-sorted prefix below `old_d` can contribute, and
-        // the branchless clamp form makes non-contributing candidates add
-        // an exact zero. Old distances are expanded into two row buffers
-        // per pair, so the inner loop reads hot rows only.
-        let shortest_m = self.by_m.first().map_or(f64::INFINITY, |&(m, _)| m);
-        let mut old_row_a = vec![0.0; n];
-        let mut old_row_b = vec![0.0; n];
+        // only the length-ordered prefix below `old_d` can contribute, and
+        // the clamp form makes a non-contributing candidate add an exact
+        // zero. The values are gathered into length order, corrected with
+        // no branch and no per-step scatter, and copied back once. Nothing masks
+        // removed or deferred candidates: a removed candidate's value is
+        // never read again, and a deferred one's is overwritten by pass 3.
+        let acc = &mut scratch.acc;
+        for (v, &slot) in acc.iter_mut().zip(&self.by_m_slot) {
+            *v = self.values[slot as usize];
+        }
         for &(a, b, old_d, new_d, w) in &update.direct_pairs {
-            if shortest_m >= old_d {
-                continue; // no owned candidate can beat this pair's old distance
-            }
-            let (a, b) = (a as usize, b as usize);
-            for t in 0..n {
-                old_row_a[t] = update.old_dist(&matrix, a, t);
-                old_row_b[t] = update.old_dist(&matrix, b, t);
-            }
+            let len = self.by_m_len.partition_point(|&m_c| m_c < old_d);
+            let (old_a, old_b) = (update.old.row(a as usize), update.old.row(b as usize));
             let dd = new_d - old_d;
             let w_den = w / sw.den();
-            // Streams the compact parallel arrays only: no per-entry
-            // `candidates[pool[pos]]` pointer chase, and no removed/deferred
-            // mask test — a removed candidate's value is never read again,
-            // and a deferred one's is overwritten by pass 3, so adding their
-            // (exact) corrections is harmless.
-            for (&(m_c, pos), &(i, j)) in self.by_m.iter().zip(&self.by_m_sites) {
-                if m_c >= old_d {
-                    break; // ascending: every later via is ≥ old_d
-                }
+            for ((v, &m_c), &(i, j)) in acc[..len]
+                .iter_mut()
+                .zip(&self.by_m_len[..len])
+                .zip(&self.by_m_sites[..len])
+            {
                 let (i, j) = (i as usize, j as usize);
-                let via_old =
-                    (old_row_a[i] + m_c + old_row_b[j]).min(old_row_a[j] + m_c + old_row_b[i]);
-                let corr = (via_old.min(new_d) - via_old.min(old_d)) - dd;
-                self.values[pos as usize - self.range.start] += w_den * corr;
+                let via_old = min_no_nan(old_a[i] + m_c + old_b[j], old_a[j] + m_c + old_b[i]);
+                *v += w_den * ((min_no_nan(via_old, new_d) - min_no_nan(via_old, old_d)) - dd);
             }
+        }
+        for (&v, &slot) in acc.iter().zip(&self.by_m_slot) {
+            self.values[slot as usize] = v;
         }
 
         // Pass 3: the deferred exact re-scores (overwriting whatever the
         // correction pass added to them).
-        for &k in &needs_exact {
+        for &k in &scratch.needs_exact {
             self.values[k as usize] = ctx.exact(&matrix, self.range.start + k as usize);
         }
     }
@@ -607,6 +657,9 @@ impl ShardPool {
                 while let Ok(cmd) = cmd_rx.recv() {
                     match cmd {
                         Cmd::Init => state.init_score(ctx),
+                        // The handle drops at the end of the arm, before the
+                        // reply: the designer takes the update back once every
+                        // shard has replied.
                         Cmd::Apply(update) => state.apply(ctx, &update),
                     }
                     if reply_tx.send(state.values().to_vec()).is_err() {
@@ -661,13 +714,19 @@ impl PoolScorer {
         }
     }
 
-    /// Broadcast one accepted-link round and collect the repaired values
-    /// into `out`.
-    pub(crate) fn apply(&mut self, ctx: &ScoreContext, update: RoundUpdate, out: &mut [f64]) {
+    /// Broadcast one accepted-link round, collect the repaired values into
+    /// `out`, and hand the update back for the next round to refill.
+    pub(crate) fn apply(
+        &mut self,
+        ctx: &ScoreContext,
+        update: RoundUpdate,
+        out: &mut [f64],
+    ) -> RoundUpdate {
         match self {
             Self::Inline(state) => {
                 state.apply(ctx, &update);
                 out.copy_from_slice(state.values());
+                update
             }
             Self::Sharded(pool) => {
                 let update = Arc::new(update);
@@ -676,6 +735,7 @@ impl PoolScorer {
                         .expect("scoring shard died");
                 }
                 pool.collect_values(out);
+                Arc::into_inner(update).expect("a scoring shard kept the round update")
             }
         }
     }
@@ -684,7 +744,6 @@ impl PoolScorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cisp_graph::improve_with_link_tracked;
 
     /// A tiny synthetic pool: `n` collinear sites, fiber at 2× geodesic,
     /// uniform traffic, one candidate per pair at 1.05×.
@@ -695,16 +754,157 @@ mod tests {
         let mut candidates = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
-                candidates.push(CandidateLink {
-                    site_a: i,
-                    site_b: j,
-                    mw_length_km: geodesic.get(i, j) * 1.05,
-                    tower_count: 1,
-                    tower_path: vec![0],
-                });
+                candidates.push(link(i, j, geodesic.get(i, j) * 1.05));
             }
         }
         (candidates, geodesic, fiber, traffic)
+    }
+
+    fn link(site_a: usize, site_b: usize, mw_length_km: f64) -> CandidateLink {
+        CandidateLink {
+            site_a,
+            site_b,
+            mw_length_km,
+            tower_count: 1,
+            tower_path: vec![0],
+        }
+    }
+
+    /// Accept pool position `pos` into `ctx.matrix`, refilling `update`.
+    fn accept(
+        ctx: &ScoreContext,
+        update: &mut RoundUpdate,
+        pos: usize,
+        overrides: &[(usize, f64)],
+    ) {
+        let link = &ctx.candidates[ctx.pool[pos]];
+        update.accept(
+            &mut ctx.matrix.write().unwrap(),
+            link,
+            pos,
+            overrides,
+            ctx.sw,
+        );
+    }
+
+    /// A splitmix64 stream of uniform draws in `[0, 1)`.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> f64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / (u64::MAX as f64 + 1.0)
+        }
+    }
+
+    /// An uneven design input.
+    struct Uneven {
+        candidates: Vec<CandidateLink>,
+        pool: Vec<usize>,
+        geodesic: DistMatrix,
+        fiber: DistMatrix,
+        traffic: DistMatrix,
+    }
+
+    /// `n` random sites in a 2 000 km square; fiber the shortest-path
+    /// closure of 1.2–2× geodesic spans (so it is metric); a third of the
+    /// pairs carrying no traffic; one candidate per pair closer than 900 km
+    /// at 1.01–1.3× geodesic, plus a second, longer one on every seventh;
+    /// and a pool that leaves every fifth candidate out.
+    fn uneven_fixture(n: usize, seed: u64) -> Uneven {
+        let mut draw = Draws(seed);
+        let sites: Vec<(f64, f64)> = (0..n)
+            .map(|_| (2000.0 * draw.next(), 2000.0 * draw.next()))
+            .collect();
+        let geodesic = DistMatrix::from_fn(n, |i, j| {
+            (sites[i].0 - sites[j].0).hypot(sites[i].1 - sites[j].1)
+        });
+        let mut fiber = DistMatrix::zeros(n);
+        let mut traffic = DistMatrix::zeros(n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                fiber.set_sym(i, j, geodesic.get(i, j) * (1.2 + 0.8 * draw.next()));
+                if draw.next() >= 1.0 / 3.0 {
+                    traffic.set_sym(i, j, 0.5 + draw.next());
+                }
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    let via = fiber.get(i, k) + fiber.get(k, j);
+                    if via < fiber.get(i, j) {
+                        fiber.set(i, j, via);
+                    }
+                }
+            }
+        }
+        let mut candidates = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let g = geodesic.get(i, j);
+                if g < 900.0 {
+                    candidates.push(link(i, j, g * (1.01 + 0.29 * draw.next())));
+                    if candidates.len() % 7 == 0 {
+                        candidates.push(link(i, j, g * (1.3 + 0.2 * draw.next())));
+                    }
+                }
+            }
+        }
+        let pool = (0..candidates.len()).filter(|c| c % 5 != 2).collect();
+        Uneven {
+            candidates,
+            pool,
+            geodesic,
+            fiber,
+            traffic,
+        }
+    }
+
+    /// The via part as a full scan: every `t` of every affected row, with
+    /// no metric, row or block test in front — what
+    /// [`ShardState::via_repair`]'s filters must reproduce bit for bit.
+    fn via_repair_reference(
+        sw: &ScoringWeights,
+        matrix: &DistMatrix,
+        link: &CandidateLink,
+        update: &RoundUpdate,
+    ) -> f64 {
+        let n = matrix.n();
+        let (i, j, m) = (link.site_a, link.site_b, link.mw_length_km);
+        let old = &update.old;
+        let mut in_affected = vec![false; n];
+        let mut affected = Vec::new();
+        for list in [&update.changed_nbrs[i], &update.changed_nbrs[j]] {
+            for &v in list {
+                if !in_affected[v as usize] {
+                    in_affected[v as usize] = true;
+                    affected.push(v as usize);
+                }
+            }
+        }
+        let mut dnum = 0.0;
+        for &s in &affected {
+            for (t, &t_affected) in in_affected.iter().enumerate() {
+                let w = sw.weights().get(s, t);
+                if t == s || (t_affected && t < s) || w <= 0.0 {
+                    continue;
+                }
+                let d_st = matrix.get(s, t);
+                let via_new = (matrix.get(i, s) + m + matrix.get(j, t))
+                    .min(matrix.get(j, s) + m + matrix.get(i, t));
+                let via_old =
+                    (old.get(s, i) + m + old.get(j, t)).min(old.get(s, j) + m + old.get(i, t));
+                let (new_term, old_term) = (via_new.min(d_st), via_old.min(d_st));
+                if new_term != old_term {
+                    dnum += w * (new_term - old_term);
+                }
+            }
+        }
+        dnum / sw.den()
     }
 
     #[test]
@@ -731,23 +931,9 @@ mod tests {
         scorer.init(&ctx, &mut values);
 
         // Accept candidate 0 and repair the caches incrementally.
-        let accepted = candidates[0].clone();
-        let mut improved = ImprovedPairs::new(n);
-        {
-            let mut m = matrix.write().unwrap();
-            improve_with_link_tracked(
-                &mut m,
-                accepted.site_a,
-                accepted.site_b,
-                accepted.mw_length_km,
-                &mut improved,
-            );
-        }
-        scorer.apply(
-            &ctx,
-            RoundUpdate::new(improved, Some(0), Vec::new(), &matrix.read().unwrap(), &sw),
-            &mut values,
-        );
+        let mut update = RoundUpdate::new(n, &sw);
+        accept(&ctx, &mut update, 0, &[]);
+        scorer.apply(&ctx, update, &mut values);
 
         // Every repaired value matches an exact rescore to ulp noise.
         let m = matrix.read().unwrap();
@@ -779,19 +965,8 @@ mod tests {
         };
         let mut state = ShardState::new(0..pool.len());
         state.init_score(&ctx);
-        let accepted = candidates[1].clone();
-        let mut improved = ImprovedPairs::new(n);
-        {
-            let mut m = matrix.write().unwrap();
-            improve_with_link_tracked(
-                &mut m,
-                accepted.site_a,
-                accepted.site_b,
-                accepted.mw_length_km,
-                &mut improved,
-            );
-        }
-        let update = RoundUpdate::new(improved, Some(1), Vec::new(), &matrix.read().unwrap(), &sw);
+        let mut update = RoundUpdate::new(n, &sw);
+        accept(&ctx, &mut update, 1, &[]);
         assert!(update.row_skip_slack.is_none());
         state.apply(&ctx, &update);
         let m = matrix.read().unwrap();
@@ -823,19 +998,8 @@ mod tests {
         let mut state = ShardState::new(0..pool.len());
         state.init_score(&ctx);
         let scored = state.values().to_vec();
-        let accepted = candidates[0].clone();
-        let mut improved = ImprovedPairs::new(n);
-        {
-            let mut m = matrix.write().unwrap();
-            improve_with_link_tracked(
-                &mut m,
-                accepted.site_a,
-                accepted.site_b,
-                accepted.mw_length_km,
-                &mut improved,
-            );
-        }
-        let update = RoundUpdate::new(improved, Some(0), Vec::new(), &matrix.read().unwrap(), &sw);
+        let mut update = RoundUpdate::new(n, &sw);
+        accept(&ctx, &mut update, 0, &[]);
         state.apply(&ctx, &update);
         // The round drops the accepted candidate and no other, and a built
         // link only shrinks distances: no surviving prediction rises, some
@@ -845,5 +1009,123 @@ mod tests {
         let survivors = || state.values().iter().zip(&scored).skip(1);
         assert!(survivors().all(|(v, s)| *v <= s + 1e-12));
         assert!(survivors().any(|(v, s)| v < s));
+    }
+
+    /// Many accepted rounds on the uneven fixture, with and without the
+    /// metric row skip, on one shard and on three uneven ones: after every
+    /// round each surviving cached value is within 1e-12 of an exact
+    /// rescore. Each round accepts the best cached candidate and overrides
+    /// the two best with exact values first, as the designer does.
+    #[test]
+    fn repaired_values_track_exact_rescoring_over_many_rounds() {
+        const ROUNDS: usize = 36;
+        let n = 40;
+        let f = uneven_fixture(n, 7);
+        let len = f.pool.len();
+        assert!(len < f.candidates.len() && len > ROUNDS);
+        for armed in [false, true] {
+            let mut sw = ScoringWeights::compute(&f.fiber, &f.geodesic, &f.traffic).unwrap();
+            if armed {
+                assert!(sw.enable_gain_bounds(&f.fiber));
+            }
+            let matrix = RwLock::new(f.fiber.clone());
+            let ctx = ScoreContext {
+                candidates: &f.candidates,
+                pool: &f.pool,
+                geodesic: &f.geodesic,
+                traffic: &f.traffic,
+                matrix: &matrix,
+                sw: &sw,
+            };
+            for bounds in [vec![0, len], vec![0, len / 5, len / 2, len]] {
+                matrix.write().unwrap().copy_from(&f.fiber);
+                let mut shards: Vec<ShardState> = bounds
+                    .windows(2)
+                    .map(|w| ShardState::new(w[0]..w[1]))
+                    .collect();
+                for shard in &mut shards {
+                    shard.init_score(&ctx);
+                }
+                let mut update = RoundUpdate::new(n, &sw);
+                let mut removed = vec![false; len];
+                let mut improving_rounds = 0;
+                for round in 0..ROUNDS {
+                    let values: Vec<f64> =
+                        shards.iter().flat_map(|s| s.values().to_vec()).collect();
+                    let mut ranked: Vec<usize> = (0..len).filter(|&p| !removed[p]).collect();
+                    ranked.sort_by(|&x, &y| values[x].total_cmp(&values[y]).then(x.cmp(&y)));
+                    let overrides: Vec<(usize, f64)> = ranked[..2]
+                        .iter()
+                        .map(|&p| (p, ctx.exact(&matrix.read().unwrap(), p)))
+                        .collect();
+                    let pos = ranked[0];
+                    accept(&ctx, &mut update, pos, &overrides);
+                    removed[pos] = true;
+                    improving_rounds += usize::from(!update.improved.is_empty());
+                    for shard in &mut shards {
+                        shard.apply(&ctx, &update);
+                    }
+                    let m = matrix.read().unwrap();
+                    for shard in &shards {
+                        for (k, &v) in shard.values().iter().enumerate() {
+                            let p = shard.range.start + k;
+                            if removed[p] {
+                                continue;
+                            }
+                            let exact = ctx.exact(&m, p);
+                            assert!(
+                                (v - exact).abs() < 1e-12,
+                                "armed {armed}, shards {bounds:?}, round {round}, pos {p}: \
+                                 repaired {v} vs exact {exact}"
+                            );
+                        }
+                    }
+                }
+                assert!(
+                    improving_rounds >= 30,
+                    "{improving_rounds} improving rounds"
+                );
+            }
+        }
+    }
+
+    /// The via part's metric, row and block filters skip only pairs that
+    /// contribute nothing: on random fixtures and rounds, with and without
+    /// the metric skip, every candidate's filtered sum has the full scan's
+    /// bits.
+    #[test]
+    fn block_filtered_via_repair_matches_a_full_scan() {
+        let n = 37;
+        let mut nonzero = 0;
+        for seed in 1..=5 {
+            let f = uneven_fixture(n, seed);
+            for armed in [false, true] {
+                let mut sw = ScoringWeights::compute(&f.fiber, &f.geodesic, &f.traffic).unwrap();
+                if armed {
+                    assert!(sw.enable_gain_bounds(&f.fiber));
+                }
+                let mut matrix = f.fiber.clone();
+                let mut update = RoundUpdate::new(n, &sw);
+                let mut scratch = RepairScratch::new(n, 0);
+                let mut draw = Draws(seed);
+                for _ in 0..8 {
+                    let pos = (draw.next() * f.pool.len() as f64) as usize;
+                    update.accept(&mut matrix, &f.candidates[f.pool[pos]], pos, &[], &sw);
+                    for &c in &f.pool {
+                        let link = &f.candidates[c];
+                        let filtered =
+                            ShardState::via_repair(&sw, &matrix, link, &update, &mut scratch);
+                        let reference = via_repair_reference(&sw, &matrix, link, &update);
+                        assert_eq!(
+                            filtered.to_bits(),
+                            reference.to_bits(),
+                            "seed {seed}, armed {armed}, candidate {c}: {filtered} vs {reference}"
+                        );
+                        nonzero += usize::from(reference != 0.0);
+                    }
+                }
+            }
+        }
+        assert!(nonzero >= 500, "only {nonzero} non-zero via parts");
     }
 }

@@ -255,11 +255,13 @@ pub fn pair_index(n: usize, i: usize, j: usize) -> usize {
 /// a shorter distance, what they measured before, and which vertices are
 /// incident to at least one improved pair.
 ///
-/// This is the delta the incremental design engine consumes: a candidate
-/// link's cached score can only have been invalidated if the accepted link
-/// improved a pair incident to one of the candidate's endpoints (the
-/// [`ImprovedPairs::touches`] test); every other cached score is repaired
-/// with an O(|improved|) sweep over [`ImprovedPairs::pairs`].
+/// This is the delta the incremental design engine consumes. It indexes
+/// [`ImprovedPairs::pairs`] by vertex into each vertex's *changed
+/// neighbours* (the vertices whose distance to it improved): a candidate
+/// link's via term moved only on the rows of its endpoints' changed
+/// neighbours, and its direct term only on the improved pairs themselves.
+/// The membership bitset deduplicates [`ImprovedPairs::record`] and
+/// answers [`ImprovedPairs::contains_pair`].
 #[derive(Debug, Clone)]
 pub struct ImprovedPairs {
     n: usize,
@@ -319,11 +321,6 @@ impl ImprovedPairs {
     /// The improved pairs as `(i, j, old_distance)` with `i < j`.
     pub fn pairs(&self) -> &[(u32, u32, f64)] {
         &self.pairs
-    }
-
-    /// The improved pairs as a bitset over [`pair_index`] indices.
-    pub fn pair_set(&self) -> &BitSet {
-        &self.pair_set
     }
 
     /// Whether the unordered pair `(i, j)` improved.

@@ -13,8 +13,8 @@ use cisp_core::cost::CostModel;
 use cisp_core::design::{DesignInput, DesignOutcome, Designer};
 use cisp_core::economics::{rank_upgrades, UpgradeConfig};
 use cisp_core::evaluate::{lower, lower_classified, EvaluateConfig};
+use cisp_core::exact::exact_subset_search;
 use cisp_core::hops::{HopConfig, HopFeasibility};
-use cisp_core::ilp::exact_subset_search;
 use cisp_core::links::{LinkBuilder, LinkBuilderConfig};
 use cisp_core::scenario::{population_product_traffic, Scenario};
 use cisp_core::topology::HybridTopology;
@@ -97,9 +97,9 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<(Scale, Vec<Figure>), Str
 ///
 /// (a) Wall-clock time of the cISP heuristic vs the exact solver as the
 ///     number of cities grows (the paper's exact ILP, run in Gurobi, fails
-///     beyond 50 cities; our exact solver — the flow ILP cross-validated
-///     against a combinatorial branch-and-bound — hits its wall earlier,
-///     which shifts the curve but not its exponential shape).
+///     beyond 50 cities; our exact solver, a combinatorial branch-and-bound
+///     over link subsets, hits its wall earlier, which shifts the curve but
+///     not its exponential shape).
 /// (b) Mean stretch of the heuristic vs the exact optimum where the exact
 ///     solver finishes: the paper reports agreement to two decimal places.
 ///

@@ -16,8 +16,8 @@
 //!   inflated (2×) budget to identify a candidate pool, then re-select within
 //!   the real budget and polish with budget-respecting swap local search.
 //!   (The paper hands the pruned pool to Gurobi; our pool-restricted
-//!   selection plus swaps plays that role, and [`crate::ilp`] provides the
-//!   exact formulation for the small instances where it is tractable.)
+//!   selection plus swaps plays that role, and [`crate::exact`] finds the
+//!   true optimum for the small instances where it is tractable.)
 //!
 //! Both procedures start by applying the paper's "fiber oracle" elimination:
 //! a candidate MW link whose length is no better than the fiber distance

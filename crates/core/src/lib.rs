@@ -12,14 +12,14 @@
 //! 2. **Site-to-site links** ([`links`]): for every pair of sites, find the
 //!    shortest tower path through the feasible-hop graph; its length is the
 //!    link's latency and its tower count is the link's cost.
-//! 3. **Topology design** ([`design`], [`ilp`]): choose the subset of links
+//! 3. **Topology design** ([`design`], [`exact`]): choose the subset of links
 //!    to build under a tower budget, minimising traffic-weighted mean
-//!    stretch. The exact subset search ([`ilp`]) is cross-checked in tests
-//!    against the flow-based ILP on the workspace's own MILP solver; the
-//!    scalable cISP heuristic ([`design`]) uses the paper's greedy
-//!    candidate pruning plus a swap-based refinement, running on the
-//!    incremental delta-scoring engine and its persistent worker shards
-//!    (the private `engine` module).
+//!    stretch. The exact subset search ([`exact`]) is the optimum the
+//!    heuristic is measured against, checked in tests against brute force
+//!    over every subset; the scalable cISP heuristic ([`design`]) uses the
+//!    paper's greedy candidate pruning plus a swap-based refinement,
+//!    running on the incremental delta-scoring engine and its persistent
+//!    worker shards (the private `engine` module).
 //! 4. **Capacity augmentation** ([`augment`]): parallel tower series (the k²
 //!    trick of §3.3) sized from per-link traffic, with new towers charged to
 //!    the cost model ([`cost`]).
@@ -51,8 +51,8 @@ pub mod design;
 pub mod economics;
 mod engine;
 pub mod evaluate;
+pub mod exact;
 pub mod hops;
-pub mod ilp;
 pub mod links;
 pub mod scenario;
 pub mod topology;

@@ -577,35 +577,27 @@ impl HybridTopology {
         )
     }
 
-    /// The surviving links of a disabled-set as batch-commit triples.
-    fn enabled_link_triples(&self, disabled: &[usize]) -> Vec<(usize, usize, f64)> {
-        let mut mask = BitSet::new(self.mw_links.len());
-        for &idx in disabled {
-            // Indices beyond the current link count are tolerated (a stale
-            // failure list simply has nothing to disable), matching the
-            // pre-bitset `contains` behaviour.
-            if idx < self.mw_links.len() {
-                mask.insert(idx);
-            }
-        }
-        self.mw_links
-            .iter()
-            .enumerate()
-            .filter(|&(idx, _)| !mask.contains(idx))
-            .map(|(_, l)| (l.site_a, l.site_b, l.mw_length_km))
-            .collect()
-    }
-
     /// Effective distance matrix that would result from disabling the given
     /// subset of built MW links (by index into [`Self::mw_links`]): fiber,
-    /// then every surviving link in one batched pass
-    /// ([`cisp_graph::improve_with_links`]); `self` is not modified. A test
-    /// oracle: the storm year gets every failure set's matrix from
+    /// then [`improve_with_link`] for every surviving link in build order —
+    /// the arithmetic [`Self::add_mw_link`] did; `self` is not modified.
+    /// Indices beyond the link count (a stale failure list) disable nothing.
+    /// A test oracle: the storm year gets every failure set's matrix from
     /// [`cisp_graph::leave_out_closures`], which `tests/storm_failures.rs`
     /// and `tests/matrix_engine_parity.rs` hold to this rebuild per set.
     pub fn effective_matrix_without(&self, disabled: &[usize]) -> DistMatrix {
+        let mut off = BitSet::new(self.mw_links.len());
+        for &idx in disabled {
+            if idx < self.mw_links.len() {
+                off.insert(idx);
+            }
+        }
         let mut matrix = self.fiber_km.clone();
-        cisp_graph::improve_with_links(&mut matrix, &self.enabled_link_triples(disabled));
+        for (idx, l) in self.mw_links.iter().enumerate() {
+            if !off.contains(idx) {
+                improve_with_link(&mut matrix, l.site_a, l.site_b, l.mw_length_km);
+            }
+        }
         matrix
     }
 }
@@ -828,7 +820,10 @@ mod tests {
         let recomputed = topo.effective_matrix_without(&[]);
         for i in 0..3 {
             for j in 0..3 {
-                assert!((topo.effective_km(i, j) - recomputed.get(i, j)).abs() < 1e-9);
+                assert_eq!(
+                    topo.effective_km(i, j).to_bits(),
+                    recomputed.get(i, j).to_bits()
+                );
             }
         }
     }

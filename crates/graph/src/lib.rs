@@ -38,8 +38,7 @@
 //!   dense all-pairs sweeps run on, with the shared unordered-pair iterator,
 //!   the exact one-edge improvement kernels ([`improve_with_link`] and the
 //!   delta-tracking [`improve_with_link_tracked`] that reports an
-//!   [`ImprovedPairs`] set for incremental rescoring), the batched
-//!   multi-link commit kernel ([`improve_with_links`]) and the
+//!   [`ImprovedPairs`] set for incremental rescoring) and the
 //!   divide-and-conquer [`leave_out_closures`] — one matrix per failure set
 //!   of a link list — that the swap polish and the storm year walk,
 //! * [`bitset`] — O(1) membership over small index universes (disabled-link
@@ -79,8 +78,8 @@ pub use csr::CsrGraph;
 pub use dijkstra::{shortest_path, Path};
 pub use graph::Graph;
 pub use matrix::{
-    improve_with_link, improve_with_link_tracked, improve_with_links, leave_out_closures,
-    pair_count, pair_index, pair_indices, DistMatrix, ImprovedPairs,
+    improve_with_link, improve_with_link_tracked, leave_out_closures, pair_count, pair_index,
+    pair_indices, DistMatrix, ImprovedPairs,
 };
 pub use partition::{partition_lookahead, partition_path_links};
 pub use paths::PathStore;

@@ -12,8 +12,8 @@
 //! allocations.
 //!
 //! `matrix[i][j]` indexing keeps working: `Index<usize>` returns the row as
-//! a `&[f64]` slice. Unordered-pair sweeps use [`DistMatrix::upper_triangle`]
-//! (or [`pair_indices`]) instead of hand-rolled nested loops.
+//! a `&[f64]` slice. Unordered-pair sweeps use [`pair_indices`] instead of
+//! hand-rolled nested loops.
 
 use crate::bitset::BitSet;
 use std::ops::{Index, IndexMut};
@@ -138,7 +138,7 @@ impl DistMatrix {
     /// Iterate the strict upper triangle (`i < j`) in row-major order,
     /// yielding `(i, j, value)`. This is the canonical unordered-pair sweep
     /// for traffic-weighted objectives.
-    pub fn upper_triangle(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+    fn upper_triangle(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         pair_indices(self.n).map(move |(i, j)| (i, j, self.get(i, j)))
     }
 
@@ -440,8 +440,7 @@ fn improve_sweep(
 /// does not depend on the order, but the float sum along a multi-link path
 /// associates by it, so entries agree with the sequential rebuild to
 /// summation ulp (a few 1e-16 relative per link on the path), not bit for
-/// bit — the same relaxation [`improve_with_links`] makes. `base` must
-/// satisfy [`improve_with_link`]'s precondition.
+/// bit. `base` must satisfy [`improve_with_link`]'s precondition.
 pub fn leave_out_closures<S: AsRef<[usize]>>(
     base: &DistMatrix,
     links: &[(usize, usize, f64)],
@@ -506,119 +505,6 @@ fn leave_out_range<S: AsRef<[usize]>>(
         sweeps += leave_out_range(current, deeper, links, sets, &still_held, half, visit);
     }
     sweeps
-}
-
-/// Apply the exact improvement of a whole *batch* of new edges to a
-/// metric-closed symmetric distance matrix in one pass: afterwards
-/// `D'[s][t]` is the shortest distance over any mix of old paths and new
-/// links — identical (up to float summation order) to applying
-/// [`improve_with_link`] once per link sequentially.
-///
-/// Instead of `k` full matrix sweeps, the batch kernel closes the new links
-/// over their endpoint set (the *portals*, `p ≤ 2k` of them) and then makes
-/// a single sweep: any path through new links enters the portal set at a
-/// first portal and leaves it at a last portal, so
-/// `D'[s][t] = min(D[s][t], min_{u,v} D[s][v] + A[v][u] + D[u][t])` with `A`
-/// the portal closure — one matrix pass of memory traffic regardless of `k`.
-/// The result is written symmetrically (each unordered pair computed once
-/// and mirrored). Returns the number of *ordered* entries improved, matching
-/// [`improve_with_link`]'s convention.
-///
-/// This is the multi-link commit primitive behind a rebuild from fiber, which
-/// replays every surviving link of a failure set onto the fiber matrix. No
-/// production path rebuilds any more ([`leave_out_closures`] shares the
-/// sweeps between failure sets); it is reached only through the test oracle
-/// `HybridTopology::effective_matrix_without`.
-pub fn improve_with_links(matrix: &mut DistMatrix, links: &[(usize, usize, f64)]) -> usize {
-    let n = matrix.n();
-    for &(i, j, m) in links {
-        assert!(i < n && j < n && i != j);
-        assert!(m >= 0.0);
-    }
-    match links.len() {
-        0 => return 0,
-        1 => return improve_with_link(matrix, links[0].0, links[0].1, links[0].2),
-        _ => {}
-    }
-
-    // The portals: sorted, deduplicated endpoints of the new links.
-    let mut portals: Vec<usize> = links.iter().flat_map(|&(i, j, _)| [i, j]).collect();
-    portals.sort_unstable();
-    portals.dedup();
-    let p = portals.len();
-    let mut portal_of = vec![usize::MAX; n];
-    for (k, &u) in portals.iter().enumerate() {
-        portal_of[u] = k;
-    }
-
-    // `a`, `p × p`: portal-to-portal distances — the old closure restricted
-    // to portals, improved by the new links, then re-closed with
-    // Floyd–Warshall over the (tiny) portal set. The old matrix is
-    // metric-closed, so paths through non-portal vertices are already inside
-    // its entries and closing over portals alone is exact.
-    let mut a = vec![0.0; p * p];
-    for (ki, &u) in portals.iter().enumerate() {
-        for (kj, &v) in portals.iter().enumerate() {
-            a[ki * p + kj] = matrix.get(u, v);
-        }
-    }
-    for &(i, j, m) in links {
-        let (ki, kj) = (portal_of[i], portal_of[j]);
-        if m < a[ki * p + kj] {
-            a[ki * p + kj] = m;
-            a[kj * p + ki] = m;
-        }
-    }
-    for k in 0..p {
-        for x in 0..p {
-            let d_xk = a[x * p + k];
-            for y in 0..p {
-                let via = d_xk + a[k * p + y];
-                if via < a[x * p + y] {
-                    a[x * p + y] = via;
-                }
-            }
-        }
-    }
-
-    // `snap`, `p × n`: the pre-update portal rows of the matrix.
-    let mut snap = Vec::with_capacity(p * n);
-    for &u in &portals {
-        snap.extend_from_slice(matrix.row(u));
-    }
-
-    // The sweep: every unordered pair visited once, improvements written to
-    // both orientations.
-    let mut e = vec![0.0; p];
-    let mut improved = 0;
-    for s in 0..n {
-        // e[u] = shortest s → portal-u distance over old paths + new links,
-        // accumulated row-of-A-major so both arrays stream contiguously.
-        e.fill(f64::INFINITY);
-        for kv in 0..p {
-            let d_sv = snap[kv * n + s];
-            for (e_u, &a_vu) in e.iter_mut().zip(&a[kv * p..kv * p + p]) {
-                let c = d_sv + a_vu;
-                if c < *e_u {
-                    *e_u = c;
-                }
-            }
-        }
-        for t in (s + 1)..n {
-            let mut via = f64::INFINITY;
-            for (&e_u, snap_row) in e.iter().zip(snap.chunks_exact(n)) {
-                let c = e_u + snap_row[t];
-                if c < via {
-                    via = c;
-                }
-            }
-            if via < matrix.get(s, t) {
-                matrix.set_sym(s, t, via);
-                improved += 2;
-            }
-        }
-    }
-    improved
 }
 
 #[cfg(test)]
@@ -780,96 +666,6 @@ mod tests {
         }
         // The endpoints of the new link are touched (its own pair improved).
         assert!(delta.touches(0) && delta.touches(4));
-    }
-
-    /// Brute-force closure reference: Floyd–Warshall over the matrix with
-    /// the new links inserted as edges.
-    fn closure_reference(matrix: &DistMatrix, links: &[(usize, usize, f64)]) -> DistMatrix {
-        let n = matrix.n();
-        let mut d = matrix.clone();
-        for &(i, j, m) in links {
-            if m < d.get(i, j) {
-                d.set_sym(i, j, m);
-            }
-        }
-        for k in 0..n {
-            for s in 0..n {
-                for t in 0..n {
-                    let via = d.get(s, k) + d.get(k, t);
-                    if via < d.get(s, t) {
-                        d.set(s, t, via);
-                    }
-                }
-            }
-        }
-        d
-    }
-
-    #[test]
-    fn batch_improve_matches_sequential_and_reference() {
-        let n = 9;
-        let base = DistMatrix::from_fn(n, |i, j| (i as f64 - j as f64).abs() * 3.0);
-        let links = [(0usize, 8usize, 5.0), (2, 6, 2.5), (1, 8, 9.0), (0, 4, 3.0)];
-        let mut batched = base.clone();
-        let improved = improve_with_links(&mut batched, &links);
-        assert!(improved > 0);
-        let mut sequential = base.clone();
-        for &(i, j, m) in &links {
-            improve_with_link(&mut sequential, i, j, m);
-        }
-        let reference = closure_reference(&base, &links);
-        for i in 0..n {
-            for j in 0..n {
-                assert!(
-                    (batched.get(i, j) - sequential.get(i, j)).abs() < 1e-9,
-                    "batch vs sequential at ({i}, {j})"
-                );
-                assert!(
-                    (batched.get(i, j) - reference.get(i, j)).abs() < 1e-9,
-                    "batch vs closure reference at ({i}, {j})"
-                );
-            }
-        }
-        assert!(
-            batched.is_symmetric(0.0),
-            "mirror writes keep exact symmetry"
-        );
-    }
-
-    #[test]
-    fn batch_improve_edge_cases() {
-        let n = 5;
-        let base = line_metric(n);
-        // Empty batch: no-op.
-        let mut m = base.clone();
-        assert_eq!(improve_with_links(&mut m, &[]), 0);
-        assert_eq!(m, base);
-        // Single link delegates to the sequential kernel bit-for-bit.
-        let mut single_batch = base.clone();
-        let mut single_seq = base.clone();
-        let got = improve_with_links(&mut single_batch, &[(0, 4, 1.0)]);
-        let want = improve_with_link(&mut single_seq, 0, 4, 1.0);
-        assert_eq!(got, want);
-        assert_eq!(single_batch, single_seq);
-        // A useless (too-long) link changes nothing.
-        let mut useless = base.clone();
-        improve_with_links(&mut useless, &[(0, 1, 100.0), (2, 3, 200.0)]);
-        assert_eq!(useless, base);
-    }
-
-    #[test]
-    fn batch_improve_composes_new_links() {
-        // Two new links that only help in *combination*: 0–2 and 2–4 at
-        // unit-ish lengths over a stretched metric. The pair (0, 4) must ride
-        // both new links through the shared portal 2.
-        let n = 5;
-        let base = line_metric(n); // d(i, j) = 2 |i − j|
-        let mut m = base.clone();
-        improve_with_links(&mut m, &[(0, 2, 1.0), (2, 4, 1.0)]);
-        assert_eq!(m.get(0, 2), 1.0);
-        assert_eq!(m.get(2, 4), 1.0);
-        assert_eq!(m.get(0, 4), 2.0, "multi-new-link path through the portals");
-        assert_eq!(m.get(1, 3), 4.0, "untouched pair keeps old distance");
     }
 
     /// The oracle of [`leave_out_closures`]: `base`, then every link whose

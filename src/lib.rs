@@ -2,13 +2,13 @@
 //!
 //! This facade crate re-exports the whole workspace behind one dependency so
 //! that examples, integration tests and downstream users can write
-//! `use cisp::core::...` instead of depending on ten crates individually.
+//! `use cisp::core::...` instead of depending on nine crates individually.
 //!
 //! The workspace reproduces *"cISP: A Speed-of-Light Internet Service
 //! Provider"* (NSDI 2022): a design methodology for hybrid microwave + fiber
 //! wide-area networks that deliver latencies within a few percent of the
 //! speed-of-light lower bound, plus every substrate its evaluation relies on
-//! (terrain and tower models, a fiber conduit map, an ILP/MILP solver, a
+//! (terrain and tower models, a fiber conduit map, an exact design search, a
 //! packet-level simulator, a weather model, and application-level latency
 //! models). See `README.md` for a tour: *Workspace layout* is the system
 //! inventory, *The evaluation pipeline* the chain the experiments run over.
@@ -21,7 +21,6 @@
 //! | [`terrain`] | `cisp-terrain` | synthetic elevation + clutter model |
 //! | [`data`] | `cisp-data` | cities, data centers, towers, fiber conduits |
 //! | [`graph`] | `cisp-graph` | the shortest-path core, disjoint paths, flat matrices |
-//! | [`lp`] | `cisp-lp` | simplex LP + branch-and-bound MILP solver |
 //! | [`core`] | `cisp-core` | hop feasibility, topology design, augmentation, cost |
 //! | [`traffic`] | `cisp-traffic` | traffic matrices, mixes, perturbations |
 //! | [`weather`] | `cisp-weather` | rain attenuation, storm year, failure analysis |
@@ -50,7 +49,6 @@ pub use cisp_core as core;
 pub use cisp_data as data;
 pub use cisp_geo as geo;
 pub use cisp_graph as graph;
-pub use cisp_lp as lp;
 pub use cisp_netsim as netsim;
 pub use cisp_terrain as terrain;
 pub use cisp_traffic as traffic;

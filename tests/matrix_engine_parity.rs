@@ -530,15 +530,11 @@ proptest! {
         }
         for i in 0..n {
             for j in 0..n {
-                // The engine commits the surviving links in one batched
-                // portal pass; paths through several new links associate
-                // their length sums differently than the sequential nested
-                // reference, so equality holds to summation ulps rather than
-                // bit-for-bit.
+                // Same links, same order, same sweep: bit for bit.
                 let (got, want) = (engine.get(i, j), nested[i][j]);
                 prop_assert!(
-                    (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-                    "pair ({}, {}): batch {} vs sequential {}",
+                    got.to_bits() == want.to_bits(),
+                    "pair ({}, {}): engine {} vs nested {}",
                     i,
                     j,
                     got,

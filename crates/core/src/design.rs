@@ -87,20 +87,9 @@ use crate::engine::{exact_score, PoolScorer, RoundUpdate, ScoreContext, ShardPoo
 use crate::links::CandidateLink;
 use crate::topology::{HybridTopology, ScoringWeights};
 
-/// How the greedy scores a candidate link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GreedyScore {
-    /// Absolute reduction in mean stretch (the paper's rule).
-    AbsoluteGain,
-    /// Reduction in mean stretch per tower of cost (cost-aware variant).
-    GainPerTower,
-}
-
 /// Configuration of the design procedures.
 #[derive(Debug, Clone, Copy)]
 pub struct DesignConfig {
-    /// Scoring rule for the greedy.
-    pub score: GreedyScore,
     /// Budget-inflation factor for the candidate-pruning phase of the cISP
     /// heuristic (paper: 2×).
     pub pruning_budget_factor: f64,
@@ -113,7 +102,6 @@ pub struct DesignConfig {
 impl Default for DesignConfig {
     fn default() -> Self {
         Self {
-            score: GreedyScore::AbsoluteGain,
             pruning_budget_factor: 2.0,
             max_swap_passes: 3,
             min_gain: 1e-9,
@@ -228,13 +216,6 @@ impl<'a> Designer<'a> {
         Self { input, config }
     }
 
-    fn score(&self, gain: f64, cost: usize) -> f64 {
-        match self.config.score {
-            GreedyScore::AbsoluteGain => gain,
-            GreedyScore::GainPerTower => gain / (cost.max(1) as f64),
-        }
-    }
-
     /// Greedy design over an explicit candidate pool (indices into the input
     /// candidate list), one scoring shard per core.
     fn greedy_over(&self, pool: &[usize], budget_towers: f64) -> DesignOutcome {
@@ -250,7 +231,7 @@ impl<'a> Designer<'a> {
     /// accepted link the caches are repaired from the link's improved-pair
     /// set by the shards. Selection re-scores the provisional winner with
     /// the exact kernel and accepts only once the exact value is still the
-    /// best cached priority, so the chosen sequence is the one re-scoring
+    /// best cached gain, so the chosen sequence is the one re-scoring
     /// every candidate every round would choose while almost all O(n²)
     /// sweeps disappear.
     fn greedy_sharded(&self, pool: &[usize], budget_towers: f64, shards: usize) -> DesignOutcome {
@@ -342,7 +323,7 @@ impl<'a> Designer<'a> {
 
         loop {
             // Select this round's link: repeatedly take the best cached
-            // priority among affordable candidates, re-score it with the
+            // gain among affordable candidates, re-score it with the
             // exact kernel, and accept once the winner's value is exact.
             refreshed.fill(false);
             overrides.clear();
@@ -357,21 +338,20 @@ impl<'a> Designer<'a> {
                     if total_towers + cost > budget {
                         continue;
                     }
-                    let priority = self.score(current_stretch - values[pos], cost);
-                    if priority <= self.config.min_gain {
+                    let gain = current_stretch - values[pos];
+                    if gain <= self.config.min_gain {
                         continue;
                     }
                     // Strict `>` keeps the lowest position on ties: the
                     // greedy's deterministic tie-break.
-                    if best.is_none() || priority > best.unwrap().0 {
-                        best = Some((priority, pos));
+                    if best.is_none() || gain > best.unwrap().0 {
+                        best = Some((gain, pos));
                     }
                 }
                 let Some((_, pos)) = best else { break };
                 if refreshed[pos] {
-                    // Exact value and still the best priority: accept (the
-                    // priority filter above already guarantees the gain
-                    // clears `min_gain`).
+                    // Exact value and still the best gain: accept (the
+                    // filter above already guarantees it clears `min_gain`).
                     chosen = Some(pos);
                     break;
                 }
@@ -438,12 +418,9 @@ impl<'a> Designer<'a> {
             );
             let mut best: Option<(f64, usize)> = None;
             for (&idx, &with_link) in affordable.iter().zip(&scores) {
-                let score = self.score(
-                    current_stretch - with_link,
-                    self.input.candidates[idx].tower_count,
-                );
-                if score > self.config.min_gain && (best.is_none() || score > best.unwrap().0) {
-                    best = Some((score, idx));
+                let gain = current_stretch - with_link;
+                if gain > self.config.min_gain && (best.is_none() || gain > best.unwrap().0) {
+                    best = Some((gain, idx));
                 }
             }
             let Some((_, idx)) = best else { break };
@@ -757,35 +734,6 @@ mod tests {
         let cisp = designer.cisp(budget);
         assert!(cisp.total_towers as f64 <= budget);
         assert!(cisp.mean_stretch <= greedy.mean_stretch + 1e-9);
-    }
-
-    #[test]
-    fn gain_per_tower_scoring_changes_selection_order() {
-        let input = synthetic_input(8);
-        let abs = Designer::with_config(
-            &input,
-            DesignConfig {
-                score: GreedyScore::AbsoluteGain,
-                ..DesignConfig::default()
-            },
-        )
-        .greedy(25.0);
-        let per = Designer::with_config(
-            &input,
-            DesignConfig {
-                score: GreedyScore::GainPerTower,
-                ..DesignConfig::default()
-            },
-        )
-        .greedy(25.0);
-        // Both are valid designs within budget.
-        assert!(abs.total_towers <= 25 && per.total_towers <= 25);
-        // The cost-aware variant never selects a *more* expensive first link.
-        if let (Some(a), Some(p)) = (abs.history.first(), per.history.first()) {
-            let ca = input.candidates[a.candidate_index].tower_count;
-            let cp = input.candidates[p.candidate_index].tower_count;
-            assert!(cp <= ca);
-        }
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!    $-km, so a short cheap upgrade that buys the same milliseconds beats a
 //!    long expensive one.
 //!
-//! Everything is deterministic: the same lowering, seed and discipline are
-//! used for the baseline and every candidate, candidate order follows the
-//! topology's MW-link order, and ties rank by that index.
+//! Everything is deterministic: the same lowering, seed and simulation
+//! configuration are used for the baseline and every candidate, candidate
+//! order follows the topology's MW-link order, and ties rank by that index.
 //!
 //! [`SimReport::per_class`]: cisp_netsim::SimReport::per_class
 

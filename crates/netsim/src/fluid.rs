@@ -50,7 +50,7 @@
 
 use crate::flows::FlowSpec;
 use crate::monitor::BackgroundStats;
-use crate::network::{Network, QueueDiscipline, WFQ_FOREGROUND_WEIGHT};
+use crate::network::Network;
 use crate::routing::{Demand, RoutingTable};
 use crate::sim::SimConfig;
 
@@ -154,24 +154,16 @@ pub fn solve(
         .collect();
 
     // Effective fluid capacity: configured rate minus offered foreground
-    // load (both classes share the link; on average the foreground occupies
-    // its offered share — exact for `Fifo` and for `StrictPriority`, where
-    // foreground service genuinely comes first). Floored at 1 bps so a
+    // load (both classes share the link's one FIFO queue; on average the
+    // foreground occupies its offered share). Floored at 1 bps so a
     // foreground-saturated link still has a well-defined — glacial — drain
-    // rate. Under `WeightedFair` the scheduler guarantees the background
-    // class its `1 − WFQ_FOREGROUND_WEIGHT` share whenever foreground is
-    // busy, so the floor rises to that guaranteed fraction of the line rate.
+    // rate.
     let mut cap_bps: Vec<f64> = links.iter().map(|l| l.rate_bps).collect();
     for (k, d) in demands.iter().enumerate() {
         if !d.is_background() && d.amount_bps > 0.0 {
             for &l in routes.route(k) {
                 cap_bps[l as usize] -= d.amount_bps;
             }
-        }
-    }
-    if config.discipline == QueueDiscipline::WeightedFair {
-        for (c, l) in cap_bps.iter_mut().zip(links.iter()) {
-            *c = c.max((1.0 - WFQ_FOREGROUND_WEIGHT) * l.rate_bps);
         }
     }
     for c in &mut cap_bps {
@@ -557,19 +549,6 @@ mod tests {
         let demands = vec![Demand::background(0, 1, f64::INFINITY)];
         let s = solve_for(&net, &demands, &config).stats();
         assert!(s.truncated, "{s:?}");
-    }
-
-    #[test]
-    fn weighted_fair_floors_fluid_capacity_at_the_background_share() {
-        // 9.5 Mbps foreground on a 10 Mbps link would leave the FIFO fluid
-        // 0.5 Mbps; weighted-fair guarantees background 25% of the line
-        // rate, so an 8 Mbps background flow queues at 8 − 2.5 = 5.5 Mbps.
-        let (net, mut config) = single_link_inputs(10e6, 1e9);
-        config.discipline = QueueDiscipline::WeightedFair;
-        let demands = vec![Demand::new(0, 1, 9.5e6), Demand::background(0, 1, 8e6)];
-        let out = solve_for(&net, &demands, &config);
-        let growth_bps = out.backlog_bytes(0, 1.0) * 8.0;
-        assert!((growth_bps - 5.5e6).abs() < 1e3, "growth {growth_bps}");
     }
 
     #[test]

@@ -70,6 +70,6 @@ pub mod tcp;
 
 pub use fluid::BackgroundModel;
 pub use monitor::SimReport;
-pub use network::{LinkSpec, Network, QueueDiscipline};
+pub use network::{LinkSpec, Network};
 pub use routing::{RoutingScheme, TrafficClass};
 pub use sim::{SimConfig, Simulation};

@@ -400,8 +400,9 @@ pub struct BackgroundStats {
 
 /// Packet-level statistics of one traffic class
 /// ([`crate::routing::TrafficClass`]) — the per-class view of a classified
-/// run that the queue disciplines ([`crate::network::QueueDiscipline`]) and
-/// the economics loop read. Delay statistics cover the class's *delivered*
+/// run that the economics loop reads. Both classes share each link's one
+/// FIFO queue, so the split only labels the delivered and dropped packets.
+/// Delay statistics cover the class's *delivered*
 /// packets; background entries are all zero in hybrid runs, where the
 /// background class is fluid (see [`BackgroundStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

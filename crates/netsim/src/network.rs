@@ -1,22 +1,16 @@
-//! Nodes, links and the per-class link queueing models.
+//! Nodes, links and the link queueing model.
 //!
 //! Links are unidirectional and characterised by a transmission rate, a
-//! propagation delay and a finite drop-tail buffer. The base queueing model
-//! is the standard "virtual clock" formulation of FIFO store-and-forward: a
-//! link keeps the time at which its transmitter frees up; a packet arriving
-//! at time `t` starts transmission at `max(t, free_at)`, occupies the wire
-//! for `size / rate`, and is dropped if the backlog implied by `free_at − t`
-//! exceeds the buffer. This is exactly equivalent to simulating an explicit
-//! FIFO queue, at a fraction of the bookkeeping cost.
-//!
-//! On top of the aggregate clock, [`QueueDiscipline`] generalises the model
-//! to per-class service (`LinkStates::transmit_classed`): strict priority
-//! (foreground preempts queued background service, including the hybrid
-//! engine's fluid backlog) and weighted-fair queueing (per-class virtual
-//! clocks served at weighted shares of the wire while the other class is
-//! busy). [`QueueDiscipline::Fifo`] routes through the exact single-clock
-//! code path, so FIFO reports stay bit-identical to the pre-discipline
-//! engine.
+//! propagation delay and a finite drop-tail buffer. Every link is one FIFO
+//! queue in the standard "virtual clock" formulation of store-and-forward:
+//! a link keeps the time at which its transmitter frees up; a packet
+//! arriving at time `t` starts transmission at `max(t, free_at)`, occupies
+//! the wire for `size / rate`, and is dropped if the backlog implied by
+//! `free_at − t` exceeds the buffer. This is exactly equivalent to
+//! simulating an explicit FIFO queue, at a fraction of the bookkeeping
+//! cost. Traffic classes ([`crate::routing::TrafficClass`]) share that one
+//! queue in arrival order; the hybrid engine's fluid background enters it
+//! as extra backlog (`LinkStates::transmit_queued`).
 //!
 //! Dynamic per-link state lives in [`LinkStates`] — parallel flat arrays
 //! (struct-of-arrays) rather than a `Vec` of state structs, so the
@@ -61,48 +55,11 @@ impl LinkSpec {
     }
 }
 
-/// How a link shares its transmitter between the foreground and background
-/// traffic classes ([`crate::routing::TrafficClass`]). A per-run knob
-/// ([`crate::sim::SimConfig::discipline`]); every discipline is a pure
-/// function of per-link state, so reports stay bit-identical across
-/// execution modes, workers, windows and queue backends.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum QueueDiscipline {
-    /// One shared FIFO virtual clock — both classes interleave in arrival
-    /// order and foreground packets wait behind the fluid background backlog.
-    /// The default, bit-identical to the pre-discipline engine.
-    #[default]
-    Fifo,
-    /// Foreground preempts queued background service (preemptive-resume
-    /// idealisation): a foreground packet waits only behind earlier
-    /// foreground packets — never behind queued background bytes or the
-    /// hybrid engine's fluid backlog — and its buffer check sees only
-    /// foreground occupancy (it effectively pushes background out of a full
-    /// buffer). Background waits behind the aggregate clock (which embeds
-    /// all foreground service) plus the fluid backlog, exactly as under
-    /// FIFO.
-    StrictPriority,
-    /// Weighted-fair queueing over per-class virtual clocks: while the other
-    /// class is busy (its clock is ahead of now, or fluid backlog occupies
-    /// the link) a class is served at its weighted share of the wire
-    /// (`WFQ_FOREGROUND_WEIGHT`); an idle other class returns the full
-    /// rate, so single-class workloads behave exactly like FIFO.
-    WeightedFair,
-}
-
-/// Foreground share of the wire under [`QueueDiscipline::WeightedFair`]
-/// while the background class is busy (background gets the complement).
-pub(crate) const WFQ_FOREGROUND_WEIGHT: f64 = 0.75;
-
 /// Snapshot of one link's dynamic state (assembled from [`LinkStates`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LinkState {
     /// Time at which the transmitter becomes free.
     pub free_at: f64,
-    /// Foreground-class virtual clock (stays 0 under [`QueueDiscipline::Fifo`]).
-    pub fg_free_at: f64,
-    /// Background-class virtual clock (stays 0 under [`QueueDiscipline::Fifo`]).
-    pub bg_free_at: f64,
     /// Total bytes accepted for transmission (for utilisation).
     pub bytes_sent: f64,
     /// Total packets dropped at this link's buffer.
@@ -138,12 +95,6 @@ pub enum Transmit {
 pub struct LinkStates {
     /// Time at which each link's transmitter becomes free.
     pub free_at: Vec<f64>,
-    /// Per-link foreground-class virtual clock: the time at which the last
-    /// accepted *foreground* packet finishes service. Only the non-FIFO
-    /// disciplines advance it; under [`QueueDiscipline::Fifo`] it stays 0.
-    pub fg_free_at: Vec<f64>,
-    /// Per-link background-class virtual clock (see `fg_free_at`).
-    pub bg_free_at: Vec<f64>,
     /// Total bytes accepted per link.
     pub bytes_sent: Vec<f64>,
     /// Packets dropped per link.
@@ -161,8 +112,6 @@ impl LinkStates {
     pub fn new(n: usize) -> Self {
         Self {
             free_at: vec![0.0; n],
-            fg_free_at: vec![0.0; n],
-            bg_free_at: vec![0.0; n],
             bytes_sent: vec![0.0; n],
             packets_dropped: vec![0; n],
             queue_delay_sum: vec![0.0; n],
@@ -184,8 +133,6 @@ impl LinkStates {
     /// Append one zeroed link slot.
     fn push_default(&mut self) {
         self.free_at.push(0.0);
-        self.fg_free_at.push(0.0);
-        self.bg_free_at.push(0.0);
         self.bytes_sent.push(0.0);
         self.packets_dropped.push(0);
         self.queue_delay_sum.push(0.0);
@@ -196,8 +143,6 @@ impl LinkStates {
     /// Reset every link to the zero state.
     pub fn reset(&mut self) {
         self.free_at.fill(0.0);
-        self.fg_free_at.fill(0.0);
-        self.bg_free_at.fill(0.0);
         self.bytes_sent.fill(0.0);
         self.packets_dropped.fill(0);
         self.queue_delay_sum.fill(0.0);
@@ -209,8 +154,6 @@ impl LinkStates {
     /// between components).
     pub(crate) fn reset_link(&mut self, id: LinkId) {
         self.free_at[id] = 0.0;
-        self.fg_free_at[id] = 0.0;
-        self.bg_free_at[id] = 0.0;
         self.bytes_sent[id] = 0.0;
         self.packets_dropped[id] = 0;
         self.queue_delay_sum[id] = 0.0;
@@ -222,8 +165,6 @@ impl LinkStates {
     pub fn snapshot(&self, id: LinkId) -> LinkState {
         LinkState {
             free_at: self.free_at[id],
-            fg_free_at: self.fg_free_at[id],
-            bg_free_at: self.bg_free_at[id],
             bytes_sent: self.bytes_sent[id],
             packets_dropped: self.packets_dropped[id],
             queue_delay_sum: self.queue_delay_sum[id],
@@ -235,8 +176,6 @@ impl LinkStates {
     /// Overwrite one link's state from a snapshot (the engine's merge step).
     pub(crate) fn restore(&mut self, id: LinkId, state: &LinkState) {
         self.free_at[id] = state.free_at;
-        self.fg_free_at[id] = state.fg_free_at;
-        self.bg_free_at[id] = state.bg_free_at;
         self.bytes_sent[id] = state.bytes_sent;
         self.packets_dropped[id] = state.packets_dropped;
         self.queue_delay_sum[id] = state.queue_delay_sum;
@@ -289,166 +228,6 @@ impl LinkStates {
         let queue_delay = start - now;
         let finish = start + spec.serialization_s(bytes);
         self.free_at[id] = finish;
-        self.bytes_sent[id] += bytes;
-        self.queue_delay_sum[id] += queue_delay;
-        self.packets_forwarded[id] += 1;
-        self.max_backlog_bytes[id] = self.max_backlog_bytes[id].max(backlog_bytes + bytes);
-        Transmit::Delivered {
-            arrival: finish + spec.propagation_s,
-            queue_delay,
-        }
-    }
-
-    /// The class-aware transmit: offer a packet of the given traffic class
-    /// under a [`QueueDiscipline`]. `background` is the packet's class;
-    /// `extra_backlog_bytes` is the fluid background backlog sampled at
-    /// arrival (0 outside hybrid runs).
-    ///
-    /// [`QueueDiscipline::Fifo`] delegates to [`Self::transmit_queued`]
-    /// verbatim — the exact float-operation sequence of the pre-discipline
-    /// engine, so FIFO reports stay bit-identical. The other disciplines run
-    /// the per-class clocks documented on the enum.
-    // One argument over clippy's limit, but every caller sits on the
-    // per-event hot path: a params struct would be built and torn down per
-    // packet for no readability gain at the two call sites.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub(crate) fn transmit_classed(
-        &mut self,
-        spec: &LinkSpec,
-        id: LinkId,
-        now: f64,
-        bytes: f64,
-        extra_backlog_bytes: f64,
-        background: bool,
-        discipline: QueueDiscipline,
-    ) -> Transmit {
-        match discipline {
-            QueueDiscipline::Fifo => {
-                self.transmit_queued(spec, id, now, bytes, extra_backlog_bytes)
-            }
-            QueueDiscipline::StrictPriority => {
-                if background {
-                    // Background under strict priority waits exactly like
-                    // FIFO traffic — behind the aggregate clock (which
-                    // embeds all foreground service) and the fluid backlog —
-                    // and additionally keeps its class clock for the shared
-                    // buffer accounting and per-class observability.
-                    let r = self.transmit_queued(spec, id, now, bytes, extra_backlog_bytes);
-                    if matches!(r, Transmit::Delivered { .. }) {
-                        self.bg_free_at[id] = self.free_at[id];
-                    }
-                    r
-                } else {
-                    self.transmit_priority_foreground(spec, id, now, bytes)
-                }
-            }
-            QueueDiscipline::WeightedFair => {
-                self.transmit_weighted_fair(spec, id, now, bytes, extra_backlog_bytes, background)
-            }
-        }
-    }
-
-    /// Strict-priority foreground service: the packet waits only behind the
-    /// foreground-class clock (preemptive-resume — queued background bytes
-    /// and fluid backlog are preempted, not waited for), and the buffer
-    /// check sees only foreground occupancy (arriving foreground effectively
-    /// pushes background out of a full buffer).
-    #[inline]
-    fn transmit_priority_foreground(
-        &mut self,
-        spec: &LinkSpec,
-        id: LinkId,
-        now: f64,
-        bytes: f64,
-    ) -> Transmit {
-        if !spec.can_transmit() {
-            self.packets_dropped[id] += 1;
-            return Transmit::Dropped;
-        }
-        let backlog_s = (self.fg_free_at[id] - now).max(0.0);
-        let backlog_bytes = backlog_s * spec.rate_bps / 8.0;
-        if backlog_bytes + bytes > spec.buffer_bytes && spec.buffer_bytes > 0.0 {
-            self.packets_dropped[id] += 1;
-            return Transmit::Dropped;
-        }
-        let start = now.max(self.fg_free_at[id]);
-        let queue_delay = start - now;
-        let finish = start + spec.serialization_s(bytes);
-        self.fg_free_at[id] = finish;
-        // Foreground service occupies the wire: later background arrivals
-        // queue behind it through the aggregate clock.
-        self.free_at[id] = self.free_at[id].max(finish);
-        self.bytes_sent[id] += bytes;
-        self.queue_delay_sum[id] += queue_delay;
-        self.packets_forwarded[id] += 1;
-        self.max_backlog_bytes[id] = self.max_backlog_bytes[id].max(backlog_bytes + bytes);
-        Transmit::Delivered {
-            arrival: finish + spec.propagation_s,
-            queue_delay,
-        }
-    }
-
-    /// Weighted-fair service: each class has its own virtual clock and is
-    /// serialised at its weighted share of the wire while the other class is
-    /// busy (its clock ahead of `now`, or — for the background side of the
-    /// ledger — fluid backlog occupying the link), and at the full rate
-    /// otherwise, so single-class workloads reproduce FIFO exactly. The
-    /// drop check charges both classes' residual service plus the fluid
-    /// backlog against the shared drop-tail buffer.
-    #[inline]
-    fn transmit_weighted_fair(
-        &mut self,
-        spec: &LinkSpec,
-        id: LinkId,
-        now: f64,
-        bytes: f64,
-        extra_backlog_bytes: f64,
-        background: bool,
-    ) -> Transmit {
-        if !spec.can_transmit() {
-            self.packets_dropped[id] += 1;
-            return Transmit::Dropped;
-        }
-        let fg_residual_s = (self.fg_free_at[id] - now).max(0.0);
-        let bg_residual_s = (self.bg_free_at[id] - now).max(0.0);
-        let backlog_bytes =
-            (fg_residual_s + bg_residual_s) * spec.rate_bps / 8.0 + extra_backlog_bytes;
-        if backlog_bytes + bytes > spec.buffer_bytes && spec.buffer_bytes > 0.0 {
-            self.packets_dropped[id] += 1;
-            return Transmit::Dropped;
-        }
-        let (my_clock, other_busy, weight) = if background {
-            (
-                self.bg_free_at[id],
-                fg_residual_s > 0.0,
-                1.0 - WFQ_FOREGROUND_WEIGHT,
-            )
-        } else {
-            (
-                self.fg_free_at[id],
-                bg_residual_s > 0.0 || extra_backlog_bytes > 0.0,
-                WFQ_FOREGROUND_WEIGHT,
-            )
-        };
-        let share = if other_busy { weight } else { 1.0 };
-        // Background additionally queues behind the fluid backlog of its own
-        // class, drained at the full wire rate like the FIFO coupling (the
-        // fluid solve already accounts for the foreground share).
-        let ready = if background {
-            now + extra_backlog_bytes * 8.0 / spec.rate_bps
-        } else {
-            now
-        };
-        let start = ready.max(my_clock);
-        let queue_delay = start - now;
-        let finish = start + bytes * 8.0 / (spec.rate_bps * share);
-        if background {
-            self.bg_free_at[id] = finish;
-        } else {
-            self.fg_free_at[id] = finish;
-        }
-        self.free_at[id] = self.free_at[id].max(finish);
         self.bytes_sent[id] += bytes;
         self.queue_delay_sum[id] += queue_delay;
         self.packets_forwarded[id] += 1;
@@ -805,154 +584,15 @@ mod tests {
                 Transmit::Dropped,
                 "rate {bad_rate} must drop"
             );
-            for discipline in [
-                QueueDiscipline::Fifo,
-                QueueDiscipline::StrictPriority,
-                QueueDiscipline::WeightedFair,
-            ] {
-                for background in [false, true] {
-                    assert_eq!(
-                        states.transmit_classed(&spec, 0, 0.5, 1500.0, 0.0, background, discipline),
-                        Transmit::Dropped,
-                        "rate {bad_rate} must drop under {discipline:?}"
-                    );
-                }
-            }
+            assert_eq!(
+                states.transmit_queued(&spec, 0, 0.5, 1500.0, 12_000.0),
+                Transmit::Dropped,
+                "rate {bad_rate} must drop behind a fluid backlog"
+            );
             let snap = states.snapshot(0);
-            assert_eq!(snap.packets_dropped, 7);
+            assert_eq!(snap.packets_dropped, 2);
             assert_eq!(snap.packets_forwarded, 0);
             assert!(snap.free_at.is_finite() && snap.free_at == 0.0);
-        }
-    }
-
-    #[test]
-    fn fifo_discipline_is_the_plain_queued_path() {
-        // `transmit_classed(Fifo)` and `transmit_queued` must be the same
-        // float-op sequence, for either class tag.
-        let spec = gbps_link(3000.0);
-        let mut a = LinkStates::new(1);
-        let mut b = LinkStates::new(1);
-        for (t, bg) in [(0.0, false), (0.0, true), (5e-6, false), (40e-6, true)] {
-            let ra = a.transmit_queued(&spec, 0, t, 1500.0, 200.0);
-            let rb = b.transmit_classed(&spec, 0, t, 1500.0, 200.0, bg, QueueDiscipline::Fifo);
-            assert_eq!(ra, rb);
-        }
-        assert_eq!(a.snapshot(0), b.snapshot(0));
-    }
-
-    #[test]
-    fn strict_priority_foreground_preempts_background_and_fluid() {
-        let spec = gbps_link(1e9);
-        let mut states = LinkStates::new(1);
-        // A background packet and 12 kB of fluid backlog occupy the link.
-        let bg = states.transmit_classed(
-            &spec,
-            0,
-            0.0,
-            1500.0,
-            12_000.0,
-            true,
-            QueueDiscipline::StrictPriority,
-        );
-        let Transmit::Delivered {
-            queue_delay: bg_wait,
-            ..
-        } = bg
-        else {
-            panic!("background must deliver")
-        };
-        // Background waited behind the fluid backlog: 12 kB at 1 Gbps = 96 µs.
-        assert!((bg_wait - 96e-6).abs() < 1e-9, "bg_wait {bg_wait}");
-        // A foreground packet arriving now starts immediately — it preempts
-        // both the queued background service and the fluid backlog.
-        let fg = states.transmit_classed(
-            &spec,
-            0,
-            0.0,
-            1500.0,
-            12_000.0,
-            false,
-            QueueDiscipline::StrictPriority,
-        );
-        match fg {
-            Transmit::Delivered { queue_delay, .. } => assert_eq!(queue_delay, 0.0),
-            Transmit::Dropped => panic!("foreground must deliver"),
-        }
-        // A second foreground packet queues behind the first (fg clock),
-        // not behind the background service.
-        match states.transmit_classed(
-            &spec,
-            0,
-            0.0,
-            1500.0,
-            12_000.0,
-            false,
-            QueueDiscipline::StrictPriority,
-        ) {
-            Transmit::Delivered { queue_delay, .. } => {
-                assert!((queue_delay - 12e-6).abs() < 1e-9, "{queue_delay}")
-            }
-            Transmit::Dropped => panic!(),
-        }
-        // And later background arrivals wait behind the foreground service
-        // through the aggregate clock.
-        let snap = states.snapshot(0);
-        assert!(snap.free_at >= snap.fg_free_at);
-    }
-
-    #[test]
-    fn weighted_fair_matches_fifo_for_a_single_class() {
-        let spec = gbps_link(1e9);
-        let mut fifo = LinkStates::new(1);
-        let mut wfq = LinkStates::new(1);
-        for t in [0.0, 0.0, 10e-6, 50e-6] {
-            let a = fifo.transmit_classed(&spec, 0, t, 1500.0, 0.0, false, QueueDiscipline::Fifo);
-            let b = wfq.transmit_classed(
-                &spec,
-                0,
-                t,
-                1500.0,
-                0.0,
-                false,
-                QueueDiscipline::WeightedFair,
-            );
-            assert_eq!(a, b, "single-class WFQ must equal FIFO bit for bit");
-        }
-        assert_eq!(fifo.free_at[0], wfq.free_at[0]);
-    }
-
-    #[test]
-    fn weighted_fair_slows_foreground_while_background_busy() {
-        let spec = gbps_link(1e9);
-        let mut states = LinkStates::new(1);
-        // Park a long background transmission on the link.
-        states.transmit_classed(
-            &spec,
-            0,
-            0.0,
-            150_000.0,
-            0.0,
-            true,
-            QueueDiscipline::WeightedFair,
-        );
-        // Foreground is served concurrently at its 75 % share: serialising
-        // 1500 B takes 12 µs / 0.75 = 16 µs instead of 12 µs — slower than
-        // an idle wire, but far ahead of waiting out the background service
-        // as FIFO would.
-        match states.transmit_classed(
-            &spec,
-            0,
-            0.0,
-            1500.0,
-            0.0,
-            false,
-            QueueDiscipline::WeightedFair,
-        ) {
-            Transmit::Delivered { arrival, .. } => {
-                let ser = arrival - spec.propagation_s;
-                assert!((ser - 16e-6).abs() < 1e-9, "ser {ser}");
-            }
-            Transmit::Dropped => panic!(),
         }
     }
 

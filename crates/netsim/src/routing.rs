@@ -104,9 +104,9 @@ impl Demand {
 
 /// `true` when any demand carries the background tag — a *classified*
 /// demand set. Classified runs report per-class statistics
-/// ([`crate::monitor::SimReport::per_class`]) and are where the queue
-/// disciplines ([`crate::network::QueueDiscipline`]) differ; on an
-/// unclassified set every discipline degrades to FIFO exactly.
+/// ([`crate::monitor::SimReport::per_class`]); under
+/// [`crate::fluid::BackgroundModel::Packet`] that split is the only
+/// difference from the same set untagged.
 pub(crate) fn any_background(demands: &[Demand]) -> bool {
     demands.iter().any(Demand::is_background)
 }

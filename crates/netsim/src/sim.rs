@@ -115,7 +115,7 @@ use crate::flows::{ArrivalProcess, EmissionSchedule, FlowSpec};
 use crate::fluid::{self, BackgroundModel, FluidOutcome};
 use crate::jobs::{drain_jobs, resolve_workers};
 use crate::monitor::{FlowMonitor, SimReport};
-use crate::network::{DirtyLinks, LinkState, LinkStates, Network, QueueDiscipline, Transmit};
+use crate::network::{DirtyLinks, LinkState, LinkStates, Network, Transmit};
 use crate::queue::{Event, EventQueue};
 use crate::routing::{compute_routes, Demand, RoutingScheme, RoutingTable};
 
@@ -173,14 +173,6 @@ pub struct SimConfig {
     /// every execution plan; with no background demands the report is
     /// bit-identical either way.
     pub background: BackgroundModel,
-    /// Per-link queue discipline between the traffic classes
-    /// ([`crate::network::QueueDiscipline`]). `Fifo` (the default) is the
-    /// historical single-virtual-clock model and reproduces pre-discipline
-    /// reports bit-identically; `StrictPriority` and `WeightedFair` change
-    /// how foreground packets share each link with background service —
-    /// including the fluid backlog in hybrid runs. On a demand set with no
-    /// background class every discipline degrades to `Fifo` exactly.
-    pub discipline: QueueDiscipline,
 }
 
 impl Default for SimConfig {
@@ -193,7 +185,6 @@ impl Default for SimConfig {
             seed: 1,
             workers: 0,
             background: BackgroundModel::Packet,
-            discipline: QueueDiscipline::Fifo,
         }
     }
 }
@@ -545,15 +536,12 @@ impl<'a, B: Boundary> Shard<'a, B> {
         let link = route[ev.hop as usize] as usize;
         debug_assert!(self.boundary.owns(link), "event on a foreign link");
         let fluid_backlog = fluid.map_or(0.0, |f| f.backlog_bytes(link, ev.time));
-        let background = demands[ev.flow as usize].is_background();
-        match self.states.transmit_classed(
+        match self.states.transmit_queued(
             &network.links()[link],
             link,
             ev.time,
             config.packet_bytes,
             fluid_backlog,
-            background,
-            config.discipline,
         ) {
             Transmit::Delivered {
                 arrival,
@@ -568,6 +556,7 @@ impl<'a, B: Boundary> Shard<'a, B> {
                 };
                 match route.get(next.hop as usize) {
                     None => {
+                        let background = demands[ev.flow as usize].is_background();
                         let delay = next.time - next.sent_at;
                         let stat = &mut self.monitor.flows[ev.flow as usize];
                         stat.delay_sum += delay;

@@ -22,7 +22,7 @@
 // loops — that is the point of a reference.
 #![allow(clippy::needless_range_loop)]
 
-use cisp::core::design::{DesignConfig, DesignInput, Designer, GreedyScore};
+use cisp::core::design::{DesignConfig, DesignInput, Designer};
 use cisp::core::links::CandidateLink;
 use cisp::core::scenario::{Scenario, ScenarioConfig, TerrainKind};
 use cisp::core::topology::{
@@ -400,10 +400,8 @@ proptest! {
         max_swap_passes in 1usize..4,
     ) {
         let input = random_input(n, seed);
-        for score in [GreedyScore::AbsoluteGain, GreedyScore::GainPerTower] {
-            let config = DesignConfig { score, max_swap_passes, ..DesignConfig::default() };
-            assert_cisp_matches_naive_polish(&input, n * towers_per_site, config);
-        }
+        let config = DesignConfig { max_swap_passes, ..DesignConfig::default() };
+        assert_cisp_matches_naive_polish(&input, n * towers_per_site, config);
     }
 
     #[test]
@@ -622,22 +620,14 @@ fn exactly_tied_candidates_resolve_to_the_lowest_pool_position() {
         fiber_km,
         candidates,
     };
-    for score in [GreedyScore::AbsoluteGain, GreedyScore::GainPerTower] {
-        let config = DesignConfig {
-            score,
-            ..DesignConfig::default()
-        };
-        let engine = Designer::with_config(&input, config).greedy(40.0);
-        assert!(engine.selected.len() >= 5, "{score:?}: fixture too short");
-        assert!(
-            engine.selected.iter().all(|&idx| idx < distinct),
-            "{score:?}: a later twin won a tie: {:?}",
-            engine.selected
-        );
-        if score == GreedyScore::AbsoluteGain {
-            assert_eq!(engine.selected, naive_greedy(&input, 40));
-        }
-    }
+    let engine = Designer::new(&input).greedy(40.0);
+    assert!(engine.selected.len() >= 5, "fixture too short");
+    assert!(
+        engine.selected.iter().all(|&idx| idx < distinct),
+        "a later twin won a tie: {:?}",
+        engine.selected
+    );
+    assert_eq!(engine.selected, naive_greedy(&input, 40));
 }
 
 /// The greedy on pools `Scenario::build` produces — real tower paths, real

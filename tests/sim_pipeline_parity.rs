@@ -11,8 +11,7 @@
 //!
 //! The worker counts the parity tests sweep come from the
 //! `CISP_TEST_WORKERS` environment variable (comma-separated, default
-//! `1,2,4`) and the queue disciplines from `CISP_TEST_DISCIPLINE`, so CI can
-//! run the suite as a matrix over worker counts and disciplines.
+//! `1,2,4`), so CI can run the suite as a matrix over worker counts.
 
 use cisp::core::evaluate::{evaluate, lower, lower_classified, pair_rtts, EvaluateConfig};
 use cisp::core::scenario::{population_product_traffic, Scenario, ScenarioConfig};
@@ -24,7 +23,7 @@ use cisp::netsim::routing::{
     compute_routes, compute_routes_avoiding, Demand, RoutingScheme, TrafficClass,
 };
 use cisp::netsim::sim::{ExecMode, SimConfig, Simulation};
-use cisp::netsim::{BackgroundModel, QueueDiscipline, SimReport};
+use cisp::netsim::{BackgroundModel, SimReport};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,32 +41,6 @@ fn test_worker_counts() -> Vec<usize> {
         })
         .filter(|v| !v.is_empty())
         .unwrap_or_else(|| vec![1, 2, 4])
-}
-
-/// Queue disciplines under test: `CISP_TEST_DISCIPLINE` (comma-separated
-/// `fifo`/`strict_priority`/`weighted_fair`) or all three by default, so CI
-/// can add a discipline dimension to the parity matrix.
-fn test_disciplines() -> Vec<QueueDiscipline> {
-    std::env::var("CISP_TEST_DISCIPLINE")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| match t.trim().to_ascii_lowercase().as_str() {
-                    "fifo" => Some(QueueDiscipline::Fifo),
-                    "strict_priority" | "sp" => Some(QueueDiscipline::StrictPriority),
-                    "weighted_fair" | "wfq" => Some(QueueDiscipline::WeightedFair),
-                    _ => None,
-                })
-                .collect::<Vec<QueueDiscipline>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| {
-            vec![
-                QueueDiscipline::Fifo,
-                QueueDiscipline::StrictPriority,
-                QueueDiscipline::WeightedFair,
-            ]
-        })
 }
 
 /// A random connected-ish graph: a scrambled spanning chain plus extra
@@ -351,38 +324,6 @@ fn check_hybrid_matches_serial_and_packet_envelope(seed: u64) -> TestCaseResult 
         }
     }
 
-    // (a′) The cross-mode identity holds under every queue discipline, not
-    // just FIFO: per-class virtual clocks must merge identically in the
-    // component-sharded and time-windowed modes.
-    for discipline in test_disciplines() {
-        let dbase = SimConfig { discipline, ..base };
-        let serial_d = Simulation::new(
-            net.clone(),
-            demands.clone(),
-            SimConfig {
-                workers: 1,
-                ..dbase
-            },
-        )
-        .run();
-        for workers in test_worker_counts() {
-            let mut sim =
-                Simulation::new(net.clone(), demands.clone(), SimConfig { workers, ..dbase });
-            prop_assert!(
-                serial_d == sim.run(),
-                "{discipline:?} run() != serial at workers {workers} (seed {seed})"
-            );
-            for window_s in [0.0, 1.0] {
-                let windowed = sim.run_in(ExecMode::TimeWindowed { window_s });
-                prop_assert!(
-                    serial_d == windowed,
-                    "{discipline:?} windowed != serial at workers {workers}, window {window_s} \
-                     (seed {seed})"
-                );
-            }
-        }
-    }
-
     // The fluid solver's safety valve must never fire on a well-formed
     // workload — a truncated background horizon silently under-reports
     // delivered bits, which is exactly what `truncated` now surfaces.
@@ -453,8 +394,8 @@ fn check_hybrid_matches_serial_and_packet_envelope(seed: u64) -> TestCaseResult 
 
 /// A random classified packet workload with buffers far too generous to
 /// drop: a one-way ring plus chords, alternating foreground/background
-/// demands (at least one of each), every packet delivered — so per-class
-/// delay statistics compare like for like across disciplines.
+/// demands (at least one of each, sharing a route), every packet
+/// delivered.
 fn random_classified_inputs(seed: u64) -> (Network, Vec<Demand>) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc1a5_51f1);
     let n = rng.gen_range(4usize..9);
@@ -499,57 +440,66 @@ fn random_classified_inputs(seed: u64) -> (Network, Vec<Demand>) {
     (net, demands)
 }
 
-/// Satellite property: on a classified packet workload that drops nothing,
-/// strict priority can only help the foreground class — its mean and P99
-/// queueing delay never exceed FIFO's. (Background is packet-simulated here
-/// so the two classes genuinely contend at every hop.)
-fn check_strict_priority_never_hurts_foreground(seed: u64) -> TestCaseResult {
+/// With the background class packet-simulated, the class tag is a label
+/// and nothing more: both classes share each link's one FIFO queue, so the
+/// classified run equals the same demands untagged in every field but
+/// `per_class`, in every execution forced at every width, and its per-class
+/// counts add up to the report's totals.
+fn check_classification_is_pure_labelling(seed: u64) -> TestCaseResult {
     let (net, demands) = random_classified_inputs(seed);
+    let untagged: Vec<Demand> = demands
+        .iter()
+        .map(|d| Demand::new(d.src, d.dst, d.amount_bps))
+        .collect();
+    let arrivals = if seed.is_multiple_of(2) {
+        ArrivalProcess::ConstantBitRate
+    } else {
+        ArrivalProcess::Poisson
+    };
     let base = SimConfig {
         duration_s: 0.03,
+        arrivals,
         seed,
-        workers: 1,
         background: BackgroundModel::Packet,
         ..SimConfig::default()
     };
-    let run = |discipline| {
-        Simulation::new(
-            net.clone(),
-            demands.clone(),
-            SimConfig { discipline, ..base },
-        )
-        .run()
-    };
-    let fifo = run(QueueDiscipline::Fifo);
-    let sp = run(QueueDiscipline::StrictPriority);
-    prop_assert!(
-        fifo.dropped == 0 && sp.dropped == 0,
-        "generous buffers must prevent drops (seed {seed})"
-    );
-    let f = fifo
-        .per_class
-        .expect("classified run must report per-class stats")
-        .foreground;
-    let s = sp
-        .per_class
-        .expect("classified run must report per-class stats")
-        .foreground;
-    prop_assert!(
-        f.delivered + f.dropped == s.delivered + s.dropped,
-        "foreground packet population changed (seed {seed})"
-    );
-    prop_assert!(
-        s.mean_queue_delay_ms <= f.mean_queue_delay_ms + 1e-9,
-        "strict priority raised the foreground mean queueing delay: {} ms vs {} ms (seed {seed})",
-        s.mean_queue_delay_ms,
-        f.mean_queue_delay_ms
-    );
-    prop_assert!(
-        s.p99_queue_delay_ms <= f.p99_queue_delay_ms + 1e-9,
-        "strict priority raised the foreground P99 queueing delay: {} ms vs {} ms (seed {seed})",
-        s.p99_queue_delay_ms,
-        f.p99_queue_delay_ms
-    );
+    let modes = [
+        ExecMode::ComponentSharded,
+        ExecMode::windowed_auto(),
+        ExecMode::TimeWindowed { window_s: 1.5e-3 },
+    ];
+    for workers in test_worker_counts() {
+        let config = SimConfig { workers, ..base };
+        let mut classified_sim = Simulation::new(net.clone(), demands.clone(), config);
+        let mut untagged_sim = Simulation::new(net.clone(), untagged.clone(), config);
+        for mode in modes {
+            let classified = classified_sim.run_in(mode);
+            let plain = untagged_sim.run_in(mode);
+            prop_assert!(
+                plain.per_class.is_none(),
+                "an untagged run reported classes ({mode:?}, workers {workers}, seed {seed})"
+            );
+            let classes = classified
+                .per_class
+                .expect("classified run must report per-class stats");
+            prop_assert!(
+                classes.foreground.delivered + classes.background.delivered == classified.delivered,
+                "per-class deliveries do not sum to the total ({mode:?}, workers {workers}, \
+                 seed {seed})"
+            );
+            prop_assert!(
+                classes.foreground.dropped + classes.background.dropped == classified.dropped,
+                "per-class drops do not sum to the total ({mode:?}, workers {workers}, seed {seed})"
+            );
+            prop_assert!(
+                SimReport {
+                    per_class: None,
+                    ..classified
+                } == plain,
+                "the class tag changed the report ({mode:?}, workers {workers}, seed {seed})"
+            );
+        }
+    }
     Ok(())
 }
 
@@ -611,8 +561,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn strict_priority_never_hurts_the_foreground_class(seed in 0u64..u64::MAX) {
-        check_strict_priority_never_hurts_foreground(seed)?;
+    fn classification_is_pure_labelling_under_packet_background(seed in 0u64..u64::MAX) {
+        check_classification_is_pure_labelling(seed)?;
     }
 }
 
@@ -773,24 +723,6 @@ fn golden_end_to_end_backbone_report_matches_snapshot() {
         ..SimConfig::default()
     };
     let report = Simulation::new(lowered.network.clone(), lowered.demands.clone(), config).run();
-    // On an all-foreground workload every queue discipline degrades to FIFO
-    // exactly (`x + 0.0 == x`, `x * 1.0 == x`): the pre-discipline golden
-    // pins all three, not just the default.
-    for discipline in test_disciplines() {
-        let under_discipline = Simulation::new(
-            lowered.network.clone(),
-            lowered.demands.clone(),
-            SimConfig {
-                discipline,
-                ..config
-            },
-        )
-        .run();
-        assert_eq!(
-            report, under_discipline,
-            "{discipline:?} drifted from FIFO on an unclassified workload"
-        );
-    }
     assert_within_a_bin_of_the_exact_path(&report);
     let rendered = format_report_snapshot("end_to_end_backbone", &report);
     assert_snapshot_matches(
@@ -896,31 +828,13 @@ fn million_user_hybrid_backbone() {
         |config| Simulation::new(lowered.network.clone(), lowered.demands.clone(), config);
     let mut hybrid_sim = simulation(base);
     let hybrid = hybrid_sim.run();
-    let serial_under = |discipline| simulation(SimConfig { discipline, ..base }).run();
-    assert_eq!(
-        hybrid,
-        serial_under(QueueDiscipline::Fifo),
-        "explicit Fifo differs from the default config"
-    );
 
-    // One report in every execution mode and at every width, under every
-    // discipline.
-    for discipline in test_disciplines() {
-        let serial = serial_under(discipline);
-        for workers in test_worker_counts().into_iter().chain([0]) {
-            let mut sim = simulation(SimConfig {
-                discipline,
-                workers,
-                ..base
-            });
-            assert_eq!(serial, sim.run(), "{discipline:?}, workers {workers}");
-            for mode in [ExecMode::ComponentSharded, ExecMode::windowed_auto()] {
-                let report = sim.run_in(mode);
-                assert_eq!(
-                    serial, report,
-                    "{discipline:?}, workers {workers}, {mode:?}"
-                );
-            }
+    // One report in every execution mode and at every width.
+    for workers in test_worker_counts().into_iter().chain([0]) {
+        let mut sim = simulation(SimConfig { workers, ..base });
+        assert_eq!(hybrid, sim.run(), "workers {workers}");
+        for mode in [ExecMode::ComponentSharded, ExecMode::windowed_auto()] {
+            assert_eq!(hybrid, sim.run_in(mode), "workers {workers}, {mode:?}");
         }
     }
 
@@ -936,26 +850,6 @@ fn million_user_hybrid_backbone() {
         bg.packet_equivalent_events >= 10.0 * events as f64,
         "{} packet-equivalent events avoided against {events} processed",
         bg.packet_equivalent_events
-    );
-
-    // Strict priority strictly improves the foreground P99 queueing delay
-    // while the fluid background keeps delivering within 5 % of FIFO's bits.
-    let sp = serial_under(QueueDiscipline::StrictPriority);
-    let fg_p99_queue_ms = |r: &SimReport| {
-        let per_class = r.per_class.as_ref().expect("per-class stats");
-        per_class.foreground.p99_queue_delay_ms
-    };
-    assert!(
-        fg_p99_queue_ms(&sp) < fg_p99_queue_ms(&hybrid),
-        "strict priority {} ms vs FIFO {} ms",
-        fg_p99_queue_ms(&sp),
-        fg_p99_queue_ms(&hybrid)
-    );
-    let sp_bg = sp.background.as_ref().expect("background stats");
-    let bg_ratio = sp_bg.delivered_bits / bg.delivered_bits;
-    assert!(
-        (bg_ratio - 1.0).abs() <= 0.05,
-        "background ratio {bg_ratio}"
     );
 }
 

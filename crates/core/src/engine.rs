@@ -1,4 +1,4 @@
-//! The incremental delta-scoring engine and its persistent worker shards.
+//! The incremental delta-scoring engine and its scoring shards.
 //!
 //! The greedy designer keeps one cached predicted mean stretch per pool
 //! candidate and, after every accepted link, *repairs* those caches instead
@@ -44,94 +44,51 @@
 //! differently than by full rescoring; the parity property tests pin the
 //! engine to a naive full-rescoring greedy on every fixture tried.
 //!
-//! Parallelism comes from **persistent worker shards** ([`ShardPool`]):
-//! instead of a fresh `cisp_netsim::jobs::drain_jobs` fan-out per scoring
-//! round (what the fallback greedy's stateless batches get), worker
-//! threads are spawned once per design run, each *owning a stable contiguous
-//! slice of the candidate pool* (and that slice's cached predictions and
-//! repair scratch) across all greedy rounds. Rounds are one command
-//! broadcast and one reply collection per worker; the matrix being scored
-//! against is shared behind a [`RwLock`] that the designer write-locks only
-//! to apply an accepted link. The round's [`RoundUpdate`] goes out behind an
-//! `Arc` and comes back to the designer once every shard has replied, so its
-//! buffers — the pre-round matrix among them — are allocated once per run.
-//! The shards serve the greedy only: the swap polish decides most of its
-//! trials from a bound and scores the few that are left on the calling
-//! thread (see [`crate::design`]), so there is no trial command here.
+//! Parallelism comes from **scoring shards** ([`PoolScorer`]): the pool is
+//! split once per greedy run into stable contiguous slices, each a
+//! [`ShardState`] that owns its slice's cached predictions and repair
+//! scratch across all rounds. Every round is one
+//! [`cisp_netsim::jobs::drain_jobs`] fan-out with one job per shard, scored
+//! against the matrix the designer lends it and mutates only between
+//! rounds. The shards serve the greedy only: the swap polish decides most
+//! of its trials from a bound and scores the few that are left on the
+//! calling thread (see [`crate::design`]).
 //!
-//! [`exact_score`] is the one place a run's exact kernel is chosen; the
-//! shards, the greedy and the polish all score through it.
+//! Every exact score of a run — the shards' re-scores, the winner's
+//! refresh, the polish's bounds and trials — is the compact kernel
+//! [`mean_stretch_with_link_compact`] with the run's one [`ScoringWeights`].
 
 use std::ops::Range;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, RwLock};
-use std::thread::Scope;
+use std::sync::Mutex;
 
 use cisp_graph::{improve_with_link_tracked, pair_count, DistMatrix, ImprovedPairs};
+use cisp_netsim::jobs::drain_jobs;
 
 use crate::links::CandidateLink;
-use crate::topology::{mean_stretch_with_link, mean_stretch_with_link_compact, ScoringWeights};
+use crate::topology::{mean_stretch_with_link_compact, ScoringWeights};
 
-/// Everything a scoring shard needs to score its candidates: the candidate
-/// pool, the weighting matrices, and the (designer-updated) matrix scored
-/// against. Shared immutably with every worker for the lifetime of a design
-/// run.
+/// Everything a scoring shard needs to score its candidates besides the
+/// matrix it scores against: the candidate pool and the run's weights.
+/// Shared immutably with every shard for the lifetime of a greedy run.
 pub(crate) struct ScoreContext<'a> {
     /// All candidate links of the design input.
     pub candidates: &'a [CandidateLink],
     /// The candidate pool: indices into `candidates`, in selection-priority
     /// tie-break order. Shards own stable contiguous ranges of this slice.
     pub pool: &'a [usize],
-    /// Geodesic distances (stretch denominator weights).
-    pub geodesic: &'a DistMatrix,
-    /// Traffic weights.
-    pub traffic: &'a DistMatrix,
-    /// The matrix candidates are scored against — the greedy's effective
-    /// matrix. The designer write-locks it between rounds; shards read-lock
-    /// it while scoring.
-    pub matrix: &'a RwLock<DistMatrix>,
-    /// Compacted per-run scoring weights ([`ScoringWeights::compute`]
-    /// against the run's starting matrix): every exact score goes through
+    /// The run's compacted scoring weights: every exact score goes through
     /// the vectorised compact kernel, and the repair sweeps read their `h/g`
-    /// weights from here. A run whose starting matrix admits none has no
-    /// cached predictions to repair and never builds a context.
+    /// weights from here.
     pub sw: &'a ScoringWeights,
 }
 
 impl ScoreContext<'_> {
-    /// [`exact_score`] of pool position `pos` against `matrix`.
+    /// Exact predicted mean stretch of `matrix` with the candidate at pool
+    /// position `pos` added.
     #[inline]
     pub(crate) fn exact(&self, matrix: &DistMatrix, pos: usize) -> f64 {
-        exact_score(
-            matrix,
-            self.geodesic,
-            self.traffic,
-            Some(self.sw),
-            &self.candidates[self.pool[pos]],
-        )
-    }
-}
-
-/// Predicted mean stretch of `matrix` with `link` added — the one place a
-/// design run picks its exact kernel: the compact vectorised kernel when the
-/// run precomputed [`ScoringWeights`], the scalar reference kernel
-/// otherwise. The two agree to summation ulp (pinned by the kernel parity
-/// tests), not bitwise, so every exact score of a run — the greedy's
-/// batches, the shards' re-scores, the winner's refresh, the swap polish's
-/// bounds and trials — comes through here with that run's one `sw` and
-/// never mixes them.
-#[inline]
-pub(crate) fn exact_score(
-    matrix: &DistMatrix,
-    geodesic: &DistMatrix,
-    traffic: &DistMatrix,
-    sw: Option<&ScoringWeights>,
-    link: &CandidateLink,
-) -> f64 {
-    let (i, j, m) = (link.site_a, link.site_b, link.mw_length_km);
-    match sw {
-        Some(sw) => mean_stretch_with_link_compact(matrix, sw, i, j, m),
-        None => mean_stretch_with_link(matrix, geodesic, traffic, i, j, m),
+        let link = &self.candidates[self.pool[pos]];
+        mean_stretch_with_link_compact(matrix, self.sw, link.site_a, link.site_b, link.mw_length_km)
     }
 }
 
@@ -308,10 +265,10 @@ impl RepairScratch {
 }
 
 /// One shard: a stable contiguous range of pool positions, their cached
-/// predicted-stretch values and the repair's scratch. [`ShardPool`] workers
-/// each own one; the serial path owns a single shard spanning the whole
-/// pool. All scoring math lives here, so serial and sharded runs are
-/// identical by construction.
+/// predicted-stretch values and the repair's scratch. [`PoolScorer`] holds
+/// one per job of its rounds; a single shard spans the whole pool. All
+/// scoring math lives here, so serial and sharded runs are identical by
+/// construction.
 pub(crate) struct ShardState {
     range: Range<usize>,
     /// Cached predicted mean stretch per owned pool position.
@@ -503,11 +460,10 @@ impl ShardState {
     /// Score every owned candidate with the exact kernel (round 0), build
     /// the length-ordered arrays the pair-major pass streams, and size the
     /// repair scratch.
-    pub(crate) fn init_score(&mut self, ctx: &ScoreContext) {
-        let matrix = ctx.matrix.read().unwrap();
+    pub(crate) fn init_score(&mut self, ctx: &ScoreContext, matrix: &DistMatrix) {
         for (k, pos) in self.range.clone().enumerate() {
             if !self.removed[k] {
-                self.values[k] = ctx.exact(&matrix, pos);
+                self.values[k] = ctx.exact(matrix, pos);
             }
         }
         let link = |slot: u32| &ctx.candidates[ctx.pool[self.range.start + slot as usize]];
@@ -529,7 +485,7 @@ impl ShardState {
     /// drop the accepted candidate, then repair every surviving cached
     /// value. A candidate whose repair would visit at least as many pairs as
     /// a full sweep is re-scored with the exact kernel instead.
-    pub(crate) fn apply(&mut self, ctx: &ScoreContext, update: &RoundUpdate) {
+    pub(crate) fn apply(&mut self, ctx: &ScoreContext, matrix: &DistMatrix, update: &RoundUpdate) {
         for &(pos, v) in &update.overrides {
             if self.range.contains(&pos) {
                 self.values[pos - self.range.start] = v;
@@ -538,13 +494,12 @@ impl ShardState {
         if self.range.contains(&update.removed_pos) {
             self.removed[update.removed_pos - self.range.start] = true;
         }
-        let n = ctx.geodesic.n();
+        let n = matrix.n();
         let pairs = pair_count(n);
         let improved_len = update.improved.len();
         debug_assert_eq!(self.by_m_len.len(), self.range.len(), "init_score not run");
         let sw = ctx.sw;
         let scratch = &mut self.scratch;
-        let matrix = ctx.matrix.read().unwrap();
 
         // Pass 1, candidate-major: the via part plus the direct base. A
         // candidate whose repair would visit more pairs than a full sweep
@@ -569,7 +524,7 @@ impl ShardState {
                 scratch.needs_exact.push(k as u32);
             } else {
                 self.values[k] +=
-                    update.direct_base + Self::via_repair(sw, &matrix, l, update, scratch);
+                    update.direct_base + Self::via_repair(sw, matrix, l, update, scratch);
             }
         }
 
@@ -608,136 +563,69 @@ impl ShardState {
         // Pass 3: the deferred exact re-scores (overwriting whatever the
         // correction pass added to them).
         for &k in &scratch.needs_exact {
-            self.values[k as usize] = ctx.exact(&matrix, self.range.start + k as usize);
+            self.values[k as usize] = ctx.exact(matrix, self.range.start + k as usize);
         }
     }
 }
 
-enum Cmd {
-    Init,
-    Apply(Arc<RoundUpdate>),
-}
-
-/// Persistent worker shards: one scoped thread per shard, alive for the
-/// whole design run, each owning a stable contiguous slice of the candidate
-/// pool. Communication is one command and one reply — the shard's cached
-/// values — per worker per round.
-pub(crate) struct ShardPool {
-    txs: Vec<Sender<Cmd>>,
-    rxs: Vec<Receiver<Vec<f64>>>,
-    ranges: Vec<Range<usize>>,
-}
-
-impl ShardPool {
-    /// Split `ctx.pool` into `workers` contiguous shards (sizes differing by
-    /// at most one) and spawn one persistent scoped worker per shard.
-    /// Workers exit when the pool is dropped (their command channels close),
-    /// which is before the scope joins.
-    pub(crate) fn spawn<'scope, 'env>(
-        scope: &'scope Scope<'scope, 'env>,
-        ctx: &'env ScoreContext<'env>,
-        workers: usize,
-    ) -> Self {
-        let len = ctx.pool.len();
-        let workers = workers.clamp(1, len.max(1));
-        let base = len / workers;
-        let remainder = len % workers;
-        let mut txs = Vec::with_capacity(workers);
-        let mut rxs = Vec::with_capacity(workers);
-        let mut ranges = Vec::with_capacity(workers);
-        let mut start = 0;
-        for w in 0..workers {
-            let size = base + usize::from(w < remainder);
-            let range = start..start + size;
-            start += size;
-            let (cmd_tx, cmd_rx) = channel::<Cmd>();
-            let (reply_tx, reply_rx) = channel::<Vec<f64>>();
-            let mut state = ShardState::new(range.clone());
-            scope.spawn(move || {
-                while let Ok(cmd) = cmd_rx.recv() {
-                    match cmd {
-                        Cmd::Init => state.init_score(ctx),
-                        // The handle drops at the end of the arm, before the
-                        // reply: the designer takes the update back once every
-                        // shard has replied.
-                        Cmd::Apply(update) => state.apply(ctx, &update),
-                    }
-                    if reply_tx.send(state.values().to_vec()).is_err() {
-                        break;
-                    }
-                }
-            });
-            txs.push(cmd_tx);
-            rxs.push(reply_rx);
-            ranges.push(range);
-        }
-        Self { txs, rxs, ranges }
-    }
-
-    fn collect_values(&self, out: &mut [f64]) {
-        for (rx, range) in self.rxs.iter().zip(&self.ranges) {
-            out[range.clone()].copy_from_slice(&rx.recv().expect("scoring shard died"));
-        }
-    }
-}
-
-/// The designer-facing scorer: a single inline shard when the run has one
-/// shard, a [`ShardPool`] otherwise. Identical numbers either way — the
-/// shard math is shared — so the shard count never changes a design.
-pub(crate) enum PoolScorer {
-    /// One shard spanning the whole pool, run on the calling thread.
-    Inline(Box<ShardState>),
-    /// Persistent worker shards.
-    Sharded(ShardPool),
+/// The designer-facing scorer: the pool split into contiguous shards (sizes
+/// differing by at most one), each round drained through [`drain_jobs`]
+/// with one job per shard; one shard runs inline on the calling thread. The
+/// shard math is shared, so the shard count never changes a design.
+pub(crate) struct PoolScorer {
+    /// One lock per shard, taken only by the job of that shard.
+    shards: Vec<Mutex<ShardState>>,
 }
 
 impl PoolScorer {
-    /// An inline scorer over a pool of `len` candidates.
-    pub(crate) fn inline(len: usize) -> Self {
-        Self::Inline(Box::new(ShardState::new(0..len)))
+    /// A scorer over a pool of `len` candidates in `shards` shards, clamped
+    /// to `1..=len`.
+    pub(crate) fn new(len: usize, shards: usize) -> Self {
+        let shards = shards.clamp(1, len.max(1));
+        let (base, remainder) = (len / shards, len % shards);
+        let mut start = 0;
+        let shards = (0..shards)
+            .map(|k| {
+                let size = base + usize::from(k < remainder);
+                start += size;
+                Mutex::new(ShardState::new(start - size..start))
+            })
+            .collect();
+        Self { shards }
     }
 
-    /// Score the whole pool with the exact kernel into `out`
-    /// (pool-position-indexed).
-    pub(crate) fn init(&mut self, ctx: &ScoreContext, out: &mut [f64]) {
-        match self {
-            Self::Inline(state) => {
-                state.init_score(ctx);
-                out.copy_from_slice(state.values());
-            }
-            Self::Sharded(pool) => {
-                for tx in &pool.txs {
-                    tx.send(Cmd::Init).expect("scoring shard died");
-                }
-                pool.collect_values(out);
-            }
+    /// Run `job` on every shard, one [`drain_jobs`] job each, then gather
+    /// the shards' cached values into `out` (pool-position-indexed).
+    fn round(&mut self, job: impl Fn(&mut ShardState) + Sync, out: &mut [f64]) {
+        let shards = &self.shards;
+        drain_jobs(
+            shards.len(),
+            shards.len(),
+            || (),
+            |_, k| job(&mut shards[k].lock().unwrap()),
+        );
+        for shard in &mut self.shards {
+            let shard = shard.get_mut().unwrap();
+            out[shard.range.clone()].copy_from_slice(shard.values());
         }
     }
 
-    /// Broadcast one accepted-link round, collect the repaired values into
-    /// `out`, and hand the update back for the next round to refill.
+    /// Score the whole pool against `matrix` with the exact kernel into
+    /// `out`.
+    pub(crate) fn init(&mut self, ctx: &ScoreContext, matrix: &DistMatrix, out: &mut [f64]) {
+        self.round(|shard| shard.init_score(ctx, matrix), out);
+    }
+
+    /// Repair every shard from one accepted-link round and collect the
+    /// repaired values into `out`.
     pub(crate) fn apply(
         &mut self,
         ctx: &ScoreContext,
-        update: RoundUpdate,
+        matrix: &DistMatrix,
+        update: &RoundUpdate,
         out: &mut [f64],
-    ) -> RoundUpdate {
-        match self {
-            Self::Inline(state) => {
-                state.apply(ctx, &update);
-                out.copy_from_slice(state.values());
-                update
-            }
-            Self::Sharded(pool) => {
-                let update = Arc::new(update);
-                for tx in &pool.txs {
-                    tx.send(Cmd::Apply(Arc::clone(&update)))
-                        .expect("scoring shard died");
-                }
-                pool.collect_values(out);
-                Arc::into_inner(update).expect("a scoring shard kept the round update")
-            }
-        }
+    ) {
+        self.round(|shard| shard.apply(ctx, matrix, update), out);
     }
 }
 
@@ -770,21 +658,16 @@ mod tests {
         }
     }
 
-    /// Accept pool position `pos` into `ctx.matrix`, refilling `update`.
+    /// Accept pool position `pos` into `matrix`, refilling `update`.
     fn accept(
         ctx: &ScoreContext,
+        matrix: &mut DistMatrix,
         update: &mut RoundUpdate,
         pos: usize,
         overrides: &[(usize, f64)],
     ) {
         let link = &ctx.candidates[ctx.pool[pos]];
-        update.accept(
-            &mut ctx.matrix.write().unwrap(),
-            link,
-            pos,
-            overrides,
-            ctx.sw,
-        );
+        update.accept(matrix, link, pos, overrides, ctx.sw);
     }
 
     /// A splitmix64 stream of uniform draws in `[0, 1)`.
@@ -912,33 +795,29 @@ mod tests {
         let n = 7;
         let (candidates, geodesic, fiber, traffic) = fixture(n);
         let pool: Vec<usize> = (0..candidates.len()).collect();
-        let mut sw = ScoringWeights::compute(&fiber, &geodesic, &traffic).unwrap();
+        let mut sw = ScoringWeights::compute(&fiber, &geodesic, &traffic);
         // The fixture's 2×-geodesic fiber is metric, so the repair's O(1)
         // metric row skip is exercised here too — repaired values must
         // still match the exact kernel.
         assert!(sw.enable_gain_bounds(&fiber));
-        let matrix = RwLock::new(fiber.clone());
+        let mut matrix = fiber.clone();
         let ctx = ScoreContext {
             candidates: &candidates,
             pool: &pool,
-            geodesic: &geodesic,
-            traffic: &traffic,
-            matrix: &matrix,
             sw: &sw,
         };
-        let mut scorer = PoolScorer::inline(pool.len());
+        let mut scorer = PoolScorer::new(pool.len(), 1);
         let mut values = vec![0.0; pool.len()];
-        scorer.init(&ctx, &mut values);
+        scorer.init(&ctx, &matrix, &mut values);
 
         // Accept candidate 0 and repair the caches incrementally.
         let mut update = RoundUpdate::new(n, &sw);
-        accept(&ctx, &mut update, 0, &[]);
-        scorer.apply(&ctx, update, &mut values);
+        accept(&ctx, &mut matrix, &mut update, 0, &[]);
+        scorer.apply(&ctx, &matrix, &update, &mut values);
 
         // Every repaired value matches an exact rescore to ulp noise.
-        let m = matrix.read().unwrap();
         for (pos, &v) in values.iter().enumerate().skip(1) {
-            let exact = ctx.exact(&m, pos);
+            let exact = ctx.exact(&matrix, pos);
             assert!(
                 (v - exact).abs() < 1e-12,
                 "pos {pos}: repaired {v} vs exact {exact}"
@@ -953,28 +832,24 @@ mod tests {
         let n = 7;
         let (candidates, geodesic, fiber, traffic) = fixture(n);
         let pool: Vec<usize> = (0..candidates.len()).collect();
-        let sw = ScoringWeights::compute(&fiber, &geodesic, &traffic).unwrap();
-        let matrix = RwLock::new(fiber.clone());
+        let sw = ScoringWeights::compute(&fiber, &geodesic, &traffic);
+        let mut matrix = fiber.clone();
         let ctx = ScoreContext {
             candidates: &candidates,
             pool: &pool,
-            geodesic: &geodesic,
-            traffic: &traffic,
-            matrix: &matrix,
             sw: &sw,
         };
         let mut state = ShardState::new(0..pool.len());
-        state.init_score(&ctx);
+        state.init_score(&ctx, &matrix);
         let mut update = RoundUpdate::new(n, &sw);
-        accept(&ctx, &mut update, 1, &[]);
+        accept(&ctx, &mut matrix, &mut update, 1, &[]);
         assert!(update.row_skip_slack.is_none());
-        state.apply(&ctx, &update);
-        let m = matrix.read().unwrap();
+        state.apply(&ctx, &matrix, &update);
         for (pos, &v) in state.values().iter().enumerate() {
             if pos == 1 {
                 continue;
             }
-            let exact = ctx.exact(&m, pos);
+            let exact = ctx.exact(&matrix, pos);
             assert!((v - exact).abs() < 1e-12, "pos {pos}: {v} vs {exact}");
         }
     }
@@ -984,23 +859,20 @@ mod tests {
         let n = 6;
         let (candidates, geodesic, fiber, traffic) = fixture(n);
         let pool: Vec<usize> = (0..candidates.len()).collect();
-        let mut sw = ScoringWeights::compute(&fiber, &geodesic, &traffic).unwrap();
+        let mut sw = ScoringWeights::compute(&fiber, &geodesic, &traffic);
         sw.enable_gain_bounds(&fiber);
-        let matrix = RwLock::new(fiber.clone());
+        let mut matrix = fiber.clone();
         let ctx = ScoreContext {
             candidates: &candidates,
             pool: &pool,
-            geodesic: &geodesic,
-            traffic: &traffic,
-            matrix: &matrix,
             sw: &sw,
         };
         let mut state = ShardState::new(0..pool.len());
-        state.init_score(&ctx);
+        state.init_score(&ctx, &matrix);
         let scored = state.values().to_vec();
         let mut update = RoundUpdate::new(n, &sw);
-        accept(&ctx, &mut update, 0, &[]);
-        state.apply(&ctx, &update);
+        accept(&ctx, &mut matrix, &mut update, 0, &[]);
+        state.apply(&ctx, &matrix, &update);
         // The round drops the accepted candidate and no other, and a built
         // link only shrinks distances: no surviving prediction rises, some
         // fall.
@@ -1024,27 +896,23 @@ mod tests {
         let len = f.pool.len();
         assert!(len < f.candidates.len() && len > ROUNDS);
         for armed in [false, true] {
-            let mut sw = ScoringWeights::compute(&f.fiber, &f.geodesic, &f.traffic).unwrap();
+            let mut sw = ScoringWeights::compute(&f.fiber, &f.geodesic, &f.traffic);
             if armed {
                 assert!(sw.enable_gain_bounds(&f.fiber));
             }
-            let matrix = RwLock::new(f.fiber.clone());
             let ctx = ScoreContext {
                 candidates: &f.candidates,
                 pool: &f.pool,
-                geodesic: &f.geodesic,
-                traffic: &f.traffic,
-                matrix: &matrix,
                 sw: &sw,
             };
             for bounds in [vec![0, len], vec![0, len / 5, len / 2, len]] {
-                matrix.write().unwrap().copy_from(&f.fiber);
+                let mut matrix = f.fiber.clone();
                 let mut shards: Vec<ShardState> = bounds
                     .windows(2)
                     .map(|w| ShardState::new(w[0]..w[1]))
                     .collect();
                 for shard in &mut shards {
-                    shard.init_score(&ctx);
+                    shard.init_score(&ctx, &matrix);
                 }
                 let mut update = RoundUpdate::new(n, &sw);
                 let mut removed = vec![false; len];
@@ -1056,23 +924,22 @@ mod tests {
                     ranked.sort_by(|&x, &y| values[x].total_cmp(&values[y]).then(x.cmp(&y)));
                     let overrides: Vec<(usize, f64)> = ranked[..2]
                         .iter()
-                        .map(|&p| (p, ctx.exact(&matrix.read().unwrap(), p)))
+                        .map(|&p| (p, ctx.exact(&matrix, p)))
                         .collect();
                     let pos = ranked[0];
-                    accept(&ctx, &mut update, pos, &overrides);
+                    accept(&ctx, &mut matrix, &mut update, pos, &overrides);
                     removed[pos] = true;
                     improving_rounds += usize::from(!update.improved.is_empty());
                     for shard in &mut shards {
-                        shard.apply(&ctx, &update);
+                        shard.apply(&ctx, &matrix, &update);
                     }
-                    let m = matrix.read().unwrap();
                     for shard in &shards {
                         for (k, &v) in shard.values().iter().enumerate() {
                             let p = shard.range.start + k;
                             if removed[p] {
                                 continue;
                             }
-                            let exact = ctx.exact(&m, p);
+                            let exact = ctx.exact(&matrix, p);
                             assert!(
                                 (v - exact).abs() < 1e-12,
                                 "armed {armed}, shards {bounds:?}, round {round}, pos {p}: \
@@ -1100,7 +967,7 @@ mod tests {
         for seed in 1..=5 {
             let f = uneven_fixture(n, seed);
             for armed in [false, true] {
-                let mut sw = ScoringWeights::compute(&f.fiber, &f.geodesic, &f.traffic).unwrap();
+                let mut sw = ScoringWeights::compute(&f.fiber, &f.geodesic, &f.traffic);
                 if armed {
                     assert!(sw.enable_gain_bounds(&f.fiber));
                 }

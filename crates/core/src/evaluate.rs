@@ -693,11 +693,7 @@ mod tests {
                 .num_components(),
             1
         );
-        // Widths: `CISP_TEST_WORKERS` (comma-separated) or 1, 2, 4.
-        let widths: Vec<usize> = std::env::var("CISP_TEST_WORKERS")
-            .map(|s| s.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-            .unwrap_or_else(|_| vec![1, 2, 4]);
-        for workers in widths {
+        for workers in cisp_netsim::jobs::test_widths(&[1, 2, 4]) {
             let mut cfg = fast_config();
             cfg.sim.workers = workers;
             let evaluated = evaluate(&topo, topo.traffic(), &cfg);

@@ -18,8 +18,9 @@
 //!    heuristic is measured against, checked in tests against brute force
 //!    over every subset; the scalable cISP heuristic ([`design`]) uses the
 //!    paper's greedy candidate pruning plus a swap-based refinement,
-//!    running on the incremental delta-scoring engine and its persistent
-//!    worker shards (the private `engine` module).
+//!    running on the incremental delta-scoring engine and its scoring
+//!    shards (the private `engine` module). Fiber must reach every
+//!    traffic-carrying pair, as the paper's `o_ij` does.
 //! 4. **Capacity augmentation** ([`augment`]): parallel tower series (the k²
 //!    trick of §3.3) sized from per-link traffic, with new towers charged to
 //!    the cost model ([`cost`]).

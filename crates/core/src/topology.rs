@@ -129,10 +129,10 @@ const LANES: usize = 8;
 /// ([`mean_stretch_with_link_compact`]) becomes a branchless fused
 /// multiply-add sweep.
 ///
-/// [`ScoringWeights::compute`] returns `None` when the invariant does not
-/// hold (some scored pair is unreachable, or no pair carries traffic);
-/// callers then stay on the scalar kernel, whose per-pair finiteness test
-/// handles pairs that become reachable mid-run.
+/// [`ScoringWeights::compute`] enforces the invariant: it panics when a
+/// traffic-carrying pair is unreachable or a traffic weight is negative or
+/// not finite. With no traffic at all the denominator is zero and the
+/// kernel reads 1.0, as [`mean_stretch_with_link`] does.
 #[derive(Debug, Clone)]
 pub struct ScoringWeights {
     /// Dense symmetric `h/geo` weight matrix; zero where the pair is skipped.
@@ -157,14 +157,14 @@ const METRIC_REL_TOL: f64 = 1e-8;
 
 impl ScoringWeights {
     /// Precompute the compact weights for scoring against matrices that
-    /// start from `effective`. Returns `None` when some traffic-carrying
-    /// pair has a non-finite effective distance (the constant-denominator
-    /// invariant would not hold) or when no pair qualifies at all.
-    pub fn compute(
-        effective: &DistMatrix,
-        geodesic: &DistMatrix,
-        traffic: &DistMatrix,
-    ) -> Option<Self> {
+    /// start from `effective`.
+    ///
+    /// # Panics
+    ///
+    /// When a traffic weight `traffic[s][t]` (`s < t`) is negative or not
+    /// finite, or when a pair with positive traffic has a non-finite
+    /// `effective` distance; the message names the pair.
+    pub fn compute(effective: &DistMatrix, geodesic: &DistMatrix, traffic: &DistMatrix) -> Self {
         let n = effective.n();
         let mut weights = DistMatrix::zeros(n);
         let mut span = vec![(0u32, 0u32); n];
@@ -177,12 +177,20 @@ impl ScoringWeights {
             let mut hi = 0;
             for t in (s + 1)..n {
                 let h = h_row[t];
-                let geo = geo_row[t];
-                if h <= 0.0 || geo <= 0.0 {
+                assert!(
+                    h.is_finite() && h >= 0.0,
+                    "traffic weight of sites {s} and {t} is {h}: it must be finite and non-negative"
+                );
+                if h == 0.0 {
                     continue;
                 }
-                if !eff_row[t].is_finite() {
-                    return None;
+                assert!(
+                    eff_row[t].is_finite(),
+                    "sites {s} and {t} carry traffic {h} but fiber does not connect them"
+                );
+                let geo = geo_row[t];
+                if geo <= 0.0 {
+                    continue;
                 }
                 let w = h / geo;
                 weights.set_sym(s, t, w);
@@ -194,15 +202,12 @@ impl ScoringWeights {
                 *sp = (lo as u32, hi as u32);
             }
         }
-        if den <= 0.0 {
-            return None;
-        }
-        Some(Self {
+        Self {
             weights,
             span,
             den,
             row_skip_slack_km: None,
-        })
+        }
     }
 
     /// The dense symmetric `h/geo` weight matrix (zero where skipped).
@@ -263,7 +268,7 @@ impl ScoringWeights {
 /// `0 · ∞ = NaN` hazard on zero-weight lanes) — and accumulates in
 /// [`LANES`] fixed lanes with a deterministic pairwise horizontal
 /// reduction, so results are reproducible run-to-run and identical serial
-/// vs sharded.
+/// vs sharded. Returns 1.0 when no pair carries traffic.
 pub fn mean_stretch_with_link_compact(
     effective: &DistMatrix,
     sw: &ScoringWeights,
@@ -271,6 +276,9 @@ pub fn mean_stretch_with_link_compact(
     j: usize,
     m: f64,
 ) -> f64 {
+    if sw.den <= 0.0 {
+        return 1.0;
+    }
     let row_i = effective.row(i);
     let row_j = effective.row(j);
     let mut acc = [0.0f64; LANES];
@@ -712,8 +720,7 @@ mod tests {
             topo.effective_matrix(),
             topo.geodesic_matrix(),
             topo.traffic(),
-        )
-        .expect("all scored pairs finite");
+        );
         for (i, j, len) in [(0, 2, geo02 * 1.02), (0, 1, 350.0), (1, 2, 410.0)] {
             let scalar = mean_stretch_with_link(
                 topo.effective_matrix(),
@@ -751,17 +758,26 @@ mod tests {
         let mut fiber = DistMatrix::from_nested(fiber_matrix(&sites));
         let traffic = DistMatrix::from_nested(uniform_traffic(3));
         // A traffic-carrying pair with no fiber breaks the constant-
-        // denominator invariant.
+        // denominator invariant: rejected, naming the pair.
         fiber.set_sym(0, 2, f64::INFINITY);
-        assert!(ScoringWeights::compute(&fiber, &geo, &traffic).is_none());
+        let rejected = std::panic::catch_unwind(|| ScoringWeights::compute(&fiber, &geo, &traffic))
+            .expect_err("an unreachable traffic pair must be rejected");
+        let message = rejected
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(message.contains("sites 0 and 2"), "{message}");
         // …unless that pair carries no traffic.
         let mut sparse = traffic.clone();
         sparse.set_sym(0, 2, 0.0);
-        assert!(ScoringWeights::compute(&fiber, &geo, &sparse).is_some());
-        // No traffic at all → no denominator.
+        let sw = ScoringWeights::compute(&fiber, &geo, &sparse);
+        assert_eq!(sw.weights().get(0, 2), 0.0);
+        assert!(sw.den() > 0.0);
+        // No traffic at all: no denominator, and every score reads 1.0.
         let zero = DistMatrix::zeros(3);
         let full = DistMatrix::from_nested(fiber_matrix(&sites));
-        assert!(ScoringWeights::compute(&full, &geo, &zero).is_none());
+        let sw = ScoringWeights::compute(&full, &geo, &zero);
+        assert_eq!(sw.den(), 0.0);
+        assert_eq!(mean_stretch_with_link_compact(&full, &sw, 0, 2, 1.0), 1.0);
     }
 
     #[test]
@@ -773,8 +789,7 @@ mod tests {
             topo.effective_matrix(),
             topo.geodesic_matrix(),
             topo.traffic(),
-        )
-        .unwrap();
+        );
         // Unarmed: no row is ever skipped.
         assert!(sw.row_skip_slack_km().is_none());
         assert!(
@@ -802,8 +817,7 @@ mod tests {
         // Non-metric matrices leave the skip unarmed.
         let mut broken = topo.effective_matrix().clone();
         broken.set_sym(0, 2, 1e7);
-        let mut sw2 =
-            ScoringWeights::compute(&broken, topo.geodesic_matrix(), topo.traffic()).unwrap();
+        let mut sw2 = ScoringWeights::compute(&broken, topo.geodesic_matrix(), topo.traffic());
         assert!(!sw2.enable_gain_bounds(&broken));
         assert!(sw2.row_skip_slack_km().is_none());
     }

@@ -7,10 +7,10 @@
 //! upgrades, the failure cascade over a year's fields) drain whole runs
 //! through it, and so does the design side in `cisp_core`: the hop sweep (a
 //! job per run of tower pairs), the candidate-pool search (a job per source
-//! site) and the fallback greedy's scoring batches. What else spawns a
-//! thread does another job: the windowed gang in [`crate::sim`] and
-//! `cisp_core`'s scoring shards keep their workers across rounds, and the
-//! pool search's helper thread only takes the *caller's* seat here.
+//! site) and the greedy's scoring rounds (a job per scoring shard). What
+//! else spawns a thread does another job: the windowed gang in
+//! [`crate::sim`] keeps its workers across windows, and the pool search's
+//! helper thread only takes the *caller's* seat here.
 //!
 //! A job must not read what another job writes; under that contract the
 //! results are those of the serial loop for every width, so the width is a
@@ -29,6 +29,28 @@ pub fn resolve_workers(workers: usize) -> usize {
     } else {
         workers
     }
+}
+
+/// The worker counts a width-sweeping test runs at: the positive integers
+/// of the comma-separated `CISP_TEST_WORKERS`, or `default` when the
+/// variable is unset or names none (a garbled or empty value must not leave
+/// a test sweeping nothing). Tests that also want `0`, the machine's width,
+/// put it in `default` or append it.
+#[doc(hidden)]
+pub fn test_widths(default: &[usize]) -> Vec<usize> {
+    parse_widths(std::env::var("CISP_TEST_WORKERS").ok().as_deref(), default)
+}
+
+fn parse_widths(value: Option<&str>, default: &[usize]) -> Vec<usize> {
+    value
+        .map(|s| {
+            s.split(',')
+                .filter_map(|t| t.trim().parse().ok())
+                .filter(|&w| w > 0)
+                .collect::<Vec<usize>>()
+        })
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| default.to_vec())
 }
 
 /// Run `job(state, i)` for every `i` in `0..n` on `width.min(n)` workers and
@@ -216,6 +238,18 @@ mod tests {
                 .expect("the job's own payload, not a join error");
             assert_eq!(message, "job four failed", "width {width}");
         }
+    }
+
+    #[test]
+    fn test_widths_fall_back_to_the_default_unless_a_width_is_named() {
+        let default = [1, 0, 3];
+        assert_eq!(parse_widths(None, &default), default);
+        assert_eq!(parse_widths(Some(""), &default), default);
+        assert_eq!(parse_widths(Some("x"), &default), default);
+        assert_eq!(parse_widths(Some("0"), &default), default);
+        assert_eq!(parse_widths(Some("2"), &default), [2]);
+        assert_eq!(parse_widths(Some("1, 4"), &default), [1, 4]);
+        assert_eq!(parse_widths(Some("1,x,4,"), &default), [1, 4]);
     }
 
     #[test]

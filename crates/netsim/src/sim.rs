@@ -1181,23 +1181,10 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::test_widths;
     use crate::network::LinkSpec;
     use crate::queue::QueueStats;
     use crate::routing::compute_routes_avoiding;
-
-    /// Widths under test: `CISP_TEST_WORKERS` (comma-separated) or `1,2,4`.
-    fn test_widths() -> Vec<usize> {
-        std::env::var("CISP_TEST_WORKERS")
-            .ok()
-            .map(|s| {
-                s.split(',')
-                    .filter_map(|t| t.trim().parse().ok())
-                    .filter(|&w| w > 0)
-                    .collect::<Vec<usize>>()
-            })
-            .filter(|v| !v.is_empty())
-            .unwrap_or_else(|| vec![1, 2, 4])
-    }
 
     /// The run's own choice (`None`) and every forced execution.
     const EVERY_MODE: [Option<ExecMode>; 4] = [
@@ -1506,7 +1493,7 @@ mod tests {
                     "{what}"
                 );
                 // Plus an odd gang, whatever the matrix cell.
-                for workers in test_widths().into_iter().chain([3]) {
+                for workers in test_widths(&[1, 2, 4]).into_iter().chain([3]) {
                     for mode in EVERY_MODE {
                         let what = format!("{name}, {arrivals:?}, workers {workers}, {mode:?}");
                         let mut sim =
@@ -1560,7 +1547,7 @@ mod tests {
                 let sim = Simulation::new(net.clone(), demands.clone(), SimConfig::default());
                 assert_eq!(sim.num_components(), 1, "mesh must be one component");
             }
-            for workers in test_widths() {
+            for workers in test_widths(&[1, 2, 4]) {
                 let mut sim = Simulation::new(
                     net.clone(),
                     demands.clone(),
@@ -1589,7 +1576,7 @@ mod tests {
     #[test]
     fn windowed_run_matches_component_sharding_on_disjoint_components() {
         let (net, demands) = multi_component_inputs(5);
-        for workers in test_widths().into_iter().chain([3]) {
+        for workers in test_widths(&[1, 2, 4]).into_iter().chain([3]) {
             let config = SimConfig {
                 duration_s: 0.3,
                 seed: 11,
@@ -1636,7 +1623,7 @@ mod tests {
         )
         .run();
         assert!(serial.delivered > 0);
-        for workers in test_widths() {
+        for workers in test_widths(&[1, 2, 4]) {
             let mut sim = Simulation::new(
                 net.clone(),
                 demands.clone(),
@@ -1663,7 +1650,7 @@ mod tests {
         // all-zero report.
         let (net, demands) = multi_component_inputs(3);
         let disabled = vec![true; net.num_links()];
-        for workers in test_widths() {
+        for workers in test_widths(&[1, 2, 4]) {
             let config = SimConfig {
                 duration_s: 0.1,
                 workers,
@@ -1710,7 +1697,7 @@ mod tests {
             peak <= (net.num_links() + demands.len()) as u64,
             "queue peaked at {peak} events"
         );
-        for workers in test_widths() {
+        for workers in test_widths(&[1, 2, 4]) {
             let mut sim = Simulation::new(net.clone(), demands.clone(), config(workers));
             for mode in EVERY_MODE {
                 assert_eq!(
@@ -1905,7 +1892,7 @@ mod tests {
         };
         let serial = Simulation::new(net.clone(), demands.clone(), config(1)).run();
         assert!(serial.background.is_some());
-        for workers in test_widths() {
+        for workers in test_widths(&[1, 2, 4]) {
             let mut sim = Simulation::new(net.clone(), demands.clone(), config(workers));
             for mode in EVERY_MODE {
                 assert_eq!(

@@ -7,23 +7,9 @@
 
 use cisp::core::evaluate::{lower, pair_rtts, EvaluateConfig};
 use cisp::core::scenario::{population_product_traffic, Scenario, ScenarioConfig};
+use cisp::netsim::jobs::test_widths;
 use cisp::netsim::sim::{ExecMode, SimConfig, Simulation};
 use cisp::weather::simulate::{conduit_cut_analysis_on, most_loaded_conduits};
-
-/// Worker counts under test: `CISP_TEST_WORKERS` (comma-separated) or the
-/// default `1,2,4` — the same convention as `tests/sim_pipeline_parity.rs`.
-fn test_worker_counts() -> Vec<usize> {
-    std::env::var("CISP_TEST_WORKERS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&w| w > 0)
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
-}
 
 fn eval_config() -> EvaluateConfig {
     EvaluateConfig {
@@ -141,7 +127,7 @@ fn exec_modes_stay_bit_identical_on_the_conduit_lowered_backbone() {
         Simulation::new(lowered.network.clone(), lowered.demands.clone(), cfg).run()
     };
     assert!(serial.delivered > 0);
-    for workers in test_worker_counts() {
+    for workers in test_widths(&[1, 2, 4]) {
         let mut cfg = config.sim;
         cfg.workers = workers;
         let mut sim = Simulation::new(lowered.network.clone(), lowered.demands.clone(), cfg);

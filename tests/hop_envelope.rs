@@ -17,6 +17,7 @@ use cisp::core::scenario::ScenarioConfig;
 use cisp::data::cities::{europe_population_centers, us_population_centers, City};
 use cisp::data::towers::{Tower, TowerRegistry, TowerRegistryConfig, TowerSource};
 use cisp::geo::{fresnel, geodesic, GeoPoint};
+use cisp::netsim::jobs::test_widths;
 use cisp::terrain::clutter::{ClutterModel, ClutterParams};
 use cisp::terrain::elevation::BaseTerrainParams;
 use cisp::terrain::noise::{mix64, value_noise, value_noise_range};
@@ -280,19 +281,6 @@ fn exact_only_hops(
         .collect()
 }
 
-/// `CISP_TEST_WORKERS` (comma-separated) or `1,0,3`.
-fn test_widths() -> Vec<usize> {
-    std::env::var("CISP_TEST_WORKERS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 0, 3])
-}
-
 /// Sweep `towers` with a fresh engine (so every sweep fills its own grid)
 /// at every test width, check each hop list against `reference`, and
 /// return the counts, which must not depend on the width either.
@@ -304,7 +292,7 @@ fn sweep_at_every_width(
     reference: &[FeasibleHop],
 ) -> HopSweepStats {
     let mut counts: Option<HopSweepStats> = None;
-    for workers in test_widths() {
+    for workers in test_widths(&[1, 0, 3]) {
         let engine = HopFeasibility::new(towers, terrain, clutter, config);
         let (hops, stats) = engine.all_feasible_hops_profiled(workers);
         assert!(hops == reference, "hop list differs at workers = {workers}");

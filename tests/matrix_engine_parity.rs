@@ -2,7 +2,7 @@
 //! incremental delta-scoring design engine.
 //!
 //! The designer's hot kernels run on the flat row-major `DistMatrix`, with
-//! candidate scoring maintained incrementally by persistent worker shards.
+//! candidate scoring maintained incrementally by scoring shards.
 //! These properties pin every layer of that stack to deliberately naive
 //! references on random small topologies:
 //!
@@ -13,7 +13,8 @@
 //! * the greedy designer (incremental delta-scoring, one shard per core)
 //!   selects exactly the designs of a naive full-rescoring nested-`Vec`
 //!   greedy — on short and long runs, degenerate pools, exact ties, real
-//!   `Scenario::build` pools and the unreachable-fiber fallback;
+//!   `Scenario::build` pools and fiber that leaves a traffic-free pair
+//!   unreachable (a traffic-carrying one is rejected);
 //! * `cisp()`'s swap polish (leave-one-out matrices, trials decided by a
 //!   lower bound) applies exactly the swaps of a naive nested-`Vec` polish
 //!   that rebuilds per removed link and scores every feasible trial.
@@ -22,7 +23,7 @@
 // loops — that is the point of a reference.
 #![allow(clippy::needless_range_loop)]
 
-use cisp::core::design::{DesignConfig, DesignInput, Designer};
+use cisp::core::design::{DesignConfig, DesignInput, Designer, PRUNING_BUDGET_FACTOR};
 use cisp::core::links::CandidateLink;
 use cisp::core::scenario::{Scenario, ScenarioConfig, TerrainKind};
 use cisp::core::topology::{
@@ -269,7 +270,7 @@ fn assert_cisp_matches_naive_polish(
     config: DesignConfig,
 ) -> usize {
     let pool = Designer::with_config(input, config)
-        .greedy(budget as f64 * config.pruning_budget_factor)
+        .greedy(budget as f64 * PRUNING_BUDGET_FACTOR)
         .selected;
     let restricted = DesignInput {
         candidates: pool.iter().map(|&i| input.candidates[i].clone()).collect(),
@@ -400,7 +401,7 @@ proptest! {
         max_swap_passes in 1usize..4,
     ) {
         let input = random_input(n, seed);
-        let config = DesignConfig { max_swap_passes, ..DesignConfig::default() };
+        let config = DesignConfig { max_swap_passes };
         assert_cisp_matches_naive_polish(&input, n * towers_per_site, config);
     }
 
@@ -427,8 +428,6 @@ proptest! {
             topology.geodesic_matrix(),
             topology.traffic(),
         );
-        prop_assert!(sw.is_some(), "finite random input must yield weights");
-        let sw = sw.unwrap();
 
         let compact = mean_stretch_with_link_compact(
             topology.effective_matrix(),
@@ -653,15 +652,26 @@ fn scenario_pools_design_like_the_naive_greedy() {
     }
 }
 
-/// Fiber that leaves a traffic pair unreachable: the cached predictions do
-/// not apply (no constant denominator) and the designer must fall back to
-/// plain rescoring on the scalar kernel, whose skip-the-unreachable rule is
-/// `mean_stretch_nested`'s.
+/// Fiber that leaves a traffic-carrying pair unreachable: the design
+/// problem has no fiber distance `o_ij` for it, and the designer refuses the
+/// input, naming the pair.
 #[test]
-fn greedy_falls_back_on_non_finite_fiber() {
+#[should_panic(expected = "sites 0 and 5 carry traffic")]
+fn greedy_rejects_non_finite_fiber_under_traffic() {
+    let mut input = random_input(6, 11);
+    input.fiber_km.set_sym(0, 5, f64::INFINITY);
+    Designer::new(&input);
+}
+
+/// Fiber that leaves a pair carrying no traffic unreachable: no term of the
+/// objective reads that distance, so the input is accepted and the greedy
+/// is still the naive one.
+#[test]
+fn greedy_accepts_unreachable_fiber_between_traffic_free_sites() {
     for seed in [11, 424242] {
         let mut input = random_input(6, seed);
         input.fiber_km.set_sym(0, 5, f64::INFINITY);
+        input.traffic.set_sym(0, 5, 0.0);
         let engine = Designer::new(&input).greedy(30.0);
         assert!(!engine.selected.is_empty());
         assert_eq!(engine.selected, naive_greedy(&input, 30));

@@ -24,6 +24,7 @@
 //! forced modes must reproduce its report exactly.
 
 use cisp::netsim::flows::{emission_times, ArrivalProcess, FlowSpec};
+use cisp::netsim::jobs::test_widths;
 use cisp::netsim::network::{LinkSpec, Network};
 use cisp::netsim::routing::Demand;
 use cisp::netsim::sim::{ExecMode, SimConfig, Simulation};
@@ -50,21 +51,6 @@ const SEED: u64 = 20_220_404;
 /// in the worst cell — and the arrivals are seeded, so the test cannot
 /// flake: it reads the same waits on every run.
 const MD1_TOLERANCE: f64 = 0.05;
-
-/// Worker counts under test: `CISP_TEST_WORKERS` (comma-separated) or the
-/// default `1,2,4` — the same convention as `tests/sim_pipeline_parity.rs`.
-fn test_worker_counts() -> Vec<usize> {
-    std::env::var("CISP_TEST_WORKERS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&w| w > 0)
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
-}
 
 fn link_rate_bps(load: f64) -> f64 {
     LAMBDA_PPS * PACKET_BITS / load
@@ -163,7 +149,7 @@ fn single_link_waits_match_md1_and_packets_are_conserved_in_every_mode() {
         );
     }
 
-    for workers in test_worker_counts() {
+    for workers in test_widths(&[1, 2, 4]) {
         let mut sim = simulation(workers);
         assert_eq!(report, sim.run(), "workers {workers}");
         // A 10 ms window: ≈11 000 barrier-synchronised windows.

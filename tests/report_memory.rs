@@ -10,6 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cisp::netsim::flows::ArrivalProcess;
+use cisp::netsim::jobs::test_widths;
 use cisp::netsim::network::{LinkSpec, Network};
 use cisp::netsim::routing::Demand;
 use cisp::netsim::sim::{ExecMode, SimConfig, Simulation};
@@ -98,21 +99,6 @@ fn peak_heap_of_run(sim: &mut Simulation, mode: Option<ExecMode>) -> (usize, Sim
     (peak - before, report)
 }
 
-/// Worker counts under test: `CISP_TEST_WORKERS` (comma-separated) or the
-/// default `1,2,4` — the same convention as `tests/sim_pipeline_parity.rs`.
-fn test_worker_counts() -> Vec<usize> {
-    std::env::var("CISP_TEST_WORKERS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&w| w > 0)
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
-}
-
 #[test]
 fn peak_heap_of_a_run_does_not_grow_with_its_packets() {
     const DURATION_S: f64 = 0.4;
@@ -123,7 +109,7 @@ fn peak_heap_of_a_run_does_not_grow_with_its_packets() {
             Some(ExecMode::ComponentSharded),
             Some(ExecMode::windowed_auto()),
         ];
-        for (workers, mode) in test_worker_counts()
+        for (workers, mode) in test_widths(&[1, 2, 4])
             .into_iter()
             .flat_map(|w| modes.map(|m| (w, m)))
         {

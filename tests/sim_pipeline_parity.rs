@@ -18,6 +18,7 @@ use cisp::core::scenario::{population_product_traffic, Scenario, ScenarioConfig}
 use cisp::graph::csr::CsrGraph;
 use cisp::graph::{dijkstra, Graph, PathStore, SearchCore};
 use cisp::netsim::flows::ArrivalProcess;
+use cisp::netsim::jobs::test_widths;
 use cisp::netsim::network::{LinkSpec, Network};
 use cisp::netsim::routing::{
     compute_routes, compute_routes_avoiding, Demand, RoutingScheme, TrafficClass,
@@ -27,21 +28,6 @@ use cisp::netsim::{BackgroundModel, SimReport};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Worker counts under test: `CISP_TEST_WORKERS` (comma-separated) or the
-/// default `1,2,4`.
-fn test_worker_counts() -> Vec<usize> {
-    std::env::var("CISP_TEST_WORKERS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&w| w > 0)
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4])
-}
 
 /// A random connected-ish graph: a scrambled spanning chain plus extra
 /// random edges, weights in (0.1, 10).
@@ -156,7 +142,7 @@ fn windowed_simulation_is_bit_identical_to_serial_on_designed_backbone() {
     .run();
     assert!(serial.delivered > 0);
     assert!(lowered.simulation().num_components() >= 1);
-    for workers in test_worker_counts() {
+    for workers in test_widths(&[1, 2, 4]) {
         let mut sim = Simulation::new(
             lowered.network.clone(),
             lowered.demands.clone(),
@@ -244,7 +230,7 @@ fn check_engines_match_serial(seed: u64) -> TestCaseResult {
         SimConfig { workers: 1, ..base },
     )
     .run();
-    for workers in test_worker_counts() {
+    for workers in test_widths(&[1, 2, 4]) {
         let mut sim = Simulation::new(net.clone(), demands.clone(), SimConfig { workers, ..base });
         let planned = sim.run();
         prop_assert!(
@@ -303,7 +289,7 @@ fn check_hybrid_matches_serial_and_packet_envelope(seed: u64) -> TestCaseResult 
     .run();
 
     // (a) Bit-identity across the whole execution matrix.
-    for workers in test_worker_counts() {
+    for workers in test_widths(&[1, 2, 4]) {
         let mut sim = Simulation::new(net.clone(), demands.clone(), SimConfig { workers, ..base });
         let planned = sim.run();
         prop_assert!(
@@ -468,7 +454,7 @@ fn check_classification_is_pure_labelling(seed: u64) -> TestCaseResult {
         ExecMode::windowed_auto(),
         ExecMode::TimeWindowed { window_s: 1.5e-3 },
     ];
-    for workers in test_worker_counts() {
+    for workers in test_widths(&[1, 2, 4]) {
         let config = SimConfig { workers, ..base };
         let mut classified_sim = Simulation::new(net.clone(), demands.clone(), config);
         let mut untagged_sim = Simulation::new(net.clone(), untagged.clone(), config);
@@ -830,7 +816,7 @@ fn million_user_hybrid_backbone() {
     let hybrid = hybrid_sim.run();
 
     // One report in every execution mode and at every width.
-    for workers in test_worker_counts().into_iter().chain([0]) {
+    for workers in test_widths(&[1, 2, 4]).into_iter().chain([0]) {
         let mut sim = simulation(SimConfig { workers, ..base });
         assert_eq!(hybrid, sim.run(), "workers {workers}");
         for mode in [ExecMode::ComponentSharded, ExecMode::windowed_auto()] {

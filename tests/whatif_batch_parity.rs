@@ -22,6 +22,7 @@ use cisp::core::topology::{FiberLink, FiberNetwork, HybridTopology};
 use cisp::geo::{geodesic, GeoPoint};
 use cisp::graph::DistMatrix;
 use cisp::netsim::flows::ArrivalProcess;
+use cisp::netsim::jobs::test_widths;
 use cisp::netsim::routing::compute_routes_avoiding;
 use cisp::netsim::sim::{SimConfig, Simulation};
 use cisp::netsim::SimReport;
@@ -33,17 +34,8 @@ use cisp::weather::storms::{Storm, StormField, StormYear, StormYearConfig};
 use cisp::weather::{storm_queueing_analysis, QueueingWeatherReport};
 
 /// `CISP_TEST_WORKERS` (comma-separated) or `1,2,4`, then `0`.
-fn test_widths() -> Vec<usize> {
-    let mut widths = std::env::var("CISP_TEST_WORKERS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&w| w > 0)
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4]);
+fn widths_then_machine() -> Vec<usize> {
+    let mut widths = test_widths(&[1, 2, 4]);
     widths.push(0);
     widths
 }
@@ -220,7 +212,7 @@ fn assert_storm_parity(
 fn storm_sweep_matches_the_serial_oracle_on_the_chain() {
     let topology = chain_topology();
     let config = chain_config();
-    let widths = test_widths();
+    let widths = widths_then_machine();
     let calm = StormField::default;
     let check = |fields: &[StormField]| {
         assert_storm_parity(&topology, topology.traffic(), fields, &config, &widths)
@@ -324,7 +316,7 @@ fn storm_sweep_matches_the_serial_oracle_on_the_designed_backbone() {
     );
 
     let fields = &year.fields()[start..start + 30];
-    let report = assert_storm_parity(&topology, &traffic, fields, &config, &test_widths());
+    let report = assert_storm_parity(&topology, &traffic, fields, &config, &widths_then_machine());
     assert!(report.worst_mean_delay_ms() >= report.fair.mean_delay_ms);
 }
 
@@ -411,7 +403,7 @@ fn conduit_cuts_match_the_serial_oracle_at_every_width() {
                 })
                 .collect(),
         };
-        for workers in test_widths() {
+        for workers in widths_then_machine() {
             let lowered = lower(
                 &topology,
                 topology.traffic(),
@@ -502,7 +494,7 @@ fn upgrade_ranking_is_the_same_at_every_width() {
         assert_eq!(option.upgraded_fg_p99_ms.to_bits(), p99.to_bits());
     }
 
-    for workers in test_widths() {
+    for workers in widths_then_machine() {
         let lowered = classified_lowering(&topology, workers);
         let got = rank_upgrades(&topology, &lowered, &cost, &upgrade);
         assert_eq!(

@@ -18,18 +18,16 @@ use cisp_core::hops::{HopConfig, HopFeasibility};
 use cisp_core::links::{LinkBuilder, LinkBuilderConfig};
 use cisp_core::scenario::{population_product_traffic, Scenario};
 use cisp_core::topology::HybridTopology;
-use cisp_data::cities::{City, Region};
-use cisp_data::datacenters::{dc_proxy_sites, google_us_datacenters};
-use cisp_geo::{geodesic, GeoPoint};
+use cisp_core::traffic::{perturbed_populations, TrafficComponents, TrafficMix};
+use cisp_data::cities::Region;
+use cisp_data::datacenters::dc_proxy_sites;
+use cisp_geo::geodesic;
 use cisp_graph::disjoint::iterative_disjoint_paths;
 use cisp_graph::DistMatrix;
 use cisp_netsim::flows::ArrivalProcess;
 use cisp_netsim::sim::SimConfig;
 use cisp_netsim::tcp::{run_speed_mismatch, SpeedMismatchConfig};
 use cisp_terrain::{clutter::ClutterModel, TerrainModel};
-use cisp_traffic::matrix::TrafficMatrix;
-use cisp_traffic::perturb::perturbed_populations;
-use cisp_traffic::{SiteSet, TrafficMix};
 use cisp_weather::failures::FailureConfig;
 use cisp_weather::reroute::{weather_year_analysis, WeatherSeries};
 use cisp_weather::storms::{StormYear, StormYearConfig};
@@ -678,7 +676,8 @@ pub(crate) fn fig08_europe(ctx: &Context) {
 /// * **City–DC** — every city exchanges traffic with its closest data center,
 ///   proportional to its population.
 ///
-/// The paper finds both DC scenarios cost less per GB than City–City.
+/// All three are `TrafficComponents::new` over the scenario's cities. The
+/// paper finds both DC scenarios cost less per GB than City–City.
 pub(crate) fn fig09_traffic_models(ctx: &Context) {
     ctx.header("Fig. 9");
 
@@ -693,8 +692,11 @@ pub(crate) fn fig09_traffic_models(ctx: &Context) {
     );
 
     // The three traffic models over the same site set.
-    let (city_city, city_dc, dc_dc) =
-        component_matrices(scenario.cities(), &base_input.sites, &dcs);
+    let TrafficComponents {
+        city_city,
+        city_dc,
+        dc_dc,
+    } = TrafficComponents::new(scenario.cities());
 
     let budget = ctx.scale.us_budget_towers();
     let throughputs: Vec<f64> = vec![5.0, 10.0, 25.0, 50.0, 100.0, 150.0, 200.0];
@@ -725,42 +727,6 @@ pub(crate) fn fig09_traffic_models(ctx: &Context) {
         );
         print_series(&format!("cost per GB ($) vs Gbps, {label}"), &points);
     }
-}
-
-/// The three raw component matrices of the §6.3–§6.4 traffic models over
-/// `sites`, with `dcs` standing in for the data centers: city–city (the
-/// population product), city–DC (each city's population to and from its
-/// closest DC proxy) and DC–DC (1 between every two proxies).
-fn component_matrices(
-    cities: &[City],
-    sites: &[GeoPoint],
-    dcs: &[usize],
-) -> (DistMatrix, DistMatrix, DistMatrix) {
-    let n = sites.len();
-    let mut dc_dc = DistMatrix::zeros(n);
-    for &a in dcs {
-        for &b in dcs {
-            if a != b {
-                dc_dc.set(a, b, 1.0);
-            }
-        }
-    }
-    let mut city_dc = DistMatrix::zeros(n);
-    for i in 0..n {
-        let closest = *dcs
-            .iter()
-            .min_by(|&&a, &&b| {
-                geodesic::distance_km(sites[i], sites[a])
-                    .total_cmp(&geodesic::distance_km(sites[i], sites[b]))
-            })
-            .expect("at least one DC proxy");
-        if closest != i {
-            let pop = cities[i].population as f64;
-            city_dc.set(i, closest, city_dc.get(i, closest) + pop);
-            city_dc.set(closest, i, city_dc.get(closest, i) + pop);
-        }
-    }
-    (population_product_traffic(cities), city_dc, dc_dc)
 }
 
 /// Cost per GB at 100 Gbps and mean stretch of the US design at the scale's
@@ -835,27 +801,19 @@ pub(crate) fn fig10_tower_constraints(ctx: &Context) {
 /// The network is designed and provisioned for a 4:3:3 mix of city-city,
 /// city-DC and DC-DC traffic; the offered traffic then follows the mixes
 /// 4:3:3 (matching), 5:3:3, 4:3:4 and 4:4:3 at aggregate loads from 10 % to
-/// 100 % of the design capacity. The paper finds less than 0.05 ms of mean
-/// delay difference and near-zero loss up to ~70 % load.
+/// 100 % of the design capacity. Each mix is `TrafficMix::matrix` over the
+/// three §6.3 models of the scenario's cities. The paper finds less than
+/// 0.05 ms of mean delay difference and near-zero loss up to ~70 % load.
 pub(crate) fn fig11_traffic_mix(ctx: &Context) {
     ctx.header("Fig. 11");
 
     let scenario = ctx.us();
     let base = scenario.design_input();
-    // The population centers closest to the six Google DCs stand in for them.
-    let dcs = dc_proxy_sites(&base.sites);
-    let (cc, cdc, dcdc) = component_matrices(scenario.cities(), &base.sites, &dcs);
-    let [cc, cdc, dcdc] = [cc, cdc, dcdc].map(TrafficMatrix::from_dist_matrix);
-    // Combine the components with a mix's shares via the shared traffic
-    // engine (each component is normalised to unit total before weighting).
-    let mix = |m: &TrafficMix| {
-        let shares = [(m.city_city, &cc), (m.city_dc, &cdc), (m.dc_dc, &dcdc)];
-        TrafficMatrix::mix(&shares).into_matrix()
-    };
+    let components = TrafficComponents::new(scenario.cities());
 
     // Design for the 4:3:3 mix.
     let input = DesignInput {
-        traffic: mix(&TrafficMix::designed()),
+        traffic: TrafficMix::designed().matrix(&components),
         ..base.clone()
     };
     let outcome = Designer::new(&input).cisp(ctx.scale.us_budget_towers());
@@ -868,7 +826,8 @@ pub(crate) fn fig11_traffic_mix(ctx: &Context) {
     let loads = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0];
     for (label, offered) in TrafficMix::paper_variants() {
         let label = format!("mix {label}");
-        load_sweep(ctx, &outcome.topology, &mix(&offered), &loads, 13, &label);
+        let offered = offered.matrix(&components);
+        load_sweep(ctx, &outcome.topology, &offered, &loads, 13, &label);
     }
 }
 
@@ -965,10 +924,12 @@ pub(crate) fn fig13_web(ctx: &Context) {
 /// reasonable re-parameterisation.
 ///
 /// The second table asks the marginal question behind §8's SLA pitch:
-/// given the designed backbone carrying the §6.4 classified mix, which
-/// microwave-link capacity upgrade buys the most foreground P99 latency
-/// per dollar-km? (`cisp_core::economics::rank_upgrades`, grounded in
-/// simulation rather than propagation arithmetic.)
+/// given the designed backbone carrying foreground plus background traffic
+/// in the designed §6.4 mix's split (`TrafficMix::background_share`, the
+/// DC–DC share 3/10), which microwave-link capacity upgrade buys the most
+/// foreground P99 latency per dollar-km?
+/// (`cisp_core::economics::rank_upgrades`, grounded in simulation rather
+/// than propagation arithmetic.)
 pub(crate) fn sec8_cost_benefit(ctx: &Context) {
     ctx.header("§8");
 
@@ -1004,16 +965,12 @@ pub(crate) fn sec8_cost_benefit(ctx: &Context) {
         &rows,
     );
 
-    // The marginal question: with the backbone carrying the classified
-    // §6.4 mix, which MW-link upgrade most improves the foreground class's
-    // simulated P99 per dollar-km? The background aggregate is sized from
-    // the designed mix's DC-replication share of the combined offered load,
-    // so the simulated class split matches the mix's split.
-    let classified = TrafficMix::designed().classified(&SiteSet::new(
-        scenario.cities().to_vec(),
-        google_us_datacenters(),
-    ));
-    let bg_share = classified.background_share();
+    // The marginal question: with the backbone carrying both classes,
+    // which MW-link upgrade most improves the foreground class's simulated
+    // P99 per dollar-km? The background aggregate is sized from the
+    // designed mix's DC-replication share of the combined offered load, so
+    // the simulated class split matches the mix's split.
+    let bg_share = TrafficMix::designed().background_share();
     let traffic = population_product_traffic(scenario.cities());
     let eval_config = EvaluateConfig {
         design_aggregate_gbps: 4.0,

@@ -27,10 +27,11 @@
 //!
 //! [`topology`] holds the resulting hybrid network and its latency/stretch
 //! evaluation, [`scenario`] wires the whole pipeline together for the
-//! US and Europe deployments studied in the paper, and [`evaluate`] lowers
-//! a designed topology plus a traffic matrix into the `cisp_netsim` packet
-//! simulator — the design → traffic → simulation → applications chain the
-//! paper's §5–§7 results run over.
+//! US and Europe deployments studied in the paper, [`traffic`] builds the
+//! §6.3 traffic models and §6.4 mixes over a scenario's cities, and
+//! [`evaluate`] lowers a designed topology plus a traffic matrix into the
+//! `cisp_netsim` packet simulator — the design → traffic → simulation →
+//! applications chain the paper's §5–§7 results run over.
 //!
 //! # Quickstart
 //!
@@ -57,6 +58,7 @@ pub mod hops;
 pub mod links;
 pub mod scenario;
 pub mod topology;
+pub mod traffic;
 
 pub use cost::CostModel;
 pub use design::{DesignInput, DesignOutcome, Designer};

@@ -266,7 +266,7 @@ impl ScoringWeights {
 /// weight) and per-row spans, the finiteness test in a `min(f64::MAX)`
 /// clamp (exact for scored pairs, which are finite; it only guards the
 /// `0 · ∞ = NaN` hazard on zero-weight lanes) — and accumulates in
-/// [`LANES`] fixed lanes with a deterministic pairwise horizontal
+/// `LANES` fixed lanes with a deterministic pairwise horizontal
 /// reduction, so results are reproducible run-to-run and identical serial
 /// vs sharded. Returns 1.0 when no pair carries traffic.
 pub fn mean_stretch_with_link_compact(

@@ -31,7 +31,7 @@
 //!   the receiver's pipeline of the link they came off.
 //!
 //! Both bounds are known before the first event, so a shard sizes its queue
-//! once, up front (see [`Shard::begin`]).
+//! once, up front (see `Shard::begin`).
 //!
 //! # Components, shards and the execution plan
 //!
@@ -62,16 +62,16 @@
 //! partition, per route hop — and for every window's two barriers, the
 //! windows lasting until its longest route has drained: (duration + that
 //! route's propagation) / lookahead of them. See
-//! [`WINDOWED_PACKETS_PER_WINDOW`] and [`WINDOWED_PACKETS_PER_HOP`] for
+//! `WINDOWED_PACKETS_PER_WINDOW` and `WINDOWED_PACKETS_PER_HOP` for
 //! the measured break-even. Everything else runs whole, including every
 //! `workers: 1` run and every component whose cut has zero lookahead.
 //!
-//! Both run the same per-event kernel, [`Shard`], generic over a
-//! [`Boundary`] policy that answers the three questions on which the modes
+//! Both run the same per-event kernel, `Shard`, generic over a
+//! `Boundary` policy that answers the three questions on which the modes
 //! differ: does this shard own a link, has the window ended, and where does
-//! a packet bound for a foreign link go. [`WholeComponent`] answers
+//! a packet bound for a foreign link go. `WholeComponent` answers
 //! "yes, never, nowhere" as constants, so its instantiation compiles
-//! without a boundary branch; [`WindowedShard`] consults the link-owner
+//! without a boundary branch; `WindowedShard` consults the link-owner
 //! table, the window end and its outboxes.
 //!
 //! Deliveries never touch link state, so the final transmit accounts for

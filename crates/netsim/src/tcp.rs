@@ -106,30 +106,37 @@ pub fn run_speed_mismatch(config: &SpeedMismatchConfig) -> SpeedMismatchReport {
     assert!(config.num_sources >= 1);
     assert!(config.offered_load > 0.0 && config.offered_load < 1.0);
 
-    // Network: sources 0..n, M = n, D = n+1. The ingress queue is unbounded.
-    let n = config.num_sources;
-    let m = n;
-    let d = n + 1;
-    let mut net = Network::new(n + 2);
-    let mut edge_links = Vec::new();
-    for s in 0..n {
-        edge_links.push(net.add_link(LinkSpec {
-            from: s,
-            to: m,
-            rate_bps: config.edge_rate_bps,
-            propagation_s: config.hop_propagation_s,
-            buffer_bytes: f64::INFINITY,
-        }));
+    let (flow_starts, packets) = schedule(config);
+    let (queue_samples, flow_completion) = carry(config, &flow_starts, &packets);
+    let mut fcts = SampleStats::default();
+    for &fct in &flow_completion {
+        if fct > 0.0 {
+            fcts.record(fct * 1e3);
+        }
     }
-    let bottleneck = net.add_link(LinkSpec {
-        from: m,
-        to: d,
-        rate_bps: config.bottleneck_rate_bps,
-        propagation_s: config.hop_propagation_s,
-        buffer_bytes: f64::INFINITY,
-    });
 
-    // Poisson flow arrivals, round-robin over sources.
+    SpeedMismatchReport {
+        median_queue_pkts: queue_samples.median(),
+        p95_queue_pkts: queue_samples.quantile(0.95),
+        median_fct_ms: fcts.median(),
+        p95_fct_ms: fcts.quantile(0.95),
+        flows: flow_starts.len(),
+    }
+}
+
+/// One TCP segment of a flow.
+struct Packet {
+    /// When the source puts it on its edge link.
+    emit: f64,
+    source: usize,
+    flow: usize,
+    last_of_flow: bool,
+}
+
+/// The flows' `(start, source)` — Poisson arrivals, round-robin over the
+/// sources — and every packet they send, in emission order (ties by flow).
+/// Emission times follow slow-start rounds.
+fn schedule(config: &SpeedMismatchConfig) -> (Vec<(f64, usize)>, Vec<Packet>) {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut flow_starts: Vec<(f64, usize)> = Vec::new();
     let mut t = 0.0;
@@ -141,25 +148,12 @@ pub fn run_speed_mismatch(config: &SpeedMismatchConfig) -> SpeedMismatchReport {
             break;
         }
         flow_starts.push((t, source));
-        source = (source + 1) % n;
+        source = (source + 1) % config.num_sources;
     }
 
     let segments_per_flow = (config.flow_bytes / config.segment_bytes).ceil() as usize;
     let rtt = config.base_rtt_s();
-    let mut queue_samples = SampleStats::default();
-    let mut fcts = SampleStats::default();
-
-    // Per-flow simulation: emission times follow slow-start rounds; each
-    // packet crosses its edge link, then the shared bottleneck. Flows are
-    // processed in global arrival order so they interleave correctly at M.
-    // First build every packet's emission time, then process in time order.
-    struct Pkt {
-        emit: f64,
-        source: usize,
-        flow: usize,
-        last_of_flow: bool,
-    }
-    let mut packets: Vec<Pkt> = Vec::new();
+    let mut packets: Vec<Packet> = Vec::new();
     for (flow_idx, &(start, src)) in flow_starts.iter().enumerate() {
         let mut sent = 0usize;
         let mut window = config.initial_window;
@@ -175,7 +169,7 @@ pub fn run_speed_mismatch(config: &SpeedMismatchConfig) -> SpeedMismatchReport {
                     config.segment_bytes * 8.0 / config.edge_rate_bps * k as f64
                 };
                 sent += 1;
-                packets.push(Pkt {
+                packets.push(Packet {
                     emit: round_start + offset,
                     source: src,
                     flow: flow_idx,
@@ -192,20 +186,70 @@ pub fn run_speed_mismatch(config: &SpeedMismatchConfig) -> SpeedMismatchReport {
             .unwrap()
             .then(a.flow.cmp(&b.flow))
     });
+    (flow_starts, packets)
+}
 
+/// Carry `packets` (in emission order) from their sources through the
+/// shared ingress `M` to the sink `D`. Returns the ingress backlog each
+/// packet finds on arrival at `M`, in packets, and each flow's completion
+/// time in seconds after its start.
+///
+/// Each edge link serves its source's packets in emission order. Two flows
+/// of one source can overlap on its edge link, so packets reach `M` out of
+/// emission order; the FIFO bottleneck then serves them in arrival order
+/// (ties by emission order).
+fn carry(
+    config: &SpeedMismatchConfig,
+    flow_starts: &[(f64, usize)],
+    packets: &[Packet],
+) -> (SampleStats, Vec<f64>) {
+    // Network: sources 0..n, M = n, D = n+1. The ingress queue is unbounded.
+    let n = config.num_sources;
+    let m = n;
+    let d = n + 1;
+    let mut net = Network::new(n + 2);
+    let edge_links: Vec<_> = (0..n)
+        .map(|s| {
+            net.add_link(LinkSpec {
+                from: s,
+                to: m,
+                rate_bps: config.edge_rate_bps,
+                propagation_s: config.hop_propagation_s,
+                buffer_bytes: f64::INFINITY,
+            })
+        })
+        .collect();
+    let bottleneck = net.add_link(LinkSpec {
+        from: m,
+        to: d,
+        rate_bps: config.bottleneck_rate_bps,
+        propagation_s: config.hop_propagation_s,
+        buffer_bytes: f64::INFINITY,
+    });
+
+    // Edge hops, in emission order.
+    let mut at_m: Vec<(f64, usize)> = packets
+        .iter()
+        .enumerate()
+        .map(|(k, pkt)| {
+            match net.transmit(edge_links[pkt.source], pkt.emit, config.segment_bytes) {
+                Transmit::Delivered { arrival, .. } => (arrival, k),
+                Transmit::Dropped => unreachable!("edge buffers are unbounded"),
+            }
+        })
+        .collect();
+    at_m.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+    // The bottleneck hop, in arrival order at `M`.
+    let mut queue_samples = SampleStats::default();
     let mut flow_completion: Vec<f64> = vec![0.0; flow_starts.len()];
-    for pkt in &packets {
-        // Edge hop.
-        let at_m = match net.transmit(edge_links[pkt.source], pkt.emit, config.segment_bytes) {
-            Transmit::Delivered { arrival, .. } => arrival,
-            Transmit::Dropped => unreachable!("edge buffers are unbounded"),
-        };
+    for (arrival, k) in at_m {
+        let pkt = &packets[k];
         // Sample the ingress backlog just before this packet joins it.
-        let backlog_s = (net.link_state(bottleneck).free_at - at_m).max(0.0);
+        let backlog_s = (net.link_state(bottleneck).free_at - arrival).max(0.0);
         let backlog_pkts = backlog_s * config.bottleneck_rate_bps / 8.0 / config.segment_bytes;
         queue_samples.record(backlog_pkts);
-        // Bottleneck hop.
-        let at_d = match net.transmit(bottleneck, at_m, config.segment_bytes) {
+        let at_d = match net.transmit(bottleneck, arrival, config.segment_bytes) {
             Transmit::Delivered { arrival, .. } => arrival,
             Transmit::Dropped => unreachable!("ingress buffer is unbounded"),
         };
@@ -213,19 +257,7 @@ pub fn run_speed_mismatch(config: &SpeedMismatchConfig) -> SpeedMismatchReport {
             flow_completion[pkt.flow] = at_d - flow_starts[pkt.flow].0;
         }
     }
-    for &fct in &flow_completion {
-        if fct > 0.0 {
-            fcts.record(fct * 1e3);
-        }
-    }
-
-    SpeedMismatchReport {
-        median_queue_pkts: queue_samples.median(),
-        p95_queue_pkts: queue_samples.quantile(0.95),
-        median_fct_ms: fcts.median(),
-        p95_fct_ms: fcts.quantile(0.95),
-        flows: flow_starts.len(),
-    }
+    (queue_samples, flow_completion)
 }
 
 #[cfg(test)]
@@ -306,6 +338,54 @@ mod tests {
         // A 100 KB flow needs ≥ 3 slow-start rounds plus transmission: FCT
         // must exceed one RTT (20 ms).
         assert!(report.median_fct_ms > 20.0);
+    }
+
+    /// Arrivals at `M` that come earlier than the one before them, in
+    /// emission order, and the Lindley recursion over the sorted arrivals:
+    /// each link starts a packet when both it and the packet are there.
+    fn lindley_reference(config: &SpeedMismatchConfig) -> (usize, Vec<f64>) {
+        let (flow_starts, packets) = schedule(config);
+        let tx = |rate_bps: f64| config.segment_bytes * 8.0 / rate_bps;
+        let prop = config.hop_propagation_s;
+        let mut edge_free = vec![0.0f64; config.num_sources];
+        let mut at_m: Vec<(f64, usize)> = packets
+            .iter()
+            .enumerate()
+            .map(|(k, p)| {
+                edge_free[p.source] = edge_free[p.source].max(p.emit) + tx(config.edge_rate_bps);
+                (edge_free[p.source] + prop, k)
+            })
+            .collect();
+        let reordered = at_m.windows(2).filter(|w| w[1].0 < w[0].0).count();
+        at_m.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut free = 0.0f64;
+        let mut completion = vec![0.0; flow_starts.len()];
+        for (arrival, k) in at_m {
+            free = free.max(arrival) + tx(config.bottleneck_rate_bps);
+            if packets[k].last_of_flow {
+                completion[packets[k].flow] = free + prop - flow_starts[packets[k].flow].0;
+            }
+        }
+        (reordered, completion)
+    }
+
+    #[test]
+    fn the_bottleneck_serves_packets_in_arrival_order() {
+        // Seed 10's control run has two flows of one source overlapping on
+        // its 100 Mbps edge link, so 11 packets reach `M` out of emission
+        // order.
+        let config = SpeedMismatchConfig {
+            duration_s: 1.0,
+            ..SpeedMismatchConfig::control_100mbps(false, 10)
+        };
+        let (reordered, expected) = lindley_reference(&config);
+        assert!(reordered > 0, "the seed must reorder arrivals at M");
+        let (flow_starts, packets) = schedule(&config);
+        let (_, completion) = carry(&config, &flow_starts, &packets);
+        assert_eq!(completion.len(), expected.len());
+        for (flow, (got, want)) in completion.iter().zip(&expected).enumerate() {
+            assert!((got - want).abs() < 1e-9, "flow {flow}: {got} vs {want}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! An inter-data-center cISP (the paper's §6.3 DC-DC scenario).
 //!
 //! Designs a low-latency network whose traffic matrix is uniform between the
-//! six US Google data-center sites, compares its cost per GB against the
+//! six US Google data-center sites (`cisp::core::traffic`'s DC–DC model,
+//! each DC represented by its closest population center), compares its cost per GB against the
 //! city-to-city deployment, and runs a short packet-level simulation of the
 //! result to confirm it carries its design load with negligible queueing.
 //!
@@ -11,6 +12,7 @@ use cisp::core::augment::augment_for_throughput;
 use cisp::core::cost::CostModel;
 use cisp::core::design::{DesignInput, Designer};
 use cisp::core::scenario::{Scenario, ScenarioConfig};
+use cisp::core::traffic::TrafficComponents;
 use cisp::data::datacenters::{dc_proxy_sites, google_us_datacenters};
 use cisp::data::towers::TowerRegistryConfig;
 
@@ -25,7 +27,6 @@ fn main() {
     println!("building the US scenario…");
     let scenario = Scenario::build(&config);
     let base = scenario.design_input();
-    let n = base.sites.len();
 
     // Represent each data center by the population center closest to it.
     let dc_sites = dc_proxy_sites(&base.sites);
@@ -34,18 +35,10 @@ fn main() {
         println!("  {:<22} → {}", dc.name, scenario.cities()[site].name);
     }
 
-    // Uniform DC-DC traffic.
-    let mut traffic = vec![vec![0.0; n]; n];
-    for &a in &dc_sites {
-        for &b in &dc_sites {
-            if a != b {
-                traffic[a][b] = 1.0;
-            }
-        }
-    }
+    // Uniform DC-DC traffic: the §6.3 DC–DC model over the same proxies.
     let input = DesignInput {
         sites: base.sites.clone(),
-        traffic: traffic.into(),
+        traffic: TrafficComponents::new(scenario.cities()).dc_dc,
         fiber_km: base.fiber_km.clone(),
         candidates: base.candidates.clone(),
     };

@@ -2,7 +2,7 @@
 //!
 //! This facade crate re-exports the whole workspace behind one dependency so
 //! that examples, integration tests and downstream users can write
-//! `use cisp::core::...` instead of depending on nine crates individually.
+//! `use cisp::core::...` instead of depending on eight crates individually.
 //!
 //! The workspace reproduces *"cISP: A Speed-of-Light Internet Service
 //! Provider"* (NSDI 2022): a design methodology for hybrid microwave + fiber
@@ -21,8 +21,7 @@
 //! | [`terrain`] | `cisp-terrain` | synthetic elevation + clutter model |
 //! | [`data`] | `cisp-data` | cities, data centers, towers, fiber conduits |
 //! | [`graph`] | `cisp-graph` | the shortest-path core, disjoint paths, flat matrices |
-//! | [`core`] | `cisp-core` | hop feasibility, topology design, augmentation, cost |
-//! | [`traffic`] | `cisp-traffic` | traffic matrices, mixes, perturbations |
+//! | [`core`] | `cisp-core` | hop feasibility, topology design, augmentation, cost, traffic models |
 //! | [`weather`] | `cisp-weather` | rain attenuation, storm year, failure analysis |
 //! | [`netsim`] | `cisp-netsim` | packet-level discrete-event simulator |
 //! | [`apps`] | `cisp-apps` | web PLT, gaming frame time, cost-benefit |
@@ -51,5 +50,4 @@ pub use cisp_geo as geo;
 pub use cisp_graph as graph;
 pub use cisp_netsim as netsim;
 pub use cisp_terrain as terrain;
-pub use cisp_traffic as traffic;
 pub use cisp_weather as weather;

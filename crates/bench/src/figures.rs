@@ -967,9 +967,10 @@ pub(crate) fn sec8_cost_benefit(ctx: &Context) {
 
     // The marginal question: with the backbone carrying both classes,
     // which MW-link upgrade most improves the foreground class's simulated
-    // P99 per dollar-km? The background aggregate is sized from the
-    // designed mix's DC-replication share of the combined offered load, so
-    // the simulated class split matches the mix's split.
+    // P99 per dollar-km? The background class is the DC–DC replication
+    // matrix between the DC proxies, its aggregate sized from the designed
+    // mix's DC-replication share of the combined offered load, so the
+    // simulated class split matches the mix's split.
     let bg_share = TrafficMix::designed().background_share();
     let traffic = population_product_traffic(scenario.cities());
     let eval_config = EvaluateConfig {
@@ -991,7 +992,8 @@ pub(crate) fn sec8_cost_benefit(ctx: &Context) {
     };
     let fg_gbps = eval_config.design_aggregate_gbps * eval_config.load_fraction;
     let bg_gbps = fg_gbps * bg_share / (1.0 - bg_share);
-    let lowered = lower_classified(&outcome.topology, &traffic, &traffic, bg_gbps, &eval_config);
+    let dc_dc = TrafficComponents::new(scenario.cities()).dc_dc;
+    let lowered = lower_classified(&outcome.topology, &traffic, &dc_dc, bg_gbps, &eval_config);
     let ranking = rank_upgrades(
         &outcome.topology,
         &lowered,

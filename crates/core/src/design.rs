@@ -168,7 +168,8 @@ pub struct DesignOutcome {
     pub total_towers: usize,
     /// Final traffic-weighted mean stretch.
     pub mean_stretch: f64,
-    /// The greedy build-out history (empty for non-greedy methods).
+    /// The greedy build-out history, one step per accepted link (see
+    /// [`Designer::cisp`] for how the swap polish leaves it).
     pub history: Vec<DesignStep>,
 }
 

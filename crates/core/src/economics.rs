@@ -17,7 +17,10 @@
 //!    queueing lives where utilisation does, so these are the only upgrades
 //!    that can move a delay quantile;
 //! 3. re-simulate once per shortlisted link with that link's rate multiplied
-//!    (both directions), pricing the upgrade as one extra parallel radio
+//!    (both directions) through [`LoweredNetwork::rerun`], re-routed from
+//!    the baseline's table — under shortest-path routing a rate cannot move
+//!    a route, and the load-aware schemes recompute on the upgraded
+//!    network — pricing the upgrade as one extra parallel radio
 //!    series over the link's tower path ([`CostModel::hop_cost_1gbps_usd`]
 //!    per tower-to-tower hop — the same marginal cost the augmentation step
 //!    charges for added series);
@@ -31,8 +34,7 @@
 //!
 //! [`SimReport::per_class`]: cisp_netsim::SimReport::per_class
 
-use cisp_netsim::jobs::drain_jobs;
-use cisp_netsim::{SimReport, Simulation};
+use cisp_netsim::SimReport;
 
 use crate::cost::CostModel;
 use crate::evaluate::LoweredNetwork;
@@ -134,7 +136,8 @@ pub fn rank_upgrades(
         "lowering does not match the topology's MW links"
     );
 
-    let baseline = lowered.simulation().run();
+    let mut baseline_sim = lowered.simulation();
+    let baseline = baseline_sim.run();
     let baseline_fg_p99_ms = foreground_p99_ms(&baseline);
 
     // Shortlist by simulated utilisation (max over the two directions),
@@ -152,22 +155,20 @@ pub fn rank_upgrades(
     shortlist.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     shortlist.truncate(config.max_candidates);
 
-    // One run per shortlisted link, `sim.workers` of them in flight.
-    let (width, sim) = lowered.config.sim.across_runs(shortlist.len());
-    let (mut options, _) = drain_jobs(
+    let mut options = lowered.rerun(
+        baseline_sim.routes(),
         shortlist.len(),
-        width,
-        || (),
-        |_, j| {
-            let (idx, utilization) = shortlist[j];
-            let (fwd, rev) = lowered.mw_link_ids[idx];
-            let link = &mw_links[idx];
-            let mut network = lowered.network.clone();
+        |j, network| {
+            let (fwd, rev) = lowered.mw_link_ids[shortlist[j].0];
             for id in [fwd, rev] {
                 network.set_link_rate(id, network.link(id).rate_bps * config.rate_multiplier);
             }
-            let report = Simulation::new(network, lowered.demands.clone(), sim).run();
-            let upgraded_fg_p99_ms = foreground_p99_ms(&report);
+            Vec::new()
+        },
+        |j, sim| {
+            let (idx, utilization) = shortlist[j];
+            let link = &mw_links[idx];
+            let upgraded_fg_p99_ms = foreground_p99_ms(&sim.run());
             let improvement_ms = baseline_fg_p99_ms - upgraded_fg_p99_ms;
             let upgrade_cost_usd =
                 link_hops(link.tower_count) as f64 * cost_model.hop_cost_1gbps_usd;

@@ -33,8 +33,9 @@
 use cisp_geo::latency;
 use cisp_geo::units::{FIBER_LATENCY_FACTOR, SPEED_OF_LIGHT_KM_PER_S};
 use cisp_graph::DistMatrix;
+use cisp_netsim::jobs::drain_jobs;
 use cisp_netsim::network::{LinkId, LinkSpec, Network};
-use cisp_netsim::routing::{compute_routes_avoiding, Demand, TrafficClass};
+use cisp_netsim::routing::{reroute_avoiding, Demand, RoutingTable, TrafficClass};
 use cisp_netsim::sim::{SimConfig, Simulation};
 use cisp_netsim::SimReport;
 
@@ -153,29 +154,39 @@ impl LoweredNetwork {
         Simulation::new(self.network.clone(), self.demands.clone(), self.config.sim)
     }
 
-    /// A simulation whose routes avoid the masked links.
-    fn simulation_avoiding(&self, disabled: &[bool]) -> Simulation {
-        let routes = compute_routes_avoiding(
-            &self.network,
-            &self.demands,
-            self.config.sim.routing,
-            disabled,
-        );
-        Simulation::with_routes(
-            self.network.clone(),
-            self.demands.clone(),
-            routes,
-            self.config.sim,
+    /// Re-run the lowered network under `n` what-if variants — storm
+    /// intervals, conduit cuts, link upgrades — and return one row per
+    /// variant, in variant order.
+    ///
+    /// `base` is the fair-weather table (`self.simulation().routes()`).
+    /// `variant(v, network)` may scale link rates on a clone of
+    /// [`Self::network`] and returns variant `v`'s disabled-link mask
+    /// (empty = every link up); the demands are re-routed from `base` by
+    /// [`reroute_avoiding`], and `row(v, simulation)` runs the result.
+    /// [`SimConfig::workers`] is spent across the variants
+    /// ([`SimConfig::across_runs`]); the rows do not depend on it.
+    pub fn rerun<T: Send>(
+        &self,
+        base: &RoutingTable,
+        n: usize,
+        variant: impl Fn(usize, &mut Network) -> Vec<bool> + Sync,
+        row: impl Fn(usize, &mut Simulation) -> T + Sync,
+    ) -> Vec<T> {
+        let (width, sim) = self.config.sim.across_runs(n);
+        drain_jobs(
+            n,
+            width,
+            || (),
+            |_, v| {
+                let mut network = self.network.clone();
+                let disabled = variant(v, &mut network);
+                let routes =
+                    reroute_avoiding(&network, &self.demands, base, sim.routing, &disabled);
+                let mut run = Simulation::with_routes(network, self.demands.clone(), routes, sim);
+                row(v, &mut run)
+            },
         )
-    }
-
-    /// A simulation whose routes avoid the given *cut conduit segments*
-    /// (indices into the topology's conduit layer): surviving traffic
-    /// re-routes over the remaining conduits and the microwave spine;
-    /// demands with no surviving path emit nothing. Only meaningful on a
-    /// conduit-backed lowering.
-    pub fn simulation_without_conduits(&self, cut_segments: &[usize]) -> Simulation {
-        self.simulation_avoiding(&self.conduit_disabled_mask(cut_segments))
+        .0
     }
 }
 
@@ -658,12 +669,30 @@ mod tests {
     fn failing_a_link_reroutes_and_raises_latency() {
         let topo = test_topology();
         let lowered = lower(&topo, topo.traffic(), &fast_config());
-        let fair = lowered.simulation().run();
-        // Fail every MW link: everything rides fiber, so the mean delay
-        // must rise strictly.
+        let mut fair_sim = lowered.simulation();
+        let fair = fair_sim.run();
+        // Variant 0 changes nothing; variant 1 fails every MW link, so
+        // everything rides fiber and the mean delay must rise strictly;
+        // variant 2 doubles the first MW link's rate, which the run sees.
         let all_failed: Vec<usize> = (0..topo.mw_links().len()).collect();
         let mask = lowered.disabled_mask(&all_failed);
-        let stormy = lowered.simulation_avoiding(&mask).run();
+        let (fwd, _) = lowered.mw_link_ids[0];
+        let rows = lowered.rerun(
+            fair_sim.routes(),
+            3,
+            |v, network| match v {
+                1 => mask.clone(),
+                2 => {
+                    network.set_link_rate(fwd, network.link(fwd).rate_bps * 2.0);
+                    Vec::new()
+                }
+                _ => Vec::new(),
+            },
+            |_, sim| (sim.network().link(fwd).rate_bps, sim.run()),
+        );
+        assert_eq!(rows[0].1, fair);
+        assert_eq!(rows[2].0, 2.0 * lowered.network.link(fwd).rate_bps);
+        let stormy = &rows[1].1;
         assert!(stormy.delivered > 0);
         assert!(
             stormy.mean_delay_ms > fair.mean_delay_ms,

@@ -352,8 +352,13 @@ pub fn compute_routes_avoiding(
 }
 
 /// [`compute_routes_avoiding`] for a caller that already holds
-/// `base_routes = compute_routes(network, demands, scheme)`: the same table,
-/// from re-routing only what the failure touches.
+/// `base_routes = compute_routes(base_network, demands, scheme)`: the same
+/// table, from re-routing only what the failure touches.
+///
+/// `network` may differ from `base_network` in link rates only — same
+/// nodes, same links in the same order, same propagation delays. Shortest
+/// paths weigh propagation alone, so a rate cannot move one; the load-aware
+/// schemes recompute on `network` and so see its rates.
 ///
 /// Under [`RoutingScheme::ShortestPath`] a base route that crosses no
 /// disabled link is kept as it is. Removing links lengthens distances or

@@ -162,8 +162,9 @@ pub struct SimConfig {
     /// Worker threads: 0 = the machine's available parallelism, 1 =
     /// serial. Results are bit-identical for every value. How a run spends
     /// them is decided per component before the first event (see the
-    /// [module docs](self)). A sweep of many short runs (`cisp_weather::simulate`,
-    /// `cisp_core::economics::rank_upgrades`) spends this budget *across*
+    /// [module docs](self)). A sweep of many short runs (the what-if
+    /// re-runs of `cisp_core::evaluate::LoweredNetwork::rerun`: storm
+    /// intervals, conduit cuts, link upgrades) spends this budget *across*
     /// its runs — that many runs in flight, each serial inside — because a
     /// millisecond-scale run loses more to its own threads than it gains.
     pub workers: usize,

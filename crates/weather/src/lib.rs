@@ -25,10 +25,11 @@
 //!   intervals (best / 99th percentile / worst / fiber-only), i.e. the data
 //!   behind Fig. 7.
 //! * [`simulate`] — the queueing-aware variant: failed links are mapped onto
-//!   the lowered packet network (`cisp_core::evaluate`), routes are
-//!   recomputed around them, and the traffic is replayed through the packet
-//!   engine, so storm scenarios report delivered latency and loss rather
-//!   than geodesic stretch alone.
+//!   the lowered packet network (`cisp_core::evaluate`), the routes that
+//!   crossed them are re-routed (`LoweredNetwork::rerun`), and the traffic
+//!   is replayed through the packet engine, so storm scenarios and conduit
+//!   cuts report delivered latency and loss rather than geodesic stretch
+//!   alone.
 
 pub mod attenuation;
 pub mod failures;

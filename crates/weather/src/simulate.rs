@@ -23,18 +23,20 @@
 //! failure set equals the previous stormy one is a copy of that row (2 of
 //! the 133 stormy intervals of the paper-scale sweep; a memo keyed by
 //! failure set finds no further repeat), and every other interval is a job.
-//! The jobs are drained by [`drain_jobs`] at a width of
-//! [`SimConfig::workers`] resolved as the engine resolves it (`0` = one per
-//! core; [`SimConfig::across_runs`]), and each job — re-route against the
-//! fair routes, clone network and demands, simulate, reduce to a row — runs
-//! on its worker with `workers: 1` whenever more than one job is in flight:
-//! a 6 ms run loses 1.7 ms to component-sharding threads of its own.
-//! `workers: 1` is therefore the fully serial sweep, and every width returns
-//! its rows bit for bit ([`SimReport`] does not depend on `workers`, jobs
-//! share nothing they write, rows are placed by job index).
-//! [`conduit_cut_analysis_on`] spends the same budget the same way over its
-//! cut scenarios.
+//! The jobs go to [`LoweredNetwork::rerun`], the one what-if path: it
+//! spends [`SimConfig::workers`] across them (resolved as the engine
+//! resolves it, `0` = one per core; [`SimConfig::across_runs`]), and each
+//! job — re-route against the fair routes, clone network and demands,
+//! simulate, reduce to a row — runs on its worker with `workers: 1`
+//! whenever more than one job is in flight: a 6 ms run loses 1.7 ms to
+//! component-sharding threads of its own. `workers: 1` is therefore the
+//! fully serial sweep, and every width returns its rows bit for bit
+//! ([`SimReport`] does not depend on `workers`, jobs share nothing they
+//! write, rows are placed by job index). [`conduit_cut_analysis`] runs its
+//! cut scenarios through the same method, and so does
+//! `cisp_core::economics::rank_upgrades` its upgrade candidates.
 //!
+//! [`reroute_avoiding`]: cisp_netsim::routing::reroute_avoiding
 //! [`SimConfig`]: cisp_netsim::sim::SimConfig
 //! [`SimConfig::workers`]: cisp_netsim::sim::SimConfig::workers
 //! [`SimConfig::across_runs`]: cisp_netsim::sim::SimConfig::across_runs
@@ -42,8 +44,6 @@
 use cisp_core::evaluate::{lower, EvaluateConfig, LoweredNetwork};
 use cisp_core::topology::HybridTopology;
 use cisp_graph::DistMatrix;
-use cisp_netsim::jobs::drain_jobs;
-use cisp_netsim::routing::{compute_routes_avoiding, reroute_avoiding};
 use cisp_netsim::sim::Simulation;
 use cisp_netsim::SimReport;
 
@@ -144,7 +144,6 @@ pub fn storm_queueing_analysis(
     let lowered = lower(topology, offered_traffic, evaluate_config);
     let mut fair_sim = lowered.simulation();
     let fair = IntervalQueueing::from_report(&fair_sim.run(), 0);
-    let fair_routes = fair_sim.routes();
 
     let workers = lowered.config.sim.workers;
     let failures = failure_sweep_on(topology, fields, failure_config, workers).0;
@@ -164,23 +163,11 @@ pub fn storm_queueing_analysis(
         })
         .collect();
 
-    let (width, sim) = lowered.config.sim.across_runs(jobs.len());
-    let (rows, _) = drain_jobs(
+    let rows = lowered.rerun(
+        fair_sim.routes(),
         jobs.len(),
-        width,
-        || (),
-        |_, j| {
-            let routes = reroute_avoiding(
-                &lowered.network,
-                &lowered.demands,
-                fair_routes,
-                sim.routing,
-                &lowered.disabled_mask(jobs[j]),
-            );
-            let (network, demands) = (lowered.network.clone(), lowered.demands.clone());
-            let report = Simulation::with_routes(network, demands, routes, sim).run();
-            IntervalQueueing::from_report(&report, jobs[j].len())
-        },
+        |j, _| lowered.disabled_mask(jobs[j]),
+        |j, sim| IntervalQueueing::from_report(&sim.run(), jobs[j].len()),
     );
 
     let intervals = row_of
@@ -280,64 +267,35 @@ fn conduit_outcome(sim: &mut Simulation, cut_segments: usize) -> ConduitCutOutco
     }
 }
 
-/// Fiber-cut analysis over a conduit-backed topology: for every scenario
+/// Fiber-cut analysis over a conduit-backed lowering: for every scenario
 /// (a set of conduit segment indices to sever), disable the affected
-/// simulator links, recompute routes around them — surviving traffic
-/// re-routes over the remaining conduits and the microwave spine — and
-/// replay the same demand set through the packet engine. This is the
+/// simulator links, re-route the demands that crossed them — surviving
+/// traffic re-routes over the remaining conduits and the microwave spine —
+/// and replay the same demand set through the packet engine. This is the
 /// scenario family the paper's conduit grounding motivates and a
 /// pre-flattened fiber matrix cannot express: cutting one physical
-/// segment severs *every* route that shares it.
+/// segment severs *every* route that shares it. Taking the lowering (e.g.
+/// the one [`most_loaded_conduits`] ranked segments on) means ranking and
+/// cutting cannot run under mismatched configurations.
 ///
-/// Panics unless `topology` is conduit-backed
-/// ([`HybridTopology::with_conduits`]). Callers that have already lowered
-/// the topology (e.g. to rank segments with [`most_loaded_conduits`])
-/// should use [`conduit_cut_analysis_on`] instead, which reuses that
-/// lowering and so cannot rank and cut under mismatched configurations.
+/// Panics unless `lowered` is conduit-backed
+/// ([`HybridTopology::with_conduits`]).
 pub fn conduit_cut_analysis(
-    topology: &HybridTopology,
-    offered_traffic: &DistMatrix,
-    cut_scenarios: &[Vec<usize>],
-    evaluate_config: &EvaluateConfig,
-) -> ConduitCutReport {
-    assert!(
-        topology.conduits().is_some(),
-        "conduit_cut_analysis needs a conduit-backed topology \
-         (HybridTopology::with_conduits)"
-    );
-    conduit_cut_analysis_on(
-        &lower(topology, offered_traffic, evaluate_config),
-        cut_scenarios,
-    )
-}
-
-/// [`conduit_cut_analysis`] over an existing conduit-backed lowering.
-pub fn conduit_cut_analysis_on(
     lowered: &LoweredNetwork,
     cut_scenarios: &[Vec<usize>],
 ) -> ConduitCutReport {
     assert!(
         !lowered.conduit_link_ids.is_empty(),
-        "conduit cut analysis needs a conduit-backed lowering"
+        "conduit cut analysis needs a conduit-backed lowering \
+         (HybridTopology::with_conduits)"
     );
-    let baseline = conduit_outcome(&mut lowered.simulation(), 0);
-    let (width, sim) = lowered.config.sim.across_runs(cut_scenarios.len());
-    let (cuts, _) = drain_jobs(
+    let mut fair = lowered.simulation();
+    let baseline = conduit_outcome(&mut fair, 0);
+    let cuts = lowered.rerun(
+        fair.routes(),
         cut_scenarios.len(),
-        width,
-        || (),
-        |_, j| {
-            let cut = &cut_scenarios[j];
-            let routes = compute_routes_avoiding(
-                &lowered.network,
-                &lowered.demands,
-                sim.routing,
-                &lowered.conduit_disabled_mask(cut),
-            );
-            let (network, demands) = (lowered.network.clone(), lowered.demands.clone());
-            let mut run = Simulation::with_routes(network, demands, routes, sim);
-            conduit_outcome(&mut run, cut.len())
-        },
+        |j, _| lowered.conduit_disabled_mask(&cut_scenarios[j]),
+        |j, sim| conduit_outcome(sim, cut_scenarios[j].len()),
     );
     ConduitCutReport { baseline, cuts }
 }
@@ -483,7 +441,7 @@ mod tests {
 
         // Cut the most-loaded conduit alone, then the two most-loaded.
         let scenarios = vec![vec![ranked[0]], ranked.iter().copied().take(2).collect()];
-        let report = conduit_cut_analysis(&topo, topo.traffic(), &scenarios, &config);
+        let report = conduit_cut_analysis(&lowered, &scenarios);
         assert_eq!(report.baseline.cut_segments, 0);
         assert_eq!(report.baseline.unroutable_demands, 0);
         assert!(report.baseline.delivered > 0);
@@ -513,7 +471,7 @@ mod tests {
         let topo = conduit_topology();
         let config = fast_config();
         let all: Vec<usize> = (0..topo.conduits().unwrap().num_segments()).collect();
-        let report = conduit_cut_analysis(&topo, topo.traffic(), &[all], &config);
+        let report = conduit_cut_analysis(&lower(&topo, topo.traffic(), &config), &[all]);
         let cut = &report.cuts[0];
         assert_eq!(cut.cut_segments, 4);
         // No MW spine and no conduits: every distinct-endpoint demand dies.
@@ -526,6 +484,6 @@ mod tests {
     #[should_panic(expected = "conduit-backed")]
     fn conduit_cut_analysis_rejects_matrix_backed_topologies() {
         let topo = test_topology();
-        conduit_cut_analysis(&topo, topo.traffic(), &[], &fast_config());
+        conduit_cut_analysis(&lower(&topo, topo.traffic(), &fast_config()), &[]);
     }
 }

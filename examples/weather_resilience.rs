@@ -12,7 +12,8 @@
 //! fiber fallbacks sharing physical conduit capacity), not just geodesic
 //! stretch. Finally, the failure mode microwave weather cannot cause:
 //! severing the most-loaded fiber conduit segments
-//! (`cisp_weather::simulate::conduit_cut_analysis`).
+//! (`cisp_weather::simulate::conduit_cut_analysis`, re-run from the uncut
+//! lowering's routes).
 //!
 //! Run with: `cargo run --release --example weather_resilience`
 
@@ -22,7 +23,7 @@ use cisp::netsim::sim::SimConfig;
 use cisp::weather::failures::{link_failures, FailureConfig, FailureGeometry};
 use cisp::weather::reroute::{weather_year_analysis, WeatherSeries};
 use cisp::weather::simulate::{
-    conduit_cut_analysis_on, most_loaded_conduits, storm_queueing_analysis,
+    conduit_cut_analysis, most_loaded_conduits, storm_queueing_analysis,
 };
 use cisp::weather::storms::{StormYear, StormYearConfig};
 
@@ -135,7 +136,7 @@ fn main() {
     let scenarios: Vec<Vec<usize>> = (1..=3.min(ranked.len()))
         .map(|k| ranked.iter().copied().take(k).collect())
         .collect();
-    let cuts = conduit_cut_analysis_on(&lowered, &scenarios);
+    let cuts = conduit_cut_analysis(&lowered, &scenarios);
     println!(
         "  sparse spine ({} MW links, {} conduit segments), uncut: mean delay {:.3} ms, loss {:.3} %",
         sparse.selected.len(),

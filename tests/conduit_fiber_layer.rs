@@ -9,7 +9,7 @@ use cisp::core::evaluate::{lower, pair_rtts, EvaluateConfig};
 use cisp::core::scenario::{population_product_traffic, Scenario, ScenarioConfig};
 use cisp::netsim::jobs::test_widths;
 use cisp::netsim::sim::{ExecMode, SimConfig, Simulation};
-use cisp::weather::simulate::{conduit_cut_analysis_on, most_loaded_conduits};
+use cisp::weather::simulate::{conduit_cut_analysis, most_loaded_conduits};
 
 fn eval_config() -> EvaluateConfig {
     EvaluateConfig {
@@ -201,7 +201,7 @@ fn conduit_cuts_on_the_designed_backbone_degrade_delivery() {
     let baseline = lowered.simulation().run();
     let ranked = most_loaded_conduits(&lowered, &baseline);
     assert!(!ranked.is_empty());
-    let report = conduit_cut_analysis_on(
+    let report = conduit_cut_analysis(
         &lowered,
         &[vec![ranked[0]], ranked.iter().copied().take(3).collect()],
     );

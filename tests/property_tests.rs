@@ -326,10 +326,16 @@ proptest! {
     }
 
     // Re-routing only what a failure touches yields the table a full
-    // recomputation does.
+    // recomputation does — also on a copy of the network whose link rates
+    // differ from the base table's (a what-if upgrade).
     #[test]
     fn reroute_avoiding_matches_full_recomputation(seed in 0u64..u64::MAX) {
         let (net, demands, masks) = random_routing_case(seed);
+        let mut scaled = net.clone();
+        for id in 0..scaled.num_links() {
+            let factor = [1.0, 2.0, 5.0][(seed as usize / 7 + id) % 3];
+            scaled.set_link_rate(id, scaled.link(id).rate_bps * factor);
+        }
         for scheme in ROUTING_SCHEMES {
             let base = compute_routes(&net, &demands, scheme);
             prop_assert!(base.route(0).is_empty());
@@ -340,6 +346,9 @@ proptest! {
                 if !mask.contains(&true) {
                     prop_assert_eq!(&partial, &base);
                 }
+                let full = compute_routes_avoiding(&scaled, &demands, scheme, mask);
+                let partial = reroute_avoiding(&scaled, &demands, &base, scheme, mask);
+                prop_assert!(partial == full, "{:?} rate-scaled, under {:?}", scheme, mask);
             }
         }
     }

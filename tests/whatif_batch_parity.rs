@@ -6,8 +6,10 @@
 //! are the loops a user would write (and `cisp_benchmark`'s decomposed storm
 //! op does write): `lower`, `lowered.simulation().run()`, then per variant
 //! the failure or cut mask, `compute_routes_avoiding`, and
-//! `Simulation::with_routes(..).run()` at `workers: 1`. No memo, no job
-//! list, no `reroute_avoiding`.
+//! `Simulation::with_routes(..).run()` at `workers: 1`; per upgrade, the
+//! rate-scaled network through `Simulation::new(..).run()`, which routes
+//! from scratch. No memo, no job list, no `reroute_avoiding`, no
+//! `LoweredNetwork::rerun`.
 //!
 //! The widths swept come from `CISP_TEST_WORKERS` (comma-separated, default
 //! `1,2,4`, as in `tests/sim_pipeline_parity.rs`), plus `0` — the machine's
@@ -23,12 +25,12 @@ use cisp::geo::{geodesic, GeoPoint};
 use cisp::graph::DistMatrix;
 use cisp::netsim::flows::ArrivalProcess;
 use cisp::netsim::jobs::test_widths;
-use cisp::netsim::routing::compute_routes_avoiding;
+use cisp::netsim::routing::{compute_routes_avoiding, RoutingScheme};
 use cisp::netsim::sim::{SimConfig, Simulation};
 use cisp::netsim::SimReport;
 use cisp::weather::failures::{failure_sweep, link_failures, FailureConfig, FailureGeometry};
 use cisp::weather::simulate::{
-    conduit_cut_analysis_on, ConduitCutOutcome, ConduitCutReport, IntervalQueueing,
+    conduit_cut_analysis, ConduitCutOutcome, ConduitCutReport, IntervalQueueing,
 };
 use cisp::weather::storms::{Storm, StormField, StormYear, StormYearConfig};
 use cisp::weather::{storm_queueing_analysis, QueueingWeatherReport};
@@ -120,6 +122,23 @@ fn interval(report: &SimReport, failed_links: usize) -> IntervalQueueing {
     }
 }
 
+/// A fresh simulation of `lowered` whose every route is recomputed around
+/// the masked links.
+fn run_avoiding(lowered: &LoweredNetwork, disabled: &[bool]) -> Simulation {
+    let routes = compute_routes_avoiding(
+        &lowered.network,
+        &lowered.demands,
+        lowered.config.sim.routing,
+        disabled,
+    );
+    Simulation::with_routes(
+        lowered.network.clone(),
+        lowered.demands.clone(),
+        routes,
+        lowered.config.sim,
+    )
+}
+
 /// The serial storm sweep from public calls: every stormy field is a fresh
 /// re-route of every demand and a fresh run.
 fn serial_storm_sweep(
@@ -139,19 +158,7 @@ fn serial_storm_sweep(
             if failed.is_empty() {
                 return fair.clone();
             }
-            let routes = compute_routes_avoiding(
-                &lowered.network,
-                &lowered.demands,
-                config.sim.routing,
-                &lowered.disabled_mask(&failed),
-            );
-            let report = Simulation::with_routes(
-                lowered.network.clone(),
-                lowered.demands.clone(),
-                routes,
-                config.sim,
-            )
-            .run();
+            let report = run_avoiding(&lowered, &lowered.disabled_mask(&failed)).run();
             interval(&report, failed.len())
         })
         .collect();
@@ -399,7 +406,8 @@ fn conduit_cuts_match_the_serial_oracle_at_every_width() {
             cuts: scenarios
                 .iter()
                 .map(|cut| {
-                    serial_conduit_outcome(serial.simulation_without_conduits(cut), cut.len())
+                    let run = run_avoiding(&serial, &serial.conduit_disabled_mask(cut));
+                    serial_conduit_outcome(run, cut.len())
                 })
                 .collect(),
         };
@@ -409,7 +417,7 @@ fn conduit_cuts_match_the_serial_oracle_at_every_width() {
                 topology.traffic(),
                 &with_workers(&config, workers),
             );
-            let got = conduit_cut_analysis_on(&lowered, scenarios);
+            let got = conduit_cut_analysis(&lowered, scenarios);
             assert_eq!(
                 outcome_bits(&got.baseline),
                 outcome_bits(&expected.baseline)
@@ -426,16 +434,27 @@ fn conduit_cuts_match_the_serial_oracle_at_every_width() {
         }
     }
     // The fixture bites: cutting everything strands every demand.
-    let all_cut = serial_conduit_outcome(serial.simulation_without_conduits(&[0, 1, 2, 3]), 4);
+    let all_cut = serial_conduit_outcome(
+        run_avoiding(&serial, &serial.conduit_disabled_mask(&[0, 1, 2, 3])),
+        4,
+    );
     assert_eq!((all_cut.unroutable_demands, all_cut.delivered), (12, 0));
 }
 
-fn classified_lowering(topology: &HybridTopology, workers: usize) -> LoweredNetwork {
+fn classified_lowering(
+    topology: &HybridTopology,
+    routing: RoutingScheme,
+    workers: usize,
+) -> LoweredNetwork {
     let config = EvaluateConfig {
         load_fraction: 0.9,
+        // Fiber in the MW links' rate range, so min-max routing weighs the
+        // two and an upgraded MW link draws routes onto itself.
+        fiber_rate_bps: 2e9,
         sim: SimConfig {
             duration_s: 0.05,
             arrivals: ArrivalProcess::Poisson,
+            routing,
             workers,
             ..SimConfig::default()
         },
@@ -478,30 +497,50 @@ fn upgrade_ranking_is_the_same_at_every_width() {
     let topology = chain_topology();
     let upgrade = UpgradeConfig::default();
     let cost = CostModel::default();
-    let serial = classified_lowering(&topology, 1);
-    let expected = rank_upgrades(&topology, &serial, &cost, &upgrade);
-    assert_eq!(expected.options.len(), 3);
+    for routing in [
+        RoutingScheme::ShortestPath,
+        RoutingScheme::MinMaxUtilization,
+    ] {
+        let serial = classified_lowering(&topology, routing, 1);
+        let expected = rank_upgrades(&topology, &serial, &cost, &upgrade);
+        assert_eq!(expected.options.len(), 3);
 
-    // Each option's re-simulation, from public calls.
-    for option in &expected.options {
-        let (fwd, rev) = serial.mw_link_ids[option.mw_link_index];
-        let mut network = serial.network.clone();
-        for id in [fwd, rev] {
-            network.set_link_rate(id, network.link(id).rate_bps * upgrade.rate_multiplier);
+        // Each option's re-simulation, from public calls, routed from
+        // scratch on the upgraded network.
+        let base = serial.simulation().routes().clone();
+        let mut moved_routes = 0;
+        for option in &expected.options {
+            let (fwd, rev) = serial.mw_link_ids[option.mw_link_index];
+            let mut network = serial.network.clone();
+            for id in [fwd, rev] {
+                network.set_link_rate(id, network.link(id).rate_bps * upgrade.rate_multiplier);
+            }
+            let mut run = Simulation::new(network, serial.demands.clone(), serial.config.sim);
+            moved_routes += usize::from(*run.routes() != base);
+            let p99 = run.run().per_class.unwrap().foreground.p99_queue_delay_ms;
+            assert_eq!(
+                option.upgraded_fg_p99_ms.to_bits(),
+                p99.to_bits(),
+                "{routing:?}, link {}",
+                option.mw_link_index
+            );
         }
-        let report = Simulation::new(network, serial.demands.clone(), serial.config.sim).run();
-        let p99 = report.per_class.unwrap().foreground.p99_queue_delay_ms;
-        assert_eq!(option.upgraded_fg_p99_ms.to_bits(), p99.to_bits());
-    }
+        // Under shortest-path routing a rate moves no route; under min-max
+        // an upgrade does, so a ranking that kept the base routes fails.
+        match routing {
+            RoutingScheme::ShortestPath => assert_eq!(moved_routes, 0),
+            _ => assert!(moved_routes > 0, "{routing:?}: no upgrade moved a route"),
+        }
 
-    for workers in widths_then_machine() {
-        let lowered = classified_lowering(&topology, workers);
-        let got = rank_upgrades(&topology, &lowered, &cost, &upgrade);
-        assert_eq!(
-            ranking_bits(&got),
-            ranking_bits(&expected),
-            "workers {workers}"
-        );
+        for workers in widths_then_machine() {
+            let lowered = classified_lowering(&topology, routing, workers);
+            let got = rank_upgrades(&topology, &lowered, &cost, &upgrade);
+            assert_eq!(
+                ranking_bits(&got),
+                ranking_bits(&expected),
+                "{routing:?}, workers {workers}"
+            );
+        }
     }
 }
 

@@ -19,6 +19,11 @@
 //!   (The paper hands the pruned pool to Gurobi; our pool-restricted
 //!   selection plus swaps plays that role, and [`crate::exact`] finds the
 //!   true optimum for the small instances where it is tractable.)
+//!   The re-selection resumes from the pruning greedy: while the real
+//!   budget is slack both greedies pick the same links in the same order,
+//!   so the longest prefix of the pool that fits the budget is replayed
+//!   with the one-link kernel and only the rounds after it are run (the
+//!   exactness argument is in [`Designer::cisp`]'s docs).
 //!
 //! Both procedures start by applying the paper's "fiber oracle" elimination:
 //! a candidate MW link whose length is no better than the fiber distance
@@ -80,7 +85,7 @@
 use std::time::Instant;
 
 use cisp_geo::GeoPoint;
-use cisp_graph::{leave_out_closures, DistMatrix};
+use cisp_graph::{improve_with_link, leave_out_closures, DistMatrix};
 use cisp_netsim::jobs::resolve_workers;
 
 use crate::engine::{PoolScorer, RoundUpdate, ScoreContext};
@@ -258,17 +263,15 @@ impl<'a> Designer<'a> {
     /// every candidate every round would choose while almost all O(n²)
     /// sweeps disappear.
     fn greedy_sharded(&self, pool: &[usize], budget_towers: f64, shards: usize) -> DesignOutcome {
-        let input = self.input;
-        let ctx = ScoreContext {
-            candidates: &input.candidates,
-            pool,
-            sw: &self.sw,
-        };
-        let mut scorer = PoolScorer::new(pool.len(), shards);
-        let selected = self.run_incremental(&ctx, &mut scorer, budget_towers);
+        let fiber = self.input.fiber_km.clone();
+        self.outcome_of(self.run_incremental(pool, budget_towers, shards, fiber, 0))
+    }
 
-        // Replay the selection through a fresh topology so the returned
-        // state (and its reported stretch) is what `add_mw_link` builds.
+    /// Replay a selection through a fresh topology, so the returned state
+    /// (and its reported stretch) is what `add_mw_link` builds; `history`
+    /// gets one step per link.
+    fn outcome_of(&self, selected: Vec<usize>) -> DesignOutcome {
+        let input = self.input;
         let mut topology = input.empty_topology();
         let mut history = Vec::with_capacity(selected.len());
         let mut total_towers = 0usize;
@@ -291,20 +294,29 @@ impl<'a> Designer<'a> {
         }
     }
 
-    /// The incremental greedy's selection loop over the effective matrix,
-    /// which starts as fiber: returns the accepted candidate indices in
-    /// acceptance order.
+    /// The incremental greedy's selection loop over `pool` on `shards`
+    /// scoring shards, resumed from a state an earlier selection left:
+    /// `matrix` is the effective matrix (fiber improved by the links
+    /// already chosen) and `spent` their tower count, which the budget
+    /// includes. Returns the newly accepted candidate indices in acceptance
+    /// order.
     fn run_incremental(
         &self,
-        ctx: &ScoreContext,
-        scorer: &mut PoolScorer,
+        pool: &[usize],
         budget_towers: f64,
+        shards: usize,
+        mut matrix: DistMatrix,
+        spent: usize,
     ) -> Vec<usize> {
-        let pool = ctx.pool;
+        let ctx = ScoreContext {
+            candidates: &self.input.candidates,
+            pool,
+            sw: &self.sw,
+        };
+        let mut scorer = PoolScorer::new(pool.len(), shards);
         let budget = budget_towers.floor() as usize;
-        let mut matrix = self.input.fiber_km.clone();
         let mut values = vec![f64::INFINITY; pool.len()];
-        scorer.init(ctx, &matrix, &mut values);
+        scorer.init(&ctx, &matrix, &mut values);
         let mut removed = vec![false; pool.len()];
         let mut refreshed = vec![false; pool.len()];
         let stretch_of = |matrix: &DistMatrix| {
@@ -312,7 +324,7 @@ impl<'a> Designer<'a> {
         };
         let mut current_stretch = stretch_of(&matrix);
         let mut selected = Vec::new();
-        let mut total_towers = 0usize;
+        let mut total_towers = spent;
         // One update (the pre-round matrix among its buffers) serves every
         // round.
         let mut update = RoundUpdate::new(matrix.n(), ctx.sw);
@@ -368,7 +380,7 @@ impl<'a> Designer<'a> {
             current_stretch = stretch_of(&matrix);
             selected.push(pool[pos]);
             removed[pos] = true;
-            scorer.apply(ctx, &matrix, &update, &mut values);
+            scorer.apply(&ctx, &matrix, &update, &mut values);
         }
         selected
     }
@@ -382,11 +394,31 @@ impl<'a> Designer<'a> {
     /// The full cISP heuristic: greedy pruning at an inflated budget, then
     /// re-selection within the real budget, then swap-based polishing.
     ///
+    /// Phase 2 resumes from phase 1 rather than re-running its first
+    /// rounds. Let `k` be the longest prefix of the pruned pool (phase 1's
+    /// picks, in pick order) whose tower count fits `floor(budget_towers)`.
+    /// A greedy over the pool within the real budget picks exactly
+    /// `pool[..k]` first: at each round `r < k` it starts from the state
+    /// phase 1 was in at round `r` (same links, matrix and towers spent),
+    /// and phase 1's pick `pool[r]` was the best gain over a superset of the
+    /// pool candidates the real budget allows (every unpicked pool link is
+    /// still a candidate there, and `floor(budget_towers)` is at most the
+    /// inflated budget's floor) — `pool[r]` is one of those, since the
+    /// prefix fits. So no pool candidate beats it, and on a tie it wins too:
+    /// pool order is pick order, so `pool[r]` holds the lowest position
+    /// among the pool candidates left. Phase 2 therefore replays
+    /// `pool[..k]` into a copy of fiber with the one-link kernel (bit for
+    /// bit the tracked kernel the greedy applied) and runs the greedy over
+    /// `pool[k..]` only, from that matrix and tower count. This is exact up
+    /// to the engine's own caveat (the `engine` module): candidates whose
+    /// scores tie within the repair's ulp-level noise.
+    ///
     /// `history` of the returned outcome is the phase-2 greedy build-out
-    /// (re-selection within the real budget, over the pruned pool). The
-    /// polish does not rewrite it: after a swap, `selected`, `topology`,
-    /// `total_towers` and `mean_stretch` describe the polished design while
-    /// `history` still ends at the greedy's last step.
+    /// (re-selection within the real budget, over the pruned pool): the
+    /// replayed prefix, then the resumed picks. The polish does not rewrite
+    /// it: after a swap, `selected`, `topology`, `total_towers` and
+    /// `mean_stretch` describe the polished design while `history` still
+    /// ends at the greedy's last step.
     pub fn cisp(&self, budget_towers: f64) -> DesignOutcome {
         self.cisp_profiled(budget_towers).0
     }
@@ -394,17 +426,50 @@ impl<'a> Designer<'a> {
     /// [`Self::cisp`] plus the swap polish's work counters.
     pub fn cisp_profiled(&self, budget_towers: f64) -> (DesignOutcome, SwapPolishStats) {
         assert!(budget_towers >= 0.0);
-        // Phase 1: candidate pruning at inflated budget.
-        let pruning = self.greedy_over(
+        let shards = resolve_workers(0);
+        // Phase 1: candidate pruning at inflated budget; only its picks are
+        // read.
+        let pool = self.run_incremental(
             &self.input.useful_candidates(),
             budget_towers * PRUNING_BUDGET_FACTOR,
+            shards,
+            self.input.fiber_km.clone(),
+            0,
         );
-        let pool = pruning.selected;
         // Phase 2: selection within the real budget, restricted to the pool.
-        let mut outcome = self.greedy_over(&pool, budget_towers);
+        let (selected, _) = self.resume_within(&pool, budget_towers, shards);
+        let mut outcome = self.outcome_of(selected);
         // Phase 3: swap local search within the pool.
         let stats = self.swap_polish(&mut outcome, &pool, budget_towers, |_, _, _| {});
         (outcome, stats)
+    }
+
+    /// Phase 2 of [`Self::cisp`]: the greedy over `pool` (a greedy's picks
+    /// at a budget of at least `budget_towers`, in pick order) within
+    /// `budget_towers`, resumed after the longest prefix that fits. Returns
+    /// the selection and the length `k` of that prefix.
+    fn resume_within(
+        &self,
+        pool: &[usize],
+        budget_towers: f64,
+        shards: usize,
+    ) -> (Vec<usize>, usize) {
+        let budget = budget_towers.floor() as usize;
+        let mut matrix = self.input.fiber_km.clone();
+        let mut spent = 0usize;
+        let mut k = 0;
+        for &idx in pool {
+            let link = &self.input.candidates[idx];
+            if spent + link.tower_count > budget {
+                break;
+            }
+            spent += link.tower_count;
+            improve_with_link(&mut matrix, link.site_a, link.site_b, link.mw_length_km);
+            k += 1;
+        }
+        let mut selected = pool[..k].to_vec();
+        selected.extend(self.run_incremental(&pool[k..], budget_towers, shards, matrix, spent));
+        (selected, k)
     }
 
     /// Swap local search: per pass, decide every budget-feasible "replace
@@ -544,6 +609,7 @@ impl<'a> Designer<'a> {
 mod tests {
     use super::*;
     use cisp_geo::geodesic;
+    use cisp_netsim::jobs::test_widths;
 
     /// Build a synthetic design input: `n` sites on a line, fiber at 2×
     /// geodesic equivalent, uniform traffic, and a direct MW candidate for
@@ -728,6 +794,61 @@ mod tests {
                 assert_same_outcome(&sharded, &inline, &format!("salt {salt}, {shards} shards"));
             }
         }
+    }
+
+    /// Phase 2 resumes after the longest prefix of the pruned pool whose
+    /// towers fit the budget (`<=`: a prefix landing on the budget exactly
+    /// is replayed) and then selects what a cold greedy over the pool
+    /// selects, at every shard count: no prefix (the first pick alone is
+    /// over budget), a zero budget, the whole pool, and crossings midway —
+    /// on a prefix total exactly, a fraction above one, and one tower short
+    /// of the next.
+    #[test]
+    fn phase_two_resumes_after_the_prefix_that_fits_and_selects_like_a_cold_greedy() {
+        let mut resumed_rounds = 0;
+        for (n, salt, pruning_budget) in [(20, 3, 600.0), (24, 5, 800.0)] {
+            let input = uneven_input(n, salt);
+            let designer = Designer::new(&input);
+            let pool = designer
+                .greedy_over(&input.useful_candidates(), pruning_budget)
+                .selected;
+            assert!(pool.len() >= 8, "fixture must prune to a long pool");
+            let towers: Vec<usize> = pool
+                .iter()
+                .scan(0, |total, &idx| {
+                    *total += input.candidates[idx].tower_count;
+                    Some(*total)
+                })
+                .collect();
+            let (first, mid, last) = (towers[0], pool.len() / 2, pool.len() - 1);
+            assert!(
+                first >= 2,
+                "a first pick of one tower leaves no k = 0 budget"
+            );
+            // (budget, length of the replayed prefix)
+            let cases = [
+                ((first - 1) as f64, 0),
+                (0.0, 0),
+                (towers[last] as f64, pool.len()),
+                (towers[mid] as f64, mid + 1),
+                (towers[mid] as f64 + 0.5, mid + 1),
+                ((towers[mid + 1] - 1) as f64, mid + 1),
+            ];
+            for shards in test_widths(&[1, 2, 3, 5]) {
+                for (budget, want_k) in cases {
+                    let what = format!("salt {salt}, budget {budget}, {shards} shards");
+                    let (resumed, k) = designer.resume_within(&pool, budget, shards);
+                    assert_eq!(k, want_k, "{what}");
+                    let cold = designer.greedy_sharded(&pool, budget, shards).selected;
+                    assert_eq!(resumed, cold, "{what}");
+                    resumed_rounds += resumed.len() - k;
+                }
+            }
+        }
+        assert!(
+            resumed_rounds > 0,
+            "fixtures must run rounds after the prefix"
+        );
     }
 
     #[test]

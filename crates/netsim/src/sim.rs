@@ -2012,4 +2012,65 @@ mod tests {
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0], vec![0, 1]);
     }
+
+    /// The gang's barrier on its own, over 10 000 generations at widths 1,
+    /// 2, 3 and 5: every party stores the generation number in its slot,
+    /// crosses, and reads every party's slot. The slots alternate between
+    /// two buffers by generation parity, so one crossing per generation
+    /// suffices: a slot is rewritten two generations on, after every reader
+    /// of it has arrived at the next crossing. Every `STALL_EVERY`-th
+    /// generation one party (a different one each time) sleeps three times
+    /// [`SPIN_BEFORE_PARK`] before storing, so the others wait past their
+    /// spin budget and park, and the last arrival must unpark them — a lost
+    /// wake-up hangs here rather than failing. The parties are
+    /// [`drain_jobs`] workers, one job each: no job returns before every
+    /// party has arrived, so no worker claims a second one. A stale read
+    /// is counted rather than asserted inside the loop, where a panicking
+    /// party would leave the others waiting forever.
+    #[test]
+    fn gang_barrier_publishes_every_generation_to_every_party() {
+        const GENERATIONS: usize = 10_000;
+        const STALL_EVERY: usize = 97;
+        for width in [1, 2, 3, 5] {
+            let barrier = GangBarrier::new(width);
+            let slots: [Vec<AtomicUsize>; 2] =
+                std::array::from_fn(|_| (0..width).map(|_| AtomicUsize::new(usize::MAX)).collect());
+            let (per_party, _) = drain_jobs(
+                width,
+                width,
+                || (),
+                |_, party| {
+                    let mut stale = 0usize;
+                    let mut longest_stalled_wait = Duration::ZERO;
+                    for generation in 0..GENERATIONS {
+                        let stall_round = generation % STALL_EVERY == 0;
+                        if stall_round && (generation / STALL_EVERY) % width == party {
+                            thread::sleep(SPIN_BEFORE_PARK * 3);
+                        }
+                        let slot = &slots[generation % 2];
+                        slot[party].store(generation, AtomicOrdering::Relaxed);
+                        let arrived = Instant::now();
+                        barrier.wait();
+                        if stall_round {
+                            longest_stalled_wait = longest_stalled_wait.max(arrived.elapsed());
+                        }
+                        stale += slot
+                            .iter()
+                            .filter(|s| s.load(AtomicOrdering::Relaxed) != generation)
+                            .count();
+                    }
+                    (stale, longest_stalled_wait)
+                },
+            );
+            for (party, &(stale, waited)) in per_party.iter().enumerate() {
+                assert_eq!(stale, 0, "width {width}: party {party} read stale slots");
+                if width > 1 {
+                    assert!(
+                        waited > SPIN_BEFORE_PARK,
+                        "width {width}: party {party} never waited past the spin ({waited:?})"
+                    );
+                }
+            }
+        }
+    }
 }

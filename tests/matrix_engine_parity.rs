@@ -17,7 +17,10 @@
 //!   unreachable (a traffic-carrying one is rejected);
 //! * `cisp()`'s swap polish (leave-one-out matrices, trials decided by a
 //!   lower bound) applies exactly the swaps of a naive nested-`Vec` polish
-//!   that rebuilds per removed link and scores every feasible trial.
+//!   that rebuilds per removed link and scores every feasible trial;
+//! * `cisp()`'s phase 2, which resumes after the pruned pool's longest
+//!   prefix within budget, selects what the cold greedy over the pool
+//!   selects — at paper scale too, in an ignored case CI runs in release.
 
 // The nested-Vec reference implementations are deliberately naive index
 // loops — that is the point of a reference.
@@ -260,15 +263,14 @@ fn naive_swap_polish(
     current
 }
 
-/// `cisp()` against [`naive_swap_polish`]. Phases 1 and 2 come from the
-/// public greedy (the 2×-budget pool, then a greedy over an input restricted
-/// to the pool, in pool order — what `cisp` does internally); the polish is
-/// the oracle's alone. Returns the number of swaps the oracle applied.
-fn assert_cisp_matches_naive_polish(
+/// `cisp()`'s phases 1 and 2 built cold from the public greedy: the
+/// 2×-budget pool, then a greedy from fiber over an input restricted to the
+/// pool, in pool order. Returns the pool and phase 2's selection.
+fn cold_phases(
     input: &DesignInput,
     budget: usize,
     config: DesignConfig,
-) -> usize {
+) -> (Vec<usize>, Vec<usize>) {
     let pool = Designer::with_config(input, config)
         .greedy(budget as f64 * PRUNING_BUDGET_FACTOR)
         .selected;
@@ -282,6 +284,18 @@ fn assert_cisp_matches_naive_polish(
         .iter()
         .map(|&k| pool[k])
         .collect();
+    (pool, greedy)
+}
+
+/// `cisp()` against [`naive_swap_polish`]. Phases 1 and 2 are
+/// [`cold_phases`]; the polish is the oracle's alone. Returns the number of
+/// swaps the oracle applied.
+fn assert_cisp_matches_naive_polish(
+    input: &DesignInput,
+    budget: usize,
+    config: DesignConfig,
+) -> usize {
+    let (pool, greedy) = cold_phases(input, budget, config);
     let mut want = greedy.clone();
     let want_stretch = naive_swap_polish(input, &pool, &mut want, budget, config.max_swap_passes);
 
@@ -692,4 +706,32 @@ fn swap_polish_oracle_agrees_where_swaps_are_applied() {
         );
     }
     assert!(swaps >= 2, "fixtures must exercise the swap, got {swaps}");
+}
+
+/// `cisp()` with the polish off at the benchmark's `design_us_flat` input
+/// (the paper-scale US scenario on flat terrain, 18 000 raw towers, 3 000
+/// towers) against [`cold_phases`]: `cisp` resumes phase 2 after the pruned
+/// pool's longest prefix within budget, the cold phases re-run it from
+/// fiber. A paper-scale build, so it is ignored by default; CI runs it with
+/// `cargo test --release --test matrix_engine_parity -- --ignored`.
+#[test]
+#[ignore = "paper scale; run in release with -- --ignored"]
+fn paper_scale_cisp_resumes_phase_two_like_the_cold_greedy() {
+    let mut config = ScenarioConfig::us_paper(42);
+    config.terrain = TerrainKind::Flat;
+    config.towers.raw_count = 18_000;
+    let scenario = Scenario::build(&config);
+    let input = scenario.design_input();
+    let budget = 3_000;
+    let off = DesignConfig { max_swap_passes: 0 };
+    let (pool, cold) = cold_phases(input, budget, off);
+    let got = Designer::with_config(input, off).cisp(budget as f64);
+    assert!(
+        pool.len() > cold.len() && cold.len() > 100,
+        "pool {} and selection {} must be paper-sized",
+        pool.len(),
+        cold.len()
+    );
+    assert_eq!(got.selected, cold);
+    assert_eq!(got.history.len(), cold.len());
 }

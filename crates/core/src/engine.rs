@@ -23,14 +23,33 @@
 //!    contribution test, evaluated branchless over the block. Only blocks
 //!    holding a contributing pair are walked scalar.
 //! 2. **Direct part, pair-major.** The improved pairs' candidate-independent
-//!    base (added in pass 1) plus per-candidate corrections. Every via is at
-//!    least the candidate's length, so a pair can only correct the
-//!    candidates shorter than its old distance: the shard keeps its
-//!    candidates' lengths and sites as parallel arrays in ascending length
-//!    order, takes that prefix with one `partition_point`, and adds the
-//!    corrections branchless into an accumulator in the same order, copied
-//!    back to pool order once per round. Each candidate sees its additions
-//!    in improved-pair order, as a pool-order scatter would.
+//!    base (added in pass 1) plus per-candidate corrections. A candidate
+//!    `(i, j, m)` corrects pair `(a, b)` only when one of its vias on the
+//!    pre-round matrix `D`, say `D[a][i] + m + D[j][b]`, beats `D[a][b]`;
+//!    every other correction is an exact `+0.0`. Such a via forces both
+//!    `D[a][i] + g[i][b]` and `g[a][j] + D[j][b]` below `D[a][b]`, where
+//!    `g` is a *floor* no design matrix and no candidate undercuts: since
+//!    `g(i,b) ≤ g(i,j) + g(j,b) ≤ m + D[j][b]`, and mirror-wise. The
+//!    floor is the geodesic matrix when
+//!    [`Designer::with_config`](crate::design::Designer::with_config)
+//!    verifies that (it is metric, and neither fiber nor a useful candidate
+//!    is shorter), and zero otherwise, where the same two tests still hold
+//!    because every term is non-negative; a slack of a few `1e-8` of the
+//!    largest distance absorbs the verification tolerance and rounding
+//!    ([`ScoringWeights::arm_geodesic_screen`] has the argument). So
+//!    [`RoundUpdate::accept`] screens each improved pair's sites once per
+//!    round into two bitsets, `near_a` and `near_b`, and a shard, which
+//!    keeps per site the bitset of the sites its candidates link it to and
+//!    a slot lookup per site pair (a chain for parallel candidates), visits
+//!    only the candidates with one end in each set, once per pair, in
+//!    improved-pair order. Each value sees its non-zero additions in the
+//!    order a visit of every candidate would add them, so the repaired
+//!    values are bit for bit those of the unscreened pass (a test keeps
+//!    the length-prefix scan this replaced as the reference). Were a
+//!    contributing candidate ever screened out, its value would only be
+//!    too low, by a correction that is always positive: the designer's
+//!    exact re-score of every provisional winner would catch it, so the
+//!    design could not change, only the re-score count.
 //! 3. **Exact fallback.** A candidate whose repair would visit at least as
 //!    many pairs as a full sweep is re-scored with the exact kernel instead
 //!    (deterministically in the accepted link, so serial and parallel runs
@@ -58,6 +77,7 @@
 //! refresh, the polish's bounds and trials — is the compact kernel
 //! [`mean_stretch_with_link_compact`] with the run's one [`ScoringWeights`].
 
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -143,6 +163,15 @@ pub(crate) struct RoundUpdate {
     /// The direct part's candidate-independent base,
     /// `Σ w·(new − old) / den`, in predicted-stretch units.
     direct_base: f64,
+    /// `u64` words of one site bitset.
+    site_words: usize,
+    /// The site screen of every direct pair `(a, b)`, in `direct_pairs`
+    /// order: two site bitsets each, `near_a` (sites `s` with `old[a][s] +
+    /// floor[s][b] < old[a][b] + slack`, where a shortcutting candidate's
+    /// `a`-side end must lie) then `near_b` (sites with `floor[a][s] +
+    /// old[b][s] < old[a][b] + slack`, its `b`-side end); see
+    /// [`ScoringWeights::arm_geodesic_screen`].
+    screens: Vec<u64>,
     /// Largest current distance per row — the via part's row-prune bound.
     row_max: Vec<f64>,
     /// Largest current distance per [`REPAIR_BLOCK`]-wide block of each row
@@ -168,6 +197,8 @@ impl RoundUpdate {
             changed_nbrs: vec![Vec::new(); n],
             direct_pairs: Vec::new(),
             direct_base: 0.0,
+            site_words: n.div_ceil(64),
+            screens: Vec::new(),
             row_max: vec![0.0; n],
             row_blockmax: vec![0.0; n * n.div_ceil(REPAIR_BLOCK)],
             row_skip_slack: sw.row_skip_slack_km(),
@@ -178,8 +209,8 @@ impl RoundUpdate {
     /// refill this update with the round: the pre-round copy of `matrix`,
     /// the improved pairs, the designer's exact `overrides`, and the
     /// candidate-independent per-round constants — the direct part's pair
-    /// list and base sum, and the row maxima — computed here once rather
-    /// than by every shard.
+    /// list, base sum and site screens, and the row maxima — computed here
+    /// once rather than by every shard.
     pub(crate) fn accept(
         &mut self,
         matrix: &mut DistMatrix,
@@ -220,6 +251,20 @@ impl RoundUpdate {
             .map(|&(_, _, old_d, new_d, w)| w * (new_d - old_d) / den)
             .sum();
         let n = matrix.n();
+        let (floor, slack) = (sw.screen_floor_km(), sw.screen_slack_km());
+        self.screens.clear();
+        for &(a, b, old_d, _, _) in &self.direct_pairs {
+            let (old_a, old_b) = (self.old.row(a as usize), self.old.row(b as usize));
+            let (floor_a, floor_b) = (floor.row(a as usize), floor.row(b as usize));
+            let bound = old_d + slack;
+            let start = self.screens.len();
+            self.screens.resize(start + 2 * self.site_words, 0);
+            let (near_a, near_b) = self.screens[start..].split_at_mut(self.site_words);
+            for s in 0..n {
+                near_a[s / 64] |= u64::from(old_a[s] + floor_b[s] < bound) << (s % 64);
+                near_b[s / 64] |= u64::from(floor_a[s] + old_b[s] < bound) << (s % 64);
+            }
+        }
         let nb = n.div_ceil(REPAIR_BLOCK);
         for s in 0..n {
             let mut row_max = 0.0_f64;
@@ -230,6 +275,12 @@ impl RoundUpdate {
             }
             self.row_max[s] = row_max;
         }
+    }
+
+    /// The site screen of the `p`-th direct pair: `(near_a, near_b)`.
+    fn screen(&self, p: usize) -> (&[u64], &[u64]) {
+        let words = self.site_words;
+        self.screens[2 * p * words..2 * (p + 1) * words].split_at(words)
     }
 }
 
@@ -246,23 +297,22 @@ struct RepairScratch {
     blockmin: Vec<f64>,
     /// Owned slots deferred to an exact re-score this round.
     needs_exact: Vec<u32>,
-    /// The owned cached values in ascending length order while the
-    /// pair-major pass adds to them.
-    acc: Vec<f64>,
 }
 
 impl RepairScratch {
-    /// Buffers for a shard of `len` candidates over `n` sites.
-    fn new(n: usize, len: usize) -> Self {
+    /// Buffers for a shard over `n` sites.
+    fn new(n: usize) -> Self {
         Self {
             in_affected: vec![false; n],
             affected: Vec::with_capacity(n),
             blockmin: Vec::with_capacity(2 * n.div_ceil(REPAIR_BLOCK)),
             needs_exact: Vec::new(),
-            acc: vec![0.0; len],
         }
     }
 }
+
+/// No owned slot: the end of a [`ShardState::parallel_next`] chain.
+const NO_SLOT: u32 = u32::MAX;
 
 /// One shard: a stable contiguous range of pool positions, their cached
 /// predicted-stretch values and the repair's scratch. [`PoolScorer`] holds
@@ -275,17 +325,19 @@ pub(crate) struct ShardState {
     values: Vec<f64>,
     /// Owned pool positions already accepted into the design.
     removed: Vec<bool>,
-    /// Owned candidates' lengths in ascending order (ties by pool position).
-    /// A length is a lower bound on any via through the candidate, so an
-    /// improved pair can only correct the prefix below its old distance.
-    /// This and the two arrays below are parallel, built by
-    /// [`Self::init_score`], so the pair-major pass streams them
-    /// sequentially with no `candidates[pool[pos]]` pointer chase.
-    by_m_len: Vec<f64>,
-    /// The endpoint sites of each `by_m_len` entry.
-    by_m_sites: Vec<(u32, u32)>,
-    /// The `values` index of each `by_m_len` entry.
-    by_m_slot: Vec<u32>,
+    /// Per site `x`, the bitset (`RoundUpdate::site_words` words) of the
+    /// sites an owned candidate links `x` to: the pair-major pass meets
+    /// each improved pair's screen with it. Built by [`Self::init_score`],
+    /// like the two lookups below.
+    site_links: Vec<u64>,
+    /// `pair_slot[x·n + y]`: the first owned slot linking sites `x` and
+    /// `y` (both orientations), or [`NO_SLOT`].
+    pair_slot: Vec<u32>,
+    /// The next owned slot on the same site pair as this one, or
+    /// [`NO_SLOT`]: parallel candidates (one site pair, several lengths).
+    parallel_next: Vec<u32>,
+    /// Length of each owned slot's candidate.
+    slot_len: Vec<f64>,
     scratch: RepairScratch,
 }
 
@@ -297,9 +349,10 @@ impl ShardState {
             range,
             values: vec![f64::INFINITY; len],
             removed: vec![false; len],
-            by_m_len: Vec::new(),
-            by_m_sites: Vec::new(),
-            by_m_slot: Vec::new(),
+            site_links: Vec::new(),
+            pair_slot: Vec::new(),
+            parallel_next: Vec::new(),
+            slot_len: Vec::new(),
             scratch: RepairScratch::default(),
         }
     }
@@ -458,27 +511,32 @@ impl ShardState {
     }
 
     /// Score every owned candidate with the exact kernel (round 0), build
-    /// the length-ordered arrays the pair-major pass streams, and size the
-    /// repair scratch.
+    /// the site lookups the pair-major pass walks, and size the repair
+    /// scratch.
     pub(crate) fn init_score(&mut self, ctx: &ScoreContext, matrix: &DistMatrix) {
         for (k, pos) in self.range.clone().enumerate() {
             if !self.removed[k] {
                 self.values[k] = ctx.exact(matrix, pos);
             }
         }
-        let link = |slot: u32| &ctx.candidates[ctx.pool[self.range.start + slot as usize]];
-        let mut order: Vec<u32> = (0..self.range.len() as u32).collect();
-        order.sort_by(|&x, &y| {
-            let (mx, my) = (link(x).mw_length_km, link(y).mw_length_km);
-            mx.partial_cmp(&my).unwrap().then(x.cmp(&y))
-        });
-        self.by_m_len = order.iter().map(|&k| link(k).mw_length_km).collect();
-        self.by_m_sites = order
-            .iter()
-            .map(|&k| (link(k).site_a as u32, link(k).site_b as u32))
-            .collect();
-        self.by_m_slot = order;
-        self.scratch = RepairScratch::new(matrix.n(), self.range.len());
+        let n = matrix.n();
+        let words = n.div_ceil(64);
+        let len = self.range.len();
+        self.site_links = vec![0; n * words];
+        self.pair_slot = vec![NO_SLOT; n * n];
+        self.parallel_next = vec![NO_SLOT; len];
+        self.slot_len = Vec::with_capacity(len);
+        for (k, pos) in self.range.clone().enumerate() {
+            let link = &ctx.candidates[ctx.pool[pos]];
+            let (i, j) = (link.site_a, link.site_b);
+            self.slot_len.push(link.mw_length_km);
+            self.site_links[i * words + j / 64] |= 1 << (j % 64);
+            self.site_links[j * words + i / 64] |= 1 << (i % 64);
+            self.parallel_next[k] = self.pair_slot[i * n + j];
+            self.pair_slot[i * n + j] = k as u32;
+            self.pair_slot[j * n + i] = k as u32;
+        }
+        self.scratch = RepairScratch::new(n);
     }
 
     /// Apply one accepted-link round: sync the designer's exact overrides,
@@ -486,6 +544,22 @@ impl ShardState {
     /// value. A candidate whose repair would visit at least as many pairs as
     /// a full sweep is re-scored with the exact kernel instead.
     pub(crate) fn apply(&mut self, ctx: &ScoreContext, matrix: &DistMatrix, update: &RoundUpdate) {
+        self.repair_candidate_major(ctx, matrix, update);
+        self.correct_direct_pairs(ctx.sw, update);
+        self.rescore_deferred(ctx, matrix);
+    }
+
+    /// Pass 1, candidate-major: sync the overrides, drop the accepted
+    /// candidate, and add the via part plus the direct base to every
+    /// surviving value. A candidate whose repair would visit more pairs
+    /// than a full sweep costs is deferred to an exact kernel re-score
+    /// instead (pass 3).
+    fn repair_candidate_major(
+        &mut self,
+        ctx: &ScoreContext,
+        matrix: &DistMatrix,
+        update: &RoundUpdate,
+    ) {
         for &(pos, v) in &update.overrides {
             if self.range.contains(&pos) {
                 self.values[pos - self.range.start] = v;
@@ -497,13 +571,9 @@ impl ShardState {
         let n = matrix.n();
         let pairs = pair_count(n);
         let improved_len = update.improved.len();
-        debug_assert_eq!(self.by_m_len.len(), self.range.len(), "init_score not run");
+        debug_assert_eq!(self.slot_len.len(), self.range.len(), "init_score not run");
         let sw = ctx.sw;
         let scratch = &mut self.scratch;
-
-        // Pass 1, candidate-major: the via part plus the direct base. A
-        // candidate whose repair would visit more pairs than a full sweep
-        // costs is deferred to an exact kernel re-score instead (pass 3).
         // With the metric row skip armed most affected rows are dismissed
         // in O(1), so a repaired row is far cheaper than a swept one and
         // the break-even point moves towards repair accordingly.
@@ -527,42 +597,74 @@ impl ShardState {
                     update.direct_base + Self::via_repair(sw, matrix, l, update, scratch);
             }
         }
+    }
 
-        // Pass 2, pair-major: the direct part's corrections. A candidate
-        // corrects the base only when one of its vias beats the pair's old
-        // distance; every via is at least the candidate's own length, so
-        // only the length-ordered prefix below `old_d` can contribute, and
-        // the clamp form makes a non-contributing candidate add an exact
-        // zero. The values are gathered into length order, corrected with
-        // no branch and no per-step scatter, and copied back once. Nothing masks
-        // removed or deferred candidates: a removed candidate's value is
-        // never read again, and a deferred one's is overwritten by pass 3.
-        let acc = &mut scratch.acc;
-        for (v, &slot) in acc.iter_mut().zip(&self.by_m_slot) {
-            *v = self.values[slot as usize];
-        }
-        for &(a, b, old_d, new_d, w) in &update.direct_pairs {
-            let len = self.by_m_len.partition_point(|&m_c| m_c < old_d);
+    /// Pass 2, pair-major: the direct part's corrections. A candidate
+    /// corrects an improved pair's base only when one of its vias beats
+    /// the pair's old distance, and such a candidate passes the pair's site
+    /// screen ([`ScoringWeights::arm_geodesic_screen`]); every other
+    /// candidate's correction is an exact `+0.0`. So the pass visits only
+    /// the owned candidates with one end in `near_a` and the other in
+    /// `near_b`, each once per pair, in improved-pair order: each value
+    /// sees its additions in the order a visit of every candidate would
+    /// add them. A site pair that passes both ways round is visited from
+    /// its smaller end only. Nothing masks removed or deferred candidates:
+    /// a removed candidate's value is never read again, and a deferred
+    /// one's is overwritten by pass 3.
+    fn correct_direct_pairs(&mut self, sw: &ScoringWeights, update: &RoundUpdate) {
+        let (n, words) = (update.old.n(), update.site_words);
+        for (p, &(a, b, old_d, new_d, w)) in update.direct_pairs.iter().enumerate() {
+            let (near_a, near_b) = update.screen(p);
             let (old_a, old_b) = (update.old.row(a as usize), update.old.row(b as usize));
             let dd = new_d - old_d;
             let w_den = w / sw.den();
-            for ((v, &m_c), &(i, j)) in acc[..len]
-                .iter_mut()
-                .zip(&self.by_m_len[..len])
-                .zip(&self.by_m_sites[..len])
-            {
-                let (i, j) = (i as usize, j as usize);
-                let via_old = min_no_nan(old_a[i] + m_c + old_b[j], old_a[j] + m_c + old_b[i]);
-                *v += w_den * ((min_no_nan(via_old, new_d) - min_no_nan(via_old, old_d)) - dd);
+            for (wx, &x_bits) in near_a.iter().enumerate() {
+                let mut xs = x_bits;
+                while xs != 0 {
+                    let x = wx * 64 + xs.trailing_zeros() as usize;
+                    xs &= xs - 1;
+                    // With `x` in both sets, a partner `y < x` in `near_a`
+                    // passes with the ends swapped too: visit it from `y`.
+                    let x_in_b = near_b[wx] >> (x % 64) & 1 == 1;
+                    let links = &self.site_links[x * words..(x + 1) * words];
+                    for (wy, (&l, (&in_b, &in_a))) in
+                        links.iter().zip(near_b.iter().zip(near_a)).enumerate()
+                    {
+                        let mut ys = l & in_b;
+                        if x_in_b {
+                            let below_x = match wy.cmp(&wx) {
+                                Ordering::Less => u64::MAX,
+                                Ordering::Equal => (1u64 << (x % 64)) - 1,
+                                Ordering::Greater => 0,
+                            };
+                            ys &= !(in_a & below_x);
+                        }
+                        while ys != 0 {
+                            let y = wy * 64 + ys.trailing_zeros() as usize;
+                            ys &= ys - 1;
+                            let mut slot = self.pair_slot[x * n + y];
+                            while slot != NO_SLOT {
+                                let m = self.slot_len[slot as usize];
+                                // Symmetric in `x` and `y`: `min_no_nan` of
+                                // two NaN-free operands is order-free.
+                                let via_old =
+                                    min_no_nan(old_a[x] + m + old_b[y], old_a[y] + m + old_b[x]);
+                                self.values[slot as usize] += w_den
+                                    * ((min_no_nan(via_old, new_d) - min_no_nan(via_old, old_d))
+                                        - dd);
+                                slot = self.parallel_next[slot as usize];
+                            }
+                        }
+                    }
+                }
             }
         }
-        for (&v, &slot) in acc.iter().zip(&self.by_m_slot) {
-            self.values[slot as usize] = v;
-        }
+    }
 
-        // Pass 3: the deferred exact re-scores (overwriting whatever the
-        // correction pass added to them).
-        for &k in &scratch.needs_exact {
+    /// Pass 3: the deferred exact re-scores (overwriting whatever the
+    /// correction pass added to them).
+    fn rescore_deferred(&mut self, ctx: &ScoreContext, matrix: &DistMatrix) {
+        for &k in &self.scratch.needs_exact {
             self.values[k as usize] = ctx.exact(matrix, self.range.start + k as usize);
         }
     }
@@ -656,6 +758,24 @@ mod tests {
             tower_count: 1,
             tower_path: vec![0],
         }
+    }
+
+    /// Arm `sw`'s geodesic site screen over the candidates of `pool`.
+    fn arm_screen(
+        sw: &mut ScoringWeights,
+        geodesic: &DistMatrix,
+        fiber: &DistMatrix,
+        candidates: &[CandidateLink],
+        pool: &[usize],
+    ) -> bool {
+        sw.arm_geodesic_screen(
+            geodesic,
+            fiber,
+            pool.iter().map(|&c| {
+                let l = &candidates[c];
+                (l.site_a, l.site_b, l.mw_length_km)
+            }),
+        )
     }
 
     /// Accept pool position `pos` into `matrix`, refilling `update`.
@@ -797,9 +917,10 @@ mod tests {
         let pool: Vec<usize> = (0..candidates.len()).collect();
         let mut sw = ScoringWeights::compute(&fiber, &geodesic, &traffic);
         // The fixture's 2×-geodesic fiber is metric, so the repair's O(1)
-        // metric row skip is exercised here too — repaired values must
-        // still match the exact kernel.
+        // metric row skip and its geodesic site screen are exercised here
+        // too — repaired values must still match the exact kernel.
         assert!(sw.enable_gain_bounds(&fiber));
+        assert!(arm_screen(&mut sw, &geodesic, &fiber, &candidates, &pool));
         let mut matrix = fiber.clone();
         let ctx = ScoreContext {
             candidates: &candidates,
@@ -884,7 +1005,8 @@ mod tests {
     }
 
     /// Many accepted rounds on the uneven fixture, with and without the
-    /// metric row skip, on one shard and on three uneven ones: after every
+    /// metric row skip and the geodesic site screen, on one shard and on
+    /// three uneven ones: after every
     /// round each surviving cached value is within 1e-12 of an exact
     /// rescore. Each round accepts the best cached candidate and overrides
     /// the two best with exact values first, as the designer does.
@@ -899,6 +1021,13 @@ mod tests {
             let mut sw = ScoringWeights::compute(&f.fiber, &f.geodesic, &f.traffic);
             if armed {
                 assert!(sw.enable_gain_bounds(&f.fiber));
+                assert!(arm_screen(
+                    &mut sw,
+                    &f.geodesic,
+                    &f.fiber,
+                    &f.candidates,
+                    &f.pool
+                ));
             }
             let ctx = ScoreContext {
                 candidates: &f.candidates,
@@ -973,7 +1102,7 @@ mod tests {
                 }
                 let mut matrix = f.fiber.clone();
                 let mut update = RoundUpdate::new(n, &sw);
-                let mut scratch = RepairScratch::new(n, 0);
+                let mut scratch = RepairScratch::new(n);
                 let mut draw = Draws(seed);
                 for _ in 0..8 {
                     let pos = (draw.next() * f.pool.len() as f64) as usize;
@@ -994,5 +1123,177 @@ mod tests {
             }
         }
         assert!(nonzero >= 500, "only {nonzero} non-zero via parts");
+    }
+
+    /// Whether the candidate on sites `i`, `j` passes the `p`-th direct
+    /// pair's site screen.
+    fn passes_screen(update: &RoundUpdate, p: usize, i: usize, j: usize) -> bool {
+        let (near_a, near_b) = update.screen(p);
+        let has = |bits: &[u64], s: usize| bits[s / 64] >> (s % 64) & 1 == 1;
+        (has(near_a, i) && has(near_b, j)) || (has(near_a, j) && has(near_b, i))
+    }
+
+    /// Visit counts of [`correct_direct_pairs_by_length`] over one round.
+    #[derive(Default)]
+    struct PairMajorVisits {
+        /// Candidates the length-prefix scan visits.
+        prefix: usize,
+        /// Candidates the site screen passes.
+        screened: usize,
+        /// Visits adding anything other than an exact `+0.0`.
+        nonzero: usize,
+    }
+
+    /// Pass 2 as the length-prefix scan the site screen replaced: per
+    /// improved pair, every owned candidate shorter than the pair's old
+    /// distance, in ascending length order (ties by slot), gathered into
+    /// length order and copied back once. Asserts that every visit adding
+    /// anything other than `+0.0` is to a candidate the screen passes.
+    fn correct_direct_pairs_by_length(
+        shard: &mut ShardState,
+        ctx: &ScoreContext,
+        update: &RoundUpdate,
+    ) -> PairMajorVisits {
+        let link = |slot: u32| &ctx.candidates[ctx.pool[shard.range.start + slot as usize]];
+        let mut by_m_slot: Vec<u32> = (0..shard.range.len() as u32).collect();
+        by_m_slot.sort_by(|&x, &y| {
+            let (mx, my) = (link(x).mw_length_km, link(y).mw_length_km);
+            mx.partial_cmp(&my).unwrap().then(x.cmp(&y))
+        });
+        let by_m_len: Vec<f64> = by_m_slot.iter().map(|&k| link(k).mw_length_km).collect();
+        let by_m_sites: Vec<(usize, usize)> = by_m_slot
+            .iter()
+            .map(|&k| (link(k).site_a, link(k).site_b))
+            .collect();
+        let mut acc: Vec<f64> = by_m_slot
+            .iter()
+            .map(|&k| shard.values[k as usize])
+            .collect();
+        let mut visits = PairMajorVisits::default();
+        for (p, &(a, b, old_d, new_d, w)) in update.direct_pairs.iter().enumerate() {
+            let len = by_m_len.partition_point(|&m_c| m_c < old_d);
+            let (old_a, old_b) = (update.old.row(a as usize), update.old.row(b as usize));
+            let dd = new_d - old_d;
+            let w_den = w / ctx.sw.den();
+            for ((v, &m_c), &(i, j)) in acc[..len]
+                .iter_mut()
+                .zip(&by_m_len[..len])
+                .zip(&by_m_sites[..len])
+            {
+                let via_old = min_no_nan(old_a[i] + m_c + old_b[j], old_a[j] + m_c + old_b[i]);
+                let correction =
+                    w_den * ((min_no_nan(via_old, new_d) - min_no_nan(via_old, old_d)) - dd);
+                if correction.to_bits() != 0.0f64.to_bits() {
+                    assert!(
+                        passes_screen(update, p, i, j),
+                        "pair ({a}, {b}): candidate ({i}, {j}, {m_c}) corrects by {correction} \
+                         but fails the screen"
+                    );
+                    visits.nonzero += 1;
+                }
+                *v += correction;
+            }
+            visits.prefix += len;
+            visits.screened += by_m_sites
+                .iter()
+                .filter(|&&(i, j)| passes_screen(update, p, i, j))
+                .count();
+        }
+        for (&v, &slot) in acc.iter().zip(&by_m_slot) {
+            shard.values[slot as usize] = v;
+        }
+        visits
+    }
+
+    /// The screened pair-major pass against the length-prefix reference,
+    /// with the geodesic floor armed and disarmed (zero floor), on one
+    /// shard and on three uneven ones, over the uneven fixture (parallel
+    /// candidates, pool gaps): after every round each shard's values have
+    /// the reference's bits. Every candidate with a non-zero correction
+    /// passed the screen, and the armed screen skips most of the prefix's
+    /// visits.
+    #[test]
+    fn screened_pair_major_pass_matches_the_length_prefix_reference() {
+        const ROUNDS: usize = 32;
+        let n = 40;
+        let f = uneven_fixture(n, 11);
+        let len = f.pool.len();
+        let parallel = f.pool.windows(2).any(|w| {
+            let (x, y) = (&f.candidates[w[0]], &f.candidates[w[1]]);
+            (x.site_a, x.site_b) == (y.site_a, y.site_b)
+        });
+        assert!(parallel && len < f.candidates.len() && len > ROUNDS);
+        for armed in [false, true] {
+            let mut sw = ScoringWeights::compute(&f.fiber, &f.geodesic, &f.traffic);
+            assert!(sw.enable_gain_bounds(&f.fiber));
+            if armed {
+                assert!(arm_screen(
+                    &mut sw,
+                    &f.geodesic,
+                    &f.fiber,
+                    &f.candidates,
+                    &f.pool
+                ));
+            }
+            let ctx = ScoreContext {
+                candidates: &f.candidates,
+                pool: &f.pool,
+                sw: &sw,
+            };
+            for bounds in [vec![0, len], vec![0, len / 5, len / 2, len]] {
+                let mut matrix = f.fiber.clone();
+                let shards = || -> Vec<ShardState> {
+                    bounds
+                        .windows(2)
+                        .map(|w| ShardState::new(w[0]..w[1]))
+                        .collect()
+                };
+                let (mut screened, mut reference) = (shards(), shards());
+                for shard in screened.iter_mut().chain(&mut reference) {
+                    shard.init_score(&ctx, &matrix);
+                }
+                let mut update = RoundUpdate::new(n, &sw);
+                let mut removed = vec![false; len];
+                let mut totals = PairMajorVisits::default();
+                for round in 0..ROUNDS {
+                    let values: Vec<f64> =
+                        screened.iter().flat_map(|s| s.values().to_vec()).collect();
+                    let pos = (0..len)
+                        .filter(|&p| !removed[p])
+                        .min_by(|&x, &y| values[x].total_cmp(&values[y]).then(x.cmp(&y)))
+                        .unwrap();
+                    let exact = ctx.exact(&matrix, pos);
+                    accept(&ctx, &mut matrix, &mut update, pos, &[(pos, exact)]);
+                    removed[pos] = true;
+                    for (s, r) in screened.iter_mut().zip(&mut reference) {
+                        s.apply(&ctx, &matrix, &update);
+                        r.repair_candidate_major(&ctx, &matrix, &update);
+                        let visits = correct_direct_pairs_by_length(r, &ctx, &update);
+                        r.rescore_deferred(&ctx, &matrix);
+                        totals.prefix += visits.prefix;
+                        totals.screened += visits.screened;
+                        totals.nonzero += visits.nonzero;
+                        for (k, (x, y)) in s.values().iter().zip(r.values()).enumerate() {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "armed {armed}, shards {bounds:?}, round {round}, slot {k}: \
+                                 screened {x} vs reference {y}"
+                            );
+                        }
+                    }
+                }
+                let what = format!("armed {armed}, shards {bounds:?}");
+                assert!(totals.nonzero >= 500, "{what}: {} non-zero", totals.nonzero);
+                if armed {
+                    assert!(
+                        2 * totals.screened < totals.prefix,
+                        "{what}: screen passes {} of the prefix's {} visits",
+                        totals.screened,
+                        totals.prefix
+                    );
+                }
+            }
+        }
     }
 }

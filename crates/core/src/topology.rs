@@ -147,6 +147,15 @@ pub struct ScoringWeights {
     /// [`Self::enable_gain_bounds`] once the effective matrix is verified
     /// metric.
     row_skip_slack_km: Option<f64>,
+    /// Floor of the pair-major repair's site screen: a lower bound, up to
+    /// [`Self::screen_slack_km`], on every matrix a design run scores. The
+    /// geodesic matrix once [`Self::arm_geodesic_screen`] has verified it;
+    /// zeros otherwise.
+    screen_floor_km: DistMatrix,
+    /// Distance slack of the site screen: `(⌈log₂(n − 1)⌉ + 2) ·
+    /// METRIC_REL_TOL` of the largest finite distance of the matrix the
+    /// screen was armed against, 0 before [`Self::arm_geodesic_screen`].
+    screen_slack_km: f64,
 }
 
 /// Relative tolerance of the one-time metricity check gating the row
@@ -154,6 +163,17 @@ pub struct ScoringWeights {
 /// independently violate the triangle inequality by ~1e-10 relative; 1e-8
 /// leaves two orders of margin while staying far below any real detour.
 const METRIC_REL_TOL: f64 = 1e-8;
+
+/// The largest finite entry of `matrix` (0 when there is none): the scale
+/// of the repair's distance slacks.
+fn max_finite_km(matrix: &DistMatrix) -> f64 {
+    matrix
+        .as_slice()
+        .iter()
+        .copied()
+        .filter(|v| v.is_finite())
+        .fold(0.0, f64::max)
+}
 
 impl ScoringWeights {
     /// Precompute the compact weights for scoring against matrices that
@@ -207,6 +227,8 @@ impl ScoringWeights {
             span,
             den,
             row_skip_slack_km: None,
+            screen_floor_km: DistMatrix::zeros(n),
+            screen_slack_km: 0.0,
         }
     }
 
@@ -231,13 +253,7 @@ impl ScoringWeights {
     /// scanned.
     pub(crate) fn enable_gain_bounds(&mut self, effective: &DistMatrix) -> bool {
         if effective.is_metric_within(METRIC_REL_TOL) {
-            let max_finite = effective
-                .as_slice()
-                .iter()
-                .copied()
-                .filter(|v| v.is_finite())
-                .fold(0.0, f64::max);
-            self.row_skip_slack_km = Some(4.0 * METRIC_REL_TOL * max_finite);
+            self.row_skip_slack_km = Some(4.0 * METRIC_REL_TOL * max_finite_km(effective));
             true
         } else {
             false
@@ -253,6 +269,72 @@ impl ScoringWeights {
     /// orientation); the slack absorbs the metricity check's tolerance.
     pub(crate) fn row_skip_slack_km(&self) -> Option<f64> {
         self.row_skip_slack_km
+    }
+
+    /// Arm the pair-major repair's site screen with `geodesic` as its floor
+    /// when three conditions hold within `METRIC_REL_TOL` (τ, relative): the
+    /// geodesic matrix is metric, no entry of `effective` (the matrix these
+    /// weights were computed against) is below it, and no link of `links`
+    /// (`(i, j, length)`) is shorter than it. Otherwise the floor stays
+    /// zero. Either way the slack is set from `effective`. Returns whether
+    /// it was armed.
+    ///
+    /// The screen keeps a link `(i, j, m)` for an improved pair `(a, b)` of
+    /// pre-round matrix `D` only if `D[a][i] + floor[i][b]` and
+    /// `floor[a][j] + D[j][b]` are both below `D[a][b] + slack` (or the
+    /// same with `i` and `j` swapped). A via `D[a][i] + m + D[j][b]` below
+    /// `D[a][b]` passes it:
+    ///
+    /// * **Zero floor.** Sums of non-negative terms are at least each term,
+    ///   in `f64` too, so `D[a][i] < D[a][b]` and `D[j][b] < D[a][b]`.
+    /// * **Geodesic floor.** Let `ĝ` be the shortest-path closure of `g`,
+    ///   an exact metric. A shortest `ĝ`-path has at most `n − 1` edges;
+    ///   splitting it in halves applies the verified triangle inequality
+    ///   `⌈log₂(n − 1)⌉` times, so `g ≤ (1 + τ)^⌈log₂(n−1)⌉ · ĝ`. Every
+    ///   entry of `D` is the length of a chain of `effective` entries and
+    ///   links, each at least `ĝ / (1 + τ)` of its ends, so `D ≥ ĝ / (1 +
+    ///   τ)` by the triangle inequality of `ĝ`, with no compounding over
+    ///   rounds. Hence `g(i,b) ≤ (1 + τ)^(⌈log₂(n−1)⌉+1) · (m + D[j][b])`,
+    ///   and `m + D[j][b] ≤ D[a][b]` is at most the largest finite distance
+    ///   `M`: `D[a][i] + g(i,b)` exceeds the via by at most
+    ///   `(⌈log₂(n−1)⌉ + 1) · τ · M` to first order. The slack adds one more
+    ///   `τ · M`, which dwarfs the rounding of the sums (ulps of `M`, and
+    ///   under `1e-12` relative for `D`'s own chains). The second test is
+    ///   the mirror image: `g(a,j) ≤ g(a,i) + g(i,j) ≤ D[a][i] + m`.
+    pub(crate) fn arm_geodesic_screen(
+        &mut self,
+        geodesic: &DistMatrix,
+        effective: &DistMatrix,
+        mut links: impl Iterator<Item = (usize, usize, f64)>,
+    ) -> bool {
+        let tol = 1.0 + METRIC_REL_TOL;
+        let below_effective = geodesic
+            .as_slice()
+            .iter()
+            .zip(effective.as_slice())
+            .all(|(&g, &d)| g <= d * tol);
+        let armed = below_effective
+            && links.all(|(i, j, m)| geodesic.get(i, j) <= m * tol)
+            && geodesic.is_metric_within(METRIC_REL_TOL);
+        let n = geodesic.n();
+        let depth = (n.max(2) - 1).next_power_of_two().trailing_zeros();
+        self.screen_slack_km = f64::from(depth + 2) * METRIC_REL_TOL * max_finite_km(effective);
+        self.screen_floor_km = if armed {
+            geodesic.clone()
+        } else {
+            DistMatrix::zeros(n)
+        };
+        armed
+    }
+
+    /// The site screen's floor matrix ([`Self::arm_geodesic_screen`]).
+    pub(crate) fn screen_floor_km(&self) -> &DistMatrix {
+        &self.screen_floor_km
+    }
+
+    /// The site screen's distance slack ([`Self::arm_geodesic_screen`]).
+    pub(crate) fn screen_slack_km(&self) -> f64 {
+        self.screen_slack_km
     }
 }
 
@@ -820,6 +902,43 @@ mod tests {
         let mut sw2 = ScoringWeights::compute(&broken, topo.geodesic_matrix(), topo.traffic());
         assert!(!sw2.enable_gain_bounds(&broken));
         assert!(sw2.row_skip_slack_km().is_none());
+    }
+
+    /// The geodesic screen arms only when all three conditions hold, and a
+    /// failed arming leaves a zero floor; the slack is the same either way.
+    #[test]
+    fn the_geodesic_screen_arms_only_on_a_verified_floor() {
+        let sites = line_sites();
+        let fiber = DistMatrix::from_nested(fiber_matrix(&sites));
+        let geo = DistMatrix::from_fn(3, |i, j| geodesic::distance_km(sites[i], sites[j]));
+        let arm = |geodesic: &DistMatrix, fiber: &DistMatrix, factor: f64| {
+            let links = (0..3).map(|i| (i, (i + 1) % 3, geo.get(i, (i + 1) % 3) * factor));
+            let traffic = DistMatrix::from_nested(uniform_traffic(3));
+            let mut sw = ScoringWeights::compute(fiber, geodesic, &traffic);
+            assert_eq!(sw.screen_slack_km(), 0.0);
+            let armed = sw.arm_geodesic_screen(geodesic, fiber, links);
+            // ⌈log₂ 2⌉ + 2 = 3 tolerances of the largest fiber distance.
+            let largest = fiber.as_slice().iter().copied().fold(0.0, f64::max);
+            assert_eq!(sw.screen_slack_km(), 3.0 * METRIC_REL_TOL * largest);
+            let want = if armed {
+                geodesic.clone()
+            } else {
+                DistMatrix::zeros(3)
+            };
+            assert_eq!(sw.screen_floor_km(), &want);
+            armed
+        };
+        assert!(arm(&geo, &fiber, 1.0));
+        // A link shorter than its geodesic.
+        assert!(!arm(&geo, &fiber, 0.9));
+        // A fiber entry below the geodesic.
+        let mut short_fiber = fiber.clone();
+        short_fiber.set_sym(0, 1, geo.get(0, 1) * 0.9);
+        assert!(!arm(&geo, &short_fiber, 1.0));
+        // A floor that breaks the triangle inequality.
+        let mut bent = geo.clone();
+        bent.set_sym(0, 2, (geo.get(0, 1) + geo.get(1, 2)) * 1.01);
+        assert!(!arm(&bent, &DistMatrix::filled(3, 1e6), 1.02));
     }
 
     #[test]

@@ -42,8 +42,44 @@
 //! | 0.45            |  57.5 m        | 50.76 km    | 50.770 km |
 //!
 //! Fig. 10's height axis is this table: at a fraction of 0.45 the median
-//! tower pair reaches 61 % of the hop it reaches at the top. The ridge case
-//! (terrain with a known obstacle profile) is not covered here.
+//! tower pair reaches 61 % of the hop it reaches at the top.
+//!
+//! # A Gaussian ridge
+//!
+//! One [`MountainRange`] of peak `P` and half-width `σ`, on terrain with no
+//! baseline, relief or crest noise and no clutter, its axis a long segment
+//! of the meridian 98° W. A hop crossing it at right angles, `c` km from
+//! tower A, lies on the great circle perpendicular to the axis, so its
+//! point `s` km from A is exactly `|s − c|` from the axis and the obstacle
+//! is analytic: `r(s) = P·exp(−(s − c)² / 2σ²)`, zero beyond 4σ as the
+//! model truncates it. The towers stand on the ridge's flanks, so antenna
+//! heights are `r(0) + fraction · height_a` and `r(D) + fraction ·
+//! height_b`, and the hop clears iff
+//!
+//! ```text
+//! m_r(s) = sight line(s) − bulge(s) − Fresnel(s) − r(s) ≥ 0 over [0, D].
+//! ```
+//!
+//! `m_r` is not convex, so the oracle scans it on a fine grid and refines
+//! the least grid point by golden section.
+//!
+//! **The narrowest ridge the sweep cannot miss.** The sweep's samples are at
+//! most `Δ = 1` km apart (`ceil(D) + 1` samples over `D` km), so one lies
+//! within ½ km of the minimiser, where `m_r` has risen by at most `⅛ ·
+//! max|m_r''|` (km², m'' in m/km²). The ridge contributes at most `P/σ²`;
+//! the bulge `2/(12.75K)` = 0.12 and the Fresnel term at most 0.23 over
+//! the middle three fifths of hops of 30 km or more (the crests here sit
+//! in the middle 30 %), so `C` = 0.35 m/km² covers both. The sampled
+//! minimum is therefore within `ε = RIDGE_EPSILON_M` = 0.5 m of `m_r*`
+//! whenever `σ ≥ σ_min(P) = √(P / (8ε − C))`:
+//!
+//! | peak `P` | 50 m   | 100 m  | 200 m  | 300 m  |
+//! |----------|--------|--------|--------|--------|
+//! | `σ_min`  | 3.7 km | 5.2 km | 7.4 km | 9.1 km |
+//!
+//! A narrower ridge can fall between two samples and be missed. At or
+//! above `σ_min` the cascade must block every hop with `m_r* < −ε` and
+//! clear every hop with `m_r* ≥ 0`.
 
 use cisp::core::hops::{HopConfig, HopFeasibility};
 use cisp::core::scenario::ScenarioConfig;
@@ -51,7 +87,8 @@ use cisp::data::cities::us_population_centers;
 use cisp::data::towers::{Tower, TowerRegistry, TowerSource};
 use cisp::geo::{geodesic, GeoPoint};
 use cisp::terrain::clutter::ClutterModel;
-use cisp::terrain::TerrainModel;
+use cisp::terrain::elevation::BaseTerrainParams;
+use cisp::terrain::{MountainRange, TerrainModel};
 
 /// Effective-Earth-radius factor (§3.1).
 const K: f64 = 1.3;
@@ -60,6 +97,13 @@ const F_GHZ: f64 = 11.0;
 /// Width of the band below zero in which the sampled sweep may still clear
 /// a hop the continuous closed form blocks, in metres (module docs).
 const EPSILON_M: f64 = 0.1;
+/// Width of the band below zero in which the sweep may still clear a hop
+/// across the Gaussian ridge the closed form blocks, in metres (module
+/// docs).
+const RIDGE_EPSILON_M: f64 = 0.5;
+/// Bound on the bulge and Fresnel terms' curvature near a ridge hop's
+/// minimiser, m/km² (module docs).
+const RIDGE_C_M_PER_KM2: f64 = 0.35;
 /// The registry's median tower height (module docs), metres.
 const MEDIAN_TOWER_M: f64 = 127.676;
 /// `(usable fraction, closed-form maximum hop km, sweep's last clear hop km
@@ -114,6 +158,30 @@ fn max_hop_km(h_a: f64, h_b: f64) -> f64 {
     lo
 }
 
+/// The sweep's verdict on the hop between towers of `height_a` /
+/// `height_b` metres at `a` and `b` on `terrain`, with no clutter.
+fn sweep_clears_on(
+    terrain: &TerrainModel,
+    (a, height_a): (GeoPoint, f64),
+    (b, height_b): (GeoPoint, f64),
+    fraction: f64,
+) -> bool {
+    let tower = |location, height_m| Tower {
+        location,
+        height_m,
+        source: TowerSource::RentalCompany,
+    };
+    let registry = TowerRegistry::from_towers(vec![tower(a, height_a), tower(b, height_b)]);
+    let clutter = ClutterModel::none();
+    let sweep = HopFeasibility::new(
+        &registry,
+        terrain,
+        &clutter,
+        HopConfig::restricted(100.0, fraction),
+    );
+    !sweep.all_feasible_hops().is_empty()
+}
+
 /// The sweep's verdict on one hop: towers of `height_a` / `height_b` metres,
 /// the second `d_km` from the first on `bearing_deg`, on flat sea-level
 /// ground with no clutter. Returns the verdict and the hop's great-circle
@@ -127,23 +195,110 @@ fn sweep_clears(
 ) -> (bool, f64) {
     let a = GeoPoint::new(39.0, -98.0);
     let b = geodesic::destination(a, bearing_deg, d_km);
-    let tower = |location, height_m| Tower {
-        location,
-        height_m,
-        source: TowerSource::RentalCompany,
-    };
-    let registry = TowerRegistry::from_towers(vec![tower(a, height_a), tower(b, height_b)]);
-    let (terrain, clutter) = (TerrainModel::flat(), ClutterModel::none());
-    let sweep = HopFeasibility::new(
-        &registry,
-        &terrain,
-        &clutter,
-        HopConfig::restricted(100.0, fraction),
+    let cleared = sweep_clears_on(
+        &TerrainModel::flat(),
+        (a, height_a),
+        (b, height_b),
+        fraction,
     );
-    (
-        !sweep.all_feasible_hops().is_empty(),
-        geodesic::distance_km(a, b),
-    )
+    (cleared, geodesic::distance_km(a, b))
+}
+
+/// A Gaussian ridge of `peak_m` and `sigma_km` on the meridian 98° W from
+/// 25° N to 53° N: no baseline, relief or crest noise (module docs).
+fn ridge_terrain(peak_m: f64, sigma_km: f64) -> TerrainModel {
+    let flat = BaseTerrainParams {
+        baseline_m: 0.0,
+        relief_m: 0.0,
+        correlation_deg: 1.0,
+    };
+    let axis = MountainRange::new(
+        "ridge",
+        GeoPoint::new(25.0, -98.0),
+        GeoPoint::new(53.0, -98.0),
+        peak_m,
+        sigma_km,
+    );
+    TerrainModel::new(0, flat, vec![axis], 0.0)
+}
+
+/// `r(s)` of the module docs: the ridge `offset_km` from its crest.
+fn ridge_m(peak_m: f64, sigma_km: f64, offset_km: f64) -> f64 {
+    if offset_km.abs() > 4.0 * sigma_km {
+        return 0.0;
+    }
+    let x = offset_km / sigma_km;
+    peak_m * (-0.5 * x * x).exp()
+}
+
+/// A hop across the ridge: `d_km` long, crossing the crest `crest_km` from
+/// tower A, whose usable heights are `h_a` / `h_b` metres above their
+/// ground.
+#[derive(Clone, Copy)]
+struct RidgeHop {
+    d_km: f64,
+    crest_km: f64,
+    h_a: f64,
+    h_b: f64,
+    sigma_km: f64,
+}
+
+impl RidgeHop {
+    /// `m_r(x·D)` of the module docs.
+    fn margin_m(&self, peak_m: f64, x: f64) -> f64 {
+        let (d, c, s) = (self.d_km, self.crest_km, self.sigma_km);
+        let a = ridge_m(peak_m, s, -c) + self.h_a;
+        let b = ridge_m(peak_m, s, d - c) + self.h_b;
+        margin_m(d, a, b, x) - ridge_m(peak_m, s, x * d - c)
+    }
+
+    /// `m_r*`: a 2 000-point scan of `[0, 1]`, refined by golden section
+    /// between the least point's neighbours.
+    fn min_margin_m(&self, peak_m: f64) -> f64 {
+        const GRID: usize = 2_000;
+        let m = |x| self.margin_m(peak_m, x);
+        let k = (0..=GRID)
+            .min_by(|&i, &j| m(i as f64 / GRID as f64).total_cmp(&m(j as f64 / GRID as f64)))
+            .unwrap();
+        let r = (5f64.sqrt() - 1.0) / 2.0;
+        let (mut a, mut b) = (
+            k.saturating_sub(1) as f64 / GRID as f64,
+            (k + 1).min(GRID) as f64 / GRID as f64,
+        );
+        let (mut c, mut d) = (b - r * (b - a), a + r * (b - a));
+        let (mut mc, mut md) = (m(c), m(d));
+        for _ in 0..40 {
+            if mc < md {
+                (b, d, md) = (d, c, mc);
+                c = b - r * (b - a);
+                mc = m(c);
+            } else {
+                (a, c, mc) = (c, d, md);
+                d = a + r * (b - a);
+                md = m(d);
+            }
+        }
+        mc.min(md).min(m(k as f64 / GRID as f64))
+    }
+
+    /// The peak at which `m_r*` falls to `target_m` (it falls as the peak
+    /// rises), by bisection up to 5 km. `None` when the hop is below
+    /// `target_m` with no ridge.
+    fn peak_at_margin_m(&self, target_m: f64) -> Option<f64> {
+        if self.min_margin_m(1e-9) < target_m {
+            return None;
+        }
+        let (mut lo, mut hi) = (1e-9, 5_000.0);
+        for _ in 0..50 {
+            let mid = (lo + hi) / 2.0;
+            if self.min_margin_m(mid) >= target_m {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(lo)
+    }
 }
 
 /// SplitMix64 over a counter, mapped to `[0, 1)`.
@@ -239,4 +394,81 @@ fn the_table_height_is_the_registry_median() {
         "median {median} m over {} towers",
         heights.len()
     );
+}
+
+/// `σ_min(P)` of the module docs, km.
+fn narrowest_sigma_km(peak_m: f64) -> f64 {
+    (peak_m / (8.0 * RIDGE_EPSILON_M - RIDGE_C_M_PER_KM2)).sqrt()
+}
+
+/// The module docs' `σ_min` table.
+#[test]
+fn the_narrowest_unmissable_ridge_table_holds() {
+    for (peak_m, sigma_km) in [(50.0, 3.7), (100.0, 5.2), (200.0, 7.4), (300.0, 9.1)] {
+        let got = narrowest_sigma_km(peak_m);
+        assert!((got - sigma_km).abs() < 0.05, "{peak_m} m: {got} km");
+    }
+}
+
+/// Random hops across a Gaussian ridge at least `σ_min` wide, crossed at
+/// right angles 35–65 % of the way along: random tower heights, fractions
+/// and lengths, each at a random peak and at the peaks that leave the
+/// closed form's least margin at +ε/2 and −2ε. Outside `ε` the sweep's
+/// verdict is the closed form's: it never clears a hop the oracle blocks,
+/// and clears every hop the oracle clears.
+#[test]
+fn gaussian_ridge_verdicts_match_the_closed_form() {
+    let crossing = GeoPoint::new(39.0, -98.0);
+    let (mut clear, mut blocked, mut within_epsilon) = (0, 0, 0);
+    for case in 0..100u64 {
+        let draw = |k| unit(1_000 + case, k);
+        let height_a = 30.0 + 320.0 * draw(0);
+        let height_b = 30.0 + 320.0 * draw(1);
+        let fraction = 0.3 + 0.7 * draw(2);
+        let d_km = 30.0 + 65.0 * draw(3);
+        let crest_km = d_km * (0.35 + 0.3 * draw(4));
+        let a = geodesic::destination(crossing, 270.0, crest_km);
+        let b = geodesic::destination(crossing, 90.0, d_km - crest_km);
+        let mut hop = RidgeHop {
+            d_km: geodesic::distance_km(a, b),
+            crest_km: geodesic::distance_km(a, crossing),
+            h_a: height_a * fraction,
+            h_b: height_b * fraction,
+            sigma_km: 0.0,
+        };
+        // Widths from σ_min(300 m) to three times it; the drawn peaks stay
+        // at or below the widest peak that σ allows.
+        hop.sigma_km = narrowest_sigma_km(300.0) * (1.0 + 2.0 * draw(5));
+        let widest_peak_m = hop.sigma_km.powi(2) * (8.0 * RIDGE_EPSILON_M - RIDGE_C_M_PER_KM2);
+        // A random peak, and the peaks leaving `m_r*` at +ε/2 and at −2ε.
+        let near = [0.5, -2.0].map(|eps| hop.peak_at_margin_m(eps * RIDGE_EPSILON_M));
+        let peaks = [Some(widest_peak_m * draw(6)), near[0], near[1]];
+        for peak_m in peaks
+            .into_iter()
+            .flatten()
+            .filter(|&p| p > 1.0 && p <= widest_peak_m)
+        {
+            let terrain = ridge_terrain(peak_m, hop.sigma_km);
+            let cleared = sweep_clears_on(&terrain, (a, height_a), (b, height_b), fraction);
+            let m_star = hop.min_margin_m(peak_m);
+            let what = format!(
+                "case {case}: peak {peak_m} m, σ {} km, m* = {m_star} m over {} km",
+                hop.sigma_km, hop.d_km
+            );
+            if m_star >= 0.0 {
+                assert!(cleared, "{what}: sweep blocks");
+                clear += 1;
+            } else if m_star < -RIDGE_EPSILON_M {
+                assert!(!cleared, "{what}: sweep clears");
+                blocked += 1;
+            } else {
+                within_epsilon += 1;
+            }
+        }
+    }
+    assert!(
+        clear >= 60 && blocked >= 60,
+        "{clear} clear, {blocked} blocked"
+    );
+    assert!(within_epsilon <= 15, "{within_epsilon} cases within ε");
 }

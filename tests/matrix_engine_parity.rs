@@ -20,7 +20,14 @@
 //!   that rebuilds per removed link and scores every feasible trial;
 //! * `cisp()`'s phase 2, which resumes after the pruned pool's longest
 //!   prefix within budget, selects what the cold greedy over the pool
-//!   selects — at paper scale too, in an ignored case CI runs in release.
+//!   selects — at paper scale too, in an ignored case CI runs in release;
+//! * the greedy's pair-major repair screens candidates with the geodesic
+//!   floor only when the input verifies it: a candidate or a fiber entry
+//!   shorter than the geodesic disarms it, and the design is still the
+//!   naive oracles';
+//! * `cisp()` at the benchmark's paper-scale input selects exactly a
+//!   committed design (indices, towers, stretch and build-out bits), so a
+//!   bug shared by every engine path cannot pass.
 
 // The nested-Vec reference implementations are deliberately naive index
 // loops — that is the point of a reference.
@@ -37,6 +44,7 @@ use cisp::geo::{geodesic, GeoPoint};
 use cisp::graph::DistMatrix;
 use cisp::graph::ImprovedPairs;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// SplitMix64, used to derive deterministic pseudo-random fixtures from a
 /// proptest-drawn seed.
@@ -577,6 +585,44 @@ proptest! {
     }
 }
 
+/// `random_input` with the geodesic site screen's floor undercut at pair
+/// `(i, j)`: `what` 0 shortens that candidate to half its geodesic, 1
+/// shortens the fiber entry to 0.9 of it.
+fn undercut_geodesic(n: usize, seed: u64, pick: usize, what: usize) -> DesignInput {
+    let mut input = random_input(n, seed);
+    let k = pick % input.candidates.len();
+    let (i, j) = (input.candidates[k].site_a, input.candidates[k].site_b);
+    let geo = geodesic::distance_km(input.sites[i], input.sites[j]);
+    if what == 0 {
+        input.candidates[k].mw_length_km = 0.5 * geo;
+    } else {
+        input.fiber_km.set_sym(i, j, 0.9 * geo);
+    }
+    input
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // A floor the input undercuts would screen out real corrections: the
+    // designer must disarm it and still select the naive oracles' designs.
+    #[test]
+    fn an_undercut_geodesic_disarms_the_screen_and_designs_like_the_oracles(
+        n in 6usize..14,
+        seed in 0u64..10_000,
+        pick in 0usize..1_000,
+        what in 0usize..2,
+    ) {
+        prop_assert!(Designer::new(&random_input(n, seed)).geodesic_screen_armed());
+        let input = undercut_geodesic(n, seed, pick, what);
+        let designer = Designer::new(&input);
+        prop_assert!(!designer.geodesic_screen_armed());
+        let budget = 6 * n;
+        prop_assert_eq!(&designer.greedy(budget as f64).selected, &naive_greedy(&input, budget));
+        assert_cisp_matches_naive_polish(&input, n * 15, DesignConfig::default());
+    }
+}
+
 /// Non-property sanity check: the naive reference and the engine agree on a
 /// fixed, human-auditable instance.
 #[test]
@@ -708,30 +754,102 @@ fn swap_polish_oracle_agrees_where_swaps_are_applied() {
     assert!(swaps >= 2, "fixtures must exercise the swap, got {swaps}");
 }
 
-/// `cisp()` with the polish off at the benchmark's `design_us_flat` input
-/// (the paper-scale US scenario on flat terrain, 18 000 raw towers, 3 000
-/// towers) against [`cold_phases`]: `cisp` resumes phase 2 after the pruned
+/// The benchmark's `design_us_flat` input: the paper-scale US scenario on
+/// flat terrain, 18 000 raw towers. Built once per test binary.
+fn design_us_flat() -> &'static Scenario {
+    static SCENARIO: OnceLock<Scenario> = OnceLock::new();
+    SCENARIO.get_or_init(|| {
+        let mut config = ScenarioConfig::us_paper(42);
+        config.terrain = TerrainKind::Flat;
+        config.towers.raw_count = 18_000;
+        Scenario::build(&config)
+    })
+}
+
+/// `cisp()` with the polish off at [`design_us_flat`]'s input and 3 000
+/// towers against [`cold_phases`]: `cisp` resumes phase 2 after the pruned
 /// pool's longest prefix within budget, the cold phases re-run it from
 /// fiber. A paper-scale build, so it is ignored by default; CI runs it with
 /// `cargo test --release --test matrix_engine_parity -- --ignored`.
 #[test]
 #[ignore = "paper scale; run in release with -- --ignored"]
 fn paper_scale_cisp_resumes_phase_two_like_the_cold_greedy() {
-    let mut config = ScenarioConfig::us_paper(42);
-    config.terrain = TerrainKind::Flat;
-    config.towers.raw_count = 18_000;
-    let scenario = Scenario::build(&config);
-    let input = scenario.design_input();
+    let input = design_us_flat().design_input();
     let budget = 3_000;
     let off = DesignConfig { max_swap_passes: 0 };
     let (pool, cold) = cold_phases(input, budget, off);
     let got = Designer::with_config(input, off).cisp(budget as f64);
     assert!(
         pool.len() > cold.len() && cold.len() > 100,
-        "pool {} and selection {} must be paper-sized",
+        "pool {} and selection {} must be paper sized",
         pool.len(),
         cold.len()
     );
     assert_eq!(got.selected, cold);
     assert_eq!(got.history.len(), cold.len());
+}
+
+/// The design `cisp()` selects at [`design_us_flat`]'s input with 3 000
+/// towers and one swap pass (the benchmark's setting), in selection order,
+/// as measured before the pair-major repair was screened.
+const PAPER_SCALE_CISP_SELECTED: [usize; 347] = [
+    2931, 495, 941, 582, 40, 625, 976, 2565, 266, 273, 1113, 2994, 243, 1287, 55, 1043, 355, 5080,
+    4486, 3, 598, 694, 2558, 970, 1180, 1265, 2103, 925, 2004, 480, 167, 213, 848, 936, 2560, 2086,
+    580, 275, 1164, 1193, 604, 3108, 1283, 248, 1254, 84, 416, 2506, 3555, 1705, 981, 1598, 602,
+    1044, 3488, 1975, 2074, 4195, 66, 591, 353, 581, 3344, 1672, 920, 3454, 1915, 3458, 2471, 1028,
+    393, 3301, 2929, 370, 1602, 1587, 3016, 397, 1685, 258, 3028, 3877, 4033, 2090, 1184, 4415,
+    2273, 2073, 605, 1792, 4199, 105, 2980, 2462, 2676, 2614, 192, 283, 2314, 2473, 4371, 1290,
+    2100, 1160, 2559, 2589, 3460, 123, 290, 2255, 3464, 2672, 4264, 2680, 3945, 3312, 5970, 1595,
+    101, 699, 2568, 747, 2524, 5857, 3386, 1070, 4420, 935, 3430, 34, 2574, 1810, 3658, 3650, 5810,
+    736, 2948, 5099, 2398, 1994, 335, 104, 10, 240, 6035, 2031, 2905, 4393, 2525, 307, 360, 1459,
+    3224, 3066, 3814, 2599, 1256, 2677, 2528, 3111, 6602, 314, 246, 2910, 3030, 287, 286, 1479,
+    411, 3137, 1171, 5465, 4785, 3800, 1023, 4517, 4788, 280, 2000, 2018, 365, 150, 3843, 2927,
+    5082, 1726, 13, 4714, 5139, 4032, 4031, 5645, 2835, 5562, 1391, 1674, 291, 1201, 2701, 5804,
+    4735, 3706, 2934, 5344, 2395, 2413, 1833, 3907, 5594, 3512, 2048, 1465, 5747, 4391, 6145, 471,
+    1273, 1429, 2530, 3662, 1245, 5084, 1505, 1581, 6191, 6114, 3060, 4424, 2962, 5982, 144, 121,
+    125, 3397, 6047, 5817, 4259, 2798, 5008, 6459, 1808, 918, 3364, 597, 3530, 2638, 1242, 3734,
+    654, 2430, 2819, 3647, 5545, 6257, 421, 2118, 2547, 5627, 1568, 1120, 5732, 2206, 2759, 15,
+    646, 3222, 3585, 4025, 1761, 583, 3105, 3999, 4910, 1555, 7008, 5500, 161, 5663, 2632, 6869,
+    4197, 1370, 1048, 1882, 1996, 6166, 4612, 4430, 5333, 2877, 4583, 4148, 949, 2039, 2428, 5807,
+    5607, 510, 1163, 38, 3894, 1339, 691, 6170, 4810, 1803, 2270, 2942, 2043, 943, 944, 3776, 3716,
+    1601, 1806, 1623, 1279, 3065, 603, 2021, 2391, 4155, 3049, 1654, 2778, 5215, 657, 891, 5104,
+    6530, 4437, 4127, 6194, 1963, 3351, 3994, 3916, 281, 413, 4597, 235, 210, 547, 1883, 3669,
+    2906, 671,
+];
+
+/// FNV-1a over a design's build-out: per step, the candidate index, the
+/// cumulative towers and the stretch bits, each as 8 little-endian bytes.
+fn history_fingerprint(history: &[cisp::core::design::DesignStep]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for step in history {
+        let words = [
+            step.candidate_index as u64,
+            step.cumulative_towers as u64,
+            step.mean_stretch.to_bits(),
+        ];
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `cisp()` at [`design_us_flat`]'s input, with the benchmark's one swap
+/// pass, against the committed design: every selected index, 2 999
+/// towers, the stretch bits behind `latency_inflation_pct
+/// 5.422895992281407`, and the build-out's fingerprint. The parity cases
+/// compare the engine with itself and with naive oracles at small n; this
+/// one pins the paper-scale result. Ignored by default, like the case
+/// above; CI runs both.
+#[test]
+#[ignore = "paper scale; run in release with -- --ignored"]
+fn paper_scale_cisp_selects_the_committed_design() {
+    let input = design_us_flat().design_input();
+    let designer = Designer::with_config(input, DesignConfig { max_swap_passes: 1 });
+    assert!(designer.geodesic_screen_armed());
+    let got = designer.cisp(3_000.0);
+    assert_eq!(got.selected, PAPER_SCALE_CISP_SELECTED);
+    assert_eq!(got.total_towers, 2_999);
+    assert_eq!(got.mean_stretch.to_bits(), 0x3ff0_de1f_2f95_d553);
+    assert_eq!(history_fingerprint(&got.history), 0xc08e_9853_9177_b836);
 }

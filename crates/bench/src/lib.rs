@@ -7,7 +7,7 @@
 //! * [`Scale`] — every experiment runs at one of three scales. `Tiny` is for
 //!   smoke tests, `Reduced` (the default) reproduces the *shape* of each
 //!   figure in seconds on a laptop, and `Full` uses the paper's parameters
-//!   (all fifteen figures in ≈ 1.5 min on two cores). Pass `--full` or
+//!   (all fifteen figures in ≈ 86–97 s on two cores). Pass `--full` or
 //!   `--tiny` on the command line.
 //! * [`Context`] — the scale plus a memo of the scenarios and designs built
 //!   so far, so all figures agree on what "the US network" means at a given
@@ -35,9 +35,9 @@ pub enum Scale {
     Reduced,
     /// The paper's scale: every population center (120 in the US) and
     /// 18 000 raw towers. On two cores one US build plus its design takes
-    /// ≈ 6–7 s; run alone, every figure but `fig10` (ten builds and
-    /// designs, ≈ 42 s) finishes within 15 s, and all fifteen in one run
-    /// take ≈ 92 s at ≈ 120 MiB peak RSS.
+    /// ≈ 5 s (`fig03` alone); run alone, `fig10` (ten builds and designs)
+    /// takes ≈ 37 s and `fig05` ≈ 21 s, and all fifteen in one run take
+    /// ≈ 86–97 s at ≈ 63 MiB peak RSS.
     Full,
 }
 

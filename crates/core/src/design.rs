@@ -42,12 +42,12 @@
 //! module) keeps a cached predicted stretch per pool candidate and, after
 //! each accepted link, repairs the caches from the link's improved-pair
 //! delta instead of re-sweeping: a candidate's repair visits only the
-//! improved pairs and the rows of its endpoints' changed neighbours, a
-//! candidate whose repair would cost a sweep is re-scored with the exact
-//! kernel, and the winning candidate of every round is always re-scored
-//! exactly before acceptance — so it selects what re-scoring every
-//! candidate every round selects (`tests/matrix_engine_parity.rs` keeps
-//! that naive greedy as the oracle). The improved pairs' per-candidate
+//! improved pairs and the rows of its endpoints' changed neighbours (on a
+//! verified-metric matrix most rows fall to an O(1) test), and the winning
+//! candidate of every round is always re-scored exactly before acceptance
+//! — so it selects what re-scoring every candidate every round selects
+//! (`tests/matrix_engine_parity.rs` keeps that naive greedy as the
+//! oracle). The improved pairs' per-candidate
 //! corrections visit only the candidates whose ends pass a per-pair site
 //! screen: a via can only shortcut pair `(a, b)` if `D[a][i] + g[i][b]`
 //! and `g[a][j] + D[j][b]` are below `D[a][b]`, with `g` the geodesic

@@ -2,20 +2,23 @@
 //! an atomic counter by a handful of scoped workers, results returned in job
 //! order.
 //!
-//! The engine drains a run's link-disjoint components through it, the
-//! what-if sweeps above the engine (storm intervals, conduit cuts, capacity
+//! The engine drains a run's link-disjoint components through it, and its
+//! windowed gang in [`crate::sim`] is one job per gang member; the what-if
+//! sweeps above the engine (storm intervals, conduit cuts, capacity
 //! upgrades, the failure cascade over a year's fields) drain whole runs
 //! through it, and so does the design side in `cisp_core`: the hop sweep (a
 //! job per run of tower pairs), the candidate-pool search (a job per source
-//! site) and the greedy's scoring rounds (a job per scoring shard). What
-//! else spawns a thread does another job: the windowed gang in
-//! [`crate::sim`] keeps its workers across windows, and the pool search's
-//! helper thread only takes the *caller's* seat here.
+//! site) and the greedy's scoring rounds (a job per scoring shard). The one
+//! other thread is the pool search's helper, which only takes the
+//! *caller's* seat here.
 //!
 //! A job must not read what another job writes; under that contract the
 //! results are those of the serial loop for every width, so the width is a
 //! pure performance knob — [`resolve_workers`] maps the
 //! [`SimConfig::workers`](crate::sim::SimConfig::workers) convention onto it.
+//! The gang's jobs are the one exception: they exchange through a barrier
+//! and so run only at a width of one worker per job ([`drain_jobs`] states
+//! why that cannot deadlock).
 
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,6 +67,12 @@ fn parse_widths(value: Option<&str>, default: &[usize]) -> Vec<usize> {
 /// thread, in index order, through the same two closures; otherwise the
 /// calling thread is one of the workers and `width.min(n) - 1` scoped
 /// threads are the rest. The states come back in no particular order.
+///
+/// Jobs may wait for each other only when `width >= n`: a job that waits
+/// at a barrier until all `n` jobs arrive (the windowed gang's) holds its
+/// worker there, so no worker claims a second index before every index is
+/// claimed, and the `n` workers meet. At a smaller width such a barrier
+/// would wait forever.
 ///
 /// A panicking job's payload is re-raised on the calling thread once the
 /// other workers have finished.

@@ -1026,9 +1026,9 @@ impl Simulation {
     }
 
     /// Execution with at least one time-windowed component: a gang of
-    /// `plan.workers` shards — the calling thread is shard 0 — runs the
-    /// windowed components in lock-step, in order, then drains the whole
-    /// ones without a barrier, each shard claiming the next unclaimed
+    /// `plan.workers` shards, one [`drain_jobs`] job each at that width,
+    /// runs the windowed components in lock-step, in order, then drains the
+    /// whole ones without a barrier, each shard claiming the next unclaimed
     /// component as [`drain_jobs`] does.
     fn run_gang(ctx: &EngineContext<'_>, comps: &[Vec<u32>], plan: &Plan) -> RunTotals {
         let workers = plan.workers;
@@ -1041,19 +1041,12 @@ impl Simulation {
                 .collect(),
             next_whole: AtomicUsize::new(0),
         };
-        let shards = thread::scope(|scope| {
-            let gang = &gang;
-            let handles: Vec<_> = (1..workers)
-                .map(|me| scope.spawn(move || Self::run_gang_shard(*ctx, comps, plan, gang, me)))
-                .collect();
-            let mut shards = vec![Self::run_gang_shard(*ctx, comps, plan, gang, 0)];
-            shards.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("windowed simulation worker panicked")),
-            );
-            shards
-        });
+        let (shards, _) = drain_jobs(
+            workers,
+            workers,
+            || (),
+            |_, me| Self::run_gang_shard(*ctx, comps, plan, &gang, me),
+        );
         RunTotals::of(shards)
     }
 

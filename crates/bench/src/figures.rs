@@ -63,7 +63,7 @@ pub fn usage() -> String {
 }
 
 /// Parse the arguments after the program name: at most one of `--tiny` and
-/// `--full` (default: reduced), then the figures to run in the order given
+/// `--full` (default: full), then the figures to run in the order given
 /// (default: all of [`FIGURES`]). Anything else is an error.
 pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<(Scale, Vec<Figure>), String> {
     let mut scale = None;
@@ -88,7 +88,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<(Scale, Vec<Figure>), Str
     if figures.is_empty() {
         figures = FIGURES.to_vec();
     }
-    Ok((scale.unwrap_or(Scale::Reduced), figures))
+    Ok((scale.unwrap_or(Scale::Full), figures))
 }
 
 /// Fig. 2 — design-method scalability and optimality.
@@ -107,7 +107,6 @@ pub(crate) fn fig02_scaling(ctx: &Context) {
 
     let (heuristic_sizes, exact_sizes): (Vec<usize>, Vec<usize>) = match ctx.scale {
         Scale::Tiny => (vec![4, 6, 8, 10], vec![4, 6, 8]),
-        Scale::Reduced => (vec![5, 10, 15, 20, 30, 40], vec![5, 8, 10, 12]),
         Scale::Full => (vec![10, 20, 40, 60, 80, 100, 120], vec![5, 8, 10, 12, 14]),
     };
 
@@ -417,7 +416,6 @@ pub(crate) fn fig04c_cost_per_gb(ctx: &Context) {
 
     let throughputs: Vec<f64> = match ctx.scale {
         Scale::Tiny => vec![5.0, 10.0, 25.0, 50.0, 100.0],
-        Scale::Reduced => vec![5.0, 10.0, 25.0, 50.0, 100.0, 200.0, 400.0, 600.0, 1000.0],
         Scale::Full => vec![
             5.0, 10.0, 25.0, 50.0, 100.0, 200.0, 300.0, 400.0, 600.0, 800.0, 1000.0,
         ],
@@ -482,7 +480,6 @@ fn load_sweep(
     // figures show and it is load-fraction-, not absolute-rate-, driven.
     let design_gbps = match ctx.scale {
         Scale::Tiny => 2.0,
-        Scale::Reduced => 5.0,
         Scale::Full => 20.0,
     };
     let mut delay_points = Vec::new();
@@ -528,7 +525,6 @@ pub(crate) fn fig06_speed_mismatch(ctx: &Context) {
 
     let (runs, duration_s) = match ctx.scale {
         Scale::Tiny => (5, 2.0),
-        Scale::Reduced => (20, 5.0),
         Scale::Full => (100, 10.0),
     };
 
@@ -596,7 +592,6 @@ pub(crate) fn fig07_weather(ctx: &Context) {
 
     let days = match ctx.scale {
         Scale::Tiny => 60,
-        Scale::Reduced => 180,
         Scale::Full => 365,
     };
     let year = StormYear::generate(
@@ -756,7 +751,7 @@ pub(crate) fn fig10_tower_constraints(ctx: &Context) {
     // (range km, usable height fraction), ordered as in the paper's x-axis.
     let combos: Vec<(f64, f64)> = match ctx.scale {
         Scale::Tiny => vec![(100.0, 0.65), (70.0, 1.0), (60.0, 0.45)],
-        _ => vec![
+        Scale::Full => vec![
             (100.0, 0.85),
             (80.0, 1.0),
             (100.0, 0.65),
@@ -868,7 +863,7 @@ pub(crate) fn fig13_web(ctx: &Context) {
 
     let pages = match ctx.scale {
         Scale::Tiny => 20,
-        _ => 80,
+        Scale::Full => 80,
     };
     let corpus = PageCorpus::generate(pages, 42);
 
@@ -1044,9 +1039,9 @@ mod tests {
     }
 
     #[test]
-    fn no_arguments_run_every_figure_at_the_reduced_scale() {
+    fn no_arguments_run_every_figure_at_paper_scale() {
         let (scale, figures) = parse_args::<&str>(&[]).unwrap();
-        assert_eq!(scale, Scale::Reduced);
+        assert_eq!(scale, Scale::Full);
         assert_eq!(names(&figures), names(&FIGURES));
     }
 

@@ -4,11 +4,10 @@
 //! binary runs them: `figures [--tiny|--full] [name…]` (the README's
 //! quickstart says how). The figures share three things, provided here:
 //!
-//! * [`Scale`] — every experiment runs at one of three scales. `Tiny` is for
-//!   smoke tests, `Reduced` (the default) reproduces the *shape* of each
-//!   figure in seconds on a laptop, and `Full` uses the paper's parameters
-//!   (all fifteen figures in ≈ 86–97 s on two cores). Pass `--full` or
-//!   `--tiny` on the command line.
+//! * [`Scale`] — every experiment runs at one of two scales. `Full`, the
+//!   default, uses the paper's parameters (all fifteen figures in ≈ 80 s on
+//!   two cores); `Tiny` is the test scale (≈ 1.5 s), which `--tiny` selects.
+//!   `--full` names the default explicitly.
 //! * [`Context`] — the scale plus a memo of the scenarios and designs built
 //!   so far, so all figures agree on what "the US network" means at a given
 //!   scale and none is built or designed twice in one run.
@@ -29,15 +28,13 @@ use cisp_data::towers::TowerRegistryConfig;
 /// Experiment scale selected on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Smoke-test scale (seconds).
+    /// Test scale (seconds): 12 US sites and 1 500 raw towers.
     Tiny,
-    /// Default scale: reproduces the figure's shape quickly.
-    Reduced,
-    /// The paper's scale: every population center (120 in the US) and
-    /// 18 000 raw towers. On two cores one US build plus its design takes
-    /// ≈ 5 s (`fig03` alone); run alone, `fig10` (ten builds and designs)
-    /// takes ≈ 37 s and `fig05` ≈ 21 s, and all fifteen in one run take
-    /// ≈ 86–97 s at ≈ 63 MiB peak RSS.
+    /// The paper's scale and the default: every population center (120 in
+    /// the US) and 18 000 raw towers. On two cores one US build plus its
+    /// design takes ≈ 5 s (`fig03` alone); run alone, `fig10` (ten builds
+    /// and designs) takes ≈ 33 s and `fig05` with `fig11` ≈ 30 s, and all
+    /// fifteen in one run take ≈ 80 s at ≈ 63 MiB peak RSS.
     Full,
 }
 
@@ -46,7 +43,6 @@ impl Scale {
     pub(crate) fn us_sites(&self) -> Option<usize> {
         match self {
             Scale::Tiny => Some(12),
-            Scale::Reduced => Some(40),
             Scale::Full => None, // all population centers
         }
     }
@@ -55,7 +51,6 @@ impl Scale {
     pub fn raw_towers(&self) -> usize {
         match self {
             Scale::Tiny => 1_500,
-            Scale::Reduced => 5_000,
             Scale::Full => 18_000,
         }
     }
@@ -65,7 +60,6 @@ impl Scale {
     pub(crate) fn us_budget_towers(&self) -> f64 {
         match self {
             Scale::Tiny => 300.0,
-            Scale::Reduced => 1_200.0,
             Scale::Full => 3_000.0,
         }
     }
@@ -74,7 +68,6 @@ impl Scale {
     pub fn label(&self) -> &'static str {
         match self {
             Scale::Tiny => "tiny",
-            Scale::Reduced => "reduced",
             Scale::Full => "full (paper scale)",
         }
     }
@@ -221,8 +214,7 @@ mod tests {
 
     #[test]
     fn scale_parameters_are_ordered() {
-        assert!(Scale::Tiny.raw_towers() < Scale::Reduced.raw_towers());
-        assert!(Scale::Reduced.raw_towers() < Scale::Full.raw_towers());
+        assert!(Scale::Tiny.raw_towers() < Scale::Full.raw_towers());
         assert!(Scale::Tiny.us_budget_towers() < Scale::Full.us_budget_towers());
         assert_eq!(Scale::Full.us_sites(), None);
         assert_eq!(Scale::Tiny.label(), "tiny");

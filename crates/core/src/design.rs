@@ -246,7 +246,7 @@ impl<'a> Designer<'a> {
         // Arms the O(1) per-row metric skip of the repair sweeps when fiber
         // is verified metric (distances only shrink, so one check covers
         // every round). No-op on non-metric inputs.
-        sw.enable_gain_bounds(&input.fiber_km);
+        sw.arm_row_skip(&input.fiber_km);
         // Arms the pair-major repair's geodesic site screen (its floor
         // stays zero otherwise). Pools only ever hold useful candidates.
         let geodesic_screen = sw.arm_geodesic_screen(

@@ -795,7 +795,7 @@ mod tests {
         // The fixture's 2×-geodesic fiber is metric, so the repair's O(1)
         // metric row skip and its geodesic site screen are exercised here
         // too — repaired values must still match the exact kernel.
-        assert!(sw.enable_gain_bounds(&fiber));
+        assert!(sw.arm_row_skip(&fiber));
         assert!(arm_screen(&mut sw, &geodesic, &fiber, &candidates, &pool));
         let mut matrix = fiber.clone();
         let ctx = ScoreContext {
@@ -857,7 +857,7 @@ mod tests {
         let (candidates, geodesic, fiber, traffic) = fixture(n);
         let pool: Vec<usize> = (0..candidates.len()).collect();
         let mut sw = ScoringWeights::compute(&fiber, &geodesic, &traffic);
-        sw.enable_gain_bounds(&fiber);
+        sw.arm_row_skip(&fiber);
         let mut matrix = fiber.clone();
         let ctx = ScoreContext {
             candidates: &candidates,
@@ -900,7 +900,7 @@ mod tests {
         for armed in [false, true] {
             let mut sw = ScoringWeights::compute(&f.fiber, &f.geodesic, &f.traffic);
             if armed {
-                assert!(sw.enable_gain_bounds(&f.fiber));
+                assert!(sw.arm_row_skip(&f.fiber));
                 assert!(arm_screen(
                     &mut sw,
                     &f.geodesic,
@@ -988,7 +988,7 @@ mod tests {
             for armed in [false, true] {
                 let mut sw = ScoringWeights::compute(&f.fiber, &f.geodesic, &f.traffic);
                 if armed {
-                    assert!(sw.enable_gain_bounds(&f.fiber));
+                    assert!(sw.arm_row_skip(&f.fiber));
                 }
                 let mut matrix = f.fiber.clone();
                 let mut update = RoundUpdate::new(n, &sw);
@@ -1115,7 +1115,7 @@ mod tests {
         assert!(parallel && len < f.candidates.len() && len > ROUNDS);
         for armed in [false, true] {
             let mut sw = ScoringWeights::compute(&f.fiber, &f.geodesic, &f.traffic);
-            assert!(sw.enable_gain_bounds(&f.fiber));
+            assert!(sw.arm_row_skip(&f.fiber));
             if armed {
                 assert!(arm_screen(
                     &mut sw,

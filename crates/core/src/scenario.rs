@@ -112,15 +112,6 @@ impl ScenarioConfig {
             design: DesignConfig::default(),
         }
     }
-
-    /// A reduced US scenario with the `n` most populous centers — the knob
-    /// used by the Fig. 2 scaling experiment.
-    pub fn us_subset(seed: u64, n: usize) -> Self {
-        Self {
-            max_sites: Some(n),
-            ..Self::us_paper(seed)
-        }
-    }
 }
 
 /// Wall-clock split of one [`Scenario::build`] candidate-pool build.
@@ -508,12 +499,5 @@ mod tests {
             s.design_input().useful_candidates().len(),
             s.design_input().candidates.len()
         );
-    }
-
-    #[test]
-    fn us_subset_config_limits_sites() {
-        let config = ScenarioConfig::us_subset(3, 5);
-        let s = Scenario::build(&config);
-        assert_eq!(s.cities().len(), 5);
     }
 }

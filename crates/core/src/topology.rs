@@ -144,8 +144,7 @@ pub struct ScoringWeights {
     den: f64,
     /// Absolute distance slack absorbing float noise in triangle-inequality
     /// arguments (a few ulps of the largest finite distance), set by
-    /// [`Self::enable_gain_bounds`] once the effective matrix is verified
-    /// metric.
+    /// [`Self::arm_row_skip`] once the effective matrix is verified metric.
     row_skip_slack_km: Option<f64>,
     /// Floor of the pair-major repair's site screen: a lower bound, up to
     /// [`Self::screen_slack_km`], on every matrix a design run scores. The
@@ -251,7 +250,7 @@ impl ScoringWeights {
     /// starting matrix covers every later round. Non-metric inputs (e.g.
     /// arbitrary test fixtures) simply leave it disabled and every row is
     /// scanned.
-    pub(crate) fn enable_gain_bounds(&mut self, effective: &DistMatrix) -> bool {
+    pub(crate) fn arm_row_skip(&mut self, effective: &DistMatrix) -> bool {
         if effective.is_metric_within(METRIC_REL_TOL) {
             self.row_skip_slack_km = Some(4.0 * METRIC_REL_TOL * max_finite_km(effective));
             true
@@ -875,7 +874,7 @@ mod tests {
         // Unarmed: no row is ever skipped.
         assert!(sw.row_skip_slack_km().is_none());
         assert!(
-            sw.enable_gain_bounds(topo.effective_matrix()),
+            sw.arm_row_skip(topo.effective_matrix()),
             "2× geodesic is metric"
         );
         // A candidate improves some pair of row `s` only if the endpoints'
@@ -900,7 +899,7 @@ mod tests {
         let mut broken = topo.effective_matrix().clone();
         broken.set_sym(0, 2, 1e7);
         let mut sw2 = ScoringWeights::compute(&broken, topo.geodesic_matrix(), topo.traffic());
-        assert!(!sw2.enable_gain_bounds(&broken));
+        assert!(!sw2.arm_row_skip(&broken));
         assert!(sw2.row_skip_slack_km().is_none());
     }
 

@@ -252,8 +252,7 @@ pub fn pair_index(n: usize, i: usize, j: usize) -> usize {
 }
 
 /// The effect of one tracked one-edge improvement: which unordered pairs got
-/// a shorter distance, what they measured before, and which vertices are
-/// incident to at least one improved pair.
+/// a shorter distance and what they measured before.
 ///
 /// This is the delta the incremental design engine consumes. It indexes
 /// [`ImprovedPairs::pairs`] by vertex into each vertex's *changed
@@ -271,8 +270,6 @@ pub struct ImprovedPairs {
     pairs: Vec<(u32, u32, f64)>,
     /// Membership bitset over [`pair_index`]-indexed unordered pairs.
     pair_set: BitSet,
-    /// Vertices incident to at least one improved pair.
-    touched: BitSet,
 }
 
 impl ImprovedPairs {
@@ -282,7 +279,6 @@ impl ImprovedPairs {
             n,
             pairs: Vec::new(),
             pair_set: BitSet::new(pair_count(n)),
-            touched: BitSet::new(n),
         }
     }
 
@@ -294,7 +290,6 @@ impl ImprovedPairs {
         } else {
             self.pairs.clear();
             self.pair_set.clear();
-            self.touched.clear();
         }
     }
 
@@ -307,8 +302,6 @@ impl ImprovedPairs {
         let p = pair_index(self.n, a, b);
         if !self.pair_set.contains(p) {
             self.pair_set.insert(p);
-            self.touched.insert(a);
-            self.touched.insert(b);
             self.pairs.push((a as u32, b as u32, old));
         }
     }
@@ -327,13 +320,6 @@ impl ImprovedPairs {
     pub fn contains_pair(&self, i: usize, j: usize) -> bool {
         let (a, b) = if i < j { (i, j) } else { (j, i) };
         a != b && self.pair_set.contains(pair_index(self.n, a, b))
-    }
-
-    /// Whether any improved pair is incident to vertex `v`. Cached candidate
-    /// scores for links with an untouched endpoint pair survive exactly.
-    #[inline]
-    pub fn touches(&self, v: usize) -> bool {
-        self.touched.contains(v)
     }
 
     /// Number of improved (unordered) pairs.
@@ -654,7 +640,6 @@ mod tests {
         for &(a, b, old) in delta.pairs() {
             let (a, b) = (a as usize, b as usize);
             assert!(delta.contains_pair(a, b));
-            assert!(delta.touches(a) && delta.touches(b));
             assert_eq!(old, before.get(a, b));
             assert!(tracked.get(a, b) < old);
         }
@@ -664,8 +649,8 @@ mod tests {
                 assert_eq!(tracked.get(a, b), before.get(a, b));
             }
         }
-        // The endpoints of the new link are touched (its own pair improved).
-        assert!(delta.touches(0) && delta.touches(4));
+        // The new link's own pair improved.
+        assert!(delta.contains_pair(0, 4));
     }
 
     /// The oracle of [`leave_out_closures`]: `base`, then every link whose
@@ -845,7 +830,7 @@ mod tests {
         assert_eq!(delta.len(), 1);
         assert_eq!(delta.pairs()[0], (1, 3, 9.0));
         delta.reset(4);
-        assert!(delta.is_empty() && !delta.touches(1));
+        assert!(delta.is_empty() && !delta.contains_pair(1, 3));
         delta.reset(7);
         assert_eq!(delta.n(), 7);
         delta.record(5, 6, 1.0);

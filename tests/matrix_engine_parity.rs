@@ -507,7 +507,7 @@ proptest! {
             // Same matrix, bit for bit.
             prop_assert_eq!(&plain, &tracked);
             // The delta is exactly the set of changed pairs, with the old
-            // values, and `touches` covers every endpoint of a changed pair.
+            // values.
             for (i, j) in cisp::graph::pair_indices(n) {
                 let changed = tracked.get(i, j) != before.get(i, j);
                 prop_assert_eq!(delta.contains_pair(i, j), changed);
@@ -519,7 +519,6 @@ proptest! {
                         .map(|&(_, _, old)| old)
                         .unwrap();
                     prop_assert_eq!(old, before.get(i, j));
-                    prop_assert!(delta.touches(i) && delta.touches(j));
                 }
             }
         }
@@ -693,7 +692,8 @@ fn exactly_tied_candidates_resolve_to_the_lowest_pool_position() {
 /// fiber, population-product traffic — against the naive reference.
 #[test]
 fn scenario_pools_design_like_the_naive_greedy() {
-    let mut us20 = ScenarioConfig::us_subset(42, 20);
+    let mut us20 = ScenarioConfig::us_paper(42);
+    us20.max_sites = Some(20);
     us20.terrain = TerrainKind::Flat;
     for (config, budget, min_rounds) in [(ScenarioConfig::tiny_test(), 300, 30), (us20, 3_000, 100)]
     {

@@ -17,7 +17,7 @@
 //! (sight line minus bulge and Fresnel radius,
 //! [`fresnel::sample_headroom_m`]) depends only on the two antennas and the
 //! *obstacle* is `elevation_m(p) + clutter_m(p)` — four noise fields (16
-//! octaves) and nine ridge distances, ≈ 0.75–1.1 µs. The median feasible
+//! octaves) and nine ridge distances, ≈ 0.6 µs. The median feasible
 //! hop clears its tightest sample by tens of metres, so most samples can be
 //! decided from an upper bound on the obstacle ([`ObstructionEnvelope`])
 //! that costs a table look-up. Each sample runs down four tiers and stops
@@ -71,6 +71,21 @@
 //! towers through [`cisp_netsim::jobs::drain_jobs`]; each job enumerates its
 //! own towers' in-range partners, so the list of pairs is never held, and
 //! the jobs merge in pair order.
+//!
+//! **Each transcendental once.** A pair's great-circle length is measured
+//! once, by the partner query
+//! ([`TowerRegistry::higher_towers_within_into`], over each tower's cached
+//! [`geodesic::TrigPoint`]): it is the hop's length, the range test's
+//! operand and, through [`geodesic::PathSampler::from_parts`] and the
+//! per-tower unit vectors built with the engine, the path's central angle —
+//! one haversine a pair where the query, the length and the sampler used to
+//! take one each. The terrain below does the same per point and per cell:
+//! `elevation_m` takes a sample point's trigonometry once for every range
+//! within reach, a cell fill dismisses far ranges by a chord before any
+//! haversine, and a noise range hashes each lattice corner once
+//! ([`cisp_terrain::envelope`]). Every value is the one the per-call
+//! expressions give, bit for bit, so hops, lengths and tier counts do not
+//! move.
 
 use cisp_data::towers::TowerRegistry;
 use cisp_geo::{fresnel, geodesic, units};
@@ -219,6 +234,9 @@ pub struct HopFeasibility<'a> {
     config: HopConfig,
     /// Per-tower antenna height above sea level, in metres.
     antenna_asl_m: Vec<f64>,
+    /// Per-tower unit vector of the location: a hop's sampler is built from
+    /// its ends' vectors and its measured length, with no trigonometry.
+    unit: Vec<[f64; 3]>,
     envelope: ObstructionEnvelope<'a>,
 }
 
@@ -238,6 +256,11 @@ impl<'a> HopFeasibility<'a> {
             .towers()
             .iter()
             .map(|t| terrain.elevation_m(t.location) + t.height_m * config.usable_height_fraction)
+            .collect();
+        let unit = towers
+            .towers()
+            .iter()
+            .map(|t| t.location.to_unit_vector())
             .collect();
         let inf = f64::INFINITY;
         let (min_lat, max_lat, min_lon, max_lon) = towers.towers().iter().fold(
@@ -267,6 +290,7 @@ impl<'a> HopFeasibility<'a> {
             clutter,
             config,
             antenna_asl_m,
+            unit,
             envelope,
         }
     }
@@ -280,21 +304,24 @@ impl<'a> HopFeasibility<'a> {
     /// pointwise reference the sweep is checked against.
     #[cfg(test)]
     fn assess_pair(&self, i: usize, j: usize) -> Option<FeasibleHop> {
-        self.assess_pair_counted(i, j, &mut HopSweepStats::default())
+        let (a, b) = (i.min(j), i.max(j));
+        let all = self.towers.towers();
+        let length_km = geodesic::distance_km(all[a].location, all[b].location);
+        self.assess_pair_counted(a, b, length_km, &mut HopSweepStats::default())
     }
 
-    /// Assess a single tower pair, adding the tier that decided each probed
-    /// sample to `stats`. Returns the hop if it is feasible.
+    /// Assess the tower pair `a < b`, `length_km` apart
+    /// (`geodesic::distance_km` of their locations, bit for bit), adding
+    /// the tier that decided each probed sample to `stats`. Returns the hop
+    /// if it is feasible.
     fn assess_pair_counted(
         &self,
-        i: usize,
-        j: usize,
+        a: usize,
+        b: usize,
+        length_km: f64,
         stats: &mut HopSweepStats,
     ) -> Option<FeasibleHop> {
-        let (a, b) = (i.min(j), i.max(j));
-        let ta = &self.towers.towers()[a];
-        let tb = &self.towers.towers()[b];
-        let length_km = geodesic::distance_km(ta.location, tb.location);
+        debug_assert!(a < b);
         if length_km > self.config.max_range_km || length_km < 0.1 {
             return None;
         }
@@ -310,7 +337,12 @@ impl<'a> HopFeasibility<'a> {
         } = self.config;
 
         let n = profile::samples_for_hop(length_km);
-        let sampler = geodesic::PathSampler::new(ta.location, tb.location);
+        let sampler = geodesic::PathSampler::from_parts(
+            self.towers.towers()[a].location,
+            length_km,
+            self.unit[a],
+            self.unit[b],
+        );
         let denom = (n - 1) as f64;
         let global_max_m = self.envelope.global_max_m();
         let (clutter_min_m, clutter_max_m) = self.envelope.clutter_range_m();
@@ -420,9 +452,12 @@ impl<'a> HopFeasibility<'a> {
     ///
     /// One [`drain_jobs`] job per `TOWERS_PER_JOB` consecutive towers `i`:
     /// it finds each tower's partners `j > i` within range, in ascending
-    /// order, and assesses those pairs, counting into its own
-    /// [`HopSweepStats`]. That is [`TowerRegistry::pairs_within`]'s order,
-    /// job by job, without holding its list. Hops are concatenated and
+    /// order and with their distances
+    /// ([`TowerRegistry::higher_towers_within_into`]), and assesses those
+    /// pairs, counting into its own [`HopSweepStats`]. That is
+    /// [`TowerRegistry::pairs_within`]'s order, job by job, without holding
+    /// its list; each pair's one haversine is its hop length and its path's
+    /// central angle. Hops are concatenated and
     /// counts summed in job order. The jobs do not depend on `workers`, and
     /// a sample's tier depends only on the sample and on cell bounds that
     /// are pure functions of the cell, so the hop list and the counts are
@@ -443,13 +478,12 @@ impl<'a> HopFeasibility<'a> {
             |near, job| {
                 let mut stats = HopSweepStats::default();
                 let mut found = JobHops::default();
-                let run = towers.iter().enumerate().skip(job * TOWERS_PER_JOB);
-                for (i, tower) in run.take(TOWERS_PER_JOB) {
-                    self.towers
-                        .towers_within_into(tower.location, range_km, near);
+                let first = job * TOWERS_PER_JOB;
+                for i in first..towers.len().min(first + TOWERS_PER_JOB) {
+                    self.towers.higher_towers_within_into(i, range_km, near);
                     let before = found.partners.len();
-                    for &j in near.iter().filter(|&&j| j > i) {
-                        if let Some(hop) = self.assess_pair_counted(i, j, &mut stats) {
+                    for &(j, length_km) in near.iter() {
+                        if let Some(hop) = self.assess_pair_counted(i, j, length_km, &mut stats) {
                             found.partners.push(j as u32);
                             found.lengths_km.push(hop.length_km);
                         }
@@ -770,7 +804,11 @@ mod tests {
         let mut plain_stats = HopSweepStats::default();
         let plain: Vec<FeasibleHop> = pairs
             .iter()
-            .filter_map(|&(i, j)| engine.assess_pair_counted(i, j, &mut plain_stats))
+            .filter_map(|&(i, j)| {
+                let length_km =
+                    geodesic::distance_km(reg.towers()[i].location, reg.towers()[j].location);
+                engine.assess_pair_counted(i, j, length_km, &mut plain_stats)
+            })
             .collect();
         // Some hops are blocked, and the third job still finds one.
         assert!(plain.len() < pairs.len());

@@ -18,8 +18,10 @@
 //! candidate tower pairs within microwave range.
 
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
-use cisp_geo::{geodesic, GeoPoint};
+use cisp_geo::units::EARTH_RADIUS_KM;
+use cisp_geo::{geodesic, GeoPoint, TrigPoint};
 use rand::Rng;
 
 use crate::cities::City;
@@ -91,6 +93,10 @@ impl TowerRegistryConfig {
 #[derive(Debug, Clone)]
 pub struct TowerRegistry {
     towers: Vec<Tower>,
+    /// Each tower's location with its distance trigonometry cached,
+    /// parallel to `towers`: a range query computes one haversine per
+    /// candidate and none of the candidate's own trigonometry.
+    trig: Vec<TrigPoint>,
     /// Grid index: 0.5°-cell → tower indices, for range queries.
     grid: GridIndex,
 }
@@ -98,16 +104,68 @@ pub struct TowerRegistry {
 /// Cell size of the spatial index, in degrees.
 const CELL_DEG: f64 = 0.5;
 
+/// How far, in degrees, a range query's window reaches beyond the exact
+/// extent of its disc: it covers the rounding of the window's own
+/// arithmetic and of the haversine each candidate is tested with (both
+/// ≈ 1e-12° at most), so a tower the distance test accepts always lies in a
+/// probed cell.
+const WINDOW_MARGIN_DEG: f64 = 1e-6;
+
+/// Grid row or column of a latitude or longitude, as
+/// [`GeoPoint::grid_cell`] computes it.
+fn cell_index(deg: f64) -> i32 {
+    (deg / CELL_DEG).floor() as i32
+}
+
+/// The grid cells a disc of `radius_km` around `point` can reach: a band of
+/// rows, and in each row one or two runs of columns.
+///
+/// The disc's angular radius `δ` bounds its latitude offset. When the disc
+/// reaches a pole it holds every longitude, so the band is whole. Otherwise
+/// its longitude offset is at most the cap's half-width
+/// `asin(sin δ / cos φ)`, and the run of columns it spans is cut at ±180°
+/// with the part beyond wrapped to the other side of the antimeridian.
+fn query_window(
+    point: GeoPoint,
+    radius_km: f64,
+) -> (RangeInclusive<i32>, [Option<RangeInclusive<i32>>; 2]) {
+    let delta = radius_km / EARTH_RADIUS_KM;
+    let lat_reach = delta.to_degrees() + WINDOW_MARGIN_DEG;
+    let rows = cell_index((point.lat_deg - lat_reach).max(-90.0))
+        ..=cell_index((point.lat_deg + lat_reach).min(90.0));
+    let whole_band = [Some(cell_index(-180.0)..=cell_index(180.0)), None];
+    if point.lat_deg.abs() + lat_reach >= 90.0 {
+        return (rows, whole_band);
+    }
+    let ratio = delta.sin() / point.lat_deg.to_radians().cos();
+    let lon_reach = ratio.min(1.0).asin().to_degrees() + WINDOW_MARGIN_DEG;
+    // Beyond 90° the two runs could meet in one cell; scan everything.
+    if lon_reach >= 90.0 {
+        return (rows, whole_band);
+    }
+    let (west, east) = (point.lon_deg - lon_reach, point.lon_deg + lon_reach);
+    let main = cell_index(west.max(-180.0))..=cell_index(east.min(180.0));
+    let wrapped = if west < -180.0 {
+        Some(cell_index(west + 360.0)..=cell_index(180.0))
+    } else if east > 180.0 {
+        Some(cell_index(-180.0)..=cell_index(east - 360.0))
+    } else {
+        None
+    };
+    (rows, [Some(main), wrapped])
+}
+
 /// Flat grid-bucket index: one sorted array of packed cell keys, one CSR
 /// offset array, one contiguous item array.
 ///
 /// The previous `HashMap<(i32, i32), Vec<usize>>` paid a hash plus a
 /// pointer-chase per probed cell and scattered every bucket across the heap;
-/// a full `pairs_within` sweep probes hundreds of thousands of cells. Here a
-/// probe is one binary search over a dense `i64` array and the bucket is a
-/// slice of one shared allocation. Buckets hold tower indices in ascending
-/// order (the build sort is by `(key, index)`), matching the hash version's
-/// per-bucket insertion order.
+/// a full `pairs_within` sweep probes hundreds of thousands of cells. Here
+/// the keys order cells by row, then column, so a run of columns in one row
+/// is one run of keys and one slice of one shared allocation, found with
+/// two binary searches. Buckets hold tower indices in ascending order (the
+/// build sort is by `(key, index)`), matching the hash version's per-bucket
+/// insertion order.
 #[derive(Debug, Clone, Default)]
 struct GridIndex {
     /// Packed `(lat_cell, lon_cell)` keys, sorted ascending, one per
@@ -119,10 +177,10 @@ struct GridIndex {
     items: Vec<u32>,
 }
 
-/// Pack a grid cell into one orderable key.
+/// Pack a grid cell into one key, ordered as `(lat_cell, lon_cell)` is.
 #[inline]
 fn pack_cell(cell: (i32, i32)) -> i64 {
-    ((cell.0 as i64) << 32) | (cell.1 as i64 & 0xFFFF_FFFF)
+    ((cell.0 as i64) << 32) | i64::from(cell.1 as u32 ^ 0x8000_0000)
 }
 
 impl GridIndex {
@@ -151,13 +209,16 @@ impl GridIndex {
         }
     }
 
-    /// Tower indices in `cell`, or an empty slice.
+    /// Tower indices in the cells `(row, col)` for every `col` in `cols`,
+    /// cell by cell, or an empty slice.
     #[inline]
-    fn bucket(&self, cell: (i32, i32)) -> &[u32] {
-        match self.keys.binary_search(&pack_cell(cell)) {
-            Ok(k) => &self.items[self.offsets[k] as usize..self.offsets[k + 1] as usize],
-            Err(_) => &[],
-        }
+    fn run(&self, row: i32, cols: RangeInclusive<i32>) -> &[u32] {
+        let first = self
+            .keys
+            .partition_point(|&k| k < pack_cell((row, *cols.start())));
+        let end =
+            first + self.keys[first..].partition_point(|&k| k <= pack_cell((row, *cols.end())));
+        &self.items[self.offsets[first] as usize..self.offsets[end] as usize]
     }
 }
 
@@ -253,7 +314,8 @@ impl TowerRegistry {
     /// callers with their own data).
     pub fn from_towers(towers: Vec<Tower>) -> Self {
         let grid = GridIndex::build(&towers);
-        Self { towers, grid }
+        let trig = towers.iter().map(|t| TrigPoint::new(t.location)).collect();
+        Self { towers, trig, grid }
     }
 
     /// All towers.
@@ -279,30 +341,58 @@ impl TowerRegistry {
     }
 
     /// [`Self::towers_within`] writing into a caller-owned buffer (cleared
-    /// first), so sweeping callers — site attachment, the hop sweep,
-    /// `pairs_within` — reuse one allocation across queries. Results are
-    /// ascending tower indices, identical to `towers_within`.
+    /// first), so sweeping callers — site attachment — reuse one allocation
+    /// across queries. Results are ascending tower indices, identical to
+    /// `towers_within`.
     pub fn towers_within_into(&self, point: GeoPoint, radius_km: f64, result: &mut Vec<usize>) {
         assert!(radius_km >= 0.0);
         result.clear();
-        // 0.5° of latitude ≈ 55.6 km; pad the cell search generously for
-        // longitude shrink at high latitudes.
-        let lat_cells = (radius_km / 55.6 / CELL_DEG).ceil() as i32 + 1;
-        let cos_lat = point.lat_deg.to_radians().cos().max(0.2);
-        let lon_cells = (radius_km / (111.32 * cos_lat) / CELL_DEG).ceil() as i32 + 1;
-        let (cell_lat, cell_lon) = point.grid_cell(CELL_DEG);
+        let center = TrigPoint::new(point);
+        for run in self.window_runs(point, radius_km) {
+            result.extend(
+                run.iter()
+                    .map(|&i| i as usize)
+                    .filter(|&i| center.distance_km(&self.trig[i]) <= radius_km),
+            );
+        }
+        result.sort_unstable();
+    }
 
-        for dlat in -lat_cells..=lat_cells {
-            for dlon in -lon_cells..=lon_cells {
-                for &i in self.grid.bucket((cell_lat + dlat, cell_lon + dlon)) {
-                    let i = i as usize;
-                    if geodesic::distance_km(point, self.towers[i].location) <= radius_km {
-                        result.push(i);
-                    }
+    /// The towers `j > i` within `radius_km` of tower `i`, with their
+    /// distances `geodesic::distance_km(location(i), location(j))` bit for
+    /// bit, in ascending `j`, written into `result` (cleared first). The
+    /// hop sweep's partner query: a pair's distance is measured once, here,
+    /// and candidates `j <= i` cost no haversine.
+    pub fn higher_towers_within_into(
+        &self,
+        i: usize,
+        radius_km: f64,
+        result: &mut Vec<(usize, f64)>,
+    ) {
+        assert!(radius_km >= 0.0);
+        result.clear();
+        let center = &self.trig[i];
+        for run in self.window_runs(self.towers[i].location, radius_km) {
+            for j in run.iter().map(|&j| j as usize).filter(|&j| j > i) {
+                let d = center.distance_km(&self.trig[j]);
+                if d <= radius_km {
+                    result.push((j, d));
                 }
             }
         }
-        result.sort_unstable();
+        result.sort_unstable_by_key(|&(j, _)| j);
+    }
+
+    /// The tower indices in the cells [`query_window`] selects, one slice
+    /// per run of columns.
+    fn window_runs(&self, point: GeoPoint, radius_km: f64) -> impl Iterator<Item = &[u32]> + '_ {
+        let (rows, cols) = query_window(point, radius_km);
+        rows.flat_map(move |row| {
+            cols.clone()
+                .into_iter()
+                .flatten()
+                .map(move |cols| self.grid.run(row, cols))
+        })
     }
 
     /// All unordered tower pairs within `range_km` of each other, as index
@@ -311,12 +401,8 @@ impl TowerRegistry {
         let mut pairs = Vec::new();
         let mut near = Vec::new();
         for i in 0..self.towers.len() {
-            self.towers_within_into(self.towers[i].location, range_km, &mut near);
-            for &j in &near {
-                if j > i {
-                    pairs.push((i, j));
-                }
-            }
+            self.higher_towers_within_into(i, range_km, &mut near);
+            pairs.extend(near.iter().map(|&(j, _)| (i, j)));
         }
         pairs
     }
@@ -455,6 +541,114 @@ mod tests {
             reg.towers_within_into(p, radius, &mut buf);
             assert_eq!(buf, reg.towers_within(p, radius));
         }
+    }
+
+    /// `n` towers scattered up to `reach_km` from `center`.
+    fn scattered(center: GeoPoint, reach_km: f64, n: usize) -> TowerRegistry {
+        let mut rng = seeded_rng(n as u64, "scattered towers");
+        TowerRegistry::from_towers(
+            (0..n)
+                .map(|_| Tower {
+                    location: geodesic::destination(
+                        center,
+                        360.0 * rng.gen::<f64>(),
+                        reach_km * rng.gen::<f64>().sqrt(),
+                    ),
+                    height_m: 100.0,
+                    source: TowerSource::RentalCompany,
+                })
+                .collect(),
+        )
+    }
+
+    /// Every query of `reg` around each of its towers and at `extra`
+    /// points against a scan of every tower, results in ascending order;
+    /// the partner query's distances bit for bit.
+    fn assert_queries_match_brute_force(reg: &TowerRegistry, extra: &[GeoPoint], radius_km: f64) {
+        let brute = |p: GeoPoint| -> Vec<usize> {
+            (0..reg.len())
+                .filter(|&i| geodesic::distance_km(p, reg.towers()[i].location) <= radius_km)
+                .collect()
+        };
+        let mut near = Vec::new();
+        let mut partners = Vec::new();
+        let towers = reg.towers().iter().map(|t| t.location);
+        for (k, p) in towers.chain(extra.iter().copied()).enumerate() {
+            reg.towers_within_into(p, radius_km, &mut near);
+            let expected = brute(p);
+            assert_eq!(near, expected, "query {k} at {p}");
+            if k < reg.len() {
+                reg.higher_towers_within_into(k, radius_km, &mut partners);
+                let higher: Vec<(usize, u64)> = expected
+                    .iter()
+                    .filter(|&&j| j > k)
+                    .map(|&j| {
+                        (
+                            j,
+                            geodesic::distance_km(p, reg.towers()[j].location).to_bits(),
+                        )
+                    })
+                    .collect();
+                let got: Vec<(usize, u64)> =
+                    partners.iter().map(|&(j, d)| (j, d.to_bits())).collect();
+                assert_eq!(got, higher, "partners of tower {k} at {p}");
+            }
+        }
+    }
+
+    // At 80° N a 100 km disc spans ±5.19° of longitude: a window padded as
+    // if cos φ were never below 0.2 reaches only ±5.0° plus the query's
+    // offset within its cell, and drops towers near the disc's east and
+    // west edges.
+    #[test]
+    fn range_query_at_80_north_matches_brute_force() {
+        let center = GeoPoint::new(80.0, 20.0);
+        let reg = scattered(center, 140.0, 1_500);
+        let edges: Vec<GeoPoint> = [0.0, 0.13, 0.26, 0.37, 0.49]
+            .iter()
+            .flat_map(|&off| {
+                [
+                    GeoPoint::new(80.0, 20.0 + off),
+                    GeoPoint::new(79.9, 19.8 - off),
+                ]
+            })
+            .collect();
+        assert_queries_match_brute_force(&reg, &edges, 100.0);
+        // The towers the old padding missed are there: some lie beyond 5°
+        // of longitude from a query point yet within range.
+        let far_east = reg
+            .towers_within(center, 100.0)
+            .into_iter()
+            .filter(|&i| (reg.towers()[i].location.lon_deg - center.lon_deg).abs() > 5.0);
+        assert!(far_east.count() > 0);
+    }
+
+    #[test]
+    fn range_query_across_the_antimeridian_matches_brute_force() {
+        for center in [
+            GeoPoint::new(0.0, 179.9),
+            GeoPoint::new(52.0, -179.7),
+            GeoPoint::new(-65.0, 180.0),
+        ] {
+            let reg = scattered(center, 160.0, 800);
+            let west = reg
+                .towers()
+                .iter()
+                .filter(|t| t.location.lon_deg < 0.0)
+                .count();
+            assert!(
+                west > 0 && west < reg.len(),
+                "both sides of ±180° hold towers"
+            );
+            assert_queries_match_brute_force(&reg, &[center], 100.0);
+        }
+    }
+
+    #[test]
+    fn range_query_over_a_pole_scans_the_whole_band() {
+        let reg = scattered(GeoPoint::new(90.0, 0.0), 250.0, 600);
+        let extra = [GeoPoint::new(89.5, -135.0), GeoPoint::new(88.0, 45.0)];
+        assert_queries_match_brute_force(&reg, &extra, 100.0);
     }
 
     #[test]

@@ -110,13 +110,23 @@ pub struct PathSampler {
 impl PathSampler {
     /// Precompute the path constants for `a` → `b`.
     pub fn new(a: GeoPoint, b: GeoPoint) -> Self {
-        let delta = central_angle_rad(a, b);
+        Self::from_parts(a, distance_km(a, b), a.to_unit_vector(), b.to_unit_vector())
+    }
+
+    /// [`Self::new`] from constants the caller already holds: `distance_km`
+    /// must be `distance_km(a, b)` (or [`TrigPoint::distance_km`] of the two
+    /// points) and `va`, `vb` the points' [`GeoPoint::to_unit_vector`]s. A
+    /// sweep over many paths between a fixed set of points computes each
+    /// point's vector once and reuses the distance it has already measured;
+    /// the sampler is then the one `new` builds, bit for bit.
+    pub fn from_parts(a: GeoPoint, distance_km: f64, va: [f64; 3], vb: [f64; 3]) -> Self {
+        let delta = distance_km / EARTH_RADIUS_KM;
         Self {
             a,
             delta,
             sin_delta: delta.sin(),
-            va: a.to_unit_vector(),
-            vb: b.to_unit_vector(),
+            va,
+            vb,
         }
     }
 
@@ -210,30 +220,37 @@ impl GreatCircleWalk {
     }
 }
 
-/// A point with the trigonometry [`distance_km`] needs of it cached.
+/// A point with the trigonometry [`distance_km`] and
+/// [`initial_bearing_deg`] need of it cached.
 ///
 /// `distance_km` converts both points to radians and takes the cosine of
-/// both latitudes on every call — six operations that are constant per
-/// point. `TrigPoint` hoists them, leaving two sines, a square root and an
-/// arcsine per distance. [`distance_km`](TrigPoint::distance_km) evaluates
-/// the *same expressions in the same order* as the free function, so the
-/// distances are bit-identical — the storm-failure sweep relies on that to
-/// keep rain sums, and therefore failure sets, unchanged.
+/// both latitudes on every call, and `initial_bearing_deg` both latitudes'
+/// sines and cosines — operations that are constant per point. `TrigPoint`
+/// hoists them, leaving two sines, a square root and an arcsine per
+/// distance. [`distance_km`](TrigPoint::distance_km),
+/// [`initial_bearing_deg`](TrigPoint::initial_bearing_deg) and
+/// [`unit_vector`](TrigPoint::unit_vector) evaluate the *same expressions in
+/// the same order* as the free functions and [`GeoPoint::to_unit_vector`],
+/// so their results are bit-identical — the storm-failure sweep relies on
+/// that to keep rain sums, and therefore failure sets, unchanged, and the
+/// hop sweep to keep its verdicts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrigPoint {
     lat_rad: f64,
     lon_rad: f64,
     cos_lat: f64,
+    sin_lat: f64,
 }
 
 impl TrigPoint {
-    /// Cache the radians and latitude cosine of `p`.
+    /// Cache the radians and latitude cosine and sine of `p`.
     pub fn new(p: GeoPoint) -> Self {
         let lat_rad = p.lat_rad();
         Self {
             lat_rad,
             lon_rad: p.lon_rad(),
             cos_lat: lat_rad.cos(),
+            sin_lat: lat_rad.sin(),
         }
     }
 
@@ -248,6 +265,27 @@ impl TrigPoint {
             (dlat / 2.0).sin().powi(2) + self.cos_lat * other.cos_lat * (dlon / 2.0).sin().powi(2);
         let c = 2.0 * s.sqrt().clamp(0.0, 1.0).asin();
         EARTH_RADIUS_KM * c
+    }
+
+    /// Initial bearing from `self` to `other`, in degrees; bit-identical to
+    /// `initial_bearing_deg(a, b)` of the points they were built from.
+    pub fn initial_bearing_deg(&self, other: &TrigPoint) -> f64 {
+        let dlon = other.lon_rad - self.lon_rad;
+        let y = dlon.sin() * other.cos_lat;
+        let x = self.cos_lat * other.sin_lat - self.sin_lat * other.cos_lat * dlon.cos();
+        let deg = y.atan2(x).to_degrees();
+        (deg + 360.0) % 360.0
+    }
+
+    /// The point's unit vector; bit-identical to
+    /// [`GeoPoint::to_unit_vector`].
+    pub fn unit_vector(&self) -> [f64; 3] {
+        let lon = self.lon_rad;
+        [
+            self.cos_lat * lon.cos(),
+            self.cos_lat * lon.sin(),
+            self.sin_lat,
+        ]
     }
 }
 
@@ -382,13 +420,53 @@ mod tests {
 
     #[test]
     fn trig_point_distance_is_bit_identical_to_distance_km() {
+        // The bearing and the unit vector too.
         let pole = GeoPoint::new(90.0, 0.0);
         let antipode = GeoPoint::new(-40.7128, 105.994);
-        let points = [nyc(), chicago(), la(), pole, antipode];
+        let dateline = GeoPoint::new(-12.5, 180.0);
+        let points = [nyc(), chicago(), la(), pole, antipode, dateline];
         for &a in &points {
+            let ta = TrigPoint::new(a);
+            let vector = ta.unit_vector().map(f64::to_bits);
+            assert_eq!(vector, a.to_unit_vector().map(f64::to_bits), "{a}");
             for &b in &points {
-                let cached = TrigPoint::new(a).distance_km(&TrigPoint::new(b));
+                let tb = TrigPoint::new(b);
+                let cached = ta.distance_km(&tb);
                 assert_eq!(cached.to_bits(), distance_km(a, b).to_bits(), "{a} → {b}");
+                let bearing = ta.initial_bearing_deg(&tb);
+                assert_eq!(
+                    bearing.to_bits(),
+                    initial_bearing_deg(a, b).to_bits(),
+                    "{a} → {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn path_sampler_from_parts_is_the_sampler_new_builds() {
+        let short = destination(chicago(), 80.0, 0.05);
+        for (a, b) in [
+            (nyc(), la()),
+            (chicago(), short),
+            (nyc(), nyc()),
+            (la(), nyc()),
+        ] {
+            let d = TrigPoint::new(a).distance_km(&TrigPoint::new(b));
+            let parts = PathSampler::from_parts(a, d, a.to_unit_vector(), b.to_unit_vector());
+            let new = PathSampler::new(a, b);
+            assert_eq!(parts.delta.to_bits(), new.delta.to_bits());
+            assert_eq!(parts.sin_delta.to_bits(), new.sin_delta.to_bits());
+            assert_eq!((parts.va, parts.vb), (new.va, new.vb));
+            for i in 0..=64u32 {
+                let f = i as f64 / 64.0;
+                let (p, q) = (parts.point_at(f), new.point_at(f));
+                assert!(p.lat_deg.to_bits() == q.lat_deg.to_bits(), "f = {f}");
+                assert!(p.lon_deg.to_bits() == q.lon_deg.to_bits(), "f = {f}");
+                assert_eq!(
+                    parts.walk(f, 1.0 / 64.0).position(),
+                    new.walk(f, 1.0 / 64.0).position()
+                );
             }
         }
     }

@@ -16,7 +16,7 @@
 //! designed networks detour where the paper's do.
 
 use cisp_geo::units::EARTH_RADIUS_KM;
-use cisp_geo::{geodesic, GeoPoint};
+use cisp_geo::{geodesic, GeoPoint, TrigPoint};
 
 use crate::envelope::LatLonRect;
 use crate::noise::{fbm, fbm_range, ridged, ridged_max, FbmParams};
@@ -52,14 +52,20 @@ const AXIS_BOUND_OBTUSE_MARGIN: f64 = 1e-9;
 /// The axis distance needs the axis length, the axis bearing and two
 /// haversines, even though the axis never moves. The elevation hot path
 /// (hop-feasibility sampling evaluates the terrain at millions of points)
-/// caches the per-axis constants here, plus a conservative reject radius
-/// that skips the whole range with one dot product.
+/// caches the per-axis constants here, the trigonometry of both axis ends
+/// included, plus a conservative reject radius that skips the whole range
+/// with one dot product.
 #[derive(Debug, Clone)]
 struct RangeAxis {
     /// Axis length `d(start, end)` in km.
     total_km: f64,
     /// Initial bearing of the axis at `start`, degrees.
     bearing_axis_deg: f64,
+    /// The same bearing in radians.
+    bearing_axis_rad: f64,
+    /// `start` and `end`, with their distance and bearing trigonometry.
+    start: TrigPoint,
+    end: TrigPoint,
     /// Unit vector of `start` (for the chord lower bound).
     start_unit: [f64; 3],
     /// Axis shorter than 1 mm: the range degenerates to a point.
@@ -81,7 +87,7 @@ impl RangeAxis {
     fn cross_track_km(&self, d_start_km: f64, bearing_deg: f64) -> f64 {
         let delta13 = d_start_km / EARTH_RADIUS_KM;
         let theta13 = bearing_deg.to_radians();
-        let theta12 = self.bearing_axis_deg.to_radians();
+        let theta12 = self.bearing_axis_rad;
         (delta13.sin() * (theta13 - theta12).sin()).asin().abs() * EARTH_RADIUS_KM
     }
 }
@@ -235,7 +241,8 @@ impl MountainRange {
     /// Without the two caps every range would cast its full height along the
     /// whole great circle through its axis.
     ///
-    /// The axis length and bearing come from the [`RangeAxis`] cache, and the
+    /// The axis length, bearing and end trigonometry come from the
+    /// [`RangeAxis`] cache, the centre's from the caller, and the
     /// cross-track distance reuses `d_start` for its central angle
     /// ([`RangeAxis::cross_track_km`], as in
     /// [`Self::distance_to_axis_cached_km`]): the same values as the
@@ -243,12 +250,12 @@ impl MountainRange {
     fn axis_distance_lower_bound_km(
         &self,
         axis: &RangeAxis,
-        center: GeoPoint,
+        center: &TrigPoint,
         radius_km: f64,
     ) -> f64 {
         let r = radius_km + AXIS_BOUND_SLACK_KM;
         let total = axis.total_km;
-        let d_start = geodesic::distance_km(self.start, center);
+        let d_start = axis.start.distance_km(center);
         let start_lo = d_start - r;
         if total < 1e-9 {
             return start_lo;
@@ -257,8 +264,8 @@ impl MountainRange {
         if far > 4.0 * self.half_width_km {
             return far;
         }
-        let d_end = geodesic::distance_km(self.end, center);
-        let xt = axis.cross_track_km(d_start, geodesic::initial_bearing_deg(self.start, center));
+        let d_end = axis.end.distance_km(center);
+        let xt = axis.cross_track_km(d_start, axis.start.initial_bearing_deg(center));
         let end_lo = d_end - r;
         let xt_hi = xt + r;
         let mut bound = far.max(xt - r);
@@ -282,7 +289,7 @@ impl MountainRange {
     /// Upper bound on [`Self::contribution_cached_m`] over every point
     /// within `radius_km` of `center`: the Gaussian is decreasing in the axis
     /// distance, so it is evaluated at that distance's lower bound.
-    fn max_contribution_m(&self, axis: &RangeAxis, center: GeoPoint, radius_km: f64) -> f64 {
+    fn max_contribution_m(&self, axis: &RangeAxis, center: &TrigPoint, radius_km: f64) -> f64 {
         let d = self.axis_distance_lower_bound_km(axis, center, radius_km);
         if d > 4.0 * self.half_width_km {
             return 0.0;
@@ -294,9 +301,13 @@ impl MountainRange {
     /// Precompute the axis constants reused by every elevation query.
     fn axis(&self) -> RangeAxis {
         let total_km = geodesic::distance_km(self.start, self.end);
+        let bearing_axis_deg = geodesic::initial_bearing_deg(self.start, self.end);
         RangeAxis {
             total_km,
-            bearing_axis_deg: geodesic::initial_bearing_deg(self.start, self.end),
+            bearing_axis_deg,
+            bearing_axis_rad: bearing_axis_deg.to_radians(),
+            start: TrigPoint::new(self.start),
+            end: TrigPoint::new(self.end),
             start_unit: self.start.to_unit_vector(),
             degenerate: total_km < 1e-9,
             skip_beyond_km: total_km + 4.0 * self.half_width_km + SKIP_MARGIN_KM,
@@ -304,18 +315,19 @@ impl MountainRange {
     }
 
     /// Shortest distance from `p` to the ridge axis segment, in kilometres,
-    /// with the axis constants supplied from a [`RangeAxis`] cache. Every
-    /// expression reuses or replays the exact arithmetic of the test-only
-    /// uncached reference (the cached values are pure functions of the axis
-    /// endpoints), so the result is bit-identical — which the
+    /// with the axis constants supplied from a [`RangeAxis`] cache and the
+    /// point's trigonometry from the caller. Every expression reuses or
+    /// replays the exact arithmetic of the test-only uncached reference (the
+    /// cached values are pure functions of the axis endpoints and of `p`),
+    /// so the result is bit-identical — which the
     /// `cached_elevation_matches_reference` test pins.
-    fn distance_to_axis_cached_km(&self, axis: &RangeAxis, p: GeoPoint) -> f64 {
+    fn distance_to_axis_cached_km(&self, axis: &RangeAxis, p: &TrigPoint) -> f64 {
         if axis.degenerate {
-            return geodesic::distance_km(self.start, p);
+            return axis.start.distance_km(p);
         }
         let total = axis.total_km;
-        let d_sp = geodesic::distance_km(self.start, p);
-        let bearing_p = geodesic::initial_bearing_deg(self.start, p);
+        let d_sp = axis.start.distance_km(p);
+        let bearing_p = axis.start.initial_bearing_deg(p);
         let xt = axis.cross_track_km(d_sp, bearing_p);
         let at = (d_sp * d_sp - xt * xt).max(0.0).sqrt();
         let mut diff = (axis.bearing_axis_deg - bearing_p).abs();
@@ -327,7 +339,7 @@ impl MountainRange {
         if at_signed < 0.0 {
             d_sp
         } else if at_signed > total {
-            geodesic::distance_km(self.end, p)
+            axis.end.distance_km(p)
         } else {
             xt
         }
@@ -335,7 +347,7 @@ impl MountainRange {
 
     /// Ridge height contribution at `p`, before crest noise, in metres, over
     /// the cached axis geometry.
-    fn contribution_cached_m(&self, axis: &RangeAxis, p: GeoPoint) -> f64 {
+    fn contribution_cached_m(&self, axis: &RangeAxis, p: &TrigPoint) -> f64 {
         let d = self.distance_to_axis_cached_km(axis, p);
         if d > 4.0 * self.half_width_km {
             return 0.0;
@@ -572,22 +584,21 @@ impl TerrainModel {
 
         if !self.ranges.is_empty() {
             // The crest-noise modulation is the same value for every range
-            // at a given point; compute it at most once per query.
+            // at a given point; compute it at most once per query. So is the
+            // point's trigonometry: its unit vector's four sines and cosines
+            // serve every range's distances and bearing too.
             let mut modulation: Option<f64> = None;
-            let vp = p.to_unit_vector();
+            let trig = TrigPoint::new(p);
+            let vp = trig.unit_vector();
             for (range, axis) in self.ranges.iter().zip(&self.axes) {
                 // Chord length is a lower bound on the great-circle
                 // distance to the axis start; beyond the reject radius
                 // the Gaussian is exactly zero, so skipping changes
                 // nothing.
-                let dx = vp[0] - axis.start_unit[0];
-                let dy = vp[1] - axis.start_unit[1];
-                let dz = vp[2] - axis.start_unit[2];
-                let chord_km = EARTH_RADIUS_KM * (dx * dx + dy * dy + dz * dz).sqrt();
-                if chord_km > axis.skip_beyond_km {
+                if chord_km(vp, axis.start_unit) > axis.skip_beyond_km {
                     continue;
                 }
-                let ridge = range.contribution_cached_m(axis, p);
+                let ridge = range.contribution_cached_m(axis, &trig);
                 if ridge > 0.0 {
                     let m = *modulation.get_or_insert_with(|| self.crest_modulation(p));
                     elevation += ridge * m;
@@ -637,6 +648,20 @@ impl TerrainModel {
     /// [`crate::envelope`] for why each maximum holds). The crest
     /// modulation multiplies non-negative ridge heights, so the sum of
     /// ridge maxima times the modulation maximum bounds the ridge total.
+    ///
+    /// Most ranges are hundreds of kilometres from a cell, so each is first
+    /// dismissed, if it can be, without a haversine: with `m` the middle of
+    /// the rectangle (the centre of [`LatLonRect::bounding_disc`]) and `ρ`
+    /// the rectangle's half-height plus half-width as an arc, every point of
+    /// the rectangle lies within `ρ` of `m` (a meridian arc, then a parallel
+    /// arc no longer than its longitude offset on the equator), so the disc's
+    /// radius is at most `ρ`. The chord from `m` to the range's start is at
+    /// most `d(m, start)`. So `chord − ρ > skip_beyond_km` — the reject
+    /// radius `elevation_m` uses, whose kilometre of margin dwarfs the
+    /// rounding of both bounds — puts the lower bound's `d_start − radius −
+    /// total` beyond 4σ: `max_contribution_m` would return exactly `0.0`,
+    /// and adding it to the sum changes no bit. The disc's four haversines
+    /// are paid only when some range survives.
     pub(crate) fn max_in(&self, rect: &LatLonRect) -> f64 {
         let mut bound = self.base.baseline_m;
         if self.base.relief_m > 0.0 {
@@ -644,12 +669,32 @@ impl TerrainModel {
             bound += self.base.relief_m * rolling_hi;
         }
         if !self.ranges.is_empty() {
-            let (center, radius_km) = rect.bounding_disc();
+            let middle = GeoPoint {
+                lat_deg: 0.5 * (rect.lat.0 + rect.lat.1),
+                lon_deg: 0.5 * (rect.lon.0 + rect.lon.1),
+            };
+            let v_middle = middle.to_unit_vector();
+            let half_extent_deg =
+                0.5 * ((rect.lat.1 - rect.lat.0).abs() + (rect.lon.1 - rect.lon.0).abs());
+            let reach_km = EARTH_RADIUS_KM * half_extent_deg.to_radians();
+            let mut disc: Option<(TrigPoint, f64)> = None;
             let ridges: f64 = self
                 .ranges
                 .iter()
                 .zip(&self.axes)
-                .map(|(range, axis)| range.max_contribution_m(axis, center, radius_km))
+                .filter(|(_, axis)| {
+                    // A NaN chord is not beyond the radius: the range stays.
+                    let beyond =
+                        chord_km(v_middle, axis.start_unit) - reach_km > axis.skip_beyond_km;
+                    !beyond
+                })
+                .map(|(range, axis)| {
+                    let (center, radius_km) = disc.get_or_insert_with(|| {
+                        let (center, radius_km) = rect.bounding_disc();
+                        (TrigPoint::new(center), radius_km)
+                    });
+                    range.max_contribution_m(axis, center, *radius_km)
+                })
                 .sum();
             if ridges > 0.0 {
                 let crest_hi = ridged_max(
@@ -664,6 +709,16 @@ impl TerrainModel {
         }
         bound.max(0.0)
     }
+}
+
+/// Chord length, in km on the Earth's sphere, between two unit vectors: a
+/// lower bound on their great-circle distance.
+#[inline]
+fn chord_km(v: [f64; 3], w: [f64; 3]) -> f64 {
+    let dx = v[0] - w[0];
+    let dy = v[1] - w[1];
+    let dz = v[2] - w[2];
+    EARTH_RADIUS_KM * (dx * dx + dy * dy + dz * dz).sqrt()
 }
 
 #[cfg(test)]
@@ -819,7 +874,8 @@ mod tests {
                 for k in 0..20 {
                     let p = GeoPoint::new(28.0 + k as f64, -120.0 + k as f64 * 4.0);
                     assert!(
-                        range.distance_to_axis_cached_km(axis, p) == range.distance_to_axis_km(p),
+                        range.distance_to_axis_cached_km(axis, &TrigPoint::new(p))
+                            == range.distance_to_axis_km(p),
                         "axis distance diverged for {} at point {k}",
                         range.name
                     );
@@ -867,7 +923,7 @@ mod tests {
                     lon: (center.lon_deg - side, center.lon_deg + side),
                 };
                 let (c, r) = rect.bounding_disc();
-                let cached = range.axis_distance_lower_bound_km(&axis, c, r);
+                let cached = range.axis_distance_lower_bound_km(&axis, &TrigPoint::new(c), r);
                 let uncached = range.axis_distance_lower_bound_uncached_km(c, r);
                 assert_eq!(
                     cached.to_bits(),
@@ -877,6 +933,120 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// [`TerrainModel::max_in`] without the chord dismissal: every range's
+    /// bound over the rectangle's bounding disc, summed.
+    fn max_in_undismissed(t: &TerrainModel, rect: &LatLonRect) -> f64 {
+        let mut bound = t.base.baseline_m;
+        if t.base.relief_m > 0.0 {
+            let (_, rolling_hi) = fbm_range(rect.lon, rect.lat, t.seed, t.rolling_params());
+            bound += t.base.relief_m * rolling_hi;
+        }
+        if !t.ranges.is_empty() {
+            let (center, radius_km) = rect.bounding_disc();
+            let center = TrigPoint::new(center);
+            let ridges: f64 = t
+                .ranges
+                .iter()
+                .zip(&t.axes)
+                .map(|(range, axis)| range.max_contribution_m(axis, &center, radius_km))
+                .sum();
+            if ridges > 0.0 {
+                let crest_hi =
+                    ridged_max(rect.lon, rect.lat, t.seed ^ CREST_SEED_MASK, CREST_PARAMS);
+                bound +=
+                    ridges * (1.0 - t.crest_noise_fraction + t.crest_noise_fraction * crest_hi);
+            }
+        }
+        bound.max(0.0)
+    }
+
+    // The chord dismissal in `max_in` skips only ranges whose bound is
+    // exactly zero, so the sum is the undismissed one bit for bit: on both
+    // built-in terrains and on random models with degenerate, short, long
+    // and overlapping axes, for rectangles from a fine cell to 2°, centred
+    // anywhere in the region and around the reject radius of each range.
+    #[test]
+    fn dismissed_max_in_equals_the_undismissed_sum() {
+        let mut draw = 0u64;
+        let mut unit = move || {
+            draw += 1;
+            (crate::noise::mix64(draw ^ 0x5EED) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut models = vec![
+            (TerrainModel::united_states(42), (24.0, 50.0, -125.0, -66.0)),
+            (TerrainModel::europe(7), (35.0, 71.0, -11.0, 32.0)),
+        ];
+        for k in 0..40 {
+            let mut ranges: Vec<MountainRange> = Vec::new();
+            for r in 0..1 + (unit() * 4.0) as usize {
+                let start = if r > 0 && unit() < 0.3 {
+                    let previous = &ranges[r - 1];
+                    if unit() < 0.5 {
+                        previous.start
+                    } else {
+                        previous.end
+                    }
+                } else {
+                    GeoPoint::new(36.0 + 8.0 * unit(), -105.0 + 10.0 * unit())
+                };
+                let length_km = [0.0, 1e-6, 0.5, 20.0, 300.0, 900.0][(unit() * 6.0) as usize];
+                let end = geodesic::destination(start, 360.0 * unit(), length_km);
+                let half_width_km = [3.0, 15.0, 60.0, 180.0][(unit() * 4.0) as usize];
+                ranges.push(MountainRange::new(
+                    "random",
+                    start,
+                    end,
+                    100.0 + 2900.0 * unit(),
+                    half_width_km,
+                ));
+            }
+            let base = BaseTerrainParams {
+                baseline_m: -100.0 + 700.0 * unit(),
+                relief_m: [0.0, 40.0, 220.0][k % 3],
+                correlation_deg: [0.01, 0.1, 0.8, 3.0][k % 4],
+            };
+            let crest = [0.0, 0.35, 1.0][(unit() * 3.0) as usize];
+            models.push((
+                TerrainModel::new(k as u64, base, ranges, crest),
+                (25.0, 55.0, -120.0, -80.0),
+            ));
+        }
+        let (mut dismissed, mut kept) = (0usize, 0usize);
+        for (t, (lat0, lat1, lon0, lon1)) in &models {
+            for q in 0..600 {
+                let center = if q % 2 == 0 {
+                    GeoPoint::new(lat0 + (lat1 - lat0) * unit(), lon0 + (lon1 - lon0) * unit())
+                } else {
+                    let axis = &t.axes[q / 2 % t.axes.len()];
+                    let range = &t.ranges[q / 2 % t.ranges.len()];
+                    let d_km = axis.skip_beyond_km * (0.8 + 0.4 * unit());
+                    geodesic::destination(range.start, 360.0 * unit(), d_km)
+                };
+                let side = [0.025, 0.1, 2.0 * unit()][q % 3];
+                let rect = LatLonRect {
+                    lat: (center.lat_deg - side / 2.0, center.lat_deg + side / 2.0),
+                    lon: (center.lon_deg - side / 2.0, center.lon_deg + side / 2.0),
+                };
+                let fast = t.max_in(&rect);
+                let slow = max_in_undismissed(t, &rect);
+                assert_eq!(fast.to_bits(), slow.to_bits(), "{rect:?}: {fast} vs {slow}");
+                let middle = GeoPoint::new(center.lat_deg, center.lon_deg).to_unit_vector();
+                for axis in &t.axes {
+                    let chord = chord_km(middle, axis.start_unit);
+                    if chord - EARTH_RADIUS_KM * side.to_radians() > axis.skip_beyond_km {
+                        dismissed += 1;
+                    } else {
+                        kept += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            dismissed > 10_000 && kept > 10_000,
+            "{dismissed} dismissed, {kept} kept"
+        );
     }
 
     #[test]

@@ -26,15 +26,22 @@
 //! * **Noise fields.** [`crate::noise::value_noise_range`] returns the exact
 //!   extrema of one value-noise octave over a rectangle (the octave is
 //!   bilinear in its smoothed coordinates, so after splitting at lattice
-//!   lines the extrema sit at sub-rectangle corners). fBm, the ridged crest
-//!   field and both clutter fields are positive-weight sums of octaves, so
-//!   the sum of per-octave maxima bounds each of them.
+//!   lines the extrema sit at sub-rectangle corners; each lattice corner is
+//!   hashed once per call). fBm, the ridged crest field and both clutter
+//!   fields are positive-weight sums of octaves, so the sum of per-octave
+//!   maxima bounds each of them.
 //! * **Mountain ranges.** A range adds `peak · exp(−d²/2σ²)` (0 beyond 4σ),
 //!   decreasing in the axis distance `d` *as the model computes it*: the
 //!   distance to the start, to the end, or the cross-track distance to the
 //!   axis' great circle, chosen by a planar along-track test. The bound
 //!   evaluates the Gaussian at a lower bound of that `d` over the cell; see
-//!   `MountainRange::axis_distance_lower_bound_km`.
+//!   `MountainRange::axis_distance_lower_bound_km`. Most ranges lie hundreds
+//!   of kilometres from a cell; a fill first dismisses each range whose
+//!   chord from the cell's middle, less a trigonometry-free bound on the
+//!   cell's radius, exceeds the range's reject radius — a range whose bound
+//!   is exactly 0 anyway — and computes the cell's bounding disc (four
+//!   haversines) and the survivors' bounds only when one survives
+//!   (`TerrainModel::max_in`).
 //! * **Rounding.** The bounds are exact in real arithmetic; evaluated in
 //!   `f64` they can fall short of a sampled value by rounding error many
 //!   orders of magnitude below a millimetre. Consumers compare against a

@@ -6,6 +6,18 @@
 //! lattice value noise with quintic smoothing fits the bill. Perlin gradient
 //! noise would look marginally nicer but feasibility statistics only care
 //! about amplitude and correlation length, not visual aesthetics.
+//!
+//! Two evaluators share one interpolation expression: [`value_noise`] at a
+//! point, and [`value_noise_range`], the exact extrema of one octave over a
+//! rectangle, which the obstruction envelope's cell bounds are built from.
+//! The range evaluates the same blend at every point of a grid split at the
+//! lattice lines, reading each lattice corner from a table hashed once per
+//! call (neighbouring split points share corners, so a point-by-point
+//! evaluation hashed most corners two to four times), and both floor their
+//! coordinates with an exact integer floor instead of `f64::floor`, a
+//! library call on targets without SSE4.1. `value_noise` stays the oracle:
+//! a unit test checks the range, bit for bit, against it at every split
+//! point of random rectangles.
 
 /// A deterministic 64-bit mixer (SplitMix64 finaliser). Used to hash lattice
 /// coordinates plus the seed into pseudo-random values.
@@ -38,10 +50,34 @@ fn smooth(t: f64) -> f64 {
     t * t * t * (t * (t * 6.0 - 15.0) + 10.0)
 }
 
+/// `x.floor() as i64`, exactly, from a truncating conversion and one
+/// comparison. The truncation is exact wherever it does not saturate (an
+/// `f64` of magnitude `>= 2^52` is already an integer, and a smaller one
+/// truncates to an integer `f64` holds exactly), and it rounds towards zero,
+/// so it is one above the floor exactly when it lies above `x`. NaN gives 0
+/// and the saturated ends stay saturated, as the `as` cast of the floor
+/// does. `f64::floor` is a library call on targets without SSE4.1, and the
+/// noise kernels floor every coordinate they see.
+#[inline]
+fn floor_i64(x: f64) -> i64 {
+    let t = x as i64;
+    t.saturating_sub(i64::from(t as f64 > x))
+}
+
+/// The bilinear blend of one lattice cell's corner values `v00`, `v10`,
+/// `v01`, `v11` at smoothed offsets `(sx, sy)`: the one expression
+/// [`value_noise`] and [`value_noise_range`] evaluate.
+#[inline]
+fn blend(v00: f64, v10: f64, v01: f64, v11: f64, sx: f64, sy: f64) -> f64 {
+    let a = v00 + (v10 - v00) * sx;
+    let b = v01 + (v11 - v01) * sx;
+    a + (b - a) * sy
+}
+
 /// Single-octave 2-D value noise in `[0, 1]`, with unit lattice spacing.
 pub fn value_noise(x: f64, y: f64, seed: u64) -> f64 {
-    let ix = x.floor() as i64;
-    let iy = y.floor() as i64;
+    let ix = floor_i64(x);
+    let iy = floor_i64(y);
     let fx = x - ix as f64;
     let fy = y - iy as f64;
 
@@ -51,12 +87,7 @@ pub fn value_noise(x: f64, y: f64, seed: u64) -> f64 {
     let v01 = lattice_value(ix, iy + 1, seed_hash);
     let v11 = lattice_value(ix + 1, iy + 1, seed_hash);
 
-    let sx = smooth(fx);
-    let sy = smooth(fy);
-
-    let a = v00 + (v10 - v00) * sx;
-    let b = v01 + (v11 - v01) * sx;
-    a + (b - a) * sy
+    blend(v00, v10, v01, v11, smooth(fx), smooth(fy))
 }
 
 /// Parameters for fractal Brownian motion.
@@ -144,13 +175,34 @@ pub(crate) fn ridged(x: f64, y: f64, seed: u64, params: FbmParams) -> f64 {
 /// cost of one call stays bounded whatever frequency a model is given.
 const MAX_EXACT_SPAN: f64 = 8.0;
 
-/// `a`, every integer strictly between `a` and `b`, then `b` (`a <= b`).
-fn split_at_lattice_lines(a: f64, b: f64) -> impl Iterator<Item = f64> + Clone {
-    let first = a.floor() as i64 + 1;
-    let last = b.ceil() as i64 - 1;
-    std::iter::once(a)
-        .chain((first..=last).map(|k| k as f64))
-        .chain(std::iter::once(b))
+/// Most lattice lines [`value_noise_range`] reads corner values on, per
+/// axis: a span of at most `MAX_EXACT_SPAN` (it may exceed it by the
+/// rounding of the width test) covers at most `MAX_EXACT_SPAN + 1` floors,
+/// and the last floor's cell reaches one line further.
+const CORNER_LINES: usize = MAX_EXACT_SPAN as usize + 3;
+
+/// One axis of [`value_noise_range`]'s split grid: `a`, every integer
+/// strictly between `a` and `b`, then `b` (`a <= b`), each as the lattice
+/// line it floors to, counted from `floor(a)`, and its smoothed offset from
+/// that line — exactly the `ix` (less `floor(a)`) and `smooth(fx)` that
+/// [`value_noise`] computes at that coordinate. Returns the number of
+/// points; every line index is below `CORNER_LINES - 1`.
+fn split_axis(a: f64, b: f64, out: &mut [(usize, f64); CORNER_LINES]) -> usize {
+    let base = floor_i64(a);
+    let mut n = 0;
+    let mut push = |v: f64| {
+        let i = floor_i64(v);
+        out[n] = ((i - base) as usize, smooth(v - i as f64));
+        n += 1;
+    };
+    push(a);
+    let mut k = base + 1;
+    while (k as f64) < b {
+        push(k as f64);
+        k += 1;
+    }
+    push(b);
+    n
 }
 
 /// Exact `(min, max)` of [`value_noise`] over the closed rectangle
@@ -168,6 +220,12 @@ fn split_at_lattice_lines(a: f64, b: f64) -> impl Iterator<Item = f64> + Clone {
 /// therefore the min and max of `value_noise` over the split grid's points.
 /// Rounding in the interpolation can push a sampled value past the returned
 /// range by a few ulps of 1.0; callers absorb that in their own slack.
+///
+/// Neighbouring split points share lattice corners, so each corner the grid
+/// reads is hashed once into a table, and each point is then the blend
+/// `value_noise` evaluates there, from the same corner values in the same
+/// expression: the result is the min and max of `value_noise` over the
+/// split points, bit for bit.
 pub fn value_noise_range(x: (f64, f64), y: (f64, f64), seed: u64) -> (f64, f64) {
     let (x0, x1) = (x.0.min(x.1), x.0.max(x.1));
     let (y0, y1) = (y.0.min(y.1), y.0.max(y.1));
@@ -175,12 +233,43 @@ pub fn value_noise_range(x: (f64, f64), y: (f64, f64), seed: u64) -> (f64, f64) 
     if !ends_finite || x1 - x0 > MAX_EXACT_SPAN || y1 - y0 > MAX_EXACT_SPAN {
         return (0.0, 1.0);
     }
-    let ys = split_at_lattice_lines(y0, y1);
+    let mut xs = [(0, 0.0); CORNER_LINES];
+    let mut ys = [(0, 0.0); CORNER_LINES];
+    let (nx, ny) = (split_axis(x0, x1, &mut xs), split_axis(y0, y1, &mut ys));
+    // Corner values on the lines the points read: `cols` lines from
+    // `floor(x0)` by `rows` lines from `floor(y0)`, row-major.
+    let (cols, rows) = (xs[nx - 1].0 + 2, ys[ny - 1].0 + 2);
+    let (ix0, iy0) = (floor_i64(x0), floor_i64(y0));
+    let seed_hash = mix64(seed);
+    // Most rectangles cross at most one lattice line per axis: their table
+    // fits a small array, which is cheaper to set up than the largest.
+    let mut small = [0.0; 16];
+    let mut large;
+    let corners: &mut [f64] = if rows * cols <= small.len() {
+        &mut small
+    } else {
+        large = [0.0; CORNER_LINES * CORNER_LINES];
+        &mut large
+    };
+    for row in 0..rows {
+        for col in 0..cols {
+            corners[row * cols + col] =
+                lattice_value(ix0 + col as i64, iy0 + row as i64, seed_hash);
+        }
+    }
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
-    for sx in split_at_lattice_lines(x0, x1) {
-        for sy in ys.clone() {
-            let v = value_noise(sx, sy, seed);
+    for &(col, sx) in &xs[..nx] {
+        for &(row, sy) in &ys[..ny] {
+            let c = row * cols + col;
+            let v = blend(
+                corners[c],
+                corners[c + 1],
+                corners[c + cols],
+                corners[c + cols + 1],
+                sx,
+                sy,
+            );
             lo = lo.min(v);
             hi = hi.max(v);
         }
@@ -343,6 +432,129 @@ mod tests {
             value_noise_range((f64::NAN, 1.0), (0.0, 1.0), 3),
             (0.0, 1.0)
         );
+    }
+
+    /// The floats one ulp below and one ulp above `x`.
+    fn ulp_neighbours(x: f64) -> [f64; 2] {
+        [x.next_down(), x.next_up()]
+    }
+
+    #[test]
+    fn integer_floor_is_f64_floor() {
+        let two_52 = (1u64 << 52) as f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            -1.5,
+            -2.0,
+            -1e-300,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            two_52,
+            -two_52,
+            two_52 + 1.0,
+            -two_52 - 1.0,
+            0.5 * two_52 + 0.5,
+            -(0.5 * two_52 + 0.5),
+            9.3e18,
+            -9.3e18,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for k in -40..=40 {
+            let k = k as f64;
+            xs.extend([k, k + 0.25, k - 0.75]);
+            xs.extend(ulp_neighbours(k));
+        }
+        for x in xs.clone() {
+            xs.extend(ulp_neighbours(x));
+        }
+        for x in xs {
+            assert_eq!(floor_i64(x), x.floor() as i64, "floor of {x:e}");
+        }
+    }
+
+    /// The range as the split grid's points give it through `value_noise`,
+    /// the grid split with `f64::floor` and `f64::ceil`: the oracle of the
+    /// corner-table kernel (the trivial range beyond the widest split).
+    fn range_over_split_points(x: (f64, f64), y: (f64, f64), seed: u64) -> (f64, f64) {
+        if (x.1 - x.0).abs() > MAX_EXACT_SPAN || (y.1 - y.0).abs() > MAX_EXACT_SPAN {
+            return (0.0, 1.0);
+        }
+        let split = |a: f64, b: f64| -> Vec<f64> {
+            let (a, b) = (a.min(b), a.max(b));
+            let inner = (a.floor() as i64 + 1..=b.ceil() as i64 - 1).map(|k| k as f64);
+            std::iter::once(a)
+                .chain(inner)
+                .chain(std::iter::once(b))
+                .collect()
+        };
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for sx in split(x.0, x.1) {
+            for &sy in &split(y.0, y.1) {
+                let v = value_noise(sx, sy, seed);
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+        }
+        (lo, hi)
+    }
+
+    #[test]
+    fn corner_table_range_is_the_split_point_range() {
+        let mut draw = 0u64;
+        let mut unit = || {
+            draw += 1;
+            (mix64(draw) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for case in 0..20_000u64 {
+            // Ends anywhere, on a lattice line, or one ulp off one; widths up
+            // to the widest split exactly, whole widths included.
+            let [x0, y0] = [(); 2].map(|_| {
+                let v = -60.0 + 120.0 * unit();
+                match (unit() * 4.0) as u32 {
+                    0 => v,
+                    1 => v.round(),
+                    2 => v.round().next_up(),
+                    _ => v.round().next_down(),
+                }
+            });
+            let [w, h] = [(); 2].map(|_| match (unit() * 5.0) as u32 {
+                0 => 0.0,
+                1 => (unit() * (MAX_EXACT_SPAN + 1.0))
+                    .floor()
+                    .min(MAX_EXACT_SPAN),
+                2 => 1e-9 * unit(),
+                _ => MAX_EXACT_SPAN * unit(),
+            });
+            let (x, y) = ((x0, x0 + w), (y0, y0 + h));
+            let (x, y) = if case % 2 == 0 {
+                (x, y)
+            } else {
+                ((x.1, x.0), (y.1, y.0))
+            };
+            let seed = mix64(case);
+            let (lo, hi) = value_noise_range(x, y, seed);
+            let (ref_lo, ref_hi) = range_over_split_points(x, y, seed);
+            assert_eq!(
+                (lo.to_bits(), hi.to_bits()),
+                (ref_lo.to_bits(), ref_hi.to_bits()),
+                "{x:?} × {y:?}, seed {seed}"
+            );
+        }
+        // The widest exact span on both axes, from a lattice line and off it.
+        for (x0, y0) in [(-4.0, 3.0), (-4.5, 3.25), (0.0, -8.0)] {
+            let x = (x0, x0 + MAX_EXACT_SPAN);
+            let y = (y0, y0 + MAX_EXACT_SPAN);
+            assert_eq!(value_noise_range(x, y, 9), range_over_split_points(x, y, 9));
+        }
     }
 
     #[test]

@@ -313,8 +313,14 @@ fn sweep_at_every_width(
     counts.expect("at least one width")
 }
 
-/// A synthesized registry over `bbox`, clustered around the cities in it.
-fn regional_towers(seed: u64, bbox: (f64, f64, f64, f64), cities: Vec<City>) -> TowerRegistry {
+/// A synthesized registry over `bbox` from `raw_count` raw towers,
+/// clustered around the cities in it.
+fn regional_towers_of(
+    seed: u64,
+    bbox: (f64, f64, f64, f64),
+    cities: Vec<City>,
+    raw_count: usize,
+) -> TowerRegistry {
     let cities: Vec<City> = cities
         .into_iter()
         .filter(|c| {
@@ -327,18 +333,30 @@ fn regional_towers(seed: u64, bbox: (f64, f64, f64, f64), cities: Vec<City>) -> 
         bbox,
         &cities,
         &TowerRegistryConfig {
-            raw_count: 2_150,
+            raw_count,
             ..TowerRegistryConfig::default()
         },
     )
 }
+
+/// [`regional_towers_of`] with the 2 150 raw towers of the seed-11 and
+/// seed-5 cases.
+fn regional_towers(seed: u64, bbox: (f64, f64, f64, f64), cities: Vec<City>) -> TowerRegistry {
+    regional_towers_of(seed, bbox, cities, 2_150)
+}
+
+/// The Rockies box of the seed-11 case.
+const ROCKIES: (f64, f64, f64, f64) = (32.0, 46.0, -116.0, -96.0);
+
+/// The Alps box of the seed-5 case.
+const ALPS: (f64, f64, f64, f64) = (44.5, 48.8, 5.5, 13.5);
 
 // (c) Regional terrain: a registry straddling the central Rockies' crest
 // (≈ -106°) from the Great Basin to the high plains, so the sweep sees
 // blocked, marginal and wide-open hops.
 #[test]
 fn cascaded_sweep_equals_exact_only_sweep_across_the_rockies() {
-    let towers = regional_towers(11, (32.0, 46.0, -116.0, -96.0), us_population_centers());
+    let towers = regional_towers(11, ROCKIES, us_population_centers());
     assert!(towers.len() >= 1_500, "only {} towers", towers.len());
     let terrain = TerrainModel::united_states(11);
     let clutter = ClutterModel::with_seed(11);
@@ -361,7 +379,7 @@ fn cascaded_sweep_equals_exact_only_sweep_across_the_rockies() {
 // the Po valley to the Swiss plateau and Bavaria.
 #[test]
 fn cascaded_sweep_equals_exact_only_sweep_across_the_alps() {
-    let towers = regional_towers(5, (44.5, 48.8, 5.5, 13.5), europe_population_centers());
+    let towers = regional_towers(5, ALPS, europe_population_centers());
     assert!(towers.len() >= 1_000, "only {} towers", towers.len());
     let terrain = TerrainModel::europe(5);
     let clutter = ClutterModel::with_seed(5);
@@ -376,6 +394,52 @@ fn cascaded_sweep_equals_exact_only_sweep_across_the_alps() {
         stats.by_cell_bound > 0 && stats.by_fine_bound > 0 && stats.exact > 0,
         "{stats:?}"
     );
+}
+
+// (c) The same two regions on two more synthesis seeds — terrain, clutter
+// and towers all drawn anew — so the cascade's constants, measured on one
+// world, decide no verdict differently on others. Fewer towers than the
+// seed-11 and seed-5 cases keep the file's debug run short.
+#[test]
+fn cascaded_sweep_equals_exact_only_sweep_on_more_seeds() {
+    for seed in [1, 2] {
+        for (region, terrain, bbox, cities) in [
+            (
+                "Rockies",
+                TerrainModel::united_states(seed),
+                ROCKIES,
+                us_population_centers(),
+            ),
+            (
+                "Alps",
+                TerrainModel::europe(seed),
+                ALPS,
+                europe_population_centers(),
+            ),
+        ] {
+            let towers = regional_towers_of(seed, bbox, cities, 700);
+            assert!(
+                towers.len() >= 400,
+                "{region} {seed}: {} towers",
+                towers.len()
+            );
+            let clutter = ClutterModel::with_seed(seed);
+            let config = HopConfig::default();
+
+            let reference = exact_only_hops(&towers, &terrain, &clutter, config);
+            let pairs = towers.pairs_within(config.max_range_km).len();
+            assert!(
+                reference.len() * 10 > pairs && reference.len() * 10 < pairs * 9,
+                "{region} {seed}: {} of {pairs} pairs feasible",
+                reference.len()
+            );
+            let stats = sweep_at_every_width(&towers, &terrain, &clutter, config, &reference);
+            assert!(
+                stats.by_cell_bound > 0 && stats.by_fine_bound > 0 && stats.exact > 0,
+                "{region} {seed}: {stats:?}"
+            );
+        }
+    }
 }
 
 // (c) Flat terrain: the global bound is the surface, no grid exists, and

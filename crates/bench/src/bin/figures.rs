@@ -2,8 +2,9 @@
 //!
 //! A name is a figure's name in [`cisp_bench::figures::FIGURES`] (`fig02`
 //! … `fig13`, `sec8`); with none, every figure runs, in that order. The
-//! figures share one memo, so each scenario and design is built once per
-//! run. A bad argument prints the usage line and exits with code 2.
+//! figures share one memo, so each world, scenario and design is built
+//! once per run; the last line on stderr counts them, with each stage's
+//! wall-clock. A bad argument prints the usage line and exits with code 2.
 
 use cisp_bench::figures::{parse_args, usage};
 use cisp_bench::Context;
@@ -18,6 +19,5 @@ fn main() {
     for (_, figure) in figures {
         figure(&ctx);
     }
-    let (scenarios, designs) = ctx.builds();
-    eprintln!("figures: {scenarios} scenario builds, {designs} cISP designs");
+    eprintln!("figures: {}", ctx.builds());
 }

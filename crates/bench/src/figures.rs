@@ -14,8 +14,8 @@ use cisp_core::design::{DesignInput, DesignOutcome, Designer};
 use cisp_core::economics::{rank_upgrades, UpgradeConfig};
 use cisp_core::evaluate::{lower, lower_classified, EvaluateConfig};
 use cisp_core::exact::exact_subset_search;
-use cisp_core::hops::{HopConfig, HopFeasibility};
-use cisp_core::links::{LinkBuilder, LinkBuilderConfig};
+use cisp_core::hops::HopConfig;
+use cisp_core::links::LinkBuilder;
 use cisp_core::scenario::{population_product_traffic, Scenario};
 use cisp_core::topology::HybridTopology;
 use cisp_core::traffic::{perturbed_populations, TrafficComponents, TrafficMix};
@@ -27,7 +27,6 @@ use cisp_graph::DistMatrix;
 use cisp_netsim::flows::ArrivalProcess;
 use cisp_netsim::sim::SimConfig;
 use cisp_netsim::tcp::{run_speed_mismatch, SpeedMismatchConfig};
-use cisp_terrain::{clutter::ClutterModel, TerrainModel};
 use cisp_weather::failures::FailureConfig;
 use cisp_weather::reroute::{weather_year_analysis, WeatherSeries};
 use cisp_weather::storms::{StormYear, StormYearConfig};
@@ -177,8 +176,8 @@ pub(crate) fn fig02_scaling(ctx: &Context) {
 /// additional parallel tower series they need (paper: 1660 hops need none,
 /// 552 need one, 86 need two), and the amortised cost per GB (paper: $0.81).
 /// A last table says how the pipeline got there: what decided the hop
-/// sweep's samples, where the pool build's time went, how the site pairs
-/// were resolved and how much work the swap polish did.
+/// sweep's samples, how many sites have no tower to attach to, how the
+/// site pairs were resolved and how much work the swap polish did.
 pub(crate) fn fig03_us_topology(ctx: &Context) {
     ctx.header("Fig. 3");
 
@@ -223,12 +222,10 @@ pub(crate) fn fig03_us_topology(ctx: &Context) {
         &link_rows,
     );
 
-    let profile = scenario.pool_profile();
-    let sweep = profile.hop_sweep;
+    let sweep = scenario.hop_sweep_stats();
     let pool = scenario.pool_stats();
     let zero_attached = scenario.attachment_report().zero_attached().len();
     let count = |name: &str, v: u64| row(name, v.to_string());
-    let ms = |name: &str, v: f64| row(name, fmt(v, 1));
     print_table(
         "Fig. 3: pipeline counters",
         &["counter", "value"],
@@ -242,10 +239,6 @@ pub(crate) fn fig03_us_topology(ctx: &Context) {
             count("hop sweep: cells filled", sweep.cells_filled),
             count("hop sweep: fine cells filled", sweep.fine_cells_filled),
             count("hop sweep: exact locates", sweep.exact_locates),
-            ms("pool build: hop sweep ms", profile.hop_sweep_ms),
-            ms("pool build: attach ms", profile.attach_ms),
-            ms("pool build: search ms", profile.search_ms),
-            ms("pool build: extract ms", profile.extract_ms),
             count("pool build: zero-attached sites", zero_attached as u64),
             count("pool: pairs", pool.pairs_total),
             count("pool: unreachable", pool.unreachable),
@@ -308,11 +301,7 @@ pub(crate) fn fig04a_stretch_vs_budget(ctx: &Context) {
 
     let max_budget = ctx.scale.us_budget_towers() * 2.5;
     for &range_km in &[100.0, 70.0] {
-        let hops = HopConfig {
-            max_range_km: range_km,
-            ..HopConfig::paper_baseline()
-        };
-        let scenario = ctx.scenario(Region::UnitedStates, hops);
+        let scenario = ctx.scenario(Region::UnitedStates, HopConfig::restricted(range_km, 1.0));
         let outcome = scenario.design_greedy(max_budget);
 
         let mut points = vec![(0.0, scenario.design_input().empty_topology().mean_stretch())];
@@ -362,22 +351,13 @@ pub(crate) fn fig04b_disjoint_paths(ctx: &Context) {
         geo
     );
 
-    // Rebuild the tower+site graph (the scenario's own parameters).
-    let terrain = TerrainModel::united_states(scenario.config().seed);
-    let clutter = ClutterModel::with_seed(scenario.config().seed);
-    let feasibility = HopFeasibility::new(
-        scenario.towers(),
-        &terrain,
-        &clutter,
-        scenario.config().hops,
-    );
-    let hops = feasibility.all_feasible_hops();
-    let builder = LinkBuilder::new(
-        &input.sites,
-        scenario.towers(),
-        &hops,
-        LinkBuilderConfig::default(),
-    );
+    // Rebuild the tower+site graph (the scenario's own world and parameters).
+    let config = scenario.config();
+    let hops = scenario
+        .world()
+        .hop_feasibility(config.hops)
+        .all_feasible_hops();
+    let builder = LinkBuilder::new(&input.sites, scenario.towers(), &hops, config.links);
 
     let max_paths = 20;
     let result = iterative_disjoint_paths(

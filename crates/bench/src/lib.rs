@@ -5,25 +5,26 @@
 //! quickstart says how). The figures share three things, provided here:
 //!
 //! * [`Scale`] — every experiment runs at one of two scales. `Full`, the
-//!   default, uses the paper's parameters (all fifteen figures in ≈ 80 s on
-//!   two cores); `Tiny` is the test scale (≈ 1.5 s), which `--tiny` selects.
+//!   default, uses the paper's parameters (all fifteen figures in ≈ 45–55 s
+//!   on two cores); `Tiny` is the test scale (≈ 1 s), which `--tiny` selects.
 //!   `--full` names the default explicitly.
-//! * [`Context`] — the scale plus a memo of the scenarios and designs built
-//!   so far, so all figures agree on what "the US network" means at a given
-//!   scale and none is built or designed twice in one run.
+//! * [`Context`] — the scale plus a memo of the worlds, scenarios and
+//!   designs built so far, so all figures agree on what "the US network"
+//!   means at a given scale and none is built or designed twice in one run.
 //! * plain-text table/series printers, so each figure's output is the rows
 //!   or series the corresponding figure plots.
 
 pub mod figures;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::Arc;
+use std::time::Instant;
 
 use cisp_core::design::{DesignOutcome, Designer, SwapPolishStats};
 use cisp_core::hops::HopConfig;
-use cisp_core::scenario::{Scenario, ScenarioConfig};
+use cisp_core::scenario::{Scenario, ScenarioConfig, World};
 use cisp_data::cities::Region;
-use cisp_data::towers::TowerRegistryConfig;
 
 /// Experiment scale selected on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,9 +33,9 @@ pub enum Scale {
     Tiny,
     /// The paper's scale and the default: every population center (120 in
     /// the US) and 18 000 raw towers. On two cores one US build plus its
-    /// design takes ≈ 5 s (`fig03` alone); run alone, `fig10` (ten builds
-    /// and designs) takes ≈ 33 s and `fig05` with `fig11` ≈ 30 s, and all
-    /// fifteen in one run take ≈ 80 s at ≈ 63 MiB peak RSS.
+    /// design takes ≈ 2.5 s (`fig03` alone); run alone, `fig10` (one world,
+    /// ten scenarios and designs) takes ≈ 25 s and `fig05` with `fig11`
+    /// ≈ 14 s, and all fifteen in one run take ≈ 45–55 s at ≈ 61 MiB peak RSS.
     Full,
 }
 
@@ -80,18 +81,20 @@ pub type Design = (DesignOutcome, SwapPolishStats);
 /// A memoised design: its scenario, its tower budget and the design.
 type DesignEntry = (Rc<Scenario>, f64, Rc<Design>);
 
-/// What the figures share: the scale, and every scenario and design built
-/// at it so far.
+/// What the figures share: the scale, and every world, scenario and design
+/// built at it so far.
 ///
-/// A scenario is keyed by its region and [`HopConfig`]: the seed is always
-/// 42 and the sites and towers follow the scale. A design is keyed by its
-/// scenario and tower budget, and is the scenario's own
-/// [`Scenario::design`], with the swap polish's counters kept.
+/// A world is keyed by its region: the seed is always 42 and the sites and
+/// towers follow the scale. A scenario is keyed by its world and
+/// [`HopConfig`], and a design by its scenario and tower budget; a design
+/// is the scenario's own [`Scenario::design`], with the swap polish's
+/// counters kept.
 pub struct Context {
     /// The scale every figure of this context runs at.
     pub scale: Scale,
-    scenarios: RefCell<Vec<Rc<Scenario>>>,
-    designs: RefCell<Vec<DesignEntry>>,
+    worlds: Stage<Arc<World>>,
+    scenarios: Stage<Rc<Scenario>>,
+    designs: Stage<DesignEntry>,
 }
 
 impl Context {
@@ -99,8 +102,9 @@ impl Context {
     pub fn new(scale: Scale) -> Self {
         Self {
             scale,
-            scenarios: RefCell::default(),
-            designs: RefCell::default(),
+            worlds: Stage::new(),
+            scenarios: Stage::new(),
+            designs: Stage::new(),
         }
     }
 
@@ -114,42 +118,39 @@ impl Context {
         self.scenario(Region::UnitedStates, HopConfig::paper_baseline())
     }
 
-    /// The scenario for `region` and `hops` at this scale, built on first use.
+    /// The scenario for `region` and `hops` at this scale, built on first use
+    /// over the region's one world.
     pub fn scenario(&self, region: Region, hops: HopConfig) -> Rc<Scenario> {
-        let same = |s: &&Rc<Scenario>| {
-            s.config().region == region && hop_bits(&s.config().hops) == hop_bits(&hops)
-        };
-        if let Some(scenario) = self.scenarios.borrow().iter().find(same) {
-            return Rc::clone(scenario);
-        }
-        let mut config = match region {
-            Region::UnitedStates => ScenarioConfig::us_paper(42),
-            Region::Europe => ScenarioConfig::europe_paper(42),
-        };
-        config.max_sites = self.scale.us_sites();
-        config.towers = TowerRegistryConfig {
-            raw_count: self.scale.raw_towers(),
-            ..TowerRegistryConfig::default()
-        };
-        config.hops = hops;
-        let scenario = Rc::new(Scenario::build(&config));
-        self.scenarios.borrow_mut().push(Rc::clone(&scenario));
-        scenario
+        let world = self.worlds.get(
+            |w| w.config().region == region,
+            || {
+                let mut config = match region {
+                    Region::UnitedStates => ScenarioConfig::us_paper(42),
+                    Region::Europe => ScenarioConfig::europe_paper(42),
+                };
+                config.max_sites = self.scale.us_sites();
+                config.towers.raw_count = self.scale.raw_towers();
+                Arc::new(World::build(&config))
+            },
+        );
+        self.scenarios.get(
+            |s| Arc::ptr_eq(s.world(), &world) && hop_bits(&s.config().hops) == hop_bits(&hops),
+            || Rc::new(Scenario::on_world(Arc::clone(&world), hops)),
+        )
     }
 
     /// The cISP design of `scenario` at `budget_towers`, run on first use.
     pub fn design(&self, scenario: &Rc<Scenario>, budget_towers: f64) -> Rc<Design> {
-        let same = |(s, b, _): &&DesignEntry| Rc::ptr_eq(s, scenario) && *b == budget_towers;
-        if let Some((.., design)) = self.designs.borrow().iter().find(same) {
-            return Rc::clone(design);
-        }
-        let design = Rc::new(
-            Designer::with_config(scenario.design_input(), scenario.config().design)
-                .cisp_profiled(budget_towers),
+        let entry = self.designs.get(
+            |(s, b, _)| Rc::ptr_eq(s, scenario) && *b == budget_towers,
+            || {
+                let designer =
+                    Designer::with_config(scenario.design_input(), scenario.config().design);
+                let design = Rc::new(designer.cisp_profiled(budget_towers));
+                (Rc::clone(scenario), budget_towers, design)
+            },
         );
-        let entry = (Rc::clone(scenario), budget_towers, Rc::clone(&design));
-        self.designs.borrow_mut().push(entry);
-        design
+        entry.2
     }
 
     /// The US design at the scale's tower budget: the network of Fig. 3.
@@ -157,9 +158,49 @@ impl Context {
         self.design(&self.us(), self.scale.us_budget_towers())
     }
 
-    /// How many scenarios and designs this context has built.
-    pub fn builds(&self) -> (usize, usize) {
-        (self.scenarios.borrow().len(), self.designs.borrow().len())
+    /// What this context has built, one stage at a time: how many worlds,
+    /// scenarios and designs, and each stage's summed wall-clock.
+    pub fn builds(&self) -> String {
+        let (w, s, d) = (&self.worlds, &self.scenarios, &self.designs);
+        format!(
+            "worlds {}, scenarios {}, designs {} (wall {:.3} s, {:.3} s, {:.3} s)",
+            w.built.borrow().len(),
+            s.built.borrow().len(),
+            d.built.borrow().len(),
+            w.wall_s.get(),
+            s.wall_s.get(),
+            d.wall_s.get(),
+        )
+    }
+}
+
+/// One stage of the memo: what it has built so far, and the summed
+/// wall-clock seconds of those builds.
+struct Stage<T> {
+    built: RefCell<Vec<T>>,
+    wall_s: Cell<f64>,
+}
+
+impl<T: Clone> Stage<T> {
+    fn new() -> Self {
+        Self {
+            built: RefCell::default(),
+            wall_s: Cell::default(),
+        }
+    }
+
+    /// The first thing built so far that is `same`, or else what `build`
+    /// builds now.
+    fn get(&self, same: impl Fn(&T) -> bool, build: impl FnOnce() -> T) -> T {
+        if let Some(built) = self.built.borrow().iter().find(|t| same(t)) {
+            return built.clone();
+        }
+        let start = Instant::now();
+        let built = build();
+        self.wall_s
+            .set(self.wall_s.get() + start.elapsed().as_secs_f64());
+        self.built.borrow_mut().push(built.clone());
+        built
     }
 }
 
@@ -218,6 +259,23 @@ mod tests {
         assert!(Scale::Tiny.us_budget_towers() < Scale::Full.us_budget_towers());
         assert_eq!(Scale::Full.us_sites(), None);
         assert_eq!(Scale::Tiny.label(), "tiny");
+    }
+
+    #[test]
+    fn the_memo_builds_one_world_per_region_and_one_scenario_per_hop_config() {
+        let ctx = Context::new(Scale::Tiny);
+        let us = ctx.us();
+        let restricted = HopConfig::restricted(70.0, 1.0);
+        let short = ctx.scenario(Region::UnitedStates, restricted);
+        assert!(Rc::ptr_eq(
+            &short,
+            &ctx.scenario(Region::UnitedStates, restricted)
+        ));
+        ctx.scenario(Region::Europe, HopConfig::paper_baseline());
+        assert!(ctx
+            .builds()
+            .starts_with("worlds 2, scenarios 3, designs 0 ("));
+        assert!(Arc::ptr_eq(us.world(), short.world()));
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! this: the same graph built as an adjacency list in test code, one
 //! reference Dijkstra per site pair, no fan-out at all.
 
-use std::time::Instant;
 use std::{panic, thread};
 
 use cisp_data::towers::TowerRegistry;
@@ -81,15 +80,6 @@ impl AttachmentReport {
             .map(|(s, _)| s)
             .collect()
     }
-}
-
-/// Wall-clock split of one pool-generation run, summed across workers.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct PoolSearchTimings {
-    /// Time spent in per-site shortest-path searches, milliseconds.
-    pub search_ms: f64,
-    /// Time spent extracting paths and assembling links, milliseconds.
-    pub extract_ms: f64,
 }
 
 /// Builds candidate links from sites, towers and feasible hops.
@@ -214,17 +204,6 @@ impl<'a> LinkBuilder<'a> {
         fiber_km: &DistMatrix,
         workers: usize,
     ) -> (Vec<CandidateLink>, PoolPruneStats) {
-        let (links, stats, _) = self.pruned_candidate_links_profiled(fiber_km, workers);
-        (links, stats)
-    }
-
-    /// [`Self::pruned_candidate_links_with`] plus a wall-clock split of the
-    /// search and extraction stages (summed across workers).
-    pub(crate) fn pruned_candidate_links_profiled(
-        &self,
-        fiber_km: &DistMatrix,
-        workers: usize,
-    ) -> (Vec<CandidateLink>, PoolPruneStats, PoolSearchTimings) {
         let n = self.sites.len();
         assert_eq!(fiber_km.n(), n, "fiber matrix size must match site count");
         // `drain_jobs` makes its caller a worker, and a worker allocates the
@@ -234,7 +213,7 @@ impl<'a> LinkBuilder<'a> {
         // allocator can neither return the hole nor keep later allocations
         // out of it (`cisp_benchmark`: resident set after a build 36 -> 67
         // MiB). So a helper thread is the caller.
-        let (per_site, ctxs) = thread::scope(|scope| {
+        let (per_site, _) = thread::scope(|scope| {
             let fan_out = scope.spawn(|| {
                 // The last site has no site after it to search for.
                 drain_jobs(
@@ -259,12 +238,7 @@ impl<'a> LinkBuilder<'a> {
             stats.oracle_dropped += site_stats.oracle_dropped;
             stats.emitted += site_stats.emitted;
         }
-        let mut timings = PoolSearchTimings::default();
-        for ctx in ctxs {
-            timings.search_ms += ctx.timings.search_ms;
-            timings.extract_ms += ctx.timings.extract_ms;
-        }
-        (links, stats, timings)
+        (links, stats)
     }
 
     /// Run the generation for source site `a`: one capped multi-target
@@ -288,11 +262,8 @@ impl<'a> LinkBuilder<'a> {
         let cap = fib_row[a + 1..].iter().copied().fold(0.0f64, f64::max);
         ctx.nodes.clear();
         ctx.nodes.extend((a + 1..n).map(|b| self.site_node(b)));
-        let t0 = Instant::now();
         ctx.core
             .search(&self.csr, self.site_node(a), &ctx.nodes, cap);
-        ctx.timings.search_ms += t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
         for (b, &fiber) in fib_row.iter().enumerate().skip(a + 1) {
             let node = self.site_node(b);
             let dist = ctx.core.dist(node);
@@ -310,7 +281,6 @@ impl<'a> LinkBuilder<'a> {
                 stats.oracle_dropped += 1;
             }
         }
-        ctx.timings.extract_ms += t1.elapsed().as_secs_f64() * 1e3;
         (links, stats)
     }
 }
@@ -325,7 +295,6 @@ struct SiteSearchCtx {
     nodes: Vec<usize>,
     /// Extracted node path scratch.
     path: Vec<usize>,
-    timings: PoolSearchTimings,
 }
 
 /// Observational counters of one
@@ -661,18 +630,18 @@ mod tests {
     }
 
     #[test]
-    fn profiled_generation_reports_timings_and_same_pool() {
+    fn repeated_pool_generation_is_stable_and_equals_pointwise_oracle() {
         let (sites, reg) = corridor_setup();
         let hops = feasible_hops(&reg);
         let builder = LinkBuilder::new(&sites, &reg, &hops, LinkBuilderConfig::default());
         let fiber = scaled_geodesic(&sites, 2.0);
-        let (pool, stats, timings) = builder.pruned_candidate_links_profiled(&fiber, 1);
+        let (pool, stats) = builder.pruned_candidate_links_with(&fiber, 1);
         assert!(!pool.is_empty());
         assert_eq!(pool, pointwise_links(&builder, &hops));
+        // A second run on the same builder gives the same pool and counters.
         assert_eq!(
             (pool, stats),
             builder.pruned_candidate_links_with(&fiber, 1)
         );
-        assert!(timings.search_ms >= 0.0 && timings.extract_ms >= 0.0);
     }
 }

@@ -1,12 +1,15 @@
 //! End-to-end deployment scenarios: the full design pipeline wired together.
 //!
-//! A [`Scenario`] bundles everything §4 and §6.2 of the paper need: the
-//! population centers of a region, a synthetic terrain, clutter, tower
-//! registry and fiber network, the feasible-hop assessment, the candidate
-//! city-to-city links, and the population-product traffic matrix. From a
-//! built scenario, [`Scenario::design`] runs the cISP heuristic at a tower
-//! budget and [`Scenario::provision`] augments capacity and prices the
-//! result.
+//! A scenario is built in two stages. A [`World`] holds what §4 and §6.2
+//! of the paper fix per region: the population centers, a synthetic
+//! terrain, clutter, tower registry and fiber network, and the fiber and
+//! population-product traffic matrices. A [`Scenario`] is a shared world
+//! plus what one [`HopConfig`] makes of it (§3.1): the hop sweep's tier
+//! counters, the site attachments and the candidate city-to-city links, so
+//! Fig. 10's (range, height) pairs each build one over the same world.
+//! [`Scenario::build`] is the two stages in a row. From a built scenario,
+//! [`Scenario::design`] runs the cISP heuristic at a tower budget and
+//! [`Scenario::provision`] augments capacity and prices the result.
 //!
 //! The heavyweight paper-scale configurations ([`ScenarioConfig::us_paper`],
 //! [`ScenarioConfig::europe_paper`]) are used by the benchmark binaries;
@@ -14,12 +17,13 @@
 //! cities, flat terrain) that exercises the identical code path in
 //! milliseconds for tests and doctests.
 
+use std::sync::Arc;
+
 use cisp_data::{
     cities::{europe_population_centers, us_population_centers, City, Region},
     fiber::{FiberConfig, FiberNetwork},
     towers::{TowerRegistry, TowerRegistryConfig},
 };
-use cisp_geo::GeoPoint;
 use cisp_graph::DistMatrix;
 use cisp_terrain::{clutter::ClutterModel, TerrainModel};
 
@@ -29,8 +33,6 @@ use crate::design::{DesignConfig, DesignInput, DesignOutcome, Designer};
 use crate::hops::{HopConfig, HopFeasibility, HopSweepStats};
 use crate::links::{AttachmentReport, LinkBuilder, LinkBuilderConfig, PoolPruneStats};
 use crate::topology::HybridTopology;
-
-use std::time::Instant;
 
 /// Which terrain model a scenario uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +99,6 @@ impl ScenarioConfig {
     /// (Texas and neighbours), flat terrain, a small tower registry.
     pub fn tiny_test() -> Self {
         Self {
-            seed: 7,
-            region: Region::UnitedStates,
             max_sites: Some(12),
             site_bbox: Some((27.0, 37.0, -103.0, -89.0)),
             terrain: TerrainKind::Flat,
@@ -106,50 +106,28 @@ impl ScenarioConfig {
                 raw_count: 1_500,
                 ..TowerRegistryConfig::default()
             },
-            hops: HopConfig::paper_baseline(),
-            fiber: FiberConfig::default(),
-            links: LinkBuilderConfig::default(),
-            design: DesignConfig::default(),
+            ..Self::us_paper(7)
         }
     }
 }
 
-/// Wall-clock split of one [`Scenario::build`] candidate-pool build.
-///
-/// `search_ms`/`extract_ms` are summed across workers (one per core), so
-/// they can exceed their share of the elapsed `total_ms`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PoolBuildProfile {
-    /// Hop feasibility sweep (terrain/Fresnel clearance over all pairs).
-    pub hop_sweep_ms: f64,
-    /// Tower+site graph assembly, site attachment and CSR construction.
-    pub attach_ms: f64,
-    /// Per-site shortest-path searches.
-    pub search_ms: f64,
-    /// Path extraction and link assembly.
-    pub extract_ms: f64,
-    /// Elapsed wall-clock of the whole pool build (sweep through links).
-    pub total_ms: f64,
-    /// How the hop sweep's samples were decided (bounds vs terrain sampling).
-    pub hop_sweep: HopSweepStats,
-}
-
-/// A fully built scenario, ready for design runs.
-pub struct Scenario {
+/// The hop-independent stage of a scenario: sites, terrain, clutter,
+/// towers, fiber, and the fiber and traffic matrices over the sites.
+pub struct World {
     config: ScenarioConfig,
     cities: Vec<City>,
+    terrain: TerrainModel,
+    clutter: ClutterModel,
     towers: TowerRegistry,
     fiber: FiberNetwork,
+    /// The sites, traffic and fiber matrix; no candidates.
     input: DesignInput,
-    pool_stats: PoolPruneStats,
-    pool_profile: PoolBuildProfile,
-    attachment: AttachmentReport,
 }
 
-impl Scenario {
-    /// Build the scenario: synthesise datasets, assess hop feasibility and
-    /// construct every candidate link. This is the expensive step; design
-    /// runs on the built scenario are comparatively cheap.
+impl World {
+    /// Synthesise the datasets of `config`'s seed, region, sites, terrain,
+    /// towers and fiber. Its `hops`, `links` and `design` fields are only
+    /// kept for the scenarios built on this world.
     pub fn build(config: &ScenarioConfig) -> Self {
         let mut cities = match config.region {
             Region::UnitedStates => us_population_centers(),
@@ -157,10 +135,8 @@ impl Scenario {
         };
         if let Some((min_lat, max_lat, min_lon, max_lon)) = config.site_bbox {
             cities.retain(|c| {
-                c.location.lat_deg >= min_lat
-                    && c.location.lat_deg <= max_lat
-                    && c.location.lon_deg >= min_lon
-                    && c.location.lon_deg <= max_lon
+                (min_lat..=max_lat).contains(&c.location.lat_deg)
+                    && (min_lon..=max_lon).contains(&c.location.lon_deg)
             });
         }
         if let Some(max) = config.max_sites {
@@ -185,52 +161,83 @@ impl Scenario {
 
         let towers = TowerRegistry::synthesize(config.seed, bbox, &cities, &config.towers);
         let fiber = FiberNetwork::synthesize(config.seed, &cities, &config.fiber);
+        let input = DesignInput {
+            sites: cities.iter().map(|c| c.location).collect(),
+            traffic: population_product_traffic(&cities),
+            fiber_km: fiber.latency_equivalent_matrix(),
+            candidates: Vec::new(),
+        };
+        Self {
+            config: config.clone(),
+            cities,
+            terrain,
+            clutter,
+            towers,
+            fiber,
+            input,
+        }
+    }
 
-        let sites: Vec<GeoPoint> = cities.iter().map(|c| c.location).collect();
-        let build_start = Instant::now();
-        let feasibility = HopFeasibility::new(&towers, &terrain, &clutter, config.hops);
+    /// The configuration the world was built from.
+    pub fn config(&self) -> &ScenarioConfig {
+        &self.config
+    }
+
+    /// Hop feasibility over the world's towers, terrain and clutter.
+    pub fn hop_feasibility(&self, hops: HopConfig) -> HopFeasibility<'_> {
+        HopFeasibility::new(&self.towers, &self.terrain, &self.clutter, hops)
+    }
+}
+
+/// A built scenario, ready for design runs: a [`World`] and the candidate
+/// pool one [`HopConfig`] gives over it.
+pub struct Scenario {
+    world: Arc<World>,
+    config: ScenarioConfig,
+    input: DesignInput,
+    pool_stats: PoolPruneStats,
+    hop_sweep: HopSweepStats,
+    attachment: AttachmentReport,
+}
+
+impl Scenario {
+    /// Build the scenario: synthesise its world, then assess hop
+    /// feasibility and construct every candidate link over it. This is the
+    /// expensive step; design runs on the built scenario are comparatively
+    /// cheap.
+    pub fn build(config: &ScenarioConfig) -> Self {
+        Self::on_world(Arc::new(World::build(config)), config.hops)
+    }
+
+    /// The pool stage: sweep `world`'s tower pairs under `hops`, attach its
+    /// sites and search every site pair's shortest tower path. The
+    /// scenario's configuration is the world's with `hops` in place.
+    pub fn on_world(world: Arc<World>, hops: HopConfig) -> Self {
+        let config = ScenarioConfig {
+            hops,
+            ..world.config.clone()
+        };
+        let feasibility = world.hop_feasibility(hops);
         // `0` workers: one per core, for the sweep and the searches alike.
         let (hops, hop_sweep) = feasibility.all_feasible_hops_profiled(0);
-        let hop_sweep_ms = build_start.elapsed().as_secs_f64() * 1e3;
         // Each of the build's large pieces is freed once its reader is done:
         // the envelope grid after the sweep, the hop list once the tower
         // graph holds its edges.
         drop(feasibility);
-
-        let attach_start = Instant::now();
-        let builder = LinkBuilder::new(&sites, &towers, &hops, config.links);
-        let attach_ms = attach_start.elapsed().as_secs_f64() * 1e3;
+        let builder = LinkBuilder::new(&world.input.sites, &world.towers, &hops, config.links);
         drop(hops);
         let attachment = builder.attachment_report().clone();
-
-        let traffic = population_product_traffic(&cities);
-        let fiber_km = fiber.latency_equivalent_matrix();
-        let (candidates, pool_stats, timings) =
-            builder.pruned_candidate_links_profiled(&fiber_km, 0);
-        let pool_profile = PoolBuildProfile {
-            hop_sweep_ms,
-            attach_ms,
-            search_ms: timings.search_ms,
-            extract_ms: timings.extract_ms,
-            total_ms: build_start.elapsed().as_secs_f64() * 1e3,
-            hop_sweep,
-        };
-
-        let input = DesignInput {
-            sites,
-            traffic,
-            fiber_km,
-            candidates,
-        };
-
+        let (candidates, pool_stats) =
+            builder.pruned_candidate_links_with(&world.input.fiber_km, 0);
         Self {
-            config: config.clone(),
-            cities,
-            towers,
-            fiber,
-            input,
+            input: DesignInput {
+                candidates,
+                ..world.input.clone()
+            },
+            world,
+            config,
             pool_stats,
-            pool_profile,
+            hop_sweep,
             attachment,
         }
     }
@@ -240,19 +247,24 @@ impl Scenario {
         &self.config
     }
 
+    /// The world the scenario's pool was built over.
+    pub fn world(&self) -> &Arc<World> {
+        &self.world
+    }
+
     /// The population centers (sites) of the scenario.
     pub fn cities(&self) -> &[City] {
-        &self.cities
+        &self.world.cities
     }
 
     /// The synthetic tower registry.
     pub fn towers(&self) -> &TowerRegistry {
-        &self.towers
+        &self.world.towers
     }
 
     /// The synthetic fiber network.
     pub fn fiber(&self) -> &FiberNetwork {
-        &self.fiber
+        &self.world.fiber
     }
 
     /// The assembled design input (sites, traffic, fiber, candidates).
@@ -266,9 +278,10 @@ impl Scenario {
         self.pool_stats
     }
 
-    /// Wall-clock stage split of the candidate-pool build.
-    pub fn pool_profile(&self) -> PoolBuildProfile {
-        self.pool_profile
+    /// How the hop sweep's samples were decided (bounds vs terrain
+    /// sampling).
+    pub fn hop_sweep_stats(&self) -> HopSweepStats {
+        self.hop_sweep
     }
 
     /// Per-site tower-attachment report from the pool build; sites in
@@ -301,7 +314,7 @@ impl Scenario {
         let mut topo = HybridTopology::with_conduits(
             self.input.sites.clone(),
             self.input.traffic.clone(),
-            &self.fiber,
+            &self.world.fiber,
         );
         for &idx in &outcome.selected {
             topo.add_mw_link(self.input.candidates[idx].clone());
@@ -473,13 +486,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_profile_and_attachment_report_are_populated() {
+    fn attachment_report_and_pool_stats_are_populated() {
         let s = tiny();
-        let profile = s.pool_profile();
-        assert!(profile.total_ms > 0.0);
-        assert!(profile.hop_sweep_ms >= 0.0 && profile.attach_ms >= 0.0);
-        assert!(profile.search_ms >= 0.0 && profile.extract_ms >= 0.0);
-        assert!(profile.total_ms >= profile.hop_sweep_ms);
+        assert!(s.hop_sweep_stats().samples > 0);
         let report = s.attachment_report();
         assert_eq!(report.attached_per_site.len(), s.cities().len());
         // The tiny scenario's registry seeds towers near every city, so no

@@ -1,5 +1,5 @@
 # Masks the wall-clock cells of `figures` output with `*`: fig02's
-# cisp_time_s and exact_time_s columns and fig03's `pool build: … ms` rows.
+# cisp_time_s and exact_time_s columns.
 # figures_tiny.txt is the masked `figures --tiny` output, and
 # figures_full.sha256 one SHA-256 per figure of the masked `figures --full`
 # output (figures_digest.sh); CI diffs against both. Re-bless, for an
@@ -9,6 +9,4 @@
 BEGIN { FS = OFS = "\t" }
 /^cities\tcisp_time_s\t/ { timed = 1; print; next }
 timed && NF == 5 { $2 = "*"; $3 = "*"; print; next }
-{ timed = 0 }
-/^pool build: .* ms\t/ { $2 = "*" }
-{ print }
+{ timed = 0; print }

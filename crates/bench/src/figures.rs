@@ -351,12 +351,13 @@ pub(crate) fn fig04b_disjoint_paths(ctx: &Context) {
         geo
     );
 
-    // Rebuild the tower+site graph (the scenario's own world and parameters).
+    // Rebuild the tower+site graph (the scenario's own world and parameters),
+    // the sweep on every core: its hop list is the same for every width.
     let config = scenario.config();
     let hops = scenario
         .world()
         .hop_feasibility(config.hops)
-        .all_feasible_hops();
+        .all_feasible_hops_with(0);
     let builder = LinkBuilder::new(&input.sites, scenario.towers(), &hops, config.links);
 
     let max_paths = 20;

@@ -212,7 +212,7 @@ pub struct Designer<'a> {
     /// Geodesic distances between the sites (the stretch denominators).
     geodesic: DistMatrix,
     /// The run's one set of scoring weights, against the fiber matrix every
-    /// design matrix descends from; the repair's metric row skip is armed
+    /// design matrix descends from; the repair's metric side test is armed
     /// when fiber is metric, and its geodesic site screen when the geodesic
     /// matrix is metric and neither fiber nor a useful candidate undercuts
     /// it.
@@ -238,9 +238,9 @@ impl<'a> Designer<'a> {
         let base = input.empty_topology();
         let mut sw =
             ScoringWeights::compute(&input.fiber_km, base.geodesic_matrix(), &input.traffic);
-        // Arms the O(1) per-row metric skip of the repair sweeps when fiber
-        // is verified metric (distances only shrink, so one check covers
-        // every round). No-op on non-metric inputs.
+        // Arms the via repair's metric side test (rows and columns) when
+        // fiber is verified metric (distances only shrink, so one check
+        // covers every round). No-op on non-metric inputs.
         sw.arm_row_skip(&input.fiber_km);
         // Arms the pair-major repair's geodesic site screen (its floor
         // stays zero otherwise). Pools only ever hold useful candidates.

@@ -18,9 +18,15 @@
 //!    distance is a plain read of the *pre-round matrix* the update carries
 //!    (the matrix as it stood before the accepted link). Vias only shrink,
 //!    so a pair contributes exactly when `via_new < d_st && via_new !=
-//!    via_old`. A row is dismissed by an O(1) metric test when the
-//!    matrix is verified metric, and otherwise walked scalar with that
-//!    contribution test.
+//!    via_old`. On a verified-metric matrix one side test, applied at both
+//!    ends of the pair, confines the walk: a via through `(i, j, m)` beats
+//!    `d(s,t)` only when `s` is nearer one endpoint and `t` nearer the
+//!    other, each by more than `m` less a slack. A row on neither side is
+//!    dismissed in O(1); a row on a side walks only the opposite side's
+//!    columns, its *shortcut cone*, two site bitsets built once per
+//!    candidate and round, in ascending column order, so the additions
+//!    keep a full scan's order and bits. A candidate with no changed
+//!    neighbour at either endpoint has no via part and skips the pass.
 //! 2. **Direct part, pair-major.** The improved pairs' candidate-independent
 //!    base (added in pass 1) plus per-candidate corrections. A candidate
 //!    `(i, j, m)` corrects pair `(a, b)` only when one of its vias on the
@@ -162,9 +168,9 @@ pub(crate) struct RoundUpdate {
     /// old[b][s] < old[a][b] + slack`, its `b`-side end); see
     /// [`ScoringWeights::arm_geodesic_screen`].
     screens: Vec<u64>,
-    /// Distance slack of the metric row-skip test
-    /// ([`ScoringWeights::row_skip_slack_km`]); `None` when the run's
-    /// matrix was not verified metric, disabling the skip.
+    /// Distance slack of the via part's metric side test on rows and
+    /// columns ([`ScoringWeights::row_skip_slack_km`]); `None` when the
+    /// run's matrix was not verified metric, disabling the test.
     row_skip_slack: Option<f64>,
 }
 
@@ -263,6 +269,11 @@ struct RepairScratch {
     in_affected: Vec<bool>,
     /// The current candidate's changed neighbours, deduplicated.
     affected: Vec<u32>,
+    /// The current candidate's `i` side, a site bitset: sites `t` with
+    /// `d(j,t) − d(i,t) > m − slack` ([`shortcut_sides`]).
+    near_i: Vec<u64>,
+    /// Its `j` side: sites `t` with `d(i,t) − d(j,t) > m − slack`.
+    near_j: Vec<u64>,
 }
 
 impl RepairScratch {
@@ -271,7 +282,33 @@ impl RepairScratch {
         Self {
             in_affected: vec![false; n],
             affected: Vec::with_capacity(n),
+            near_i: vec![0; n.div_ceil(64)],
+            near_j: vec![0; n.div_ceil(64)],
         }
+    }
+}
+
+/// Fill the two sides of candidate `(i, j, m)` from the endpoints' rows,
+/// with `m_slack = m − slack`: `near_i` holds the sites `t` with
+/// `d(j,t) − d(i,t) > m_slack`, `near_j` those with `d(i,t) − d(j,t) >
+/// m_slack`. A via `d(s,i) + m + d(j,t)` can beat `d(s,t)` only with `s`
+/// in `near_i` and `t` in `near_j` (and mirror-wise), so a row's *shortcut
+/// cone* is the opposite side of its own
+/// ([`ScoringWeights::row_skip_slack_km`] has the argument). With the
+/// skip unarmed (`m_slack = −∞`) both sides hold every site whose two
+/// distances are not both infinite.
+fn shortcut_sides(
+    row_i: &[f64],
+    row_j: &[f64],
+    m_slack: f64,
+    near_i: &mut [u64],
+    near_j: &mut [u64],
+) {
+    near_i.fill(0);
+    near_j.fill(0);
+    for (t, (&d_it, &d_jt)) in row_i.iter().zip(row_j).enumerate() {
+        near_i[t / 64] |= u64::from(d_jt - d_it > m_slack) << (t % 64);
+        near_j[t / 64] |= u64::from(d_it - d_jt > m_slack) << (t % 64);
     }
 }
 
@@ -302,6 +339,8 @@ pub(crate) struct ShardState {
     parallel_next: Vec<u32>,
     /// Length of each owned slot's candidate.
     slot_len: Vec<f64>,
+    /// Endpoints `(site_a, site_b)` of each owned slot's candidate.
+    slot_ends: Vec<(u32, u32)>,
     scratch: RepairScratch,
 }
 
@@ -317,6 +356,7 @@ impl ShardState {
             pair_slot: Vec::new(),
             parallel_next: Vec::new(),
             slot_len: Vec::new(),
+            slot_ends: Vec::new(),
             scratch: RepairScratch::default(),
         }
     }
@@ -333,8 +373,16 @@ impl ShardState {
     /// `min(via_new, d) − min(via_old, d)` with `d` the current direct
     /// distance and `via_old` read from the update's pre-round matrix.
     /// Vias only shrink, so only pairs with `via_new < d` can contribute,
-    /// and those contribute exactly when `via_new != via_old`; the sweep
-    /// adds the pairs that pass, in row-then-column order.
+    /// and those contribute exactly when `via_new != via_old`.
+    ///
+    /// On a verified-metric matrix such a pair has one end on each side of
+    /// the candidate ([`shortcut_sides`]): a row on neither side is skipped
+    /// in O(1), and a row on a side walks only the columns of the opposite
+    /// side, its *shortcut cone*, built once per candidate the first time
+    /// a row survives. The walk goes row by row in `affected` order and
+    /// each row in ascending column order, so the pairs that pass arrive in
+    /// the order a scan of every column would add them, and the sum has
+    /// that scan's bits.
     ///
     /// Together with the *direct part* ([`ShardState::apply`]'s
     /// candidate-independent base plus pair-major corrections), the repair
@@ -343,16 +391,17 @@ impl ShardState {
     fn via_repair(
         sw: &ScoringWeights,
         matrix: &DistMatrix,
-        link: &CandidateLink,
+        (i, j, m): (usize, usize, f64),
         update: &RoundUpdate,
         scratch: &mut RepairScratch,
     ) -> f64 {
-        let (i, j, m) = (link.site_a, link.site_b, link.mw_length_km);
         let (row_i, row_j) = (matrix.row(i), matrix.row(j));
         let (old_i, old_j) = (update.old.row(i), update.old.row(j));
         let RepairScratch {
             in_affected,
             affected,
+            near_i,
+            near_j,
         } = scratch;
         let mut dnum = 0.0;
 
@@ -367,22 +416,25 @@ impl ShardState {
                 }
             }
         }
-        // Metric row skip: on a verified-metric matrix a via through this
-        // candidate can only beat some pair of row `s` if the endpoints'
-        // distances to `s` differ by more than the link length
-        // (`d_si + m < d_st ≤ d_sj + d_jt` minus the common `d_jt` leg
-        // forces `d_si + m < d_sj`, and symmetrically) — an O(1) test that
-        // skips the whole row scan, with the slack absorbing float noise
-        // in the triangle inequality.
+        // The metric side test, with the slack absorbing float noise in
+        // the triangle inequality; unarmed, every finite row and column is
+        // on both sides.
         let m_slack = m - update.row_skip_slack.unwrap_or(f64::INFINITY);
+        let mut sides_built = false;
 
         // Via part: every pair incident to a changed neighbour (each
         // unordered pair visited once — a pair inside the affected set is
         // handled by its larger vertex).
         for &s in affected.iter() {
             let s = s as usize;
-            if (row_i[s] - row_j[s]).abs() <= m_slack {
+            let (s_near_i, s_near_j) =
+                (row_j[s] - row_i[s] > m_slack, row_i[s] - row_j[s] > m_slack);
+            if !(s_near_i || s_near_j) {
                 continue;
+            }
+            if !sides_built {
+                shortcut_sides(row_i, row_j, m_slack, near_i, near_j);
+                sides_built = true;
             }
             let d_si_m = row_i[s] + m;
             let d_sj_m = row_j[s] + m;
@@ -393,23 +445,31 @@ impl ShardState {
             let d_sj_m_old = update.old.get(s, j) + m;
             let eff_row = matrix.row(s);
             let w_row = sw.weights().row(s);
-            // Zipped rather than indexed, so the walk carries no bounds
-            // checks: ≈ 5 % of `design_us_flat`'s `cpu_s`.
-            let legs = row_i.iter().zip(row_j).zip(old_i.iter().zip(old_j));
-            for (t, (&d_st, ((&d_it, &d_jt), (&o_it, &o_jt)))) in
-                eff_row.iter().zip(legs).enumerate()
-            {
-                let via_new = min_no_nan(d_si_m + d_jt, d_sj_m + d_it);
-                let via_old = min_no_nan(d_si_m_old + o_jt, d_sj_m_old + o_it);
-                if !(via_new < d_st && via_new != via_old) || t == s || (in_affected[t] && t < s) {
-                    continue;
+            let (cone_of_i, cone_of_j) = (
+                u64::from(s_near_i).wrapping_neg(),
+                u64::from(s_near_j).wrapping_neg(),
+            );
+            for (word, (&bits_i, &bits_j)) in near_i.iter().zip(near_j.iter()).enumerate() {
+                let mut ts = (bits_j & cone_of_i) | (bits_i & cone_of_j);
+                while ts != 0 {
+                    let t = word * 64 + ts.trailing_zeros() as usize;
+                    ts &= ts - 1;
+                    let d_st = eff_row[t];
+                    let via_new = min_no_nan(d_si_m + row_j[t], d_sj_m + row_i[t]);
+                    let via_old = min_no_nan(d_si_m_old + old_j[t], d_sj_m_old + old_i[t]);
+                    if !(via_new < d_st && via_new != via_old)
+                        || t == s
+                        || (in_affected[t] && t < s)
+                    {
+                        continue;
+                    }
+                    let w = w_row[t];
+                    if w <= 0.0 {
+                        continue;
+                    }
+                    // `via_new < d_st`, so the new term is `via_new`.
+                    dnum += w * (via_new - min_no_nan(via_old, d_st));
                 }
-                let w = w_row[t];
-                if w <= 0.0 {
-                    continue;
-                }
-                // `via_new < d_st`, so the new term is `via_new`.
-                dnum += w * (via_new - min_no_nan(via_old, d_st));
             }
         }
 
@@ -435,10 +495,12 @@ impl ShardState {
         self.pair_slot = vec![NO_SLOT; n * n];
         self.parallel_next = vec![NO_SLOT; len];
         self.slot_len = Vec::with_capacity(len);
+        self.slot_ends = Vec::with_capacity(len);
         for (k, pos) in self.range.clone().enumerate() {
             let link = &ctx.candidates[ctx.pool[pos]];
             let (i, j) = (link.site_a, link.site_b);
             self.slot_len.push(link.mw_length_km);
+            self.slot_ends.push((i as u32, j as u32));
             self.site_links[i * words + j / 64] |= 1 << (j % 64);
             self.site_links[j * words + i / 64] |= 1 << (i % 64);
             self.parallel_next[k] = self.pair_slot[i * n + j];
@@ -452,16 +514,17 @@ impl ShardState {
     /// drop the accepted candidate, then repair every surviving cached
     /// value.
     pub(crate) fn apply(&mut self, ctx: &ScoreContext, matrix: &DistMatrix, update: &RoundUpdate) {
-        self.repair_candidate_major(ctx, matrix, update);
+        self.repair_candidate_major(ctx.sw, matrix, update);
         self.correct_direct_pairs(ctx.sw, update);
     }
 
     /// Pass 1, candidate-major: sync the overrides, drop the accepted
     /// candidate, and add the via part plus the direct base to every
-    /// surviving value.
+    /// surviving value. A candidate neither of whose endpoints has a
+    /// changed neighbour has no via part: it takes `direct_base + 0.0`.
     fn repair_candidate_major(
         &mut self,
-        ctx: &ScoreContext,
+        sw: &ScoringWeights,
         matrix: &DistMatrix,
         update: &RoundUpdate,
     ) {
@@ -473,13 +536,19 @@ impl ShardState {
         if self.range.contains(&update.removed_pos) {
             self.removed[update.removed_pos - self.range.start] = true;
         }
-        debug_assert_eq!(self.slot_len.len(), self.range.len(), "init_score not run");
-        for (k, pos) in self.range.clone().enumerate() {
-            if !self.removed[k] {
-                let l = &ctx.candidates[ctx.pool[pos]];
-                self.values[k] += update.direct_base
-                    + Self::via_repair(ctx.sw, matrix, l, update, &mut self.scratch);
+        debug_assert_eq!(self.slot_ends.len(), self.range.len(), "init_score not run");
+        for k in 0..self.values.len() {
+            if self.removed[k] {
+                continue;
             }
+            let (i, j) = (self.slot_ends[k].0 as usize, self.slot_ends[k].1 as usize);
+            let via = if update.changed_nbrs[i].is_empty() && update.changed_nbrs[j].is_empty() {
+                0.0
+            } else {
+                let ends = (i, j, self.slot_len[k]);
+                Self::via_repair(sw, matrix, ends, update, &mut self.scratch)
+            };
+            self.values[k] += update.direct_base + via;
         }
     }
 
@@ -743,33 +812,39 @@ mod tests {
         }
     }
 
+    /// Candidate `(i, j)`'s changed neighbours, deduplicated, in the order
+    /// [`ShardState::via_repair`] walks them.
+    fn affected_rows(update: &RoundUpdate, i: usize, j: usize) -> Vec<usize> {
+        let mut affected = Vec::new();
+        for list in [&update.changed_nbrs[i], &update.changed_nbrs[j]] {
+            for &v in list {
+                if !affected.contains(&(v as usize)) {
+                    affected.push(v as usize);
+                }
+            }
+        }
+        affected
+    }
+
     /// The via part as a full scan: every `t` of every affected row, with
-    /// no metric row skip and no contribution test in front — what
-    /// [`ShardState::via_repair`] must reproduce bit for bit.
+    /// no metric side test and no contribution test in front — what
+    /// [`ShardState::via_repair`] must reproduce bit for bit. Also returns
+    /// the entries `(s, t)` that add something.
     fn via_repair_reference(
         sw: &ScoringWeights,
         matrix: &DistMatrix,
         link: &CandidateLink,
         update: &RoundUpdate,
-    ) -> f64 {
-        let n = matrix.n();
+    ) -> (f64, Vec<(usize, usize)>) {
         let (i, j, m) = (link.site_a, link.site_b, link.mw_length_km);
         let old = &update.old;
-        let mut in_affected = vec![false; n];
-        let mut affected = Vec::new();
-        for list in [&update.changed_nbrs[i], &update.changed_nbrs[j]] {
-            for &v in list {
-                if !in_affected[v as usize] {
-                    in_affected[v as usize] = true;
-                    affected.push(v as usize);
-                }
-            }
-        }
+        let affected = affected_rows(update, i, j);
         let mut dnum = 0.0;
+        let mut added = Vec::new();
         for &s in &affected {
-            for (t, &t_affected) in in_affected.iter().enumerate() {
+            for t in 0..matrix.n() {
                 let w = sw.weights().get(s, t);
-                if t == s || (t_affected && t < s) || w <= 0.0 {
+                if t == s || (affected.contains(&t) && t < s) || w <= 0.0 {
                     continue;
                 }
                 let d_st = matrix.get(s, t);
@@ -780,10 +855,23 @@ mod tests {
                 let (new_term, old_term) = (via_new.min(d_st), via_old.min(d_st));
                 if new_term != old_term {
                     dnum += w * (new_term - old_term);
+                    added.push((s, t));
                 }
             }
         }
-        dnum / sw.den()
+        (dnum / sw.den(), added)
+    }
+
+    /// [`ShardState::via_repair`] on `link`.
+    fn via_repair_of(
+        sw: &ScoringWeights,
+        matrix: &DistMatrix,
+        link: &CandidateLink,
+        update: &RoundUpdate,
+        scratch: &mut RepairScratch,
+    ) -> f64 {
+        let ends = (link.site_a, link.site_b, link.mw_length_km);
+        ShardState::via_repair(sw, matrix, ends, update, scratch)
     }
 
     #[test]
@@ -975,10 +1063,14 @@ mod tests {
         }
     }
 
-    /// The via part's metric row skip and contribution test skip only pairs
-    /// that contribute nothing: on random fixtures and rounds, with and
-    /// without the metric skip, every candidate's via part has the bits of
-    /// [`via_repair_reference`]'s full scan.
+    /// The via part's metric side test and contribution test skip only
+    /// pairs that contribute nothing: on random fixtures and rounds, with
+    /// and without the metric side test, every candidate's via part has the
+    /// bits of [`via_repair_reference`]'s full scan. A walk written from
+    /// the definition checks the shortcut cone ([`shortcut_sides`]): every
+    /// entry the reference adds lies in it; armed, it leaves out a positive
+    /// share of the columns of the rows that survive the side test;
+    /// unarmed, it holds every column of every affected row.
     #[test]
     fn block_filtered_via_repair_matches_a_full_scan() {
         let n = 37;
@@ -994,25 +1086,108 @@ mod tests {
                 let mut update = RoundUpdate::new(n, &sw);
                 let mut scratch = RepairScratch::new(n);
                 let mut draw = Draws(seed);
+                let (mut columns, mut in_cone, mut added) = (0, 0, 0);
                 for _ in 0..8 {
                     let pos = (draw.next() * f.pool.len() as f64) as usize;
                     update.accept(&mut matrix, &f.candidates[f.pool[pos]], pos, &[], &sw);
                     for &c in &f.pool {
                         let link = &f.candidates[c];
-                        let filtered =
-                            ShardState::via_repair(&sw, &matrix, link, &update, &mut scratch);
-                        let reference = via_repair_reference(&sw, &matrix, link, &update);
+                        let filtered = via_repair_of(&sw, &matrix, link, &update, &mut scratch);
+                        let (reference, entries) =
+                            via_repair_reference(&sw, &matrix, link, &update);
                         assert_eq!(
                             filtered.to_bits(),
                             reference.to_bits(),
                             "seed {seed}, armed {armed}, candidate {c}: {filtered} vs {reference}"
                         );
                         nonzero += usize::from(reference != 0.0);
+
+                        let (i, j, m) = (link.site_a, link.site_b, link.mw_length_km);
+                        let m_slack = m - update.row_skip_slack.unwrap_or(f64::INFINITY);
+                        let d = |a: usize, b: usize| matrix.get(a, b);
+                        let near_i = |t: usize| d(j, t) - d(i, t) > m_slack;
+                        let near_j = |t: usize| d(i, t) - d(j, t) > m_slack;
+                        let cone = |s: usize, t: usize| {
+                            (near_i(s) && near_j(t)) || (near_j(s) && near_i(t))
+                        };
+                        for &(s, t) in &entries {
+                            assert!(
+                                cone(s, t),
+                                "seed {seed}, armed {armed}, candidate {c}: ({s}, {t}) adds \
+                                 outside the cone"
+                            );
+                        }
+                        added += entries.len();
+                        for s in affected_rows(&update, i, j) {
+                            if near_i(s) || near_j(s) {
+                                columns += n;
+                                in_cone += (0..n).filter(|&t| cone(s, t)).count();
+                            } else {
+                                assert!(armed, "unarmed, row {s} fails the side test");
+                            }
+                        }
                     }
+                }
+                let what = format!("seed {seed}, armed {armed}");
+                assert!(added > 0 && columns > 0, "{what}: nothing walked");
+                if armed {
+                    assert!(
+                        in_cone < columns,
+                        "{what}: the cone holds all {columns} columns"
+                    );
+                } else {
+                    assert_eq!(in_cone, columns, "{what}: unarmed cone leaves columns out");
                 }
             }
         }
         assert!(nonzero >= 500, "only {nonzero} non-zero via parts");
+    }
+
+    /// Four sites on which a changed neighbour's row passes the metric
+    /// side test by the slack alone, while the opposite side is empty: the
+    /// via part is exactly `0.0`, as the full scan's. Site 2 is the
+    /// changed neighbour of the candidate `(0, 1)`: the accepted link
+    /// `(0, 2)` sets `d(1,2)` to `fl(0.1 + 1000)`, which rounds up, so
+    /// `d(1,2) − d(0,2)` exceeds `d(0,1)` by an ulp-scale excess. A length
+    /// `m` with `m − slack` in `[d(0,1), d(1,2) − d(0,2))` lets row 2
+    /// through on the `0` side, while the `1` side, whose best column is
+    /// `d(0,1) − d(1,1)`, stays empty.
+    #[test]
+    fn a_surviving_row_with_an_empty_opposite_side_adds_nothing() {
+        let n = 4;
+        let fiber = DistMatrix::from_nested(vec![
+            vec![0.0, 0.1, 2000.0, 1500.0],
+            vec![0.1, 0.0, 2000.0, 1500.0],
+            vec![2000.0, 2000.0, 0.0, 1500.0],
+            vec![1500.0, 1500.0, 1500.0, 0.0],
+        ]);
+        let traffic = DistMatrix::from_fn(n, |a, b| if a == b { 0.0 } else { 1.0 });
+        let mut sw = ScoringWeights::compute(&fiber, &fiber, &traffic);
+        assert!(sw.arm_row_skip(&fiber));
+        let slack = sw.row_skip_slack_km().unwrap();
+        let mut matrix = fiber.clone();
+        let mut update = RoundUpdate::new(n, &sw);
+        update.accept(&mut matrix, &link(0, 2, 1000.0), 0, &[], &sw);
+        assert_eq!(affected_rows(&update, 0, 1), vec![2]);
+
+        let d01 = matrix.get(0, 1);
+        let mut m = d01 + slack;
+        while m - slack < d01 {
+            m = f64::from_bits(m.to_bits() + 1);
+        }
+        let m_slack = m - slack;
+        let (row_0, row_1) = (matrix.row(0), matrix.row(1));
+        assert!(row_1[2] - row_0[2] > m_slack, "row 2 fails the side test");
+        let (mut near_0, mut near_1) = (vec![0; 1], vec![0; 1]);
+        shortcut_sides(row_0, row_1, m_slack, &mut near_0, &mut near_1);
+        assert_eq!((near_0[0] >> 2 & 1, near_1[0]), (1, 0));
+
+        let candidate = link(0, 1, m);
+        let mut scratch = RepairScratch::new(n);
+        let via = via_repair_of(&sw, &matrix, &candidate, &update, &mut scratch);
+        let (reference, entries) = via_repair_reference(&sw, &matrix, &candidate, &update);
+        assert_eq!((via.to_bits(), reference.to_bits()), (0, 0));
+        assert!(entries.is_empty());
     }
 
     /// Whether the candidate on sites `i`, `j` passes the `p`-th direct
@@ -1157,7 +1332,7 @@ mod tests {
                     removed[pos] = true;
                     for (s, r) in screened.iter_mut().zip(&mut reference) {
                         s.apply(&ctx, &matrix, &update);
-                        r.repair_candidate_major(&ctx, &matrix, &update);
+                        r.repair_candidate_major(&sw, &matrix, &update);
                         let visits = correct_direct_pairs_by_length(r, &ctx, &update);
                         totals.prefix += visits.prefix;
                         totals.screened += visits.screened;

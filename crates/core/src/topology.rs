@@ -242,14 +242,15 @@ impl ScoringWeights {
     }
 
     /// Verify that `effective` satisfies the triangle inequality (within
-    /// float tolerance) and, if so, arm the repair sweeps' O(1) row skip
-    /// ([`Self::row_skip_slack_km`]). Returns whether it was armed.
+    /// float tolerance) and, if so, arm the via repair's metric side test
+    /// on rows and columns ([`Self::row_skip_slack_km`]). Returns whether
+    /// it was armed.
     ///
-    /// The skip's soundness rests on metricity, which
+    /// The test's soundness rests on metricity, which
     /// [`improve_with_link`] preserves — so one check against the run's
     /// starting matrix covers every later round. Non-metric inputs (e.g.
-    /// arbitrary test fixtures) simply leave it disabled and every row is
-    /// scanned.
+    /// arbitrary test fixtures) simply leave it disabled and every column
+    /// of every affected row is scanned.
     pub(crate) fn arm_row_skip(&mut self, effective: &DistMatrix) -> bool {
         if effective.is_metric_within(METRIC_REL_TOL) {
             self.row_skip_slack_km = Some(4.0 * METRIC_REL_TOL * max_finite_km(effective));
@@ -259,13 +260,19 @@ impl ScoringWeights {
         }
     }
 
-    /// Distance slack for the repair row-skip test, when it is armed: a
-    /// candidate `(i, j, m)` can only improve some pair in row `s` of a
-    /// metric matrix if `|d(s,i) - d(s,j)| > m - slack`.
+    /// Distance slack for the repair's metric side test, when it is armed:
+    /// a candidate `(i, j, m)` can only improve pair `(s, t)` of a metric
+    /// matrix through its via `d(s,i) + m + d(j,t)` if `d(s,j) - d(s,i) >
+    /// m - slack` (row `s` on the `i` side) and `d(i,t) - d(j,t) > m -
+    /// slack` (column `t` on the `j` side), and mirror-wise for the other
+    /// via orientation. So a row on neither side is skipped, and a row on
+    /// a side walks only the columns of the opposite side.
     ///
     /// Proof sketch: `d(s,i) + m + d(j,t) < d(s,t) <= d(s,j) + d(j,t)`
-    /// forces `d(s,i) + m < d(s,j)` (and symmetrically for the other via
-    /// orientation); the slack absorbs the metricity check's tolerance.
+    /// forces `d(s,i) + m < d(s,j)`, and the same inequality read at the
+    /// pair's other end, `d(s,i) + m + d(j,t) < d(s,t) <= d(s,i) +
+    /// d(i,t)`, forces `m + d(j,t) < d(i,t)`; the one slack absorbs the
+    /// metricity check's tolerance in both.
     pub(crate) fn row_skip_slack_km(&self) -> Option<f64> {
         self.row_skip_slack_km
     }

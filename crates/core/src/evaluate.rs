@@ -35,7 +35,7 @@ use cisp_geo::units::{FIBER_LATENCY_FACTOR, SPEED_OF_LIGHT_KM_PER_S};
 use cisp_graph::DistMatrix;
 use cisp_netsim::jobs::drain_jobs;
 use cisp_netsim::network::{LinkId, LinkSpec, Network};
-use cisp_netsim::routing::{reroute_avoiding, Demand, RoutingTable, TrafficClass};
+use cisp_netsim::routing::{Demand, RoutingTable, TrafficClass};
 use cisp_netsim::sim::{SimConfig, Simulation};
 use cisp_netsim::SimReport;
 
@@ -159,12 +159,22 @@ impl LoweredNetwork {
     /// variant, in variant order.
     ///
     /// `base` is the fair-weather table (`self.simulation().routes()`).
-    /// `variant(v, network)` may scale link rates on a clone of
+    /// `variant(v, network)` may scale link rates on a copy of
     /// [`Self::network`] and returns variant `v`'s disabled-link mask
-    /// (empty = every link up); the demands are re-routed from `base` by
-    /// [`reroute_avoiding`], and `row(v, simulation)` runs the result.
+    /// (empty = every link up); the demands are re-routed from `base` as
+    /// [`reroute_avoiding`](cisp_netsim::routing::reroute_avoiding) does, and
+    /// `row(v, simulation)` runs the result.
     /// [`SimConfig::workers`] is spent across the variants
     /// ([`SimConfig::across_runs`]); the rows do not depend on it.
+    ///
+    /// The sweep builds one [`Simulation`] — its first-emission list is the
+    /// same for every variant — and each worker runs a clone of it, turned
+    /// into each of its variants in place by [`Simulation::vary`]: the
+    /// link table, the route table, the re-routing search and the engine
+    /// are reset and refilled, not allocated, and a variant run on one
+    /// worker simulates its flows without partitioning them. Every row is
+    /// the one a cold `Simulation::with_routes(..).run()` gives, bit for
+    /// bit.
     pub fn rerun<T: Send>(
         &self,
         base: &RoutingTable,
@@ -172,18 +182,23 @@ impl LoweredNetwork {
         variant: impl Fn(usize, &mut Network) -> Vec<bool> + Sync,
         row: impl Fn(usize, &mut Simulation) -> T + Sync,
     ) -> Vec<T> {
+        if n == 0 {
+            return Vec::new();
+        }
         let (width, sim) = self.config.sim.across_runs(n);
+        let sweep = Simulation::with_routes(
+            self.network.clone(),
+            self.demands.clone(),
+            base.clone(),
+            sim,
+        );
         drain_jobs(
             n,
             width,
-            || (),
-            |_, v| {
-                let mut network = self.network.clone();
-                let disabled = variant(v, &mut network);
-                let routes =
-                    reroute_avoiding(&network, &self.demands, base, sim.routing, &disabled);
-                let mut run = Simulation::with_routes(network, self.demands.clone(), routes, sim);
-                row(v, &mut run)
+            || sweep.clone(),
+            |run, v| {
+                run.vary(&self.network, base, |network| variant(v, network));
+                row(v, run)
             },
         )
         .0

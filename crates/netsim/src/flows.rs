@@ -82,11 +82,15 @@ pub(crate) fn emission_times_into(
 }
 
 /// A flow's emission times, produced one at a time — the engine's event
-/// heap holds only each flow's *next* emission instead of every packet of
-/// the run, keeping the heap at O(flows + packets in flight). The sequence
+/// queue holds only each flow's *next* emission instead of every packet of
+/// the run, keeping the queue at O(flows + packets in flight). The sequence
 /// is float-for-float the one [`emission_times`] materialises (the running
 /// time accumulates through the same operations), so lazy and eager
 /// scheduling drive bit-identical simulations.
+///
+/// A schedule is plain data — the Poisson stream's 32-byte generator state
+/// sits inline — so the engine creates one, when the flow's first packet
+/// leaves, without touching the heap.
 #[derive(Debug, Clone)]
 pub(crate) enum EmissionSchedule {
     /// Evenly spaced from a deterministic per-flow phase in `[0, gap)`.
@@ -103,7 +107,7 @@ pub(crate) enum EmissionSchedule {
         /// Mean inter-packet gap, seconds.
         gap: f64,
         /// The flow's private RNG stream.
-        rng: Box<StdRng>,
+        rng: StdRng,
     },
 }
 
@@ -133,11 +137,7 @@ impl EmissionSchedule {
                 let mut rng =
                     StdRng::seed_from_u64(seed ^ (flow_index as u64).wrapping_mul(0xABCD_EF12));
                 let next = first_poisson_gap(&mut rng, gap);
-                EmissionSchedule::Poisson {
-                    next,
-                    gap,
-                    rng: Box::new(rng),
-                }
+                EmissionSchedule::Poisson { next, gap, rng }
             }
         }
     }

@@ -127,6 +127,17 @@ impl DelayHistogram {
         page[bin as usize % PAGE_BINS] += 1;
     }
 
+    /// Forget every sample; the bin pages stay allocated, zeroed.
+    pub(crate) fn clear(&mut self) {
+        self.count = 0;
+        self.zero = 0;
+        self.min = f64::INFINITY;
+        self.max = f64::NEG_INFINITY;
+        for page in self.pages.iter_mut().flatten() {
+            page.fill(0);
+        }
+    }
+
     /// Add `other`'s samples to this histogram.
     pub fn merge(&mut self, other: &Self) {
         self.count += other.count;
@@ -200,6 +211,13 @@ impl DeliveryHistograms {
     pub(crate) fn record(&mut self, background: bool, delay_s: f64, queue_delay_s: f64) {
         self.delay[background as usize].record(delay_s);
         self.queue_delay[background as usize].record(queue_delay_s);
+    }
+
+    /// Forget every delivery, keeping the histograms' pages.
+    fn clear(&mut self) {
+        for histogram in self.delay.iter_mut().chain(&mut self.queue_delay) {
+            histogram.clear();
+        }
     }
 
     /// Add `other`'s deliveries.
@@ -283,6 +301,13 @@ impl FlowMonitor {
         }
     }
 
+    /// Forget everything monitored, keeping the allocations — what a warm
+    /// engine does before its next run.
+    pub(crate) fn clear(&mut self) {
+        self.flows.fill(FlowStat::default());
+        self.deliveries.clear();
+    }
+
     /// Fold tallies of `flow` into the monitor — the single entry for
     /// per-flow statistics. A flow delivers on exactly one shard, so its
     /// delay sums arrive whole (every other shard adds zero).
@@ -313,11 +338,18 @@ impl FlowMonitor {
     /// Summarise into a report.
     pub(crate) fn report(&self, link_utilizations: Vec<f64>) -> SimReport {
         let all = self.totals(|_| true);
-        let mut delay = self.deliveries.delay[0].clone();
-        delay.merge(&self.deliveries.delay[1]);
+        let [foreground, background] = &self.deliveries.delay;
+        // Both classes merged; an unclassified run has one to read as is.
+        let p95_delay_s = if background.count() == 0 {
+            foreground.quantile(0.95)
+        } else {
+            let mut delay = foreground.clone();
+            delay.merge(background);
+            delay.quantile(0.95)
+        };
         SimReport {
             mean_delay_ms: all.mean_delay_ms(),
-            p95_delay_ms: delay.quantile(0.95) * 1e3,
+            p95_delay_ms: p95_delay_s * 1e3,
             mean_queue_delay_ms: all.mean_queue_delay_ms(),
             loss_rate: all.loss_rate(),
             delivered: all.delivered,

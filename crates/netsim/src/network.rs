@@ -274,17 +274,19 @@ impl DirtyLinks {
     }
 
     /// Harvest every dirty link: snapshot it from `states`, reset it there,
-    /// clear its mark, and return the `(link, snapshot)` pairs in mark
-    /// order. Afterwards both the tracker and the dirtied slots of `states`
-    /// are ready for the next shard of work.
-    pub(crate) fn drain_snapshots(&mut self, states: &mut LinkStates) -> Vec<(u32, LinkState)> {
-        let mut out = Vec::with_capacity(self.touched.len());
+    /// clear its mark, and append the `(link, snapshot)` pairs to `out` in
+    /// mark order. Afterwards both the tracker and the dirtied slots of
+    /// `states` are ready for the next shard of work.
+    pub(crate) fn drain_snapshots_into(
+        &mut self,
+        states: &mut LinkStates,
+        out: &mut Vec<(u32, LinkState)>,
+    ) {
         for l in self.touched.drain(..) {
             out.push((l, states.snapshot(l as usize)));
             states.reset_link(l as usize);
             self.seen[l as usize] = false;
         }
-        out
     }
 }
 
@@ -550,7 +552,8 @@ mod tests {
         dirty.mark(0);
         dirty.mark(2); // idempotent
         assert_eq!(dirty.len(), 2);
-        let harvested = dirty.drain_snapshots(&mut states);
+        let mut harvested = Vec::new();
+        dirty.drain_snapshots_into(&mut states, &mut harvested);
         // Mark order preserved; snapshots carry the transmit bookkeeping.
         assert_eq!(harvested.len(), 2);
         assert_eq!(harvested[0].0, 2);

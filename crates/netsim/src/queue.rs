@@ -159,10 +159,13 @@ const OVERSIZE_RESIZE_STREAK: u32 = 32;
 ///   backwards when they introduce an earlier year.
 #[derive(Debug)]
 pub struct EventQueue {
+    /// The ring is `buckets[..=mask]`. The buckets past it are empty and
+    /// kept with their allocations: a ring that shrinks as a run drains and
+    /// grows again in the next run reuses them.
     buckets: Vec<Vec<Event>>,
     /// Bucket may be unsorted; sort before trusting its tail.
     dirty: Vec<bool>,
-    /// `buckets.len() - 1`; the length is a power of two.
+    /// Ring length − 1; the length is a power of two.
     mask: usize,
     /// Bucket time width — the "day" length each bucket covers per year.
     width: f64,
@@ -180,6 +183,15 @@ pub struct EventQueue {
     /// when a corrective resize fails to change the width (an unspreadable
     /// distribution, e.g. all-equal timestamps, must not resize-thrash).
     oversize_limit: u32,
+    /// Fewest buckets a resize leaves: what [`reserve`](Self::reserve)
+    /// sized the ring for, until [`release_floor`](Self::release_floor);
+    /// [`MIN_BUCKETS`] otherwise.
+    floor: usize,
+    /// A rebuild's scratch: the events being redistributed, and the front
+    /// sample's times and gaps. Kept, like the buckets, so that a queue
+    /// reused run after run rebuilds without allocating.
+    spill: Vec<Event>,
+    times: Vec<f64>,
     stats: QueueStats,
 }
 
@@ -205,6 +217,9 @@ impl EventQueue {
             fallback_streak: 0,
             oversize_streak: 0,
             oversize_limit: OVERSIZE_RESIZE_STREAK,
+            floor: MIN_BUCKETS,
+            spill: Vec::new(),
+            times: Vec::new(),
             stats: QueueStats::default(),
         }
     }
@@ -219,6 +234,12 @@ impl EventQueue {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Buckets in the ring.
+    #[inline]
+    fn ring(&self) -> usize {
+        self.mask + 1
     }
 
     /// The virtual year an event time falls in (saturating for far-future
@@ -250,7 +271,7 @@ impl EventQueue {
             self.year = y;
             self.cur = (y as usize) & self.mask;
         }
-        if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
+        if self.len > 2 * self.ring() && self.ring() < MAX_BUCKETS {
             self.resize();
         }
     }
@@ -273,7 +294,7 @@ impl EventQueue {
         }
         let e = bucket.pop().expect("located bucket is non-empty");
         self.len -= 1;
-        if self.len * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
+        if self.len * 4 < self.ring() && self.ring() > self.floor {
             self.resize();
         }
         Some(e)
@@ -291,12 +312,11 @@ impl EventQueue {
     /// occupancy stats, which account the queue's whole lifetime.
     pub fn clear(&mut self) {
         if self.len > 0 {
-            for b in &mut self.buckets {
+            let ring = self.ring();
+            for b in &mut self.buckets[..ring] {
                 b.clear();
             }
-            for d in &mut self.dirty {
-                *d = false;
-            }
+            self.dirty[..ring].fill(false);
             self.len = 0;
         }
         self.cur = 0;
@@ -308,26 +328,45 @@ impl EventQueue {
 
     /// Size the ring for about `events` events in flight at once: half as
     /// many buckets (rounded up to a power of two), so that occupancy up to
-    /// `events` never triggers a growth resize. On an empty queue this only
-    /// adds empty buckets (not counted as a resize); the width stays until
-    /// [`calibrate`](Self::calibrate) or a resize re-derives it. Never
-    /// shrinks the ring.
+    /// `events` never triggers a growth resize, and no resize shrinks the
+    /// ring below that size until [`release_floor`](Self::release_floor) —
+    /// a run's queue starts empty and fills as its flows start. On an empty
+    /// queue this only widens the ring over empty buckets (not counted as a
+    /// resize); the width stays until [`calibrate`](Self::calibrate) or a
+    /// resize re-derives it. Never shrinks the ring.
     pub(crate) fn reserve(&mut self, events: usize) {
         let nb = events
             .div_ceil(2)
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if nb <= self.buckets.len() {
+        self.floor = nb;
+        if nb <= self.ring() {
             return;
         }
         if self.len > 0 {
             self.rebuild(nb, None);
             return;
         }
-        self.buckets.resize_with(nb, Vec::new);
-        self.dirty.resize(nb, false);
-        self.mask = nb - 1;
+        self.set_ring(nb);
         self.cur = (self.year as usize) & self.mask;
+    }
+
+    /// Let the ring shrink with its population again, down to
+    /// [`MIN_BUCKETS`]: the reserved population has arrived, and what
+    /// follows is the drain.
+    pub(crate) fn release_floor(&mut self) {
+        self.floor = MIN_BUCKETS;
+    }
+
+    /// Make the ring `nb` buckets long, every one of them clean, reusing the
+    /// storage of buckets past the current ring. The ring holds no event.
+    fn set_ring(&mut self, nb: usize) {
+        if nb > self.buckets.len() {
+            self.buckets.resize_with(nb, Vec::new);
+            self.dirty.resize(nb, false);
+        }
+        self.dirty[..nb].fill(false);
+        self.mask = nb - 1;
     }
 
     /// Set the bucket width for a stream of `events_per_s` events per
@@ -335,8 +374,7 @@ impl EventQueue {
     /// sample — and keep the bucket count: one rebuild (none while empty)
     /// where a growing queue would rebuild on every doubling. A caller that
     /// knows its event rate before the first event calibrates better than
-    /// the queue can: what it holds then is one emission per flow, a
-    /// fraction of the events that will crowd the front. A rate that is not
+    /// the queue can, which has no gap to sample yet. A rate that is not
     /// finite and positive changes nothing; the width is held to the same
     /// floor as a rebuild's.
     pub(crate) fn calibrate(&mut self, events_per_s: f64) {
@@ -345,7 +383,7 @@ impl EventQueue {
             return;
         }
         if self.len > 0 {
-            self.rebuild(self.buckets.len(), Some(width));
+            self.rebuild(self.ring(), Some(width));
         } else {
             self.set_width(width, 0.0);
         }
@@ -401,7 +439,7 @@ impl EventQueue {
     /// backoff when the resize cannot help (all-equal timestamps leave the
     /// width unchanged).
     fn correct_skew(&mut self, b: usize) -> usize {
-        let threshold = OVERSIZE_FACTOR * (1 + self.len / self.buckets.len());
+        let threshold = OVERSIZE_FACTOR * (1 + self.len / self.ring());
         if self.buckets[b].len() <= threshold {
             self.oversize_streak = 0;
             return b;
@@ -429,7 +467,7 @@ impl EventQueue {
     /// misses never inflate the year past the true minimum.
     fn scan(&mut self) -> Option<usize> {
         let (cur0, year0) = (self.cur, self.year);
-        for _ in 0..self.buckets.len() {
+        for _ in 0..self.ring() {
             let b = self.cur;
             if !self.buckets[b].is_empty() {
                 if self.dirty[b] {
@@ -457,7 +495,7 @@ impl EventQueue {
     /// it uniformly. Does not touch the scan position.
     fn direct_min(&mut self) -> usize {
         let mut best: Option<(usize, Event)> = None;
-        for (bi, bucket) in self.buckets.iter().enumerate() {
+        for (bi, bucket) in self.buckets[..self.ring()].iter().enumerate() {
             // Reversed event order makes the bucket minimum its max.
             if let Some(&m) = bucket.iter().max() {
                 if best.is_none_or(|(_, be)| m > be) {
@@ -479,11 +517,12 @@ impl EventQueue {
         bi
     }
 
-    /// Rebuild the calendar with its bucket count from occupancy. O(n log n);
-    /// amortised O(1) per operation under the doubling/halving triggers.
+    /// Rebuild the calendar with its bucket count from occupancy, never
+    /// below the floor. O(n log n); amortised O(1) per operation under the
+    /// doubling/halving triggers.
     fn resize(&mut self) {
         self.rebuild(
-            self.len.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS),
+            self.len.next_power_of_two().clamp(self.floor, MAX_BUCKETS),
             None,
         );
     }
@@ -491,24 +530,26 @@ impl EventQueue {
     /// Rebuild the calendar on `nb` buckets: width `width`, or from the
     /// observed inter-event gap distribution (median positive gap × 3 — a
     /// robust take on Brown's sampled average), scan repositioned at the
-    /// minimum.
+    /// minimum. Every bucket keeps its allocation, in the ring or past it.
     fn rebuild(&mut self, nb: usize, width: Option<f64>) {
         self.stats.resizes += 1;
         self.oversize_streak = 0;
-        let mut all: Vec<Event> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
+        let mut all = std::mem::take(&mut self.spill);
+        let ring = self.ring();
+        for b in &mut self.buckets[..ring] {
             all.append(b);
         }
-        self.buckets = vec![Vec::new(); nb];
-        self.dirty = vec![false; nb];
-        self.mask = nb - 1;
+        self.set_ring(nb);
         if all.is_empty() {
             self.cur = 0;
             self.year = 0;
+            self.spill = all;
             return;
         }
 
-        let mut times: Vec<f64> = all.iter().map(|e| e.time).collect();
+        let times = &mut self.times;
+        times.clear();
+        times.extend(all.iter().map(|e| e.time));
         let (t_min, t_max) = times
             .iter()
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &t| {
@@ -523,8 +564,13 @@ impl EventQueue {
             times.truncate(k);
         }
         times.sort_unstable_by(f64::total_cmp);
-        let mut gaps: Vec<f64> = times.windows(2).map(|w| w[1] - w[0]).collect();
-        gaps.retain(|g| *g > 0.0);
+        // The gaps, in place of the times they separate.
+        for i in 1..times.len() {
+            times[i - 1] = times[i] - times[i - 1];
+        }
+        times.pop();
+        times.retain(|g| *g > 0.0);
+        let gaps = times;
         let candidate = match width {
             Some(width) => width,
             None if gaps.is_empty() => self.width,
@@ -538,11 +584,12 @@ impl EventQueue {
 
         // Redistribute under the new geometry and park the scan at the
         // minimum's year.
-        for e in all {
+        for e in all.drain(..) {
             let b = (self.year_of(e.time) as usize) & self.mask;
             self.buckets[b].push(e);
             self.dirty[b] = true;
         }
+        self.spill = all;
         self.year = self.year_of(t_min);
         self.cur = (self.year as usize) & self.mask;
     }

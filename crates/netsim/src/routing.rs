@@ -230,43 +230,17 @@ fn is_disabled(disabled: &[bool], link: u32) -> bool {
     disabled.get(link as usize).copied().unwrap_or(false)
 }
 
-/// Latency-shortest routes, over the links `disabled` leaves up, for the
-/// demands `which` names: one search per distinct source among them, stopped
-/// once that source's destinations are settled. Returns the routes in search
-/// order together with each demand's slot among them (`usize::MAX` for one
-/// `which` does not name); callers re-pack into demand order.
-fn shortest_routes_by_source(
-    csr: &CsrGraph,
-    demands: &[Demand],
-    mut which: Vec<usize>,
-    disabled: &[bool],
-) -> (PathStore, Vec<usize>) {
-    // Stable, so a source's demands keep demand order.
-    which.sort_by_key(|&k| demands[k].src);
-    let surviving = |id, w| {
-        if is_disabled(disabled, id) {
-            f64::INFINITY
-        } else {
-            w
-        }
-    };
-    let mut core = SearchCore::new();
-    let mut routed = PathStore::with_capacity(which.len(), which.len() * 4);
-    let mut slot_of = vec![usize::MAX; demands.len()];
-    let mut targets = Vec::new();
-    let mut scratch = Vec::new();
-    for group in which.chunk_by(|&a, &b| demands[a].src == demands[b].src) {
-        targets.clear();
-        targets.extend(group.iter().map(|&k| demands[k].dst));
-        let src = demands[group[0]].src;
-        core.search_with(csr, src, &targets, f64::INFINITY, surviving);
-        for &k in group {
-            slot_of[k] = routed.len();
-            core.edge_path_into(demands[k].dst, &mut scratch);
-            routed.push_path(&scratch);
-        }
-    }
-    (routed, slot_of)
+/// Refuse a disabled-link mask that was not built for `network`: a short
+/// mask would leave every link past its end up, so routes would cross
+/// links the caller meant to fail.
+fn check_mask(network: &Network, disabled: &[bool]) {
+    assert!(
+        disabled.is_empty() || disabled.len() == network.num_links(),
+        "disabled-link mask has {} entries for a network of {} links \
+         (empty = every link up)",
+        disabled.len(),
+        network.num_links()
+    );
 }
 
 /// Compute routes for a set of demands under a scheme.
@@ -282,73 +256,20 @@ pub fn compute_routes(
 /// link whose mask entry is `true` (failed microwave links in the weather
 /// scenarios). An empty mask disables nothing; a demand with no surviving
 /// path gets an empty route.
+///
+/// # Panics
+///
+/// When the mask is neither empty nor one entry per link of `network`.
 pub fn compute_routes_avoiding(
     network: &Network,
     demands: &[Demand],
     scheme: RoutingScheme,
     disabled: &[bool],
 ) -> RoutingTable {
-    let csr = network_csr(network);
-    // Routes accumulate in search / placement order; re-packed into demand
-    // order below.
-    let (placed, slot_of) = match scheme {
-        RoutingScheme::ShortestPath => {
-            shortest_routes_by_source(&csr, demands, (0..demands.len()).collect(), disabled)
-        }
-        RoutingScheme::MinMaxUtilization | RoutingScheme::ThroughputOptimal => {
-            // Sequential placement, heaviest demands first, each on the path
-            // that minimises the scheme's congestion cost given the load
-            // already placed.
-            let mut order: Vec<usize> = (0..demands.len()).collect();
-            order.sort_by(|&a, &b| {
-                demands[b]
-                    .amount_bps
-                    .partial_cmp(&demands[a].amount_bps)
-                    .unwrap()
-                    .then(a.cmp(&b))
-            });
-            let mut loads = vec![0.0f64; network.num_links()];
-            let mut placed = PathStore::with_capacity(demands.len(), demands.len() * 4);
-            let mut slot_of = vec![0usize; demands.len()];
-            let mut core = SearchCore::new();
-            let mut scratch = Vec::new();
-            for (slot, &k) in order.iter().enumerate() {
-                slot_of[k] = slot;
-                let d = demands[k];
-                core.search_with(&csr, d.src, &[d.dst], f64::INFINITY, |id, w| {
-                    if is_disabled(disabled, id) {
-                        return f64::INFINITY;
-                    }
-                    let rate = network.link(id as LinkId).rate_bps;
-                    match scheme {
-                        // Penalise high post-placement utilisation steeply so
-                        // the max is pushed down; the latency term breaks ties
-                        // towards short paths.
-                        RoutingScheme::MinMaxUtilization => {
-                            let u_after = (loads[id as usize] + d.amount_bps) / rate;
-                            u_after.powi(4) + 1e-6 * w
-                        }
-                        // Marginal increase of Σ u²  (∝ 2·load + demand).
-                        RoutingScheme::ThroughputOptimal => {
-                            (2.0 * loads[id as usize] + d.amount_bps) / rate + 1e-6 * w
-                        }
-                        RoutingScheme::ShortestPath => unreachable!(),
-                    }
-                });
-                core.edge_path_into(d.dst, &mut scratch);
-                for &l in &scratch {
-                    loads[l as usize] += d.amount_bps;
-                }
-                placed.push_path(&scratch);
-            }
-            (placed, slot_of)
-        }
-    };
-    let mut store = PathStore::with_capacity(demands.len(), placed.total_links());
-    for &slot in &slot_of {
-        store.push_path(placed.path(slot));
-    }
-    RoutingTable::from_store(store)
+    check_mask(network, disabled);
+    let mut routes = RoutingTable::default();
+    Rerouter::new(network).route_all(network, demands, scheme, disabled, &mut routes);
+    routes
 }
 
 /// [`compute_routes_avoiding`] for a caller that already holds
@@ -370,6 +291,11 @@ pub fn compute_routes_avoiding(
 /// broken destinations are settled. The other schemes place each demand
 /// against the load of the ones before it, so one broken route can move every
 /// later one: they fall through to the full computation.
+///
+/// # Panics
+///
+/// When the mask is neither empty nor one entry per link of `network`, or
+/// `base_routes` does not hold one route per demand.
 pub fn reroute_avoiding(
     network: &Network,
     demands: &[Demand],
@@ -377,32 +303,189 @@ pub fn reroute_avoiding(
     scheme: RoutingScheme,
     disabled: &[bool],
 ) -> RoutingTable {
-    assert_eq!(base_routes.len(), demands.len(), "a base route per demand");
-    if scheme != RoutingScheme::ShortestPath {
-        return compute_routes_avoiding(network, demands, scheme, disabled);
+    let mut routes = RoutingTable::default();
+    Rerouter::new(network).reroute(network, demands, base_routes, scheme, disabled, &mut routes);
+    routes
+}
+
+/// The search state of [`compute_routes_avoiding`] and [`reroute_avoiding`],
+/// kept so that a caller re-routing the same network again and again (a
+/// what-if worker, [`crate::sim::Simulation::vary`]) reuses it: the network
+/// packed into CSR form, the search core, the per-demand slot table and the
+/// arena the routes are searched into. The CSR weighs propagation only, and
+/// every network it serves has the same links with the same delays, so it
+/// is packed once.
+#[derive(Debug, Clone)]
+pub(crate) struct Rerouter {
+    csr: CsrGraph,
+    core: SearchCore,
+    /// The demands to route, sorted by source before searching.
+    which: Vec<usize>,
+    /// Each demand's slot in `routed`, `usize::MAX` for one not routed.
+    slot_of: Vec<usize>,
+    /// Routes in search / placement order.
+    routed: PathStore,
+    targets: Vec<usize>,
+    scratch: Vec<u32>,
+}
+
+impl Rerouter {
+    /// Search state over `network`'s links.
+    pub(crate) fn new(network: &Network) -> Self {
+        Self {
+            csr: network_csr(network),
+            core: SearchCore::new(),
+            which: Vec::new(),
+            slot_of: Vec::new(),
+            routed: PathStore::new(),
+            targets: Vec::new(),
+            scratch: Vec::new(),
+        }
     }
-    let broken: Vec<usize> = (0..demands.len())
-        .filter(|&k| {
+
+    /// [`reroute_avoiding`]'s table, written into `out`.
+    pub(crate) fn reroute(
+        &mut self,
+        network: &Network,
+        demands: &[Demand],
+        base_routes: &RoutingTable,
+        scheme: RoutingScheme,
+        disabled: &[bool],
+        out: &mut RoutingTable,
+    ) {
+        check_mask(network, disabled);
+        assert_eq!(base_routes.len(), demands.len(), "a base route per demand");
+        if scheme != RoutingScheme::ShortestPath {
+            self.route_all(network, demands, scheme, disabled, out);
+            return;
+        }
+        self.which.clear();
+        self.which.extend((0..demands.len()).filter(|&k| {
             base_routes
                 .route(k)
                 .iter()
                 .any(|&l| is_disabled(disabled, l))
-        })
-        .collect();
-    if broken.is_empty() {
-        return base_routes.clone();
+        }));
+        self.shortest_by_source(demands, disabled);
+        let store = &mut out.store;
+        store.clear();
+        for (k, &slot) in self.slot_of.iter().enumerate() {
+            store.push_path(if slot == usize::MAX {
+                base_routes.route(k)
+            } else {
+                self.routed.path(slot)
+            });
+        }
     }
-    let (rerouted, slot_of) =
-        shortest_routes_by_source(&network_csr(network), demands, broken, disabled);
-    let mut store = PathStore::with_capacity(demands.len(), base_routes.store().total_links());
-    for (k, &slot) in slot_of.iter().enumerate() {
-        store.push_path(if slot == usize::MAX {
-            base_routes.route(k)
-        } else {
-            rerouted.path(slot)
+
+    /// [`compute_routes_avoiding`]'s table, written into `out`.
+    fn route_all(
+        &mut self,
+        network: &Network,
+        demands: &[Demand],
+        scheme: RoutingScheme,
+        disabled: &[bool],
+        out: &mut RoutingTable,
+    ) {
+        self.which.clear();
+        self.which.extend(0..demands.len());
+        match scheme {
+            RoutingScheme::ShortestPath => self.shortest_by_source(demands, disabled),
+            RoutingScheme::MinMaxUtilization | RoutingScheme::ThroughputOptimal => {
+                self.place_by_load(network, demands, scheme, disabled)
+            }
+        }
+        // Re-pack into demand order.
+        let store = &mut out.store;
+        store.clear();
+        for &slot in &self.slot_of {
+            store.push_path(self.routed.path(slot));
+        }
+    }
+
+    /// Latency-shortest routes, over the links `disabled` leaves up, for the
+    /// demands in `which`: one search per distinct source among them,
+    /// stopped once that source's destinations are settled.
+    fn shortest_by_source(&mut self, demands: &[Demand], disabled: &[bool]) {
+        // Stable, so a source's demands keep demand order.
+        self.which.sort_by_key(|&k| demands[k].src);
+        let surviving = |id, w| {
+            if is_disabled(disabled, id) {
+                f64::INFINITY
+            } else {
+                w
+            }
+        };
+        self.routed.clear();
+        self.slot_of.clear();
+        self.slot_of.resize(demands.len(), usize::MAX);
+        let which = &self.which;
+        for group in which.chunk_by(|&a, &b| demands[a].src == demands[b].src) {
+            self.targets.clear();
+            self.targets.extend(group.iter().map(|&k| demands[k].dst));
+            let src = demands[group[0]].src;
+            self.core
+                .search_with(&self.csr, src, &self.targets, f64::INFINITY, surviving);
+            for &k in group {
+                self.slot_of[k] = self.routed.len();
+                self.core.edge_path_into(demands[k].dst, &mut self.scratch);
+                self.routed.push_path(&self.scratch);
+            }
+        }
+    }
+
+    /// Sequential placement of every demand, heaviest first, each on the
+    /// path that minimises the scheme's congestion cost given the load
+    /// already placed.
+    fn place_by_load(
+        &mut self,
+        network: &Network,
+        demands: &[Demand],
+        scheme: RoutingScheme,
+        disabled: &[bool],
+    ) {
+        self.which.sort_by(|&a, &b| {
+            demands[b]
+                .amount_bps
+                .partial_cmp(&demands[a].amount_bps)
+                .unwrap()
+                .then(a.cmp(&b))
         });
+        let mut loads = vec![0.0f64; network.num_links()];
+        self.routed.clear();
+        self.slot_of.clear();
+        self.slot_of.resize(demands.len(), 0);
+        for (slot, &k) in self.which.iter().enumerate() {
+            self.slot_of[k] = slot;
+            let d = demands[k];
+            self.core
+                .search_with(&self.csr, d.src, &[d.dst], f64::INFINITY, |id, w| {
+                    if is_disabled(disabled, id) {
+                        return f64::INFINITY;
+                    }
+                    let rate = network.link(id as LinkId).rate_bps;
+                    match scheme {
+                        // Penalise high post-placement utilisation steeply so
+                        // the max is pushed down; the latency term breaks ties
+                        // towards short paths.
+                        RoutingScheme::MinMaxUtilization => {
+                            let u_after = (loads[id as usize] + d.amount_bps) / rate;
+                            u_after.powi(4) + 1e-6 * w
+                        }
+                        // Marginal increase of Σ u²  (∝ 2·load + demand).
+                        RoutingScheme::ThroughputOptimal => {
+                            (2.0 * loads[id as usize] + d.amount_bps) / rate + 1e-6 * w
+                        }
+                        RoutingScheme::ShortestPath => unreachable!(),
+                    }
+                });
+            self.core.edge_path_into(d.dst, &mut self.scratch);
+            for &l in &self.scratch {
+                loads[l as usize] += d.amount_bps;
+            }
+            self.routed.push_path(&self.scratch);
+        }
     }
-    RoutingTable::from_store(store)
 }
 
 #[cfg(test)]
@@ -522,6 +605,53 @@ mod tests {
         disabled[4] = true; // 0→3
         let table = compute_routes_avoiding(&net, &demands, RoutingScheme::ShortestPath, &disabled);
         assert!(table.route(0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "disabled-link mask has 4 entries for a network of 8 links")]
+    fn a_mask_built_for_another_network_is_refused() {
+        // Half a mask: links 4–7 would silently count as up, and the
+        // demand would ride the failed long path's 0→3 link.
+        let net = two_path_network(1e9, 1e9);
+        let demands = vec![Demand::new(0, 1, 1e8)];
+        let base = compute_routes(&net, &demands, RoutingScheme::ShortestPath);
+        let short = vec![true, true, false, false];
+        reroute_avoiding(&net, &demands, &base, RoutingScheme::ShortestPath, &short);
+    }
+
+    #[test]
+    fn a_mask_of_the_wrong_length_is_refused_by_every_entry_point() {
+        let net = two_path_network(1e9, 1e9);
+        let demands = vec![Demand::new(0, 1, 1e8)];
+        let base = compute_routes(&net, &demands, RoutingScheme::ShortestPath);
+        for len in [1, net.num_links() - 1, net.num_links() + 1] {
+            let mask = vec![false; len];
+            for scheme in [
+                RoutingScheme::ShortestPath,
+                RoutingScheme::MinMaxUtilization,
+            ] {
+                let refused = |call: &dyn Fn()| {
+                    let message = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+                        .expect_err("a mask of the wrong length must be refused");
+                    let message = message
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default();
+                    assert!(message.contains("disabled-link mask"), "{message}");
+                };
+                refused(&|| {
+                    compute_routes_avoiding(&net, &demands, scheme, &mask);
+                });
+                refused(&|| {
+                    reroute_avoiding(&net, &demands, &base, scheme, &mask);
+                });
+            }
+        }
+        // Empty and full-length masks stay legal.
+        for mask in [Vec::new(), vec![false; net.num_links()]] {
+            let table = reroute_avoiding(&net, &demands, &base, RoutingScheme::ShortestPath, &mask);
+            assert_eq!(table, base);
+        }
     }
 
     #[test]

@@ -15,11 +15,18 @@
 //! Two rules keep the queue at O(links + flows) events instead of
 //! O(packets in flight):
 //!
-//! * *Lazy emissions.* The queue holds one pending emission per flow; each
-//!   popped emission schedules its successor (strictly later, so it is
-//!   pushed before it could pop). The event *set* is exactly the eagerly
-//!   scheduled one, and the strict `(time, flow, hop)` order makes the pop
-//!   sequence a function of the set alone.
+//! * *Lazy emissions.* The queue holds at most one pending emission per
+//!   flow that has started; each popped emission schedules its successor
+//!   (strictly later, so it is pushed before it could pop). First emissions
+//!   are not queued at all: every flow's first emission before the run
+//!   ends sits in one sorted first-emission list — a function of the
+//!   demands and the configuration, built once per [`Simulation`] and
+//!   shared by its clones — and every shard merges that list with its queue
+//!   at pop time, skipping the flows that do not enter the network on it
+//!   (or have no route in this run). A flow's schedule is created when its
+//!   first packet leaves. The event *set* is exactly the eagerly scheduled
+//!   one, and the strict `(time, flow, hop)` order makes the pop sequence a
+//!   function of the set alone.
 //! * *The staging invariant.* Arrivals coming off one link are strictly
 //!   ordered in time (FIFO finish times plus a constant propagation), so
 //!   the queue holds at most the *earliest* in-transit event per link — the
@@ -31,21 +38,23 @@
 //!   the receiver's pipeline of the link they came off.
 //!
 //! Both bounds are known before the first event, so a shard sizes its queue
-//! once, up front (see `Shard::begin`).
+//! once, up front, and sets its bucket width from the event rate the run's
+//! routes imply (see `Shard::begin`).
 //!
 //! # Components, shards and the execution plan
 //!
 //! Two flows can only interact by queueing at a shared link, so the demand
 //! set decomposes into *components* — groups of flows connected through
-//! shared links — that are completely independent simulations. The engine
-//! always partitions (union-find over each route's links), and before the
-//! first event [`Simulation::run`] decides, per component, how to execute
-//! it on [`SimConfig::workers`] threads:
+//! shared links — that are completely independent simulations. A run on one
+//! worker needs no decomposition: it simulates every active flow as one
+//! shard, the serial reference. A run on more workers partitions
+//! (union-find over each route's links), and before the first event
+//! [`Simulation::run`] decides, per component, how to execute it on
+//! [`SimConfig::workers`] threads:
 //!
-//! * *Whole* — one shard runs the component to exhaustion. With one worker
-//!   that is the serial reference; with more, the components are spread
-//!   over the workers (component sharding), which wins when the run is
-//!   short or splits into many components.
+//! * *Whole* — one shard runs the component to exhaustion; the components
+//!   are spread over the workers (component sharding), which wins when the
+//!   run is short or splits into many components.
 //! * *Time-windowed* — conservative time-windowed execution *inside* the
 //!   component, for one giant mesh on a long run. Its links are partitioned
 //!   into per-worker shards of balanced link counts
@@ -64,7 +73,14 @@
 //! route's propagation) / lookahead of them. See
 //! `WINDOWED_PACKETS_PER_WINDOW` and `WINDOWED_PACKETS_PER_HOP` for
 //! the measured break-even. Everything else runs whole, including every
-//! `workers: 1` run and every component whose cut has zero lookahead.
+//! component whose cut has zero lookahead.
+//!
+//! A serial run keeps its shard: the [`Simulation`] holds it from one
+//! serial run to the next, so a run resets and refills the queue, the
+//! pipelines, the link states and the monitor instead of allocating them.
+//! That is what makes the what-if sweeps cheap — each of their workers
+//! turns one `Simulation` into variant after variant
+//! ([`Simulation::vary`]).
 //!
 //! Both run the same per-event kernel, `Shard`, generic over a
 //! `Boundary` policy that answers the three questions on which the modes
@@ -105,7 +121,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
@@ -115,9 +131,9 @@ use crate::flows::{ArrivalProcess, EmissionSchedule, FlowSpec};
 use crate::fluid::{self, BackgroundModel, FluidOutcome};
 use crate::jobs::{drain_jobs, resolve_workers};
 use crate::monitor::{FlowMonitor, SimReport};
-use crate::network::{DirtyLinks, LinkState, LinkStates, Network, Transmit};
+use crate::network::{DirtyLinks, LinkSpec, LinkState, LinkStates, Network, Transmit};
 use crate::queue::{Event, EventQueue};
-use crate::routing::{compute_routes, Demand, RoutingScheme, RoutingTable};
+use crate::routing::{compute_routes, Demand, Rerouter, RoutingScheme, RoutingTable};
 
 /// An execution forced on every component of a run through
 /// [`Simulation::run_in`] — a test hook: [`Simulation::run`] picks the
@@ -160,12 +176,13 @@ pub struct SimConfig {
     /// RNG seed for arrival processes.
     pub seed: u64,
     /// Worker threads: 0 = the machine's available parallelism, 1 =
-    /// serial. Results are bit-identical for every value. How a run spends
-    /// them is decided per component before the first event (see the
-    /// [module docs](self)). A sweep of many short runs (the what-if
-    /// re-runs of `cisp_core::evaluate::LoweredNetwork::rerun`: storm
-    /// intervals, conduit cuts, link upgrades) spends this budget *across*
-    /// its runs — that many runs in flight, each serial inside — because a
+    /// serial (one shard, no partition). Results are bit-identical for
+    /// every value. How a run on several workers spends them is decided per
+    /// component before the first event (see the [module docs](self)). A
+    /// sweep of many short runs (the what-if re-runs of
+    /// `cisp_core::evaluate::LoweredNetwork::rerun`: storm intervals,
+    /// conduit cuts, link upgrades) spends this budget *across* its runs —
+    /// that many runs in flight, each serial inside — because a
     /// millisecond-scale run loses more to its own threads than it gains.
     pub workers: usize,
     /// How background-class demands execute: packet-level like everything
@@ -239,9 +256,9 @@ const WINDOWED_PACKETS_PER_HOP: f64 = 0.2;
 const SPIN_BEFORE_PARK: Duration = Duration::from_micros(20);
 
 /// The immutable inputs every engine entry point reads: the network and
-/// routed demand set, the run configuration and the fluid solution
-/// foreground packets ride on (hybrid runs, `None` under pure packet
-/// execution).
+/// routed demand set, the run configuration, the fluid solution foreground
+/// packets ride on (hybrid runs, `None` under pure packet execution) and
+/// the run's first-emission list.
 #[derive(Clone, Copy)]
 struct EngineContext<'a> {
     network: &'a Network,
@@ -249,7 +266,80 @@ struct EngineContext<'a> {
     demands: &'a [Demand],
     config: &'a SimConfig,
     fluid: Option<&'a FluidOutcome>,
+    /// Every simulated flow's first emission before the run ends, in pop
+    /// order (see [`first_emissions`]).
+    first: &'a [FirstEmission],
 }
+
+/// One flow's first emission, as the first-emission list holds it.
+#[derive(Debug, Clone, Copy)]
+struct FirstEmission {
+    time: f64,
+    flow: u32,
+}
+
+/// Whether the packet engine simulates `demand` under `config`: a positive
+/// rate, and — under the hybrid engine — the foreground class (background
+/// demands belong to the fluid solver there).
+fn simulates(config: &SimConfig, demand: &Demand) -> bool {
+    demand.amount_bps > 0.0
+        && !(config.background == BackgroundModel::Fluid && demand.is_background())
+}
+
+/// The emission schedule of demand `flow`, before its first packet.
+fn schedule_of(demand: &Demand, flow: usize, config: &SimConfig) -> EmissionSchedule {
+    let spec = FlowSpec {
+        src: demand.src,
+        dst: demand.dst,
+        rate_bps: demand.amount_bps,
+        packet_bytes: config.packet_bytes,
+    };
+    EmissionSchedule::new(&spec, flow, config.arrivals, config.seed)
+}
+
+/// The first emission of every demand the engine simulates, when it lies
+/// before the run ends, sorted in the queue's `(time, flow)` pop order. It
+/// depends on the demands and the configuration only — not on the routes,
+/// the link rates or the workers — so one list serves every run of a
+/// [`Simulation`] and of its clones. A shard merges it with its event queue
+/// at pop time and skips the entries of flows that do not enter the
+/// network on it (or have no route in this run).
+fn first_emissions(demands: &[Demand], config: &SimConfig) -> Vec<FirstEmission> {
+    let mut first: Vec<FirstEmission> = demands
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| simulates(config, d))
+        .filter_map(|(f, d)| {
+            let time = schedule_of(d, f, config).next_emission(config.duration_s)?;
+            Some(FirstEmission {
+                time,
+                flow: f as u32,
+            })
+        })
+        .collect();
+    first.sort_unstable_by(|a, b| a.time.total_cmp(&b.time).then(a.flow.cmp(&b.flow)));
+    first
+}
+
+/// The flows the packet engine simulates in a run over `routes`: every
+/// demand it [`simulates`] that has a route, in demand order.
+fn active_flows<'a>(
+    config: &'a SimConfig,
+    demands: &'a [Demand],
+    routes: &'a RoutingTable,
+) -> impl Iterator<Item = u32> + Clone + 'a {
+    (0..demands.len())
+        .filter(|&k| simulates(config, &demands[k]) && !routes.route(k).is_empty())
+        .map(|k| k as u32)
+}
+
+/// `Shard::flow_pos` of a flow that does not enter the network on this
+/// shard in the component being run.
+const NOT_ENTERING: u32 = u32::MAX;
+/// `Shard::flow_pos` of a flow that enters on this shard and has not sent
+/// its first packet yet: its first emission waits in the first-emission
+/// list.
+const WAITING: u32 = u32::MAX - 1;
 
 /// Where a shard's share of a component ends — the only thing the two
 /// execution modes disagree on. The kernel ([`Shard`]) is monomorphised
@@ -319,15 +409,17 @@ impl Boundary for WindowedShard<'_> {
 /// The per-event kernel and the state it runs on: a worker's private
 /// link-state arrays over the shared link table, its event queue and
 /// per-link transit pipelines (the staging invariant, see the module docs),
-/// the dirty-link tracker used to harvest and recycle only the links the
-/// worker actually touched, and everything the worker's share of the run
-/// produced — its own [`FlowMonitor`] and the final link states — which
-/// [`RunTotals::of`] collects once the run is over. One `Shard`
-/// serves every component its worker runs: [`begin`](Self::begin) →
-/// [`advance`](Self::advance) (once, or once per window) →
-/// [`finish`](Self::finish).
-struct Shard<'a, B> {
-    ctx: EngineContext<'a>,
+/// its place in the run's first-emission list, the dirty-link tracker used
+/// to harvest and recycle only the links the worker actually touched, and
+/// everything the worker's share of the run produced — its own
+/// [`FlowMonitor`] and the final link states — which [`RunTotals::of`] or a
+/// serial run collects once the run is over. The shard owns its buffers
+/// and reads the run's inputs through the [`EngineContext`] each call is
+/// handed, so one `Shard` serves every component its worker runs, and a
+/// serial [`Simulation`] keeps one across its runs:
+/// [`begin`](Self::begin) → [`advance`](Self::advance) (once, or once per
+/// window) → [`finish`](Self::finish).
+struct Shard<B> {
     boundary: B,
     states: LinkStates,
     dirty: DirtyLinks,
@@ -337,14 +429,18 @@ struct Shard<'a, B> {
     transit: Vec<VecDeque<Event>>,
     /// Whether the link's pipeline head is in `queue`.
     head_queued: Vec<bool>,
-    /// Flow index → its entry in `schedules`, filled by `begin` for the
-    /// flows entering on this shard. Other entries are stale, but only an
-    /// entering flow's emissions ever pop here.
+    /// Flow index → [`NOT_ENTERING`], [`WAITING`], or the flow's entry in
+    /// `schedules` once its first packet has left. `begin` marks the flows
+    /// entering on this shard, `finish` unmarks them.
     flow_pos: Vec<u32>,
     /// Lazy emission schedule of each flow whose first link this shard
-    /// owns: emissions enter the network there, so that shard alone
-    /// schedules them.
+    /// owns, created when its first packet leaves: emissions enter the
+    /// network there, so that shard alone schedules them.
     schedules: Vec<EmissionSchedule>,
+    /// The first entry of the run's first-emission list at or after which a
+    /// waiting flow's first emission may lie: every entry before it has
+    /// left or belongs to a flow that is not waiting here.
+    next_first: usize,
     /// Tallies and delay histograms of the packets this shard delivered or
     /// dropped. Only the shard owning a flow's last link delivers it, so
     /// the flow's delay sums are whole here and zero on every other shard;
@@ -359,20 +455,19 @@ struct Shard<'a, B> {
     links: Vec<(u32, LinkState)>,
 }
 
-impl<'a, B: Boundary> Shard<'a, B> {
-    fn new(ctx: EngineContext<'a>, boundary: B) -> Self {
-        let num_links = ctx.network.num_links();
+impl<B: Boundary> Shard<B> {
+    fn new(num_links: usize, num_flows: usize, boundary: B) -> Self {
         Self {
-            ctx,
             boundary,
             states: LinkStates::new(num_links),
             dirty: DirtyLinks::new(num_links),
             queue: EventQueue::new(),
             transit: vec![VecDeque::new(); num_links],
             head_queued: vec![false; num_links],
-            flow_pos: vec![0; ctx.demands.len()],
+            flow_pos: vec![NOT_ENTERING; num_flows],
             schedules: Vec::new(),
-            monitor: FlowMonitor::new(ctx.demands.len()),
+            next_first: 0,
+            monitor: FlowMonitor::new(num_flows),
             #[cfg(test)]
             tap: Vec::new(),
             links: Vec::new(),
@@ -381,9 +476,8 @@ impl<'a, B: Boundary> Shard<'a, B> {
 
     /// This shard, its state and products kept, under another boundary
     /// policy.
-    fn with_boundary<C>(self, boundary: C) -> Shard<'a, C> {
+    fn with_boundary<C>(self, boundary: C) -> Shard<C> {
         Shard {
-            ctx: self.ctx,
             boundary,
             states: self.states,
             dirty: self.dirty,
@@ -392,6 +486,7 @@ impl<'a, B: Boundary> Shard<'a, B> {
             head_queued: self.head_queued,
             flow_pos: self.flow_pos,
             schedules: self.schedules,
+            next_first: self.next_first,
             monitor: self.monitor,
             #[cfg(test)]
             tap: self.tap,
@@ -400,32 +495,38 @@ impl<'a, B: Boundary> Shard<'a, B> {
     }
 
     /// Start this shard's share of a component: track the links it will
-    /// dirty (for extraction + reset), size what the component's shape
-    /// fixes, and seed the first emission of every flow that enters the
-    /// network on one of its links.
+    /// dirty (for extraction + reset), mark the flows that enter the
+    /// network on one of its links as waiting for their first emission,
+    /// and size what the component's shape fixes.
     ///
-    /// Sized up front: the schedules of the entering flows, and the queue,
-    /// for one pending emission per entering flow plus one pipeline head
-    /// per owned link. Its bucket width is then calibrated
-    /// once, for the events this shard will see per second (Σ rate × owned
-    /// hops / packet bits), where a growing queue would rebuild on every
-    /// doubling. The seeded emissions alone would set it ≈ 4 × too wide at
-    /// paper scale (one event per packet where a packet makes ≈ 4.3), and
-    /// every bucket would grow to hold that crowd.
-    fn begin(&mut self, flows: &[u32]) {
+    /// Sized up front: the queue, for one pending emission per entering
+    /// flow that can start plus one pipeline head per owned link, a size it
+    /// keeps until
+    /// every entering flow has started. Its bucket width is set before the
+    /// first event, for the events this shard will see per second (Σ rate ×
+    /// owned hops / packet bits), where a growing queue would rebuild on
+    /// every doubling; the queue is empty then, so setting it moves
+    /// nothing. First emissions are not queued: they stay in the run's
+    /// sorted first-emission list, which [`pop_next`](Self::pop_next)
+    /// merges with the queue.
+    fn begin(&mut self, ctx: &EngineContext<'_>, flows: impl Iterator<Item = u32>) {
         let EngineContext {
             routes,
             demands,
             config,
+            first,
             ..
-        } = self.ctx;
+        } = *ctx;
         self.queue.clear();
         self.schedules.clear();
         let packet_bits = 8.0 * config.packet_bytes;
         let (mut entering, mut events_per_s) = (0, 0.0);
-        for &f in flows {
+        for f in flows {
             let route = routes.route(f as usize);
-            entering += usize::from(self.boundary.owns(route[0] as usize));
+            if self.boundary.owns(route[0] as usize) {
+                entering += 1;
+                self.flow_pos[f as usize] = WAITING;
+            }
             for &l in route {
                 if !self.boundary.owns(l as usize) {
                     continue;
@@ -434,26 +535,79 @@ impl<'a, B: Boundary> Shard<'a, B> {
                 events_per_s += demands[f as usize].amount_bps / packet_bits;
             }
         }
-        self.queue.reserve(entering + self.dirty.len());
-        self.schedules.reserve_exact(entering);
-        for &f in flows {
-            if !self.boundary.owns(routes.route(f as usize)[0] as usize) {
-                continue;
-            }
-            let demand = demands[f as usize];
-            let flow = FlowSpec {
-                src: demand.src,
-                dst: demand.dst,
-                rate_bps: demand.amount_bps,
-                packet_bytes: config.packet_bytes,
-            };
-            let mut schedule =
-                EmissionSchedule::new(&flow, f as usize, config.arrivals, config.seed);
-            Self::push_next_emission(&mut self.queue, &mut schedule, config, f);
-            self.flow_pos[f as usize] = self.schedules.len() as u32;
-            self.schedules.push(schedule);
-        }
+        // Only a flow whose first emission lies before the run's end ever
+        // starts.
+        let starting = entering.min(first.len());
+        self.queue.reserve(starting + self.dirty.len());
         self.queue.calibrate(events_per_s);
+        self.schedules.reserve(starting);
+        self.next_first = 0;
+        self.skip_to_waiting(first);
+    }
+
+    /// Move `next_first` past the entries whose flow is not waiting here.
+    /// Once none is left every entering flow has started, and the queue may
+    /// shrink as the run drains.
+    #[inline]
+    fn skip_to_waiting(&mut self, first: &[FirstEmission]) {
+        while let Some(e) = first.get(self.next_first) {
+            if self.flow_pos[e.flow as usize] == WAITING {
+                return;
+            }
+            self.next_first += 1;
+        }
+        self.queue.release_floor();
+    }
+
+    /// Remove and return this shard's earliest pending event, unless it
+    /// lies past the boundary's end: the queue's minimum or the next
+    /// waiting first emission, whichever comes first in `(time, flow, hop)`
+    /// order. A first emission that leaves creates its flow's schedule.
+    #[inline]
+    fn pop_next(&mut self, ctx: &EngineContext<'_>) -> Option<Event> {
+        let Some(&first) = ctx.first.get(self.next_first) else {
+            return self.queue.pop_if(|e| !self.boundary.past_end(e.time));
+        };
+        // No queued event shares the first emission's key: its flow has
+        // sent nothing yet.
+        let earlier =
+            |e: &Event| e.time < first.time || (e.time == first.time && e.flow < first.flow);
+        if let Some(e) = self
+            .queue
+            .pop_if(|e| earlier(e) && !self.boundary.past_end(e.time))
+        {
+            return Some(e);
+        }
+        // The queue is empty, its minimum comes later, or its minimum lies
+        // past the end — and then so does the first emission, which is no
+        // earlier.
+        if self.boundary.past_end(first.time) {
+            return None;
+        }
+        let f = first.flow as usize;
+        let mut schedule = schedule_of(&ctx.demands[f], f, ctx.config);
+        let sent = schedule.next_emission(ctx.config.duration_s);
+        debug_assert_eq!(sent, Some(first.time));
+        self.flow_pos[f] = self.schedules.len() as u32;
+        self.schedules.push(schedule);
+        self.next_first += 1;
+        self.skip_to_waiting(ctx.first);
+        Some(Event {
+            time: first.time,
+            flow: first.flow,
+            hop: 0,
+            sent_at: first.time,
+            queue_delay: 0.0,
+        })
+    }
+
+    /// Time of this shard's earliest pending event (`+∞` when none is
+    /// left): its local event horizon.
+    fn next_time(&mut self, first: &[FirstEmission]) -> f64 {
+        let queued = self.queue.peek().map_or(f64::INFINITY, |e| e.time);
+        first
+            .get(self.next_first)
+            .map_or(queued, |e| queued.min(e.time))
     }
 
     /// Queue `flow`'s next emission, if it has one left before the run ends.
@@ -475,24 +629,23 @@ impl<'a, B: Boundary> Shard<'a, B> {
         }
     }
 
-    /// Process events in timestamp order until the queue is empty or its
-    /// earliest event lies past the boundary's end.
-    fn advance(&mut self) {
-        let EngineContext { routes, config, .. } = self.ctx;
-        while let Some(popped) = self.queue.pop_if(|e| !self.boundary.past_end(e.time)) {
+    /// Process events in timestamp order until none is pending or the
+    /// earliest lies past the boundary's end.
+    fn advance(&mut self, ctx: &EngineContext<'_>) {
+        while let Some(popped) = self.pop_next(ctx) {
             if popped.hop == 0 {
                 // A popped emission schedules its successor.
                 let pos = self.flow_pos[popped.flow as usize] as usize;
                 let schedule = &mut self.schedules[pos];
-                Self::push_next_emission(&mut self.queue, schedule, config, popped.flow);
+                Self::push_next_emission(&mut self.queue, schedule, ctx.config, popped.flow);
             } else {
                 // A pipeline head left the queue (a packet handed over from
                 // a foreign link waits in this shard's pipeline of that
                 // link too).
-                let crossed = routes.route(popped.flow as usize)[popped.hop as usize - 1] as usize;
-                self.advance_pipeline(crossed);
+                let route = ctx.routes.route(popped.flow as usize);
+                self.advance_pipeline(route[popped.hop as usize - 1] as usize);
             }
-            self.process_event(popped);
+            self.process_event(ctx, popped);
         }
     }
 
@@ -524,7 +677,7 @@ impl<'a, B: Boundary> Shard<'a, B> {
     /// next hop (in the queue if it is the link's pipeline head, behind the
     /// head otherwise), hand it to the next hop's owner, or count the drop.
     #[inline(always)]
-    fn process_event(&mut self, ev: Event) {
+    fn process_event(&mut self, ctx: &EngineContext<'_>, ev: Event) {
         let EngineContext {
             network,
             routes,
@@ -532,7 +685,7 @@ impl<'a, B: Boundary> Shard<'a, B> {
             config,
             fluid,
             ..
-        } = self.ctx;
+        } = *ctx;
         let route = routes.route(ev.flow as usize);
         let link = route[ev.hop as usize] as usize;
         debug_assert!(self.boundary.owns(link), "event on a foreign link");
@@ -580,13 +733,26 @@ impl<'a, B: Boundary> Shard<'a, B> {
         }
     }
 
-    /// Close this shard's share of the component: keep the final state of
-    /// the links it dirtied and recycle the worker arrays for the next
-    /// component. (The queue and every pipeline are empty by now — each
+    /// Close this shard's share of the component `flows`: unmark its
+    /// entering flows, keep the final state of the links it dirtied and
+    /// recycle the worker arrays for the next component. (The queue, the
+    /// first-emission list and every pipeline are drained by now — each
     /// popped head promoted its successor.)
-    fn finish(&mut self) {
-        self.links
-            .extend(self.dirty.drain_snapshots(&mut self.states));
+    fn finish(&mut self, flows: impl Iterator<Item = u32>) {
+        for f in flows {
+            self.flow_pos[f as usize] = NOT_ENTERING;
+        }
+        self.dirty
+            .drain_snapshots_into(&mut self.states, &mut self.links);
+    }
+}
+
+impl Shard<WholeComponent> {
+    /// Run the component `flows` to exhaustion on this shard.
+    fn run_whole(&mut self, ctx: &EngineContext<'_>, flows: impl Iterator<Item = u32> + Clone) {
+        self.begin(ctx, flows.clone());
+        self.advance(ctx);
+        self.finish(flows);
     }
 }
 
@@ -603,9 +769,8 @@ struct RunTotals {
 }
 
 impl RunTotals {
-    /// The first shard's products with the others' added — a serial run,
-    /// which every what-if sweep is made of, copies nothing.
-    fn of<B>(shards: Vec<Shard<'_, B>>) -> Self {
+    /// The first shard's products with the others' added.
+    fn of<B>(shards: Vec<Shard<B>>) -> Self {
         let mut shards = shards.into_iter();
         let first = shards.next().expect("a run has at least one shard");
         let mut totals = RunTotals {
@@ -629,17 +794,16 @@ impl RunTotals {
     }
 }
 
-impl<'a> Shard<'a, WindowedShard<'a>> {
+impl<'a> Shard<WindowedShard<'a>> {
     /// Run one time-windowed component with the rest of the gang: simulate
     /// the events on the links this shard owns, window by window.
-    fn run_windows(&mut self, flows: &[u32], window: f64, gang: &Gang) {
+    fn run_windows(&mut self, ctx: &EngineContext<'_>, flows: &[u32], window: f64, gang: &Gang) {
         let me = self.boundary.me as usize;
-        let routes = self.ctx.routes;
-        self.begin(flows);
+        self.begin(ctx, flows.iter().copied());
         loop {
             // Publish the local event horizon; after the barrier every
             // shard derives the same window start (the global minimum).
-            let local_next = self.queue.peek().map_or(f64::INFINITY, |e| e.time);
+            let local_next = self.next_time(ctx.first);
             gang.next_times[me].store(local_next.to_bits(), AtomicOrdering::Release);
             gang.barrier.wait();
             let start = gang
@@ -652,7 +816,7 @@ impl<'a> Shard<'a, WindowedShard<'a>> {
             let done = !start.is_finite();
             if !done {
                 self.boundary.end = start + window;
-                self.advance();
+                self.advance(ctx);
                 for (dst, batch) in self.boundary.outbox.iter_mut().enumerate() {
                     if !batch.is_empty() {
                         gang.inboxes[dst]
@@ -670,11 +834,11 @@ impl<'a> Shard<'a, WindowedShard<'a>> {
                 break;
             }
             for ev in gang.inboxes[me].lock().expect("inbox poisoned").drain(..) {
-                let crossed = routes.route(ev.flow as usize)[ev.hop as usize - 1] as usize;
+                let crossed = ctx.routes.route(ev.flow as usize)[ev.hop as usize - 1] as usize;
                 self.stage(crossed, ev);
             }
         }
-        self.finish();
+        self.finish(flows.iter().copied());
     }
 }
 
@@ -787,18 +951,52 @@ struct Gang {
 }
 
 /// A complete simulation: network, demands, routes and configuration.
+///
+/// A `Simulation` keeps what its runs need across them: the first-emission
+/// list, built once at construction (a function of the demands and the
+/// configuration), and — once it has run serially — its engine, whose
+/// buffers the next serial run resets and refills instead of allocating.
+/// [`vary`](Self::vary) turns it into a what-if variant of a base network
+/// the same way. A clone shares the first-emission list and starts with a
+/// cold engine.
 pub struct Simulation {
     network: Network,
     demands: Vec<Demand>,
     routes: RoutingTable,
     config: SimConfig,
+    /// See [`first_emissions`].
+    first_emissions: Arc<[FirstEmission]>,
+    /// The serial engine, warm from the previous serial run.
+    engine: Option<Box<Shard<WholeComponent>>>,
+    /// The re-routing state of [`vary`](Self::vary), warm from its
+    /// previous call.
+    rerouter: Option<Rerouter>,
     /// Event-queue occupancy statistics aggregated across every worker of
-    /// the most recent run (all zeroes before the first run).
+    /// the most recent run (all zeroes before the first run; a warm serial
+    /// engine's queue counts every run since its first).
     #[cfg(test)]
     last_queue_stats: crate::queue::QueueStats,
     /// Every delivery of the most recent run, see [`Shard::tap`].
     #[cfg(test)]
     last_tap: Vec<(f64, f64, bool)>,
+}
+
+impl Clone for Simulation {
+    fn clone(&self) -> Self {
+        Self {
+            network: self.network.clone(),
+            demands: self.demands.clone(),
+            routes: self.routes.clone(),
+            config: self.config,
+            first_emissions: Arc::clone(&self.first_emissions),
+            engine: None,
+            rerouter: None,
+            #[cfg(test)]
+            last_queue_stats: Default::default(),
+            #[cfg(test)]
+            last_tap: Vec::new(),
+        }
+    }
 }
 
 impl Simulation {
@@ -848,11 +1046,15 @@ impl Simulation {
             );
         }
         assert_eq!(routes.len(), demands.len(), "one route per demand");
+        let first_emissions = first_emissions(&demands, &config).into();
         Self {
             network,
             demands,
             routes,
             config,
+            first_emissions,
+            engine: None,
+            rerouter: None,
             #[cfg(test)]
             last_queue_stats: Default::default(),
             #[cfg(test)]
@@ -876,21 +1078,20 @@ impl Simulation {
     }
 
     /// Number of link-disjoint components the active flows decompose into —
-    /// the component engine's parallelism grain.
+    /// the grain at which a run on several workers spreads them.
     pub fn num_components(&self) -> usize {
         self.partition_flows().len()
     }
 
-    /// Group the active flows (non-empty route, positive rate) into
-    /// link-disjoint components via union-find over each route's links.
-    /// Component order follows the first demand of each component, so the
-    /// decomposition is deterministic. Under the hybrid engine
-    /// ([`BackgroundModel::Fluid`]) background demands belong to the fluid
-    /// solver, not the packet engine, so they are excluded here — an
+    /// Group the active flows into link-disjoint components via union-find
+    /// over each route's links — what a run on several workers spreads over
+    /// them (a serial run simulates every active flow as one shard and
+    /// skips this). Component order follows the first demand of each
+    /// component, so the decomposition is deterministic. Under the hybrid
+    /// engine ([`BackgroundModel::Fluid`]) background demands belong to the
+    /// fluid solver, not the packet engine, so they are excluded here — an
     /// all-background demand set packet-simulates zero components.
     fn partition_flows(&self) -> Vec<Vec<u32>> {
-        let fluid_active = self.config.background == BackgroundModel::Fluid;
-        let skip = |d: &Demand| d.amount_bps <= 0.0 || (fluid_active && d.is_background());
         let num_links = self.network.num_links();
         let mut parent: Vec<u32> = (0..num_links as u32).collect();
         fn find(parent: &mut [u32], mut x: u32) -> u32 {
@@ -901,14 +1102,9 @@ impl Simulation {
             }
             x
         }
-        for (k, d) in self.demands.iter().enumerate() {
-            if skip(d) {
-                continue;
-            }
-            let route = self.routes.route(k);
-            if route.is_empty() {
-                continue;
-            }
+        let active = || active_flows(&self.config, &self.demands, &self.routes);
+        for k in active() {
+            let route = self.routes.route(k as usize);
             let root = find(&mut parent, route[0]);
             for &l in &route[1..] {
                 let r = find(&mut parent, l);
@@ -917,11 +1113,8 @@ impl Simulation {
         }
         let mut comp_of_root: Vec<usize> = vec![usize::MAX; num_links];
         let mut comps: Vec<Vec<u32>> = Vec::new();
-        for (k, d) in self.demands.iter().enumerate() {
-            if skip(d) || self.routes.route(k).is_empty() {
-                continue;
-            }
-            let root = find(&mut parent, self.routes.route(k)[0]) as usize;
+        for k in active() {
+            let root = find(&mut parent, self.routes.route(k as usize)[0]) as usize;
             let idx = if comp_of_root[root] == usize::MAX {
                 comp_of_root[root] = comps.len();
                 comps.push(Vec::new());
@@ -929,7 +1122,7 @@ impl Simulation {
             } else {
                 comp_of_root[root]
             };
-            comps[idx].push(k as u32);
+            comps[idx].push(k);
         }
         comps
     }
@@ -1012,15 +1205,12 @@ impl Simulation {
     /// shards ([`drain_jobs`]; one worker runs inline). Components are
     /// independent, so which shard runs which is irrelevant.
     fn run_components(ctx: &EngineContext<'_>, comps: &[Vec<u32>], workers: usize) -> RunTotals {
+        let (num_links, num_flows) = (ctx.network.num_links(), ctx.demands.len());
         let (_, shards) = drain_jobs(
             comps.len(),
             workers,
-            || Shard::new(*ctx, WholeComponent),
-            |shard, i| {
-                shard.begin(&comps[i]);
-                shard.advance();
-                shard.finish();
-            },
+            || Shard::new(num_links, num_flows, WholeComponent),
+            |shard, i| shard.run_whole(ctx, comps[i].iter().copied()),
         );
         RunTotals::of(shards)
     }
@@ -1045,21 +1235,22 @@ impl Simulation {
             workers,
             workers,
             || (),
-            |_, me| Self::run_gang_shard(*ctx, comps, plan, &gang, me),
+            |_, me| Self::run_gang_shard(ctx, comps, plan, &gang, me),
         );
         RunTotals::of(shards)
     }
 
     /// One gang member's run over every component.
-    fn run_gang_shard<'a>(
-        ctx: EngineContext<'a>,
+    fn run_gang_shard(
+        ctx: &EngineContext<'_>,
         comps: &[Vec<u32>],
-        plan: &'a Plan,
+        plan: &Plan,
         gang: &Gang,
         me: usize,
-    ) -> Shard<'a, WholeComponent> {
+    ) -> Shard<WholeComponent> {
         let mut shard = Shard::new(
-            ctx,
+            ctx.network.num_links(),
+            ctx.demands.len(),
             WindowedShard {
                 owner: &plan.owner,
                 me: me as u32,
@@ -1069,16 +1260,14 @@ impl Simulation {
         );
         for (comp, &execution) in comps.iter().zip(&plan.executions) {
             if let Execution::Windowed(window) = execution {
-                shard.run_windows(comp, window, gang);
+                shard.run_windows(ctx, comp, window, gang);
             }
         }
         let mut shard = shard.with_boundary(WholeComponent);
         // The counter publishes nothing but itself, as in `drain_jobs`.
         let claim = || gang.next_whole.fetch_add(1, AtomicOrdering::Relaxed);
         while let Some(&c) = gang.whole.get(claim()) {
-            shard.begin(&comps[c]);
-            shard.advance();
-            shard.finish();
+            shard.run_whole(ctx, comps[c].iter().copied());
         }
         shard
     }
@@ -1117,33 +1306,53 @@ impl Simulation {
         } else {
             None
         };
-        let fluid = fluid_solution.as_ref();
-        let comps = self.partition_flows();
         let ctx = EngineContext {
             network: &self.network,
             routes: &self.routes,
             demands: &self.demands,
             config: &self.config,
-            fluid,
+            fluid: fluid_solution.as_ref(),
+            first: &self.first_emissions,
         };
-        let plan = Self::plan(&ctx, &comps, resolve_workers(self.config.workers), forced);
-        let totals = if plan.windowed() {
-            Self::run_gang(&ctx, &comps, &plan)
-        } else {
-            Self::run_components(&ctx, &comps, plan.workers)
-        };
+        let workers = resolve_workers(self.config.workers);
+        let totals;
         // Zero-flow demand sets (e.g. every demand unroutable after weather
-        // failures) produce *zero components*: no shard has anything to
-        // add and the report is all zeroes (pinned by
+        // failures) simulate nothing: the report is all zeroes (pinned by
         // `unroutable_demands_yield_an_empty_report_in_every_mode`).
-        let monitor = totals.monitor;
-        for (l, state) in &totals.links {
+        let (monitor, links) = if workers == 1 {
+            // One worker: every active flow in one shard, no partition —
+            // components only matter to spread them over workers. The
+            // engine stays warm for the next run.
+            let (num_links, num_flows) = (self.network.num_links(), self.demands.len());
+            let engine = self
+                .engine
+                .get_or_insert_with(|| Box::new(Shard::new(num_links, num_flows, WholeComponent)));
+            engine.monitor.clear();
+            engine.links.clear();
+            engine.run_whole(&ctx, active_flows(ctx.config, ctx.demands, ctx.routes));
+            #[cfg(test)]
+            {
+                self.last_queue_stats = engine.queue.stats();
+                self.last_tap = std::mem::take(&mut engine.tap);
+            }
+            (&engine.monitor, &engine.links)
+        } else {
+            let comps = self.partition_flows();
+            let plan = Self::plan(&ctx, &comps, workers, forced);
+            totals = if plan.windowed() {
+                Self::run_gang(&ctx, &comps, &plan)
+            } else {
+                Self::run_components(&ctx, &comps, plan.workers)
+            };
+            #[cfg(test)]
+            {
+                self.last_queue_stats = totals.queue_stats;
+                self.last_tap = totals.tap.clone();
+            }
+            (&totals.monitor, &totals.links)
+        };
+        for (l, state) in links {
             self.network.states_mut().restore(*l as usize, state);
-        }
-        #[cfg(test)]
-        {
-            self.last_queue_stats = totals.queue_stats;
-            self.last_tap = totals.tap;
         }
 
         // Credit the fluid bytes each link carried before utilisations are
@@ -1169,6 +1378,69 @@ impl Simulation {
             }
         }
         report
+    }
+
+    /// Make this simulation a what-if variant of `base`, reusing its
+    /// buffers: the link table becomes `base`'s (rates included),
+    /// `variant` may change link rates on it and returns a disabled-link
+    /// mask (empty = every link up), and the routes become `base_routes`
+    /// re-routed around the mask — the table
+    /// [`reroute_avoiding`](crate::routing::reroute_avoiding) returns. The
+    /// demands and the configuration stay. A sweep of variants on one
+    /// `Simulation` (each worker of `cisp_core::evaluate::LoweredNetwork::rerun`)
+    /// re-routes on one search state and runs on one warm engine; the
+    /// report of each run is the one a fresh
+    /// [`with_routes`](Self::with_routes) over the variant would give, bit
+    /// for bit.
+    ///
+    /// # Panics
+    ///
+    /// When `base` is not this simulation's network up to link rates (same
+    /// nodes, same links in the same order), when `variant` changes more
+    /// than link rates, or as [`reroute_avoiding`] does.
+    ///
+    /// [`reroute_avoiding`]: crate::routing::reroute_avoiding
+    pub fn vary(
+        &mut self,
+        base: &Network,
+        base_routes: &RoutingTable,
+        variant: impl FnOnce(&mut Network) -> Vec<bool>,
+    ) {
+        let shape = |n: &Network| (n.num_nodes(), n.num_links());
+        assert_eq!(
+            shape(&self.network),
+            shape(base),
+            "the base network must have this simulation's nodes and links"
+        );
+        for id in 0..base.num_links() {
+            let (mine, theirs) = (*self.network.link(id), *base.link(id));
+            assert!(
+                LinkSpec {
+                    rate_bps: theirs.rate_bps,
+                    ..mine
+                } == theirs,
+                "link {id} of the base network differs from this simulation's beyond its rate"
+            );
+            if mine.rate_bps != theirs.rate_bps {
+                self.network.set_link_rate(id, theirs.rate_bps);
+            }
+        }
+        let disabled = variant(&mut self.network);
+        assert_eq!(
+            shape(&self.network),
+            shape(base),
+            "a variant may change link rates only"
+        );
+        self.rerouter
+            .get_or_insert_with(|| Rerouter::new(base))
+            .reroute(
+                &self.network,
+                &self.demands,
+                base_routes,
+                self.config.routing,
+                &disabled,
+                &mut self.routes,
+            );
     }
 }
 
@@ -1738,6 +2010,7 @@ mod tests {
             demands: &sim.demands,
             config: &sim.config,
             fluid: None,
+            first: &sim.first_emissions,
         };
         let plan = Simulation::plan(&ctx, &comps, resolve_workers(config.workers), None);
         (plan.workers, plan.executions)

@@ -25,14 +25,18 @@
 //! failure set finds no further repeat), and every other interval is a job.
 //! The jobs go to [`LoweredNetwork::rerun`], the one what-if path: it
 //! spends [`SimConfig::workers`] across them (resolved as the engine
-//! resolves it, `0` = one per core; [`SimConfig::across_runs`]), and each
-//! job — re-route against the fair routes, clone network and demands,
-//! simulate, reduce to a row — runs on its worker with `workers: 1`
-//! whenever more than one job is in flight: a 6 ms run loses 1.7 ms to
-//! component-sharding threads of its own. `workers: 1` is therefore the
-//! fully serial sweep, and every width returns its rows bit for bit
-//! ([`SimReport`] does not depend on `workers`, jobs share nothing they
-//! write, rows are placed by job index). [`conduit_cut_analysis`] runs its
+//! resolves it, `0` = one per core; [`SimConfig::across_runs`]). Each
+//! worker holds one simulation of the lowered network for the whole sweep,
+//! and each job turns it into its variant — restore the link rates,
+//! re-route against the fair routes — then simulates on the worker's warm
+//! engine and reduces to a row. Whenever more than one job is in flight a
+//! job runs with `workers: 1`: one shard over every active flow, no
+//! partition, where a 6 ms run would lose 0.9–1.3 ms of wall clock to
+//! component-sharding threads of its own (paper-scale storm variants, each
+//! run both ways three times, alternating, on two cores). `workers: 1` is
+//! therefore the fully serial sweep, and every width returns its rows bit
+//! for bit ([`SimReport`] does not depend on `workers`, jobs share nothing
+//! they write, rows are placed by job index). [`conduit_cut_analysis`] runs its
 //! cut scenarios through the same method, and so does
 //! `cisp_core::economics::rank_upgrades` its upgrade candidates.
 //!

@@ -27,7 +27,7 @@ use cisp::netsim::flows::ArrivalProcess;
 use cisp::netsim::jobs::test_widths;
 use cisp::netsim::routing::{compute_routes_avoiding, RoutingScheme};
 use cisp::netsim::sim::{SimConfig, Simulation};
-use cisp::netsim::SimReport;
+use cisp::netsim::{Network, SimReport};
 use cisp::weather::failures::{failure_sweep, link_failures, FailureConfig, FailureGeometry};
 use cisp::weather::simulate::{
     conduit_cut_analysis, ConduitCutOutcome, ConduitCutReport, IntervalQueueing,
@@ -439,6 +439,110 @@ fn conduit_cuts_match_the_serial_oracle_at_every_width() {
         4,
     );
     assert_eq!((all_cut.unroutable_demands, all_cut.delivered), (12, 0));
+}
+
+/// Every float of a report as its bits, and every count: equal tuples are
+/// equal reports field for field, per-flow vectors and link utilisations
+/// included.
+#[allow(clippy::type_complexity)]
+fn report_bits(r: &SimReport) -> ([u64; 6], [u64; 2], Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
+    (
+        [
+            r.mean_delay_ms,
+            r.p95_delay_ms,
+            r.mean_queue_delay_ms,
+            r.loss_rate,
+            r.mean_link_utilization,
+            r.max_link_utilization,
+        ]
+        .map(f64::to_bits),
+        [r.delivered, r.dropped],
+        r.flow_mean_delay_ms.iter().map(|v| v.to_bits()).collect(),
+        r.flow_delivered.clone(),
+        r.flow_dropped.clone(),
+        r.link_utilizations.iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// A sweep whose variants alternate the three things a variant can be —
+/// a mask that strands demands, every link up, one MW link at four times
+/// its rate — so each worker's one simulation is turned from each kind into
+/// each other kind. Every row must be the report of a cold
+/// `Simulation::with_routes(..).run()` over routes computed from scratch.
+#[test]
+fn alternating_variants_match_cold_runs_field_for_field() {
+    let topology = chain_topology();
+    for routing in [
+        RoutingScheme::ShortestPath,
+        RoutingScheme::MinMaxUtilization,
+    ] {
+        let config = EvaluateConfig {
+            // Fiber in the MW links' rate range, so min-max routing loads
+            // the MW links and sees an upgrade.
+            fiber_rate_bps: 2e9,
+            sim: SimConfig {
+                arrivals: ArrivalProcess::Poisson,
+                routing,
+                ..chain_config().sim
+            },
+            ..chain_config()
+        };
+        let serial = lower(&topology, topology.traffic(), &with_workers(&config, 1));
+        // Denver (site 3) cut off: every link at it down.
+        let stranded: Vec<bool> = serial
+            .network
+            .links()
+            .iter()
+            .map(|l| l.from == 3 || l.to == 3)
+            .collect();
+        let scale = |v: usize, network: &mut Network| {
+            let (fwd, rev) = serial.mw_link_ids[(v / 3) % serial.mw_link_ids.len()];
+            for id in [fwd, rev] {
+                network.set_link_rate(id, network.link(id).rate_bps * 4.0);
+            }
+        };
+        let variant = |v: usize, network: &mut Network| match v % 3 {
+            0 => stranded.clone(),
+            1 => Vec::new(),
+            _ => {
+                scale(v, network);
+                Vec::new()
+            }
+        };
+        const VARIANTS: usize = 9;
+        let cold: Vec<SimReport> = (0..VARIANTS)
+            .map(|v| {
+                let mut network = serial.network.clone();
+                let disabled = variant(v, &mut network);
+                let routes = compute_routes_avoiding(&network, &serial.demands, routing, &disabled);
+                Simulation::with_routes(network, serial.demands.clone(), routes, serial.config.sim)
+                    .run()
+            })
+            .collect();
+        // The fixture bites: the cut strands Denver's demands, the other
+        // kinds deliver every flow, and the upgrade moves the report.
+        assert!(cold[0].flow_delivered.contains(&0));
+        assert!(cold[1].flow_delivered.iter().all(|&d| d > 0));
+        assert_ne!(report_bits(&cold[1]), report_bits(&cold[2]), "{routing:?}");
+
+        for workers in [1, 2] {
+            let lowered = lower(
+                &topology,
+                topology.traffic(),
+                &with_workers(&config, workers),
+            );
+            let base = lowered.simulation().routes().clone();
+            let rows = lowered.rerun(&base, VARIANTS, variant, |_, sim| sim.run());
+            for (v, (got, want)) in rows.iter().zip(&cold).enumerate() {
+                assert_eq!(
+                    report_bits(got),
+                    report_bits(want),
+                    "{routing:?}, workers {workers}, variant {v}"
+                );
+                assert_eq!(got, want, "{routing:?}, workers {workers}, variant {v}");
+            }
+        }
+    }
 }
 
 fn classified_lowering(

@@ -60,20 +60,20 @@ pub struct EvaluateConfig {
     /// Capacity-augmentation parameters used for provisioning.
     pub augment: AugmentConfig,
     /// Packet-engine configuration (duration, arrivals, routing scheme,
-    /// seed, workers). Once most traffic rides the MW spine the routed
-    /// demands collapse into a few heavy shared-link components. The engine
-    /// then runs the dominant one time-windowed across the workers on its
-    /// own, when its expected packets pay for partitioning it and for every
-    /// window's barriers; no field selects it (see `cisp_netsim::sim`).
-    /// Measured on the paper-scale backbone (14 042 flows, 25 components,
-    /// one dominant; two cores, 10 alternating pairs against component
-    /// sharding), the benchmark's `packet_sim_us` op — a 0.1 s run of
-    /// 1.75 M packets plus its application models — falls from 1.35 s to
-    /// 0.75 s of wall clock (medians; ahead in 10 of 10) for 1.35 → 1.29 s
-    /// of CPU and 37.4 → 28.8 MiB of peak RSS. A 0.5 ms run of the same
-    /// backbone (8 750 packets, the storm sweep's fair-weather run) runs
-    /// whole, and each storm re-simulation inside a sweep runs whole on one
-    /// worker. The report is bit-identical either way.
+    /// seed, workers). On several workers the engine runs time-windowed
+    /// over every active flow when their expected packets pay for
+    /// partitioning their links and for every window's barriers, and on
+    /// its warm serial engine otherwise; no field selects it (see
+    /// `cisp_netsim::sim`). The paper-scale backbone's 14 042 flows form 25
+    /// link-disjoint components, one holding 14 018 flows and 99.97 % of
+    /// the expected packets, so one partition over every flow is the
+    /// dominant component's. The benchmark's `packet_sim_us` op — a 0.1 s
+    /// run of 1.75 M packets plus its application models — goes windowed:
+    /// against whole components it fell from 1.35 s to 0.75 s of wall clock
+    /// (medians of 10 alternating pairs, two cores). A 0.5 ms run of the
+    /// same backbone (8 750 packets, the storm sweep's fair-weather run)
+    /// runs serial, and so does each storm re-simulation inside a sweep.
+    /// The report is bit-identical either way.
     pub sim: SimConfig,
 }
 
@@ -725,7 +725,6 @@ mod tests {
 
     #[test]
     fn windowed_evaluation_is_bit_identical_to_serial() {
-        use cisp_netsim::sim::ExecMode;
         let topo = test_topology();
         let mut serial_cfg = fast_config();
         serial_cfg.sim.workers = 1;
@@ -743,13 +742,9 @@ mod tests {
             let evaluated = evaluate(&topo, topo.traffic(), &cfg);
             assert_eq!(serial.sim, evaluated.sim, "workers {workers}");
             let lowered = lower(&topo, topo.traffic(), &cfg);
-            for mode in [
-                ExecMode::ComponentSharded,
-                ExecMode::windowed_auto(),
-                ExecMode::TimeWindowed { window_s: 1e-3 },
-            ] {
-                let forced = lowered.simulation().run_in(mode);
-                assert_eq!(serial.sim, forced, "workers {workers}, {mode:?}");
+            for window_s in [0.0, 1e-3] {
+                let forced = lowered.simulation().run_windowed(window_s);
+                assert_eq!(serial.sim, forced, "workers {workers}, window {window_s}");
             }
         }
     }

@@ -1,16 +1,20 @@
 //! Balanced link partitions and conservative lookahead for the windowed
 //! packet engine.
 //!
-//! The simulator's link-disjoint component decomposition leaves the paper's
-//! actual workload — one giant single-component mesh — serial. Conservative
-//! time-windowed execution parallelises *inside* a component: its links are
-//! split into per-worker shards, each shard simulates only the events on its
-//! own links, and a packet crossing from one shard's link onto another's is
-//! exchanged at a window barrier. That is safe exactly when the window never
-//! exceeds the partition's *lookahead*: a packet leaving link `a` reaches the
-//! next link no earlier than `delay[a]` (its propagation) after the event
-//! that sent it, so any window no longer than the minimum such delay over
-//! boundary transitions cannot miss a cross-shard event.
+//! The paper's actual workload is one giant mesh: on the paper-scale
+//! backbone the active flows form 25 link-disjoint components, one holding
+//! 14 018 of the 14 042 flows and 99.97 % of the expected packets, the
+//! other 24 one-link routes, which have nothing to cut. So the simulator
+//! does not spread components over workers; conservative time-windowed
+//! execution parallelises a run over all its flows at once: their links
+//! are split into per-worker shards, each shard simulates only the events
+//! on its own links, and a packet crossing from one shard's link onto
+//! another's is exchanged at a window barrier. That is safe exactly when
+//! the window never exceeds the partition's *lookahead*: a packet leaving
+//! link `a` reaches the next link no earlier than `delay[a]` (its
+//! propagation) after the event that sent it, so any window no longer than
+//! the minimum such delay over boundary transitions cannot miss a
+//! cross-shard event.
 //!
 //! This module provides the two partition-side pieces:
 //!

@@ -2,13 +2,13 @@
 //! an atomic counter by a handful of scoped workers, results returned in job
 //! order.
 //!
-//! The engine drains a run's link-disjoint components through it, and its
-//! windowed gang in [`crate::sim`] is one job per gang member; the what-if
-//! sweeps above the engine (storm intervals, conduit cuts, capacity
-//! upgrades, the failure cascade over a year's fields) drain whole runs
-//! through it, and so does the design side in `cisp_core`: the hop sweep (a
-//! job per run of tower pairs), the candidate-pool search (a job per source
-//! site) and the greedy's scoring rounds (a job per scoring shard). The one
+//! The engine's windowed gang in [`crate::sim`] is one job per gang
+//! member; the what-if sweeps above the engine (storm intervals, conduit
+//! cuts, capacity upgrades, the failure cascade over a year's fields)
+//! drain whole runs through it, and so does the design side in
+//! `cisp_core`: the hop sweep (a job per run of tower pairs), the
+//! candidate-pool search (a job per source site) and the greedy's scoring
+//! rounds (a job per scoring shard). The one
 //! other thread is the pool search's helper, which only takes the
 //! *caller's* seat here.
 //!

@@ -29,17 +29,16 @@
 //!   schedules it on, O(1) amortised at the ≈14 k resident events a
 //!   paper-scale backbone holds; `std`'s `BinaryHeap` is its test oracle.
 //! * [`sim`] — the event-driven engine tying it together: one per-event
-//!   kernel over that queue, with the demand set decomposed into
-//!   link-disjoint components spread over [`sim::SimConfig::workers`]
-//!   threads. Before the first event each run picks, per component, whole
-//!   execution on one thread or conservative time-windowed execution inside
-//!   the component (per-worker link shards of balanced link counts,
-//!   windows bounded by the partition's propagation-delay lookahead,
-//!   boundary-event exchange at window barriers) — the latter when the
-//!   component's expected packets pay for partitioning it and for every
-//!   window's barriers. No
-//!   option selects it, and every choice at every `workers` value produces
-//!   a bit-identical report.
+//!   kernel over that queue. Before the first event each run picks one of
+//!   two executions: serial, every active flow on the engine the
+//!   simulation keeps warm across its runs, or conservative time-windowed
+//!   execution over all of them on [`sim::SimConfig::workers`] threads (one
+//!   partition of their links into per-worker shards of balanced link
+//!   counts, windows bounded by the partition's propagation-delay
+//!   lookahead, boundary-event exchange at window barriers) — the latter
+//!   when the run's expected packets pay for partitioning and for every
+//!   window's barriers. No option selects it, and either choice at every
+//!   `workers` value produces a bit-identical report.
 //! * [`fluid`] — the flow-level fluid model behind hybrid execution:
 //!   demands tagged [`routing::TrafficClass::Background`] become per-link
 //!   FIFO fluid queues advanced piecewise-linearly between rate-change
@@ -49,9 +48,9 @@
 //!   magnitude fewer events.
 //! * [`jobs`] — the workspace's one job-drain helper ([`jobs::drain_jobs`]:
 //!   independent jobs claimed from an atomic counter by scoped workers,
-//!   results in job order). The engine drains components through it; the
-//!   what-if sweeps in `cisp_weather` and `cisp_core::economics` drain whole
-//!   runs through it.
+//!   results in job order). The engine's windowed gang is one job per
+//!   member; the what-if sweeps in `cisp_weather` and `cisp_core::economics`
+//!   drain whole runs through it.
 //! * [`tcp`] — the simplified window-based TCP (with and without pacing) used
 //!   by the speed-mismatch experiment.
 //!

@@ -41,23 +41,22 @@
 //! once, up front, and sets its bucket width from the event rate the run's
 //! routes imply (see `Shard::begin`).
 //!
-//! # Components, shards and the execution plan
+//! # Two executions
 //!
-//! Two flows can only interact by queueing at a shared link, so the demand
-//! set decomposes into *components* — groups of flows connected through
-//! shared links — that are completely independent simulations. A run on one
-//! worker needs no decomposition: it simulates every active flow as one
-//! shard, the serial reference. A run on more workers partitions
-//! (union-find over each route's links), and before the first event
-//! [`Simulation::run`] decides, per component, how to execute it on
-//! [`SimConfig::workers`] threads:
+//! A run has two executions, decided before the first event, and no option
+//! selects either:
 //!
-//! * *Whole* — one shard runs the component to exhaustion; the components
-//!   are spread over the workers (component sharding), which wins when the
-//!   run is short or splits into many components.
-//! * *Time-windowed* — conservative time-windowed execution *inside* the
-//!   component, for one giant mesh on a long run. Its links are partitioned
-//!   into per-worker shards of balanced link counts
+//! * *Serial* — one shard simulates every active flow to exhaustion. The
+//!   [`Simulation`] keeps this engine from one run to the next, so a run
+//!   resets and refills the queue, the pipelines, the link states and the
+//!   monitor instead of allocating them. That is what makes the what-if
+//!   sweeps cheap — each of their workers turns one `Simulation` into
+//!   variant after variant ([`Simulation::vary`]). A run on one worker is
+//!   always serial, and so is a run on more workers that does not pay for
+//!   the gang.
+//! * *Time-windowed* — conservative time-windowed execution over all the
+//!   active flows, for a long run on [`SimConfig::workers`] threads. Their
+//!   links are partitioned into per-worker shards of balanced link counts
 //!   (`cisp_graph::partition_path_links`; balancing expected events instead
 //!   measured no faster), every worker simulates only the events on its own
 //!   links, and the event horizon is advanced in lock-step windows no longer
@@ -66,44 +65,52 @@
 //!   shard's link is handed over at the window barrier, provably before its
 //!   receiver can need it.
 //!
-//! A component runs time-windowed when its expected packets (Σ rate ×
-//! duration / packet bits over its flows) pay for forming the gang — the
+//! Flows only interact by queueing at shared links, so the active flows
+//! fall into link-disjoint *components*, but the run does not look for
+//! them: the partition grows its clusters along routes, a one-link route
+//! has nothing to cut, and the lookahead bounds every crossing the
+//! partition made, whichever component it lies in. On the paper-scale
+//! backbone the active flows form 25 components; one holds 14 018 of the
+//! 14 042 flows and 99.97 % of the expected packets, and the other 24 are
+//! one-link routes. One partition over every flow has the big component's
+//! own lookahead (175.5 µs). Spreading whole components over the workers,
+//! a third execution this engine once had, lost to the warm serial engine
+//! on short runs (0.9–1.3 ms of a 6 ms storm variant, on two cores) and
+//! left long ones to the windowed big component.
+//!
+//! The run is time-windowed when its expected packets (Σ rate × duration /
+//! packet bits over the active flows) pay for forming the gang — the
 //! partition, per route hop — and for every window's two barriers, the
-//! windows lasting until its longest route has drained: (duration + that
+//! windows lasting until the longest route has drained: (duration + that
 //! route's propagation) / lookahead of them. See
-//! `WINDOWED_PACKETS_PER_WINDOW` and `WINDOWED_PACKETS_PER_HOP` for
-//! the measured break-even. Everything else runs whole, including every
-//! component whose cut has zero lookahead.
+//! `WINDOWED_PACKETS_PER_WINDOW` and `WINDOWED_PACKETS_PER_HOP` for the
+//! measured break-even. The per-hop part is checked first, on sums over the
+//! routes, so a run that cannot pay for the gang and one window allocates
+//! nothing for it and never partitions. A cut with zero lookahead (a
+//! zero-delay link on it) admits no window, and runs serial too.
 //!
-//! A serial run keeps its shard: the [`Simulation`] holds it from one
-//! serial run to the next, so a run resets and refills the queue, the
-//! pipelines, the link states and the monitor instead of allocating them.
-//! That is what makes the what-if sweeps cheap — each of their workers
-//! turns one `Simulation` into variant after variant
-//! ([`Simulation::vary`]).
-//!
-//! Both run the same per-event kernel, `Shard`, generic over a
-//! `Boundary` policy that answers the three questions on which the modes
+//! Both executions run the same per-event kernel, `Shard`, generic over a
+//! `Boundary` policy that answers the three questions on which they
 //! differ: does this shard own a link, has the window ended, and where does
-//! a packet bound for a foreign link go. `WholeComponent` answers
-//! "yes, never, nowhere" as constants, so its instantiation compiles
-//! without a boundary branch; `WindowedShard` consults the link-owner
-//! table, the window end and its outboxes.
+//! a packet bound for a foreign link go. `Serial` answers "yes, never,
+//! nowhere" as constants, so its instantiation compiles without a boundary
+//! branch; `WindowedShard` consults the link-owner table, the window end
+//! and its outboxes.
 //!
 //! Deliveries never touch link state, so the final transmit accounts for
 //! each one on the spot and stores nothing per packet. *Per-flow sums by
 //! ownership*: a flow delivers over one final link, that link has exactly
 //! one owning shard, and its finish times strictly increase — so a flow's
-//! delay sums are accumulated by one shard in one order under every plan,
-//! and the means are taken over them in flow-index order. *Histograms by
-//! addition*: every delay is also binned into its shard's
+//! delay sums are accumulated by one shard in one order in either
+//! execution, and the means are taken over them in flow-index order.
+//! *Histograms by addition*: every delay is also binned into its shard's
 //! `DeliveryHistograms`, integer counts that the run adds up in whatever
 //! order the shards finish. Nothing depends on how the events were split,
 //! which makes the produced [`SimReport`] **bit-identical for every
-//! `workers` value and every execution plan** by construction —
-//! `workers: 1` is the pinned serial reference, `workers: 0` picks the
-//! machine's parallelism. The parity suites force each plan through the
-//! hidden [`Simulation::run_in`] hook.
+//! `workers` value and both executions** by construction — `workers: 1` is
+//! the pinned serial reference, `workers: 0` picks the machine's
+//! parallelism. The parity suites force the windowed execution through the
+//! hidden [`Simulation::run_windowed`] hook.
 //!
 //! # Hybrid execution
 //!
@@ -114,7 +121,7 @@
 //! flows — each packet waiting behind the fluid backlog occupying its link
 //! at arrival time. Because the fluid solution is computed immutably before
 //! dispatch, the hybrid report is still bit-identical across every
-//! `workers` value and execution plan.
+//! `workers` value and both executions.
 //!
 //! [`PathStore`]: cisp_graph::PathStore
 //! [`TrafficClass::Background`]: crate::routing::TrafficClass::Background
@@ -135,33 +142,6 @@ use crate::network::{DirtyLinks, LinkSpec, LinkState, LinkStates, Network, Trans
 use crate::queue::{Event, EventQueue};
 use crate::routing::{compute_routes, Demand, Rerouter, RoutingScheme, RoutingTable};
 
-/// An execution forced on every component of a run through
-/// [`Simulation::run_in`] — a test hook: [`Simulation::run`] picks the
-/// execution per component itself, and the report is the same either way.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ExecMode {
-    /// Every component runs whole; the components are spread over the
-    /// workers.
-    ComponentSharded,
-    /// Every component with a positive lookahead runs time-windowed, the
-    /// rest whole. `window_s <= 0` selects the automatic window: the
-    /// partition's propagation-delay lookahead. A positive `window_s` is
-    /// clamped down to the lookahead, never up — correctness is never
-    /// traded for window length.
-    TimeWindowed {
-        /// Window length in simulated seconds; `<= 0` = auto (lookahead).
-        window_s: f64,
-    },
-}
-
-impl ExecMode {
-    /// Time-windowed execution with the automatic (lookahead) window.
-    pub fn windowed_auto() -> Self {
-        ExecMode::TimeWindowed { window_s: 0.0 }
-    }
-}
-
 /// Configuration of a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -177,8 +157,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// Worker threads: 0 = the machine's available parallelism, 1 =
     /// serial (one shard, no partition). Results are bit-identical for
-    /// every value. How a run on several workers spends them is decided per
-    /// component before the first event (see the [module docs](self)). A
+    /// every value. Whether a run on several workers spends them is decided
+    /// before the first event (see the [module docs](self)). A
     /// sweep of many short runs (the what-if re-runs of
     /// `cisp_core::evaluate::LoweredNetwork::rerun`: storm intervals,
     /// conduit cuts, link upgrades) spends this budget *across* its runs —
@@ -188,7 +168,7 @@ pub struct SimConfig {
     /// How background-class demands execute: packet-level like everything
     /// else (the default), or as flow-level fluid queues that foreground
     /// packets ride on (the hybrid engine, [`crate::fluid`]). Composes with
-    /// every execution plan; with no background demands the report is
+    /// both executions; with no background demands the report is
     /// bit-identical either way.
     pub background: BackgroundModel,
 }
@@ -223,7 +203,7 @@ impl SimConfig {
     }
 }
 
-/// Expected packets a time-windowed component must carry per window.
+/// Expected packets a time-windowed run must carry per window.
 ///
 /// A packet costs its events — ≈ 4.3 on the paper-scale backbone, at
 /// 100–260 ns each (`netsim.sim.ns_per_event` on two cores, fast and slow
@@ -237,10 +217,10 @@ impl SimConfig {
 /// its barriers from `P × 0.2 µs ≥ 1 µs`: `P ≥ 5`.
 const WINDOWED_PACKETS_PER_WINDOW: f64 = 5.0;
 
-/// Expected packets a time-windowed component must carry per route hop of
-/// its flows, to pay for forming the gang before its first window.
+/// Expected packets a time-windowed run must carry per route hop of its
+/// flows, to pay for forming the gang before its first window.
 ///
-/// Partitioning the component's links and finding the lookahead walk every
+/// Partitioning the run's links and finding the lookahead walk every
 /// route hop: 1.64 + 0.40 ms over the paper-scale backbone's 55 482 hops,
 /// ≈ 37 ns a hop, and spawning the second shard adds ≈ 0.1 ms — 39 ns a hop
 /// there (medians of 11, two cores). At ≈ 0.2 µs saved a packet (see
@@ -334,16 +314,15 @@ fn active_flows<'a>(
 }
 
 /// `Shard::flow_pos` of a flow that does not enter the network on this
-/// shard in the component being run.
+/// shard in the run.
 const NOT_ENTERING: u32 = u32::MAX;
 /// `Shard::flow_pos` of a flow that enters on this shard and has not sent
 /// its first packet yet: its first emission waits in the first-emission
 /// list.
 const WAITING: u32 = u32::MAX - 1;
 
-/// Where a shard's share of a component ends — the only thing the two
-/// execution modes disagree on. The kernel ([`Shard`]) is monomorphised
-/// over it.
+/// Where a shard's share of a run ends — the only thing the two executions
+/// disagree on. The kernel ([`Shard`]) is monomorphised over it.
 trait Boundary {
     /// Whether this shard simulates the events on `link`.
     fn owns(&self, link: usize) -> bool;
@@ -354,11 +333,11 @@ trait Boundary {
     fn hand_over(&mut self, link: usize, arrival: Event);
 }
 
-/// The component-sharded policy: one shard owns every link of the
-/// component and runs it to exhaustion, so nothing is ever handed over.
-struct WholeComponent;
+/// The serial policy: one shard owns every link and runs to exhaustion, so
+/// nothing is ever handed over.
+struct Serial;
 
-impl Boundary for WholeComponent {
+impl Boundary for Serial {
     #[inline(always)]
     fn owns(&self, _link: usize) -> bool {
         true
@@ -370,7 +349,7 @@ impl Boundary for WholeComponent {
     }
 
     fn hand_over(&mut self, _link: usize, _arrival: Event) {
-        unreachable!("a whole-component shard owns every link");
+        unreachable!("the serial shard owns every link");
     }
 }
 
@@ -415,8 +394,7 @@ impl Boundary for WindowedShard<'_> {
 /// [`FlowMonitor`] and the final link states — which [`RunTotals::of`] or a
 /// serial run collects once the run is over. The shard owns its buffers
 /// and reads the run's inputs through the [`EngineContext`] each call is
-/// handed, so one `Shard` serves every component its worker runs, and a
-/// serial [`Simulation`] keeps one across its runs:
+/// handed, so a [`Simulation`] keeps its serial one across its runs:
 /// [`begin`](Self::begin) → [`advance`](Self::advance) (once, or once per
 /// window) → [`finish`](Self::finish).
 struct Shard<B> {
@@ -450,8 +428,7 @@ struct Shard<B> {
     /// `(delay, queue_delay, is_background)`.
     #[cfg(test)]
     tap: Vec<(f64, f64, bool)>,
-    /// Final state of the links this shard owned, component after component
-    /// (components are link-disjoint and a link has one owner).
+    /// Final state of the links this shard owned (a link has one owner).
     links: Vec<(u32, LinkState)>,
 }
 
@@ -474,30 +451,10 @@ impl<B: Boundary> Shard<B> {
         }
     }
 
-    /// This shard, its state and products kept, under another boundary
-    /// policy.
-    fn with_boundary<C>(self, boundary: C) -> Shard<C> {
-        Shard {
-            boundary,
-            states: self.states,
-            dirty: self.dirty,
-            queue: self.queue,
-            transit: self.transit,
-            head_queued: self.head_queued,
-            flow_pos: self.flow_pos,
-            schedules: self.schedules,
-            next_first: self.next_first,
-            monitor: self.monitor,
-            #[cfg(test)]
-            tap: self.tap,
-            links: self.links,
-        }
-    }
-
-    /// Start this shard's share of a component: track the links it will
+    /// Start this shard's share of a run: track the links it will
     /// dirty (for extraction + reset), mark the flows that enter the
     /// network on one of its links as waiting for their first emission,
-    /// and size what the component's shape fixes.
+    /// and size what the run's shape fixes.
     ///
     /// Sized up front: the queue, for one pending emission per entering
     /// flow that can start plus one pipeline head per owned link, a size it
@@ -733,9 +690,9 @@ impl<B: Boundary> Shard<B> {
         }
     }
 
-    /// Close this shard's share of the component `flows`: unmark its
+    /// Close this shard's share of the run over `flows`: unmark its
     /// entering flows, keep the final state of the links it dirtied and
-    /// recycle the worker arrays for the next component. (The queue, the
+    /// recycle the worker arrays for the next run. (The queue, the
     /// first-emission list and every pipeline are drained by now — each
     /// popped head promoted its successor.)
     fn finish(&mut self, flows: impl Iterator<Item = u32>) {
@@ -747,8 +704,8 @@ impl<B: Boundary> Shard<B> {
     }
 }
 
-impl Shard<WholeComponent> {
-    /// Run the component `flows` to exhaustion on this shard.
+impl Shard<Serial> {
+    /// Run `flows` to exhaustion on this shard.
     fn run_whole(&mut self, ctx: &EngineContext<'_>, flows: impl Iterator<Item = u32> + Clone) {
         self.begin(ctx, flows.clone());
         self.advance(ctx);
@@ -795,11 +752,17 @@ impl RunTotals {
 }
 
 impl<'a> Shard<WindowedShard<'a>> {
-    /// Run one time-windowed component with the rest of the gang: simulate
-    /// the events on the links this shard owns, window by window.
-    fn run_windows(&mut self, ctx: &EngineContext<'_>, flows: &[u32], window: f64, gang: &Gang) {
+    /// Run `flows` time-windowed with the rest of the gang: simulate the
+    /// events on the links this shard owns, window by window.
+    fn run_windows(
+        &mut self,
+        ctx: &EngineContext<'_>,
+        flows: impl Iterator<Item = u32> + Clone,
+        window: f64,
+        gang: &Gang,
+    ) {
         let me = self.boundary.me as usize;
-        self.begin(ctx, flows.iter().copied());
+        self.begin(ctx, flows.clone());
         loop {
             // Publish the local event horizon; after the barrier every
             // shard derives the same window start (the global minimum).
@@ -812,7 +775,7 @@ impl<'a> Shard<WindowedShard<'a>> {
                 .map(|t| f64::from_bits(t.load(AtomicOrdering::Acquire)))
                 .fold(f64::INFINITY, f64::min);
             // All horizons empty: every shard sees the same start and
-            // agrees the component is drained.
+            // agrees the run is drained.
             let done = !start.is_finite();
             if !done {
                 self.boundary.end = start + window;
@@ -838,36 +801,19 @@ impl<'a> Shard<WindowedShard<'a>> {
                 self.stage(crossed, ev);
             }
         }
-        self.finish(flows.iter().copied());
+        self.finish(flows);
     }
 }
 
-/// How one component executes, decided before the first event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Execution {
-    /// One shard runs the component to exhaustion.
-    Whole,
-    /// The gang runs it in lock-step windows of this many seconds.
-    Windowed(f64),
-}
-
-/// What a run decided before the first event.
+/// The time-windowed execution a run decided on before the first event.
 struct Plan {
-    /// Shards (threads) the run uses.
+    /// Shards (threads) in the gang.
     workers: usize,
-    /// How each component executes.
-    executions: Vec<Execution>,
-    /// Shard owning each link of a windowed component (the partition's);
+    /// Window length in simulated seconds: positive, at most the lookahead.
+    window: f64,
+    /// Shard owning each link the active flows cross (the partition's);
     /// the other entries are never read.
     owner: Vec<u32>,
-}
-
-impl Plan {
-    fn windowed(&self) -> bool {
-        self.executions
-            .iter()
-            .any(|e| matches!(e, Execution::Windowed(_)))
-    }
 }
 
 /// The barrier the windowed gang meets at twice per window. It spins while
@@ -944,18 +890,15 @@ struct Gang {
     /// Each shard's next-event horizon (f64 bits), republished per window;
     /// the global minimum is the next window's start.
     next_times: Vec<AtomicU64>,
-    /// The components that run whole, in order, and the first one no
-    /// shard has claimed yet.
-    whole: Vec<usize>,
-    next_whole: AtomicUsize,
 }
 
 /// A complete simulation: network, demands, routes and configuration.
 ///
 /// A `Simulation` keeps what its runs need across them: the first-emission
 /// list, built once at construction (a function of the demands and the
-/// configuration), and — once it has run serially — its engine, whose
-/// buffers the next serial run resets and refills instead of allocating.
+/// configuration), and — once it has run serially — its serial engine,
+/// whose buffers the next serial run resets and refills instead of
+/// allocating, whatever its `workers`.
 /// [`vary`](Self::vary) turns it into a what-if variant of a base network
 /// the same way. A clone shares the first-emission list and starts with a
 /// cold engine.
@@ -967,7 +910,7 @@ pub struct Simulation {
     /// See [`first_emissions`].
     first_emissions: Arc<[FirstEmission]>,
     /// The serial engine, warm from the previous serial run.
-    engine: Option<Box<Shard<WholeComponent>>>,
+    engine: Option<Box<Shard<Serial>>>,
     /// The re-routing state of [`vary`](Self::vary), warm from its
     /// previous call.
     rerouter: Option<Rerouter>,
@@ -1077,20 +1020,20 @@ impl Simulation {
         &self.demands
     }
 
-    /// Number of link-disjoint components the active flows decompose into —
-    /// the grain at which a run on several workers spreads them.
+    /// Number of link-disjoint components the active flows decompose into:
+    /// a diagnostic of the demand set. No run looks for components (see
+    /// the [module docs](self)).
     pub fn num_components(&self) -> usize {
         self.partition_flows().len()
     }
 
     /// Group the active flows into link-disjoint components via union-find
-    /// over each route's links — what a run on several workers spreads over
-    /// them (a serial run simulates every active flow as one shard and
-    /// skips this). Component order follows the first demand of each
-    /// component, so the decomposition is deterministic. Under the hybrid
-    /// engine ([`BackgroundModel::Fluid`]) background demands belong to the
-    /// fluid solver, not the packet engine, so they are excluded here — an
-    /// all-background demand set packet-simulates zero components.
+    /// over each route's links. Component order follows the first demand of
+    /// each component, so the decomposition is deterministic. Under the
+    /// hybrid engine ([`BackgroundModel::Fluid`]) background demands belong
+    /// to the fluid solver, not the packet engine, so they are excluded
+    /// here — an all-background demand set packet-simulates zero
+    /// components.
     fn partition_flows(&self) -> Vec<Vec<u32>> {
         let num_links = self.network.num_links();
         let mut parent: Vec<u32> = (0..num_links as u32).collect();
@@ -1127,18 +1070,14 @@ impl Simulation {
         comps
     }
 
-    /// Decide, before the first event, how each component of `comps`
-    /// executes on `workers` shards; `forced` overrides the choice (the
-    /// [`run_in`](Self::run_in) hook). A component runs time-windowed when
-    /// its partition has a positive, finite lookahead and its expected
+    /// Decide, before the first event, whether the run goes time-windowed
+    /// on `workers > 1` shards, and how: `None` runs it serial. `forced`
+    /// is the [`run_windowed`](Self::run_windowed) hook's window, which
+    /// skips the pay test. The run pays when the partition of every active
+    /// flow's links has a positive, finite lookahead and the run's expected
     /// packets pay for the gang ([`WINDOWED_PACKETS_PER_HOP`]) and for its
-    /// windows ([`WINDOWED_PACKETS_PER_WINDOW`]); otherwise it runs whole.
-    fn plan(
-        ctx: &EngineContext<'_>,
-        comps: &[Vec<u32>],
-        workers: usize,
-        forced: Option<ExecMode>,
-    ) -> Plan {
+    /// windows ([`WINDOWED_PACKETS_PER_WINDOW`]).
+    fn plan(ctx: &EngineContext<'_>, workers: usize, forced: Option<f64>) -> Option<Plan> {
         let EngineContext {
             network,
             routes,
@@ -1146,155 +1085,110 @@ impl Simulation {
             config,
             ..
         } = *ctx;
-        let mut plan = Plan {
-            workers,
-            executions: vec![Execution::Whole; comps.len()],
-            owner: vec![0; network.num_links()],
-        };
-        if workers == 1 || forced == Some(ExecMode::ComponentSharded) {
-            return plan;
+        let flows = || active_flows(config, demands, routes);
+        let rate: f64 = flows().map(|f| demands[f as usize].amount_bps).sum();
+        let packets = rate * config.duration_s / (8.0 * config.packet_bytes);
+        let hops: usize = flows().map(|f| routes.route(f as usize).len()).sum();
+        let gang_cost = WINDOWED_PACKETS_PER_HOP * hops as f64;
+        // A run has at least one window: a run that cannot pay for the gang
+        // and one window is not worth partitioning.
+        if forced.is_none() && packets < gang_cost + WINDOWED_PACKETS_PER_WINDOW {
+            return None;
         }
-        let packet_bits = 8.0 * config.packet_bytes;
+        let paths: Vec<&[u32]> = flows().map(|f| routes.route(f as usize)).collect();
+        let mut owner = vec![0; network.num_links()];
+        partition_path_links(&paths, workers, &mut owner);
         let delays: Vec<f64> = network.links().iter().map(|l| l.propagation_s).collect();
-        let mut paths: Vec<&[u32]> = Vec::new();
-        for (comp, execution) in comps.iter().zip(&mut plan.executions) {
-            let rate: f64 = comp.iter().map(|&f| demands[f as usize].amount_bps).sum();
-            let packets = rate * config.duration_s / packet_bits;
-            let hops: usize = comp.iter().map(|&f| routes.route(f as usize).len()).sum();
-            let gang_cost = WINDOWED_PACKETS_PER_HOP * hops as f64;
-            // A run has at least one window: a component that cannot pay
-            // for the gang and one window is not worth partitioning.
-            if forced.is_none() && packets < gang_cost + WINDOWED_PACKETS_PER_WINDOW {
-                continue;
-            }
-            paths.clear();
-            paths.extend(comp.iter().map(|&f| routes.route(f as usize)));
-            partition_path_links(&paths, workers, &mut plan.owner);
-            let lookahead = partition_lookahead(&paths, &plan.owner, &delays);
-            let window = match forced {
-                Some(ExecMode::TimeWindowed { window_s }) if window_s > 0.0 => {
-                    window_s.min(lookahead)
-                }
-                Some(_) => lookahead,
-                None => {
-                    // The windows last until the last packet is delivered:
-                    // the duration plus the longest route's propagation.
-                    let drain = comp
-                        .iter()
-                        .map(|&f| routes.route_latency_s(network, f as usize))
-                        .fold(0.0, f64::max);
-                    let windows = ((config.duration_s + drain) / lookahead).max(1.0);
-                    if packets >= gang_cost + windows * WINDOWED_PACKETS_PER_WINDOW {
-                        lookahead
-                    } else {
-                        0.0
-                    }
-                }
-            };
-            // A zero lookahead (a zero-delay link on the cut) admits no
-            // conservative window; an infinite one means the partition put
-            // every link on one shard.
-            if window > 0.0 && window.is_finite() {
-                *execution = Execution::Windowed(window);
-            }
+        let lookahead = partition_lookahead(&paths, &owner, &delays);
+        // A zero lookahead (a zero-delay link on the cut) admits no
+        // conservative window; an infinite one means the partition put
+        // every link on one shard.
+        if !(lookahead > 0.0 && lookahead.is_finite()) {
+            return None;
         }
-        plan
-    }
-
-    /// Component-sharded execution: the component list drained by `workers`
-    /// shards ([`drain_jobs`]; one worker runs inline). Components are
-    /// independent, so which shard runs which is irrelevant.
-    fn run_components(ctx: &EngineContext<'_>, comps: &[Vec<u32>], workers: usize) -> RunTotals {
-        let (num_links, num_flows) = (ctx.network.num_links(), ctx.demands.len());
-        let (_, shards) = drain_jobs(
-            comps.len(),
+        let window = match forced {
+            Some(window_s) if window_s > 0.0 => window_s.min(lookahead),
+            Some(_) => lookahead,
+            None => {
+                // The windows last until the last packet is delivered: the
+                // duration plus the longest route's propagation.
+                let drain = flows()
+                    .map(|f| routes.route_latency_s(network, f as usize))
+                    .fold(0.0, f64::max);
+                let windows = ((config.duration_s + drain) / lookahead).max(1.0);
+                if packets < gang_cost + windows * WINDOWED_PACKETS_PER_WINDOW {
+                    return None;
+                }
+                lookahead
+            }
+        };
+        Some(Plan {
             workers,
-            || Shard::new(num_links, num_flows, WholeComponent),
-            |shard, i| shard.run_whole(ctx, comps[i].iter().copied()),
-        );
-        RunTotals::of(shards)
+            window,
+            owner,
+        })
     }
 
-    /// Execution with at least one time-windowed component: a gang of
-    /// `plan.workers` shards, one [`drain_jobs`] job each at that width,
-    /// runs the windowed components in lock-step, in order, then drains the
-    /// whole ones without a barrier, each shard claiming the next unclaimed
-    /// component as [`drain_jobs`] does.
-    fn run_gang(ctx: &EngineContext<'_>, comps: &[Vec<u32>], plan: &Plan) -> RunTotals {
+    /// Time-windowed execution: a gang of `plan.workers` shards, one
+    /// [`drain_jobs`] job each at that width, runs every active flow in
+    /// lock-step windows.
+    fn run_gang(ctx: &EngineContext<'_>, plan: &Plan) -> RunTotals {
         let workers = plan.workers;
         let gang = Gang {
             barrier: GangBarrier::new(workers),
             inboxes: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
             next_times: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            whole: (0..comps.len())
-                .filter(|&c| plan.executions[c] == Execution::Whole)
-                .collect(),
-            next_whole: AtomicUsize::new(0),
         };
+        let (num_links, num_flows) = (ctx.network.num_links(), ctx.demands.len());
         let (shards, _) = drain_jobs(
             workers,
             workers,
             || (),
-            |_, me| Self::run_gang_shard(ctx, comps, plan, &gang, me),
+            |_, me| {
+                let mut shard = Shard::new(
+                    num_links,
+                    num_flows,
+                    WindowedShard {
+                        owner: &plan.owner,
+                        me: me as u32,
+                        end: f64::INFINITY,
+                        outbox: (0..workers).map(|_| Vec::new()).collect(),
+                    },
+                );
+                let flows = active_flows(ctx.config, ctx.demands, ctx.routes);
+                shard.run_windows(ctx, flows, plan.window, &gang);
+                shard
+            },
         );
         RunTotals::of(shards)
     }
 
-    /// One gang member's run over every component.
-    fn run_gang_shard(
-        ctx: &EngineContext<'_>,
-        comps: &[Vec<u32>],
-        plan: &Plan,
-        gang: &Gang,
-        me: usize,
-    ) -> Shard<WholeComponent> {
-        let mut shard = Shard::new(
-            ctx.network.num_links(),
-            ctx.demands.len(),
-            WindowedShard {
-                owner: &plan.owner,
-                me: me as u32,
-                end: f64::INFINITY,
-                outbox: (0..plan.workers).map(|_| Vec::new()).collect(),
-            },
-        );
-        for (comp, &execution) in comps.iter().zip(&plan.executions) {
-            if let Execution::Windowed(window) = execution {
-                shard.run_windows(ctx, comp, window, gang);
-            }
-        }
-        let mut shard = shard.with_boundary(WholeComponent);
-        // The counter publishes nothing but itself, as in `drain_jobs`.
-        let claim = || gang.next_whole.fetch_add(1, AtomicOrdering::Relaxed);
-        while let Some(&c) = gang.whole.get(claim()) {
-            shard.run_whole(ctx, comps[c].iter().copied());
-        }
-        shard
-    }
-
     /// Run the simulation and produce a report.
     ///
-    /// Before the first event the run decides, per component, whether to
-    /// run it whole or time-windowed across [`SimConfig::workers`] shards
-    /// (see the [module docs](self)). The report — including float-for-float
-    /// every statistic — is identical for every `workers` value and either
+    /// Before the first event the run decides whether to run serial or
+    /// time-windowed across [`SimConfig::workers`] shards (see the
+    /// [module docs](self)). The report — including float-for-float every
+    /// statistic — is identical for every `workers` value and either
     /// choice.
     pub fn run(&mut self) -> SimReport {
         self.execute(None)
     }
 
-    /// [`run`](Self::run) with every component forced into `mode`, whatever
-    /// the run would have chosen. A hook for the parity suites: the report
-    /// is the same.
+    /// [`run`](Self::run) forced time-windowed whenever the partition has a
+    /// positive lookahead and the run has more than one worker, whatever
+    /// the run would have chosen. `window_s <= 0` selects the lookahead as
+    /// the window; a positive `window_s` is clamped down to the lookahead,
+    /// never up — correctness is never traded for window length. A hook for
+    /// the parity suites: the report is the same.
     #[doc(hidden)]
-    pub fn run_in(&mut self, mode: ExecMode) -> SimReport {
-        self.execute(Some(mode))
+    pub fn run_windowed(&mut self, window_s: f64) -> SimReport {
+        self.execute(Some(window_s))
     }
 
-    fn execute(&mut self, forced: Option<ExecMode>) -> SimReport {
+    fn execute(&mut self, forced: Option<f64>) -> SimReport {
         self.network.reset();
         // Hybrid runs solve the background class first — once, immutably —
-        // so every execution plan reads the same fluid backlogs and the
+        // so both executions read the same fluid backlogs and the
         // bit-identity contract extends to hybrid reports.
         let fluid_solution = if self.config.background == BackgroundModel::Fluid {
             Some(fluid::solve(
@@ -1315,41 +1209,42 @@ impl Simulation {
             first: &self.first_emissions,
         };
         let workers = resolve_workers(self.config.workers);
+        let plan = if workers > 1 {
+            Self::plan(&ctx, workers, forced)
+        } else {
+            None
+        };
         let totals;
         // Zero-flow demand sets (e.g. every demand unroutable after weather
         // failures) simulate nothing: the report is all zeroes (pinned by
         // `unroutable_demands_yield_an_empty_report_in_every_mode`).
-        let (monitor, links) = if workers == 1 {
-            // One worker: every active flow in one shard, no partition —
-            // components only matter to spread them over workers. The
-            // engine stays warm for the next run.
-            let (num_links, num_flows) = (self.network.num_links(), self.demands.len());
-            let engine = self
-                .engine
-                .get_or_insert_with(|| Box::new(Shard::new(num_links, num_flows, WholeComponent)));
-            engine.monitor.clear();
-            engine.links.clear();
-            engine.run_whole(&ctx, active_flows(ctx.config, ctx.demands, ctx.routes));
-            #[cfg(test)]
-            {
-                self.last_queue_stats = engine.queue.stats();
-                self.last_tap = std::mem::take(&mut engine.tap);
+        let (monitor, links) = match plan {
+            Some(plan) => {
+                totals = Self::run_gang(&ctx, &plan);
+                #[cfg(test)]
+                {
+                    self.last_queue_stats = totals.queue_stats;
+                    self.last_tap = totals.tap.clone();
+                }
+                (&totals.monitor, &totals.links)
             }
-            (&engine.monitor, &engine.links)
-        } else {
-            let comps = self.partition_flows();
-            let plan = Self::plan(&ctx, &comps, workers, forced);
-            totals = if plan.windowed() {
-                Self::run_gang(&ctx, &comps, &plan)
-            } else {
-                Self::run_components(&ctx, &comps, plan.workers)
-            };
-            #[cfg(test)]
-            {
-                self.last_queue_stats = totals.queue_stats;
-                self.last_tap = totals.tap.clone();
+            None => {
+                // Every active flow in one shard, no partition. The engine
+                // stays warm for the next run.
+                let (num_links, num_flows) = (self.network.num_links(), self.demands.len());
+                let engine = self
+                    .engine
+                    .get_or_insert_with(|| Box::new(Shard::new(num_links, num_flows, Serial)));
+                engine.monitor.clear();
+                engine.links.clear();
+                engine.run_whole(&ctx, active_flows(ctx.config, ctx.demands, ctx.routes));
+                #[cfg(test)]
+                {
+                    self.last_queue_stats = engine.queue.stats();
+                    self.last_tap = std::mem::take(&mut engine.tap);
+                }
+                (&engine.monitor, &engine.links)
             }
-            (&totals.monitor, &totals.links)
         };
         for (l, state) in links {
             self.network.states_mut().restore(*l as usize, state);
@@ -1452,19 +1347,15 @@ mod tests {
     use crate::queue::QueueStats;
     use crate::routing::compute_routes_avoiding;
 
-    /// The run's own choice (`None`) and every forced execution.
-    const EVERY_MODE: [Option<ExecMode>; 4] = [
-        None,
-        Some(ExecMode::ComponentSharded),
-        Some(ExecMode::TimeWindowed { window_s: 0.0 }),
-        Some(ExecMode::TimeWindowed { window_s: 5e-4 }),
-    ];
+    /// The run's own choice (`None`) and the windowed execution forced with
+    /// the automatic window and with a finite one.
+    const EVERY_MODE: [Option<f64>; 3] = [None, Some(0.0), Some(5e-4)];
 
-    /// `run()` or, with a mode, the `run_in` hook.
-    fn run_as(sim: &mut Simulation, mode: Option<ExecMode>) -> SimReport {
+    /// `run()` or, with a window, the `run_windowed` hook.
+    fn run_as(sim: &mut Simulation, mode: Option<f64>) -> SimReport {
         match mode {
             None => sim.run(),
-            Some(mode) => sim.run_in(mode),
+            Some(window_s) => sim.run_windowed(window_s),
         }
     }
 
@@ -1605,9 +1496,7 @@ mod tests {
     }
 
     /// One congested single-component mesh: a one-way ring with crossing
-    /// multi-hop flows, so every route shares links with others — component
-    /// sharding degenerates to serial here, and time-windowed execution is
-    /// the only parallel mode.
+    /// multi-hop flows, so every route shares links with others.
     fn single_component_mesh(nodes: usize) -> (Network, Vec<Demand>) {
         let mut net = Network::new(nodes);
         for i in 0..nodes {
@@ -1657,11 +1546,7 @@ mod tests {
     /// [`SampleStats`]: each quantile within one 2⁻¹⁰ bin of the sorted one
     /// (2⁻⁴⁰ s for the zero bin), each mean within 1e-12 relative of the
     /// naive running sum.
-    fn run_against_exact_path(
-        sim: &mut Simulation,
-        mode: Option<ExecMode>,
-        what: &str,
-    ) -> SimReport {
+    fn run_against_exact_path(sim: &mut Simulation, mode: Option<f64>, what: &str) -> SimReport {
         use crate::monitor::{ClassReport, SampleStats};
         let report = run_as(sim, mode);
         assert_eq!(sim.last_tap.len() as u64, report.delivered, "{what}");
@@ -1829,7 +1714,7 @@ mod tests {
                 // Auto (lookahead) window, a finite window, a degenerate
                 // one-event-scale window, and a window beyond the horizon.
                 for window_s in [0.0, 1e-3, 5e-5, 10.0] {
-                    let report = sim.run_in(ExecMode::TimeWindowed { window_s });
+                    let report = sim.run_windowed(window_s);
                     assert_eq!(
                         serial, report,
                         "{arrivals:?}, workers {workers}, window {window_s}"
@@ -1839,20 +1724,54 @@ mod tests {
         }
     }
 
+    /// Two ring meshes on disjoint nodes and links, and between them three
+    /// one-link pairs: five link-disjoint components.
+    fn meshes_and_pairs() -> (Network, Vec<Demand>) {
+        let parts = [
+            single_component_mesh(6),
+            multi_component_inputs(3),
+            single_component_mesh(5),
+        ];
+        let mut net = Network::new(parts.iter().map(|(n, _)| n.num_nodes()).sum());
+        let (mut demands, mut offset) = (Vec::new(), 0);
+        for (part, part_demands) in parts {
+            for l in part.links() {
+                net.add_link(LinkSpec {
+                    from: l.from + offset,
+                    to: l.to + offset,
+                    ..*l
+                });
+            }
+            demands.extend(
+                part_demands
+                    .iter()
+                    .map(|d| Demand::new(d.src + offset, d.dst + offset, d.amount_bps)),
+            );
+            offset += part.num_nodes();
+        }
+        (net, demands)
+    }
+
     #[test]
-    fn windowed_run_matches_component_sharding_on_disjoint_components() {
-        let (net, demands) = multi_component_inputs(5);
+    fn windowed_run_is_bit_identical_to_serial_across_components() {
+        let (net, demands) = meshes_and_pairs();
+        let config = |workers| SimConfig {
+            duration_s: 0.3,
+            seed: 11,
+            workers,
+            ..SimConfig::default()
+        };
+        let serial = Simulation::new(net.clone(), demands.clone(), config(1)).run();
+        assert!(serial.delivered > 0);
         for workers in test_widths(&[1, 2, 4]).into_iter().chain([3]) {
-            let config = SimConfig {
-                duration_s: 0.3,
-                seed: 11,
-                workers,
-                ..SimConfig::default()
-            };
-            let mut sim = Simulation::new(net.clone(), demands.clone(), config);
-            let sharded = sim.run_in(ExecMode::ComponentSharded);
-            assert_eq!(sharded, sim.run_in(ExecMode::windowed_auto()), "{workers}");
-            assert_eq!(sharded, sim.run(), "workers {workers}");
+            let mut sim = Simulation::new(net.clone(), demands.clone(), config(workers));
+            assert_eq!(sim.num_components(), 5);
+            // One partition across the five components.
+            if workers > 1 {
+                assert!(planned(&sim, None).is_some(), "workers {workers}");
+            }
+            assert_eq!(serial, sim.run_windowed(0.0), "workers {workers}");
+            assert_eq!(serial, sim.run(), "workers {workers}");
         }
     }
 
@@ -1900,11 +1819,7 @@ mod tests {
                 },
             );
             assert_eq!(serial, sim.run(), "workers {workers}");
-            assert_eq!(
-                serial,
-                sim.run_in(ExecMode::windowed_auto()),
-                "workers {workers}"
-            );
+            assert_eq!(serial, sim.run_windowed(0.0), "workers {workers}");
         }
     }
 
@@ -1912,8 +1827,8 @@ mod tests {
     fn unroutable_demands_yield_an_empty_report_in_every_mode() {
         // Every link disabled (total weather failure): all demands become
         // unroutable, the flow partition is empty (zero components, not
-        // components without flows), and both engines must produce a clean
-        // all-zero report.
+        // components without flows), and both executions must produce a
+        // clean all-zero report.
         let (net, demands) = multi_component_inputs(3);
         let disabled = vec![true; net.num_links()];
         for workers in test_widths(&[1, 2, 4]) {
@@ -1999,11 +1914,10 @@ mod tests {
         assert!(stats.resizes <= 2, "{stats:?}");
     }
 
-    /// How [`Simulation::run`] would execute `net` / `demands` under
-    /// `config`: its worker count and each component's execution.
-    fn planned(net: Network, demands: Vec<Demand>, config: SimConfig) -> (usize, Vec<Execution>) {
-        let sim = Simulation::new(net, demands, config);
-        let comps = sim.partition_flows();
+    /// How [`Simulation::run`] (`forced` = `None`) or the
+    /// [`Simulation::run_windowed`] hook would execute `sim`: `None` runs it
+    /// on the serial engine, `Some` is the gang's plan.
+    fn planned(sim: &Simulation, forced: Option<f64>) -> Option<Plan> {
         let ctx = EngineContext {
             network: &sim.network,
             routes: &sim.routes,
@@ -2012,43 +1926,54 @@ mod tests {
             fluid: None,
             first: &sim.first_emissions,
         };
-        let plan = Simulation::plan(&ctx, &comps, resolve_workers(config.workers), None);
-        (plan.workers, plan.executions)
+        let workers = resolve_workers(sim.config.workers);
+        (workers > 1)
+            .then(|| Simulation::plan(&ctx, workers, forced))
+            .flatten()
     }
 
     #[test]
     fn the_run_picks_its_execution_from_expected_packets_per_window() {
-        let config = |duration_s, workers| SimConfig {
-            duration_s,
-            workers,
-            ..SimConfig::default()
+        let window = |(net, demands): (Network, Vec<Demand>), duration_s, workers| {
+            let config = SimConfig {
+                duration_s,
+                workers,
+                ..SimConfig::default()
+            };
+            let sim = Simulation::new(net, demands, config);
+            planned(&sim, None).map(|plan| {
+                assert_eq!(plan.workers, workers);
+                plan.window
+            })
         };
-        let (net, demands) = single_component_mesh(8);
         // 8 × 3 Mbps for 0.2 s: 1 200 packets against 6.4 for the gang's
         // 32 hops and 5 for each of the 131.6 windows of 1.6 ms until the
         // longest route (10.6 ms) has drained.
-        let (workers, long) = planned(net.clone(), demands.clone(), config(0.2, 2));
-        assert_eq!(workers, 2);
-        assert!(
-            matches!(long[..], [Execution::Windowed(w)] if (w - 1.6e-3).abs() < 1e-12),
-            "{long:?}"
-        );
-        // 0.5 ms is less than one window: 3 packets in all.
-        let (_, short) = planned(net.clone(), demands.clone(), config(5e-4, 2));
-        assert_eq!(short, [Execution::Whole]);
+        let long = window(single_component_mesh(8), 0.2, 2);
+        assert!(long.is_some_and(|w| (w - 1.6e-3).abs() < 1e-12), "{long:?}");
+        // 0.5 ms is less than one window: 3 packets in all. (That the hop
+        // test comes before the partition, so a run that does not pay never
+        // partitions, is pinned by `tests/whatif_warm_allocations.rs`.)
+        assert_eq!(window(single_component_mesh(8), 5e-4, 2), None);
         // One worker runs serial.
-        assert_eq!(
-            planned(net, demands, config(0.2, 1)),
-            (1, vec![Execution::Whole])
-        );
-        // A zero-delay cut has no conservative window.
+        assert_eq!(window(single_component_mesh(8), 0.2, 1), None);
+        // A zero-delay cut has no conservative window, even when forced.
+        assert_eq!(window(zero_propagation_chain(), 0.2, 2), None);
         let (net, demands) = zero_propagation_chain();
-        let (_, zero) = planned(net, demands, config(0.2, 2));
-        assert_eq!(zero, [Execution::Whole]);
-        // One-link components have no cut to window across.
-        let (net, demands) = multi_component_inputs(6);
-        let (_, pairs) = planned(net, demands, config(0.2, 2));
-        assert_eq!(pairs, vec![Execution::Whole; 6]);
+        let zero = Simulation::new(
+            net,
+            demands,
+            SimConfig {
+                workers: 2,
+                ..SimConfig::default()
+            },
+        );
+        assert!(planned(&zero, Some(0.0)).is_none());
+        // One-link pairs have no cut to window across.
+        assert_eq!(window(multi_component_inputs(6), 0.2, 2), None);
+        // The rings and pairs together go windowed: one partition over
+        // every flow, whatever component it is in.
+        assert!(window(meshes_and_pairs(), 0.2, 2).is_some());
         // Forming the gang costs 0.2 packets a route hop: 300 packets over
         // 27 windows of 4 ms pay for it on 100 two-hop flows (40), not on
         // 1 000 (400).
@@ -2065,12 +1990,25 @@ mod tests {
             }
             (net, vec![Demand::new(0, 2, 12e6 / flows as f64); flows])
         };
-        let (net, demands) = light_flows(100);
-        let (_, few) = planned(net, demands, config(0.1, 2));
-        assert!(matches!(few[..], [Execution::Windowed(_)]), "{few:?}");
-        let (net, demands) = light_flows(1000);
-        let (_, many) = planned(net, demands, config(0.1, 2));
-        assert_eq!(many, [Execution::Whole]);
+        assert!(window(light_flows(100), 0.1, 2).is_some());
+        assert_eq!(window(light_flows(1000), 0.1, 2), None);
+        // A forced window skips the pay test and is clamped to the
+        // lookahead, never raised to it.
+        let (net, demands) = single_component_mesh(8);
+        let short = Simulation::new(
+            net,
+            demands,
+            SimConfig {
+                duration_s: 5e-4,
+                workers: 2,
+                ..SimConfig::default()
+            },
+        );
+        let forced = |window_s| planned(&short, Some(window_s)).map(|plan| plan.window);
+        let lookahead = forced(0.0).expect("a forced run partitions");
+        assert!((lookahead - 1.6e-3).abs() < 1e-12, "{lookahead}");
+        assert_eq!(forced(1e-3), Some(1e-3));
+        assert_eq!(forced(10.0), Some(lookahead));
     }
 
     /// The panic message construction refuses `config` / `demands` with.

@@ -31,14 +31,17 @@
 //! re-route against the fair routes — then simulates on the worker's warm
 //! engine and reduces to a row. Whenever more than one job is in flight a
 //! job runs with `workers: 1`: one shard over every active flow, no
-//! partition, where a 6 ms run would lose 0.9–1.3 ms of wall clock to
-//! component-sharding threads of its own (paper-scale storm variants, each
-//! run both ways three times, alternating, on two cores). `workers: 1` is
-//! therefore the fully serial sweep, and every width returns its rows bit
-//! for bit ([`SimReport`] does not depend on `workers`, jobs share nothing
-//! they write, rows are placed by job index). [`conduit_cut_analysis`] runs its
-//! cut scenarios through the same method, and so does
-//! `cisp_core::economics::rank_upgrades` its upgrade candidates.
+//! partition. A 6 ms variant does not pay for the engine's windowed gang,
+//! so on more workers it would run on that same serial engine; whole
+//! components spread over threads of its own, an execution the engine no
+//! longer has, lost 0.9–1.3 ms of wall clock on it (paper-scale storm
+//! variants, each run both ways three times, alternating, on two cores).
+//! `workers: 1` is therefore the fully serial sweep, and every width
+//! returns its rows bit for bit ([`SimReport`] does not depend on
+//! `workers`, jobs share nothing they write, rows are placed by job
+//! index). [`conduit_cut_analysis`] runs its cut scenarios through the same
+//! method, and so does `cisp_core::economics::rank_upgrades` its upgrade
+//! candidates.
 //!
 //! [`reroute_avoiding`]: cisp_netsim::routing::reroute_avoiding
 //! [`SimConfig`]: cisp_netsim::sim::SimConfig

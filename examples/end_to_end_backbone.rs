@@ -5,12 +5,12 @@
 //! conduit graph (bit-identical effective distances, O(segments) instead of
 //! O(n²) fiber links once lowered), lowers it (with its population-product
 //! traffic matrix) into the site-level packet network, replays the traffic
-//! through the sharded discrete-event engine — verifying that serial,
-//! component-sharded and time-windowed execution produce bit-identical
-//! reports on the conduit-lowered network — and then feeds the *simulated*
-//! per-pair RTT distribution (propagation + serialization + queueing) into
-//! the paper's §7 application models: thin-client gaming frame times and
-//! web page-load replays.
+//! through the discrete-event engine — verifying that the serial run, the
+//! run the engine plans itself and the time-windowed run produce
+//! bit-identical reports on the conduit-lowered network — and then feeds
+//! the *simulated* per-pair RTT distribution (propagation, serialization
+//! and queueing) into the paper's §7 application models: thin-client
+//! gaming frame times and web page-load replays.
 //!
 //! Run with: `cargo run --release --example end_to_end_backbone`
 
@@ -68,7 +68,7 @@ fn main() {
         lowered.demands.iter().map(|d| d.amount_bps).sum::<f64>() / 1e9
     );
 
-    println!("\n== step 3: sharded packet simulation ==");
+    println!("\n== step 3: packet simulation, serial, planned and windowed ==");
     let mut serial_sim = lowered.simulation();
     let serial = {
         let mut sim_config = config.sim;
@@ -80,19 +80,19 @@ fn main() {
         );
         sim.run()
     };
-    // workers = 0: machine parallelism, execution picked per component.
+    // workers = 0: machine parallelism, the execution picked by the run.
     let report = serial_sim.run();
     assert_eq!(
         serial, report,
         "parallel and serial simulation must be bit-identical"
     );
     // The same run forced time-windowed through the engine's test hook.
-    let windowed = serial_sim.run_in(cisp::netsim::sim::ExecMode::windowed_auto());
+    let windowed = serial_sim.run_windowed(0.0);
     assert_eq!(
         serial, windowed,
         "time-windowed and serial simulation must be bit-identical"
     );
-    println!("  serial, planned and time-windowed reports are bit-identical");
+    println!("  serial, planned and windowed reports are bit-identical");
     println!(
         "  {} packets delivered, loss {:.4} %, mean delay {:.3} ms (p95 {:.3} ms), mean queueing {:.4} ms",
         report.delivered,

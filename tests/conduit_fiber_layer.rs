@@ -1,14 +1,14 @@
 //! Integration pins for the conduit-grounded fiber layer: the conduit-backed
 //! topology is bit-compatible with the matrix-backed design path, the
 //! conduit lowering scales as O(segments) rather than O(n²) pair-mesh
-//! links, every execution mode stays bit-identical on the conduit-lowered
+//! links, either execution stays bit-identical on the conduit-lowered
 //! network, and an uncongested conduit-lowered run reproduces the
 //! mesh-lowered per-pair RTTs up to per-hop serialization.
 
 use cisp::core::evaluate::{lower, pair_rtts, EvaluateConfig};
 use cisp::core::scenario::{population_product_traffic, Scenario, ScenarioConfig};
 use cisp::netsim::jobs::test_widths;
-use cisp::netsim::sim::{ExecMode, SimConfig, Simulation};
+use cisp::netsim::sim::{SimConfig, Simulation};
 use cisp::weather::simulate::{conduit_cut_analysis, most_loaded_conduits};
 
 fn eval_config() -> EvaluateConfig {
@@ -132,13 +132,9 @@ fn exec_modes_stay_bit_identical_on_the_conduit_lowered_backbone() {
         cfg.workers = workers;
         let mut sim = Simulation::new(lowered.network.clone(), lowered.demands.clone(), cfg);
         assert_eq!(serial, sim.run(), "workers {workers}");
-        for mode in [
-            ExecMode::ComponentSharded,
-            ExecMode::windowed_auto(),
-            ExecMode::TimeWindowed { window_s: 1e-3 },
-        ] {
-            let report = sim.run_in(mode);
-            assert_eq!(serial, report, "workers {workers}, mode {mode:?}");
+        for window_s in [0.0, 1e-3] {
+            let report = sim.run_windowed(window_s);
+            assert_eq!(serial, report, "workers {workers}, window {window_s}");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Oracles for the packet engine that do not share code with it: queueing
 //! theory and a conservation law, on single links where both are exact.
 //!
-//! The parity suites prove that every execution mode agrees with the serial
+//! The parity suites prove that either execution agrees with the serial
 //! run; they all share the transmit path and the event loop, so a bug there
 //! passes them. Here the expected numbers come from closed forms:
 //!
@@ -17,17 +17,17 @@
 //!   ([`emission_times`]), not by the engine's lazy scheduler.
 //!
 //! One run holds five disjoint links — ρ ∈ {0.3, 0.5, 0.7, 0.8} with an
-//! effectively unbounded buffer, and ρ = 1.2 behind 20 kB — so the
-//! component-sharded mode really spreads components over workers. The serial
-//! run is checked against the closed forms; at every width in
-//! `CISP_TEST_WORKERS` (default `1,2,4`) the run's own choice and both
-//! forced modes must reproduce its report exactly.
+//! effectively unbounded buffer, and ρ = 1.2 behind 20 kB. The serial run
+//! is checked against the closed forms; at every width in
+//! `CISP_TEST_WORKERS` (default `1,2,4`) the run's own choice and the
+//! forced windowed hook must reproduce its report exactly. (One-link routes
+//! leave no cut to window across, so both run on the serial engine.)
 
 use cisp::netsim::flows::{emission_times, ArrivalProcess, FlowSpec};
 use cisp::netsim::jobs::test_widths;
 use cisp::netsim::network::{LinkSpec, Network};
 use cisp::netsim::routing::Demand;
-use cisp::netsim::sim::{ExecMode, SimConfig, Simulation};
+use cisp::netsim::sim::{SimConfig, Simulation};
 
 const PACKET_BYTES: f64 = 500.0;
 const PACKET_BITS: f64 = PACKET_BYTES * 8.0;
@@ -152,12 +152,6 @@ fn single_link_waits_match_md1_and_packets_are_conserved_in_every_mode() {
     for workers in test_widths(&[1, 2, 4]) {
         let mut sim = simulation(workers);
         assert_eq!(report, sim.run(), "workers {workers}");
-        // A 10 ms window: ≈11 000 barrier-synchronised windows.
-        for mode in [
-            ExecMode::ComponentSharded,
-            ExecMode::TimeWindowed { window_s: 0.01 },
-        ] {
-            assert_eq!(report, sim.run_in(mode), "workers {workers}, {mode:?}");
-        }
+        assert_eq!(report, sim.run_windowed(0.01), "workers {workers}");
     }
 }

@@ -13,7 +13,7 @@ use cisp::netsim::flows::ArrivalProcess;
 use cisp::netsim::jobs::test_widths;
 use cisp::netsim::network::{LinkSpec, Network};
 use cisp::netsim::routing::Demand;
-use cisp::netsim::sim::{ExecMode, SimConfig, Simulation};
+use cisp::netsim::sim::{SimConfig, Simulation};
 use cisp::netsim::SimReport;
 
 /// The system allocator, counting live bytes and their high-water mark.
@@ -87,13 +87,13 @@ fn dumbbell(classified: bool) -> (Network, Vec<Demand>) {
 }
 
 /// Peak live heap above the level at entry, over one run: `run()`, or the
-/// `run_in` hook with a mode.
-fn peak_heap_of_run(sim: &mut Simulation, mode: Option<ExecMode>) -> (usize, SimReport) {
+/// `run_windowed` hook with a window.
+fn peak_heap_of_run(sim: &mut Simulation, mode: Option<f64>) -> (usize, SimReport) {
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
     let report = match mode {
         None => sim.run(),
-        Some(mode) => sim.run_in(mode),
+        Some(window_s) => sim.run_windowed(window_s),
     };
     let peak = PEAK.load(Ordering::Relaxed);
     (peak - before, report)
@@ -104,11 +104,7 @@ fn peak_heap_of_a_run_does_not_grow_with_its_packets() {
     const DURATION_S: f64 = 0.4;
     for classified in [false, true] {
         let mut reference: Option<SimReport> = None;
-        let modes = [
-            None,
-            Some(ExecMode::ComponentSharded),
-            Some(ExecMode::windowed_auto()),
-        ];
+        let modes = [None, Some(0.0)];
         for (workers, mode) in test_widths(&[1, 2, 4])
             .into_iter()
             .flat_map(|w| modes.map(|m| (w, m)))
@@ -126,8 +122,8 @@ fn peak_heap_of_a_run_does_not_grow_with_its_packets() {
             };
             let (short_peak, short) = run(DURATION_S);
             let (long_peak, long) = run(8.0 * DURATION_S);
-            let what = format!("classified {classified}, workers {workers}, {mode:?}");
-            // `run()` and every forced mode give one report.
+            let what = format!("classified {classified}, workers {workers}, window {mode:?}");
+            // `run()` and the forced window give one report.
             assert_eq!(
                 reference.get_or_insert_with(|| short.clone()),
                 &short,

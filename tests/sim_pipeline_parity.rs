@@ -3,8 +3,9 @@
 #![recursion_limit = "512"]
 
 //! Parity and determinism pins for the evaluation pipeline: the CSR routing
-//! core against the adjacency-list reference, the sharded and time-windowed
-//! packet engines against the serial mode (property-tested on random
+//! core against the adjacency-list reference, the packet engine's own
+//! choice on several workers and its forced time-windowed execution against
+//! the serial run (property-tested on random
 //! networks and pinned on the real designed backbone), routing-layer edge
 //! cases, and a golden `SimReport` snapshot that future engine refactors
 //! must reproduce bit for bit.
@@ -23,7 +24,7 @@ use cisp::netsim::network::{LinkSpec, Network};
 use cisp::netsim::routing::{
     compute_routes, compute_routes_avoiding, Demand, RoutingScheme, TrafficClass,
 };
-use cisp::netsim::sim::{ExecMode, SimConfig, Simulation};
+use cisp::netsim::sim::{SimConfig, Simulation};
 use cisp::netsim::{BackgroundModel, SimReport};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -157,7 +158,7 @@ fn windowed_simulation_is_bit_identical_to_serial_on_designed_backbone() {
         // Auto (lookahead) window, a fixed sub-millisecond window, and a
         // window beyond the whole horizon.
         for window_s in [0.0, 5e-4, 10.0] {
-            let report = sim.run_in(ExecMode::TimeWindowed { window_s });
+            let report = sim.run_windowed(window_s);
             assert_eq!(serial, report, "workers {workers}, window {window_s}");
         }
     }
@@ -206,8 +207,8 @@ fn random_sim_inputs(seed: u64) -> (Network, Vec<Demand>) {
     (net, demands)
 }
 
-/// The tentpole invariant, checked for one random instance: the
-/// time-windowed engine, the component-sharded engine and the serial
+/// The tentpole invariant, checked for one random instance: the run the
+/// engine plans itself, the forced time-windowed run and the serial
 /// reference produce bit-identical `SimReport`s for every tested
 /// `(workers, window)` configuration — including the degenerate windows
 /// (roughly one event per window, and a window far beyond the horizon).
@@ -237,13 +238,8 @@ fn check_engines_match_serial(seed: u64) -> TestCaseResult {
             serial == planned,
             "run() != serial at workers {workers} (seed {seed})"
         );
-        let sharded = sim.run_in(ExecMode::ComponentSharded);
-        prop_assert!(
-            serial == sharded,
-            "sharded != serial at workers {workers} (seed {seed})"
-        );
         for window_s in [0.0, 2e-4, 1.5e-3, 1.0] {
-            let windowed = sim.run_in(ExecMode::TimeWindowed { window_s });
+            let windowed = sim.run_windowed(window_s);
             prop_assert!(
                 serial == windowed,
                 "windowed != serial at workers {workers}, window {window_s} (seed {seed})"
@@ -296,13 +292,8 @@ fn check_hybrid_matches_serial_and_packet_envelope(seed: u64) -> TestCaseResult 
             hybrid == planned,
             "hybrid run() != serial at workers {workers} (seed {seed})"
         );
-        let sharded = sim.run_in(ExecMode::ComponentSharded);
-        prop_assert!(
-            hybrid == sharded,
-            "hybrid sharded != serial at workers {workers} (seed {seed})"
-        );
         for window_s in [0.0, 1.5e-3, 1.0] {
-            let windowed = sim.run_in(ExecMode::TimeWindowed { window_s });
+            let windowed = sim.run_windowed(window_s);
             prop_assert!(
                 hybrid == windowed,
                 "hybrid windowed != serial at workers {workers}, window {window_s} (seed {seed})"
@@ -429,7 +420,7 @@ fn random_classified_inputs(seed: u64) -> (Network, Vec<Demand>) {
 /// With the background class packet-simulated, the class tag is a label
 /// and nothing more: both classes share each link's one FIFO queue, so the
 /// classified run equals the same demands untagged in every field but
-/// `per_class`, in every execution forced at every width, and its per-class
+/// `per_class`, in every forced window at every width, and its per-class
 /// counts add up to the report's totals.
 fn check_classification_is_pure_labelling(seed: u64) -> TestCaseResult {
     let (net, demands) = random_classified_inputs(seed);
@@ -449,40 +440,35 @@ fn check_classification_is_pure_labelling(seed: u64) -> TestCaseResult {
         background: BackgroundModel::Packet,
         ..SimConfig::default()
     };
-    let modes = [
-        ExecMode::ComponentSharded,
-        ExecMode::windowed_auto(),
-        ExecMode::TimeWindowed { window_s: 1.5e-3 },
-    ];
     for workers in test_widths(&[1, 2, 4]) {
         let config = SimConfig { workers, ..base };
         let mut classified_sim = Simulation::new(net.clone(), demands.clone(), config);
         let mut untagged_sim = Simulation::new(net.clone(), untagged.clone(), config);
-        for mode in modes {
-            let classified = classified_sim.run_in(mode);
-            let plain = untagged_sim.run_in(mode);
+        for window_s in [0.0, 1.5e-3] {
+            let classified = classified_sim.run_windowed(window_s);
+            let plain = untagged_sim.run_windowed(window_s);
             prop_assert!(
                 plain.per_class.is_none(),
-                "an untagged run reported classes ({mode:?}, workers {workers}, seed {seed})"
+                "an untagged run reported classes (window {window_s}, workers {workers}, seed {seed})"
             );
             let classes = classified
                 .per_class
                 .expect("classified run must report per-class stats");
             prop_assert!(
                 classes.foreground.delivered + classes.background.delivered == classified.delivered,
-                "per-class deliveries do not sum to the total ({mode:?}, workers {workers}, \
+                "per-class deliveries do not sum to the total (window {window_s}, workers {workers}, \
                  seed {seed})"
             );
             prop_assert!(
                 classes.foreground.dropped + classes.background.dropped == classified.dropped,
-                "per-class drops do not sum to the total ({mode:?}, workers {workers}, seed {seed})"
+                "per-class drops do not sum to the total (window {window_s}, workers {workers}, seed {seed})"
             );
             prop_assert!(
                 SimReport {
                     per_class: None,
                     ..classified
                 } == plain,
-                "the class tag changed the report ({mode:?}, workers {workers}, seed {seed})"
+                "the class tag changed the report (window {window_s}, workers {workers}, seed {seed})"
             );
         }
     }
@@ -815,13 +801,11 @@ fn million_user_hybrid_backbone() {
     let mut hybrid_sim = simulation(base);
     let hybrid = hybrid_sim.run();
 
-    // One report in every execution mode and at every width.
+    // One report in either execution and at every width.
     for workers in test_widths(&[1, 2, 4]).into_iter().chain([0]) {
         let mut sim = simulation(SimConfig { workers, ..base });
         assert_eq!(hybrid, sim.run(), "workers {workers}");
-        for mode in [ExecMode::ComponentSharded, ExecMode::windowed_auto()] {
-            assert_eq!(hybrid, sim.run_in(mode), "workers {workers}, {mode:?}");
-        }
+        assert_eq!(hybrid, sim.run_windowed(0.0), "workers {workers}");
     }
 
     let bg = hybrid.background.as_ref().expect("background stats");

@@ -5,7 +5,9 @@
 //! allocating them. What is left to allocate per variant, once the worker
 //! has run each kind of variant twice, is the returned report's own
 //! vectors: a constant, where a cold variant allocates per flow and per
-//! link.
+//! link. A run on several workers that does not pay for the windowed gang
+//! runs on the same warm serial engine, so it too allocates only its
+//! report once warm: no partition, no shard and no thread of its own.
 //!
 //! This binary holds exactly one test: the counting allocator below is
 //! process-wide, and a second test running beside it would be counted too.
@@ -18,7 +20,7 @@ use cisp::core::links::CandidateLink;
 use cisp::core::topology::HybridTopology;
 use cisp::geo::{geodesic, GeoPoint};
 use cisp::netsim::flows::ArrivalProcess;
-use cisp::netsim::sim::SimConfig;
+use cisp::netsim::sim::{SimConfig, Simulation};
 
 /// The system allocator, counting allocation calls (a `realloc` is one).
 struct Counting;
@@ -177,5 +179,33 @@ fn variants_after_the_first_allocate_only_their_reports() {
             n <= REPORT_VECTORS,
             "variant {v}: {n} allocations, {spent:?}"
         );
+    }
+
+    // A run too short for the gang on two workers: 20 µs of the same
+    // demands, ≈ 12 expected packets against the ≈ 25 that forming a gang
+    // over their route hops costs.
+    let mut short = Simulation::new(
+        lowered.network.clone(),
+        lowered.demands.clone(),
+        SimConfig {
+            duration_s: 2e-5,
+            workers: 2,
+            ..config.sim
+        },
+    );
+    let spent: Vec<usize> = (0..6)
+        .map(|_| {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let report = short.run();
+            assert!(report.delivered > 0);
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        })
+        .collect();
+    eprintln!("allocations per short two-worker run: {spent:?}");
+    // The first run builds the engine; from the second on, a run
+    // allocates its report and nothing else.
+    assert!(spent[0] > REPORT_VECTORS, "{spent:?}");
+    for (run, &n) in spent.iter().enumerate().skip(1) {
+        assert!(n <= REPORT_VECTORS, "run {run}: {n} allocations, {spent:?}");
     }
 }

@@ -156,7 +156,7 @@ pub fn rank_upgrades(
     shortlist.truncate(config.max_candidates);
 
     let mut options = lowered.rerun(
-        baseline_sim.routes(),
+        baseline_sim,
         shortlist.len(),
         |j, network| {
             let (fwd, rev) = lowered.mw_link_ids[shortlist[j].0];

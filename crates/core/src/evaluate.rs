@@ -30,12 +30,14 @@
 //! which is what lets [`pair_rtts`] turn a finished [`SimReport`] into
 //! queueing-aware per-pair RTTs for the gaming and web models.
 
+use std::sync::Mutex;
+
 use cisp_geo::latency;
 use cisp_geo::units::{FIBER_LATENCY_FACTOR, SPEED_OF_LIGHT_KM_PER_S};
 use cisp_graph::DistMatrix;
 use cisp_netsim::jobs::drain_jobs;
 use cisp_netsim::network::{LinkId, LinkSpec, Network};
-use cisp_netsim::routing::{Demand, RoutingTable, TrafficClass};
+use cisp_netsim::routing::{Demand, TrafficClass};
 use cisp_netsim::sim::{SimConfig, Simulation};
 use cisp_netsim::SimReport;
 
@@ -158,26 +160,32 @@ impl LoweredNetwork {
     /// intervals, conduit cuts, link upgrades — and return one row per
     /// variant, in variant order.
     ///
-    /// `base` is the fair-weather table (`self.simulation().routes()`).
-    /// `variant(v, network)` may scale link rates on a copy of
-    /// [`Self::network`] and returns variant `v`'s disabled-link mask
-    /// (empty = every link up); the demands are re-routed from `base` as
-    /// [`reroute_avoiding`](cisp_netsim::routing::reroute_avoiding) does, and
-    /// `row(v, simulation)` runs the result.
-    /// [`SimConfig::workers`] is spent across the variants
-    /// ([`SimConfig::across_runs`]); the rows do not depend on it.
+    /// `fair` is the fair-weather simulation, [`Self::simulation`], run or
+    /// not: the sweep starts from it. `variant(v, network)` may scale link
+    /// rates on a copy of [`Self::network`] and returns variant `v`'s
+    /// disabled-link mask (empty = every link up); the demands are
+    /// re-routed from `fair`'s routes as
+    /// [`reroute_avoiding`](cisp_netsim::routing::reroute_avoiding) does,
+    /// and `row(v, simulation)` runs the result. [`SimConfig::workers`] is
+    /// spent across the variants ([`Simulation::into_sweep`]); the rows do
+    /// not depend on it.
     ///
-    /// The sweep builds one [`Simulation`] — its first-emission list is the
-    /// same for every variant — and each worker runs a clone of it, turned
-    /// into each of its variants in place by [`Simulation::vary`]: the
-    /// link table, the route table, the re-routing search and the engine
-    /// are reset and refilled, not allocated, and a variant run on one
-    /// worker simulates its flows without partitioning them. Every row is
-    /// the one a cold `Simulation::with_routes(..).run()` gives, bit for
-    /// bit.
+    /// The sweep builds no simulation of its own. `fair` becomes one
+    /// worker's simulation — its first-emission list and its warm engine
+    /// serve every variant that worker runs — and the other workers run
+    /// clones of it. Under shortest-path routing every source's fair-weather
+    /// shortest-path tree is built once, before the fan-out, and shared.
+    /// Each worker turns its simulation into each of its variants in place
+    /// by [`Simulation::vary`]: the link table and the route table are
+    /// reset and refilled, the broken part of each tree is repaired rather
+    /// than searched again, and a variant run on one worker simulates its
+    /// flows on the warm serial engine without partitioning them. Every row
+    /// is the one a cold simulation over the variant's
+    /// [`compute_routes_avoiding`](cisp_netsim::routing::compute_routes_avoiding)
+    /// table gives, bit for bit.
     pub fn rerun<T: Send>(
         &self,
-        base: &RoutingTable,
+        fair: Simulation,
         n: usize,
         variant: impl Fn(usize, &mut Network) -> Vec<bool> + Sync,
         row: impl Fn(usize, &mut Simulation) -> T + Sync,
@@ -185,19 +193,18 @@ impl LoweredNetwork {
         if n == 0 {
             return Vec::new();
         }
-        let (width, sim) = self.config.sim.across_runs(n);
-        let sweep = Simulation::with_routes(
-            self.network.clone(),
-            self.demands.clone(),
-            base.clone(),
-            sim,
-        );
+        let sweep = fair.into_sweep(n);
+        let width = sweep.len();
+        let sweep = Mutex::new(sweep);
         drain_jobs(
             n,
             width,
-            || sweep.clone(),
+            || {
+                let mut sweep = sweep.lock().expect("no job panics holding the sweep");
+                sweep.pop().expect("one simulation per worker")
+            },
             |run, v| {
-                run.vary(&self.network, base, |network| variant(v, network));
+                run.vary(&self.network, |network| variant(v, network));
                 row(v, run)
             },
         )
@@ -693,7 +700,7 @@ mod tests {
         let mask = lowered.disabled_mask(&all_failed);
         let (fwd, _) = lowered.mw_link_ids[0];
         let rows = lowered.rerun(
-            fair_sim.routes(),
+            fair_sim,
             3,
             |v, network| match v {
                 1 => mask.clone(),

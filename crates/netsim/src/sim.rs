@@ -140,7 +140,7 @@ use crate::jobs::{drain_jobs, resolve_workers};
 use crate::monitor::{FlowMonitor, SimReport};
 use crate::network::{DirtyLinks, LinkSpec, LinkState, LinkStates, Network, Transmit};
 use crate::queue::{Event, EventQueue};
-use crate::routing::{compute_routes, Demand, Rerouter, RoutingScheme, RoutingTable};
+use crate::routing::{compute_routes, Demand, FairRoutes, Rerouter, RoutingScheme, RoutingTable};
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -161,9 +161,8 @@ pub struct SimConfig {
     /// before the first event (see the [module docs](self)). A
     /// sweep of many short runs (the what-if re-runs of
     /// `cisp_core::evaluate::LoweredNetwork::rerun`: storm intervals,
-    /// conduit cuts, link upgrades) spends this budget *across* its runs —
-    /// that many runs in flight, each serial inside — because a
-    /// millisecond-scale run loses more to its own threads than it gains.
+    /// conduit cuts, link upgrades) spends this budget *across* its runs
+    /// ([`Simulation::into_sweep`]).
     pub workers: usize,
     /// How background-class demands execute: packet-level like everything
     /// else (the default), or as flow-level fluid queues that foreground
@@ -183,22 +182,6 @@ impl Default for SimConfig {
             seed: 1,
             workers: 0,
             background: BackgroundModel::Packet,
-        }
-    }
-}
-
-impl SimConfig {
-    /// How a sweep of `runs` independent runs spends [`Self::workers`]: the
-    /// number of runs to keep in flight (the width to hand
-    /// [`drain_jobs`]) and the configuration of each run — this one, made
-    /// serial when more than one run is in flight. Reports do not depend on
-    /// `workers`, so the sweep's results do not depend on the split.
-    pub fn across_runs(self, runs: usize) -> (usize, SimConfig) {
-        let width = resolve_workers(self.workers).min(runs);
-        if width > 1 {
-            (width, SimConfig { workers: 1, ..self })
-        } else {
-            (width, self)
         }
     }
 }
@@ -900,8 +883,9 @@ struct Gang {
 /// whose buffers the next serial run resets and refills instead of
 /// allocating, whatever its `workers`.
 /// [`vary`](Self::vary) turns it into a what-if variant of a base network
-/// the same way. A clone shares the first-emission list and starts with a
-/// cold engine.
+/// the same way, and [`into_sweep`](Self::into_sweep) hands it, warm, to a
+/// sweep of such variants. A clone shares the first-emission list and the
+/// fair-weather routes it varies from, and starts with a cold engine.
 pub struct Simulation {
     network: Network,
     demands: Vec<Demand>,
@@ -911,6 +895,11 @@ pub struct Simulation {
     first_emissions: Arc<[FirstEmission]>,
     /// The serial engine, warm from the previous serial run.
     engine: Option<Box<Shard<Serial>>>,
+    /// What [`vary`](Self::vary) re-routes from: the routes this
+    /// simulation had when it first varied or became a sweep
+    /// ([`into_sweep`](Self::into_sweep)), and their shortest-path trees.
+    /// Shared by its clones.
+    fair: Option<Arc<FairRoutes>>,
     /// The re-routing state of [`vary`](Self::vary), warm from its
     /// previous call.
     rerouter: Option<Rerouter>,
@@ -933,6 +922,7 @@ impl Clone for Simulation {
             config: self.config,
             first_emissions: Arc::clone(&self.first_emissions),
             engine: None,
+            fair: self.fair.clone(),
             rerouter: None,
             #[cfg(test)]
             last_queue_stats: Default::default(),
@@ -997,6 +987,7 @@ impl Simulation {
             config,
             first_emissions,
             engine: None,
+            fair: None,
             rerouter: None,
             #[cfg(test)]
             last_queue_stats: Default::default(),
@@ -1275,18 +1266,58 @@ impl Simulation {
         report
     }
 
+    /// Hand this simulation to a sweep of `runs` what-if variants
+    /// ([`vary`](Self::vary)): the simulations to keep in flight, one per
+    /// worker — clones of this one, then this one itself, whose engine is
+    /// warm from its own runs. [`SimConfig::workers`] is spent across the
+    /// runs: that many in flight, each serial inside when there is more than
+    /// one, because a millisecond-scale run loses more to its own threads
+    /// than it gains. Reports do not depend on `workers`, so neither do the
+    /// sweep's.
+    ///
+    /// The routes this simulation holds become the fair-weather table every
+    /// variant re-routes from, and under [`RoutingScheme::ShortestPath`]
+    /// each demand source's shortest-path tree is built here, once, and
+    /// shared read-only by every simulation returned.
+    pub fn into_sweep(mut self, runs: usize) -> Vec<Simulation> {
+        let width = resolve_workers(self.config.workers).min(runs).max(1);
+        if width > 1 {
+            self.config.workers = 1;
+        }
+        self.fair_routes();
+        let mut sweep: Vec<Simulation> = (1..width).map(|_| self.clone()).collect();
+        sweep.push(self);
+        sweep
+    }
+
+    /// See the `fair` field; built on first use.
+    fn fair_routes(&mut self) -> Arc<FairRoutes> {
+        let (network, demands, routes) = (&self.network, &self.demands, &self.routes);
+        let scheme = self.config.routing;
+        Arc::clone(self.fair.get_or_insert_with(|| {
+            Arc::new(FairRoutes::new(network, demands, routes.clone(), scheme))
+        }))
+    }
+
     /// Make this simulation a what-if variant of `base`, reusing its
     /// buffers: the link table becomes `base`'s (rates included),
     /// `variant` may change link rates on it and returns a disabled-link
-    /// mask (empty = every link up), and the routes become `base_routes`
-    /// re-routed around the mask — the table
+    /// mask (empty = every link up), and the routes become the fair-weather
+    /// routes re-routed around the mask — the table
     /// [`reroute_avoiding`](crate::routing::reroute_avoiding) returns. The
+    /// fair-weather routes are the ones this simulation held when it first
+    /// varied or went into a sweep ([`into_sweep`](Self::into_sweep)), and
+    /// must be `base`'s shortest paths under the configured scheme; under
+    /// [`RoutingScheme::ShortestPath`] each source's tree of them is
+    /// repaired around the failed links rather than searched again. The
     /// demands and the configuration stay. A sweep of variants on one
-    /// `Simulation` (each worker of `cisp_core::evaluate::LoweredNetwork::rerun`)
-    /// re-routes on one search state and runs on one warm engine; the
+    /// `Simulation` (each worker of
+    /// `cisp_core::evaluate::LoweredNetwork::rerun`) re-routes on one set of
+    /// shared trees and one repair state and runs on one warm engine; the
     /// report of each run is the one a fresh
-    /// [`with_routes`](Self::with_routes) over the variant would give, bit
-    /// for bit.
+    /// [`with_routes`](Self::with_routes) over the variant's
+    /// [`compute_routes_avoiding`](crate::routing::compute_routes_avoiding)
+    /// table would give, bit for bit.
     ///
     /// # Panics
     ///
@@ -1295,18 +1326,14 @@ impl Simulation {
     /// than link rates, or as [`reroute_avoiding`] does.
     ///
     /// [`reroute_avoiding`]: crate::routing::reroute_avoiding
-    pub fn vary(
-        &mut self,
-        base: &Network,
-        base_routes: &RoutingTable,
-        variant: impl FnOnce(&mut Network) -> Vec<bool>,
-    ) {
+    pub fn vary(&mut self, base: &Network, variant: impl FnOnce(&mut Network) -> Vec<bool>) {
         let shape = |n: &Network| (n.num_nodes(), n.num_links());
         assert_eq!(
             shape(&self.network),
             shape(base),
             "the base network must have this simulation's nodes and links"
         );
+        let fair = self.fair_routes();
         for id in 0..base.num_links() {
             let (mine, theirs) = (*self.network.link(id), *base.link(id));
             assert!(
@@ -1331,8 +1358,7 @@ impl Simulation {
             .reroute(
                 &self.network,
                 &self.demands,
-                base_routes,
-                self.config.routing,
+                &fair,
                 &disabled,
                 &mut self.routes,
             );

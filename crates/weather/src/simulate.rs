@@ -23,30 +23,34 @@
 //! failure set equals the previous stormy one is a copy of that row (2 of
 //! the 133 stormy intervals of the paper-scale sweep; a memo keyed by
 //! failure set finds no further repeat), and every other interval is a job.
-//! The jobs go to [`LoweredNetwork::rerun`], the one what-if path: it
-//! spends [`SimConfig::workers`] across them (resolved as the engine
-//! resolves it, `0` = one per core; [`SimConfig::across_runs`]). Each
-//! worker holds one simulation of the lowered network for the whole sweep,
-//! and each job turns it into its variant — restore the link rates,
-//! re-route against the fair routes — then simulates on the worker's warm
-//! engine and reduces to a row. Whenever more than one job is in flight a
-//! job runs with `workers: 1`: one shard over every active flow, no
-//! partition. A 6 ms variant does not pay for the engine's windowed gang,
-//! so on more workers it would run on that same serial engine; whole
-//! components spread over threads of its own, an execution the engine no
-//! longer has, lost 0.9–1.3 ms of wall clock on it (paper-scale storm
-//! variants, each run both ways three times, alternating, on two cores).
-//! `workers: 1` is therefore the fully serial sweep, and every width
-//! returns its rows bit for bit ([`SimReport`] does not depend on
-//! `workers`, jobs share nothing they write, rows are placed by job
-//! index). [`conduit_cut_analysis`] runs its cut scenarios through the same
-//! method, and so does `cisp_core::economics::rank_upgrades` its upgrade
-//! candidates.
+//! The jobs go to [`LoweredNetwork::rerun`], the one what-if path, together
+//! with the fair-weather simulation itself: the sweep builds none of its
+//! own. It spends [`SimConfig::workers`] across the jobs (resolved as the
+//! engine resolves it, `0` = one per core; [`Simulation::into_sweep`]): the
+//! fair-weather simulation serves one worker, warm engine and first-emission
+//! list included, and each other worker runs a clone of it. Before the
+//! fan-out every demand source's fair-weather shortest-path tree is built,
+//! once, and the workers share them read-only. Each job turns its worker's
+//! simulation into its variant — restore the link rates, repair the trees
+//! under the failed links (a storm variant re-solves ≈ 700 nodes over all
+//! sources, where searching each source that owns a broken route settled
+//! ≈ 7 900) — then simulates on the worker's warm engine and reduces to a
+//! row. Whenever more than one job is in flight a job runs with
+//! `workers: 1`: one shard over every active flow, no partition. A 6 ms
+//! variant does not pay for the engine's windowed gang, so on more workers
+//! it would run on that same serial engine; whole components spread over
+//! threads of its own, an execution the engine no longer has, lost
+//! 0.9–1.3 ms of wall clock on it (paper-scale storm variants, each run
+//! both ways three times, alternating, on two cores). `workers: 1` is
+//! therefore the fully serial sweep, and every width returns its rows bit
+//! for bit ([`SimReport`] does not depend on `workers`, jobs share nothing
+//! they write, rows are placed by job index). [`conduit_cut_analysis`]
+//! runs its cut scenarios through the same method, and so does
+//! `cisp_core::economics::rank_upgrades` its upgrade candidates.
 //!
 //! [`reroute_avoiding`]: cisp_netsim::routing::reroute_avoiding
 //! [`SimConfig`]: cisp_netsim::sim::SimConfig
 //! [`SimConfig::workers`]: cisp_netsim::sim::SimConfig::workers
-//! [`SimConfig::across_runs`]: cisp_netsim::sim::SimConfig::across_runs
 
 use cisp_core::evaluate::{lower, EvaluateConfig, LoweredNetwork};
 use cisp_core::topology::HybridTopology;
@@ -171,7 +175,7 @@ pub fn storm_queueing_analysis(
         .collect();
 
     let rows = lowered.rerun(
-        fair_sim.routes(),
+        fair_sim,
         jobs.len(),
         |j, _| lowered.disabled_mask(jobs[j]),
         |j, sim| IntervalQueueing::from_report(&sim.run(), jobs[j].len()),
@@ -299,7 +303,7 @@ pub fn conduit_cut_analysis(
     let mut fair = lowered.simulation();
     let baseline = conduit_outcome(&mut fair, 0);
     let cuts = lowered.rerun(
-        fair.routes(),
+        fair,
         cut_scenarios.len(),
         |j, _| lowered.conduit_disabled_mask(&cut_scenarios[j]),
         |j, sim| conduit_outcome(sim, cut_scenarios[j].len()),

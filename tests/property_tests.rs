@@ -16,6 +16,7 @@ use cisp::netsim::network::{LinkSpec, Network, Transmit};
 use cisp::netsim::routing::{
     compute_routes, compute_routes_avoiding, reroute_avoiding, Demand, RoutingScheme, RoutingTable,
 };
+use cisp::netsim::sim::{SimConfig, Simulation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +36,9 @@ const ROUTING_SCHEMES: [RoutingScheme; 3] = [
 /// A network, demands and disabled-link masks for the routing properties.
 /// Delays come from four values (zero among them) and links are doubled, so
 /// equal-cost ties are the rule; sources interleave; the last node has no
-/// link, so demand 0 is unroutable whatever the mask.
+/// link, so demand 0 is unroutable whatever the mask. The masks run from
+/// nothing down through one or two links down (a storm interval's shape)
+/// to every link down.
 fn random_routing_case(seed: u64) -> (Network, Vec<Demand>, Vec<Vec<bool>>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut below = |bound: usize| (rng.gen::<f64>() * bound as f64) as usize;
@@ -78,6 +81,14 @@ fn random_routing_case(seed: u64) -> (Network, Vec<Demand>, Vec<Vec<bool>>) {
     let mut masks: Vec<Vec<bool>> = vec![Vec::new(), vec![false; links], vec![true; links]];
     for density in [1, 3, 6] {
         masks.push((0..links).map(|_| below(10) < density).collect());
+    }
+    // The storm shape: a link or two down at a time.
+    for failures in [1, 1, 2, 2] {
+        let mut mask = vec![false; links];
+        for _ in 0..failures.min(links) {
+            mask[below(links)] = true;
+        }
+        masks.push(mask);
     }
     // A mask of any other length is refused (`routing`'s unit tests).
     (net, demands, masks)
@@ -366,6 +377,40 @@ proptest! {
                 prop_assert!(full == want, "{:?} avoiding {:?}", scheme, mask);
                 let partial = reroute_avoiding(&net, &demands, &base, scheme, mask);
                 prop_assert!(partial == want, "{:?} re-routing {:?}", scheme, mask);
+            }
+        }
+    }
+
+    // One simulation varied through every mask in turn, forwards and back,
+    // re-routes on its kept trees and repair state exactly as a cold
+    // computation does — on the case as drawn, where ties are the rule and
+    // send sources back to the search, and with the non-zero delays
+    // jittered apart, where the trees are repaired; zero-delay and
+    // parallel links stay in both.
+    #[test]
+    fn one_simulation_varied_through_every_mask_routes_as_a_cold_computation(seed in 0u64..u64::MAX) {
+        let (net, demands, masks) = random_routing_case(seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let mut jittered = Network::new(net.num_nodes());
+        for spec in net.links() {
+            let propagation_s = if spec.propagation_s > 0.0 {
+                spec.propagation_s + rng.gen::<f64>() * 1e-4
+            } else {
+                0.0
+            };
+            jittered.add_link(LinkSpec { propagation_s, ..*spec });
+        }
+        for net in [&net, &jittered] {
+            for scheme in ROUTING_SCHEMES {
+                let config = SimConfig { routing: scheme, workers: 2, ..SimConfig::default() };
+                let mut sims = Simulation::new(net.clone(), demands.clone(), config).into_sweep(2);
+                for mask in masks.iter().chain(masks.iter().rev()) {
+                    for sim in &mut sims {
+                        sim.vary(net, |_| mask.clone());
+                        let cold = compute_routes_avoiding(net, &demands, scheme, mask);
+                        prop_assert!(sim.routes() == &cold, "{:?} under {:?}", scheme, mask);
+                    }
+                }
             }
         }
     }

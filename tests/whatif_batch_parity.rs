@@ -531,8 +531,7 @@ fn alternating_variants_match_cold_runs_field_for_field() {
                 topology.traffic(),
                 &with_workers(&config, workers),
             );
-            let base = lowered.simulation().routes().clone();
-            let rows = lowered.rerun(&base, VARIANTS, variant, |_, sim| sim.run());
+            let rows = lowered.rerun(lowered.simulation(), VARIANTS, variant, |_, sim| sim.run());
             for (v, (got, want)) in rows.iter().zip(&cold).enumerate() {
                 assert_eq!(
                     report_bits(got),

@@ -111,7 +111,6 @@ fn variants_after_the_first_allocate_only_their_reports() {
     let lowered = lower(&topology, topology.traffic(), &config);
     let (links, flows) = (lowered.network.num_links(), lowered.demands.len());
     assert_eq!((links, flows), (66, 56));
-    let base = lowered.simulation().routes().clone();
 
     // Four kinds of variant, cycled: every microwave link down (traffic on
     // fiber), the whole fiber mesh down (demands off the chain stranded),
@@ -129,7 +128,7 @@ fn variants_after_the_first_allocate_only_their_reports() {
     let started: Vec<AtomicUsize> = (0..VARIANTS).map(|_| AtomicUsize::new(0)).collect();
     let spent: Vec<AtomicUsize> = (0..VARIANTS).map(|_| AtomicUsize::new(0)).collect();
     let rows = lowered.rerun(
-        &base,
+        lowered.simulation(),
         VARIANTS,
         |v, network| {
             let mask = match v % KINDS {
